@@ -3,8 +3,7 @@
 Supports exactly the operations the encoder stack needs: broadcasted
 arithmetic, (batched) matmul, reductions, exp/log/sqrt/erf, softmax,
 embedding lookup, and the [0,1] clip used as the spiking-rate surrogate.
-Graphs can be re-traversed with different output cotangents, which the
-equilibrium adjoint solve relies on.
+A training step tapes one forward pass and runs `backward` over it once.
 """
 
 from __future__ import annotations
@@ -280,19 +279,6 @@ def take_rows(table, indices):
     return _make(out, (table,), vjp)
 
 
-def concat(parts, axis=0):
-    parts = [as_tensor(p) for p in parts]
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(np.take(g, range(offsets[i], offsets[i + 1]), axis=axis)
-                     for i in range(len(parts)))
-
-    return _make(out, tuple(parts), vjp)
-
-
 def clip01(a):
     """Clip to [0,1]; subgradient 1 on the closed interval, 0 outside.
 
@@ -307,10 +293,6 @@ def clip01(a):
         return (g * mask,)
 
     return _make(out, (a,), vjp)
-
-
-def detach(a):
-    return Tensor(as_tensor(a).data)
 
 
 def ste(latent, forward_value):

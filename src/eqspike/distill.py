@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .equilibrium import SolverConfig
-from .implicit_grad import VjpSolveConfig, mse, training_step
+from .implicit_grad import mse, training_step
 from .model import TeacherModel, teacher_forward
 from .numerics import AdamState
 
@@ -109,9 +109,9 @@ class KdReport:
 def kd_loss_builder(stack, teacher: TeacherModel, cfg: KdConfig):
     """Loss builder for training_step: distillation only (stage 1)."""
 
-    def build(tokens, label, a_leaves, head_leaves):
+    def build(tokens, label, a_blocks, head_leaves):
         hiddens, _ = teacher_forward(teacher, tokens)
-        total, per_pair = kd_loss(a_leaves, hiddens, cfg, proj_leaves=head_leaves)
+        total, per_pair = kd_loss(a_blocks, hiddens, cfg, proj_leaves=head_leaves)
         return total, {"kd": float(total.data),
                        **{f"kd_pair{j}": v for j, v in enumerate(per_pair)}}
 
@@ -139,7 +139,6 @@ def evaluate_kd_loss(stack, teacher, dataset, cfg: KdConfig,
 def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
                      cfg: KdConfig, optimizer: AdamState,
                      solver_cfg: SolverConfig | None = None,
-                     vjp_cfg: VjpSolveConfig | None = None,
                      batch_size: int = 16) -> KdReport:
     """Stage-1 training: minimize the distillation loss over the dataset.
 
@@ -155,7 +154,6 @@ def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
         for start in range(0, len(dataset), batch_size):
             batch = dataset[start:start + batch_size]
             training_step(stack, batch, optimizer, loss_builder=builder,
-                          solver_cfg=solver_cfg, vjp_cfg=vjp_cfg,
                           extra_params=cfg.projections)
         total, pairs = evaluate_kd_loss(stack, teacher, dataset, cfg, solver_cfg)
         report.append(epoch, pairs, total)

@@ -6,20 +6,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .autodiff import no_grad
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 500
     tol: float = 1e-6
-    damping: float = 1.0
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if not (0.0 < self.damping <= 1.0):
-            raise ValueError("damping must lie in (0, 1]")
 
 
 @dataclass
@@ -39,41 +38,30 @@ class ConvergenceError(RuntimeError):
             f"{residual_history[-1]:.3e} after {len(residual_history)} iterations")
 
 
-def solve_fixed_point_map(step_fn, state, cfg: SolverConfig):
-    """Damped iteration of a generic state-update map.
-
-    `step_fn(state, damping)` returns (new_state, residual) where residual
-    is the sup-norm of the undamped update; iteration stops when it drops
-    to cfg.tol.
-    """
-    history = []
-    for it in range(1, cfg.max_iters + 1):
-        state, residual = step_fn(state, cfg.damping)
-        history.append(residual)
-        if residual <= cfg.tol:
-            return state, history, it, True
-    raise ConvergenceError(history)
-
-
 def solve_fixed_point(stack, tokens, cfg: SolverConfig) -> EquilibriumSolution:
-    """Solve the stack's steady-state rate equations by damped Gauss-Seidel.
+    """Solve the stack's steady-state rate equations by Gauss-Seidel sweeps.
 
-    Raises ConvergenceError (with the residual history attached) when the
+    Block i reads only block i-1, so the first sweep already lands on the
+    fixed point and the second certifies it with a zero residual.  The
+    parameter leaves and the encoding are built once per solve.  Raises
+    ConvergenceError (with the residual history attached) when the
     iteration budget is exhausted.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     state = stack.initial_state(len(tokens))
-
-    def step(s, damping):
-        return stack.sweep(tokens, s, damping=damping)
-
-    state, history, iters, ok = solve_fixed_point_map(step, state, cfg)
-    record = {}
-    stack.sweep(tokens, state, damping=1.0, record=record)
-    sol = EquilibriumSolution(asr_star=state, residual_history=history,
-                              iters_used=iters, converged=ok,
-                              sublayer_asr=record)
-    return sol
+    history = []
+    with no_grad():
+        leaves = stack.param_tensors()
+        a0 = stack.encoding(tokens, leaves)
+        record = {"input": a0.data}
+        for it in range(1, cfg.max_iters + 1):
+            state, residual = stack.sweep(a0, state, leaves, record=record)
+            history.append(residual)
+            if residual <= cfg.tol:
+                return EquilibriumSolution(asr_star=state, residual_history=history,
+                                           iters_used=it, converged=True,
+                                           sublayer_asr=record)
+    raise ConvergenceError(history)
 
 
 def convergence_trace(stack, tokens, T: int, solver_cfg: SolverConfig | None = None):

@@ -1,10 +1,12 @@
-"""Training through the equilibrium: adjoint (VJP) solve and optimizer step.
+"""Training through the equilibrium: exact gradients and the optimizer step.
 
-Gradients never unroll the temporal simulation.  At a solved fixed point
-a* = f(a*) the loss gradient is obtained from the adjoint equation
-v = dL/da* + (df/da)^T v, solved by truncated Neumann iteration, followed
-by one back-substitution of v into the parameter Jacobian of f.  A dense
-linear solve of the same equation is kept as a test oracle.
+Gradients never unroll the temporal simulation.  Block i of the stack
+reads only block i-1, so the Jacobian of the rate map in the block state
+is strictly lower triangular: one forward pass from the encoding through
+the blocks lands on the fixed point a* = f(a*), and one backward pass
+over that forward's tape solves the implicit-function adjoint equation
+v = dL/da* + (df/da)^T v exactly.  A dense linear solve of the same
+equation is kept as a test oracle.
 """
 
 from __future__ import annotations
@@ -15,20 +17,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .equilibrium import SolverConfig, solve_fixed_point
+from .equilibrium import solve_fixed_point  # noqa: F401  (public re-export)
 from .numerics import AdamState, adam_step_many, check_finite
-
-
-@dataclass(frozen=True)
-class VjpSolveConfig:
-    max_terms: int = 50
-    tol: float = 1e-8
-
-    def __post_init__(self):
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -36,78 +26,6 @@ class GradientBundle:
     grads: dict
     loss: float
     loss_terms: dict = field(default_factory=dict)
-
-
-class SpectralRadiusError(RuntimeError):
-    """The adjoint Neumann series is diverging (map is not a contraction)."""
-
-
-def clip_derivative(a):
-    """Subgradient of the [0,1] clip: 1 on the closed interval, else 0."""
-    a = np.asarray(a, dtype=np.float64)
-    return ((a >= 0.0) & (a <= 1.0)).astype(np.float64)
-
-
-def implicit_vjp(loss_grad_at_astar: list, f_jacobian_vjp,
-                 cfg: VjpSolveConfig) -> list:
-    """Solve v = g + (df/da)^T v by Neumann iteration.
-
-    `loss_grad_at_astar` is a list of per-block cotangent arrays g;
-    `f_jacobian_vjp(v)` must return (df/da)^T v as a matching list.
-    Diverging tail norms (5 consecutive growths) raise SpectralRadiusError.
-    """
-    g = [np.asarray(x, dtype=np.float64) for x in loss_grad_at_astar]
-    v = [x.copy() for x in g]
-    prev_tail = None
-    growth = 0
-    for _ in range(cfg.max_terms):
-        jv = f_jacobian_vjp(v)
-        new_v = [gi + ji for gi, ji in zip(g, jv)]
-        tail = max(float(np.max(np.abs(nv - ov))) for nv, ov in zip(new_v, v))
-        v = new_v
-        if tail <= cfg.tol:
-            break
-        if prev_tail is not None and tail > prev_tail:
-            growth += 1
-            if growth >= 5:
-                raise SpectralRadiusError(
-                    f"adjoint series tail grew 5 times in a row (last {tail:.3e})")
-        else:
-            growth = 0
-        prev_tail = tail
-    return v
-
-
-class _StackGraph:
-    """One reusable graph of the rate map f at a fixed point a*."""
-
-    def __init__(self, stack, tokens, a_star):
-        self.num_layers = stack.cfg.num_layers
-        self.leaves = stack.param_tensors()
-        a0 = stack.encoding(tokens, self.leaves)
-        self.state_leaves = [Tensor(a.copy(), requires_grad=True)
-                             for a in a_star[:-1]]
-        inputs = [a0] + self.state_leaves
-        self.outputs = [stack.block_forward(i, inputs[i], self.leaves)
-                        for i in range(self.num_layers)]
-        self._zero = [np.zeros_like(a) for a in a_star]
-
-    def jacobian_vjp(self, v):
-        """(df/da)^T v for the block-coupled state."""
-        ad.backward(self.outputs, v)
-        out = []
-        for j in range(self.num_layers):
-            if j < len(self.state_leaves) and self.state_leaves[j].grad is not None:
-                out.append(self.state_leaves[j].grad.copy())
-            else:
-                out.append(self._zero[j].copy())
-        return out
-
-    def param_vjp(self, v):
-        """v^T df/dtheta, as a name -> gradient dict."""
-        ad.backward(self.outputs, v)
-        return {name: leaf.grad.copy()
-                for name, leaf in self.leaves.items() if leaf.grad is not None}
 
 
 def dense_adjoint_solve(g: list, jacobian_vjp) -> list:
@@ -142,8 +60,8 @@ def mse(pred: Tensor, target) -> Tensor:
 def ce_loss_builder(stack):
     """Cross-entropy on the classifier over the final block's CLS rate."""
 
-    def build(tokens, label, a_leaves, head_leaves):
-        logits = head_leaves["cls.w"] @ ad.getitem(a_leaves[-1], 0) \
+    def build(tokens, label, a_blocks, head_leaves):
+        logits = head_leaves["cls.w"] @ ad.getitem(a_blocks[-1], 0) \
             + head_leaves["cls.b"]
         loss = ad.cross_entropy(logits, label)
         return loss, {"ce": float(loss.data)}
@@ -151,48 +69,42 @@ def ce_loss_builder(stack):
     return build
 
 
-def example_gradients(stack, tokens, label, a_star, loss_builder,
-                      vjp_cfg: VjpSolveConfig, extra_params: dict,
-                      use_dense_solve: bool = False) -> GradientBundle:
-    """Implicit gradient of the loss at one example's solved equilibrium."""
-    # loss graph: a* enters as constants with grad taps
-    a_leaves = [Tensor(a.copy(), requires_grad=True) for a in a_star]
-    head_leaves = {"cls.w": Tensor(stack.cls_w, requires_grad=True),
-                   "cls.b": Tensor(stack.cls_b, requires_grad=True)}
-    for name, arr in extra_params.items():
-        head_leaves[name] = Tensor(arr, requires_grad=True)
-    loss, terms = loss_builder(tokens, label, a_leaves, head_leaves)
-    ad.backward([loss], [1.0])
-    g = [leaf.grad.copy() if leaf.grad is not None else np.zeros_like(leaf.data)
-         for leaf in a_leaves]
-    grads = {name: leaf.grad.copy()
-             for name, leaf in head_leaves.items() if leaf.grad is not None}
+def example_gradients(stack, tokens, label, loss_builder,
+                      extra_params: dict) -> GradientBundle:
+    """Gradient of the loss at one example's equilibrium.
 
-    graph = _StackGraph(stack, tokens, a_star)
-    if use_dense_solve:
-        v = dense_adjoint_solve(g, graph.jacobian_vjp)
-    else:
-        v = implicit_vjp(g, graph.jacobian_vjp, vjp_cfg)
-    for name, grad in graph.param_vjp(v).items():
-        grads[name] = grads.get(name, 0.0) + grad
+    Tapes one forward from the encoding through every block (the first
+    Gauss-Seidel sweep, already exact) and runs one backward from the loss.
+    `loss_builder(tokens, label, a_blocks, head_leaves)` sees the block
+    outputs and the classifier and `extra_params` leaves.
+    """
+    leaves = stack.param_tensors()
+    a = stack.encoding(tokens, leaves)
+    a_blocks = []
+    for i in range(stack.cfg.num_layers):
+        a = stack.block_forward(i, a, leaves)
+        a_blocks.append(a)
+    extra = {name: Tensor(arr, requires_grad=True)
+             for name, arr in extra_params.items()}
+    head_leaves = {"cls.w": leaves["cls.w"], "cls.b": leaves["cls.b"], **extra}
+    loss, terms = loss_builder(tokens, label, a_blocks, head_leaves)
+    ad.backward([loss], [1.0])
+    grads = {name: leaf.grad for name, leaf in {**leaves, **extra}.items()
+             if leaf.grad is not None}
     for grad in grads.values():
         check_finite(grad, "gradient")
     return GradientBundle(grads=grads, loss=float(loss.data), loss_terms=terms)
 
 
 def training_step(stack, batch, optimizer: AdamState, loss_builder=None,
-                  solver_cfg: SolverConfig | None = None,
-                  vjp_cfg: VjpSolveConfig | None = None,
                   extra_params: dict | None = None,
                   apply_update: bool = True) -> GradientBundle:
     """One optimizer step over a batch of (tokens, label) pairs.
 
-    Equilibria are solved tightly (default tol 1e-8) before differentiating;
-    solver non-convergence propagates as ConvergenceError and aborts the
-    step before any parameter is touched.
+    Each example costs one taped forward and one backward
+    (`example_gradients`), which checks every gradient is finite, so a
+    non-finite gradient aborts the step before any parameter is touched.
     """
-    solver_cfg = solver_cfg or SolverConfig(tol=1e-8)
-    vjp_cfg = vjp_cfg or VjpSolveConfig()
     loss_builder = loss_builder or ce_loss_builder(stack)
     extra_params = extra_params or {}
     params = stack.named_params()
@@ -201,9 +113,8 @@ def training_step(stack, batch, optimizer: AdamState, loss_builder=None,
     loss_sum = 0.0
     term_sum: dict = {}
     for tokens, label in batch:
-        sol = solve_fixed_point(stack, tokens, solver_cfg)
-        bundle = example_gradients(stack, tokens, label, sol.asr_star,
-                                   loss_builder, vjp_cfg, extra_params)
+        bundle = example_gradients(stack, tokens, label, loss_builder,
+                                   extra_params)
         loss_sum += bundle.loss
         for k, val in bundle.loss_terms.items():
             term_sum[k] = term_sum.get(k, 0.0) + val

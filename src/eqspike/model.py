@@ -17,6 +17,7 @@ half mirrors that with an intermediate spiking layer.  Rates live in
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -28,20 +29,6 @@ from .neuron import LifConfig, LifLayerState, RunningAverage, asr, lif_step
 from .numerics import ShapeError, init_uniform
 from .quantizer import (OpCounter, QuantMode, QuantizedLinear,
                         effective_weight_tensor, quantized_forward)
-
-
-@dataclass(frozen=True)
-class EncoderLayerConfig:
-    hidden_dim: int = 64
-    intermediate_dim: int = 128
-    num_heads: int = 2
-    quant_mode: QuantMode = QuantMode.FULL_PRECISION
-
-    def __post_init__(self):
-        if self.hidden_dim <= 0 or self.intermediate_dim <= 0 or self.num_heads <= 0:
-            raise ValueError("dimensions must be positive")
-        if self.hidden_dim % self.num_heads:
-            raise ValueError("hidden_dim must be divisible by num_heads")
 
 
 @dataclass(frozen=True)
@@ -61,8 +48,10 @@ class StackConfig:
     ln_bias_init: float = 0.5
 
     def __post_init__(self):
-        EncoderLayerConfig(self.hidden_dim, self.intermediate_dim,
-                           self.num_heads, self.quant_mode)
+        if self.hidden_dim <= 0 or self.intermediate_dim <= 0 or self.num_heads <= 0:
+            raise ValueError("dimensions must be positive")
+        if self.hidden_dim % self.num_heads:
+            raise ValueError("hidden_dim must be divisible by num_heads")
         if self.num_layers < 1:
             raise ValueError("need at least one encoder layer")
 
@@ -139,7 +128,7 @@ class EncoderStack:
                 for k, v in self.named_params().items()}
 
     def set_quant_mode(self, mode: QuantMode):
-        object.__setattr__(self.cfg, "quant_mode", mode)
+        self.cfg = dataclasses.replace(self.cfg, quant_mode=mode)
         for blk in self.blocks:
             for lin in blk.linears().values():
                 lin.mode = mode
@@ -197,24 +186,17 @@ class EncoderStack:
         cls = ad.getitem(a_final, 0)  # first position carries the CLS token
         return leaves["cls.w"] @ cls + leaves["cls.b"]
 
-    def sweep(self, tokens, state: list[np.ndarray], damping: float = 1.0,
+    def sweep(self, a0: Tensor, state: list[np.ndarray], leaves,
               record: dict | None = None):
-        """One Gauss-Seidel sweep of the rate equations.
+        """One Gauss-Seidel sweep of the rate equations from the encoding a0.
 
-        Returns (damped new state, sup-norm residual of the undamped update).
+        Returns (new state, sup-norm residual of the update against `state`).
         """
-        with no_grad():
-            leaves = self.param_tensors()
-            prev = self.encoding(tokens, leaves)
-            if record is not None:
-                record["input"] = prev.data
-            new_state, residual = [], 0.0
-            for i in range(self.cfg.num_layers):
-                out = self.block_forward(i, prev, leaves, record=record).data
-                residual = max(residual, float(np.max(np.abs(out - state[i]))))
-                damped = (1.0 - damping) * state[i] + damping * out
-                new_state.append(damped)
-                prev = Tensor(damped)
+        prev, new_state, residual = a0, [], 0.0
+        for i in range(self.cfg.num_layers):
+            prev = self.block_forward(i, prev, leaves, record=record)
+            residual = max(residual, float(np.max(np.abs(prev.data - state[i]))))
+            new_state.append(prev.data)
         return new_state, residual
 
     def rate_map(self, tokens, state: list[np.ndarray]) -> list[np.ndarray]:
@@ -371,16 +353,6 @@ def spiking_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor
     weights = softmax(scores, axis=-1)
     mixed = weights @ vh
     return ad.reshape(ad.transpose(mixed, (1, 0, 2)), (seq, d))
-
-
-def steady_state_layer(asr_in: np.ndarray, weight: np.ndarray,
-                       bias: np.ndarray, v_th: float = 1.0) -> np.ndarray:
-    """Single-sublayer rate surrogate: clip((W a + b) / v_th, 0, 1)."""
-    a = np.asarray(asr_in, dtype=np.float64)
-    if np.any(a < 0.0) or np.any(a > 1.0):
-        raise ValueError("input rates must lie in [0, 1]")
-    pre = a @ np.asarray(weight).T + np.asarray(bias)
-    return np.clip(pre / v_th, 0.0, 1.0)
 
 
 # -- teacher ------------------------------------------------------------

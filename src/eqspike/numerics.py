@@ -1,6 +1,6 @@
-"""Dense linear algebra helpers, Adam, and the finite-difference test oracle.
+"""Finiteness checks, weight init, Adam, and the finite-difference test oracle.
 
-Matrices are plain float64 numpy arrays; these wrappers add the shape
+Matrices are plain float64 numpy arrays; these helpers add the shape
 checking and finiteness guarantees the rest of the package relies on.
 """
 
@@ -24,16 +24,6 @@ def check_finite(x, what="value"):
     if not np.all(np.isfinite(x)):
         raise NumericError(f"non-finite {what}")
     return x
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError("matmul expects 2-D matrices")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul dims {a.shape} x {b.shape}")
-    return check_finite(a @ b, "matmul result")
 
 
 def init_uniform(rng: np.random.Generator, rows: int, cols: int,
@@ -71,13 +61,6 @@ class AdamState:
         mhat = m / (1 - self.beta1 ** t)
         vhat = v / (1 - self.beta2 ** t)
         return param - self.lr * mhat / (np.sqrt(vhat) + self.eps)
-
-
-def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState,
-              name: str = "p") -> np.ndarray:
-    """Single-tensor Adam step (increments the shared step counter)."""
-    state.begin_step()
-    return state.update(name, params, grads)
 
 
 def adam_step_many(params: dict, grads: dict, state: AdamState) -> None:

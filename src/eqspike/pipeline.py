@@ -20,7 +20,7 @@ from .distill import KdConfig, run_distillation
 from .equilibrium import SolverConfig, convergence_trace, solve_fixed_point
 from .energy import (SpikeStats, TechnologyProfile, energy_estimate,
                      expected_accumulates)
-from .implicit_grad import VjpSolveConfig, ce_loss_builder, training_step
+from .implicit_grad import ce_loss_builder, training_step
 from .model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
 from .numerics import AdamState
 from .quantizer import OpCounter, QuantMode
@@ -54,8 +54,7 @@ def default_config() -> dict:
             "epochs": 12,
             "batch_size": 16,
         },
-        "solver": {"max_iters": 500, "tol": 1e-8, "damping": 1.0},
-        "vjp": {"max_terms": 50, "tol": 1e-8},
+        "solver": {"max_iters": 500, "tol": 1e-8},
         "train": {
             "lr": 3e-3,
             "batch_size": 16,
@@ -107,13 +106,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 
 def solver_config(cfg) -> SolverConfig:
     s = cfg["solver"]
-    return SolverConfig(max_iters=s["max_iters"], tol=s["tol"],
-                        damping=s["damping"])
-
-
-def vjp_config(cfg) -> VjpSolveConfig:
-    return VjpSolveConfig(max_terms=cfg["vjp"]["max_terms"],
-                          tol=cfg["vjp"]["tol"])
+    return SolverConfig(max_iters=s["max_iters"], tol=s["tol"])
 
 
 def make_dataset(cfg):
@@ -206,7 +199,6 @@ def distill_student(cfg, stack, teacher, train_items):
     report = run_distillation(stack, teacher, train_items,
                               cfg["train"]["kd_epochs"], kd_cfg, adam,
                               solver_cfg=solver_config(cfg),
-                              vjp_cfg=vjp_config(cfg),
                               batch_size=cfg["train"]["batch_size"])
     return report, kd_cfg
 
@@ -227,8 +219,7 @@ def finetune_student(cfg, stack, train_items, dev_items, epochs=None):
     best_acc, best_snapshot = -1.0, None
     for epoch in range(1, (epochs or cfg["train"]["finetune_epochs"]) + 1):
         for batch in batches(train_items, cfg["train"]["batch_size"]):
-            training_step(stack, batch, adam, loss_builder=builder,
-                          solver_cfg=scfg, vjp_cfg=vjp_config(cfg))
+            training_step(stack, batch, adam, loss_builder=builder)
         acc = student_accuracy(stack, dev_items, scfg)
         history.append({"epoch": epoch, "dev_accuracy": acc})
         if acc > best_acc:

@@ -84,39 +84,45 @@ class QuantizedLinear:
         """The weight actually applied in the forward pass (numeric path)."""
         if self.mode is QuantMode.FULL_PRECISION:
             return self.latent_w
-        if self.frozen and self.frozen_codes is not None:
-            q = self.frozen_codes.astype(np.float64)
-        elif self.mode is QuantMode.BINARY_1BIT:
-            q, self.alpha = quantize_1bit(self.latent_w)
-            if self.binary_output_scale:
-                self.beta = float(np.abs(self.latent_w).mean())
-        else:
-            q, self.beta = quantize_158bit(self.latent_w, self.epsilon)
-        if self.mode is QuantMode.BINARY_1BIT:
-            return q * self.beta if self.binary_output_scale else q
-        return q * self.beta
+        q, scale = _codes_and_scale(self)
+        return q * scale
 
     def freeze(self):
         """Pin the current quantization statistics and codes for inference."""
-        if self.mode is QuantMode.BINARY_1BIT:
-            q, self.alpha = quantize_1bit(self.latent_w)
-            if self.binary_output_scale:
-                self.beta = float(np.abs(self.latent_w).mean())
-        elif self.mode is QuantMode.TERNARY_158BIT:
-            q, self.beta = quantize_158bit(self.latent_w, self.epsilon)
-        else:
-            q = None
         self.frozen = True
-        self.frozen_codes = None if q is None else q.astype(np.int8)
+        self.frozen_codes = None if self.mode is QuantMode.FULL_PRECISION \
+            else _codes_and_scale(self, self.latent_w)[0].astype(np.int8)
 
     def codes(self) -> np.ndarray:
         if self.mode is QuantMode.FULL_PRECISION:
             raise ValueError("full-precision layer has no integer codes")
-        if self.frozen and self.frozen_codes is not None:
-            return self.frozen_codes.astype(np.float64)
-        if self.mode is QuantMode.BINARY_1BIT:
-            return quantize_1bit(self.latent_w)[0]
-        return quantize_158bit(self.latent_w, self.epsilon)[0]
+        stats = self.alpha, self.beta
+        q, _ = _codes_and_scale(self)
+        self.alpha, self.beta = stats  # reading codes leaves the statistics alone
+        return q
+
+
+def _codes_and_scale(layer: QuantizedLinear, w: np.ndarray | None = None):
+    """(codes, output scale) of a quantized layer.
+
+    Frozen codes are used unless a weight `w` is given; otherwise `w`
+    (default: the latent weights) is quantized afresh and the layer's
+    alpha/beta are refreshed from it.  Binary layers without an output
+    scale use 1.0.
+    """
+    if w is None and layer.frozen and layer.frozen_codes is not None:
+        q = layer.frozen_codes.astype(np.float64)
+    else:
+        w = layer.latent_w if w is None else w
+        if layer.mode is QuantMode.BINARY_1BIT:
+            q, layer.alpha = quantize_1bit(w)
+            if layer.binary_output_scale:
+                layer.beta = float(np.abs(w).mean())
+        else:
+            q, layer.beta = quantize_158bit(w, layer.epsilon)
+    if layer.mode is QuantMode.BINARY_1BIT and not layer.binary_output_scale:
+        return q, 1.0
+    return q, layer.beta
 
 
 class OpCounter:
@@ -145,17 +151,18 @@ def quantized_forward(layer: QuantizedLinear, x: np.ndarray,
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != layer.in_dim:
         raise ShapeError(f"input width {x.shape[-1]} vs layer {layer.in_dim}")
-    w_eff = layer.effective_weight()  # refreshes alpha/beta when not frozen
-    is_spikes = np.all((x == 0.0) | (x == 1.0))
-    if is_spikes and layer.mode is not QuantMode.FULL_PRECISION:
-        codes = layer.codes()
-        acc = _accumulate(codes, x)
-        if counter is not None:
-            nnz_col = np.count_nonzero(codes, axis=0)
-            counter.add(name, int((x.reshape(-1, layer.in_dim).sum(axis=0) * nnz_col).sum()))
-        if layer.mode is QuantMode.BINARY_1BIT and not layer.binary_output_scale:
-            return acc + layer.bias
-        return layer.beta * acc + layer.bias
+    if layer.mode is QuantMode.FULL_PRECISION:
+        w_eff = layer.latent_w
+    else:
+        codes, scale = _codes_and_scale(layer)  # refreshes alpha/beta when not frozen
+        if np.all((x == 0.0) | (x == 1.0)):
+            acc = _accumulate(codes, x)
+            if counter is not None:
+                nnz_col = np.count_nonzero(codes, axis=0)
+                counter.add(name, int((x.reshape(-1, layer.in_dim).sum(axis=0)
+                                       * nnz_col).sum()))
+            return scale * acc + layer.bias
+        w_eff = codes * scale
     if counter is not None:
         nnz_col = np.count_nonzero(w_eff, axis=0)
         active = (x.reshape(-1, layer.in_dim) != 0.0).sum(axis=0)
@@ -181,23 +188,8 @@ def effective_weight_tensor(layer: QuantizedLinear, latent: ad.Tensor) -> ad.Ten
     """
     if layer.mode is QuantMode.FULL_PRECISION:
         return latent
-    if layer.mode is QuantMode.BINARY_1BIT:
-        q, layer.alpha = quantize_1bit(latent.data)
-        if layer.binary_output_scale:
-            layer.beta = float(np.abs(latent.data).mean())
-            return ad.ste(latent, q * layer.beta)
-        return ad.ste(latent, q)
-    q, layer.beta = quantize_158bit(latent.data, layer.epsilon)
-    return ad.ste(latent, q * layer.beta)
-
-
-def ste_backward(layer: QuantizedLinear,
-                 upstream_grad_wrt_quantized: np.ndarray) -> np.ndarray:
-    """Identity straight-through gradient for the latent weights."""
-    g = np.asarray(upstream_grad_wrt_quantized, dtype=np.float64)
-    if g.shape != layer.latent_w.shape:
-        raise ShapeError(f"grad shape {g.shape} vs latent {layer.latent_w.shape}")
-    return g
+    q, scale = _codes_and_scale(layer, latent.data)
+    return ad.ste(latent, q * scale)
 
 
 # -- 2-bit code packing (little-endian within each byte) ----------------

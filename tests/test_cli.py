@@ -91,10 +91,13 @@ def test_missing_checkpoint_is_io_error(workdir):
     assert rc == 4
 
 
-def test_bad_config_key_is_config_error(workdir, capsys):
+@pytest.mark.parametrize("text", ["nonsense: 1\n", "solver: {damping: 0.5}\n",
+                                  "vjp: {max_terms: 5}\n"],
+                         ids=["nonsense", "solver.damping", "vjp.max_terms"])
+def test_bad_config_key_is_config_error(workdir, capsys, text):
     root, _ = workdir
     bad = root / "bad.yaml"
-    bad.write_text("nonsense: 1\n")
+    bad.write_text(text)
     rc = main(["train-teacher", "--config", str(bad), "--out", str(root / "y")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err

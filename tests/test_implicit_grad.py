@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from eqspike import autodiff as ad
+from eqspike.autodiff import Tensor
+from eqspike.distill import KdConfig, kd_loss_builder
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
-from eqspike.implicit_grad import (GradientBundle, SpectralRadiusError,
-                                   VjpSolveConfig, _StackGraph,
-                                   ce_loss_builder, clip_derivative,
-                                   dense_adjoint_solve, example_gradients,
-                                   implicit_vjp, mse, training_step)
-from eqspike.model import EncoderStack, StackConfig
+from eqspike.implicit_grad import (GradientBundle, ce_loss_builder,
+                                   dense_adjoint_solve, example_gradients, mse,
+                                   training_step)
+from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
 from eqspike.numerics import AdamState
 from eqspike.quantizer import QuantMode
-from eqspike import autodiff as ad
 
 
 def small_stack(seed=0, mode=QuantMode.FULL_PRECISION):
@@ -20,53 +20,67 @@ def small_stack(seed=0, mode=QuantMode.FULL_PRECISION):
     return EncoderStack(cfg, np.random.default_rng(seed))
 
 
-@pytest.mark.parametrize("bad", [{"max_terms": 0}, {"tol": 0.0}])
-def test_vjp_config_validation(bad):
-    with pytest.raises(ValueError):
-        VjpSolveConfig(**bad)
+def oracle_gradients(stack, tokens, label, loss_builder, extra_params):
+    """Implicit-function gradients with the adjoint solved densely.
+
+    a* enters the loss as constant leaves; v = dL/da* + (df/da)^T v is
+    solved by `dense_adjoint_solve` on the rate map f built from the public
+    `encoding` and `block_forward` at a*; v^T df/dtheta is then added.
+    """
+    sol = solve_fixed_point(stack, tokens, SolverConfig(tol=1e-12))
+    a_leaves = [Tensor(a.copy(), requires_grad=True) for a in sol.asr_star]
+    head = {"cls.w": Tensor(stack.cls_w, requires_grad=True),
+            "cls.b": Tensor(stack.cls_b, requires_grad=True),
+            **{k: Tensor(v, requires_grad=True) for k, v in extra_params.items()}}
+    loss, _ = loss_builder(tokens, label, a_leaves, head)
+    ad.backward([loss], [1.0])
+    g = [np.zeros_like(a.data) if a.grad is None else a.grad.copy()
+         for a in a_leaves]
+    grads = {k: t.grad.copy() for k, t in head.items() if t.grad is not None}
+
+    leaves = stack.param_tensors()
+    state = [Tensor(a.copy(), requires_grad=True) for a in sol.asr_star[:-1]]
+    inputs = [stack.encoding(tokens, leaves)] + state
+    outputs = [stack.block_forward(i, x, leaves) for i, x in enumerate(inputs)]
+
+    def jacobian_vjp(v):
+        ad.backward(outputs, v)
+        return [s.grad.copy() if s.grad is not None else np.zeros_like(s.data)
+                for s in state] + [np.zeros_like(sol.asr_star[-1])]
+
+    v = dense_adjoint_solve(g, jacobian_vjp)
+    ad.backward(outputs, v)
+    for k, leaf in leaves.items():
+        if leaf.grad is not None:
+            grads[k] = grads.get(k, 0.0) + leaf.grad
+    return grads, float(loss.data)
 
 
-def test_clip_derivative_closed_interval():
-    x = np.array([-0.1, 0.0, 0.5, 1.0, 1.1])
-    np.testing.assert_array_equal(clip_derivative(x), [0.0, 1.0, 1.0, 1.0, 0.0])
+def kd_builder(stack):
+    teacher = TeacherModel(TeacherConfig(vocab_size=11, hidden_dim=6,
+                                         intermediate_dim=8, num_heads=2,
+                                         num_layers=2, max_len=6),
+                           np.random.default_rng(9))
+    kd = KdConfig.build(stack.cfg.hidden_dim, teacher.cfg.hidden_dim,
+                        stack.cfg.num_layers, teacher.cfg.num_layers,
+                        np.random.default_rng(10))
+    return kd_loss_builder(stack, teacher, kd), kd.projections
 
 
-def test_implicit_vjp_matches_direct_solve_on_linear_map():
-    # v = g + A^T v  with  rho(A) < 1  has solution (I - A^T)^{-1} g.
-    rng = np.random.default_rng(0)
-    A = 0.3 * rng.normal(size=(6, 6)) / np.sqrt(6)
-    g = rng.normal(size=6)
-
-    def jvp(v):
-        return [A.T @ v[0]]
-
-    v = implicit_vjp([g], jvp, VjpSolveConfig(max_terms=200, tol=1e-12))[0]
-    expected = np.linalg.solve(np.eye(6) - A.T, g)
-    np.testing.assert_allclose(v, expected, atol=1e-10)
-
-
-def test_implicit_vjp_detects_divergence():
-    A = 2.0 * np.eye(3)
-
-    def jvp(v):
-        return [A @ v[0]]
-
-    with pytest.raises(SpectralRadiusError):
-        implicit_vjp([np.ones(3)], jvp, VjpSolveConfig(max_terms=50, tol=1e-12))
-
-
-def test_dense_adjoint_solve_matches_neumann_on_stack():
-    stack = small_stack(seed=2)
-    tokens = np.array([2, 4, 5])
-    sol = solve_fixed_point(stack, tokens, SolverConfig(tol=1e-10))
-    rng = np.random.default_rng(1)
-    g = [rng.normal(size=a.shape) for a in sol.asr_star]
-    graph = _StackGraph(stack, tokens, sol.asr_star)
-    dense = dense_adjoint_solve(g, graph.jacobian_vjp)
-    neumann = implicit_vjp(g, graph.jacobian_vjp,
-                           VjpSolveConfig(max_terms=50, tol=1e-12))
-    for a, b in zip(dense, neumann):
-        np.testing.assert_allclose(a, b, atol=1e-8)
+@pytest.mark.parametrize("mode", list(QuantMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("kind", ["ce", "kd"])
+def test_example_gradients_match_dense_adjoint_oracle(mode, kind):
+    stack = small_stack(seed=2, mode=mode)
+    builder, extra = (ce_loss_builder(stack), {}) if kind == "ce" \
+        else kd_builder(stack)
+    tokens, label = np.array([2, 4, 5]), 1
+    bundle = example_gradients(stack, tokens, label, builder, extra)
+    want, loss = oracle_gradients(stack, tokens, label, builder, extra)
+    assert bundle.loss == loss
+    assert set(bundle.grads) == set(want)
+    for name, grad in want.items():
+        np.testing.assert_allclose(bundle.grads[name], grad, rtol=0, atol=1e-10,
+                                   err_msg=name)
 
 
 def test_mse_value():
@@ -76,16 +90,13 @@ def test_mse_value():
 
 
 def test_example_gradients_match_finite_differences():
-    # End-to-end: d(loss at equilibrium)/d(parameter) via the adjoint path
+    # End-to-end: d(loss at equilibrium)/d(parameter) via the taped forward
     # against central differences with the equilibrium re-solved per probe.
     stack = small_stack(seed=3)
     tokens = np.array([2, 4, 5])
     label = 1
     scfg = SolverConfig(tol=1e-11)
-    sol = solve_fixed_point(stack, tokens, scfg)
-    bundle = example_gradients(stack, tokens, label, sol.asr_star,
-                               ce_loss_builder(stack),
-                               VjpSolveConfig(max_terms=50, tol=1e-12), {})
+    bundle = example_gradients(stack, tokens, label, ce_loss_builder(stack), {})
 
     def loss_at(name, idx, value):
         params = stack.named_params()

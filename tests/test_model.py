@@ -4,8 +4,7 @@ import pytest
 from eqspike import autodiff as ad
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
 from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
-                           TeacherModel, spiking_attention, steady_state_layer,
-                           teacher_forward)
+                           TeacherModel, spiking_attention, teacher_forward)
 from eqspike.numerics import ShapeError
 from eqspike.quantizer import OpCounter, QuantMode
 
@@ -50,6 +49,7 @@ def test_named_params_cover_all_sublayers():
 def test_set_quant_mode_and_freeze_roundtrip():
     stack = make_stack()
     stack.set_quant_mode(QuantMode.TERNARY_158BIT)
+    assert stack.cfg.quant_mode is QuantMode.TERNARY_158BIT
     assert all(lin.mode is QuantMode.TERNARY_158BIT
                for blk in stack.blocks for lin in blk.linears().values())
     stack.freeze_quantization()
@@ -84,17 +84,6 @@ def test_spiking_attention_shape_errors():
     with pytest.raises(ShapeError):
         spiking_attention(ad.Tensor(np.zeros((3, 5))), ad.Tensor(np.zeros((3, 5))),
                           ad.Tensor(np.zeros((3, 5))), 2)
-
-
-def test_steady_state_layer_clip_and_validation():
-    w = np.array([[2.0, 0.0], [0.0, -2.0]])
-    b = np.array([0.0, 0.5])
-    out = steady_state_layer(np.array([0.6, 0.6]), w, b)
-    np.testing.assert_allclose(out, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        steady_state_layer(np.array([1.5, 0.0]), w, b)
-    out2 = steady_state_layer(np.array([0.25, 0.0]), w, b, v_th=2.0)
-    np.testing.assert_allclose(out2, [0.25, 0.25])
 
 
 @pytest.mark.parametrize("mode", [QuantMode.FULL_PRECISION,

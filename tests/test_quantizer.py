@@ -6,7 +6,7 @@ from eqspike.numerics import ShapeError
 from eqspike.quantizer import (OpCounter, QuantizedLinear, QuantMode,
                                _accumulate, effective_weight_tensor,
                                pack_codes, quantize_1bit, quantize_158bit,
-                               quantized_forward, ste_backward, unpack_codes)
+                               quantized_forward, unpack_codes)
 
 
 def test_binary_codes_and_alpha():
@@ -130,14 +130,6 @@ def test_effective_weight_tensor_ste_gradient():
     g = np.random.default_rng(4).normal(size=w_eff.shape)
     ad.backward([ad.tensor_sum(ad.mul(w_eff, ad.Tensor(g)))], [1.0])
     np.testing.assert_array_equal(latent.grad, g)  # identity straight-through
-
-
-def test_ste_backward_identity_and_shape_check():
-    layer = _layer(QuantMode.BINARY_1BIT)
-    g = np.ones_like(layer.latent_w)
-    np.testing.assert_array_equal(ste_backward(layer, g), g)
-    with pytest.raises(ShapeError):
-        ste_backward(layer, np.ones((1, 1)))
 
 
 def test_pack_unpack_roundtrip():
