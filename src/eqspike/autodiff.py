@@ -3,7 +3,9 @@
 Supports exactly the operations the encoder stack needs: broadcasted
 arithmetic, (batched) matmul, reductions, exp/log/sqrt/erf, softmax,
 embedding lookup, and the [0,1] clip used as the spiking-rate surrogate.
-A training step tapes one forward pass and runs `backward` over it once.
+Every op broadcasts over leading axes, so a stacked batch of examples
+tapes the same graph as one example; a training step tapes one forward
+pass over its whole batch and runs `backward` over it once.
 """
 
 from __future__ import annotations
@@ -332,11 +334,20 @@ def layer_norm(x, gain, bias, eps=1e-5):
 
 
 def cross_entropy(logits, label):
-    """Negative log-likelihood of `label` under softmax(logits); logits 1-D."""
+    """Negative log-likelihood of `label` under softmax(logits), summed.
+
+    `logits` is (C,) with an int label, or (..., C) with an integer label
+    array of the leading shape; the result is the sum over that batch.
+    """
     logits = as_tensor(logits)
-    m = float(np.max(logits.data))
-    lse = add(log(tensor_sum(exp(sub(logits, m)))), m)
-    return sub(lse, getitem(logits, int(label)))
+    labels = np.asarray(label, dtype=np.int64)
+    if labels.shape != logits.data.shape[:-1]:
+        raise ValueError(f"labels of shape {labels.shape} for logits "
+                         f"{logits.data.shape}")
+    m = np.max(logits.data, axis=-1, keepdims=True)
+    lse = add(log(tensor_sum(exp(sub(logits, m)), axis=-1)), m[..., 0])
+    picked = getitem(logits, np.indices(labels.shape, sparse=True) + (labels,))
+    return tensor_sum(sub(lse, picked))
 
 
 # -- backward pass ------------------------------------------------------

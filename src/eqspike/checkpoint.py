@@ -8,6 +8,7 @@ records where in the training pipeline the artifact was produced.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -49,6 +50,11 @@ def save_student(stack: EncoderStack, stage: str, path):
     if cfg.quant_mode is not QuantMode.FULL_PRECISION:
         for i, blk in enumerate(stack.blocks):
             for nm, lin in blk.linears().items():
+                if not lin.frozen:
+                    # pin a copy, so the codes and alpha/beta written come
+                    # from one quantization of the current latent weights
+                    lin = dataclasses.replace(lin)
+                    lin.freeze()
                 codes = lin.codes()
                 quant["layers"][f"blk{i}.{nm}"] = {
                     "alpha": lin.alpha, "beta": lin.beta,

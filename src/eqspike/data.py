@@ -154,3 +154,17 @@ def batches(items: list, batch_size: int) -> list:
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     return [items[i:i + batch_size] for i in range(0, len(items), batch_size)]
+
+
+def stack_by_length(items: list) -> list:
+    """(tokens (B, seq), labels (B,)) per sequence length, in first-seen order.
+
+    The rate path runs a stacked group in one call; encoded corpora are
+    padded to `max_len`, so they form a single group.
+    """
+    groups: dict = {}
+    for tokens, label in items:
+        groups.setdefault(len(tokens), []).append((tokens, label))
+    return [(np.stack([t for t, _ in group]),
+             np.array([lab for _, lab in group]))
+            for group in groups.values()]

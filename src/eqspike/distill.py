@@ -15,7 +15,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .equilibrium import SolverConfig
+from .data import stack_by_length
+from .equilibrium import SolverConfig, solve_fixed_point
 from .implicit_grad import mse, training_step
 from .model import TeacherModel, teacher_forward
 from .numerics import AdamState
@@ -74,7 +75,9 @@ def kd_loss(student_asrs: list, teacher_hiddens: list, cfg: KdConfig,
             proj_leaves: dict | None = None):
     """Weighted sum of per-pair MSE terms; returns (Tensor, per-pair floats).
 
-    `student_asrs` entries may be Tensors (training) or arrays (reporting).
+    `student_asrs` entries may be Tensors (training) or arrays (reporting),
+    (seq, d) for one example or (B, seq, d) for a batch; each term is then
+    the sum over the batch of per-example MSE means.
     """
     if len(cfg.layer_map) != len(student_asrs):
         raise KdConfigError("every student block needs a teacher mapping")
@@ -120,12 +123,13 @@ def kd_loss_builder(stack, teacher: TeacherModel, cfg: KdConfig):
 
 def evaluate_kd_loss(stack, teacher, dataset, cfg: KdConfig,
                      solver_cfg: SolverConfig) -> tuple[float, list]:
-    """Mean distillation loss over a dataset (no training)."""
-    from .equilibrium import solve_fixed_point
+    """Mean distillation loss over a dataset (no training).
 
+    One solve and one teacher pass per sequence length in the dataset.
+    """
     total = 0.0
     pair_sum = None
-    for tokens, _label in dataset:
+    for tokens, _labels in stack_by_length(dataset):
         sol = solve_fixed_point(stack, tokens, solver_cfg)
         hiddens, _ = teacher_forward(teacher, tokens)
         t, per_pair = kd_loss(sol.asr_star, hiddens, cfg)

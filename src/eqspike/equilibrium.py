@@ -41,6 +41,12 @@ class ConvergenceError(RuntimeError):
 def solve_fixed_point(stack, tokens, cfg: SolverConfig) -> EquilibriumSolution:
     """Solve the stack's steady-state rate equations by Gauss-Seidel sweeps.
 
+    `tokens` is one sentence (seq,) or a stacked batch (B, seq) of
+    equal-length sentences, solved together in one pass; `asr_star` and
+    `sublayer_asr` then carry the leading batch axis, and each residual is
+    the largest over the batch.  Sentences do not interact, so a batch
+    solve equals the per-sentence solves.
+
     Block i reads only block i-1, so the first sweep already lands on the
     fixed point and the second certifies it with a zero residual.  The
     parameter leaves and the encoding are built once per solve.  Raises
@@ -48,7 +54,7 @@ def solve_fixed_point(stack, tokens, cfg: SolverConfig) -> EquilibriumSolution:
     iteration budget is exhausted.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    state = stack.initial_state(len(tokens))
+    state = stack.initial_state(tokens.shape)
     history = []
     with no_grad():
         leaves = stack.param_tensors()

@@ -7,6 +7,11 @@ the blocks lands on the fixed point a* = f(a*), and one backward pass
 over that forward's tape solves the implicit-function adjoint equation
 v = dL/da* + (df/da)^T v exactly.  A dense linear solve of the same
 equation is kept as a test oracle.
+
+A training step stacks its batch and tapes that one forward and one
+backward for all of it, so the parameter leaves are built and each linear
+is quantized once per step.  Loss builders therefore see block outputs
+with a leading batch axis and return the loss summed over the batch.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .data import stack_by_length
 from .equilibrium import solve_fixed_point  # noqa: F401  (public re-export)
+from .model import classifier_logits
 from .numerics import AdamState, adam_step_many, check_finite
 
 
@@ -53,16 +60,21 @@ def dense_adjoint_solve(g: list, jacobian_vjp) -> list:
 
 
 def mse(pred: Tensor, target) -> Tensor:
+    """Mean squared error per example, summed over the batch.
+
+    The last two axes (seq, d) hold one example and any axis before them
+    is a batch axis; a 1-D or 2-D input is a single example.
+    """
     diff = ad.sub(pred, np.asarray(target, dtype=np.float64))
-    return ad.mean(ad.mul(diff, diff))
+    per_example = int(np.prod(diff.data.shape[-2:]))
+    return ad.tensor_sum(ad.mul(diff, diff)) * (1.0 / per_example)
 
 
 def ce_loss_builder(stack):
     """Cross-entropy on the classifier over the final block's CLS rate."""
 
     def build(tokens, label, a_blocks, head_leaves):
-        logits = head_leaves["cls.w"] @ ad.getitem(a_blocks[-1], 0) \
-            + head_leaves["cls.b"]
+        logits = classifier_logits(a_blocks[-1], head_leaves)
         loss = ad.cross_entropy(logits, label)
         return loss, {"ce": float(loss.data)}
 
@@ -71,12 +83,15 @@ def ce_loss_builder(stack):
 
 def example_gradients(stack, tokens, label, loss_builder,
                       extra_params: dict) -> GradientBundle:
-    """Gradient of the loss at one example's equilibrium.
+    """Gradient of the loss at the equilibrium of one example or a batch.
 
-    Tapes one forward from the encoding through every block (the first
-    Gauss-Seidel sweep, already exact) and runs one backward from the loss.
-    `loss_builder(tokens, label, a_blocks, head_leaves)` sees the block
-    outputs and the classifier and `extra_params` leaves.
+    `tokens` is (seq,) with an int `label`, or a stacked batch (B, seq)
+    with labels (B,); gradients, loss and terms are then sums over the
+    batch.  Tapes one forward from the encoding through every block (the
+    first Gauss-Seidel sweep, already exact) and runs one backward from the
+    loss.  `loss_builder(tokens, label, a_blocks, head_leaves)` sees the
+    block outputs, (seq, d) or (B, seq, d), and the classifier and
+    `extra_params` leaves, and returns (loss Tensor, dict of floats).
     """
     leaves = stack.param_tensors()
     a = stack.encoding(tokens, leaves)
@@ -101,8 +116,10 @@ def training_step(stack, batch, optimizer: AdamState, loss_builder=None,
                   apply_update: bool = True) -> GradientBundle:
     """One optimizer step over a batch of (tokens, label) pairs.
 
-    Each example costs one taped forward and one backward
-    (`example_gradients`), which checks every gradient is finite, so a
+    The batch is stacked by sequence length (`data.stack_by_length`; an
+    encoded corpus is one group), and each group costs one taped forward
+    and one backward (`example_gradients`).  Gradients, loss and terms are
+    averaged over the batch.  Every gradient is checked finite, so a
     non-finite gradient aborts the step before any parameter is touched.
     """
     loss_builder = loss_builder or ce_loss_builder(stack)
@@ -112,8 +129,8 @@ def training_step(stack, batch, optimizer: AdamState, loss_builder=None,
     grad_sum: dict = {}
     loss_sum = 0.0
     term_sum: dict = {}
-    for tokens, label in batch:
-        bundle = example_gradients(stack, tokens, label, loss_builder,
+    for tokens, labels in stack_by_length(batch):
+        bundle = example_gradients(stack, tokens, labels, loss_builder,
                                    extra_params)
         loss_sum += bundle.loss
         for k, val in bundle.loss_terms.items():

@@ -18,6 +18,7 @@ half mirrors that with an intermediate spiking layer.  Rates live in
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -142,13 +143,19 @@ class EncoderStack:
                     lin.freeze()
 
     # -- steady-state (rate) path --------------------------------------
+    # Rate tensors are (seq, d) for one sentence or (B, seq, d) for a
+    # stacked batch of equal-length sentences; every rate-path function
+    # acts on the last two axes and carries any leading axis through.
     def encoding(self, tokens, leaves) -> Tensor:
-        """Token + positional embedding, affinely shifted into [0,1]."""
+        """Token + positional embedding, affinely shifted into [0,1].
+
+        `tokens` is (seq,) or (B, seq); the result is (seq, d) or (B, seq, d).
+        """
         tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim != 1 or len(tokens) > self.cfg.max_len:
-            raise ShapeError("tokens must be a 1-D sequence within max_len")
+        if tokens.ndim not in (1, 2) or tokens.shape[-1] > self.cfg.max_len:
+            raise ShapeError("tokens must be (seq,) or (B, seq) within max_len")
         e = take_rows(leaves["tok_emb"], tokens)
-        pos = ad.getitem(leaves["pos_emb"], slice(0, len(tokens)))
+        pos = ad.getitem(leaves["pos_emb"], slice(0, tokens.shape[-1]))
         return clip01(e + pos + 0.5)
 
     def _lin(self, i: int, name: str, leaves, x: Tensor) -> Tensor:
@@ -182,10 +189,6 @@ class EncoderStack:
             record[f"blk{i}.out"] = out.data
         return out
 
-    def classifier_logits(self, a_final: Tensor, leaves) -> Tensor:
-        cls = ad.getitem(a_final, 0)  # first position carries the CLS token
-        return leaves["cls.w"] @ cls + leaves["cls.b"]
-
     def sweep(self, a0: Tensor, state: list[np.ndarray], leaves,
               record: dict | None = None):
         """One Gauss-Seidel sweep of the rate equations from the encoding a0.
@@ -207,8 +210,9 @@ class EncoderStack:
             return [self.block_forward(i, inputs[i], leaves).data
                     for i in range(self.cfg.num_layers)]
 
-    def initial_state(self, seq_len: int) -> list[np.ndarray]:
-        return [np.zeros((seq_len, self.cfg.hidden_dim))
+    def initial_state(self, token_shape) -> list[np.ndarray]:
+        """Zero block rates for tokens of shape (seq,) or (B, seq)."""
+        return [np.zeros((*token_shape, self.cfg.hidden_dim))
                 for _ in range(self.cfg.num_layers)]
 
     # -- temporal (spiking) path ---------------------------------------
@@ -336,23 +340,50 @@ class EncoderStack:
 def spiking_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     """Scaled dot-product attention over rate tensors, split by head.
 
-    Rows of the score matrix are softmax-normalized; with rate values in
-    [0,1] the mixed output stays in [0,1] (convex combination).
+    q, k and v are (..., seq, d); attention runs within each sequence, and
+    leading axes are a batch.  Rows of the score matrix are
+    softmax-normalized; with rate values in [0,1] the mixed output stays
+    in [0,1] (convex combination).
     """
     q, k, v = ad.as_tensor(q), ad.as_tensor(k), ad.as_tensor(v)
-    seq, d = q.data.shape
-    if d % num_heads or k.data.shape != (seq, d) or v.data.shape != (seq, d):
+    shape = q.data.shape
+    d = shape[-1]
+    if len(shape) < 2 or d % num_heads or k.data.shape != shape \
+            or v.data.shape != shape:
         raise ShapeError("attention shapes inconsistent with num_heads")
     dh = d // num_heads
+    by_head = shape[:-1] + (num_heads, dh)
+    heads_first, keys_last = _head_axes(len(shape) - 2)
 
     def split(x):
-        return ad.transpose(ad.reshape(x, (seq, num_heads, dh)), (1, 0, 2))
+        return ad.transpose(ad.reshape(x, by_head), heads_first)
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = (qh @ ad.transpose(kh, (0, 2, 1))) * (1.0 / math.sqrt(dh))
+    scores = (qh @ ad.transpose(kh, keys_last)) * (1.0 / math.sqrt(dh))
     weights = softmax(scores, axis=-1)
     mixed = weights @ vh
-    return ad.reshape(ad.transpose(mixed, (1, 0, 2)), (seq, d))
+    return ad.reshape(ad.transpose(mixed, heads_first), shape)
+
+
+@functools.cache
+def _head_axes(lead: int):
+    """Transpose axes behind `spiking_attention` for `lead` batch axes.
+
+    The first swaps (..., seq, h, dh) and (..., h, seq, dh), and is its own
+    inverse; the second takes (..., h, seq, dh) to (..., h, dh, seq).
+    """
+    b = tuple(range(lead))
+    return b + (lead + 1, lead, lead + 2), b + (lead, lead + 2, lead + 1)
+
+
+def classifier_logits(a_final: Tensor, leaves) -> Tensor:
+    """Logits (..., C) = cls @ W^T + b from final states (..., seq, d).
+
+    The first position carries the CLS token; W and b are the "cls.w" and
+    "cls.b" leaves.
+    """
+    cls = ad.getitem(a_final, (Ellipsis, 0, slice(None)))
+    return cls @ ad.transpose(leaves["cls.w"], (1, 0)) + leaves["cls.b"]
 
 
 # -- teacher ------------------------------------------------------------
@@ -400,7 +431,11 @@ class TeacherModel:
         return {k: Tensor(v, requires_grad=True) for k, v in self.params.items()}
 
     def forward(self, tokens, leaves=None):
-        """Returns (per-block hidden state Tensors, logit Tensor)."""
+        """Returns (per-block hidden state Tensors, logit Tensor).
+
+        `tokens` is (seq,) or (B, seq); hiddens are then (seq, d) or
+        (B, seq, d) and logits (C,) or (B, C).
+        """
         cfg = self.cfg
         if leaves is None:
             leaves = self.param_tensors()
@@ -408,7 +443,7 @@ class TeacherModel:
         if np.any(tokens < 0) or np.any(tokens >= cfg.vocab_size):
             raise ValueError("token id outside teacher vocabulary")
         h = take_rows(leaves["tok_emb"], tokens) + ad.getitem(
-            leaves["pos_emb"], slice(0, len(tokens)))
+            leaves["pos_emb"], slice(0, tokens.shape[-1]))
         hiddens = []
         for i in range(cfg.num_layers):
             def lin(nm, x):
@@ -423,8 +458,7 @@ class TeacherModel:
             h = layer_norm(ff + h,
                            leaves[f"blk{i}.ln2_g"], leaves[f"blk{i}.ln2_b"])
             hiddens.append(h)
-        logits = leaves["cls.w"] @ ad.getitem(h, 0) + leaves["cls.b"]
-        return hiddens, logits
+        return hiddens, classifier_logits(h, leaves)
 
 
 def teacher_forward(teacher: TeacherModel, tokens):

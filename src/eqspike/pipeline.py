@@ -15,14 +15,15 @@ import numpy as np
 import yaml
 
 from . import autodiff as ad
-from .data import Tokenizer, batches, encode_corpus, load_tsv, synth_task
+from .data import (Tokenizer, batches, encode_corpus, load_tsv, stack_by_length,
+                   synth_task)
 from .distill import KdConfig, run_distillation
 from .equilibrium import SolverConfig, convergence_trace, solve_fixed_point
 from .energy import (SpikeStats, TechnologyProfile, energy_estimate,
                      expected_accumulates)
 from .implicit_grad import ce_loss_builder, training_step
 from .model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
-from .numerics import AdamState
+from .numerics import AdamState, adam_step_many
 from .quantizer import OpCounter, QuantMode
 
 
@@ -148,9 +149,9 @@ def build_teacher(cfg, tokenizer, num_labels=2) -> TeacherModel:
 def teacher_accuracy(teacher, items) -> float:
     hits = 0
     with ad.no_grad():
-        for tokens, label in items:
+        for tokens, labels in stack_by_length(items):
             _, logits = teacher.forward(tokens)
-            hits += int(np.argmax(logits.data) == label)
+            hits += int(np.sum(np.argmax(logits.data, axis=-1) == labels))
     return hits / len(items)
 
 
@@ -163,15 +164,14 @@ def train_teacher(cfg, teacher, train_items, dev_items) -> dict:
         for batch in batches(train_items, t["batch_size"]):
             leaves = teacher.param_tensors()
             total = None
-            for tokens, label in batch:
+            for tokens, labels in stack_by_length(batch):
                 _, logits = teacher.forward(tokens, leaves)
-                loss = ad.cross_entropy(logits, label)
+                loss = ad.cross_entropy(logits, labels)
                 total = loss if total is None else ad.add(total, loss)
             total = ad.mul(total, 1.0 / len(batch))
             ad.backward([total], [1.0])
             grads = {k: leaf.grad for k, leaf in leaves.items()
                      if leaf.grad is not None}
-            from .numerics import adam_step_many
             adam_step_many(teacher.params, grads, adam)
         history.append({"epoch": epoch, "loss": float(total.data)})
     dev_acc = teacher_accuracy(teacher, dev_items)
@@ -179,11 +179,12 @@ def train_teacher(cfg, teacher, train_items, dev_items) -> dict:
 
 
 def student_accuracy(stack, items, scfg: SolverConfig) -> float:
+    """Dev accuracy at the equilibrium; one solve per sequence length."""
     hits = 0
-    for tokens, label in items:
+    for tokens, labels in stack_by_length(items):
         sol = solve_fixed_point(stack, tokens, scfg)
-        logits = stack.cls_w @ sol.asr_star[-1][0] + stack.cls_b
-        hits += int(np.argmax(logits) == label)
+        logits = sol.asr_star[-1][:, 0] @ stack.cls_w.T + stack.cls_b
+        hits += int(np.sum(np.argmax(logits, axis=-1) == labels))
     return hits / len(items)
 
 

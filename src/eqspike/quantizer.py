@@ -183,12 +183,16 @@ def _accumulate(codes: np.ndarray, x: np.ndarray) -> np.ndarray:
 def effective_weight_tensor(layer: QuantizedLinear, latent: ad.Tensor) -> ad.Tensor:
     """Autodiff view of the effective weight with straight-through backward.
 
-    Quantization statistics (alpha/beta) are treated as constants of the
-    backward pass; upstream gradients reach the latent weights unchanged.
+    A frozen layer applies its pinned codes and stored scale; otherwise
+    `latent` is quantized afresh.  Training a stack that is left frozen
+    therefore keeps its codes pinned; `EncoderStack.set_quant_mode`
+    unfreezes it first, as `eqspike finetune` does.  Quantization
+    statistics (alpha/beta) are treated as constants of the backward pass;
+    upstream gradients reach the latent weights unchanged.
     """
     if layer.mode is QuantMode.FULL_PRECISION:
         return latent
-    q, scale = _codes_and_scale(layer, latent.data)
+    q, scale = _codes_and_scale(layer, None if layer.frozen else latent.data)
     return ad.ste(latent, q * scale)
 
 

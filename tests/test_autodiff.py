@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from eqspike import autodiff as ad
 from eqspike.numerics import finite_difference_grad
@@ -149,3 +150,15 @@ def test_backward_multiple_outputs_sums_contributions():
     y2 = ad.mul(x, 3.0)
     ad.backward([y1, y2], [np.ones(1), np.ones(1)])
     np.testing.assert_allclose(x.grad, [2 * 2.0 + 3.0])
+
+
+def test_batched_cross_entropy_sums_rows():
+    rng = np.random.default_rng(8)
+    logits = rng.normal(size=(4, 3)) * 2.0
+    labels = np.array([2, 0, 1, 2])
+    with ad.no_grad():
+        total = float(ad.cross_entropy(ad.Tensor(logits), labels).data)
+        rows = [float(ad.cross_entropy(ad.Tensor(r), int(lab)).data)
+                for r, lab in zip(logits, labels)]
+    assert total == pytest.approx(sum(rows), rel=1e-14)
+    _fd_check(lambda t: ad.cross_entropy(t, labels), logits)

@@ -5,6 +5,7 @@ import pytest
 
 from eqspike.checkpoint import (CheckpointError, load_student, load_teacher,
                                 save_student, save_teacher)
+from eqspike.equilibrium import SolverConfig, solve_fixed_point
 from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
 from eqspike.quantizer import QuantMode
 
@@ -111,3 +112,19 @@ def test_load_teacher_rejects_student_file(tmp_path):
     save_student(make_stack(), "init", path)
     with pytest.raises(CheckpointError):
         load_teacher(path)
+
+
+def test_unfrozen_save_writes_stats_matching_its_codes(tmp_path):
+    stack = make_stack(seed=4)
+    path = tmp_path / "ckpt.json"
+    save_student(stack, "kd", path)
+    loaded, _ = load_student(path)
+    for blk, blk2 in zip(stack.blocks, loaded.blocks):
+        for lin, lin2 in zip(blk.linears().values(), blk2.linears().values()):
+            assert not lin.frozen
+            assert lin2.beta == float(np.abs(lin.latent_w).mean())
+    tokens, scfg = np.array([[2, 4, 5], [6, 1, 3]]), SolverConfig(tol=1e-12)
+    want = solve_fixed_point(stack, tokens, scfg)
+    got = solve_fixed_point(loaded, tokens, scfg)
+    for a, b in zip(got.asr_star, want.asr_star):
+        np.testing.assert_array_equal(a, b)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eqspike import quantizer
 from eqspike.equilibrium import (ConvergenceError, SolverConfig,
                                  convergence_trace, solve_fixed_point,
                                  write_trace_csv)
@@ -89,3 +90,41 @@ def test_convergence_trace_rows_and_csv(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 1
     float(first[2]), float(first[3])  # numeric columns parse
+
+
+@pytest.mark.parametrize("mode", list(QuantMode), ids=lambda m: m.value)
+def test_batch_solve_equals_per_sentence_solves(mode):
+    stack = small_stack(seed=1, mode=mode)
+    batch = np.random.default_rng(2).integers(0, 11, size=(5, 6))
+    scfg = SolverConfig(tol=1e-12)
+    sol = solve_fixed_point(stack, batch, scfg)
+    assert sol.converged and sol.asr_star[0].shape == (5, 6, 8)
+    for b, tokens in enumerate(batch):
+        one = solve_fixed_point(stack, tokens, scfg)
+        for got, want in zip(sol.asr_star, one.asr_star):
+            np.testing.assert_array_equal(got[b], want)
+        assert set(sol.sublayer_asr) == set(one.sublayer_asr)
+        for name, want in one.sublayer_asr.items():
+            np.testing.assert_array_equal(sol.sublayer_asr[name][b], want,
+                                          err_msg=name)
+
+
+@pytest.mark.parametrize("mode", [QuantMode.BINARY_1BIT,
+                                  QuantMode.TERNARY_158BIT],
+                         ids=lambda m: m.value)
+def test_frozen_solve_uses_pinned_codes(mode, monkeypatch):
+    stack = small_stack(seed=3, mode=mode)
+    tokens = np.array([[2, 4, 5], [6, 7, 1]])
+    scfg = SolverConfig(tol=1e-12)
+    fresh = solve_fixed_point(stack, tokens, scfg)
+    stack.freeze_quantization()
+    calls = []
+    for name in ("quantize_1bit", "quantize_158bit"):
+        def counted(*args, _orig=getattr(quantizer, name), **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(quantizer, name, counted)
+    pinned = solve_fixed_point(stack, tokens, scfg)
+    assert calls == []
+    for got, want in zip(pinned.asr_star, fresh.asr_star):
+        np.testing.assert_array_equal(got, want)

@@ -135,9 +135,10 @@ def test_training_step_supports_extra_params():
     proj = {"proj": np.zeros((2, 2))}
 
     def builder(tokens, label, a_leaves, head_leaves):
-        logits = head_leaves["proj"] @ (head_leaves["cls.w"]
-                                        @ ad.getitem(a_leaves[-1], 0)
-                                        + head_leaves["cls.b"])
+        cls = ad.getitem(a_leaves[-1], (Ellipsis, 0, slice(None)))
+        logits = cls @ ad.transpose(head_leaves["cls.w"], (1, 0)) \
+            + head_leaves["cls.b"]
+        logits = logits @ ad.transpose(head_leaves["proj"], (1, 0))
         loss = ad.cross_entropy(logits, label)
         return loss, {}
 
@@ -164,3 +165,39 @@ def test_quantized_gradients_flow_to_latent_weights():
                            apply_update=False)
     assert "blk0.ff1.w" in bundle.grads
     assert np.any(bundle.grads["blk0.ff1.w"] != 0.0)
+
+
+@pytest.mark.parametrize("mode", list(QuantMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("kind", ["ce", "kd"])
+def test_batch_gradients_equal_sum_of_example_gradients(mode, kind):
+    stack = small_stack(seed=4, mode=mode)
+    builder, extra = (ce_loss_builder(stack), {}) if kind == "ce" \
+        else kd_builder(stack)
+    rng = np.random.default_rng(11)
+    tokens, labels = rng.integers(0, 11, size=(8, 5)), rng.integers(0, 2, size=8)
+    batch = example_gradients(stack, tokens, labels, builder, extra)
+    rows = [example_gradients(stack, t, int(lab), builder, extra)
+            for t, lab in zip(tokens, labels)]
+    assert batch.loss == pytest.approx(sum(r.loss for r in rows), rel=1e-12)
+    for term, val in batch.loss_terms.items():
+        assert val == pytest.approx(sum(r.loss_terms[term] for r in rows),
+                                    rel=1e-12), term
+    assert set(batch.grads) == set(rows[0].grads)
+    for name, grad in batch.grads.items():
+        np.testing.assert_allclose(grad, sum(r.grads[name] for r in rows),
+                                   rtol=1e-9, atol=1e-12, err_msg=name)
+
+
+def test_training_step_on_mixed_lengths_equals_per_example_average():
+    stack = small_stack(seed=12, mode=QuantMode.TERNARY_158BIT)
+    batch = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7, 8]), 1),
+             (np.array([3, 9, 1]), 1), (np.array([2, 5]), 0),
+             (np.array([4, 4, 6, 2]), 0)]
+    builder = ce_loss_builder(stack)
+    step = training_step(stack, batch, AdamState(), apply_update=False)
+    rows = [example_gradients(stack, t, lab, builder, {}) for t, lab in batch]
+    assert step.loss == pytest.approx(np.mean([r.loss for r in rows]), rel=1e-12)
+    for name, grad in step.grads.items():
+        want = sum(r.grads[name] for r in rows) / len(batch)
+        np.testing.assert_allclose(grad, want, rtol=1e-9, atol=1e-12,
+                                   err_msg=name)

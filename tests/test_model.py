@@ -154,3 +154,17 @@ def test_teacher_rejects_out_of_vocab():
     teacher = TeacherModel(cfg, np.random.default_rng(0))
     with pytest.raises(ValueError):
         teacher_forward(teacher, np.array([7]))
+
+
+def test_batched_teacher_forward_equals_rows():
+    cfg = TeacherConfig(vocab_size=11, hidden_dim=8, intermediate_dim=16,
+                        num_heads=2, num_layers=2, max_len=6, num_labels=3)
+    teacher = TeacherModel(cfg, np.random.default_rng(1))
+    tokens = np.random.default_rng(2).integers(0, 11, size=(4, 5))
+    hiddens, logits = teacher_forward(teacher, tokens)
+    assert hiddens[0].shape == (4, 5, 8) and logits.shape == (4, 3)
+    for b, row in enumerate(tokens):
+        h_row, l_row = teacher_forward(teacher, row)
+        for got, want in zip(hiddens, h_row):
+            np.testing.assert_array_equal(got[b], want)
+        np.testing.assert_allclose(logits[b], l_row, rtol=1e-13, atol=1e-15)
