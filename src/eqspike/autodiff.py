@@ -1,8 +1,13 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Supports exactly the operations the encoder stack needs: broadcasted
-arithmetic, (batched) matmul, reductions, exp/log/sqrt/erf, softmax,
-embedding lookup, and the [0,1] clip used as the spiking-rate surrogate.
+arithmetic, (batched) matmul, reductions, exp/log/sqrt/erf, embedding
+lookup, and the [0,1] clip used as the spiking-rate surrogate.  Two
+operations are fused primitives, one tape node each with a closed-form
+backward: `layer_norm` here, and `model.spiking_attention` (multi-head
+softmax attention), built on `_make`.  Their forwards run in plain numpy,
+so the spike path calls them on arrays at numpy cost, and the rate path
+and the spike path share one implementation.
 Every op broadcasts over leading axes, so a stacked batch of examples
 tapes the same graph as one example; a training step tapes one forward
 pass over its whole batch and runs `backward` over it once.
@@ -312,25 +317,35 @@ def ste(latent, forward_value):
 
 # -- composites ---------------------------------------------------------
 
-def softmax(a, axis=-1):
-    a = as_tensor(a)
-    shifted = sub(a, np.max(a.data, axis=axis, keepdims=True))
-    e = exp(shifted)
-    return div(e, tensor_sum(e, axis=axis, keepdims=True))
-
-
 def gelu(a):
     a = as_tensor(a)
     return mul(mul(a, 0.5), add(erf(mul(a, 1.0 / math.sqrt(2.0))), 1.0))
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
-    """Normalize over the last axis, then affine (gain, bias)."""
-    mu = mean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
-    var = mean(mul(xc, xc), axis=-1, keepdims=True)
-    inv = div(1.0, sqrt(add(var, eps)))
-    return add(mul(mul(xc, inv), gain), bias)
+    """Normalize over the last axis, then affine (gain, bias).
+
+    One tape node: the forward runs in numpy, in the operation order of
+    the composite mean/sub/mul/sqrt/div graph (so values are bitwise equal
+    to it), and the backward is the closed-form layer-norm VJP.  `gain` and
+    `bias` broadcast against the normalized axis.
+    """
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    scale = 1.0 / x.data.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * scale + eps)
+    xhat = xc * inv
+    out = xhat * gain.data + bias.data
+
+    def vjp(g):
+        gxhat = g * gain.data
+        gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+        return (_unbroadcast(gx, x.data.shape),
+                _unbroadcast(g * xhat, gain.data.shape),
+                _unbroadcast(g, bias.data.shape))
+
+    return _make(out, (x, gain, bias), vjp)
 
 
 def cross_entropy(logits, label):

@@ -49,19 +49,22 @@ def solve_fixed_point(stack, tokens, cfg: SolverConfig) -> EquilibriumSolution:
 
     Block i reads only block i-1, so the first sweep already lands on the
     fixed point and the second certifies it with a zero residual.  The
-    parameter leaves and the encoding are built once per solve.  Raises
-    ConvergenceError (with the residual history attached) when the
-    iteration budget is exhausted.
+    parameter leaves, each linear's effective weight (so an unfrozen stack
+    is quantized once per solve, not once per sweep) and the encoding are
+    built once per solve.  Raises ConvergenceError (with the residual
+    history attached) when the iteration budget is exhausted.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
     state = stack.initial_state(tokens.shape)
     history = []
     with no_grad():
         leaves = stack.param_tensors()
+        weights = stack.effective_weights(leaves)
         a0 = stack.encoding(tokens, leaves)
         record = {"input": a0.data}
         for it in range(1, cfg.max_iters + 1):
-            state, residual = stack.sweep(a0, state, leaves, record=record)
+            state, residual = stack.sweep(a0, state, leaves, weights,
+                                           record=record)
             history.append(residual)
             if residual <= cfg.tol:
                 return EquilibriumSolution(asr_star=state, residual_history=history,

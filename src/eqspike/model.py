@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, clip01, layer_norm, no_grad, softmax, take_rows
+from .autodiff import Tensor, clip01, layer_norm, no_grad, take_rows
 from .neuron import LifConfig, LifLayerState, RunningAverage, asr, lif_step
 from .numerics import ShapeError, init_uniform
 from .quantizer import (OpCounter, QuantMode, QuantizedLinear,
@@ -158,25 +158,43 @@ class EncoderStack:
         pos = ad.getitem(leaves["pos_emb"], slice(0, tokens.shape[-1]))
         return clip01(e + pos + 0.5)
 
-    def _lin(self, i: int, name: str, leaves, x: Tensor) -> Tensor:
-        lin = self.blocks[i].linears()[name]
-        w = effective_weight_tensor(lin, leaves[f"blk{i}.{name}.w"])
-        return x @ ad.transpose(w, (1, 0)) + leaves[f"blk{i}.{name}.b"]
+    def effective_weights(self, leaves) -> dict:
+        """Each linear's effective weight Tensor, keyed "blk{i}.{name}".
+
+        Built from the "blk{i}.{name}.w" leaves by `effective_weight_tensor`
+        (quantized afresh unless the layer is frozen).
+        """
+        return {f"blk{i}.{nm}": effective_weight_tensor(lin, leaves[f"blk{i}.{nm}.w"])
+                for i, blk in enumerate(self.blocks)
+                for nm, lin in blk.linears().items()}
 
     def block_forward(self, i: int, a_prev: Tensor, leaves,
-                      record: dict | None = None) -> Tensor:
+                      record: dict | None = None,
+                      weights: dict | None = None) -> Tensor:
+        """Block i's rate equations on the block input `a_prev`.
+
+        `weights`, when given, holds the prebuilt `effective_weights` of
+        `leaves`; otherwise each linear's effective weight is built here.
+        """
         cfg = self.cfg
         vth = cfg.v_th
-        aq = clip01(self._lin(i, "q", leaves, a_prev) / vth)
-        ak = clip01(self._lin(i, "k", leaves, a_prev) / vth)
-        av = clip01(self._lin(i, "v", leaves, a_prev) / vth)
+
+        def lin(name, x):
+            key = f"blk{i}.{name}"
+            w = weights[key] if weights is not None else effective_weight_tensor(
+                self.blocks[i].linears()[name], leaves[f"{key}.w"])
+            return x @ ad.transpose(w, (1, 0)) + leaves[f"{key}.b"]
+
+        aq = clip01(lin("q", a_prev) / vth)
+        ak = clip01(lin("k", a_prev) / vth)
+        av = clip01(lin("v", a_prev) / vth)
         mixed = spiking_attention(aq, ak, av, cfg.num_heads)
         a_attn = clip01(mixed / vth)
-        r1 = self._lin(i, "o", leaves, a_attn) + a_prev
+        r1 = lin("o", a_attn) + a_prev
         h1 = clip01(layer_norm(r1, leaves[f"blk{i}.ln1_g"],
                                leaves[f"blk{i}.ln1_b"]) / vth)
-        ai = clip01(self._lin(i, "ff1", leaves, h1) / vth)
-        r2 = self._lin(i, "ff2", leaves, ai) + h1
+        ai = clip01(lin("ff1", h1) / vth)
+        r2 = lin("ff2", ai) + h1
         out = clip01(layer_norm(r2, leaves[f"blk{i}.ln2_g"],
                                 leaves[f"blk{i}.ln2_b"]) / vth)
         if record is not None:
@@ -190,14 +208,16 @@ class EncoderStack:
         return out
 
     def sweep(self, a0: Tensor, state: list[np.ndarray], leaves,
-              record: dict | None = None):
+              weights: dict, record: dict | None = None):
         """One Gauss-Seidel sweep of the rate equations from the encoding a0.
 
-        Returns (new state, sup-norm residual of the update against `state`).
+        `weights` are the `effective_weights` of `leaves`.  Returns (new
+        state, sup-norm residual of the update against `state`).
         """
         prev, new_state, residual = a0, [], 0.0
         for i in range(self.cfg.num_layers):
-            prev = self.block_forward(i, prev, leaves, record=record)
+            prev = self.block_forward(i, prev, leaves, record=record,
+                                      weights=weights)
             residual = max(residual, float(np.max(np.abs(prev.data - state[i]))))
             new_state.append(prev.data)
         return new_state, residual
@@ -271,19 +291,15 @@ class EncoderStack:
                          quantized_forward(blk.k, s_prev, counter, f"{pre}.k"), lif)
                 lif_step(layers[f"{pre}.v"],
                          quantized_forward(blk.v, s_prev, counter, f"{pre}.v"), lif)
-                with no_grad():
-                    attn_current = spiking_attention(
-                        Tensor(asr(layers[f"{pre}.q"])),
-                        Tensor(asr(layers[f"{pre}.k"])),
-                        Tensor(asr(layers[f"{pre}.v"])),
-                        cfg.num_heads).data
+                attn_current = spiking_attention(
+                    asr(layers[f"{pre}.q"]), asr(layers[f"{pre}.k"]),
+                    asr(layers[f"{pre}.v"]), cfg.num_heads).data
                 lif_step(layers[f"{pre}.attn"],
                          telescoped(f"{pre}.attn", attn_current, t), lif)
                 r1 = (quantized_forward(blk.o, layers[f"{pre}.attn"].s,
                                         counter, f"{pre}.o") + s_prev)
-                with no_grad():
-                    h1_current = layer_norm(Tensor(r1_avg[i].push(r1)),
-                                            Tensor(blk.ln1_g), Tensor(blk.ln1_b)).data
+                h1_current = layer_norm(r1_avg[i].push(r1),
+                                        blk.ln1_g, blk.ln1_b).data
                 lif_step(layers[f"{pre}.h1"],
                          telescoped(f"{pre}.h1", h1_current, t), lif)
                 lif_step(layers[f"{pre}.int"],
@@ -291,9 +307,8 @@ class EncoderStack:
                                            counter, f"{pre}.ff1"), lif)
                 r2 = (quantized_forward(blk.ff2, layers[f"{pre}.int"].s,
                                         counter, f"{pre}.ff2") + layers[f"{pre}.h1"].s)
-                with no_grad():
-                    out_current = layer_norm(Tensor(r2_avg[i].push(r2)),
-                                             Tensor(blk.ln2_g), Tensor(blk.ln2_b)).data
+                out_current = layer_norm(r2_avg[i].push(r2),
+                                         blk.ln2_g, blk.ln2_b).data
                 lif_step(layers[f"{pre}.out"],
                          telescoped(f"{pre}.out", out_current, t), lif)
                 s_prev = layers[f"{pre}.out"].s
@@ -340,10 +355,13 @@ class EncoderStack:
 def spiking_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
     """Scaled dot-product attention over rate tensors, split by head.
 
-    q, k and v are (..., seq, d); attention runs within each sequence, and
-    leading axes are a batch.  Rows of the score matrix are
-    softmax-normalized; with rate values in [0,1] the mixed output stays
-    in [0,1] (convex combination).
+    q, k and v are (..., seq, d) Tensors or arrays; attention runs within
+    each sequence, and leading axes are a batch.  Rows of the score matrix
+    are softmax-normalized; with rate values in [0,1] the mixed output
+    stays in [0,1] (convex combination).  One autodiff primitive: the
+    forward is plain numpy in the operation order of the composite
+    split/matmul/softmax/merge graph (bitwise equal to it), and the
+    backward is the closed-form softmax-attention VJP.
     """
     q, k, v = ad.as_tensor(q), ad.as_tensor(k), ad.as_tensor(v)
     shape = q.data.shape
@@ -354,15 +372,28 @@ def spiking_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor
     dh = d // num_heads
     by_head = shape[:-1] + (num_heads, dh)
     heads_first, keys_last = _head_axes(len(shape) - 2)
+    qh, kh, vh = (x.data.reshape(by_head).transpose(heads_first)
+                  for x in (q, k, v))
+    scale = 1.0 / math.sqrt(dh)
+    scores = (qh @ kh.transpose(keys_last)) * scale
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    total = e.sum(axis=-1, keepdims=True)
+    weights = e / total
+    mixed = (weights @ vh).transpose(heads_first).reshape(shape)
 
-    def split(x):
-        return ad.transpose(ad.reshape(x, by_head), heads_first)
+    def vjp(g):
+        gh = g.reshape(by_head).transpose(heads_first)
+        gw = gh @ vh.transpose(keys_last)
+        gv = weights.transpose(keys_last) @ gh
+        # quotient rule through e / total, then exp and the score scale
+        ge = gw / total + (-gw * e / total ** 2).sum(axis=-1, keepdims=True)
+        gs = ge * e * scale
+        gq = gs @ kh
+        gk = (qh.transpose(keys_last) @ gs).transpose(keys_last)
+        return tuple(x.transpose(heads_first).reshape(shape)
+                     for x in (gq, gk, gv))
 
-    qh, kh, vh = split(q), split(k), split(v)
-    scores = (qh @ ad.transpose(kh, keys_last)) * (1.0 / math.sqrt(dh))
-    weights = softmax(scores, axis=-1)
-    mixed = weights @ vh
-    return ad.reshape(ad.transpose(mixed, heads_first), shape)
+    return ad._make(mixed, (q, k, v), vjp)
 
 
 @functools.cache
@@ -370,7 +401,7 @@ def _head_axes(lead: int):
     """Transpose axes behind `spiking_attention` for `lead` batch axes.
 
     The first swaps (..., seq, h, dh) and (..., h, seq, dh), and is its own
-    inverse; the second takes (..., h, seq, dh) to (..., h, dh, seq).
+    inverse; the second swaps the last two axes.
     """
     b = tuple(range(lead))
     return b + (lead + 1, lead, lead + 2), b + (lead, lead + 2, lead + 1)

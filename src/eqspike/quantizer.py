@@ -142,11 +142,14 @@ class OpCounter:
 def quantized_forward(layer: QuantizedLinear, x: np.ndarray,
                       counter: OpCounter | None = None,
                       name: str = "") -> np.ndarray:
-    """Numeric forward pass; x may be (in,) or (batch, in).
+    """Numeric forward pass; x is (..., in) with any leading axes.
 
-    When x is a 0/1 spike array, the product is evaluated as pure signed
-    accumulation over the active indices (no multiplies), which is also
-    the path the energy counter instruments.
+    When x is a 0/1 spike array, the product is `x @ codes.T`: with spikes
+    in {0, 1} and codes in {-1, 0, +1} every partial sum is a small
+    integer, so the matmul is exact signed accumulation of the columns
+    whose input spiked (no multiplies are needed), and the output scale is
+    applied once afterwards.  The counter still counts those accumulates,
+    one per (spike, nonzero code) pair.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != layer.in_dim:
@@ -171,13 +174,12 @@ def quantized_forward(layer: QuantizedLinear, x: np.ndarray,
 
 
 def _accumulate(codes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Signed accumulation of weight columns where the spike input is 1."""
-    flat = x.reshape(-1, x.shape[-1])
-    out = np.zeros((flat.shape[0], codes.shape[0]))
-    for r in range(flat.shape[0]):
-        idx = np.nonzero(flat[r])[0]
-        out[r] = codes[:, idx].sum(axis=1)
-    return out.reshape(x.shape[:-1] + (codes.shape[0],))
+    """Signed sum of the code columns where the 0/1 spike input `x` is 1.
+
+    Exact as one float64 matmul: every term is 0 or +-1 and every partial
+    sum an integer far below 2**53.
+    """
+    return x @ codes.T
 
 
 def effective_weight_tensor(layer: QuantizedLinear, latent: ad.Tensor) -> ad.Tensor:
@@ -200,28 +202,24 @@ def effective_weight_tensor(layer: QuantizedLinear, latent: ad.Tensor) -> ad.Ten
 # code values: 0b00 -> 0, 0b01 -> +1, 0b11 -> -1; weight k occupies bits
 # (k % 4) * 2 .. +1 of byte k // 4.
 
-_TO_BITS = {0: 0b00, 1: 0b01, -1: 0b11}
-_FROM_BITS = {0b00: 0, 0b01: 1, 0b11: -1}
+_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)
+_FROM_BITS = np.array([0.0, 1.0, np.nan, -1.0])  # 0b10 is not a code
 
 
 def pack_codes(q: np.ndarray) -> str:
     flat = q.astype(np.int64).reshape(-1)
     if not np.all(np.isin(flat, (-1, 0, 1))):
         raise ValueError("codes must lie in {-1, 0, +1}")
-    nbytes = (flat.size + 3) // 4
-    out = bytearray(nbytes)
-    for k, val in enumerate(flat):
-        out[k // 4] |= _TO_BITS[int(val)] << ((k % 4) * 2)
-    return base64.b64encode(bytes(out)).decode("ascii")
+    bits = np.zeros(-(-flat.size // 4) * 4, dtype=np.uint8)
+    bits[:flat.size] = flat & 0b11  # two's complement: -1 -> 0b11
+    out = np.bitwise_or.reduce(bits.reshape(-1, 4) << _SHIFTS, axis=1)
+    return base64.b64encode(out.tobytes()).decode("ascii")
 
 
 def unpack_codes(packed: str, shape) -> np.ndarray:
-    raw = base64.b64decode(packed.encode("ascii"))
+    raw = np.frombuffer(base64.b64decode(packed.encode("ascii")), dtype=np.uint8)
     n = int(np.prod(shape))
-    flat = np.empty(n, dtype=np.float64)
-    for k in range(n):
-        bits = (raw[k // 4] >> ((k % 4) * 2)) & 0b11
-        if bits == 0b10:
-            raise ValueError("invalid 2-bit weight code")
-        flat[k] = _FROM_BITS[bits]
-    return flat.reshape(shape)
+    bits = ((raw[:, None] >> _SHIFTS) & 0b11).reshape(-1)[:n]
+    if np.any(bits == 0b10):
+        raise ValueError("invalid 2-bit weight code")
+    return _FROM_BITS[bits].reshape(shape)

@@ -91,16 +91,6 @@ def test_clip01_forward_and_subgradient():
     np.testing.assert_array_equal(x.grad, [0.0, 1.0, 1.0, 1.0, 0.0])
 
 
-def test_softmax_rows_and_grad():
-    rng = np.random.default_rng(4)
-    x0 = rng.normal(size=(2, 5))
-    with ad.no_grad():
-        rows = ad.softmax(ad.Tensor(x0)).data
-    np.testing.assert_allclose(rows.sum(axis=-1), 1.0)
-    w = ad.Tensor(rng.normal(size=(2, 5)))
-    _fd_check(lambda t: ad.tensor_sum(ad.mul(ad.softmax(t), w)), x0)
-
-
 def test_gelu_and_layer_norm_grads():
     rng = np.random.default_rng(5)
     x0 = rng.normal(size=(2, 6))
@@ -108,6 +98,39 @@ def test_gelu_and_layer_norm_grads():
     gain = ad.Tensor(rng.normal(size=6))
     bias = ad.Tensor(rng.normal(size=6))
     _fd_check(lambda t: ad.tensor_sum(ad.layer_norm(t, gain, bias)), x0, atol=1e-5)
+
+
+def composite_layer_norm(x, gain, bias, eps=1e-5):
+    """Reference: layer norm as the composite graph of elementwise ops."""
+    mu = ad.mean(x, axis=-1, keepdims=True)
+    xc = ad.sub(x, mu)
+    var = ad.mean(ad.mul(xc, xc), axis=-1, keepdims=True)
+    inv = ad.div(1.0, ad.sqrt(ad.add(var, eps)))
+    return ad.add(ad.mul(ad.mul(xc, inv), gain), bias)
+
+
+def test_layer_norm_forward_equals_composite_bitwise():
+    rng = np.random.default_rng(6)
+    for shape in [(6,), (5, 8), (3, 5, 8)]:
+        x = rng.random(shape) * 3.0 - 1.0
+        gain, bias = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
+        want = composite_layer_norm(ad.Tensor(x), ad.Tensor(gain),
+                                    ad.Tensor(bias)).data
+        np.testing.assert_array_equal(ad.layer_norm(x, gain, bias).data, want)
+
+
+def test_layer_norm_grads_with_batch_axis():
+    rng = np.random.default_rng(7)
+    x0 = rng.normal(size=(3, 4, 6))
+    gain0, bias0 = rng.normal(size=6), rng.normal(size=6)
+    w = ad.Tensor(rng.normal(size=(3, 4, 6)))  # a generic cotangent
+
+    def weighted(x, gain, bias):
+        return ad.tensor_sum(ad.mul(ad.layer_norm(x, gain, bias), w))
+
+    _fd_check(lambda t: weighted(t, gain0, bias0), x0, atol=1e-6)
+    _fd_check(lambda t: weighted(x0, t, bias0), gain0, atol=1e-6)
+    _fd_check(lambda t: weighted(x0, gain0, t), bias0, atol=1e-6)
 
 
 def test_cross_entropy_matches_log_softmax():

@@ -128,3 +128,23 @@ def test_frozen_solve_uses_pinned_codes(mode, monkeypatch):
     assert calls == []
     for got, want in zip(pinned.asr_star, fresh.asr_star):
         np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode", [QuantMode.BINARY_1BIT,
+                                  QuantMode.TERNARY_158BIT],
+                         ids=lambda m: m.value)
+def test_unfrozen_solve_quantizes_each_linear_once(mode, monkeypatch):
+    stack = small_stack(seed=4, mode=mode)
+    tokens = np.array([[2, 4, 5], [6, 7, 1]])
+    calls = []
+    for name in ("quantize_1bit", "quantize_158bit"):
+        def counted(*args, _orig=getattr(quantizer, name), **kwargs):
+            calls.append(1)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(quantizer, name, counted)
+    sol = solve_fixed_point(stack, tokens, SolverConfig(tol=1e-12))
+    assert sol.iters_used == 2
+    assert len(calls) == 6 * stack.cfg.num_layers
+    # the prebuilt weights are the ones the rate map builds per block
+    for got, want in zip(stack.rate_map(tokens, sol.asr_star), sol.asr_star):
+        np.testing.assert_array_equal(got, want)

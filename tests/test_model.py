@@ -5,7 +5,7 @@ from eqspike import autodiff as ad
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
 from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
                            TeacherModel, spiking_attention, teacher_forward)
-from eqspike.numerics import ShapeError
+from eqspike.numerics import ShapeError, finite_difference_grad
 from eqspike.quantizer import OpCounter, QuantMode
 
 
@@ -78,6 +78,61 @@ def test_spiking_attention_single_head_matches_manual():
     w = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
     np.testing.assert_allclose(out, w @ v, atol=1e-12)
+
+
+def composite_attention(q, k, v, num_heads):
+    """Reference: split/matmul/softmax/merge as a graph of autodiff ops."""
+    shape = q.data.shape
+    dh = shape[-1] // num_heads
+    lead = tuple(range(len(shape) - 2))
+    heads_first = lead + (len(lead) + 1, len(lead), len(lead) + 2)
+    keys_last = lead + (len(lead), len(lead) + 2, len(lead) + 1)
+
+    def split(x):
+        return ad.transpose(ad.reshape(x, shape[:-1] + (num_heads, dh)),
+                            heads_first)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = (qh @ ad.transpose(kh, keys_last)) * (1.0 / np.sqrt(dh))
+    shifted = ad.sub(scores, np.max(scores.data, axis=-1, keepdims=True))
+    e = ad.exp(shifted)
+    weights = ad.div(e, ad.tensor_sum(e, axis=-1, keepdims=True))
+    return ad.reshape(ad.transpose(weights @ vh, heads_first), shape)
+
+
+ATTENTION_CASES = pytest.mark.parametrize(
+    "heads,shape", [(1, (5, 4)), (2, (5, 4)), (1, (3, 5, 4)), (2, (3, 5, 4))],
+    ids=["1head-seq", "2head-seq", "1head-batch", "2head-batch"])
+
+
+@ATTENTION_CASES
+def test_spiking_attention_equals_composite_bitwise(heads, shape):
+    rng = np.random.default_rng(3)
+    q, k, v = (rng.random(shape) for _ in range(3))
+    want = composite_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v),
+                               heads).data
+    np.testing.assert_array_equal(spiking_attention(q, k, v, heads).data, want)
+
+
+@ATTENTION_CASES
+def test_spiking_attention_grads_match_finite_differences(heads, shape):
+    rng = np.random.default_rng(4)
+    qkv = [rng.random(shape) * 2.0 for _ in range(3)]
+    w = rng.normal(size=shape)  # a generic cotangent
+
+    def loss(args):
+        return ad.tensor_sum(ad.mul(spiking_attention(*args, heads), w))
+
+    leaves = [ad.Tensor(x.copy(), requires_grad=True) for x in qkv]
+    ad.backward([loss(leaves)], [1.0])
+    for j in range(3):
+        def f(x, j=j):
+            return float(loss([x if i == j else a
+                               for i, a in enumerate(qkv)]).data)
+
+        fd = finite_difference_grad(f, qkv[j].copy(), h=1e-5)
+        np.testing.assert_allclose(leaves[j].grad, fd, atol=1e-8,
+                                   err_msg="qkv"[j])
 
 
 def test_spiking_attention_shape_errors():

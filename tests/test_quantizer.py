@@ -1,3 +1,5 @@
+import base64
+
 import numpy as np
 import pytest
 
@@ -103,6 +105,39 @@ def test_accumulate_kernel_sums_columns():
     np.testing.assert_array_equal(_accumulate(codes, x), [0.0, 1.0])
 
 
+def column_sum_oracle(codes, x):
+    """Reference: per row, the sum of the code columns whose spike is 1."""
+    flat = x.reshape(-1, x.shape[-1])
+    out = np.zeros((flat.shape[0], codes.shape[0]))
+    for r in range(flat.shape[0]):
+        out[r] = codes[:, np.nonzero(flat[r])[0]].sum(axis=1)
+    return out.reshape(x.shape[:-1] + (codes.shape[0],))
+
+
+@pytest.mark.parametrize("mode,output_scale", [
+    (QuantMode.BINARY_1BIT, False), (QuantMode.BINARY_1BIT, True),
+    (QuantMode.TERNARY_158BIT, False)], ids=["1bit", "1bit-scaled", "1.58bit"])
+def test_accumulate_equals_column_sum_oracle_on_batched_spikes(mode,
+                                                               output_scale):
+    rng = np.random.default_rng(6)
+    layer = _layer(mode, rng, out_dim=9, in_dim=40,
+                   binary_output_scale=output_scale)
+    layer.freeze()
+    codes = layer.codes()
+    scale = layer.beta if output_scale or mode is QuantMode.TERNARY_158BIT \
+        else 1.0
+    spikes = (rng.random((3, 7, layer.in_dim)) < 0.3).astype(float)
+    spikes[0, 0] = 0.0  # a row with no spike
+    spikes[0, 1] = 1.0  # and one where every input spikes
+    want = column_sum_oracle(codes, spikes)
+    np.testing.assert_array_equal(_accumulate(codes, spikes), want)
+    counter = OpCounter()
+    out = quantized_forward(layer, spikes, counter, "lin")
+    np.testing.assert_array_equal(out, scale * want + layer.bias)
+    assert counter.total == int((spikes.reshape(-1, layer.in_dim).sum(axis=0)
+                                 * np.count_nonzero(codes, axis=0)).sum())
+
+
 def test_op_counter_counts_spikes_times_nonzero_column_weights():
     layer = QuantizedLinear(latent_w=np.array([[0.05, 2.0], [1.0, -0.05]]),
                             bias=np.zeros(2), mode=QuantMode.TERNARY_158BIT)
@@ -144,6 +179,51 @@ def test_pack_codes_layout():
     packed = pack_codes(np.array([1, 0, -1, 0]))
     import base64
     assert base64.b64decode(packed) == bytes([0b00110001])
+
+
+_TO_BITS = {0: 0b00, 1: 0b01, -1: 0b11}
+_FROM_BITS = {0b00: 0, 0b01: 1, 0b11: -1}
+
+
+def pack_loop(q):
+    """Reference: the per-code packing loop."""
+    flat = q.astype(np.int64).reshape(-1)
+    out = bytearray((flat.size + 3) // 4)
+    for k, val in enumerate(flat):
+        out[k // 4] |= _TO_BITS[int(val)] << ((k % 4) * 2)
+    return base64.b64encode(bytes(out)).decode("ascii")
+
+
+def unpack_loop(packed, shape):
+    """Reference: the per-code unpacking loop."""
+    raw = base64.b64decode(packed.encode("ascii"))
+    n = int(np.prod(shape))
+    flat = np.empty(n, dtype=np.float64)
+    for k in range(n):
+        bits = (raw[k // 4] >> ((k % 4) * 2)) & 0b11
+        if bits == 0b10:
+            raise ValueError("invalid 2-bit weight code")
+        flat[k] = _FROM_BITS[bits]
+    return flat.reshape(shape)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 13, 62, 1023])
+def test_pack_and_unpack_match_per_code_loop(n):
+    rng = np.random.default_rng(n)
+    q = rng.integers(-1, 2, size=n).astype(float)
+    packed = pack_codes(q)
+    assert packed == pack_loop(q)
+    np.testing.assert_array_equal(unpack_codes(packed, (n,)), unpack_loop(packed, (n,)))
+    # arbitrary bytes: both decode alike, or both reject a 0b10 code
+    raw = base64.b64encode(rng.integers(0, 256, size=(n + 3) // 4,
+                                        dtype=np.uint8).tobytes()).decode()
+    try:
+        want = unpack_loop(raw, (n,))
+    except ValueError:
+        with pytest.raises(ValueError):
+            unpack_codes(raw, (n,))
+    else:
+        np.testing.assert_array_equal(unpack_codes(raw, (n,)), want)
 
 
 def test_pack_rejects_out_of_range():
