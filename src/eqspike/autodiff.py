@@ -1,13 +1,20 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 Supports exactly the operations the encoder stack needs: broadcasted
-arithmetic, (batched) matmul, reductions, exp/log/sqrt/erf, embedding
-lookup, and the [0,1] clip used as the spiking-rate surrogate.  Two
-operations are fused primitives, one tape node each with a closed-form
-backward: `layer_norm` here, and `model.spiking_attention` (multi-head
-softmax attention), built on `_make`.  Their forwards run in plain numpy,
-so the spike path calls them on arrays at numpy cost, and the rate path
-and the spike path share one implementation.
+arithmetic, (batched) matmul, reductions, exp/log/sqrt/erf and embedding
+lookup.  Four operations are fused primitives, one tape node each with a
+closed-form backward, built on `_make`:
+
+* `linear`, the affine map x @ w.T + b, whose weight gradient is one GEMM;
+* `clip01`, the spiking-rate surrogate clip(a / v_th, 0, 1) with its
+  threshold folded in;
+* `layer_norm`;
+* `model.spiking_attention`, multi-head softmax attention.
+
+Their forwards run in plain numpy, bitwise equal to the composite graphs
+they replace, so the spike path calls `layer_norm` and attention on arrays
+at numpy cost, and the rate path and the spike path share one
+implementation.
 Every op broadcasts over leading axes, so a stacked batch of examples
 tapes the same graph as one example; a training step tapes one forward
 pass over its whole batch and runs `backward` over it once.
@@ -239,6 +246,25 @@ def mean(a, axis=None, keepdims=False):
     return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
 
 
+def linear(x, w, b):
+    """Affine map x @ w.T + b as one tape node; w is (out, in), x (..., in).
+
+    The forward is the BLAS call of the composite `x @ transpose(w) + b`
+    on the same transposed view, so it is bitwise equal to it.  The weight
+    gradient is one 2-D GEMM over all leading axes of x flattened.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    out = x.data @ w.data.T + b.data
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g @ w.data,
+                g2.T @ x.data.reshape(-1, x.data.shape[-1]),
+                g2.sum(axis=0))
+
+    return _make(out, (x, w, b), vjp)
+
+
 def transpose(a, axes):
     a = as_tensor(a)
     out = np.transpose(a.data, axes)
@@ -286,18 +312,21 @@ def take_rows(table, indices):
     return _make(out, (table,), vjp)
 
 
-def clip01(a):
-    """Clip to [0,1]; subgradient 1 on the closed interval, 0 outside.
+def clip01(a, v_th=1.0):
+    """The spiking-rate surrogate clip(a / v_th, 0, 1) as one tape node.
 
-    The boundary convention (derivative 1 at exactly 0 and 1) keeps units
-    trainable when a fixed point lands on the clip boundary.
+    Subgradient 1/v_th where a / v_th lies in the closed interval [0, 1],
+    0 outside.  The boundary convention (full derivative at exactly 0 and
+    v_th) keeps units trainable when a fixed point lands on the clip
+    boundary.  The backward builds its mask from the retained a / v_th only
+    when it runs, so a no-grad pass costs one divide and one clip.
     """
     a = as_tensor(a)
-    out = np.clip(a.data, 0.0, 1.0)
-    mask = (a.data >= 0.0) & (a.data <= 1.0)
+    scaled = a.data / v_th
+    out = np.clip(scaled, 0.0, 1.0)
 
     def vjp(g):
-        return (g * mask,)
+        return (g * ((scaled >= 0.0) & (scaled <= 1.0)) / v_th,)
 
     return _make(out, (a,), vjp)
 

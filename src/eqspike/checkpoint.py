@@ -8,7 +8,6 @@ records where in the training pipeline the artifact was produced.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 
 import numpy as np
@@ -50,11 +49,8 @@ def save_student(stack: EncoderStack, stage: str, path):
     if cfg.quant_mode is not QuantMode.FULL_PRECISION:
         for i, blk in enumerate(stack.blocks):
             for nm, lin in blk.linears().items():
-                if not lin.frozen:
-                    # pin a copy, so the codes and alpha/beta written come
-                    # from one quantization of the current latent weights
-                    lin = dataclasses.replace(lin)
-                    lin.freeze()
+                # the codes and alpha/beta written come from one quantization
+                lin = lin.pinned()
                 codes = lin.codes()
                 quant["layers"][f"blk{i}.{nm}"] = {
                     "alpha": lin.alpha, "beta": lin.beta,
@@ -74,11 +70,28 @@ def save_student(stack: EncoderStack, stage: str, path):
     _dump(path, obj)
 
 
-def load_student(path):
+def _load(path, kind, build):
+    """`build(obj)` for the JSON object of a `kind` checkpoint at `path`.
+
+    A missing or mistyped field is reported as a CheckpointError.
+    """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    if obj.get("format_version") != FORMAT_VERSION or obj.get("kind") != "student":
-        raise CheckpointError(f"{path}: not a student checkpoint")
+    if not isinstance(obj, dict) or obj.get("format_version") != FORMAT_VERSION \
+            or obj.get("kind") != kind:
+        raise CheckpointError(f"{path}: not a {kind} checkpoint")
+    try:
+        return build(obj)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise CheckpointError(f"{path}: malformed checkpoint "
+                              f"({type(exc).__name__}: {exc})") from exc
+
+
+def load_student(path):
+    return _load(path, "student", _build_student)
+
+
+def _build_student(obj):
     c = obj["config"]
     cfg = StackConfig(vocab_size=c["vocab_size"], hidden_dim=c["hidden_dim"],
                       intermediate_dim=c["intermediate_dim"],
@@ -114,10 +127,10 @@ def save_teacher(teacher: TeacherModel, path, metrics: dict | None = None):
 
 
 def load_teacher(path):
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if obj.get("format_version") != FORMAT_VERSION or obj.get("kind") != "teacher":
-        raise CheckpointError(f"{path}: not a teacher checkpoint")
+    return _load(path, "teacher", _build_teacher)
+
+
+def _build_teacher(obj):
     c = obj["config"]
     cfg = TeacherConfig(vocab_size=c["vocab_size"], hidden_dim=c["hidden_dim"],
                         intermediate_dim=c["intermediate_dim"],

@@ -1,7 +1,9 @@
 """Command-line pipeline: teacher training, distillation, fine-tuning,
 temporal simulation traces, and energy reports.
 
-Exit codes: 0 success, 2 config error, 3 convergence failure, 4 IO error.
+Exit codes: 0 success; 2 config error (bad option or config key, malformed
+YAML, unreadable or malformed checkpoint); 3 convergence or numeric failure
+(an unconverged solve, a non-finite weight or gradient); 4 IO error.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from . import pipeline as pl
 from .checkpoint import (CheckpointError, load_student, load_teacher,
                          save_student, save_teacher)
 from .equilibrium import ConvergenceError, write_trace_csv
+from .numerics import NumericError
 from .pipeline import ConfigError
 
 EXIT_OK = 0
@@ -187,6 +190,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ConvergenceError as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
+        return EXIT_CONVERGENCE
+    except NumericError as exc:
+        print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

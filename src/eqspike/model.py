@@ -173,8 +173,13 @@ class EncoderStack:
                       weights: dict | None = None) -> Tensor:
         """Block i's rate equations on the block input `a_prev`.
 
-        `weights`, when given, holds the prebuilt `effective_weights` of
-        `leaves`; otherwise each linear's effective weight is built here.
+        Each linear is one `ad.linear` node and each spiking nonlinearity
+        one threshold `clip01(·, v_th)` node; with attention, the two layer
+        norms and the two residual adds, a block tapes 18 op nodes over its
+        16 parameter leaves (plus one straight-through view per quantized
+        linear).  `weights`, when given, holds the prebuilt
+        `effective_weights` of `leaves`; otherwise each linear's effective
+        weight is built here.
         """
         cfg = self.cfg
         vth = cfg.v_th
@@ -183,20 +188,20 @@ class EncoderStack:
             key = f"blk{i}.{name}"
             w = weights[key] if weights is not None else effective_weight_tensor(
                 self.blocks[i].linears()[name], leaves[f"{key}.w"])
-            return x @ ad.transpose(w, (1, 0)) + leaves[f"{key}.b"]
+            return ad.linear(x, w, leaves[f"{key}.b"])
 
-        aq = clip01(lin("q", a_prev) / vth)
-        ak = clip01(lin("k", a_prev) / vth)
-        av = clip01(lin("v", a_prev) / vth)
+        aq = clip01(lin("q", a_prev), vth)
+        ak = clip01(lin("k", a_prev), vth)
+        av = clip01(lin("v", a_prev), vth)
         mixed = spiking_attention(aq, ak, av, cfg.num_heads)
-        a_attn = clip01(mixed / vth)
+        a_attn = clip01(mixed, vth)
         r1 = lin("o", a_attn) + a_prev
         h1 = clip01(layer_norm(r1, leaves[f"blk{i}.ln1_g"],
-                               leaves[f"blk{i}.ln1_b"]) / vth)
-        ai = clip01(lin("ff1", h1) / vth)
+                               leaves[f"blk{i}.ln1_b"]), vth)
+        ai = clip01(lin("ff1", h1), vth)
         r2 = lin("ff2", ai) + h1
         out = clip01(layer_norm(r2, leaves[f"blk{i}.ln2_g"],
-                                leaves[f"blk{i}.ln2_b"]) / vth)
+                                leaves[f"blk{i}.ln2_b"]), vth)
         if record is not None:
             record[f"blk{i}.q"] = aq.data
             record[f"blk{i}.k"] = ak.data
@@ -244,6 +249,9 @@ class EncoderStack:
         Returns (logits, per-layer ASR dict, per-layer per-neuron spike
         count dict).  `trace`, when given, collects (step, layer, mean_asr,
         residual) rows; residuals are against `trace_targets` mean rates.
+        The weights cannot change during a simulation, so the kernels run
+        on `pinned` linears: an unfrozen layer is quantized once, not once
+        per timestep, and its alpha/beta are left as they were.
         """
         if T < 1:
             raise ValueError("T must be >= 1")
@@ -280,10 +288,13 @@ class EncoderStack:
                 return value
             return t * value - (t - 1) * prev
 
+        blocks = [dataclasses.replace(blk, **{nm: lin.pinned() for nm, lin
+                                              in blk.linears().items()})
+                  for blk in self.blocks]
         for t in range(1, T + 1):
             lif_step(layers["input"], drive, lif)
             s_prev = layers["input"].s
-            for i, blk in enumerate(self.blocks):
+            for i, blk in enumerate(blocks):
                 pre = f"blk{i}"
                 lif_step(layers[f"{pre}.q"],
                          quantized_forward(blk.q, s_prev, counter, f"{pre}.q"), lif)
@@ -414,7 +425,7 @@ def classifier_logits(a_final: Tensor, leaves) -> Tensor:
     "cls.b" leaves.
     """
     cls = ad.getitem(a_final, (Ellipsis, 0, slice(None)))
-    return cls @ ad.transpose(leaves["cls.w"], (1, 0)) + leaves["cls.b"]
+    return ad.linear(cls, leaves["cls.w"], leaves["cls.b"])
 
 
 # -- teacher ------------------------------------------------------------
@@ -478,8 +489,8 @@ class TeacherModel:
         hiddens = []
         for i in range(cfg.num_layers):
             def lin(nm, x):
-                return x @ ad.transpose(leaves[f"blk{i}.{nm}.w"], (1, 0)) \
-                    + leaves[f"blk{i}.{nm}.b"]
+                return ad.linear(x, leaves[f"blk{i}.{nm}.w"],
+                                 leaves[f"blk{i}.{nm}.b"])
 
             attn = spiking_attention(lin("q", h), lin("k", h), lin("v", h),
                                      cfg.num_heads)

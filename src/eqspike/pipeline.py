@@ -92,7 +92,10 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
     cfg = default_config()
     if path is not None:
         with open(path, encoding="utf-8") as fh:
-            user = yaml.safe_load(fh) or {}
+            try:
+                user = yaml.safe_load(fh) or {}
+            except yaml.YAMLError as exc:
+                raise ConfigError(f"{path}: malformed YAML: {exc}") from None
         if not isinstance(user, dict):
             raise ConfigError(f"{path}: config must be a mapping")
         cfg = _merge(cfg, user)

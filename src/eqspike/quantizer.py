@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import base64
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -92,6 +92,18 @@ class QuantizedLinear:
         self.frozen = True
         self.frozen_codes = None if self.mode is QuantMode.FULL_PRECISION \
             else _codes_and_scale(self, self.latent_w)[0].astype(np.int8)
+
+    def pinned(self) -> "QuantizedLinear":
+        """This layer if frozen, else a frozen copy of it.
+
+        The copy's codes and alpha/beta come from one quantization of the
+        current latent weights; the layer itself is left untouched.
+        """
+        if self.frozen:
+            return self
+        pin = replace(self)
+        pin.freeze()
+        return pin
 
     def codes(self) -> np.ndarray:
         if self.mode is QuantMode.FULL_PRECISION:

@@ -91,6 +91,64 @@ def test_clip01_forward_and_subgradient():
     np.testing.assert_array_equal(x.grad, [0.0, 1.0, 1.0, 1.0, 0.0])
 
 
+def test_clip01_threshold_equals_divided_clip_bitwise():
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(3, 5, 8)) * 0.8 + 0.35
+    with ad.no_grad():
+        want = ad.clip01(ad.div(ad.Tensor(a), 0.7)).data
+        got = ad.clip01(a, 0.7).data
+    np.testing.assert_array_equal(got, want)
+
+
+def test_clip01_threshold_grad_matches_finite_differences():
+    rng = np.random.default_rng(10)
+    a0 = rng.uniform(-0.5, 1.2, size=(4, 6))
+    kinks = np.abs(a0) < 1e-3
+    kinks |= np.abs(a0 - 0.7) < 1e-3
+    a0[kinks] += 0.01  # keep finite differences off the kinks at 0 and v_th
+    w = ad.Tensor(rng.normal(size=(4, 6)))  # a generic cotangent
+    _fd_check(lambda t: ad.tensor_sum(ad.mul(ad.clip01(t, 0.7), w)), a0)
+
+
+def test_clip01_threshold_boundary_subgradient():
+    x = ad.Tensor(np.array([-0.1, 0.0, 0.35, 0.7, 0.8]), requires_grad=True)
+    y = ad.clip01(x, 0.7)
+    np.testing.assert_array_equal(y.data, [0.0, 0.0, 0.5, 1.0, 1.0])
+    ad.backward([ad.tensor_sum(y)], [1.0])
+    # 1/v_th on the closed interval [0, v_th], bounds included; 0 outside
+    np.testing.assert_array_equal(x.grad, [0.0, 1 / 0.7, 1 / 0.7, 1 / 0.7, 0.0])
+
+
+LINEAR_SHAPES = pytest.mark.parametrize(
+    "shape", [(5,), (4, 5), (2, 4, 5)], ids=["in", "seq-in", "batch-seq-in"])
+
+
+@LINEAR_SHAPES
+def test_linear_forward_equals_composite_bitwise(shape):
+    rng = np.random.default_rng(11)
+    x, w, b = rng.normal(size=shape), rng.normal(size=(3, 5)), rng.normal(size=3)
+    with ad.no_grad():
+        # reference: the composite transpose/matmul/add graph
+        want = (ad.Tensor(x) @ ad.transpose(ad.Tensor(w), (1, 0))
+                + ad.Tensor(b)).data
+        got = ad.linear(x, w, b).data
+    np.testing.assert_array_equal(got, want)
+
+
+@LINEAR_SHAPES
+def test_linear_grads_match_finite_differences(shape):
+    rng = np.random.default_rng(12)
+    x0, w0, b0 = rng.normal(size=shape), rng.normal(size=(3, 5)), rng.normal(size=3)
+    g = ad.Tensor(rng.normal(size=shape[:-1] + (3,)))  # a generic cotangent
+
+    def weighted(x, w, b):
+        return ad.tensor_sum(ad.mul(ad.linear(x, w, b), g))
+
+    _fd_check(lambda t: weighted(t, w0, b0), x0)
+    _fd_check(lambda t: weighted(x0, t, b0), w0)
+    _fd_check(lambda t: weighted(x0, w0, t), b0)
+
+
 def test_gelu_and_layer_norm_grads():
     rng = np.random.default_rng(5)
     x0 = rng.normal(size=(2, 6))

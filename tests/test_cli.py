@@ -103,6 +103,40 @@ def test_bad_config_key_is_config_error(workdir, capsys, text):
     assert "config error" in capsys.readouterr().err
 
 
+def test_malformed_yaml_is_config_error(workdir, capsys):
+    root, _ = workdir
+    bad = root / "malformed.yaml"
+    bad.write_text("model: {hidden_dim: 8\n")
+    rc = main(["train-teacher", "--config", str(bad), "--out", str(root / "m")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["student", "teacher"])
+def test_truncated_checkpoint_is_config_error(workdir, capsys, kind):
+    root, cfg = workdir
+    ckpt = root / f"truncated_{kind}.json"
+    ckpt.write_text(json.dumps({"format_version": 1, "kind": kind}))
+    argv = (["eval", "--student", str(ckpt)] if kind == "student"
+            else ["distill", "--teacher", str(ckpt)])
+    rc = main(argv + ["--config", cfg, "--out", str(root / "t")])
+    assert rc == 2
+    assert "malformed checkpoint" in capsys.readouterr().err
+
+
+def test_non_finite_weight_is_numeric_error(workdir, artifacts, capsys):
+    root, cfg = workdir
+    out, _ = artifacts
+    obj = json.loads(open(f"{out}/student_kd.json").read())
+    obj["params"]["blk0.q.w"][0][0] = float("nan")
+    ckpt = root / "nan_student.json"
+    ckpt.write_text(json.dumps(obj))
+    rc = main(["finetune", "--config", cfg, "--out", str(root / "n"),
+               "--student", str(ckpt)])
+    assert rc == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
 def test_bad_quant_mode_is_config_error(workdir):
     root, _ = workdir
     bad = root / "badmode.yaml"

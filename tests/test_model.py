@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from eqspike import autodiff as ad
+from eqspike import pipeline as pl
+from eqspike import quantizer
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
 from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
                            TeacherModel, spiking_attention, teacher_forward)
 from eqspike.numerics import ShapeError, finite_difference_grad
-from eqspike.quantizer import OpCounter, QuantMode
+from eqspike.quantizer import OpCounter, QuantMode, quantize_158bit
 
 
 def make_stack(seed=0, mode=QuantMode.FULL_PRECISION, **kw):
@@ -179,6 +181,49 @@ def test_op_counter_only_counts_quantized_kernels():
     assert counter.total > 0
     assert set(counter.per_layer) == {f"blk{i}.{nm}" for i in range(2)
                                       for nm in ("q", "k", "v", "o", "ff1", "ff2")}
+
+
+def test_temporal_simulate_quantizes_each_linear_once(monkeypatch):
+    cfg = pl.load_config(None, {})  # the default 2-block ternary shape
+    tok, _train, dev, labels = pl.make_dataset(cfg)
+    stack = pl.build_student(cfg, tok, num_labels=len(labels))
+    frozen = pl.build_student(cfg, tok, num_labels=len(labels))
+    frozen.freeze_quantization()
+    tokens = dev[0][0]
+    want_counter = OpCounter()
+    want = frozen.temporal_simulate(tokens, T=50, counter=want_counter)
+    calls = []
+
+    def counting(w, *args):
+        calls.append(w.shape)
+        return quantize_158bit(w, *args)
+
+    monkeypatch.setattr(quantizer, "quantize_158bit", counting)
+    counter = OpCounter()
+    got = stack.temporal_simulate(tokens, T=50, counter=counter)
+    assert len(calls) == 6 * stack.cfg.num_layers  # once per linear, not per step
+    assert not any(lin.frozen for blk in stack.blocks
+                   for lin in blk.linears().values())
+    np.testing.assert_array_equal(got[0], want[0])
+    for g, w in zip(got[1:], want[1:]):
+        for name in w:
+            np.testing.assert_array_equal(g[name], w[name])
+    assert counter.per_layer == want_counter.per_layer
+
+
+def test_block_forward_tapes_one_node_per_fused_op():
+    cfg = pl.load_config(None, {})  # the default 2-block ternary shape
+    tok, train, _dev, labels = pl.make_dataset(cfg)
+    stack = pl.build_student(cfg, tok, num_labels=len(labels))
+    leaves = stack.param_tensors()
+    enc = stack.encoding(train[0][0], leaves)
+    out = stack.block_forward(0, enc, leaves)
+    below = {id(n) for n in ad._toposort([enc])}
+    nodes = [n for n in ad._toposort([out]) if id(n) not in below]
+    # 16 parameter leaves, 6 straight-through weight views, and 18 ops:
+    # 6 linears, 7 threshold clips, attention, 2 layer norms, 2 residual adds
+    assert sum(n._vjp is None for n in nodes) == 16
+    assert len(nodes) == 40
 
 
 def test_linear_op_table_counts():
