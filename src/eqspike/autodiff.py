@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import erf as _erf
 
 _GRAD_ENABLED = True
 
@@ -218,6 +217,10 @@ def sqrt(a):
 
 
 def erf(a):
+    # imported here: scipy.special adds about 25 MB and 0.2 s to a process,
+    # and only the teacher's gelu needs it
+    from scipy.special import erf as _erf
+
     a = as_tensor(a)
     out = _erf(a.data)
 

@@ -106,11 +106,8 @@ def _build_student(obj):
         for nm, lin in blk.linears().items():
             entry = obj["quant"]["layers"].get(f"blk{i}.{nm}")
             if entry is not None:
-                lin.alpha = entry["alpha"]
-                lin.beta = entry["beta"]
-                lin.frozen = True
-                lin.frozen_codes = unpack_codes(
-                    entry["codes"], tuple(entry["shape"])).astype(np.int8)
+                lin.pin(unpack_codes(entry["codes"], tuple(entry["shape"])),
+                        entry["alpha"], entry["beta"])
     return stack, obj["stage"]
 
 

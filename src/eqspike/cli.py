@@ -2,8 +2,8 @@
 temporal simulation traces, and energy reports.
 
 Exit codes: 0 success; 2 config error (bad option or config key, malformed
-YAML, unreadable or malformed checkpoint); 3 convergence or numeric failure
-(an unconverged solve, a non-finite weight or gradient); 4 IO error.
+YAML, unreadable or malformed checkpoint); 3 numeric failure (a non-finite
+weight, gradient, rate or logit); 4 IO error.
 """
 
 from __future__ import annotations
@@ -15,13 +15,13 @@ import sys
 from . import pipeline as pl
 from .checkpoint import (CheckpointError, load_student, load_teacher,
                          save_student, save_teacher)
-from .equilibrium import ConvergenceError, write_trace_csv
+from .equilibrium import write_trace_csv
 from .numerics import NumericError
 from .pipeline import ConfigError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
-EXIT_CONVERGENCE = 3
+EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 _QUANT_FLAG = {"fp": "fp", "1bit": "1bit", "1.58bit": "1.58bit"}
@@ -188,12 +188,9 @@ def main(argv=None) -> int:
     except (ConfigError, CheckpointError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ConvergenceError as exc:
-        print(f"convergence failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
+        return EXIT_NUMERIC
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -11,66 +11,45 @@ from .autodiff import no_grad
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_iters: int = 500
+    # the bound on max|rate_map(a*) - a*| that certifies a solution a*
     tol: float = 1e-6
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:  # rejects NaN too
             raise ValueError("tol must be positive")
 
 
 @dataclass
 class EquilibriumSolution:
     asr_star: list
-    residual_history: list
-    iters_used: int
-    converged: bool
     sublayer_asr: dict = field(default_factory=dict)
-
-
-class ConvergenceError(RuntimeError):
-    def __init__(self, residual_history):
-        self.residual_history = residual_history
-        super().__init__(
-            f"fixed-point iteration did not converge; last residual "
-            f"{residual_history[-1]:.3e} after {len(residual_history)} iterations")
+    # a solve is one sweep, and a solve that returns has converged
+    iters_used = 1
+    converged = True
 
 
 def solve_fixed_point(stack, tokens, cfg: SolverConfig) -> EquilibriumSolution:
-    """Solve the stack's steady-state rate equations by Gauss-Seidel sweeps.
+    """Solve the stack's steady-state rate equations in one forward sweep.
 
     `tokens` is one sentence (seq,) or a stacked batch (B, seq) of
     equal-length sentences, solved together in one pass; `asr_star` and
-    `sublayer_asr` then carry the leading batch axis, and each residual is
-    the largest over the batch.  Sentences do not interact, so a batch
-    solve equals the per-sentence solves.
+    `sublayer_asr` then carry the leading batch axis.  Sentences do not
+    interact, so a batch solve equals the per-sentence solves.
 
-    Block i reads only block i-1, so the first sweep already lands on the
-    fixed point and the second certifies it with a zero residual.  The
+    Block i reads only block i-1, so the sweep lands on the fixed point
+    exactly; `stack.rate_map` certifies it to `cfg.tol` from outside.  The
     parameter leaves, each linear's effective weight (so an unfrozen stack
-    is quantized once per solve, not once per sweep) and the encoding are
-    built once per solve.  Raises ConvergenceError (with the residual
-    history attached) when the iteration budget is exhausted.
+    is quantized once per solve) and the encoding are built once.  Raises
+    NumericError on a non-finite rate.
     """
     tokens = np.asarray(tokens, dtype=np.int64)
-    state = stack.initial_state(tokens.shape)
-    history = []
     with no_grad():
         leaves = stack.param_tensors()
-        weights = stack.effective_weights(leaves)
         a0 = stack.encoding(tokens, leaves)
         record = {"input": a0.data}
-        for it in range(1, cfg.max_iters + 1):
-            state, residual = stack.sweep(a0, state, leaves, weights,
-                                           record=record)
-            history.append(residual)
-            if residual <= cfg.tol:
-                return EquilibriumSolution(asr_star=state, residual_history=history,
-                                           iters_used=it, converged=True,
-                                           sublayer_asr=record)
-    raise ConvergenceError(history)
+        rates = stack.sweep(a0, leaves, stack.effective_weights(leaves),
+                            record=record)
+    return EquilibriumSolution(asr_star=rates, sublayer_asr=record)
 
 
 def convergence_trace(stack, tokens, T: int, solver_cfg: SolverConfig | None = None):

@@ -88,7 +88,7 @@ def example_gradients(stack, tokens, label, loss_builder,
     `tokens` is (seq,) with an int `label`, or a stacked batch (B, seq)
     with labels (B,); gradients, loss and terms are then sums over the
     batch.  Tapes one forward from the encoding through every block (the
-    first Gauss-Seidel sweep, already exact) and runs one backward from the
+    sweep of `solve_fixed_point`, exact) and runs one backward from the
     loss.  `loss_builder(tokens, label, a_blocks, head_leaves)` sees the
     block outputs, (seq, d) or (B, seq, d), and the classifier and
     `extra_params` leaves, and returns (loss Tensor, dict of floats).

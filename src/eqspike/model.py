@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, clip01, layer_norm, no_grad, take_rows
 from .neuron import LifConfig, LifLayerState, RunningAverage, asr, lif_step
-from .numerics import ShapeError, init_uniform
+from .numerics import ShapeError, check_finite, init_uniform
 from .quantizer import (OpCounter, QuantMode, QuantizedLinear,
                         effective_weight_tensor, quantized_forward)
 
@@ -133,14 +133,12 @@ class EncoderStack:
         for blk in self.blocks:
             for lin in blk.linears().values():
                 lin.mode = mode
-                lin.frozen = False
-                lin.frozen_codes = None
+                lin.frozen_codes = lin.frozen_weight = None
 
     def freeze_quantization(self):
         for blk in self.blocks:
             for lin in blk.linears().values():
-                if lin.mode is not QuantMode.FULL_PRECISION:
-                    lin.freeze()
+                lin.freeze()
 
     # -- steady-state (rate) path --------------------------------------
     # Rate tensors are (seq, d) for one sentence or (B, seq, d) for a
@@ -212,20 +210,21 @@ class EncoderStack:
             record[f"blk{i}.out"] = out.data
         return out
 
-    def sweep(self, a0: Tensor, state: list[np.ndarray], leaves,
-              weights: dict, record: dict | None = None):
-        """One Gauss-Seidel sweep of the rate equations from the encoding a0.
+    def sweep(self, a0: Tensor, leaves, weights: dict,
+              record: dict | None = None) -> list[np.ndarray]:
+        """The block outputs of one forward pass from the encoding a0.
 
-        `weights` are the `effective_weights` of `leaves`.  Returns (new
-        state, sup-norm residual of the update against `state`).
+        Block i reads only block i-1, so one pass in block order lands on
+        the fixed point of the rate equations.  `weights` are the
+        `effective_weights` of `leaves`.  Raises NumericError on a
+        non-finite rate.
         """
-        prev, new_state, residual = a0, [], 0.0
+        prev, rates = a0, []
         for i in range(self.cfg.num_layers):
             prev = self.block_forward(i, prev, leaves, record=record,
                                       weights=weights)
-            residual = max(residual, float(np.max(np.abs(prev.data - state[i]))))
-            new_state.append(prev.data)
-        return new_state, residual
+            rates.append(check_finite(prev.data, f"rates of block {i}"))
+        return rates
 
     def rate_map(self, tokens, state: list[np.ndarray]) -> list[np.ndarray]:
         """The undamped Jacobi update f(state); fixed points satisfy f(a)=a."""
@@ -234,11 +233,6 @@ class EncoderStack:
             inputs = [self.encoding(tokens, leaves)] + [Tensor(a) for a in state[:-1]]
             return [self.block_forward(i, inputs[i], leaves).data
                     for i in range(self.cfg.num_layers)]
-
-    def initial_state(self, token_shape) -> list[np.ndarray]:
-        """Zero block rates for tokens of shape (seq,) or (B, seq)."""
-        return [np.zeros((*token_shape, self.cfg.hidden_dim))
-                for _ in range(self.cfg.num_layers)]
 
     # -- temporal (spiking) path ---------------------------------------
     def temporal_simulate(self, tokens, T: int, counter: OpCounter | None = None,

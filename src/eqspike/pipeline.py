@@ -23,7 +23,7 @@ from .energy import (SpikeStats, TechnologyProfile, energy_estimate,
                      expected_accumulates)
 from .implicit_grad import ce_loss_builder, training_step
 from .model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
-from .numerics import AdamState, adam_step_many
+from .numerics import AdamState, adam_step_many, check_finite
 from .quantizer import OpCounter, QuantMode
 
 
@@ -55,7 +55,7 @@ def default_config() -> dict:
             "epochs": 12,
             "batch_size": 16,
         },
-        "solver": {"max_iters": 500, "tol": 1e-8},
+        "solver": {"tol": 1e-8},
         "train": {
             "lr": 3e-3,
             "batch_size": 16,
@@ -109,8 +109,7 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
 
 
 def solver_config(cfg) -> SolverConfig:
-    s = cfg["solver"]
-    return SolverConfig(max_iters=s["max_iters"], tol=s["tol"])
+    return SolverConfig(tol=cfg["solver"]["tol"])
 
 
 def make_dataset(cfg):
@@ -182,11 +181,15 @@ def train_teacher(cfg, teacher, train_items, dev_items) -> dict:
 
 
 def student_accuracy(stack, items, scfg: SolverConfig) -> float:
-    """Dev accuracy at the equilibrium; one solve per sequence length."""
+    """Dev accuracy at the equilibrium; one solve per sequence length.
+
+    Raises NumericError on a non-finite logit rather than scoring it.
+    """
     hits = 0
     for tokens, labels in stack_by_length(items):
         sol = solve_fixed_point(stack, tokens, scfg)
-        logits = sol.asr_star[-1][:, 0] @ stack.cls_w.T + stack.cls_b
+        logits = check_finite(sol.asr_star[-1][:, 0] @ stack.cls_w.T + stack.cls_b,
+                              "logits")
         hits += int(np.sum(np.argmax(logits, axis=-1) == labels))
     return hits / len(items)
 

@@ -60,7 +60,8 @@ class QuantizedLinear:
     latent_w has shape (out, in); forward computes x @ W_eff.T + bias.
     alpha/beta hold the statistics of the most recent quantization (they
     are recomputed from the latent weights on every call during training
-    and frozen for inference via `freeze`).
+    and frozen for inference by `pin`).  A pinned layer keeps its float64
+    codes and its effective weight, both read-only.
     """
     latent_w: np.ndarray
     bias: np.ndarray
@@ -69,8 +70,13 @@ class QuantizedLinear:
     beta: float = 0.0
     epsilon: float = 1e-6
     binary_output_scale: bool = False
-    frozen: bool = False
     frozen_codes: np.ndarray = field(default=None, repr=False)
+    frozen_weight: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def frozen(self) -> bool:
+        """Whether `pin` has fixed the codes (never for full precision)."""
+        return self.frozen_weight is not None
 
     @property
     def out_dim(self):
@@ -84,22 +90,41 @@ class QuantizedLinear:
         """The weight actually applied in the forward pass (numeric path)."""
         if self.mode is QuantMode.FULL_PRECISION:
             return self.latent_w
-        q, scale = _codes_and_scale(self)
-        return q * scale
+        if self.frozen:
+            return self.frozen_weight
+        q = _requantize(self, self.latent_w)
+        return q * _output_scale(self)
 
     def freeze(self):
-        """Pin the current quantization statistics and codes for inference."""
-        self.frozen = True
-        self.frozen_codes = None if self.mode is QuantMode.FULL_PRECISION \
-            else _codes_and_scale(self, self.latent_w)[0].astype(np.int8)
+        """Pin the codes and statistics of one quantization of latent_w.
+
+        A full-precision layer has nothing to pin and is left as it is.
+        """
+        if self.mode is not QuantMode.FULL_PRECISION:
+            q = _requantize(self, self.latent_w)
+            self.pin(q, self.alpha, self.beta)
+
+    def pin(self, codes: np.ndarray, alpha: float, beta: float):
+        """Freeze the layer on `codes` and their statistics alpha/beta.
+
+        The float64 codes and the effective weight (codes x output scale)
+        are built here, once, and made read-only; a binary layer without an
+        output scale uses its codes array as its weight.
+        """
+        q = np.array(codes, dtype=np.float64)
+        self.alpha, self.beta = alpha, beta
+        scale = _output_scale(self)
+        w = q if scale == 1.0 else q * scale
+        q.flags.writeable = w.flags.writeable = False
+        self.frozen_codes, self.frozen_weight = q, w
 
     def pinned(self) -> "QuantizedLinear":
-        """This layer if frozen, else a frozen copy of it.
+        """This layer if frozen or full precision, else a frozen copy of it.
 
         The copy's codes and alpha/beta come from one quantization of the
         current latent weights; the layer itself is left untouched.
         """
-        if self.frozen:
+        if self.frozen or self.mode is QuantMode.FULL_PRECISION:
             return self
         pin = replace(self)
         pin.freeze()
@@ -108,33 +133,26 @@ class QuantizedLinear:
     def codes(self) -> np.ndarray:
         if self.mode is QuantMode.FULL_PRECISION:
             raise ValueError("full-precision layer has no integer codes")
-        stats = self.alpha, self.beta
-        q, _ = _codes_and_scale(self)
-        self.alpha, self.beta = stats  # reading codes leaves the statistics alone
-        return q
+        return self.pinned().frozen_codes
 
 
-def _codes_and_scale(layer: QuantizedLinear, w: np.ndarray | None = None):
-    """(codes, output scale) of a quantized layer.
-
-    Frozen codes are used unless a weight `w` is given; otherwise `w`
-    (default: the latent weights) is quantized afresh and the layer's
-    alpha/beta are refreshed from it.  Binary layers without an output
-    scale use 1.0.
-    """
-    if w is None and layer.frozen and layer.frozen_codes is not None:
-        q = layer.frozen_codes.astype(np.float64)
+def _requantize(layer: QuantizedLinear, w: np.ndarray) -> np.ndarray:
+    """Codes of `w` in the layer's mode; refreshes the layer's alpha/beta."""
+    if layer.mode is QuantMode.BINARY_1BIT:
+        q, layer.alpha = quantize_1bit(w)
+        if layer.binary_output_scale:
+            layer.beta = float(np.abs(w).mean())
     else:
-        w = layer.latent_w if w is None else w
-        if layer.mode is QuantMode.BINARY_1BIT:
-            q, layer.alpha = quantize_1bit(w)
-            if layer.binary_output_scale:
-                layer.beta = float(np.abs(w).mean())
-        else:
-            q, layer.beta = quantize_158bit(w, layer.epsilon)
+        q, layer.beta = quantize_158bit(w, layer.epsilon)
+    return q
+
+
+def _output_scale(layer: QuantizedLinear) -> float:
+    """The factor on a quantized layer's codes: beta, or 1.0 for a binary
+    layer without an output scale."""
     if layer.mode is QuantMode.BINARY_1BIT and not layer.binary_output_scale:
-        return q, 1.0
-    return q, layer.beta
+        return 1.0
+    return layer.beta
 
 
 class OpCounter:
@@ -161,7 +179,8 @@ def quantized_forward(layer: QuantizedLinear, x: np.ndarray,
     integer, so the matmul is exact signed accumulation of the columns
     whose input spiked (no multiplies are needed), and the output scale is
     applied once afterwards.  The counter still counts those accumulates,
-    one per (spike, nonzero code) pair.
+    one per (spike, nonzero code) pair.  An unfrozen layer runs on a
+    `pinned` copy, so its alpha/beta are left as they were.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != layer.in_dim:
@@ -169,15 +188,15 @@ def quantized_forward(layer: QuantizedLinear, x: np.ndarray,
     if layer.mode is QuantMode.FULL_PRECISION:
         w_eff = layer.latent_w
     else:
-        codes, scale = _codes_and_scale(layer)  # refreshes alpha/beta when not frozen
+        layer = layer.pinned()
         if np.all((x == 0.0) | (x == 1.0)):
-            acc = _accumulate(codes, x)
+            acc = _accumulate(layer.frozen_codes, x)
             if counter is not None:
-                nnz_col = np.count_nonzero(codes, axis=0)
+                nnz_col = np.count_nonzero(layer.frozen_codes, axis=0)
                 counter.add(name, int((x.reshape(-1, layer.in_dim).sum(axis=0)
                                        * nnz_col).sum()))
-            return scale * acc + layer.bias
-        w_eff = codes * scale
+            return _output_scale(layer) * acc + layer.bias
+        w_eff = layer.frozen_weight
     if counter is not None:
         nnz_col = np.count_nonzero(w_eff, axis=0)
         active = (x.reshape(-1, layer.in_dim) != 0.0).sum(axis=0)
@@ -197,8 +216,8 @@ def _accumulate(codes: np.ndarray, x: np.ndarray) -> np.ndarray:
 def effective_weight_tensor(layer: QuantizedLinear, latent: ad.Tensor) -> ad.Tensor:
     """Autodiff view of the effective weight with straight-through backward.
 
-    A frozen layer applies its pinned codes and stored scale; otherwise
-    `latent` is quantized afresh.  Training a stack that is left frozen
+    A frozen layer applies its pinned effective weight; otherwise `latent`
+    is quantized afresh.  Training a stack that is left frozen
     therefore keeps its codes pinned; `EncoderStack.set_quant_mode`
     unfreezes it first, as `eqspike finetune` does.  Quantization
     statistics (alpha/beta) are treated as constants of the backward pass;
@@ -206,8 +225,10 @@ def effective_weight_tensor(layer: QuantizedLinear, latent: ad.Tensor) -> ad.Ten
     """
     if layer.mode is QuantMode.FULL_PRECISION:
         return latent
-    q, scale = _codes_and_scale(layer, None if layer.frozen else latent.data)
-    return ad.ste(latent, q * scale)
+    if layer.frozen:
+        return ad.ste(latent, layer.frozen_weight)
+    q = _requantize(layer, latent.data)
+    return ad.ste(latent, q * _output_scale(layer))
 
 
 # -- 2-bit code packing (little-endian within each byte) ----------------

@@ -6,8 +6,10 @@ import pytest
 from eqspike.checkpoint import (CheckpointError, load_student, load_teacher,
                                 save_student, save_teacher)
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
+from eqspike.implicit_grad import training_step
 from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
-from eqspike.quantizer import QuantMode
+from eqspike.numerics import AdamState
+from eqspike.quantizer import OpCounter, QuantMode
 
 
 def make_stack(mode=QuantMode.TERNARY_158BIT, seed=0):
@@ -47,6 +49,8 @@ def test_loaded_student_is_frozen(tmp_path):
     for blk in loaded.blocks:
         for lin in blk.linears().values():
             assert lin.frozen and lin.frozen_codes is not None
+            assert not lin.frozen_codes.flags.writeable
+            assert not lin.frozen_weight.flags.writeable
 
 
 def test_fp_student_has_no_code_section(tmp_path):
@@ -128,3 +132,52 @@ def test_unfrozen_save_writes_stats_matching_its_codes(tmp_path):
     got = solve_fixed_point(loaded, tokens, scfg)
     for a, b in zip(got.asr_star, want.asr_star):
         np.testing.assert_array_equal(a, b)
+
+
+def _linears(stack):
+    return [lin for blk in stack.blocks for lin in blk.linears().values()]
+
+
+@pytest.mark.parametrize("mode", [QuantMode.BINARY_1BIT,
+                                  QuantMode.TERNARY_158BIT],
+                         ids=lambda m: m.value)
+def test_refrozen_stack_solves_on_its_new_codes(tmp_path, mode):
+    stack = make_stack(mode=mode, seed=2)
+    stack.freeze_quantization()
+    old = [lin.frozen_weight for lin in _linears(stack)]
+    stack.set_quant_mode(mode)  # unfreezes, as `eqspike finetune` does
+    assert all(lin.frozen_codes is None and lin.frozen_weight is None
+               for lin in _linears(stack))
+    batch = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7]), 1)]
+    training_step(stack, batch, AdamState(lr=0.2))
+    stack.freeze_quantization()
+    assert any(not np.array_equal(lin.frozen_weight, w)
+               for lin, w in zip(_linears(stack), old))
+    tokens, scfg = np.array([[2, 4, 5], [6, 1, 3]]), SolverConfig(tol=1e-12)
+    got = solve_fixed_point(stack, tokens, scfg)
+    path = tmp_path / "ckpt.json"
+    save_student(stack, "finetuned", path)
+    loaded, _ = load_student(path)
+    want = solve_fixed_point(loaded, tokens, scfg)
+    for a, b in zip(got.asr_star, want.asr_star):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_frozen_ternary_simulation_is_unchanged_by_round_trip(tmp_path):
+    stack = make_stack(seed=3)
+    tokens = np.array([2, 4, 5, 1])
+    runs = []
+    for step in ("latent", "frozen", "loaded"):
+        if step == "frozen":
+            stack.freeze_quantization()
+        elif step == "loaded":
+            save_student(stack, "finetuned", tmp_path / "ckpt.json")
+            stack, _ = load_student(tmp_path / "ckpt.json")
+        counter = OpCounter()
+        logits, asrs, _ = stack.temporal_simulate(tokens, T=30, counter=counter)
+        runs.append((logits, asrs, counter.per_layer))
+    for logits, asrs, per_layer in runs[1:]:
+        np.testing.assert_array_equal(logits, runs[0][0])
+        for name, want in runs[0][1].items():
+            np.testing.assert_array_equal(asrs[name], want, err_msg=name)
+        assert per_layer == runs[0][2]

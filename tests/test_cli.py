@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from eqspike.cli import main
+from eqspike.data import CLS
 
 SMALL_CFG = {
     "model": {"hidden_dim": 8, "intermediate_dim": 12, "num_heads": 2,
@@ -92,8 +93,10 @@ def test_missing_checkpoint_is_io_error(workdir):
 
 
 @pytest.mark.parametrize("text", ["nonsense: 1\n", "solver: {damping: 0.5}\n",
-                                  "vjp: {max_terms: 5}\n"],
-                         ids=["nonsense", "solver.damping", "vjp.max_terms"])
+                                  "vjp: {max_terms: 5}\n",
+                                  "solver: {max_iters: 500}\n"],
+                         ids=["nonsense", "solver.damping", "vjp.max_terms",
+                              "solver.max_iters"])
 def test_bad_config_key_is_config_error(workdir, capsys, text):
     root, _ = workdir
     bad = root / "bad.yaml"
@@ -132,6 +135,27 @@ def test_non_finite_weight_is_numeric_error(workdir, artifacts, capsys):
     ckpt = root / "nan_student.json"
     ckpt.write_text(json.dumps(obj))
     rc = main(["finetune", "--config", cfg, "--out", str(root / "n"),
+               "--student", str(ckpt)])
+    assert rc == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+# a NaN in the embedding reaches every rate; one in the head only the logits
+@pytest.mark.parametrize("name,index", [("tok_emb", (CLS, 0)),
+                                        ("cls.w", (0, 0)), ("cls.b", (0,))],
+                         ids=["tok_emb", "cls.w", "cls.b"])
+def test_eval_of_non_finite_student_is_numeric_error(workdir, artifacts,
+                                                     capsys, name, index):
+    root, cfg = workdir
+    out, _ = artifacts
+    obj = json.loads(open(f"{out}/student_finetuned.json").read())
+    row = obj["params"][name]
+    for i in index[:-1]:
+        row = row[i]
+    row[index[-1]] = float("nan")
+    ckpt = root / f"nan_{name}.json"
+    ckpt.write_text(json.dumps(obj))
+    rc = main(["eval", "--config", cfg, "--out", str(root / "nan_eval"),
                "--student", str(ckpt)])
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err

@@ -89,6 +89,28 @@ def test_freeze_pins_codes():
     np.testing.assert_array_equal(layer.effective_weight(), before)
 
 
+@pytest.mark.parametrize("mode,output_scale", [
+    (QuantMode.BINARY_1BIT, False), (QuantMode.BINARY_1BIT, True),
+    (QuantMode.TERNARY_158BIT, False)], ids=["1bit", "1bit-scaled", "1.58bit"])
+def test_pinned_arrays_are_built_once_and_read_only(mode, output_scale):
+    layer = _layer(mode, binary_output_scale=output_scale)
+    fresh = layer.effective_weight().copy()
+    layer.freeze()
+    q, w = layer.frozen_codes, layer.frozen_weight
+    assert q.dtype == np.float64 and not q.flags.writeable
+    assert not w.flags.writeable
+    np.testing.assert_array_equal(w, fresh)
+    if output_scale or mode is QuantMode.TERNARY_158BIT:
+        np.testing.assert_array_equal(w, q * layer.beta)
+    else:
+        assert w is q  # unscaled binary codes are the weight
+    with pytest.raises(ValueError):
+        w[0, 0] = 0.5
+    assert layer.effective_weight() is w and layer.codes() is q
+    latent = ad.Tensor(layer.latent_w, requires_grad=True)
+    assert effective_weight_tensor(layer, latent).data is w
+
+
 def test_spike_accumulation_matches_dense_matmul():
     rng = np.random.default_rng(3)
     for mode in (QuantMode.BINARY_1BIT, QuantMode.TERNARY_158BIT):
