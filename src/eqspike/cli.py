@@ -114,6 +114,8 @@ def cmd_simulate(args):
 
 
 def cmd_energy(args):
+    if args.eval_size < 1:
+        raise ConfigError(f"--eval-size must be at least 1, got {args.eval_size}")
     cfg = _load_cfg(args)
     _tok, _train, dev_items, _labels = pl.make_dataset(cfg)
     stack_q, _ = load_student(args.quant_ckpt)

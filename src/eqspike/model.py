@@ -133,7 +133,7 @@ class EncoderStack:
         for blk in self.blocks:
             for lin in blk.linears().values():
                 lin.mode = mode
-                lin.frozen_codes = lin.frozen_weight = None
+                lin.frozen_codes = lin.frozen_weight = lin.column_nnz = None
 
     def freeze_quantization(self):
         for blk in self.blocks:
@@ -240,33 +240,44 @@ class EncoderStack:
                           trace_targets: dict | None = None):
         """Full LIF simulation for T steps.
 
-        Returns (logits, per-layer ASR dict, per-layer per-neuron spike
-        count dict).  `trace`, when given, collects (step, layer, mean_asr,
-        residual) rows; residuals are against `trace_targets` mean rates.
-        The weights cannot change during a simulation, so the kernels run
-        on `pinned` linears: an unfrozen layer is quantized once, not once
-        per timestep, and its alpha/beta are left as they were.
+        `tokens` is (seq,) or (B, seq): a batch runs in one pass, each row
+        bitwise equal to its own run.  Returns (logits (..., C), per-layer
+        ASR dict, per-layer per-neuron spike count dict), ASRs and counts
+        (..., seq, width).  `counter` gets one `add` per linear per step,
+        summed over the batch.  `trace`, when given, collects (step, layer,
+        mean_asr, residual) rows; residuals are against `trace_targets`.
+        The loop runs only per-step work: linears are `pinned` once (an
+        unfrozen layer is quantized once, its alpha/beta left as they were),
+        and finiteness is checked once, on every membrane potential at the
+        end (a non-finite current leaves it non-finite for good), raising
+        NumericError.
         """
         if T < 1:
             raise ValueError("T must be >= 1")
         cfg = self.cfg
         lif = LifConfig(cfg.gamma, cfg.v_th)
         tokens = np.asarray(tokens, dtype=np.int64)
-        seq = len(tokens)
-        d, inter = cfg.hidden_dim, cfg.intermediate_dim
-        drive = np.clip(self.tok_emb[tokens] + self.pos_emb[:seq] + 0.5, 0.0, 1.0)
-
-        def st(shape):
-            return LifLayerState.zeros(shape)
-
-        layers = {"input": st((seq, d))}
-        for i in range(cfg.num_layers):
-            for nm in ("q", "k", "v", "attn", "h1", "out"):
-                layers[f"blk{i}.{nm}"] = st((seq, d))
-            layers[f"blk{i}.int"] = st((seq, inter))
-        r1_avg = [RunningAverage(cfg.gamma) for _ in range(cfg.num_layers)]
-        r2_avg = [RunningAverage(cfg.gamma) for _ in range(cfg.num_layers)]
-        spike_counts = {name: np.zeros(stt.u.shape) for name, stt in layers.items()}
+        if tokens.ndim not in (1, 2) or tokens.shape[-1] > cfg.max_len:
+            raise ShapeError("tokens must be (seq,) or (B, seq) within max_len")
+        drive = np.clip(self.tok_emb[tokens] + self.pos_emb[:tokens.shape[-1]]
+                        + 0.5, 0.0, 1.0)
+        source = LifLayerState.zeros(drive.shape)
+        layers = {"input": source}
+        # per block: pinned linears, the names of its sublayers (counter and
+        # surrogate keys), its neuron layers and the residual averages
+        runs = []
+        for i, blk in enumerate(self.blocks):
+            pre = f"blk{i}."
+            neurons = {nm: LifLayerState.zeros(drive.shape[:-1] + (
+                cfg.intermediate_dim if nm == "int" else cfg.hidden_dim,))
+                for nm in ("q", "k", "v", "attn", "h1", "out", "int")}
+            layers.update((pre + nm, st) for nm, st in neurons.items())
+            pinned = {nm: lin.pinned() for nm, lin in blk.linears().items()}
+            runs.append((dataclasses.replace(blk, **pinned),
+                         {nm: pre + nm for nm in (*pinned, *neurons)}, neurons,
+                         RunningAverage(cfg.gamma), RunningAverage(cfg.gamma)))
+        spike_counts = {name: np.zeros(st.u.shape) for name, st in layers.items()}
+        tallies = [(spike_counts[name], st) for name, st in layers.items()]
 
         # Nonlinear surrogates (attention mix, normalization) are driven so
         # that their integrated input current through step t equals
@@ -282,53 +293,41 @@ class EncoderStack:
                 return value
             return t * value - (t - 1) * prev
 
-        blocks = [dataclasses.replace(blk, **{nm: lin.pinned() for nm, lin
-                                              in blk.linears().items()})
-                  for blk in self.blocks]
         for t in range(1, T + 1):
-            lif_step(layers["input"], drive, lif)
-            s_prev = layers["input"].s
-            for i, blk in enumerate(blocks):
-                pre = f"blk{i}"
-                lif_step(layers[f"{pre}.q"],
-                         quantized_forward(blk.q, s_prev, counter, f"{pre}.q"), lif)
-                lif_step(layers[f"{pre}.k"],
-                         quantized_forward(blk.k, s_prev, counter, f"{pre}.k"), lif)
-                lif_step(layers[f"{pre}.v"],
-                         quantized_forward(blk.v, s_prev, counter, f"{pre}.v"), lif)
+            lif_step(source, drive, lif)
+            s_in = source.s
+            for blk, key, n, r1_avg, r2_avg in runs:
+                lif_step(n["q"], quantized_forward(blk.q, s_in, counter, key["q"]), lif)
+                lif_step(n["k"], quantized_forward(blk.k, s_in, counter, key["k"]), lif)
+                lif_step(n["v"], quantized_forward(blk.v, s_in, counter, key["v"]), lif)
                 attn_current = spiking_attention(
-                    asr(layers[f"{pre}.q"]), asr(layers[f"{pre}.k"]),
-                    asr(layers[f"{pre}.v"]), cfg.num_heads).data
-                lif_step(layers[f"{pre}.attn"],
-                         telescoped(f"{pre}.attn", attn_current, t), lif)
-                r1 = (quantized_forward(blk.o, layers[f"{pre}.attn"].s,
-                                        counter, f"{pre}.o") + s_prev)
-                h1_current = layer_norm(r1_avg[i].push(r1),
-                                        blk.ln1_g, blk.ln1_b).data
-                lif_step(layers[f"{pre}.h1"],
-                         telescoped(f"{pre}.h1", h1_current, t), lif)
-                lif_step(layers[f"{pre}.int"],
-                         quantized_forward(blk.ff1, layers[f"{pre}.h1"].s,
-                                           counter, f"{pre}.ff1"), lif)
-                r2 = (quantized_forward(blk.ff2, layers[f"{pre}.int"].s,
-                                        counter, f"{pre}.ff2") + layers[f"{pre}.h1"].s)
-                out_current = layer_norm(r2_avg[i].push(r2),
-                                         blk.ln2_g, blk.ln2_b).data
-                lif_step(layers[f"{pre}.out"],
-                         telescoped(f"{pre}.out", out_current, t), lif)
-                s_prev = layers[f"{pre}.out"].s
-            for name, stt in layers.items():
-                spike_counts[name] += stt.s
+                    asr(n["q"]), asr(n["k"]), asr(n["v"]), cfg.num_heads).data
+                lif_step(n["attn"], telescoped(key["attn"], attn_current, t), lif)
+                r1 = quantized_forward(blk.o, n["attn"].s, counter, key["o"]) + s_in
+                h1_current = layer_norm(r1_avg.push(r1), blk.ln1_g, blk.ln1_b).data
+                lif_step(n["h1"], telescoped(key["h1"], h1_current, t), lif)
+                lif_step(n["int"], quantized_forward(blk.ff1, n["h1"].s, counter,
+                                                     key["ff1"]), lif)
+                r2 = quantized_forward(blk.ff2, n["int"].s, counter,
+                                       key["ff2"]) + n["h1"].s
+                out_current = layer_norm(r2_avg.push(r2), blk.ln2_g, blk.ln2_b).data
+                lif_step(n["out"], telescoped(key["out"], out_current, t), lif)
+                s_in = n["out"].s
+            for total, st in tallies:
+                total += st.s
             if trace is not None:
-                for name, stt in layers.items():
-                    m = float(np.mean(asr(stt)))
+                for name, st in layers.items():
+                    m = float(np.mean(asr(st)))
                     target = trace_targets.get(name) if trace_targets else None
                     resid = abs(m - target) if target is not None else float("nan")
                     trace.append((t, name, m, resid))
 
-        asrs = {name: asr(stt) for name, stt in layers.items()}
+        for name, st in layers.items():
+            check_finite(st.u, f"membrane potential of {name}")
+        asrs = {name: asr(st) for name, st in layers.items()}
         final = asrs[f"blk{cfg.num_layers - 1}.out"]
-        logits = self.cls_w @ final[0] + self.cls_b
+        # one matrix-vector product per row: a row's logits are its own run's
+        logits = (self.cls_w @ final[..., 0, :, None])[..., 0] + self.cls_b
         return logits, asrs, spike_counts
 
     # -- energy bookkeeping --------------------------------------------

@@ -3,7 +3,7 @@
 One `LifLayerState` covers a whole layer of neurons (any array shape).
 Each step: leak + integrate, fire on strict threshold crossing, reset by
 threshold subtraction, then fold the new spikes into the leak-weighted
-spiking-rate average.
+spiking-rate average.  Spikes are bool arrays.
 """
 
 from __future__ import annotations
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .numerics import check_finite
 
 
 @dataclass(frozen=True)
@@ -37,7 +35,8 @@ class LifLayerState:
 
     @classmethod
     def zeros(cls, shape) -> "LifLayerState":
-        return cls(u=np.zeros(shape), s=np.zeros(shape), asr_num=np.zeros(shape))
+        return cls(u=np.zeros(shape), s=np.zeros(shape, dtype=bool),
+                   asr_num=np.zeros(shape))
 
 
 def lif_step(state: LifLayerState, input_current: np.ndarray,
@@ -45,13 +44,15 @@ def lif_step(state: LifLayerState, input_current: np.ndarray,
     """Advance the layer one timestep under `input_current` (in place).
 
     Firing uses a strict u > v_th comparison; u == v_th does not fire.
+    The new spikes `state.s` are bool.  The current is not checked: a NaN
+    or infinite current leaves `state.u` non-finite from then on, so the
+    caller checks `u` once at the end of a run.
     """
-    current = check_finite(np.asarray(input_current, dtype=np.float64),
-                           "input current")
+    current = np.asarray(input_current, dtype=np.float64)
     if current.shape != state.u.shape:
         raise ValueError(f"current shape {current.shape} vs neurons {state.u.shape}")
     u_mid = cfg.gamma * state.u + current
-    spikes = (u_mid > cfg.v_th).astype(np.float64)
+    spikes = u_mid > cfg.v_th
     state.u = u_mid - cfg.v_th * spikes
     state.s = spikes
     state.asr_num = cfg.gamma * state.asr_num + spikes

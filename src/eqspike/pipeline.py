@@ -23,7 +23,7 @@ from .energy import (SpikeStats, TechnologyProfile, energy_estimate,
                      expected_accumulates)
 from .implicit_grad import ce_loss_builder, training_step
 from .model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
-from .numerics import AdamState, adam_step_many, check_finite
+from .numerics import AdamState, ShapeError, adam_step_many, check_finite
 from .quantizer import OpCounter, QuantMode
 
 
@@ -251,22 +251,39 @@ def simulate(cfg, stack, tokens, T):
     return rows, summary
 
 
+# the StackConfig fields that the op table and the simulated shapes read
+ARCHITECTURE_FIELDS = ("hidden_dim", "intermediate_dim", "num_heads",
+                       "num_layers", "max_len", "num_labels")
+
+
 def energy_compare(cfg, stack_quant, stack_fp, eval_items, T):
-    """Energy reports for both models on a shared eval set, plus ratios."""
-    if stack_quant.cfg.hidden_dim != stack_fp.cfg.hidden_dim or \
-            stack_quant.cfg.num_layers != stack_fp.cfg.num_layers:
-        raise ConfigError("energy comparison needs matching architectures")
+    """Energy reports for both models on a shared eval set, plus ratios.
+
+    The set is stacked into one `(B, seq)` batch and simulated in one
+    `temporal_simulate` call per model; each layer's spike counts are
+    summed over the batch axis.  Raises ConfigError if the two
+    architectures differ or the set is empty, and ShapeError if its
+    sentences differ in length.
+    """
+    differ = [f for f in ARCHITECTURE_FIELDS
+              if getattr(stack_quant.cfg, f) != getattr(stack_fp.cfg, f)]
+    if differ:
+        raise ConfigError("energy comparison needs matching architectures; "
+                          f"{', '.join(differ)} differ")
+    if not eval_items:
+        raise ConfigError("energy comparison needs at least one sentence")
+    groups = stack_by_length(eval_items)
+    if len(groups) > 1:  # mixed lengths would need one op table per length
+        raise ShapeError("energy comparison needs equal-length sentences; got "
+                         f"lengths {sorted(t.shape[-1] for t, _ in groups)}")
+    (tokens, _labels), = groups
     profile = TechnologyProfile(float_acc_pj=cfg["energy"]["float_acc_pj"],
                                 int_acc_pj=cfg["energy"]["int_acc_pj"])
     out = {}
     for tag, stack in (("quantized", stack_quant), ("full_precision", stack_fp)):
-        counts_sum, counter = None, OpCounter()
-        for tokens, _ in eval_items:
-            _, _, counts = stack.temporal_simulate(tokens, T, counter=counter)
-            if counts_sum is None:
-                counts_sum = counts
-            else:
-                counts_sum = {k: counts_sum[k] + v for k, v in counts.items()}
+        counter = OpCounter()
+        _, _, counts = stack.temporal_simulate(tokens, T, counter=counter)
+        counts_sum = {k: v.sum(axis=0) for k, v in counts.items()}
         stats = SpikeStats.from_counts(counts_sum, T * len(eval_items))
         table = stack.linear_op_table(stack.cfg.max_len)
         report = energy_estimate(

@@ -61,7 +61,8 @@ class QuantizedLinear:
     alpha/beta hold the statistics of the most recent quantization (they
     are recomputed from the latent weights on every call during training
     and frozen for inference by `pin`).  A pinned layer keeps its float64
-    codes and its effective weight, both read-only.
+    codes, its effective weight and the nonzero codes per input column
+    (what the `OpCounter` multiplies spikes by), all read-only.
     """
     latent_w: np.ndarray
     bias: np.ndarray
@@ -72,6 +73,7 @@ class QuantizedLinear:
     binary_output_scale: bool = False
     frozen_codes: np.ndarray = field(default=None, repr=False)
     frozen_weight: np.ndarray = field(default=None, repr=False)
+    column_nnz: np.ndarray = field(default=None, repr=False)
 
     @property
     def frozen(self) -> bool:
@@ -107,27 +109,34 @@ class QuantizedLinear:
     def pin(self, codes: np.ndarray, alpha: float, beta: float):
         """Freeze the layer on `codes` and their statistics alpha/beta.
 
-        The float64 codes and the effective weight (codes x output scale)
-        are built here, once, and made read-only; a binary layer without an
-        output scale uses its codes array as its weight.
+        The float64 codes, the effective weight (codes x output scale) and
+        the nonzero codes per input column are built here, once, and made
+        read-only; a binary layer without an output scale uses its codes
+        array as its weight.
         """
         q = np.array(codes, dtype=np.float64)
         self.alpha, self.beta = alpha, beta
         scale = _output_scale(self)
         w = q if scale == 1.0 else q * scale
-        q.flags.writeable = w.flags.writeable = False
-        self.frozen_codes, self.frozen_weight = q, w
+        nnz = np.count_nonzero(q, axis=0)
+        q.flags.writeable = w.flags.writeable = nnz.flags.writeable = False
+        self.frozen_codes, self.frozen_weight, self.column_nnz = q, w, nnz
 
     def pinned(self) -> "QuantizedLinear":
-        """This layer if frozen or full precision, else a frozen copy of it.
+        """This layer if pinned, else a pinned copy of it.
 
-        The copy's codes and alpha/beta come from one quantization of the
-        current latent weights; the layer itself is left untouched.
+        A pinned layer has its `column_nnz`.  A quantized copy is frozen on
+        one quantization of the current latent weights; a full-precision
+        copy counts the nonzeros of its latent weights.  The layer itself
+        is left untouched.
         """
-        if self.frozen or self.mode is QuantMode.FULL_PRECISION:
+        if self.column_nnz is not None:
             return self
         pin = replace(self)
-        pin.freeze()
+        if self.mode is QuantMode.FULL_PRECISION:
+            pin.column_nnz = np.count_nonzero(self.latent_w, axis=0)
+        else:
+            pin.freeze()
         return pin
 
     def codes(self) -> np.ndarray:
@@ -174,34 +183,29 @@ def quantized_forward(layer: QuantizedLinear, x: np.ndarray,
                       name: str = "") -> np.ndarray:
     """Numeric forward pass; x is (..., in) with any leading axes.
 
-    When x is a 0/1 spike array, the product is `x @ codes.T`: with spikes
-    in {0, 1} and codes in {-1, 0, +1} every partial sum is a small
+    Spikes (a bool x, as `lif_step` emits, or a float x whose values are
+    all 0 or 1) on a quantized layer take the product `x @ codes.T`: with
+    spikes in {0, 1} and codes in {-1, 0, +1} every partial sum is a small
     integer, so the matmul is exact signed accumulation of the columns
     whose input spiked (no multiplies are needed), and the output scale is
-    applied once afterwards.  The counter still counts those accumulates,
-    one per (spike, nonzero code) pair.  An unfrozen layer runs on a
-    `pinned` copy, so its alpha/beta are left as they were.
+    applied once afterwards.  The counter counts the accumulates, one per
+    (nonzero input, nonzero code or weight) pair, from the layer's
+    `column_nnz`.  The layer runs `pinned`: an unfrozen quantized layer's
+    alpha/beta are left as they were.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     if x.shape[-1] != layer.in_dim:
         raise ShapeError(f"input width {x.shape[-1]} vs layer {layer.in_dim}")
-    if layer.mode is QuantMode.FULL_PRECISION:
-        w_eff = layer.latent_w
-    else:
-        layer = layer.pinned()
-        if np.all((x == 0.0) | (x == 1.0)):
-            acc = _accumulate(layer.frozen_codes, x)
-            if counter is not None:
-                nnz_col = np.count_nonzero(layer.frozen_codes, axis=0)
-                counter.add(name, int((x.reshape(-1, layer.in_dim).sum(axis=0)
-                                       * nnz_col).sum()))
-            return _output_scale(layer) * acc + layer.bias
-        w_eff = layer.frozen_weight
+    layer = layer.pinned()
     if counter is not None:
-        nnz_col = np.count_nonzero(w_eff, axis=0)
-        active = (x.reshape(-1, layer.in_dim) != 0.0).sum(axis=0)
-        counter.add(name, int((active * nnz_col).sum()))
-    return x @ w_eff.T + layer.bias
+        active = (x.reshape(-1, layer.in_dim) != 0).sum(axis=0)
+        counter.add(name, int(active @ layer.column_nnz))
+    if layer.mode is QuantMode.FULL_PRECISION:
+        return x @ layer.latent_w.T + layer.bias
+    if x.dtype == np.bool_ or np.all((x == 0.0) | (x == 1.0)):
+        return _output_scale(layer) * _accumulate(layer.frozen_codes, x) \
+            + layer.bias
+    return x @ layer.frozen_weight.T + layer.bias
 
 
 def _accumulate(codes: np.ndarray, x: np.ndarray) -> np.ndarray:

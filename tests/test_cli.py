@@ -4,6 +4,8 @@ import os
 import pytest
 import yaml
 
+from eqspike import pipeline as pl
+from eqspike.checkpoint import save_student
 from eqspike.cli import main
 from eqspike.data import CLS
 
@@ -191,3 +193,78 @@ def test_simulate_and_energy_rerun_byte_identical(workdir, artifacts):
                      "--eval-size", "2"]) == 0
     for name in ("trace.csv", "simulate_summary.json", "energy_report.json"):
         assert open(f"{a}/{name}", "rb").read() == open(f"{b}/{name}", "rb").read()
+
+
+def _energy(cfg, out, quant_ckpt, fp_ckpt, *extra):
+    return main(["energy", "--config", cfg, "--out", out, "--quant-ckpt",
+                 quant_ckpt, "--fp-ckpt", fp_ckpt, *extra])
+
+
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_energy_eval_size_below_one_is_config_error(workdir, artifacts, capsys,
+                                                    size):
+    root, cfg = workdir
+    out, out_fp = artifacts
+    rc = _energy(cfg, str(root / "e0"), f"{out}/student_kd.json",
+                 f"{out_fp}/student_kd.json", "--eval-size", size)
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_energy_on_mixed_lengths_is_config_error(workdir, artifacts, capsys,
+                                                 monkeypatch):
+    root, cfg = workdir
+    out, out_fp = artifacts
+    make_dataset = pl.make_dataset
+
+    def mixed(config):
+        tok, train, dev, labels = make_dataset(config)
+        dev[1] = (dev[1][0][:-1], dev[1][1])
+        return tok, train, dev, labels
+
+    monkeypatch.setattr(pl, "make_dataset", mixed)
+    rc = _energy(cfg, str(root / "mixed"), f"{out}/student_kd.json",
+                 f"{out_fp}/student_kd.json", "--eval-size", "2")
+    assert rc == 2
+    assert "equal-length" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("hidden_dim", 16), ("intermediate_dim", 16), ("num_heads", 4),
+    ("num_layers", 1), ("max_len", 10), ("num_labels", 3)])
+def test_energy_architecture_mismatch_is_config_error(workdir, artifacts,
+                                                      capsys, field, value):
+    root, cfg = workdir
+    out, _ = artifacts
+    config = pl.load_config(cfg, {"model": {"quant_mode": "fp"}})
+    num_labels = value if field == "num_labels" else 2
+    if field != "num_labels":
+        config["model"][field] = value
+    tok, _train, _dev, _labels = pl.make_dataset(pl.load_config(cfg))
+    ckpt = str(root / f"fp_{field}.json")
+    save_student(pl.build_student(config, tok, num_labels=num_labels),
+                 "kd", ckpt)
+    rc = _energy(cfg, str(root / "arch"), f"{out}/student_kd.json", ckpt)
+    assert rc == 2
+    assert f"{field} differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["energy", "simulate"])
+def test_spike_path_on_non_finite_student_is_numeric_error(
+        workdir, artifacts, capsys, command):
+    root, cfg = workdir
+    out, out_fp = artifacts
+    obj = json.loads(open(f"{out}/student_kd.json").read())
+    obj["params"]["tok_emb"][CLS][0] = float("nan")
+    ckpt = str(root / "nan_spike.json")
+    with open(ckpt, "w") as fh:
+        json.dump(obj, fh)
+    dest = str(root / f"nan_{command}")
+    if command == "energy":
+        rc = _energy(cfg, dest, ckpt, f"{out_fp}/student_kd.json")
+    else:
+        rc = main(["simulate", "--config", cfg, "--out", dest,
+                   "--student", ckpt])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "numeric failure" in err and "Traceback" not in err

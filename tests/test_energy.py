@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eqspike import pipeline as pl
 from eqspike.energy import (EnergyConfigError, SpikeStats, TechnologyProfile,
                             compute_ifr, energy_estimate, expected_accumulates,
                             norm_ops)
@@ -105,3 +106,10 @@ def test_expected_accumulates_binary_has_dense_columns():
     # exactly (total input spikes) * out_dim
     total_in = counts["input"].sum()
     assert expected["blk0.q"] == total_in * stack.cfg.hidden_dim
+
+
+def test_energy_compare_rejects_an_empty_set():
+    with pytest.raises(pl.ConfigError):
+        pl.energy_compare(pl.default_config(),
+                          make_stack(QuantMode.TERNARY_158BIT),
+                          make_stack(QuantMode.FULL_PRECISION), [], T=10)

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from eqspike import autodiff as ad
+from eqspike import model
 from eqspike import pipeline as pl
 from eqspike import quantizer
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
 from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
                            TeacherModel, spiking_attention, teacher_forward)
-from eqspike.numerics import ShapeError, finite_difference_grad
+from eqspike.numerics import NumericError, ShapeError, finite_difference_grad
 from eqspike.quantizer import OpCounter, QuantMode, quantize_158bit
 
 
@@ -209,6 +210,92 @@ def test_temporal_simulate_quantizes_each_linear_once(monkeypatch):
         for name in w:
             np.testing.assert_array_equal(g[name], w[name])
     assert counter.per_layer == want_counter.per_layer
+
+
+@pytest.mark.parametrize("mode", [QuantMode.FULL_PRECISION,
+                                  QuantMode.BINARY_1BIT,
+                                  QuantMode.TERNARY_158BIT],
+                         ids=["fp", "1bit", "1.58bit"])
+def test_batched_temporal_simulate_equals_rows(mode):
+    cfg = pl.load_config(None, {"seed": 5})  # the default 2-block shape
+    tok, _train, dev, labels = pl.make_dataset(cfg)
+    stack = pl.build_student(cfg, tok, quant_mode=mode.value,
+                             num_labels=len(labels))
+    tokens = np.stack([t for t, _ in dev[:5]])
+    counter = OpCounter()
+    logits, asrs, counts = stack.temporal_simulate(tokens, T=40,
+                                                   counter=counter)
+    assert logits.shape == (5, 2) and counter.total > 0
+    rows = OpCounter()  # one counter over the rows, as per-sentence runs
+    for b, row in enumerate(tokens):
+        want = stack.temporal_simulate(row, T=40, counter=rows)
+        np.testing.assert_array_equal(logits[b], want[0])
+        for got, per_row in zip((asrs, counts), want[1:]):
+            assert list(got) == list(per_row)
+            for name in per_row:
+                np.testing.assert_array_equal(got[name][b], per_row[name])
+    assert counter.per_layer == rows.per_layer
+    one, first = OpCounter(), OpCounter()  # a batch of one is the 1-D call
+    got = stack.temporal_simulate(tokens[:1], T=40, counter=one)
+    want = stack.temporal_simulate(tokens[0], T=40, counter=first)
+    np.testing.assert_array_equal(got[0], want[0][None])
+    for g, w in zip(got[1:], want[1:]):
+        for name in w:
+            np.testing.assert_array_equal(g[name], w[name][None])
+    assert one.per_layer == first.per_layer
+
+
+def test_temporal_simulate_calls_each_kernel_once_per_sublayer_per_step(
+        monkeypatch):
+    stack = make_stack(mode=QuantMode.TERNARY_158BIT)
+    calls = {"quantized_forward": 0, "lif_step": 0}
+    adds = []
+
+    def counted(name):
+        inner = getattr(model, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    def add(self, *args, **kwargs):
+        adds.append((args, kwargs))
+        self.per_layer[args[0]] = self.per_layer.get(args[0], 0) + args[1]
+
+    for name in calls:
+        monkeypatch.setattr(model, name, counted(name))
+    monkeypatch.setattr(OpCounter, "add", add)
+    T, L = 7, stack.cfg.num_layers
+    stack.temporal_simulate(np.array([[2, 4, 5], [3, 6, 7]]), T,
+                            counter=OpCounter())
+    assert calls == {"quantized_forward": 6 * L * T,
+                     "lif_step": (1 + 7 * L) * T}
+    assert len(adds) == 6 * L * T
+    # add(name, count), positionally: a tracer reads the count argument
+    assert all(len(args) == 2 and not kwargs for args, kwargs in adds)
+
+
+@pytest.mark.parametrize("poison", ["tok_emb", "ln_gain", "fp_weight"])
+def test_non_finite_spike_path_is_numeric_error(poison):
+    stack = make_stack(mode=QuantMode.FULL_PRECISION)
+    if poison == "tok_emb":
+        stack.tok_emb[4, 1] = np.nan
+    elif poison == "ln_gain":
+        stack.blocks[1].ln1_g[3] = np.nan
+    else:
+        stack.blocks[0].ff1.latent_w[2, 5] = np.inf
+    with pytest.raises(NumericError), np.errstate(invalid="ignore"):
+        stack.temporal_simulate(np.array([[2, 4, 5], [3, 6, 7]]), T=20)
+
+
+def test_temporal_simulate_rejects_bad_token_shapes():
+    stack = make_stack()
+    for tokens in (np.zeros((1, 2, 3), dtype=int),
+                   np.zeros(stack.cfg.max_len + 1, dtype=int)):
+        with pytest.raises(ShapeError):
+            stack.temporal_simulate(tokens, T=5)
 
 
 def test_block_forward_tapes_one_node_per_fused_op():
