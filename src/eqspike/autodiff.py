@@ -1,9 +1,10 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Supports exactly the operations the encoder stack needs: broadcasted
-arithmetic, (batched) matmul, reductions, exp/log/sqrt/erf and embedding
-lookup.  Four operations are fused primitives, one tape node each with a
-closed-form backward, built on `_make`:
+Supports exactly the operations eqspike calls: broadcasted add, sub and
+mul, the KD projection's matmul, sums, exp/log/erf, indexing (which is
+also the embedding lookup) and the straight-through `ste`.  Four
+operations are fused primitives, one tape node each with a closed-form
+backward, built on `_make`:
 
 * `linear`, the affine map x @ w.T + b, whose weight gradient is one GEMM;
 * `clip01`, the spiking-rate surrogate clip(a / v_th, 0, 1) with its
@@ -11,10 +12,9 @@ closed-form backward, built on `_make`:
 * `layer_norm`;
 * `model.spiking_attention`, multi-head softmax attention.
 
-Their forwards run in plain numpy, bitwise equal to the composite graphs
-they replace, so the spike path calls `layer_norm` and attention on arrays
-at numpy cost, and the rate path and the spike path share one
-implementation.
+Their forwards run in plain numpy, so the spike path calls `layer_norm`
+and attention on arrays at numpy cost, and the rate path and the spike
+path share one implementation.
 Every op broadcasts over leading axes, so a stacked batch of examples
 tapes the same graph as one example; a training step tapes one forward
 pass over its whole batch and runs `backward` over it once.
@@ -91,15 +91,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -150,38 +141,17 @@ def mul(a, b):
     return _make(out, (a, b), vjp)
 
 
-def div(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    out = a.data / b.data
-
-    def vjp(g):
-        return (_unbroadcast(g / b.data, a.data.shape),
-                _unbroadcast(-g * a.data / (b.data ** 2), b.data.shape))
-
-    return _make(out, (a, b), vjp)
-
-
 def matmul(a, b):
+    """a @ b for a (..., k, n) and a matrix b (n, m), as the KD projection uses."""
     a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise ValueError(f"matmul of {a.data.shape} and {b.data.shape}: "
+                         "needs (..., k, n) @ (n, m)")
     out = a.data @ b.data
 
     def vjp(g):
-        # promote 1-D operands so the matrix rules apply, then squeeze back
-        ad_ = a.data if a.data.ndim > 1 else a.data[None, :]
-        bd = b.data if b.data.ndim > 1 else b.data[:, None]
-        g1 = g
-        if a.data.ndim == 1:
-            g1 = np.expand_dims(g1, -2)
-        if b.data.ndim == 1:
-            g1 = np.expand_dims(g1, -1)
-        ga = g1 @ np.swapaxes(bd, -1, -2)
-        gb = np.swapaxes(ad_, -1, -2) @ g1
-        if a.data.ndim == 1:
-            ga = ga.reshape(-1, a.data.shape[0]).sum(axis=0)
-        if b.data.ndim == 1:
-            gb = gb.reshape(-1, b.data.shape[0], 1)[..., 0].sum(axis=0) \
-                if gb.ndim > 2 else gb[:, 0]
-        return _unbroadcast(ga, a.data.shape), _unbroadcast(gb, b.data.shape)
+        return (g @ b.data.T,
+                _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
 
     return _make(out, (a, b), vjp)
 
@@ -202,16 +172,6 @@ def log(a):
 
     def vjp(g):
         return (g / a.data,)
-
-    return _make(out, (a,), vjp)
-
-
-def sqrt(a):
-    a = as_tensor(a)
-    out = np.sqrt(a.data)
-
-    def vjp(g):
-        return (g * 0.5 / out,)
 
     return _make(out, (a,), vjp)
 
@@ -243,18 +203,11 @@ def tensor_sum(a, axis=None, keepdims=False):
     return _make(out, (a,), vjp)
 
 
-def mean(a, axis=None, keepdims=False):
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / n)
-
-
 def linear(x, w, b):
     """Affine map x @ w.T + b as one tape node; w is (out, in), x (..., in).
 
-    The forward is the BLAS call of the composite `x @ transpose(w) + b`
-    on the same transposed view, so it is bitwise equal to it.  The weight
-    gradient is one 2-D GEMM over all leading axes of x flattened.
+    The weight gradient is one 2-D GEMM over all leading axes of x
+    flattened.
     """
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     out = x.data @ w.data.T + b.data
@@ -268,28 +221,9 @@ def linear(x, w, b):
     return _make(out, (x, w, b), vjp)
 
 
-def transpose(a, axes):
-    a = as_tensor(a)
-    out = np.transpose(a.data, axes)
-    inv = np.argsort(axes)
-
-    def vjp(g):
-        return (np.transpose(g, inv),)
-
-    return _make(out, (a,), vjp)
-
-
-def reshape(a, shape):
-    a = as_tensor(a)
-    out = a.data.reshape(shape)
-
-    def vjp(g):
-        return (g.reshape(a.data.shape),)
-
-    return _make(out, (a,), vjp)
-
-
 def getitem(a, idx):
+    """a[idx]; an integer index array is an embedding lookup, and rows it
+    repeats accumulate their gradients."""
     a = as_tensor(a)
     out = a.data[idx]
 
@@ -299,20 +233,6 @@ def getitem(a, idx):
         return (full,)
 
     return _make(out, (a,), vjp)
-
-
-def take_rows(table, indices):
-    """Embedding lookup: rows of `table` at integer `indices`."""
-    table = as_tensor(table)
-    idx = np.asarray(indices, dtype=np.int64)
-    out = table.data[idx]
-
-    def vjp(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        return (full,)
-
-    return _make(out, (table,), vjp)
 
 
 def clip01(a, v_th=1.0):
@@ -357,10 +277,9 @@ def gelu(a):
 def layer_norm(x, gain, bias, eps=1e-5):
     """Normalize over the last axis, then affine (gain, bias).
 
-    One tape node: the forward runs in numpy, in the operation order of
-    the composite mean/sub/mul/sqrt/div graph (so values are bitwise equal
-    to it), and the backward is the closed-form layer-norm VJP.  `gain` and
-    `bias` broadcast against the normalized axis.
+    One tape node: the forward runs in numpy, and the backward is the
+    closed-form layer-norm VJP.  `gain` and `bias` broadcast against the
+    normalized axis.
     """
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
     scale = 1.0 / x.data.shape[-1]

@@ -18,20 +18,19 @@ from .checkpoint import (CheckpointError, load_student, load_teacher,
 from .equilibrium import write_trace_csv
 from .numerics import NumericError
 from .pipeline import ConfigError
+from .quantizer import QuantMode
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 
-_QUANT_FLAG = {"fp": "fp", "1bit": "1bit", "1.58bit": "1.58bit"}
-
 
 def _common(parser):
     parser.add_argument("--config", default=None, help="YAML config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--quant", choices=sorted(_QUANT_FLAG),
+    parser.add_argument("--quant", choices=sorted(m.value for m in QuantMode),
                         default=None, help="weight quantization mode")
     parser.add_argument("--timesteps", type=int, default=None)
 
@@ -43,7 +42,7 @@ def _load_cfg(args) -> dict:
     if args.out is not None:
         overrides["out_dir"] = args.out
     if args.quant is not None:
-        overrides.setdefault("model", {})["quant_mode"] = _QUANT_FLAG[args.quant]
+        overrides.setdefault("model", {})["quant_mode"] = args.quant
     if args.timesteps is not None:
         overrides.setdefault("energy", {})["timesteps"] = args.timesteps
     cfg = pl.load_config(args.config, overrides)

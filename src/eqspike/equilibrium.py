@@ -56,14 +56,16 @@ def convergence_trace(stack, tokens, T: int, solver_cfg: SolverConfig | None = N
     """Temporal simulation trace: (step, layer, mean rate, |mean - target|) rows.
 
     Targets are the per-layer mean equilibrium rates, so the residual column
-    tracks how far each sub-layer still is from its fixed point.
+    tracks how far each sub-layer still is from its fixed point.  Returns
+    the rows, the equilibrium solution and the `temporal_simulate` result
+    (logits, ASRs, spike counts) of the traced run.
     """
     solver_cfg = solver_cfg or SolverConfig(tol=1e-8)
     sol = solve_fixed_point(stack, tokens, solver_cfg)
     targets = {name: float(np.mean(v)) for name, v in sol.sublayer_asr.items()}
     rows = []
-    stack.temporal_simulate(tokens, T, trace=rows, trace_targets=targets)
-    return rows, sol
+    result = stack.temporal_simulate(tokens, T, trace=rows, trace_targets=targets)
+    return rows, sol, result
 
 
 def write_trace_csv(path, rows):

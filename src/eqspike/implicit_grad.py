@@ -5,8 +5,7 @@ reads only block i-1, so the Jacobian of the rate map in the block state
 is strictly lower triangular: one forward pass from the encoding through
 the blocks lands on the fixed point a* = f(a*), and one backward pass
 over that forward's tape solves the implicit-function adjoint equation
-v = dL/da* + (df/da)^T v exactly.  A dense linear solve of the same
-equation is kept as a test oracle.
+v = dL/da* + (df/da)^T v exactly.
 
 A training step stacks its batch and tapes that one forward and one
 backward for all of it, so the parameter leaves are built and each linear
@@ -25,7 +24,7 @@ from .autodiff import Tensor
 from .data import stack_by_length
 from .equilibrium import solve_fixed_point  # noqa: F401  (public re-export)
 from .model import classifier_logits
-from .numerics import AdamState, adam_step_many, check_finite
+from .numerics import AdamState, adam_step_many
 
 
 @dataclass
@@ -33,30 +32,6 @@ class GradientBundle:
     grads: dict
     loss: float
     loss_terms: dict = field(default_factory=dict)
-
-
-def dense_adjoint_solve(g: list, jacobian_vjp) -> list:
-    """Test oracle: assemble (I - J^T) column by column and solve densely."""
-    shapes = [x.shape for x in g]
-    sizes = [int(np.prod(s)) for s in shapes]
-    n = sum(sizes)
-    jt = np.zeros((n, n))
-    for col in range(n):
-        basis = np.zeros(n)
-        basis[col] = 1.0
-        parts, off = [], 0
-        for s, sz in zip(shapes, sizes):
-            parts.append(basis[off:off + sz].reshape(s))
-            off += sz
-        jv = jacobian_vjp(parts)
-        jt[:, col] = np.concatenate([x.reshape(-1) for x in jv])
-    rhs = np.concatenate([x.reshape(-1) for x in g])
-    sol = np.linalg.solve(np.eye(n) - jt, rhs)
-    out, off = [], 0
-    for s, sz in zip(shapes, sizes):
-        out.append(sol[off:off + sz].reshape(s))
-        off += sz
-    return out
 
 
 def mse(pred: Tensor, target) -> Tensor:
@@ -106,25 +81,22 @@ def example_gradients(stack, tokens, label, loss_builder,
     ad.backward([loss], [1.0])
     grads = {name: leaf.grad for name, leaf in {**leaves, **extra}.items()
              if leaf.grad is not None}
-    for grad in grads.values():
-        check_finite(grad, "gradient")
     return GradientBundle(grads=grads, loss=float(loss.data), loss_terms=terms)
 
 
 def training_step(stack, batch, optimizer: AdamState, loss_builder=None,
-                  extra_params: dict | None = None,
-                  apply_update: bool = True) -> GradientBundle:
+                  extra_params: dict | None = None) -> GradientBundle:
     """One optimizer step over a batch of (tokens, label) pairs.
 
     The batch is stacked by sequence length (`data.stack_by_length`; an
     encoded corpus is one group), and each group costs one taped forward
     and one backward (`example_gradients`).  Gradients, loss and terms are
-    averaged over the batch.  Every gradient is checked finite, so a
-    non-finite gradient aborts the step before any parameter is touched.
+    averaged over the batch.  `adam_step_many` checks every gradient finite
+    first, so a non-finite gradient aborts the step before any parameter or
+    optimizer state is touched.
     """
     loss_builder = loss_builder or ce_loss_builder(stack)
     extra_params = extra_params or {}
-    params = stack.named_params()
 
     grad_sum: dict = {}
     loss_sum = 0.0
@@ -139,9 +111,6 @@ def training_step(stack, batch, optimizer: AdamState, loss_builder=None,
             grad_sum[k] = grad_sum.get(k, 0.0) + grad
     n = len(batch)
     avg = {k: g / n for k, g in grad_sum.items()}
-    if apply_update:
-        merged = dict(params)
-        merged.update(extra_params)
-        adam_step_many(merged, avg, optimizer)
+    adam_step_many({**stack.named_params(), **extra_params}, avg, optimizer)
     return GradientBundle(grads=avg, loss=loss_sum / n,
                           loss_terms={k: v / n for k, v in term_sum.items()})

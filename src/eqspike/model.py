@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, clip01, layer_norm, no_grad, take_rows
+from .autodiff import Tensor, clip01, layer_norm, no_grad
 from .neuron import LifConfig, LifLayerState, RunningAverage, asr, lif_step
 from .numerics import ShapeError, check_finite, init_uniform
 from .quantizer import (OpCounter, QuantMode, QuantizedLinear,
@@ -152,7 +152,7 @@ class EncoderStack:
         tokens = np.asarray(tokens, dtype=np.int64)
         if tokens.ndim not in (1, 2) or tokens.shape[-1] > self.cfg.max_len:
             raise ShapeError("tokens must be (seq,) or (B, seq) within max_len")
-        e = take_rows(leaves["tok_emb"], tokens)
+        e = ad.getitem(leaves["tok_emb"], tokens)
         pos = ad.getitem(leaves["pos_emb"], slice(0, tokens.shape[-1]))
         return clip01(e + pos + 0.5)
 
@@ -234,6 +234,14 @@ class EncoderStack:
             return [self.block_forward(i, inputs[i], leaves).data
                     for i in range(self.cfg.num_layers)]
 
+    def logits(self, final: np.ndarray) -> np.ndarray:
+        """Numeric logits (..., C) of final-block rates (..., seq, d).
+
+        The CLS row (position 0) takes one matrix-vector product per
+        sentence, so a sentence's logits do not depend on its batch.
+        """
+        return (self.cls_w @ final[..., 0, :, None])[..., 0] + self.cls_b
+
     # -- temporal (spiking) path ---------------------------------------
     def temporal_simulate(self, tokens, T: int, counter: OpCounter | None = None,
                           trace: list | None = None,
@@ -256,11 +264,8 @@ class EncoderStack:
             raise ValueError("T must be >= 1")
         cfg = self.cfg
         lif = LifConfig(cfg.gamma, cfg.v_th)
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim not in (1, 2) or tokens.shape[-1] > cfg.max_len:
-            raise ShapeError("tokens must be (seq,) or (B, seq) within max_len")
-        drive = np.clip(self.tok_emb[tokens] + self.pos_emb[:tokens.shape[-1]]
-                        + 0.5, 0.0, 1.0)
+        drive = self.encoding(tokens, {"tok_emb": self.tok_emb,
+                                       "pos_emb": self.pos_emb}).data
         source = LifLayerState.zeros(drive.shape)
         layers = {"input": source}
         # per block: pinned linears, the names of its sublayers (counter and
@@ -326,9 +331,7 @@ class EncoderStack:
             check_finite(st.u, f"membrane potential of {name}")
         asrs = {name: asr(st) for name, st in layers.items()}
         final = asrs[f"blk{cfg.num_layers - 1}.out"]
-        # one matrix-vector product per row: a row's logits are its own run's
-        logits = (self.cls_w @ final[..., 0, :, None])[..., 0] + self.cls_b
-        return logits, asrs, spike_counts
+        return self.logits(final), asrs, spike_counts
 
     # -- energy bookkeeping --------------------------------------------
     def linear_op_table(self, seq_len: int) -> list:
@@ -477,7 +480,7 @@ class TeacherModel:
         tokens = np.asarray(tokens, dtype=np.int64)
         if np.any(tokens < 0) or np.any(tokens >= cfg.vocab_size):
             raise ValueError("token id outside teacher vocabulary")
-        h = take_rows(leaves["tok_emb"], tokens) + ad.getitem(
+        h = ad.getitem(leaves["tok_emb"], tokens) + ad.getitem(
             leaves["pos_emb"], slice(0, tokens.shape[-1]))
         hiddens = []
         for i in range(cfg.num_layers):

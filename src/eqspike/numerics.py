@@ -1,4 +1,4 @@
-"""Finiteness checks, weight init, Adam, and the finite-difference test oracle.
+"""Finiteness checks, weight init and Adam.
 
 Matrices are plain float64 numpy arrays; these helpers add the shape
 checking and finiteness guarantees the rest of the package relies on.
@@ -44,14 +44,8 @@ class AdamState:
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
-    def begin_step(self):
-        self.step += 1
-
     def update(self, name: str, param: np.ndarray, grad: np.ndarray) -> np.ndarray:
         """One Adam update for a named parameter; returns the new value."""
-        if param.shape != grad.shape:
-            raise ShapeError(f"adam: param {param.shape} vs grad {grad.shape}")
-        check_finite(grad, f"gradient for {name}")
         if name not in self.m:
             self.m[name] = np.zeros_like(param)
             self.v[name] = np.zeros_like(param)
@@ -64,31 +58,17 @@ class AdamState:
 
 
 def adam_step_many(params: dict, grads: dict, state: AdamState) -> None:
-    """In-place Adam step over a dict of parameters (one step counter tick)."""
-    state.begin_step()
-    for name, p in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
+    """In-place Adam step over a dict of parameters (one step counter tick).
+
+    Parameters without a gradient are skipped.  Every gradient's shape and
+    finiteness is checked before anything is written, so a ShapeError or
+    NumericError leaves the parameters and `state` as they were.
+    """
+    todo = [(name, p, grads[name]) for name, p in params.items() if name in grads]
+    for name, p, g in todo:
+        if p.shape != g.shape:
+            raise ShapeError(f"adam: param {p.shape} vs grad {g.shape} for {name}")
+        check_finite(g, f"gradient for {name}")
+    state.step += 1
+    for name, p, g in todo:
         p[...] = state.update(name, p, g)
-
-
-def finite_difference_grad(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
-    """Central-difference gradient of scalar f at x, coordinate by coordinate."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
-        fp = f(x)
-        flat[i] = orig - h
-        fm = f(x)
-        flat[i] = orig
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError("non-finite function value in finite differences")
-        gflat[i] = (fp - fm) / (2 * h)
-    return grad

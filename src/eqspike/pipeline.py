@@ -188,8 +188,7 @@ def student_accuracy(stack, items, scfg: SolverConfig) -> float:
     hits = 0
     for tokens, labels in stack_by_length(items):
         sol = solve_fixed_point(stack, tokens, scfg)
-        logits = check_finite(sol.asr_star[-1][:, 0] @ stack.cls_w.T + stack.cls_b,
-                              "logits")
+        logits = check_finite(stack.logits(sol.asr_star[-1]), "logits")
         hits += int(np.sum(np.argmax(logits, axis=-1) == labels))
     return hits / len(items)
 
@@ -241,8 +240,8 @@ def finetune_student(cfg, stack, train_items, dev_items, epochs=None):
 
 def simulate(cfg, stack, tokens, T):
     """Convergence trace rows + temporal-vs-equilibrium deviation summary."""
-    rows, sol = convergence_trace(stack, tokens, T, solver_config(cfg))
-    _, asrs, _ = stack.temporal_simulate(tokens, T)
+    rows, sol, (_, asrs, _) = convergence_trace(stack, tokens, T,
+                                                solver_config(cfg))
     deviations = {f"layer_{i}": float(np.mean(np.abs(asrs[f"blk{i}.out"] - a)))
                   for i, a in enumerate(sol.asr_star)}
     summary = {"T": T, "mean_abs_deviation": deviations,

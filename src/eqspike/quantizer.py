@@ -88,15 +88,6 @@ class QuantizedLinear:
     def in_dim(self):
         return self.latent_w.shape[1]
 
-    def effective_weight(self) -> np.ndarray:
-        """The weight actually applied in the forward pass (numeric path)."""
-        if self.mode is QuantMode.FULL_PRECISION:
-            return self.latent_w
-        if self.frozen:
-            return self.frozen_weight
-        q = _requantize(self, self.latent_w)
-        return q * _output_scale(self)
-
     def freeze(self):
         """Pin the codes and statistics of one quantization of latent_w.
 
@@ -181,11 +172,11 @@ class OpCounter:
 def quantized_forward(layer: QuantizedLinear, x: np.ndarray,
                       counter: OpCounter | None = None,
                       name: str = "") -> np.ndarray:
-    """Numeric forward pass; x is (..., in) with any leading axes.
+    """Spike-driven forward pass; x is 0/1 spikes (..., in), as `lif_step`
+    emits, with any leading axes.
 
-    Spikes (a bool x, as `lif_step` emits, or a float x whose values are
-    all 0 or 1) on a quantized layer take the product `x @ codes.T`: with
-    spikes in {0, 1} and codes in {-1, 0, +1} every partial sum is a small
+    A quantized layer computes `scale * (x @ codes.T) + bias`: with spikes
+    in {0, 1} and codes in {-1, 0, +1} every partial sum is a small
     integer, so the matmul is exact signed accumulation of the columns
     whose input spiked (no multiplies are needed), and the output scale is
     applied once afterwards.  The counter counts the accumulates, one per
@@ -202,19 +193,7 @@ def quantized_forward(layer: QuantizedLinear, x: np.ndarray,
         counter.add(name, int(active @ layer.column_nnz))
     if layer.mode is QuantMode.FULL_PRECISION:
         return x @ layer.latent_w.T + layer.bias
-    if x.dtype == np.bool_ or np.all((x == 0.0) | (x == 1.0)):
-        return _output_scale(layer) * _accumulate(layer.frozen_codes, x) \
-            + layer.bias
-    return x @ layer.frozen_weight.T + layer.bias
-
-
-def _accumulate(codes: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Signed sum of the code columns where the 0/1 spike input `x` is 1.
-
-    Exact as one float64 matmul: every term is 0 or +-1 and every partial
-    sum an integer far below 2**53.
-    """
-    return x @ codes.T
+    return _output_scale(layer) * (x @ layer.frozen_codes.T) + layer.bias
 
 
 def effective_weight_tensor(layer: QuantizedLinear, latent: ad.Tensor) -> ad.Tensor:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from eqspike import pipeline as pl
 from eqspike import quantizer
 from eqspike.equilibrium import (SolverConfig, convergence_trace,
                                  solve_fixed_point, write_trace_csv)
@@ -77,7 +78,15 @@ def test_solution_records_sublayer_rates():
 
 def test_convergence_trace_rows_and_csv(tmp_path):
     stack = small_stack()
-    rows, sol = convergence_trace(stack, np.array([2, 4, 5]), T=20)
+    rows, sol, (logits, asrs, counts) = convergence_trace(
+        stack, np.array([2, 4, 5]), T=20)
+    # the traced run's result is the untraced simulation's
+    want_logits, want_asrs, want_counts = stack.temporal_simulate(
+        np.array([2, 4, 5]), T=20)
+    np.testing.assert_array_equal(logits, want_logits)
+    for name in want_asrs:
+        np.testing.assert_array_equal(asrs[name], want_asrs[name])
+        np.testing.assert_array_equal(counts[name], want_counts[name])
     steps = sorted({r[0] for r in rows})
     assert steps == list(range(1, 21))
     layers = {r[1] for r in rows}
@@ -90,6 +99,31 @@ def test_convergence_trace_rows_and_csv(tmp_path):
     first = lines[1].split(",")
     assert int(first[0]) == 1
     float(first[2]), float(first[3])  # numeric columns parse
+
+
+def test_pipeline_simulate_runs_one_simulation(monkeypatch):
+    stack = small_stack(seed=3, mode=QuantMode.TERNARY_158BIT)
+    cfg = pl.load_config(None, {})
+    tokens, T = np.array([2, 4, 5]), 20
+    # the summary as solve and an untraced simulation give it
+    sol = solve_fixed_point(stack, tokens, pl.solver_config(cfg))
+    _, asrs, _ = stack.temporal_simulate(tokens, T)
+    want = {f"layer_{i}": float(np.mean(np.abs(asrs[f"blk{i}.out"] - a)))
+            for i, a in enumerate(sol.asr_star)}
+    calls = []
+    simulate = EncoderStack.temporal_simulate
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return simulate(self, *args, **kwargs)
+
+    monkeypatch.setattr(EncoderStack, "temporal_simulate", counted)
+    rows, summary = pl.simulate(cfg, stack, tokens, T)
+    assert len(calls) == 1
+    assert len(rows) == T * len(asrs)
+    assert summary == {"T": T, "mean_abs_deviation": want,
+                       "max_mean_abs_deviation": max(want.values()),
+                       "solver_iters": sol.iters_used}
 
 
 @pytest.mark.parametrize("mode", list(QuantMode), ids=lambda m: m.value)

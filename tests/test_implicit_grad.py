@@ -5,12 +5,12 @@ from eqspike import autodiff as ad
 from eqspike.autodiff import Tensor
 from eqspike.distill import KdConfig, kd_loss_builder
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
-from eqspike.implicit_grad import (GradientBundle, ce_loss_builder,
-                                   dense_adjoint_solve, example_gradients, mse,
+from eqspike.implicit_grad import (ce_loss_builder, example_gradients, mse,
                                    training_step)
 from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
-from eqspike.numerics import AdamState
+from eqspike.numerics import AdamState, NumericError
 from eqspike.quantizer import QuantMode
+from oracles import dense_adjoint_solve
 
 
 def small_stack(seed=0, mode=QuantMode.FULL_PRECISION):
@@ -136,9 +136,8 @@ def test_training_step_supports_extra_params():
 
     def builder(tokens, label, a_leaves, head_leaves):
         cls = ad.getitem(a_leaves[-1], (Ellipsis, 0, slice(None)))
-        logits = cls @ ad.transpose(head_leaves["cls.w"], (1, 0)) \
-            + head_leaves["cls.b"]
-        logits = logits @ ad.transpose(head_leaves["proj"], (1, 0))
+        logits = ad.linear(cls, head_leaves["cls.w"], head_leaves["cls.b"])
+        logits = ad.matmul(logits, head_leaves["proj"])
         loss = ad.cross_entropy(logits, label)
         return loss, {}
 
@@ -149,20 +148,25 @@ def test_training_step_supports_extra_params():
     assert not np.array_equal(proj["proj"], before)
 
 
-def test_training_step_apply_update_false_leaves_params():
+def test_non_finite_gradient_leaves_params_and_optimizer_untouched():
     stack = small_stack(seed=7)
+    batch = [(np.array([2, 4]), 0)]
+    adam = AdamState()
+    training_step(stack, batch, adam)
+    stack.cls_b[0] = np.inf  # the loss, and so every gradient, turns NaN
     before = {k: v.copy() for k, v in stack.named_params().items()}
-    bundle = training_step(stack, [(np.array([2, 4]), 0)], AdamState(),
-                           apply_update=False)
-    assert isinstance(bundle, GradientBundle)
+    m = {k: v.copy() for k, v in adam.m.items()}
+    with pytest.raises(NumericError), np.errstate(invalid="ignore"):
+        training_step(stack, batch, adam)
+    assert adam.step == 1
     for k, v in stack.named_params().items():
-        np.testing.assert_array_equal(v, before[k])
+        np.testing.assert_array_equal(v, before[k], err_msg=k)
+        np.testing.assert_array_equal(adam.m[k], m[k], err_msg=k)
 
 
 def test_quantized_gradients_flow_to_latent_weights():
     stack = small_stack(seed=8, mode=QuantMode.TERNARY_158BIT)
-    bundle = training_step(stack, [(np.array([2, 4, 5]), 1)], AdamState(),
-                           apply_update=False)
+    bundle = training_step(stack, [(np.array([2, 4, 5]), 1)], AdamState())
     assert "blk0.ff1.w" in bundle.grads
     assert np.any(bundle.grads["blk0.ff1.w"] != 0.0)
 
@@ -194,8 +198,8 @@ def test_training_step_on_mixed_lengths_equals_per_example_average():
              (np.array([3, 9, 1]), 1), (np.array([2, 5]), 0),
              (np.array([4, 4, 6, 2]), 0)]
     builder = ce_loss_builder(stack)
-    step = training_step(stack, batch, AdamState(), apply_update=False)
     rows = [example_gradients(stack, t, lab, builder, {}) for t, lab in batch]
+    step = training_step(stack, batch, AdamState())
     assert step.loss == pytest.approx(np.mean([r.loss for r in rows]), rel=1e-12)
     for name, grad in step.grads.items():
         want = sum(r.grads[name] for r in rows) / len(batch)

@@ -5,11 +5,13 @@ from eqspike import autodiff as ad
 from eqspike import model
 from eqspike import pipeline as pl
 from eqspike import quantizer
+from eqspike.data import stack_by_length
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
 from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
                            TeacherModel, spiking_attention, teacher_forward)
-from eqspike.numerics import NumericError, ShapeError, finite_difference_grad
+from eqspike.numerics import NumericError, ShapeError
 from eqspike.quantizer import OpCounter, QuantMode, quantize_158bit
+from oracles import finite_difference_grad
 
 
 def make_stack(seed=0, mode=QuantMode.FULL_PRECISION, **kw):
@@ -84,23 +86,22 @@ def test_spiking_attention_single_head_matches_manual():
 
 
 def composite_attention(q, k, v, num_heads):
-    """Reference: split/matmul/softmax/merge as a graph of autodiff ops."""
-    shape = q.data.shape
+    """Reference: split/matmul/softmax/merge as plain numpy ops."""
+    shape = q.shape
     dh = shape[-1] // num_heads
     lead = tuple(range(len(shape) - 2))
     heads_first = lead + (len(lead) + 1, len(lead), len(lead) + 2)
     keys_last = lead + (len(lead), len(lead) + 2, len(lead) + 1)
 
     def split(x):
-        return ad.transpose(ad.reshape(x, shape[:-1] + (num_heads, dh)),
+        return np.transpose(np.reshape(x, shape[:-1] + (num_heads, dh)),
                             heads_first)
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = (qh @ ad.transpose(kh, keys_last)) * (1.0 / np.sqrt(dh))
-    shifted = ad.sub(scores, np.max(scores.data, axis=-1, keepdims=True))
-    e = ad.exp(shifted)
-    weights = ad.div(e, ad.tensor_sum(e, axis=-1, keepdims=True))
-    return ad.reshape(ad.transpose(weights @ vh, heads_first), shape)
+    scores = np.matmul(qh, np.transpose(kh, keys_last)) * (1.0 / np.sqrt(dh))
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    weights = e / np.sum(e, axis=-1, keepdims=True)
+    return np.reshape(np.transpose(np.matmul(weights, vh), heads_first), shape)
 
 
 ATTENTION_CASES = pytest.mark.parametrize(
@@ -112,8 +113,7 @@ ATTENTION_CASES = pytest.mark.parametrize(
 def test_spiking_attention_equals_composite_bitwise(heads, shape):
     rng = np.random.default_rng(3)
     q, k, v = (rng.random(shape) for _ in range(3))
-    want = composite_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v),
-                               heads).data
+    want = composite_attention(q, k, v, heads)
     np.testing.assert_array_equal(spiking_attention(q, k, v, heads).data, want)
 
 
@@ -288,6 +288,20 @@ def test_non_finite_spike_path_is_numeric_error(poison):
         stack.blocks[0].ff1.latent_w[2, 5] = np.inf
     with pytest.raises(NumericError), np.errstate(invalid="ignore"):
         stack.temporal_simulate(np.array([[2, 4, 5], [3, 6, 7]]), T=20)
+
+
+def test_batched_solve_logits_equal_each_sentence_alone():
+    cfg = pl.load_config(None, {"seed": 5})
+    tok, _train, dev, labels = pl.make_dataset(cfg)
+    stack = pl.build_student(cfg, tok, num_labels=len(labels))
+    stack.freeze_quantization()
+    scfg = pl.solver_config(cfg)
+    for tokens, _labels in stack_by_length(dev[:16]):
+        batch = stack.logits(solve_fixed_point(stack, tokens, scfg).asr_star[-1])
+        assert batch.shape == (len(tokens), len(labels))
+        for row, sentence in zip(batch, tokens):
+            alone = solve_fixed_point(stack, sentence, scfg).asr_star[-1]
+            np.testing.assert_array_equal(row, stack.logits(alone))
 
 
 def test_temporal_simulate_rejects_bad_token_shapes():

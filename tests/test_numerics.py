@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from eqspike.numerics import (AdamState, NumericError, ShapeError,
-                              adam_step_many, check_finite,
-                              finite_difference_grad, init_uniform)
+                              adam_step_many, check_finite, init_uniform)
+from oracles import finite_difference_grad
 
 
 def test_check_finite_passes_through():
@@ -50,9 +50,9 @@ def test_adam_converges_on_quadratic():
 
 def test_adam_shape_mismatch():
     state = AdamState()
-    state.begin_step()
     with pytest.raises(ShapeError):
-        state.update("p", np.zeros(3), np.zeros(4))
+        adam_step_many({"p": np.zeros(3)}, {"p": np.zeros(4)}, state)
+    assert state.step == 0 and not state.m
 
 
 def test_adam_step_many_updates_in_place_and_skips_missing():
@@ -63,6 +63,26 @@ def test_adam_step_many_updates_in_place_and_skips_missing():
     assert params["a"][0] < 1.0
     np.testing.assert_array_equal(params["b"], keep_b)
     assert state.step == 1
+
+
+def test_adam_step_many_checks_every_gradient_before_any_write():
+    state = AdamState(lr=0.1)
+    params = {"a": np.array([1.0, 2.0]), "b": np.array([3.0]),
+              "c": np.array([4.0, 5.0])}
+    adam_step_many(params, {k: np.ones_like(v) for k, v in params.items()},
+                   state)
+    keep = {k: v.copy() for k, v in params.items()}
+    keep_m = {k: v.copy() for k, v in state.m.items()}
+    keep_v = {k: v.copy() for k, v in state.v.items()}
+    grads = {k: np.ones_like(v) for k, v in params.items()}
+    grads["c"] = np.array([0.5, np.nan])  # the last gradient in the dict
+    with pytest.raises(NumericError, match="gradient for c"):
+        adam_step_many(params, grads, state)
+    assert state.step == 1
+    for k in params:
+        np.testing.assert_array_equal(params[k], keep[k])
+        np.testing.assert_array_equal(state.m[k], keep_m[k])
+        np.testing.assert_array_equal(state.v[k], keep_v[k])
 
 
 def test_finite_difference_grad_quadratic():

@@ -6,8 +6,8 @@ import pytest
 from eqspike import autodiff as ad
 from eqspike.numerics import ShapeError
 from eqspike.quantizer import (OpCounter, QuantizedLinear, QuantMode,
-                               _accumulate, effective_weight_tensor,
-                               pack_codes, quantize_1bit, quantize_158bit,
+                               effective_weight_tensor, pack_codes,
+                               quantize_1bit, quantize_158bit,
                                quantized_forward, unpack_codes)
 
 
@@ -69,24 +69,30 @@ def _layer(mode, rng=None, out_dim=4, in_dim=6, **kw):
                            bias=rng.normal(size=out_dim), mode=mode, **kw)
 
 
+def _effective_weight(layer):
+    with ad.no_grad():
+        return effective_weight_tensor(layer, ad.Tensor(layer.latent_w)).data
+
+
 def test_effective_weight_fp_is_latent():
     layer = _layer(QuantMode.FULL_PRECISION)
-    assert layer.effective_weight() is layer.latent_w
+    latent = ad.Tensor(layer.latent_w, requires_grad=True)
+    assert effective_weight_tensor(layer, latent) is latent
 
 
 def test_effective_weight_ternary_is_scaled_codes():
     layer = _layer(QuantMode.TERNARY_158BIT)
     q, beta = quantize_158bit(layer.latent_w)
-    np.testing.assert_allclose(layer.effective_weight(), q * beta)
+    np.testing.assert_allclose(_effective_weight(layer), q * beta)
     assert layer.beta == beta
 
 
 def test_freeze_pins_codes():
     layer = _layer(QuantMode.TERNARY_158BIT)
     layer.freeze()
-    before = layer.effective_weight().copy()
+    before = _effective_weight(layer).copy()
     layer.latent_w += 10.0  # latent drift must not change frozen inference
-    np.testing.assert_array_equal(layer.effective_weight(), before)
+    np.testing.assert_array_equal(_effective_weight(layer), before)
 
 
 @pytest.mark.parametrize("mode,output_scale", [
@@ -94,7 +100,7 @@ def test_freeze_pins_codes():
     (QuantMode.TERNARY_158BIT, False)], ids=["1bit", "1bit-scaled", "1.58bit"])
 def test_pinned_arrays_are_built_once_and_read_only(mode, output_scale):
     layer = _layer(mode, binary_output_scale=output_scale)
-    fresh = layer.effective_weight().copy()
+    fresh = _effective_weight(layer).copy()
     layer.freeze()
     q, w = layer.frozen_codes, layer.frozen_weight
     assert q.dtype == np.float64 and not q.flags.writeable
@@ -106,7 +112,7 @@ def test_pinned_arrays_are_built_once_and_read_only(mode, output_scale):
         assert w is q  # unscaled binary codes are the weight
     with pytest.raises(ValueError):
         w[0, 0] = 0.5
-    assert layer.effective_weight() is w and layer.codes() is q
+    assert layer.codes() is q
     latent = ad.Tensor(layer.latent_w, requires_grad=True)
     assert effective_weight_tensor(layer, latent).data is w
 
@@ -117,14 +123,16 @@ def test_spike_accumulation_matches_dense_matmul():
         layer = _layer(mode, rng)
         spikes = (rng.random((5, layer.in_dim)) < 0.4).astype(float)
         out = quantized_forward(layer, spikes)
-        dense = spikes @ layer.effective_weight().T + layer.bias
+        dense = spikes @ _effective_weight(layer).T + layer.bias
         np.testing.assert_allclose(out, dense, atol=1e-12)
 
 
 def test_accumulate_kernel_sums_columns():
-    codes = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]])
-    x = np.array([1.0, 1.0, 0.0])
-    np.testing.assert_array_equal(_accumulate(codes, x), [0.0, 1.0])
+    layer = _layer(QuantMode.BINARY_1BIT, out_dim=2, in_dim=3)
+    layer.pin(np.array([[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]]), 0.0, 1.0)
+    x = np.array([True, True, False])
+    np.testing.assert_array_equal(quantized_forward(layer, x),
+                                  np.array([0.0, 1.0]) + layer.bias)
 
 
 def column_sum_oracle(codes, x):
@@ -148,11 +156,10 @@ def test_accumulate_equals_column_sum_oracle_on_batched_spikes(mode,
     codes = layer.codes()
     scale = layer.beta if output_scale or mode is QuantMode.TERNARY_158BIT \
         else 1.0
-    spikes = (rng.random((3, 7, layer.in_dim)) < 0.3).astype(float)
-    spikes[0, 0] = 0.0  # a row with no spike
-    spikes[0, 1] = 1.0  # and one where every input spikes
+    spikes = rng.random((3, 7, layer.in_dim)) < 0.3
+    spikes[0, 0] = False  # a row with no spike
+    spikes[0, 1] = True  # and one where every input spikes
     want = column_sum_oracle(codes, spikes)
-    np.testing.assert_array_equal(_accumulate(codes, spikes), want)
     counter = OpCounter()
     out = quantized_forward(layer, spikes, counter, "lin")
     np.testing.assert_array_equal(out, scale * want + layer.bias)
@@ -183,7 +190,8 @@ def test_effective_weight_tensor_ste_gradient():
     layer = _layer(QuantMode.TERNARY_158BIT)
     latent = ad.Tensor(layer.latent_w.copy(), requires_grad=True)
     w_eff = effective_weight_tensor(layer, latent)
-    np.testing.assert_allclose(w_eff.data, layer.effective_weight())
+    q, beta = quantize_158bit(layer.latent_w)
+    np.testing.assert_allclose(w_eff.data, q * beta)
     g = np.random.default_rng(4).normal(size=w_eff.shape)
     ad.backward([ad.tensor_sum(ad.mul(w_eff, ad.Tensor(g)))], [1.0])
     np.testing.assert_array_equal(latent.grad, g)  # identity straight-through
