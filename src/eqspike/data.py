@@ -30,10 +30,6 @@ class Corpus:
     def __len__(self):
         return len(self.examples)
 
-    @property
-    def has_pairs(self):
-        return any(ex.text_b is not None for ex in self.examples)
-
 
 @dataclass
 class Tokenizer:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, clip01, layer_norm, no_grad
-from .neuron import LifConfig, LifLayerState, RunningAverage, asr, lif_step
+from .neuron import LifConfig, LifLayerState, RunningAverage, lif_step
 from .numerics import ShapeError, check_finite, init_uniform
 from .quantizer import (OpCounter, QuantMode, QuantizedLinear,
                         effective_weight_tensor, quantized_forward)
@@ -55,6 +55,14 @@ class StackConfig:
             raise ValueError("hidden_dim must be divisible by num_heads")
         if self.num_layers < 1:
             raise ValueError("need at least one encoder layer")
+
+
+# Neuron rows (batch x sequence positions) x timesteps in one window of
+# `EncoderStack.temporal_simulate`: 20 steps for one 12-token sentence, and
+# one step at a time once a batch has WINDOW_ROWS rows.  A longer window
+# pays the per-call overhead less often but holds more of its steps in
+# memory at once.
+WINDOW_ROWS = 240
 
 
 @dataclass
@@ -246,19 +254,27 @@ class EncoderStack:
     def temporal_simulate(self, tokens, T: int, counter: OpCounter | None = None,
                           trace: list | None = None,
                           trace_targets: dict | None = None):
-        """Full LIF simulation for T steps.
+        """Full LIF simulation for T steps, a window of steps at a time.
 
         `tokens` is (seq,) or (B, seq): a batch runs in one pass, each row
         bitwise equal to its own run.  Returns (logits (..., C), per-layer
         ASR dict, per-layer per-neuron spike count dict), ASRs and counts
-        (..., seq, width).  `counter` gets one `add` per linear per step,
-        summed over the batch.  `trace`, when given, collects (step, layer,
+        (..., seq, width).  `trace`, when given, collects (step, layer,
         mean_asr, residual) rows; residuals are against `trace_targets`.
-        The loop runs only per-step work: linears are `pinned` once (an
-        unfrozen layer is quantized once, its alpha/beta left as they were),
-        and finiteness is checked once, on every membrane potential at the
-        end (a non-finite current leaves it non-finite for good), raising
-        NumericError.
+
+        The steps run in windows of WINDOW_ROWS // (B * seq) steps (at
+        least one).  Within a window the sublayers go in block order, each
+        over all the window's steps in one call: one `quantized_forward`
+        per linear (so `counter` gets one `add` per linear per window,
+        summed over the batch), one `lif_step` per neuron layer, and
+        attention, layer norm and the telescoped currents on whole windows.
+        Within a step every dependency runs from one sublayer to the next,
+        and across steps only through each layer's own state, so this is
+        bitwise the step-by-step simulation.  Linears are `pinned` once
+        (an unfrozen layer is quantized once, its alpha/beta left as they
+        were), and finiteness is checked once, on every membrane potential
+        at the end (a non-finite current leaves it non-finite for good),
+        raising NumericError.
         """
         if T < 1:
             raise ValueError("T must be >= 1")
@@ -266,70 +282,77 @@ class EncoderStack:
         lif = LifConfig(cfg.gamma, cfg.v_th)
         drive = self.encoding(tokens, {"tok_emb": self.tok_emb,
                                        "pos_emb": self.pos_emb}).data
-        source = LifLayerState.zeros(drive.shape)
-        layers = {"input": source}
+        layers = {"input": LifLayerState.zeros(drive.shape, cfg.gamma)}
         # per block: pinned linears, the names of its sublayers (counter and
-        # surrogate keys), its neuron layers and the residual averages
+        # layer keys), the residual averages and the telescoped surrogates
         runs = []
         for i, blk in enumerate(self.blocks):
             pre = f"blk{i}."
             neurons = {nm: LifLayerState.zeros(drive.shape[:-1] + (
-                cfg.intermediate_dim if nm == "int" else cfg.hidden_dim,))
-                for nm in ("q", "k", "v", "attn", "h1", "out", "int")}
+                cfg.intermediate_dim if nm == "int" else cfg.hidden_dim,),
+                cfg.gamma) for nm in ("q", "k", "v", "attn", "h1", "out", "int")}
             layers.update((pre + nm, st) for nm, st in neurons.items())
             pinned = {nm: lin.pinned() for nm, lin in blk.linears().items()}
             runs.append((dataclasses.replace(blk, **pinned),
-                         {nm: pre + nm for nm in (*pinned, *neurons)}, neurons,
-                         RunningAverage(cfg.gamma), RunningAverage(cfg.gamma)))
+                         {nm: pre + nm for nm in (*pinned, *neurons)},
+                         RunningAverage(cfg.gamma), RunningAverage(cfg.gamma),
+                         {nm: _Telescoped() for nm in ("attn", "h1", "out")}))
         spike_counts = {name: np.zeros(st.u.shape) for name, st in layers.items()}
-        tallies = [(spike_counts[name], st) for name, st in layers.items()]
+        tracing = trace is not None
+        step = max(1, WINDOW_ROWS // (drive.size // drive.shape[-1]))
 
-        # Nonlinear surrogates (attention mix, normalization) are driven so
-        # that their integrated input current through step t equals
-        # t * phi(running averages at t): the per-step current telescopes,
-        # which keeps the temporal path converging at the 1/T rate of the
-        # rate averages themselves instead of accumulating burn-in error.
-        prev_phi: dict = {}
+        # `fire` and `block` read the current window's `steps` and `means`,
+        # which the window loop below binds
+        def fire(name, currents, per_step_asr=False):
+            """Advance layer `name` over the window; its (spikes, ASRs)."""
+            spikes, asrs = lif_step(layers[name], currents, lif,
+                                    per_step_asr or tracing)
+            spike_counts[name] += spikes.sum(axis=0, dtype=np.float64)
+            if tracing:
+                means[name] = asrs.reshape(len(asrs), -1).mean(axis=1)
+            return spikes, asrs
 
-        def telescoped(name, value, t):
-            prev = prev_phi.get(name)
-            prev_phi[name] = value
-            if prev is None:
-                return value
-            return t * value - (t - 1) * prev
+        def block(blk, key, r1_avg, r2_avg, tele, s_in):
+            """Advance a block over the window; its output spikes.
 
-        for t in range(1, T + 1):
-            lif_step(source, drive, lif)
-            s_in = source.s
-            for blk, key, n, r1_avg, r2_avg in runs:
-                lif_step(n["q"], quantized_forward(blk.q, s_in, counter, key["q"]), lif)
-                lif_step(n["k"], quantized_forward(blk.k, s_in, counter, key["k"]), lif)
-                lif_step(n["v"], quantized_forward(blk.v, s_in, counter, key["v"]), lif)
-                attn_current = spiking_attention(
-                    asr(n["q"]), asr(n["k"]), asr(n["v"]), cfg.num_heads).data
-                lif_step(n["attn"], telescoped(key["attn"], attn_current, t), lif)
-                r1 = quantized_forward(blk.o, n["attn"].s, counter, key["o"]) + s_in
-                h1_current = layer_norm(r1_avg.push(r1), blk.ln1_g, blk.ln1_b).data
-                lif_step(n["h1"], telescoped(key["h1"], h1_current, t), lif)
-                lif_step(n["int"], quantized_forward(blk.ff1, n["h1"].s, counter,
-                                                     key["ff1"]), lif)
-                r2 = quantized_forward(blk.ff2, n["int"].s, counter,
-                                       key["ff2"]) + n["h1"].s
-                out_current = layer_norm(r2_avg.push(r2), blk.ln2_g, blk.ln2_b).data
-                lif_step(n["out"], telescoped(key["out"], out_current, t), lif)
-                s_in = n["out"].s
-            for total, st in tallies:
-                total += st.s
-            if trace is not None:
-                for name, st in layers.items():
-                    m = float(np.mean(asr(st)))
-                    target = trace_targets.get(name) if trace_targets else None
-                    resid = abs(m - target) if target is not None else float("nan")
-                    trace.append((t, name, m, resid))
+            Each window-sized intermediate is passed straight on, so that
+            few of them are alive at once.
+            """
+            def linear(nm, x):  # the currents of linear nm under spikes x
+                return quantized_forward(getattr(blk, nm), x, counter, key[nm])
+
+            def surrogate(nm, phi):  # the spikes of the neurons behind phi
+                return fire(key[nm], tele[nm](phi, steps))[0]
+
+            _, aq = fire(key["q"], linear("q", s_in), True)
+            _, ak = fire(key["k"], linear("k", s_in), True)
+            _, av = fire(key["v"], linear("v", s_in), True)
+            sa = surrogate("attn", spiking_attention(aq, ak, av, cfg.num_heads).data)
+            del aq, ak, av
+            sh = surrogate("h1", layer_norm(r1_avg.push(linear("o", sa) + s_in),
+                                            blk.ln1_g, blk.ln1_b).data)
+            si, _ = fire(key["int"], linear("ff1", sh))
+            return surrogate("out", layer_norm(r2_avg.push(linear("ff2", si) + sh),
+                                               blk.ln2_g, blk.ln2_b).data)
+
+        for t0 in range(0, T, step):
+            steps = np.arange(t0 + 1, min(t0 + step, T) + 1, dtype=np.float64)
+            means = dict.fromkeys(layers)  # per layer, in `layers` order
+            s_in, _ = fire("input", np.broadcast_to(drive, steps.shape
+                                                    + drive.shape))
+            for run in runs:
+                s_in = block(*run, s_in)
+            if tracing:
+                for k in range(len(steps)):
+                    for name, m in means.items():
+                        m = float(m[k])
+                        target = trace_targets.get(name) if trace_targets else None
+                        resid = abs(m - target) if target is not None else float("nan")
+                        trace.append((t0 + 1 + k, name, m, resid))
 
         for name, st in layers.items():
             check_finite(st.u, f"membrane potential of {name}")
-        asrs = {name: asr(st) for name, st in layers.items()}
+        asrs = {name: st.rate.value for name, st in layers.items()}
         final = asrs[f"blk{cfg.num_layers - 1}.out"]
         return self.logits(final), asrs, spike_counts
 
@@ -357,6 +380,31 @@ class EncoderStack:
         rows.append((f"blk{cfg.num_layers - 1}.out", "classifier",
                      d * cfg.num_labels))
         return rows
+
+
+class _Telescoped:
+    """Input currents of the neurons behind a nonlinear surrogate.
+
+    The surrogates (attention mix, normalization) are driven so that their
+    integrated input current through step t equals t * phi_t, phi_t the
+    surrogate of the running averages at t: the current at step t is
+    t * phi_t - (t - 1) * phi_{t-1}.  That telescoping keeps the temporal
+    path converging at the 1/T rate of the rate averages themselves
+    instead of accumulating burn-in error.
+    """
+
+    def __init__(self):
+        self.last = None  # phi at the step before the next window
+
+    def __call__(self, phi: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """The currents of a window: `phi` (C, ...) at the steps `steps` (C,)."""
+        ts = steps.reshape((-1,) + (1,) * (phi.ndim - 1))
+        current = ts * phi
+        current[1:] -= (ts[1:] - 1.0) * phi[:-1]
+        if self.last is not None:  # at step 1 the current is phi_1 itself
+            current[0] -= (ts[0] - 1.0) * self.last
+        self.last = phi[-1].copy()
+        return current
 
 
 def spiking_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:

@@ -1,9 +1,10 @@
 """Leaky integrate-and-fire layer dynamics and average-spiking-rate tracking.
 
-One `LifLayerState` covers a whole layer of neurons (any array shape).
-Each step: leak + integrate, fire on strict threshold crossing, reset by
-threshold subtraction, then fold the new spikes into the leak-weighted
-spiking-rate average.  Spikes are bool arrays.
+One `LifLayerState` covers a whole layer of neurons (any array shape), and
+`lif_step` advances it over a window of timesteps.  Each step: leak +
+integrate, fire on strict threshold crossing, reset by threshold
+subtraction.  The window's spikes (bool) are then folded into the layer's
+leak-weighted spiking-rate average, a `RunningAverage`.
 """
 
 from __future__ import annotations
@@ -26,67 +27,90 @@ class LifConfig:
 
 
 @dataclass
-class LifLayerState:
-    u: np.ndarray
-    s: np.ndarray
-    asr_num: np.ndarray
-    asr_den: float = 0.0
-    t: int = 0
-
-    @classmethod
-    def zeros(cls, shape) -> "LifLayerState":
-        return cls(u=np.zeros(shape), s=np.zeros(shape, dtype=bool),
-                   asr_num=np.zeros(shape))
-
-
-def lif_step(state: LifLayerState, input_current: np.ndarray,
-             cfg: LifConfig) -> LifLayerState:
-    """Advance the layer one timestep under `input_current` (in place).
-
-    Firing uses a strict u > v_th comparison; u == v_th does not fire.
-    The new spikes `state.s` are bool.  The current is not checked: a NaN
-    or infinite current leaves `state.u` non-finite from then on, so the
-    caller checks `u` once at the end of a run.
-    """
-    current = np.asarray(input_current, dtype=np.float64)
-    if current.shape != state.u.shape:
-        raise ValueError(f"current shape {current.shape} vs neurons {state.u.shape}")
-    u_mid = cfg.gamma * state.u + current
-    spikes = u_mid > cfg.v_th
-    state.u = u_mid - cfg.v_th * spikes
-    state.s = spikes
-    state.asr_num = cfg.gamma * state.asr_num + spikes
-    state.asr_den = cfg.gamma * state.asr_den + 1.0
-    state.t += 1
-    return state
-
-
-def asr(state: LifLayerState) -> np.ndarray:
-    """Leak-weighted average spiking rate; defined only after the first step."""
-    if state.t < 1:
-        raise ValueError("ASR undefined before the first timestep")
-    return state.asr_num / state.asr_den
-
-
-@dataclass
 class RunningAverage:
-    """Leak-weighted running average of a real-valued signal.
+    """Leak-weighted running average of a signal, pushed a window at a time.
 
-    Same weighting as the spike-rate average; used for pre-normalization
-    currents whose long-run mean feeds a nonlinear surrogate.
+    After steps x_1..x_t it is num_t / den_t, with num_t = gamma * num_{t-1}
+    + x_t and den_t = gamma * den_{t-1} + 1.  The average spiking rate (ASR)
+    of a LIF layer is this average of its spikes; the spike path also
+    averages its pre-normalization currents with it.
     """
     gamma: float
     num: np.ndarray = field(default=None)
     den: float = 0.0
 
-    def push(self, value: np.ndarray) -> np.ndarray:
-        value = np.asarray(value, dtype=np.float64)
-        if self.num is None:
-            self.num = np.zeros_like(value)
-        self.num = self.gamma * self.num + value
-        self.den = self.gamma * self.den + 1.0
-        return self.num / self.den
+    def push(self, window: np.ndarray, per_step: bool = True):
+        """Fold the C steps of `window` (C, ...) in, in step order.
+
+        Returns the average after each step, (C, ...), or None when not
+        `per_step`.  The numerators follow the recurrence step by step, so
+        one window of C steps gives bitwise the averages of C windows of
+        one step.
+        """
+        window = np.asarray(window)
+        gamma, num, den = self.gamma, self.num, self.den
+        if num is None:
+            num = np.zeros(window.shape[1:])
+        nums = np.empty(window.shape) if per_step else None
+        dens = np.empty(len(window))
+        for k in range(len(window)):
+            # gamma * num is num itself at gamma = 1, so that product is skipped
+            num = np.add(num if gamma == 1.0 else gamma * num, window[k, ...],
+                         out=None if nums is None else nums[k, ...])
+            den = dens[k] = gamma * den + 1.0
+        # a copy, so that the window's numerators are not kept alive
+        self.num = num if nums is None else nums[-1].copy()
+        self.den = den
+        if per_step:
+            return nums / dens.reshape((-1,) + (1,) * (nums.ndim - 1))
+        return None
 
     @property
     def value(self) -> np.ndarray:
+        """The current average; defined only after the first step."""
+        if self.den == 0.0:
+            raise ValueError("average undefined before the first timestep")
         return self.num / self.den
+
+
+@dataclass
+class LifLayerState:
+    u: np.ndarray
+    rate: RunningAverage
+
+    @classmethod
+    def zeros(cls, shape, gamma: float = 1.0) -> "LifLayerState":
+        """A layer at rest; its ASR leaks at `gamma` (the `LifConfig`'s)."""
+        return cls(u=np.zeros(shape), rate=RunningAverage(gamma))
+
+
+def lif_step(state: LifLayerState, currents: np.ndarray, cfg: LifConfig,
+             per_step_asr: bool = False):
+    """Advance the layer over a window of C timesteps (in place).
+
+    `currents` is (C, *shape), one input current per step.  Only the
+    membrane recurrence loops over the steps; the window's spikes are then
+    folded into `state.rate` at once.  Returns (spikes, asrs): the bool
+    spikes (C, *shape) and, when `per_step_asr`, the ASR after each step
+    (C, *shape), else None.  One window of C steps is bitwise C windows of
+    one step.
+
+    Firing uses a strict u > v_th comparison; u == v_th does not fire.
+    The currents are not checked: a NaN or infinite current leaves
+    `state.u` non-finite from then on, so the caller checks `u` once at the
+    end of a run.
+    """
+    currents = np.asarray(currents, dtype=np.float64)
+    if currents.shape[1:] != state.u.shape:
+        raise ValueError(f"current shape {currents.shape} vs window of "
+                         f"neurons {state.u.shape}")
+    gamma, v_th = cfg.gamma, cfg.v_th
+    spikes = np.empty(currents.shape, dtype=bool)
+    u = state.u
+    for k in range(len(currents)):
+        # gamma * u is u itself at gamma = 1, so that product is skipped
+        u = (u if gamma == 1.0 else gamma * u) + currents[k, ...]
+        fired = np.greater(u, v_th, out=spikes[k, ...])
+        u = u - v_th * fired
+    state.u = u
+    return spikes, state.rate.push(spikes, per_step_asr)

@@ -1,8 +1,15 @@
 """Test oracles: slow, independent references the tests check eqspike against."""
 
+import dataclasses
+from dataclasses import dataclass, field
+
 import numpy as np
 
+from eqspike.autodiff import layer_norm
+from eqspike.model import spiking_attention
+from eqspike.neuron import LifConfig
 from eqspike.numerics import NumericError
+from eqspike.quantizer import quantized_forward
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -48,3 +55,115 @@ def dense_adjoint_solve(g: list, jacobian_vjp) -> list:
         out.append(sol[off:off + sz].reshape(s))
         off += sz
     return out
+
+
+# -- the step-major spike path: the reference for the windowed one --------
+
+@dataclass
+class _StepLif:
+    """One LIF layer advanced one timestep at a time, with its ASR sums."""
+    u: np.ndarray
+    s: np.ndarray
+    asr_num: np.ndarray
+    asr_den: float = 0.0
+
+    @classmethod
+    def zeros(cls, shape):
+        return cls(u=np.zeros(shape), s=np.zeros(shape, dtype=bool),
+                   asr_num=np.zeros(shape))
+
+    def step(self, current, cfg):
+        u_mid = cfg.gamma * self.u + current
+        spikes = u_mid > cfg.v_th
+        self.u = u_mid - cfg.v_th * spikes
+        self.s = spikes
+        self.asr_num = cfg.gamma * self.asr_num + spikes
+        self.asr_den = cfg.gamma * self.asr_den + 1.0
+
+    def asr(self):
+        return self.asr_num / self.asr_den
+
+
+@dataclass
+class _StepAverage:
+    """Leak-weighted running average, pushed one timestep at a time."""
+    gamma: float
+    num: np.ndarray = field(default=None)
+    den: float = 0.0
+
+    def push(self, value):
+        if self.num is None:
+            self.num = np.zeros_like(value)
+        self.num = self.gamma * self.num + value
+        self.den = self.gamma * self.den + 1.0
+        return self.num / self.den
+
+
+def step_major_simulate(stack, tokens, T, counter=None, trace=None,
+                        trace_targets=None):
+    """`EncoderStack.temporal_simulate` as one loop over timesteps.
+
+    Each step runs every sublayer of every block once, in block order, with
+    one `quantized_forward` per linear and one neuron update per layer.
+    Returns (logits, ASR dict, spike-count dict) and fills `counter` and
+    `trace` as `temporal_simulate` does.
+    """
+    cfg = stack.cfg
+    lif = LifConfig(cfg.gamma, cfg.v_th)
+    drive = stack.encoding(tokens, {"tok_emb": stack.tok_emb,
+                                    "pos_emb": stack.pos_emb}).data
+    source = _StepLif.zeros(drive.shape)
+    layers = {"input": source}
+    runs = []
+    for i, blk in enumerate(stack.blocks):
+        pre = f"blk{i}."
+        neurons = {nm: _StepLif.zeros(drive.shape[:-1] + (
+            cfg.intermediate_dim if nm == "int" else cfg.hidden_dim,))
+            for nm in ("q", "k", "v", "attn", "h1", "out", "int")}
+        layers.update((pre + nm, st) for nm, st in neurons.items())
+        pinned = {nm: lin.pinned() for nm, lin in blk.linears().items()}
+        runs.append((dataclasses.replace(blk, **pinned),
+                     {nm: pre + nm for nm in (*pinned, *neurons)}, neurons,
+                     _StepAverage(cfg.gamma), _StepAverage(cfg.gamma)))
+    spike_counts = {name: np.zeros(st.u.shape) for name, st in layers.items()}
+    prev_phi = {}
+
+    def telescoped(name, value, t):
+        prev = prev_phi.get(name)
+        prev_phi[name] = value
+        if prev is None:
+            return value
+        return t * value - (t - 1) * prev
+
+    for t in range(1, T + 1):
+        source.step(drive, lif)
+        s_in = source.s
+        for blk, key, n, r1_avg, r2_avg in runs:
+            n["q"].step(quantized_forward(blk.q, s_in, counter, key["q"]), lif)
+            n["k"].step(quantized_forward(blk.k, s_in, counter, key["k"]), lif)
+            n["v"].step(quantized_forward(blk.v, s_in, counter, key["v"]), lif)
+            attn_current = spiking_attention(
+                n["q"].asr(), n["k"].asr(), n["v"].asr(), cfg.num_heads).data
+            n["attn"].step(telescoped(key["attn"], attn_current, t), lif)
+            r1 = quantized_forward(blk.o, n["attn"].s, counter, key["o"]) + s_in
+            h1_current = layer_norm(r1_avg.push(r1), blk.ln1_g, blk.ln1_b).data
+            n["h1"].step(telescoped(key["h1"], h1_current, t), lif)
+            n["int"].step(quantized_forward(blk.ff1, n["h1"].s, counter,
+                                            key["ff1"]), lif)
+            r2 = quantized_forward(blk.ff2, n["int"].s, counter,
+                                   key["ff2"]) + n["h1"].s
+            out_current = layer_norm(r2_avg.push(r2), blk.ln2_g, blk.ln2_b).data
+            n["out"].step(telescoped(key["out"], out_current, t), lif)
+            s_in = n["out"].s
+        for name, st in layers.items():
+            spike_counts[name] += st.s
+        if trace is not None:
+            for name, st in layers.items():
+                m = float(np.mean(st.asr()))
+                target = trace_targets.get(name) if trace_targets else None
+                resid = abs(m - target) if target is not None else float("nan")
+                trace.append((t, name, m, resid))
+
+    asrs = {name: st.asr() for name, st in layers.items()}
+    final = asrs[f"blk{cfg.num_layers - 1}.out"]
+    return stack.logits(final), asrs, spike_counts

@@ -55,14 +55,14 @@ def test_load_tsv_single_and_labels(tmp_path):
     corpus = load_tsv(p)
     assert corpus.label_names == ["neg", "pos"]
     assert corpus.examples[0].label == 1  # "pos" sorts after "neg"
-    assert not corpus.has_pairs
+    assert all(ex.text_b is None for ex in corpus.examples)
 
 
 def test_load_tsv_pair_mode(tmp_path):
     p = tmp_path / "train.tsv"
     p.write_text("text_a\ttext_b\tlabel\na b\tc d\t0\n")
     corpus = load_tsv(p)
-    assert corpus.has_pairs
+    assert any(ex.text_b is not None for ex in corpus.examples)
     assert corpus.examples[0].text_b == "c d"
 
 
@@ -111,7 +111,7 @@ def test_parity_task_counts_keywords():
 
 def test_pair_overlap_task_has_pairs_with_disjoint_negatives():
     c = synth_task("pair-overlap", 30, seed=2)
-    assert c.has_pairs
+    assert all(ex.text_b is not None for ex in c.examples)
     for ex in c.examples:
         overlap = set(ex.text_a.split()) & set(ex.text_b.split())
         assert bool(overlap) == bool(ex.label)

@@ -11,7 +11,7 @@ from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
                            TeacherModel, spiking_attention, teacher_forward)
 from eqspike.numerics import NumericError, ShapeError
 from eqspike.quantizer import OpCounter, QuantMode, quantize_158bit
-from oracles import finite_difference_grad
+from oracles import finite_difference_grad, step_major_simulate
 
 
 def make_stack(seed=0, mode=QuantMode.FULL_PRECISION, **kw):
@@ -245,7 +245,7 @@ def test_batched_temporal_simulate_equals_rows(mode):
     assert one.per_layer == first.per_layer
 
 
-def test_temporal_simulate_calls_each_kernel_once_per_sublayer_per_step(
+def test_temporal_simulate_calls_each_kernel_once_per_sublayer_per_window(
         monkeypatch):
     stack = make_stack(mode=QuantMode.TERNARY_158BIT)
     calls = {"quantized_forward": 0, "lif_step": 0}
@@ -267,14 +267,67 @@ def test_temporal_simulate_calls_each_kernel_once_per_sublayer_per_step(
     for name in calls:
         monkeypatch.setattr(model, name, counted(name))
     monkeypatch.setattr(OpCounter, "add", add)
-    T, L = 7, stack.cfg.num_layers
-    stack.temporal_simulate(np.array([[2, 4, 5], [3, 6, 7]]), T,
-                            counter=OpCounter())
-    assert calls == {"quantized_forward": 6 * L * T,
-                     "lif_step": (1 + 7 * L) * T}
-    assert len(adds) == 6 * L * T
+    tokens = np.array([[2, 4, 5], [3, 6, 7]])
+    steps = model.WINDOW_ROWS // tokens.size  # steps per window
+    T, L = 2 * steps + 1, stack.cfg.num_layers  # two full windows and one step
+    stack.temporal_simulate(tokens, T, counter=OpCounter())
+    windows = 3
+    assert calls == {"quantized_forward": 6 * L * windows,
+                     "lif_step": (1 + 7 * L) * windows}
+    assert len(adds) == 6 * L * windows
     # add(name, count), positionally: a tracer reads the count argument
     assert all(len(args) == 2 and not kwargs for args, kwargs in adds)
+
+
+def test_temporal_simulate_window_is_one_step_for_large_batches(monkeypatch):
+    stack = make_stack(mode=QuantMode.TERNARY_158BIT)
+    tokens = np.tile(np.array([2, 4, 5, 6]), (model.WINDOW_ROWS // 4, 1))
+    windows = []
+    inner = model.lif_step
+
+    def counted(state, currents, *args):
+        windows.append(len(currents))
+        return inner(state, currents, *args)
+
+    monkeypatch.setattr(model, "lif_step", counted)
+    stack.temporal_simulate(tokens, 3)
+    assert windows == [1] * (1 + 7 * stack.cfg.num_layers) * 3
+
+
+@pytest.mark.parametrize("mode", [QuantMode.FULL_PRECISION,
+                                  QuantMode.BINARY_1BIT,
+                                  QuantMode.TERNARY_158BIT],
+                         ids=["fp", "1bit", "1.58bit"])
+@pytest.mark.parametrize("gamma", [1.0, 0.9])
+@pytest.mark.parametrize("batch", [False, True], ids=["seq", "B-seq"])
+def test_windowed_simulation_equals_step_major_oracle_bitwise(mode, gamma, batch):
+    stack = make_stack(seed=2, mode=mode, gamma=gamma)
+    stack.freeze_quantization()
+    tokens = np.array([[2, 4, 5, 6, 7], [3, 8, 9, 10, 1], [2, 2, 6, 5, 4]])
+    if not batch:
+        tokens = tokens[0]
+    steps = model.WINDOW_ROWS // tokens.size  # steps per window
+    targets = {"input": 0.5, "blk0.q": 0.25, "blk1.out": 0.75}
+    for T in (1, steps - 1, steps + 1, 200):
+        want_counter, want_trace = OpCounter(), []
+        want = step_major_simulate(stack, tokens, T, counter=want_counter,
+                                   trace=want_trace, trace_targets=targets)
+        for tracing in (False, True):
+            counter, trace = OpCounter(), [] if tracing else None
+            got = stack.temporal_simulate(tokens, T, counter=counter,
+                                          trace=trace, trace_targets=targets)
+            np.testing.assert_array_equal(got[0], want[0])
+            for g, w in zip(got[1:], want[1:]):
+                assert list(g) == list(w)
+                for name in w:
+                    assert g[name].dtype == w[name].dtype
+                    np.testing.assert_array_equal(g[name], w[name])
+            assert list(counter.per_layer.items()) == \
+                list(want_counter.per_layer.items())
+        assert [row[:2] for row in trace] == [row[:2] for row in want_trace]
+        np.testing.assert_array_equal([row[2:] for row in trace],
+                                      [row[2:] for row in want_trace])
+        assert len(trace) == T * len(want[1])
 
 
 @pytest.mark.parametrize("poison", ["tok_emb", "ln_gain", "fp_weight"])
