@@ -9,6 +9,7 @@ records where in the training pipeline the artifact was produced.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -38,6 +39,8 @@ def _params_from_json(params, blob):
         arr = np.asarray(blob[k], dtype=np.float64)
         if arr.shape != v.shape:
             raise CheckpointError(f"parameter {k}: shape {arr.shape} vs {v.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"parameter {k} is not finite")
         v[...] = arr
 
 
@@ -73,7 +76,9 @@ def save_student(stack: EncoderStack, stage: str, path):
 def _load(path, kind, build):
     """`build(obj)` for the JSON object of a `kind` checkpoint at `path`.
 
-    A missing or mistyped field is reported as a CheckpointError.
+    A missing, mistyped or invalid field (a shape, a non-finite number, a
+    config the model rejects) is reported as a CheckpointError naming
+    `path`.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -82,7 +87,9 @@ def _load(path, kind, build):
         raise CheckpointError(f"{path}: not a {kind} checkpoint")
     try:
         return build(obj)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except CheckpointError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise CheckpointError(f"{path}: malformed checkpoint "
                               f"({type(exc).__name__}: {exc})") from exc
 
@@ -104,10 +111,19 @@ def _build_student(obj):
     _params_from_json(stack.named_params(), obj["params"])
     for i, blk in enumerate(stack.blocks):
         for nm, lin in blk.linears().items():
-            entry = obj["quant"]["layers"].get(f"blk{i}.{nm}")
-            if entry is not None:
-                lin.pin(unpack_codes(entry["codes"], tuple(entry["shape"])),
-                        entry["alpha"], entry["beta"])
+            key = f"blk{i}.{nm}"
+            entry = obj["quant"]["layers"].get(key)
+            if entry is None:
+                continue
+            shape = tuple(entry["shape"])
+            if shape != lin.latent_w.shape:
+                raise CheckpointError(f"quant entry {key}: shape {shape} vs "
+                                      f"{lin.latent_w.shape}")
+            alpha, beta = entry["alpha"], entry["beta"]
+            if not (math.isfinite(alpha) and math.isfinite(beta)):
+                raise CheckpointError(f"quant entry {key}: alpha/beta "
+                                      f"{alpha}/{beta} not finite")
+            lin.pin(unpack_codes(entry["codes"], shape), alpha, beta)
     return stack, obj["stage"]
 
 

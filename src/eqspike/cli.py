@@ -1,9 +1,9 @@
 """Command-line pipeline: teacher training, distillation, fine-tuning,
 temporal simulation traces, and energy reports.
 
-Exit codes: 0 success; 2 config error (bad option or config key, malformed
-YAML, unreadable or malformed checkpoint); 3 numeric failure (a non-finite
-weight, gradient, rate or logit); 4 IO error.
+Exit codes: 0 success; 2 config error (bad option, config key or value,
+malformed YAML, unreadable, malformed or invalid checkpoint); 3 numeric
+failure (a non-finite weight, gradient, rate or logit); 4 IO error.
 """
 
 from __future__ import annotations

@@ -29,7 +29,8 @@ from .autodiff import Tensor, clip01, layer_norm, no_grad
 from .neuron import LifConfig, LifLayerState, RunningAverage, lif_step
 from .numerics import ShapeError, check_finite, init_uniform
 from .quantizer import (OpCounter, QuantMode, QuantizedLinear,
-                        effective_weight_tensor, quantized_forward)
+                        effective_weight_tensor, quantized_forward,
+                        stack_pinned)
 
 
 @dataclass(frozen=True)
@@ -55,6 +56,7 @@ class StackConfig:
             raise ValueError("hidden_dim must be divisible by num_heads")
         if self.num_layers < 1:
             raise ValueError("need at least one encoder layer")
+        LifConfig(self.gamma, self.v_th)  # raises on a gamma or v_th out of range
 
 
 # Neuron rows (batch x sequence positions) x timesteps in one window of
@@ -264,17 +266,20 @@ class EncoderStack:
 
         The steps run in windows of WINDOW_ROWS // (B * seq) steps (at
         least one).  Within a window the sublayers go in block order, each
-        over all the window's steps in one call: one `quantized_forward`
-        per linear (so `counter` gets one `add` per linear per window,
-        summed over the batch), one `lif_step` per neuron layer, and
-        attention, layer norm and the telescoped currents on whole windows.
-        Within a step every dependency runs from one sublayer to the next,
-        and across steps only through each layer's own state, so this is
-        bitwise the step-by-step simulation.  Linears are `pinned` once
-        (an unfrozen layer is quantized once, its alpha/beta left as they
-        were), and finiteness is checked once, on every membrane potential
-        at the end (a non-finite current leaves it non-finite for good),
-        raising NumericError.
+        over all the window's steps in one call.  A block's q, k and v
+        linears read the same spikes and drive independent neurons, so they
+        run as one layer: one `quantized_forward` on their `stack_pinned`
+        linear and one `lif_step` on their neurons side by side.  So a
+        window makes 4 `quantized_forward` calls per block (`counter` still
+        gets one `add` per linear, summed over the batch) and 1 + 5 * L
+        `lif_step` calls, and runs attention, layer norm and the telescoped
+        currents on whole windows.  Within a step every dependency runs
+        from one sublayer to the next, and across steps only through each
+        layer's own state, so this is bitwise the step-by-step simulation.
+        Linears are `pinned` once (an unfrozen layer is quantized once, its
+        alpha/beta left as they were), and finiteness is checked once, on
+        every membrane potential at the end (a non-finite current leaves it
+        non-finite for good), raising NumericError.
         """
         if T < 1:
             raise ValueError("T must be >= 1")
@@ -283,23 +288,32 @@ class EncoderStack:
         drive = self.encoding(tokens, {"tok_emb": self.tok_emb,
                                        "pos_emb": self.pos_emb}).data
         layers = {"input": LifLayerState.zeros(drive.shape, cfg.gamma)}
-        # per block: pinned linears, the names of its sublayers (counter and
-        # layer keys), the residual averages and the telescoped surrogates
+        parts = {"input": ("input",)}  # per neuron layer, the layers it reports
+        d, inter = cfg.hidden_dim, cfg.intermediate_dim
+        # per block: its layer-name prefix, its stacked q/k/v linear, the
+        # block with its other linears pinned, the residual averages and the
+        # telescoped surrogates
         runs = []
         for i, blk in enumerate(self.blocks):
             pre = f"blk{i}."
-            neurons = {nm: LifLayerState.zeros(drive.shape[:-1] + (
-                cfg.intermediate_dim if nm == "int" else cfg.hidden_dim,),
-                cfg.gamma) for nm in ("q", "k", "v", "attn", "h1", "out", "int")}
-            layers.update((pre + nm, st) for nm, st in neurons.items())
-            pinned = {nm: lin.pinned() for nm, lin in blk.linears().items()}
-            runs.append((dataclasses.replace(blk, **pinned),
-                         {nm: pre + nm for nm in (*pinned, *neurons)},
+            for nm, width in (("qkv", 3 * d), ("attn", d), ("h1", d),
+                              ("out", d), ("int", inter)):
+                layers[pre + nm] = LifLayerState.zeros(
+                    drive.shape[:-1] + (width,), cfg.gamma)
+                parts[pre + nm] = (pre + nm,)
+            parts[pre + "qkv"] = (pre + "q", pre + "k", pre + "v")
+            pinned = {nm: getattr(blk, nm).pinned() for nm in ("o", "ff1", "ff2")}
+            runs.append((pre, stack_pinned((blk.q, blk.k, blk.v)),
+                         dataclasses.replace(blk, **pinned),
                          RunningAverage(cfg.gamma), RunningAverage(cfg.gamma),
                          {nm: _Telescoped() for nm in ("attn", "h1", "out")}))
-        spike_counts = {name: np.zeros(st.u.shape) for name, st in layers.items()}
         tracing = trace is not None
         step = max(1, WINDOW_ROWS // (drive.size // drive.shape[-1]))
+
+        def split(name, x):
+            """{reported layer: its part of x (..., width)} for layer `name`."""
+            return {part: np.ascontiguousarray(a) for part, a in zip(
+                parts[name], np.split(x, len(parts[name]), axis=-1))}
 
         # `fire` and `block` read the current window's `steps` and `means`,
         # which the window loop below binds
@@ -307,37 +321,38 @@ class EncoderStack:
             """Advance layer `name` over the window; its (spikes, ASRs)."""
             spikes, asrs = lif_step(layers[name], currents, lif,
                                     per_step_asr or tracing)
-            spike_counts[name] += spikes.sum(axis=0, dtype=np.float64)
             if tracing:
-                means[name] = asrs.reshape(len(asrs), -1).mean(axis=1)
+                for part, a in split(name, asrs).items():
+                    means[part] = a.reshape(len(a), -1).mean(axis=1)
             return spikes, asrs
 
-        def block(blk, key, r1_avg, r2_avg, tele, s_in):
+        def block(pre, qkv, blk, r1_avg, r2_avg, tele, s_in):
             """Advance a block over the window; its output spikes.
 
             Each window-sized intermediate is passed straight on, so that
             few of them are alive at once.
             """
             def linear(nm, x):  # the currents of linear nm under spikes x
-                return quantized_forward(getattr(blk, nm), x, counter, key[nm])
+                return quantized_forward(getattr(blk, nm), x, counter, pre + nm)
 
             def surrogate(nm, phi):  # the spikes of the neurons behind phi
-                return fire(key[nm], tele[nm](phi, steps))[0]
+                return fire(pre + nm, tele[nm](phi, steps))[0]
 
-            _, aq = fire(key["q"], linear("q", s_in), True)
-            _, ak = fire(key["k"], linear("k", s_in), True)
-            _, av = fire(key["v"], linear("v", s_in), True)
-            sa = surrogate("attn", spiking_attention(aq, ak, av, cfg.num_heads).data)
-            del aq, ak, av
+            _, aqkv = fire(pre + "qkv", quantized_forward(
+                qkv, s_in, counter, parts[pre + "qkv"]), True)
+            sa = surrogate("attn", spiking_attention(
+                *np.split(aqkv, 3, axis=-1), cfg.num_heads).data)
+            del aqkv
             sh = surrogate("h1", layer_norm(r1_avg.push(linear("o", sa) + s_in),
                                             blk.ln1_g, blk.ln1_b).data)
-            si, _ = fire(key["int"], linear("ff1", sh))
+            si, _ = fire(pre + "int", linear("ff1", sh))
             return surrogate("out", layer_norm(r2_avg.push(linear("ff2", si) + sh),
                                                blk.ln2_g, blk.ln2_b).data)
 
+        reported = [part for names in parts.values() for part in names]
         for t0 in range(0, T, step):
             steps = np.arange(t0 + 1, min(t0 + step, T) + 1, dtype=np.float64)
-            means = dict.fromkeys(layers)  # per layer, in `layers` order
+            means = dict.fromkeys(reported)
             s_in, _ = fire("input", np.broadcast_to(drive, steps.shape
                                                     + drive.shape))
             for run in runs:
@@ -350,9 +365,11 @@ class EncoderStack:
                         resid = abs(m - target) if target is not None else float("nan")
                         trace.append((t0 + 1 + k, name, m, resid))
 
+        asrs, spike_counts = {}, {}
         for name, st in layers.items():
             check_finite(st.u, f"membrane potential of {name}")
-        asrs = {name: st.rate.value for name, st in layers.items()}
+            asrs.update(split(name, st.rate.value))
+            spike_counts.update(split(name, st.count))
         final = asrs[f"blk{cfg.num_layers - 1}.out"]
         return self.logits(final), asrs, spike_counts
 

@@ -3,8 +3,9 @@
 One `LifLayerState` covers a whole layer of neurons (any array shape), and
 `lif_step` advances it over a window of timesteps.  Each step: leak +
 integrate, fire on strict threshold crossing, reset by threshold
-subtraction.  The window's spikes (bool) are then folded into the layer's
-leak-weighted spiking-rate average, a `RunningAverage`.
+subtraction.  The window's spikes (bool) are then summed into the layer's
+spike counts and folded into its leak-weighted spiking-rate average, a
+`RunningAverage`.
 """
 
 from __future__ import annotations
@@ -39,18 +40,25 @@ class RunningAverage:
     num: np.ndarray = field(default=None)
     den: float = 0.0
 
-    def push(self, window: np.ndarray, per_step: bool = True):
+    def push(self, window: np.ndarray, per_step: bool = True,
+             total: np.ndarray | None = None):
         """Fold the C steps of `window` (C, ...) in, in step order.
 
         Returns the average after each step, (C, ...), or None when not
         `per_step`.  The numerators follow the recurrence step by step, so
         one window of C steps gives bitwise the averages of C windows of
-        one step.
+        one step.  `total`, when given, is the window's float64 sum over
+        its steps, and every partial sum of the window must be exact (as
+        for spike counts): at gamma = 1 and not `per_step` the numerator
+        then takes it in one add, bitwise the step-ordered fold.
         """
         window = np.asarray(window)
         gamma, num, den = self.gamma, self.num, self.den
         if num is None:
             num = np.zeros(window.shape[1:])
+        if total is not None and gamma == 1.0 and not per_step:
+            self.num, self.den = num + total, den + len(window)
+            return None
         nums = np.empty(window.shape) if per_step else None
         dens = np.empty(len(window))
         for k in range(len(window)):
@@ -62,7 +70,8 @@ class RunningAverage:
         self.num = num if nums is None else nums[-1].copy()
         self.den = den
         if per_step:
-            return nums / dens.reshape((-1,) + (1,) * (nums.ndim - 1))
+            nums /= dens.reshape((-1,) + (1,) * (nums.ndim - 1))
+            return nums
         return None
 
     @property
@@ -75,13 +84,16 @@ class RunningAverage:
 
 @dataclass
 class LifLayerState:
+    """A layer's membrane potentials, spike counts and spiking-rate average."""
     u: np.ndarray
     rate: RunningAverage
+    count: np.ndarray
 
     @classmethod
     def zeros(cls, shape, gamma: float = 1.0) -> "LifLayerState":
         """A layer at rest; its ASR leaks at `gamma` (the `LifConfig`'s)."""
-        return cls(u=np.zeros(shape), rate=RunningAverage(gamma))
+        return cls(u=np.zeros(shape), rate=RunningAverage(gamma),
+                   count=np.zeros(shape))
 
 
 def lif_step(state: LifLayerState, currents: np.ndarray, cfg: LifConfig,
@@ -89,11 +101,16 @@ def lif_step(state: LifLayerState, currents: np.ndarray, cfg: LifConfig,
     """Advance the layer over a window of C timesteps (in place).
 
     `currents` is (C, *shape), one input current per step.  Only the
-    membrane recurrence loops over the steps; the window's spikes are then
-    folded into `state.rate` at once.  Returns (spikes, asrs): the bool
-    spikes (C, *shape) and, when `per_step_asr`, the ASR after each step
-    (C, *shape), else None.  One window of C steps is bitwise C windows of
-    one step.
+    membrane recurrence loops over the steps, with in-place ufuncs on
+    `state.u`: each step's spikes go into the bool window, are copied as
+    0/1 into one float64 reset buffer (scaled by v_th when v_th != 1) and
+    subtracted, so a step allocates nothing and multiplies no bool by a
+    float.  The window's spikes are then reduced once into `state.count`;
+    at gamma = 1 without per-step ASRs that same sum is the rate's whole
+    update, otherwise the window is folded into `state.rate` step by step.
+    Returns (spikes, asrs): the bool spikes (C, *shape) and, when
+    `per_step_asr`, the ASR after each step (C, *shape), else None.  One
+    window of C steps is bitwise C windows of one step.
 
     Firing uses a strict u > v_th comparison; u == v_th does not fire.
     The currents are not checked: a NaN or infinite current leaves
@@ -106,11 +123,18 @@ def lif_step(state: LifLayerState, currents: np.ndarray, cfg: LifConfig,
                          f"neurons {state.u.shape}")
     gamma, v_th = cfg.gamma, cfg.v_th
     spikes = np.empty(currents.shape, dtype=bool)
+    reset = np.empty(state.u.shape)
     u = state.u
     for k in range(len(currents)):
-        # gamma * u is u itself at gamma = 1, so that product is skipped
-        u = (u if gamma == 1.0 else gamma * u) + currents[k, ...]
-        fired = np.greater(u, v_th, out=spikes[k, ...])
-        u = u - v_th * fired
-    state.u = u
-    return spikes, state.rate.push(spikes, per_step_asr)
+        fired = spikes[k, ...]
+        if gamma != 1.0:
+            u *= gamma
+        u += currents[k, ...]
+        np.greater(u, v_th, out=fired)
+        np.copyto(reset, fired)
+        if v_th != 1.0:
+            reset *= v_th
+        u -= reset
+    total = spikes.sum(axis=0, dtype=np.float64)
+    state.count += total
+    return spikes, state.rate.push(spikes, per_step_asr, total)

@@ -169,9 +169,35 @@ class OpCounter:
         return sum(self.per_layer.values())
 
 
+def stack_pinned(layers) -> QuantizedLinear:
+    """One pinned layer whose outputs are the `layers`' outputs side by side.
+
+    The layers share their shape, mode and `binary_output_scale`.  Their
+    pinned weights, codes and biases are concatenated; beta becomes the
+    per-output vector of each part's output scale (a binary layer without
+    an output scale ignores it).  Its `column_nnz` has one row per part,
+    for `quantized_forward` to count and compute each part as its own
+    layer would.
+    """
+    parts = [lin.pinned() for lin in layers]
+    first = parts[0]
+    if any((p.latent_w.shape, p.mode, p.binary_output_scale) != (
+            first.latent_w.shape, first.mode, first.binary_output_scale)
+           for p in parts):
+        raise ShapeError("stacked layers differ in shape or mode")
+    out = replace(first, latent_w=np.concatenate([p.latent_w for p in parts]),
+                  bias=np.concatenate([p.bias for p in parts]),
+                  column_nnz=np.stack([p.column_nnz for p in parts]))
+    if first.mode is not QuantMode.FULL_PRECISION:
+        out.beta = np.repeat([_output_scale(p) for p in parts], first.out_dim)
+        out.frozen_codes = np.concatenate([p.frozen_codes for p in parts])
+        out.frozen_weight = np.concatenate([p.frozen_weight for p in parts])
+    return out
+
+
 def quantized_forward(layer: QuantizedLinear, x: np.ndarray,
                       counter: OpCounter | None = None,
-                      name: str = "") -> np.ndarray:
+                      name: str | tuple = "") -> np.ndarray:
     """Spike-driven forward pass; x is 0/1 spikes (..., in), as `lif_step`
     emits, with any leading axes.
 
@@ -181,19 +207,35 @@ def quantized_forward(layer: QuantizedLinear, x: np.ndarray,
     whose input spiked (no multiplies are needed), and the output scale is
     applied once afterwards.  The counter counts the accumulates, one per
     (nonzero input, nonzero code or weight) pair, from the layer's
-    `column_nnz`.  The layer runs `pinned`: an unfrozen quantized layer's
-    alpha/beta are left as they were.
+    `column_nnz`.  A `stack_pinned` layer counts each part under its own
+    name, `name` then being the tuple of the parts' names; its outputs are
+    bitwise its parts' (exact sums for codes, and for full precision, whose
+    real-valued sums depend on the matmul's shape, one matmul per part).
+    The layer runs `pinned`: an unfrozen quantized layer's alpha/beta are
+    left as they were.
     """
     x = np.asarray(x)
     if x.shape[-1] != layer.in_dim:
         raise ShapeError(f"input width {x.shape[-1]} vs layer {layer.in_dim}")
     layer = layer.pinned()
+    nnz = layer.column_nnz
     if counter is not None:
         active = (x.reshape(-1, layer.in_dim) != 0).sum(axis=0)
-        counter.add(name, int(active @ layer.column_nnz))
-    if layer.mode is QuantMode.FULL_PRECISION:
-        return x @ layer.latent_w.T + layer.bias
-    return _output_scale(layer) * (x @ layer.frozen_codes.T) + layer.bias
+        if nnz.ndim == 1:
+            counter.add(name, int(active @ nnz))
+        else:
+            for part, ops in zip(name, nnz @ active, strict=True):
+                counter.add(part, int(ops))
+    if layer.mode is not QuantMode.FULL_PRECISION:
+        out = x @ layer.frozen_codes.T
+        out *= _output_scale(layer)
+    elif nnz.ndim == 1:
+        out = x @ layer.latent_w.T
+    else:
+        parts = np.split(layer.latent_w, len(nnz))
+        out = np.concatenate([x @ w.T for w in parts], axis=-1)
+    out += layer.bias
+    return out
 
 
 def effective_weight_tensor(layer: QuantizedLinear, latent: ad.Tensor) -> ad.Tensor:

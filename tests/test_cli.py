@@ -1,9 +1,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 
+from eqspike import cli
 from eqspike import pipeline as pl
 from eqspike.checkpoint import save_student
 from eqspike.cli import main
@@ -129,15 +131,31 @@ def test_truncated_checkpoint_is_config_error(workdir, capsys, kind):
     assert "malformed checkpoint" in capsys.readouterr().err
 
 
-def test_non_finite_weight_is_numeric_error(workdir, artifacts, capsys):
+def _poison_on_load(monkeypatch, path, name, index):
+    """Make the CLI load the student at `path` with a NaN at params[name][index].
+
+    A checkpoint file with a non-finite number is refused at load, so this
+    reaches the numeric checks behind it with a loaded student.
+    """
+    load = cli.load_student
+
+    def poisoned(p):
+        stack, stage = load(p)
+        if p == path:
+            stack.named_params()[name][index] = np.nan
+        return stack, stage
+
+    monkeypatch.setattr(cli, "load_student", poisoned)
+
+
+def test_non_finite_weight_is_numeric_error(workdir, artifacts, capsys,
+                                            monkeypatch):
     root, cfg = workdir
     out, _ = artifacts
-    obj = json.loads(open(f"{out}/student_kd.json").read())
-    obj["params"]["blk0.q.w"][0][0] = float("nan")
-    ckpt = root / "nan_student.json"
-    ckpt.write_text(json.dumps(obj))
+    ckpt = f"{out}/student_kd.json"
+    _poison_on_load(monkeypatch, ckpt, "blk0.q.w", (0, 0))
     rc = main(["finetune", "--config", cfg, "--out", str(root / "n"),
-               "--student", str(ckpt)])
+               "--student", ckpt])
     assert rc == 3
     assert "numeric failure" in capsys.readouterr().err
 
@@ -147,20 +165,58 @@ def test_non_finite_weight_is_numeric_error(workdir, artifacts, capsys):
                                         ("cls.w", (0, 0)), ("cls.b", (0,))],
                          ids=["tok_emb", "cls.w", "cls.b"])
 def test_eval_of_non_finite_student_is_numeric_error(workdir, artifacts,
-                                                     capsys, name, index):
+                                                     capsys, monkeypatch,
+                                                     name, index):
+    root, cfg = workdir
+    out, _ = artifacts
+    ckpt = f"{out}/student_finetuned.json"
+    _poison_on_load(monkeypatch, ckpt, name, index)
+    rc = main(["eval", "--config", cfg, "--out", str(root / "nan_eval"),
+               "--student", ckpt])
+    assert rc == 3
+    assert "numeric failure" in capsys.readouterr().err
+
+
+def _corrupt(obj, defect):
+    if defect == "quant-shape":  # as many codes, in the wrong (out, in)
+        obj["quant"]["layers"]["blk0.q"]["shape"] = [4, 16]
+    elif defect == "nan-param":
+        obj["params"]["tok_emb"][CLS][0] = float("nan")
+    elif defect == "inf-beta":
+        obj["quant"]["layers"]["blk1.ff2"]["beta"] = float("inf")
+    else:
+        obj["config"]["gamma"] = 2.0
+
+
+@pytest.mark.parametrize("defect", ["quant-shape", "nan-param", "inf-beta",
+                                    "gamma"])
+def test_invalid_student_checkpoint_is_config_error(workdir, artifacts, capsys,
+                                                    defect):
     root, cfg = workdir
     out, _ = artifacts
     obj = json.loads(open(f"{out}/student_finetuned.json").read())
-    row = obj["params"][name]
-    for i in index[:-1]:
-        row = row[i]
-    row[index[-1]] = float("nan")
-    ckpt = root / f"nan_{name}.json"
+    _corrupt(obj, defect)
+    ckpt = root / f"invalid_{defect}.json"
     ckpt.write_text(json.dumps(obj))
-    rc = main(["eval", "--config", cfg, "--out", str(root / "nan_eval"),
+    rc = main(["eval", "--config", cfg, "--out", str(root / "invalid"),
                "--student", str(ckpt)])
-    assert rc == 3
-    assert "numeric failure" in capsys.readouterr().err
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(ckpt) in err
+
+
+def test_distill_with_bad_gamma_is_config_error(workdir, artifacts, capsys):
+    root, _ = workdir
+    out, _ = artifacts
+    bad = root / "bad_gamma.yaml"
+    bad.write_text(yaml.safe_dump({**SMALL_CFG, "model": {
+        **SMALL_CFG["model"], "gamma": 1.5}}))
+    dest = root / "bad_gamma"
+    rc = main(["distill", "--config", str(bad), "--out", str(dest),
+               "--teacher", f"{out}/teacher.json"])
+    assert rc == 2
+    assert "gamma" in capsys.readouterr().err
+    assert not os.path.exists(dest / "student_kd.json")
 
 
 def test_bad_quant_mode_is_config_error(workdir):
@@ -251,14 +307,11 @@ def test_energy_architecture_mismatch_is_config_error(workdir, artifacts,
 
 @pytest.mark.parametrize("command", ["energy", "simulate"])
 def test_spike_path_on_non_finite_student_is_numeric_error(
-        workdir, artifacts, capsys, command):
+        workdir, artifacts, capsys, monkeypatch, command):
     root, cfg = workdir
     out, out_fp = artifacts
-    obj = json.loads(open(f"{out}/student_kd.json").read())
-    obj["params"]["tok_emb"][CLS][0] = float("nan")
-    ckpt = str(root / "nan_spike.json")
-    with open(ckpt, "w") as fh:
-        json.dump(obj, fh)
+    ckpt = f"{out}/student_kd.json"
+    _poison_on_load(monkeypatch, ckpt, "tok_emb", (CLS, 0))
     dest = str(root / f"nan_{command}")
     if command == "energy":
         rc = _energy(cfg, dest, ckpt, f"{out_fp}/student_kd.json")

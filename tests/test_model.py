@@ -27,6 +27,14 @@ def test_stack_config_validates_head_divisibility():
                     num_heads=2, num_layers=1, max_len=4, num_labels=2)
 
 
+@pytest.mark.parametrize("bad", [{"gamma": 1.5}, {"gamma": 0.0},
+                                 {"v_th": 0.0}, {"v_th": -1.0}])
+def test_stack_config_validates_lif_parameters(bad):
+    with pytest.raises(ValueError):
+        StackConfig(vocab_size=5, hidden_dim=8, intermediate_dim=8,
+                    num_heads=2, num_layers=1, max_len=4, num_labels=2, **bad)
+
+
 def test_encoding_lies_in_unit_interval():
     stack = make_stack()
     with ad.no_grad():
@@ -272,8 +280,9 @@ def test_temporal_simulate_calls_each_kernel_once_per_sublayer_per_window(
     T, L = 2 * steps + 1, stack.cfg.num_layers  # two full windows and one step
     stack.temporal_simulate(tokens, T, counter=OpCounter())
     windows = 3
-    assert calls == {"quantized_forward": 6 * L * windows,
-                     "lif_step": (1 + 7 * L) * windows}
+    # q/k/v run as one stacked linear driving one neuron layer
+    assert calls == {"quantized_forward": 4 * L * windows,
+                     "lif_step": (1 + 5 * L) * windows}
     assert len(adds) == 6 * L * windows
     # add(name, count), positionally: a tracer reads the count argument
     assert all(len(args) == 2 and not kwargs for args, kwargs in adds)
@@ -291,17 +300,21 @@ def test_temporal_simulate_window_is_one_step_for_large_batches(monkeypatch):
 
     monkeypatch.setattr(model, "lif_step", counted)
     stack.temporal_simulate(tokens, 3)
-    assert windows == [1] * (1 + 7 * stack.cfg.num_layers) * 3
+    assert windows == [1] * (1 + 5 * stack.cfg.num_layers) * 3
 
 
 @pytest.mark.parametrize("mode", [QuantMode.FULL_PRECISION,
                                   QuantMode.BINARY_1BIT,
                                   QuantMode.TERNARY_158BIT],
                          ids=["fp", "1bit", "1.58bit"])
-@pytest.mark.parametrize("gamma", [1.0, 0.9])
+@pytest.mark.parametrize("gamma,lif", [
+    (1.0, {}), (0.9, {}), (1.0, {"v_th": 2.0}), (0.9, {"v_th": 2.0}),
+    (1.0, {"binary_output_scale": True})],
+    ids=["1.0", "0.9", "1.0-vth2", "0.9-vth2", "1.0-output-scale"])
 @pytest.mark.parametrize("batch", [False, True], ids=["seq", "B-seq"])
-def test_windowed_simulation_equals_step_major_oracle_bitwise(mode, gamma, batch):
-    stack = make_stack(seed=2, mode=mode, gamma=gamma)
+def test_windowed_simulation_equals_step_major_oracle_bitwise(mode, gamma, lif,
+                                                              batch):
+    stack = make_stack(seed=2, mode=mode, gamma=gamma, **lif)
     stack.freeze_quantization()
     tokens = np.array([[2, 4, 5, 6, 7], [3, 8, 9, 10, 1], [2, 2, 6, 5, 4]])
     if not batch:

@@ -8,7 +8,8 @@ from eqspike.numerics import ShapeError
 from eqspike.quantizer import (OpCounter, QuantizedLinear, QuantMode,
                                effective_weight_tensor, pack_codes,
                                quantize_1bit, quantize_158bit,
-                               quantized_forward, unpack_codes)
+                               quantized_forward, stack_pinned,
+                               unpack_codes)
 
 
 def test_binary_codes_and_alpha():
@@ -178,6 +179,30 @@ def test_op_counter_counts_spikes_times_nonzero_column_weights():
     expected = int((spikes.sum(axis=0) * nnz_col).sum())
     assert counter.per_layer["lin"] == expected
     assert counter.total == expected
+
+
+@pytest.mark.parametrize("mode,output_scale", [
+    (QuantMode.FULL_PRECISION, False), (QuantMode.BINARY_1BIT, False),
+    (QuantMode.BINARY_1BIT, True), (QuantMode.TERNARY_158BIT, False)],
+    ids=["fp", "1bit", "1bit-scaled", "1.58bit"])
+def test_stacked_layer_is_its_parts_bitwise(mode, output_scale):
+    # d = 64 and 20 x 12 rows: a shape at which one (., 64) @ (64, 192)
+    # matmul of real weights rounds differently from three (., 64) @ (64, 64)
+    rng = np.random.default_rng(8)
+    parts = [_layer(mode, rng, out_dim=64, in_dim=64,
+                    binary_output_scale=output_scale) for _ in range(3)]
+    spikes = rng.random((20, 12, 64)) < 0.4
+    stacked = stack_pinned(parts)
+    counter, want_counter = OpCounter(), OpCounter()
+    out = quantized_forward(stacked, spikes, counter, ("q", "k", "v"))
+    want = np.concatenate([quantized_forward(p, spikes, want_counter, nm)
+                           for p, nm in zip(parts, "qkv")], axis=-1)
+    np.testing.assert_array_equal(out, want)
+    assert list(counter.per_layer.items()) == \
+        list(want_counter.per_layer.items())
+    assert not any(p.frozen for p in parts)  # the parts are left as they were
+    with pytest.raises(ShapeError):
+        stack_pinned([parts[0], _layer(mode, rng, out_dim=32, in_dim=64)])
 
 
 def test_quantized_forward_rejects_bad_width():
