@@ -45,6 +45,9 @@ class KdConfig:
             self.loss_weights = [1.0] * len(self.layer_map)
         if len(self.loss_weights) != len(self.layer_map):
             raise KdConfigError("one loss weight per mapped pair required")
+        weights = np.asarray(self.loss_weights, dtype=np.float64)
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise KdConfigError("loss weights must be finite and >= 0")
 
     @classmethod
     def build(cls, student_dim: int, teacher_dim: int, num_student: int,
@@ -53,8 +56,11 @@ class KdConfig:
               loss_weights: list[float] | None = None) -> "KdConfig":
         layer_map = layer_map if layer_map is not None else \
             default_layer_map(num_student, num_teacher)
-        if max(layer_map) >= num_teacher:
-            raise KdConfigError("layer map exceeds teacher depth")
+        if len(layer_map) != num_student:
+            raise KdConfigError("one layer map entry per student block required")
+        if not all(isinstance(t, (int, np.integer)) and 0 <= t < num_teacher
+                   for t in layer_map):
+            raise KdConfigError("layer map entries must be teacher block indices")
         cfg = cls(layer_map=layer_map, loss_weights=loss_weights)
         for i in range(num_student):
             cfg.projections[f"kd.proj{i}"] = _init_projection(
@@ -109,12 +115,28 @@ class KdReport:
                     fh.write(f"{epoch},{j},{val:.12g},{total:.12g}\n")
 
 
-def kd_loss_builder(stack, teacher: TeacherModel, cfg: KdConfig):
+def _teacher_targets(teacher: TeacherModel):
+    """tokens -> the frozen teacher's per-block hiddens, one pass per batch."""
+    memo = {}
+
+    def targets(tokens):
+        key = (tokens.shape, tokens.dtype.str, tokens.tobytes())
+        if key not in memo:
+            memo[key] = teacher_forward(teacher, tokens)[0]
+            for hidden in memo[key]:  # shared by every use of this batch
+                hidden.flags.writeable = False
+        return memo[key]
+
+    return targets
+
+
+def kd_loss_builder(stack, teacher: TeacherModel, cfg: KdConfig, targets=None):
     """Loss builder for training_step: distillation only (stage 1)."""
+    targets = targets or _teacher_targets(teacher)
 
     def build(tokens, label, a_blocks, head_leaves):
-        hiddens, _ = teacher_forward(teacher, tokens)
-        total, per_pair = kd_loss(a_blocks, hiddens, cfg, proj_leaves=head_leaves)
+        total, per_pair = kd_loss(a_blocks, targets(tokens), cfg,
+                                  proj_leaves=head_leaves)
         return total, {"kd": float(total.data),
                        **{f"kd_pair{j}": v for j, v in enumerate(per_pair)}}
 
@@ -122,17 +144,18 @@ def kd_loss_builder(stack, teacher: TeacherModel, cfg: KdConfig):
 
 
 def evaluate_kd_loss(stack, teacher, dataset, cfg: KdConfig,
-                     solver_cfg: SolverConfig) -> tuple[float, list]:
+                     solver_cfg: SolverConfig,
+                     targets=None) -> tuple[float, list]:
     """Mean distillation loss over a dataset (no training).
 
-    One solve and one teacher pass per sequence length in the dataset.
+    One solve and at most one teacher pass per sequence length.
     """
+    targets = targets or _teacher_targets(teacher)
     total = 0.0
     pair_sum = None
     for tokens, _labels in stack_by_length(dataset):
         sol = solve_fixed_point(stack, tokens, solver_cfg)
-        hiddens, _ = teacher_forward(teacher, tokens)
-        t, per_pair = kd_loss(sol.asr_star, hiddens, cfg)
+        t, per_pair = kd_loss(sol.asr_star, targets(tokens), cfg)
         total += float(t.data)
         pair_sum = per_pair if pair_sum is None else \
             [a + b for a, b in zip(pair_sum, per_pair)]
@@ -147,18 +170,20 @@ def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
     """Stage-1 training: minimize the distillation loss over the dataset.
 
     The report's epoch 0 row holds the pre-training loss; with epochs=0 the
-    student is untouched and only that row is emitted.
+    student is untouched and only that row is emitted.  The steps and the
+    evaluations share one teacher pass per distinct stacked batch.
     """
     solver_cfg = solver_cfg or SolverConfig(tol=1e-8)
-    builder = kd_loss_builder(stack, teacher, cfg)
+    targets = _teacher_targets(teacher)
+    builder = kd_loss_builder(stack, teacher, cfg, targets)
     report = KdReport()
-    total, pairs = evaluate_kd_loss(stack, teacher, dataset, cfg, solver_cfg)
-    report.append(0, pairs, total)
-    for epoch in range(1, epochs + 1):
-        for start in range(0, len(dataset), batch_size):
-            batch = dataset[start:start + batch_size]
-            training_step(stack, batch, optimizer, loss_builder=builder,
-                          extra_params=cfg.projections)
-        total, pairs = evaluate_kd_loss(stack, teacher, dataset, cfg, solver_cfg)
+    for epoch in range(epochs + 1):
+        if epoch:  # epoch 0 reports the loss before any step
+            for start in range(0, len(dataset), batch_size):
+                batch = dataset[start:start + batch_size]
+                training_step(stack, batch, optimizer, loss_builder=builder,
+                              extra_params=cfg.projections)
+        total, pairs = evaluate_kd_loss(stack, teacher, dataset, cfg,
+                                        solver_cfg, targets)
         report.append(epoch, pairs, total)
     return report

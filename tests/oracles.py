@@ -6,7 +6,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from eqspike.autodiff import layer_norm
-from eqspike.model import spiking_attention
+from eqspike.distill import KdReport, evaluate_kd_loss, kd_loss_builder
+from eqspike.implicit_grad import training_step
+from eqspike.model import spiking_attention, teacher_forward
 from eqspike.neuron import LifConfig
 from eqspike.numerics import NumericError
 from eqspike.quantizer import quantized_forward
@@ -57,6 +59,30 @@ def dense_adjoint_solve(g: list, jacobian_vjp) -> list:
     return out
 
 
+def uncached_distillation(stack, teacher, dataset, epochs, cfg, optimizer,
+                          solver_cfg, batch_size=16):
+    """`distill.run_distillation` with a fresh teacher pass at every use.
+
+    Every training step and every evaluation group calls `teacher_forward`
+    again, as distillation did before its targets were shared per run.
+    """
+    def targets(tokens):
+        return teacher_forward(teacher, tokens)[0]
+
+    builder = kd_loss_builder(stack, teacher, cfg, targets)
+    report = KdReport()
+    for epoch in range(epochs + 1):
+        if epoch:
+            for start in range(0, len(dataset), batch_size):
+                training_step(stack, dataset[start:start + batch_size],
+                              optimizer, loss_builder=builder,
+                              extra_params=cfg.projections)
+        total, pairs = evaluate_kd_loss(stack, teacher, dataset, cfg,
+                                        solver_cfg, targets)
+        report.append(epoch, pairs, total)
+    return report
+
+
 # -- the step-major spike path: the reference for the windowed one --------
 
 @dataclass
@@ -100,13 +126,14 @@ class _StepAverage:
 
 
 def step_major_simulate(stack, tokens, T, counter=None, trace=None,
-                        trace_targets=None):
+                        trace_targets=None, membranes=None):
     """`EncoderStack.temporal_simulate` as one loop over timesteps.
 
     Each step runs every sublayer of every block once, in block order, with
     one `quantized_forward` per linear and one neuron update per layer.
     Returns (logits, ASR dict, spike-count dict) and fills `counter` and
-    `trace` as `temporal_simulate` does.
+    `trace` as `temporal_simulate` does; `membranes`, when given, gets each
+    layer's final membrane potential under its layer name.
     """
     cfg = stack.cfg
     lif = LifConfig(cfg.gamma, cfg.v_th)
@@ -164,6 +191,8 @@ def step_major_simulate(stack, tokens, T, counter=None, trace=None,
                 resid = abs(m - target) if target is not None else float("nan")
                 trace.append((t, name, m, resid))
 
+    if membranes is not None:
+        membranes.update((name, st.u) for name, st in layers.items())
     asrs = {name: st.asr() for name, st in layers.items()}
     final = asrs[f"blk{cfg.num_layers - 1}.out"]
     return stack.logits(final), asrs, spike_counts

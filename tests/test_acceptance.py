@@ -178,8 +178,12 @@ def test_quantization_ordering(training_grid):
     threshold = 0.85
     assert median >= threshold, (
         f"median ternary dev accuracy {median:.3f} below {threshold}")
+    per_seed = "; ".join(
+        f"seed {seed} {row['fp']:.3f}/{row['1.58bit']:.3f}/{row['1bit']:.3f}"
+        for seed, row in training_grid.items())
     report(f"quantization ordering: full >= ternary >= binary on {ordered}/5 "
-           f"seeds; median ternary dev accuracy {median:.3f} >= {threshold}")
+           f"seeds; median ternary dev accuracy {median:.3f} >= {threshold}; "
+           f"dev accuracy fp/1.58-bit/1-bit: {per_seed}")
 
 
 # -- 6. spike-weighted operation and energy accounting ------------------

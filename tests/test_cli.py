@@ -219,6 +219,25 @@ def test_distill_with_bad_gamma_is_config_error(workdir, artifacts, capsys):
     assert not os.path.exists(dest / "student_kd.json")
 
 
+@pytest.mark.parametrize("kd", [{"layer_map": [-1, 0]}, {"layer_map": [0.5, 1]},
+                                {"layer_map": [0]},
+                                {"loss_weights": [1.0, -1.0]}],
+                         ids=["negative-index", "float-index", "short-map",
+                              "negative-weight"])
+def test_distill_with_bad_kd_config_is_config_error(workdir, artifacts, capsys,
+                                                    kd):
+    root, _ = workdir
+    out, _ = artifacts
+    bad = root / "bad_kd.yaml"
+    bad.write_text(yaml.safe_dump({**SMALL_CFG, "kd": kd}))
+    dest = root / "bad_kd"
+    rc = main(["distill", "--config", str(bad), "--out", str(dest),
+               "--teacher", f"{out}/teacher.json"])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+    assert not os.path.exists(dest / "student_kd.json")
+
+
 def test_bad_quant_mode_is_config_error(workdir):
     root, _ = workdir
     bad = root / "badmode.yaml"

@@ -312,8 +312,8 @@ def test_temporal_simulate_window_is_one_step_for_large_batches(monkeypatch):
     (1.0, {"binary_output_scale": True})],
     ids=["1.0", "0.9", "1.0-vth2", "0.9-vth2", "1.0-output-scale"])
 @pytest.mark.parametrize("batch", [False, True], ids=["seq", "B-seq"])
-def test_windowed_simulation_equals_step_major_oracle_bitwise(mode, gamma, lif,
-                                                              batch):
+def test_windowed_simulation_equals_step_major_oracle_bitwise(
+        monkeypatch, mode, gamma, lif, batch):
     stack = make_stack(seed=2, mode=mode, gamma=gamma, **lif)
     stack.freeze_quantization()
     tokens = np.array([[2, 4, 5, 6, 7], [3, 8, 9, 10, 1], [2, 2, 6, 5, 4]])
@@ -321,14 +321,34 @@ def test_windowed_simulation_equals_step_major_oracle_bitwise(mode, gamma, lif,
         tokens = tokens[0]
     steps = model.WINDOW_ROWS // tokens.size  # steps per window
     targets = {"input": 0.5, "blk0.q": 0.25, "blk1.out": 0.75}
+    # the neuron layers temporal_simulate makes, in the order it makes them
+    states, make = [], model.LifLayerState.zeros
+
+    def zeros(cls, *args):
+        states.append(make(*args))
+        return states[-1]
+
+    monkeypatch.setattr(model.LifLayerState, "zeros", classmethod(zeros))
+    names = ["input"] + [f"blk{i}.{nm}" for i in range(stack.cfg.num_layers)
+                         for nm in ("qkv", "attn", "h1", "out", "int")]
     for T in (1, steps - 1, steps + 1, 200):
-        want_counter, want_trace = OpCounter(), []
+        want_counter, want_trace, want_u = OpCounter(), [], {}
         want = step_major_simulate(stack, tokens, T, counter=want_counter,
-                                   trace=want_trace, trace_targets=targets)
+                                   trace=want_trace, trace_targets=targets,
+                                   membranes=want_u)
         for tracing in (False, True):
             counter, trace = OpCounter(), [] if tracing else None
+            states.clear()
             got = stack.temporal_simulate(tokens, T, counter=counter,
                                           trace=trace, trace_targets=targets)
+            got_u = {}
+            for name, st in zip(names, states, strict=True):
+                parts = [name[:-3] + nm for nm in "qkv"] \
+                    if name.endswith("qkv") else [name]
+                got_u.update(zip(parts, np.split(st.u, len(parts), axis=-1)))
+            assert list(got_u) == list(want_u)
+            for name, u in want_u.items():
+                np.testing.assert_array_equal(got_u[name], u)
             np.testing.assert_array_equal(got[0], want[0])
             for g, w in zip(got[1:], want[1:]):
                 assert list(g) == list(w)
