@@ -8,6 +8,7 @@ records where in the training pipeline the artifact was produced.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -50,24 +51,18 @@ def save_student(stack: EncoderStack, stage: str, path):
     cfg = stack.cfg
     quant = {"mode": cfg.quant_mode.value, "layers": {}}
     if cfg.quant_mode is not QuantMode.FULL_PRECISION:
-        for i, blk in enumerate(stack.blocks):
-            for nm, lin in blk.linears().items():
-                # the codes and alpha/beta written come from one quantization
-                lin = lin.pinned()
-                codes = lin.codes()
-                quant["layers"][f"blk{i}.{nm}"] = {
-                    "alpha": lin.alpha, "beta": lin.beta,
-                    "shape": list(codes.shape),
-                    "codes": pack_codes(codes),
-                }
+        for name, lin in stack.linears.items():
+            # the codes and alpha/beta written come from one quantization
+            lin = lin.pinned()
+            codes = lin.codes()
+            quant["layers"][name] = {
+                "alpha": lin.alpha, "beta": lin.beta,
+                "shape": list(codes.shape),
+                "codes": pack_codes(codes),
+            }
     obj = {"format_version": FORMAT_VERSION, "kind": "student", "stage": stage,
-           "config": {"vocab_size": cfg.vocab_size, "hidden_dim": cfg.hidden_dim,
-                      "intermediate_dim": cfg.intermediate_dim,
-                      "num_heads": cfg.num_heads, "num_layers": cfg.num_layers,
-                      "max_len": cfg.max_len, "num_labels": cfg.num_labels,
-                      "quant_mode": cfg.quant_mode.value, "gamma": cfg.gamma,
-                      "v_th": cfg.v_th,
-                      "binary_output_scale": cfg.binary_output_scale},
+           "config": {**dataclasses.asdict(cfg),
+                      "quant_mode": cfg.quant_mode.value},
            "params": _params_to_json(stack.named_params()),
            "quant": quant}
     _dump(path, obj)
@@ -77,8 +72,8 @@ def _load(path, kind, build):
     """`build(obj)` for the JSON object of a `kind` checkpoint at `path`.
 
     A missing, mistyped or invalid field (a shape, a non-finite number, a
-    config the model rejects) is reported as a CheckpointError naming
-    `path`.
+    config that names other fields than the model's or values it rejects)
+    is reported as a CheckpointError naming `path`.
     """
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
@@ -98,42 +93,41 @@ def load_student(path):
     return _load(path, "student", _build_student)
 
 
+def _config(cls, blob):
+    """`cls` built from a checkpoint's config, which names exactly its fields."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    missing, unknown = fields - set(blob), set(blob) - fields
+    if missing or unknown:
+        raise CheckpointError(f"config must name exactly the {cls.__name__} "
+                              f"fields (missing {sorted(missing)}, unknown "
+                              f"{sorted(unknown)})")
+    return cls(**blob)
+
+
 def _build_student(obj):
-    c = obj["config"]
-    cfg = StackConfig(vocab_size=c["vocab_size"], hidden_dim=c["hidden_dim"],
-                      intermediate_dim=c["intermediate_dim"],
-                      num_heads=c["num_heads"], num_layers=c["num_layers"],
-                      max_len=c["max_len"], num_labels=c["num_labels"],
-                      quant_mode=QuantMode(c["quant_mode"]), gamma=c["gamma"],
-                      v_th=c["v_th"],
-                      binary_output_scale=c["binary_output_scale"])
-    stack = EncoderStack(cfg, np.random.default_rng(0))
+    stack = EncoderStack(_config(StackConfig, obj["config"]),
+                         np.random.default_rng(0))
     _params_from_json(stack.named_params(), obj["params"])
-    for i, blk in enumerate(stack.blocks):
-        for nm, lin in blk.linears().items():
-            key = f"blk{i}.{nm}"
-            entry = obj["quant"]["layers"].get(key)
-            if entry is None:
-                continue
-            shape = tuple(entry["shape"])
-            if shape != lin.latent_w.shape:
-                raise CheckpointError(f"quant entry {key}: shape {shape} vs "
-                                      f"{lin.latent_w.shape}")
-            alpha, beta = entry["alpha"], entry["beta"]
-            if not (math.isfinite(alpha) and math.isfinite(beta)):
-                raise CheckpointError(f"quant entry {key}: alpha/beta "
-                                      f"{alpha}/{beta} not finite")
-            lin.pin(unpack_codes(entry["codes"], shape), alpha, beta)
+    for key, lin in stack.linears.items():
+        entry = obj["quant"]["layers"].get(key)
+        if entry is None:
+            continue
+        shape = tuple(entry["shape"])
+        if shape != lin.latent_w.shape:
+            raise CheckpointError(f"quant entry {key}: shape {shape} vs "
+                                  f"{lin.latent_w.shape}")
+        alpha, beta = entry["alpha"], entry["beta"]
+        if not (math.isfinite(alpha) and math.isfinite(beta)):
+            raise CheckpointError(f"quant entry {key}: alpha/beta "
+                                  f"{alpha}/{beta} not finite")
+        lin.pin(unpack_codes(entry["codes"], shape), alpha, beta)
     return stack, obj["stage"]
 
 
 def save_teacher(teacher: TeacherModel, path, metrics: dict | None = None):
     cfg = teacher.cfg
     obj = {"format_version": FORMAT_VERSION, "kind": "teacher", "stage": "teacher",
-           "config": {"vocab_size": cfg.vocab_size, "hidden_dim": cfg.hidden_dim,
-                      "intermediate_dim": cfg.intermediate_dim,
-                      "num_heads": cfg.num_heads, "num_layers": cfg.num_layers,
-                      "max_len": cfg.max_len, "num_labels": cfg.num_labels},
+           "config": dataclasses.asdict(cfg),
            "params": _params_to_json(teacher.named_params()),
            "metrics": metrics or {}}
     _dump(path, obj)
@@ -144,11 +138,7 @@ def load_teacher(path):
 
 
 def _build_teacher(obj):
-    c = obj["config"]
-    cfg = TeacherConfig(vocab_size=c["vocab_size"], hidden_dim=c["hidden_dim"],
-                        intermediate_dim=c["intermediate_dim"],
-                        num_heads=c["num_heads"], num_layers=c["num_layers"],
-                        max_len=c["max_len"], num_labels=c["num_labels"])
-    teacher = TeacherModel(cfg, np.random.default_rng(0))
+    teacher = TeacherModel(_config(TeacherConfig, obj["config"]),
+                           np.random.default_rng(0))
     _params_from_json(teacher.named_params(), obj["params"])
     return teacher

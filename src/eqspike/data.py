@@ -25,7 +25,6 @@ class Example:
 class Corpus:
     examples: list
     label_names: list
-    split: str = "train"
 
     def __len__(self):
         return len(self.examples)
@@ -62,10 +61,6 @@ class Tokenizer:
         ids = ids[:self.max_len]
         ids += [PAD] * (self.max_len - len(ids))
         return np.asarray(ids, dtype=np.int64)
-
-    def decode(self, ids) -> list:
-        inv = {v: k for k, v in self.vocab.items()}
-        return [inv[int(i)] for i in ids]
 
 
 def _split(text: str) -> list:

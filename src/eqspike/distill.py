@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import stack_by_length
+from .data import batches, stack_by_length
 from .equilibrium import SolverConfig, solve_fixed_point
 from .implicit_grad import mse, training_step
 from .model import TeacherModel, teacher_forward
@@ -39,6 +39,9 @@ class KdConfig:
     loss_weights: list[float] = None
 
     def __post_init__(self):
+        if not all(isinstance(t, (int, np.integer)) and t >= 0
+                   for t in self.layer_map):
+            raise KdConfigError("layer map entries must be teacher block indices")
         if any(b > a for a, b in zip(self.layer_map[1:], self.layer_map[:-1])):
             raise KdConfigError("layer map must be nondecreasing")
         if self.loss_weights is None:
@@ -58,10 +61,9 @@ class KdConfig:
             default_layer_map(num_student, num_teacher)
         if len(layer_map) != num_student:
             raise KdConfigError("one layer map entry per student block required")
-        if not all(isinstance(t, (int, np.integer)) and 0 <= t < num_teacher
-                   for t in layer_map):
-            raise KdConfigError("layer map entries must be teacher block indices")
         cfg = cls(layer_map=layer_map, loss_weights=loss_weights)
+        if any(t >= num_teacher for t in layer_map):
+            raise KdConfigError("layer map entries must be teacher block indices")
         for i in range(num_student):
             cfg.projections[f"kd.proj{i}"] = _init_projection(
                 student_dim, teacher_dim, rng)
@@ -115,7 +117,7 @@ class KdReport:
                     fh.write(f"{epoch},{j},{val:.12g},{total:.12g}\n")
 
 
-def _teacher_targets(teacher: TeacherModel):
+def teacher_targets(teacher: TeacherModel):
     """tokens -> the frozen teacher's per-block hiddens, one pass per batch."""
     memo = {}
 
@@ -130,9 +132,12 @@ def _teacher_targets(teacher: TeacherModel):
     return targets
 
 
-def kd_loss_builder(stack, teacher: TeacherModel, cfg: KdConfig, targets=None):
-    """Loss builder for training_step: distillation only (stage 1)."""
-    targets = targets or _teacher_targets(teacher)
+def kd_loss_builder(cfg: KdConfig, targets):
+    """Loss builder for training_step: distillation only (stage 1).
+
+    `targets` maps stacked tokens to the teacher's hiddens, as
+    `teacher_targets` does.
+    """
 
     def build(tokens, label, a_blocks, head_leaves):
         total, per_pair = kd_loss(a_blocks, targets(tokens), cfg,
@@ -143,14 +148,12 @@ def kd_loss_builder(stack, teacher: TeacherModel, cfg: KdConfig, targets=None):
     return build
 
 
-def evaluate_kd_loss(stack, teacher, dataset, cfg: KdConfig,
-                     solver_cfg: SolverConfig,
-                     targets=None) -> tuple[float, list]:
+def evaluate_kd_loss(stack, dataset, cfg: KdConfig, solver_cfg: SolverConfig,
+                     targets) -> tuple[float, list]:
     """Mean distillation loss over a dataset (no training).
 
-    One solve and at most one teacher pass per sequence length.
+    One solve and one `targets` call per sequence length.
     """
-    targets = targets or _teacher_targets(teacher)
     total = 0.0
     pair_sum = None
     for tokens, _labels in stack_by_length(dataset):
@@ -174,16 +177,15 @@ def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
     evaluations share one teacher pass per distinct stacked batch.
     """
     solver_cfg = solver_cfg or SolverConfig(tol=1e-8)
-    targets = _teacher_targets(teacher)
-    builder = kd_loss_builder(stack, teacher, cfg, targets)
+    targets = teacher_targets(teacher)
+    builder = kd_loss_builder(cfg, targets)
     report = KdReport()
     for epoch in range(epochs + 1):
         if epoch:  # epoch 0 reports the loss before any step
-            for start in range(0, len(dataset), batch_size):
-                batch = dataset[start:start + batch_size]
+            for batch in batches(dataset, batch_size):
                 training_step(stack, batch, optimizer, loss_builder=builder,
                               extra_params=cfg.projections)
-        total, pairs = evaluate_kd_loss(stack, teacher, dataset, cfg,
-                                        solver_cfg, targets)
+        total, pairs = evaluate_kd_loss(stack, dataset, cfg, solver_cfg,
+                                        targets)
         report.append(epoch, pairs, total)
     return report

@@ -37,10 +37,6 @@ class TechnologyProfile:
     float_acc_pj: float = 0.9   # 45nm float accumulate
     int_acc_pj: float = 0.1     # 45nm integer accumulate (9x cheaper)
 
-    @property
-    def ratio(self):
-        return self.float_acc_pj / self.int_acc_pj
-
 
 @dataclass
 class EnergyReport:
@@ -61,41 +57,33 @@ def compute_ifr(stats: SpikeStats) -> dict:
             for name in stats.spike_totals}
 
 
-def norm_ops(stats: SpikeStats, op_table: list) -> float:
-    """Sum of IFR(driver) * ops(driven layer) over total ops.
-
-    `op_table` rows are (driving layer, driven op name, synaptic op count);
-    the final layer's outgoing term is naturally absent (it drives nothing).
-    """
-    ifr = compute_ifr(stats)
-    num = 0.0
-    den = 0.0
-    for driver, _name, ops in op_table:
-        if driver not in ifr:
-            raise EnergyConfigError(f"unknown driving layer {driver!r}")
-        num += ifr[driver] * ops
-        den += ops
-    return num / den if den else 0.0
-
-
 def energy_estimate(stats: SpikeStats, op_table: list, quantized: bool,
                     profile: TechnologyProfile | None = None) -> EnergyReport:
-    """Dynamic accumulate energy over a T-step inference run."""
+    """Dynamic accumulate energy over a T-step inference run.
+
+    `op_table` rows are (driving layer, driven op name, synaptic op count).
+    Norm#OPS is the sum of IFR(driver) * ops over the total ops; the final
+    layer's outgoing term is naturally absent (it drives nothing).
+    """
     profile = profile or TechnologyProfile()
     if profile.int_acc_pj <= 0 or profile.float_acc_pj <= 0:
         raise EnergyConfigError("technology profile energies must be positive")
     ifr = compute_ifr(stats)
     per_acc = profile.int_acc_pj if quantized else profile.float_acc_pj
     layer_ops, driven = {}, {}
+    num = den = 0.0
     for driver, name, ops in op_table:
         if driver not in ifr:
             raise EnergyConfigError(f"unknown driving layer {driver!r}")
+        rate_ops = ifr[driver] * ops
+        num += rate_ops
+        den += ops
         layer_ops[name] = layer_ops.get(name, 0) + ops
-        driven[name] = driven.get(name, 0.0) + ifr[driver] * ops * stats.T
+        driven[name] = driven.get(name, 0.0) + rate_ops * stats.T
     total = sum(driven.values()) * per_acc
     return EnergyReport(
         ifr=ifr, layer_ops=layer_ops, driven_ops=driven,
-        norm_ops=norm_ops(stats, op_table),
+        norm_ops=num / den if den else 0.0,
         total_energy_pj=total, acc_energy_pj=per_acc,
         metadata={"quantized": quantized,
                   "classifier_head_included": True,
@@ -107,28 +95,19 @@ def expected_accumulates(spike_counts: dict, stack) -> dict:
     """Per-linear accumulate counts implied by the spike log.
 
     Each (spiking input = 1, nonzero weight) pair is one accumulate;
-    ternary zero codes contribute nothing.  Must agree exactly with the
-    counts instrumented inside the inference kernel.
+    ternary zero codes contribute nothing.  A linear's spikes come from
+    its driving layer in `stack.linear_op_table`.  Must agree exactly with
+    the counts instrumented inside the inference kernel.
     """
     from .quantizer import QuantMode
 
-    driver_of = {}
-    for i, blk in enumerate(stack.blocks):
-        src = "input" if i == 0 else f"blk{i-1}.out"
-        driver_of[f"blk{i}.q"] = src
-        driver_of[f"blk{i}.k"] = src
-        driver_of[f"blk{i}.v"] = src
-        driver_of[f"blk{i}.o"] = f"blk{i}.attn"
-        driver_of[f"blk{i}.ff1"] = f"blk{i}.h1"
-        driver_of[f"blk{i}.ff2"] = f"blk{i}.int"
+    drivers = {name: src for src, name, _ops in stack.linear_op_table(1)}
     out = {}
-    for i, blk in enumerate(stack.blocks):
-        for nm, lin in blk.linears().items():
-            name = f"blk{i}.{nm}"
-            w = lin.codes() if lin.mode is not QuantMode.FULL_PRECISION \
-                else lin.latent_w
-            nnz_col = np.count_nonzero(w, axis=0)
-            counts = spike_counts[driver_of[name]]
-            out[name] = int((counts.reshape(-1, counts.shape[-1]).sum(axis=0)
-                             * nnz_col).sum())
+    for name, lin in stack.linears.items():
+        w = lin.codes() if lin.mode is not QuantMode.FULL_PRECISION \
+            else lin.latent_w
+        nnz_col = np.count_nonzero(w, axis=0)
+        counts = spike_counts[drivers[name]]
+        out[name] = int((counts.reshape(-1, counts.shape[-1]).sum(axis=0)
+                         * nnz_col).sum())
     return out

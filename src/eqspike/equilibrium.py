@@ -36,20 +36,16 @@ def solve_fixed_point(stack, tokens, cfg: SolverConfig) -> EquilibriumSolution:
     `sublayer_asr` then carry the leading batch axis.  Sentences do not
     interact, so a batch solve equals the per-sentence solves.
 
-    Block i reads only block i-1, so the sweep lands on the fixed point
-    exactly; `stack.rate_map` certifies it to `cfg.tol` from outside.  The
-    parameter leaves, each linear's effective weight (so an unfrozen stack
-    is quantized once per solve) and the encoding are built once.  Raises
-    NumericError on a non-finite rate.
+    The solve is `stack.sweep` untaped: block i reads only block i-1, so
+    it lands on the fixed point exactly; `stack.rate_map` certifies it to
+    `cfg.tol` from outside.  An unfrozen stack is quantized once per solve.
+    Raises NumericError on a non-finite rate.
     """
-    tokens = np.asarray(tokens, dtype=np.int64)
+    record = {}
     with no_grad():
-        leaves = stack.param_tensors()
-        a0 = stack.encoding(tokens, leaves)
-        record = {"input": a0.data}
-        rates = stack.sweep(a0, leaves, stack.effective_weights(leaves),
-                            record=record)
-    return EquilibriumSolution(asr_star=rates, sublayer_asr=record)
+        rates = stack.sweep(tokens, stack.param_tensors(), record)
+    return EquilibriumSolution(asr_star=[a.data for a in rates],
+                               sublayer_asr=record)
 
 
 def convergence_trace(stack, tokens, T: int, solver_cfg: SolverConfig | None = None):

@@ -62,18 +62,15 @@ def example_gradients(stack, tokens, label, loss_builder,
 
     `tokens` is (seq,) with an int `label`, or a stacked batch (B, seq)
     with labels (B,); gradients, loss and terms are then sums over the
-    batch.  Tapes one forward from the encoding through every block (the
-    sweep of `solve_fixed_point`, exact) and runs one backward from the
-    loss.  `loss_builder(tokens, label, a_blocks, head_leaves)` sees the
-    block outputs, (seq, d) or (B, seq, d), and the classifier and
-    `extra_params` leaves, and returns (loss Tensor, dict of floats).
+    batch.  Tapes `stack.sweep`, the forward of `solve_fixed_point` (exact),
+    and runs one backward from the loss; a non-finite rate raises
+    NumericError before the backward.  `loss_builder(tokens, label,
+    a_blocks, head_leaves)` sees the block outputs, (seq, d) or
+    (B, seq, d), and the classifier and `extra_params` leaves, and returns
+    (loss Tensor, dict of floats).
     """
     leaves = stack.param_tensors()
-    a = stack.encoding(tokens, leaves)
-    a_blocks = []
-    for i in range(stack.cfg.num_layers):
-        a = stack.block_forward(i, a, leaves)
-        a_blocks.append(a)
+    a_blocks = stack.sweep(tokens, leaves)
     extra = {name: Tensor(arr, requires_grad=True)
              for name, arr in extra_params.items()}
     head_leaves = {"cls.w": leaves["cls.w"], "cls.b": leaves["cls.b"], **extra}

@@ -46,10 +46,10 @@ class StackConfig:
     gamma: float = 1.0
     v_th: float = 1.0
     binary_output_scale: bool = False
-    ln_gain_init: float = 0.2
-    ln_bias_init: float = 0.5
 
     def __post_init__(self):
+        # a mode may arrive as its value, from a YAML config or a checkpoint
+        object.__setattr__(self, "quant_mode", QuantMode(self.quant_mode))
         if self.hidden_dim <= 0 or self.intermediate_dim <= 0 or self.num_heads <= 0:
             raise ValueError("dimensions must be positive")
         if self.hidden_dim % self.num_heads:
@@ -58,6 +58,10 @@ class StackConfig:
             raise ValueError("need at least one encoder layer")
         LifConfig(self.gamma, self.v_th)  # raises on a gamma or v_th out of range
 
+
+# The gain and bias every student layer norm starts from.
+LN_GAIN_INIT = 0.2
+LN_BIAS_INIT = 0.5
 
 # Neuron rows (batch x sequence positions) x timesteps in one window of
 # `EncoderStack.temporal_simulate`: 20 steps for one 12-token sentence, and
@@ -111,11 +115,14 @@ class EncoderStack:
                 o=_make_linear(rng, d, d, cfg.quant_mode, cfg.binary_output_scale),
                 ff1=_make_linear(rng, inter, d, cfg.quant_mode, cfg.binary_output_scale),
                 ff2=_make_linear(rng, d, inter, cfg.quant_mode, cfg.binary_output_scale),
-                ln1_g=np.full(d, cfg.ln_gain_init),
-                ln1_b=np.full(d, cfg.ln_bias_init),
-                ln2_g=np.full(d, cfg.ln_gain_init),
-                ln2_b=np.full(d, cfg.ln_bias_init),
+                ln1_g=np.full(d, LN_GAIN_INIT),
+                ln1_b=np.full(d, LN_BIAS_INIT),
+                ln2_g=np.full(d, LN_GAIN_INIT),
+                ln2_b=np.full(d, LN_BIAS_INIT),
             ))
+        # every quantized linear under its name "blk{i}.{nm}", in block order
+        self.linears = {f"blk{i}.{nm}": lin for i, blk in enumerate(self.blocks)
+                        for nm, lin in blk.linears().items()}
         # classifier head stays full precision
         self.cls_w = init_uniform(rng, cfg.num_labels, d)
         self.cls_b = np.zeros(cfg.num_labels)
@@ -124,10 +131,10 @@ class EncoderStack:
     def named_params(self) -> dict:
         out = {"tok_emb": self.tok_emb, "pos_emb": self.pos_emb,
                "cls.w": self.cls_w, "cls.b": self.cls_b}
+        for name, lin in self.linears.items():
+            out[f"{name}.w"] = lin.latent_w
+            out[f"{name}.b"] = lin.bias
         for i, blk in enumerate(self.blocks):
-            for name, lin in blk.linears().items():
-                out[f"blk{i}.{name}.w"] = lin.latent_w
-                out[f"blk{i}.{name}.b"] = lin.bias
             out[f"blk{i}.ln1_g"] = blk.ln1_g
             out[f"blk{i}.ln1_b"] = blk.ln1_b
             out[f"blk{i}.ln2_g"] = blk.ln2_g
@@ -140,15 +147,13 @@ class EncoderStack:
 
     def set_quant_mode(self, mode: QuantMode):
         self.cfg = dataclasses.replace(self.cfg, quant_mode=mode)
-        for blk in self.blocks:
-            for lin in blk.linears().values():
-                lin.mode = mode
-                lin.frozen_codes = lin.frozen_weight = lin.column_nnz = None
+        for lin in self.linears.values():
+            lin.mode = mode
+            lin.frozen_codes = lin.frozen_weight = lin.column_nnz = None
 
     def freeze_quantization(self):
-        for blk in self.blocks:
-            for lin in blk.linears().values():
-                lin.freeze()
+        for lin in self.linears.values():
+            lin.freeze()
 
     # -- steady-state (rate) path --------------------------------------
     # Rate tensors are (seq, d) for one sentence or (B, seq, d) for a
@@ -172,31 +177,25 @@ class EncoderStack:
         Built from the "blk{i}.{name}.w" leaves by `effective_weight_tensor`
         (quantized afresh unless the layer is frozen).
         """
-        return {f"blk{i}.{nm}": effective_weight_tensor(lin, leaves[f"blk{i}.{nm}.w"])
-                for i, blk in enumerate(self.blocks)
-                for nm, lin in blk.linears().items()}
+        return {name: effective_weight_tensor(lin, leaves[f"{name}.w"])
+                for name, lin in self.linears.items()}
 
-    def block_forward(self, i: int, a_prev: Tensor, leaves,
-                      record: dict | None = None,
-                      weights: dict | None = None) -> Tensor:
+    def block_forward(self, i: int, a_prev: Tensor, leaves, weights: dict,
+                      record: dict | None = None) -> Tensor:
         """Block i's rate equations on the block input `a_prev`.
 
-        Each linear is one `ad.linear` node and each spiking nonlinearity
-        one threshold `clip01(·, v_th)` node; with attention, the two layer
-        norms and the two residual adds, a block tapes 18 op nodes over its
-        16 parameter leaves (plus one straight-through view per quantized
-        linear).  `weights`, when given, holds the prebuilt
-        `effective_weights` of `leaves`; otherwise each linear's effective
-        weight is built here.
+        `weights` are the `effective_weights` of `leaves`.  Each linear is
+        one `ad.linear` node and each spiking nonlinearity one threshold
+        `clip01(·, v_th)` node; with attention, the two layer norms and the
+        two residual adds, a block tapes 18 op nodes over its 16 parameter
+        leaves (plus one straight-through view per quantized linear).
         """
         cfg = self.cfg
         vth = cfg.v_th
 
         def lin(name, x):
             key = f"blk{i}.{name}"
-            w = weights[key] if weights is not None else effective_weight_tensor(
-                self.blocks[i].linears()[name], leaves[f"{key}.w"])
-            return ad.linear(x, w, leaves[f"{key}.b"])
+            return ad.linear(x, weights[key], leaves[f"{key}.b"])
 
         aq = clip01(lin("q", a_prev), vth)
         ak = clip01(lin("k", a_prev), vth)
@@ -220,28 +219,35 @@ class EncoderStack:
             record[f"blk{i}.out"] = out.data
         return out
 
-    def sweep(self, a0: Tensor, leaves, weights: dict,
-              record: dict | None = None) -> list[np.ndarray]:
-        """The block outputs of one forward pass from the encoding a0.
+    def sweep(self, tokens, leaves, record: dict | None = None) -> list[Tensor]:
+        """The block outputs of one forward pass over `leaves`.
 
-        Block i reads only block i-1, so one pass in block order lands on
-        the fixed point of the rate equations.  `weights` are the
-        `effective_weights` of `leaves`.  Raises NumericError on a
-        non-finite rate.
+        The one rate-path forward: the equilibrium solve runs it untaped,
+        training on the tape.  Block i reads only block i-1, so one pass in
+        block order from the encoding lands on the fixed point of the rate
+        equations.  The encoding and each linear's effective weight are
+        built once.  `record`, when given, collects every spiking layer's
+        rates ("input" and per block).  Raises NumericError on a non-finite
+        rate.
         """
-        prev, rates = a0, []
+        prev = self.encoding(tokens, leaves)
+        if record is not None:
+            record["input"] = prev.data
+        weights = self.effective_weights(leaves)
+        outs = []
         for i in range(self.cfg.num_layers):
-            prev = self.block_forward(i, prev, leaves, record=record,
-                                      weights=weights)
-            rates.append(check_finite(prev.data, f"rates of block {i}"))
-        return rates
+            prev = self.block_forward(i, prev, leaves, weights, record)
+            check_finite(prev.data, f"rates of block {i}")
+            outs.append(prev)
+        return outs
 
     def rate_map(self, tokens, state: list[np.ndarray]) -> list[np.ndarray]:
         """The undamped Jacobi update f(state); fixed points satisfy f(a)=a."""
         with no_grad():
             leaves = self.param_tensors()
+            weights = self.effective_weights(leaves)
             inputs = [self.encoding(tokens, leaves)] + [Tensor(a) for a in state[:-1]]
-            return [self.block_forward(i, inputs[i], leaves).data
+            return [self.block_forward(i, inputs[i], leaves, weights).data
                     for i in range(self.cfg.num_layers)]
 
     def logits(self, final: np.ndarray) -> np.ndarray:

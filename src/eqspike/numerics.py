@@ -26,11 +26,9 @@ def check_finite(x, what="value"):
     return x
 
 
-def init_uniform(rng: np.random.Generator, rows: int, cols: int,
-                 fan_in: int | None = None) -> np.ndarray:
-    """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)]."""
-    fan = cols if fan_in is None else fan_in
-    bound = 1.0 / np.sqrt(fan)
+def init_uniform(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """Uniform init in [-1/sqrt(cols), +1/sqrt(cols)], cols being the fan-in."""
+    bound = 1.0 / np.sqrt(cols)
     return rng.uniform(-bound, bound, size=(rows, cols))
 
 

@@ -8,6 +8,7 @@ cross-entropy against the true labels.
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 import os
 
@@ -121,29 +122,26 @@ def make_dataset(cfg):
     else:
         train = synth_task(d["task"], d["train_size"], cfg["seed"])
         dev = synth_task(d["task"], d["dev_size"], cfg["seed"] + 1000)
-        dev.split = "dev"
     tokenizer = Tokenizer.build(train, max_len=cfg["model"]["max_len"])
     return tokenizer, encode_corpus(tokenizer, train), \
         encode_corpus(tokenizer, dev), train.label_names
 
 
 def build_student(cfg, tokenizer, quant_mode=None, num_labels=2) -> EncoderStack:
+    """The student of the config's `model` section, every key a StackConfig field."""
     m = cfg["model"]
-    mode = QuantMode(quant_mode or m["quant_mode"])
-    sc = StackConfig(vocab_size=tokenizer.vocab_size, hidden_dim=m["hidden_dim"],
-                     intermediate_dim=m["intermediate_dim"],
-                     num_heads=m["num_heads"], num_layers=m["num_layers"],
-                     max_len=m["max_len"], num_labels=num_labels,
-                     quant_mode=mode, gamma=m["gamma"], v_th=m["v_th"],
-                     binary_output_scale=m["binary_output_scale"])
+    sc = StackConfig(**{**m, "quant_mode": quant_mode or m["quant_mode"]},
+                     vocab_size=tokenizer.vocab_size, num_labels=num_labels)
     return EncoderStack(sc, np.random.default_rng(cfg["seed"]))
 
 
 def build_teacher(cfg, tokenizer, num_labels=2) -> TeacherModel:
+    """The teacher of the `teacher` section's TeacherConfig fields; its
+    sequence length is the student's."""
     t = cfg["teacher"]
-    tc = TeacherConfig(vocab_size=tokenizer.vocab_size, hidden_dim=t["hidden_dim"],
-                       intermediate_dim=t["intermediate_dim"],
-                       num_heads=t["num_heads"], num_layers=t["num_layers"],
+    shape = {f.name: t[f.name] for f in dataclasses.fields(TeacherConfig)
+             if f.name in t}
+    tc = TeacherConfig(**shape, vocab_size=tokenizer.vocab_size,
                        max_len=cfg["model"]["max_len"], num_labels=num_labels)
     return TeacherModel(tc, np.random.default_rng(cfg["seed"] + 1))
 
@@ -209,7 +207,7 @@ def distill_student(cfg, stack, teacher, train_items):
     return report, kd_cfg
 
 
-def finetune_student(cfg, stack, train_items, dev_items, epochs=None):
+def finetune_student(cfg, stack, train_items, dev_items):
     """Stage-2 cross-entropy fine-tuning; returns per-epoch dev accuracy.
 
     The parameters from the best-dev-accuracy epoch are restored at the
@@ -223,7 +221,7 @@ def finetune_student(cfg, stack, train_items, dev_items, epochs=None):
     history = []
     params = stack.named_params()
     best_acc, best_snapshot = -1.0, None
-    for epoch in range(1, (epochs or cfg["train"]["finetune_epochs"]) + 1):
+    for epoch in range(1, cfg["train"]["finetune_epochs"] + 1):
         for batch in batches(train_items, cfg["train"]["batch_size"]):
             training_step(stack, batch, adam, loss_builder=builder)
         acc = student_accuracy(stack, dev_items, scfg)
@@ -290,8 +288,7 @@ def energy_compare(cfg, stack_quant, stack_fp, eval_items, T):
             quantized=stack.cfg.quant_mode is not QuantMode.FULL_PRECISION,
             profile=profile)
         expected = expected_accumulates(counts_sum, stack)
-        out[tag] = {"report": report, "stats": stats, "counter": counter,
-                    "kernel_ops": dict(counter.per_layer),
+        out[tag] = {"report": report, "kernel_ops": dict(counter.per_layer),
                     "expected_ops": expected}
     nq = out["quantized"]["report"].norm_ops
     nf = out["full_precision"]["report"].norm_ops

@@ -69,7 +69,6 @@ class QuantizedLinear:
     mode: QuantMode = QuantMode.FULL_PRECISION
     alpha: float = 0.0
     beta: float = 0.0
-    epsilon: float = 1e-6
     binary_output_scale: bool = False
     frozen_codes: np.ndarray = field(default=None, repr=False)
     frozen_weight: np.ndarray = field(default=None, repr=False)
@@ -143,7 +142,7 @@ def _requantize(layer: QuantizedLinear, w: np.ndarray) -> np.ndarray:
         if layer.binary_output_scale:
             layer.beta = float(np.abs(w).mean())
     else:
-        q, layer.beta = quantize_158bit(w, layer.epsilon)
+        q, layer.beta = quantize_158bit(w)
     return q
 
 

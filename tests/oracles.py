@@ -69,7 +69,7 @@ def uncached_distillation(stack, teacher, dataset, epochs, cfg, optimizer,
     def targets(tokens):
         return teacher_forward(teacher, tokens)[0]
 
-    builder = kd_loss_builder(stack, teacher, cfg, targets)
+    builder = kd_loss_builder(cfg, targets)
     report = KdReport()
     for epoch in range(epochs + 1):
         if epoch:
@@ -77,8 +77,8 @@ def uncached_distillation(stack, teacher, dataset, epochs, cfg, optimizer,
                 training_step(stack, dataset[start:start + batch_size],
                               optimizer, loss_builder=builder,
                               extra_params=cfg.projections)
-        total, pairs = evaluate_kd_loss(stack, teacher, dataset, cfg,
-                                        solver_cfg, targets)
+        total, pairs = evaluate_kd_loss(stack, dataset, cfg, solver_cfg,
+                                        targets)
         report.append(epoch, pairs, total)
     return report
 

@@ -184,12 +184,16 @@ def _corrupt(obj, defect):
         obj["params"]["tok_emb"][CLS][0] = float("nan")
     elif defect == "inf-beta":
         obj["quant"]["layers"]["blk1.ff2"]["beta"] = float("inf")
+    elif defect == "unknown-field":
+        obj["config"]["bogus"] = 1
+    elif defect == "missing-gamma":
+        del obj["config"]["gamma"]
     else:
         obj["config"]["gamma"] = 2.0
 
 
 @pytest.mark.parametrize("defect", ["quant-shape", "nan-param", "inf-beta",
-                                    "gamma"])
+                                    "gamma", "unknown-field", "missing-gamma"])
 def test_invalid_student_checkpoint_is_config_error(workdir, artifacts, capsys,
                                                     defect):
     root, cfg = workdir

@@ -44,11 +44,6 @@ def test_tokenizer_lowercases():
     assert tok.encode("APPLE")[1] == tok.encode("apple")[1] != UNK
 
 
-def test_decode_roundtrip():
-    tok = Tokenizer.build(corpus_of(["a b"], [0]), max_len=6)
-    assert tok.decode(tok.encode("a b"))[:4] == ["[CLS]", "a", "b", "[SEP]"]
-
-
 def test_load_tsv_single_and_labels(tmp_path):
     p = tmp_path / "train.tsv"
     p.write_text("text_a\tlabel\nhello world\tpos\nbye\tneg\n")

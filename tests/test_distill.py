@@ -5,7 +5,8 @@ from eqspike import distill
 from eqspike.data import stack_by_length
 from eqspike.distill import (KdConfig, KdConfigError, KdReport,
                              _init_projection, default_layer_map,
-                             evaluate_kd_loss, kd_loss, run_distillation)
+                             evaluate_kd_loss, kd_loss, run_distillation,
+                             teacher_targets)
 from eqspike.equilibrium import SolverConfig
 from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
 from eqspike.numerics import AdamState
@@ -47,6 +48,14 @@ def test_build_rejects_non_index_teacher_entry(layer_map):
     with pytest.raises(KdConfigError, match="teacher block indices"):
         KdConfig.build(4, 4, 2, 2, np.random.default_rng(0),
                        layer_map=layer_map)
+
+
+@pytest.mark.parametrize("layer_map", [[-1, 0], [0.5, 1]],
+                         ids=["negative", "non-integer"])
+def test_constructor_rejects_non_index_teacher_entry(layer_map):
+    # neither check needs the depths that only `build` knows
+    with pytest.raises(KdConfigError, match="teacher block indices"):
+        KdConfig(layer_map=layer_map)
 
 
 @pytest.mark.parametrize("layer_map", [[0], [0, 1, 1]])
@@ -153,10 +162,11 @@ def test_evaluate_kd_loss_averages_over_dataset():
     stack, teacher = _tiny_pair(seed=6)
     cfg = KdConfig.build(8, 8, 2, 2, np.random.default_rng(0))
     data = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7]), 1)]
-    total, pairs = evaluate_kd_loss(stack, teacher, data, cfg,
-                                    SolverConfig(tol=1e-8))
-    singles = [evaluate_kd_loss(stack, teacher, [ex], cfg,
-                                SolverConfig(tol=1e-8))[0] for ex in data]
+    targets = teacher_targets(teacher)
+    total, pairs = evaluate_kd_loss(stack, data, cfg, SolverConfig(tol=1e-8),
+                                    targets)
+    singles = [evaluate_kd_loss(stack, [ex], cfg, SolverConfig(tol=1e-8),
+                                targets)[0] for ex in data]
     assert total == pytest.approx(np.mean(singles))
     assert len(pairs) == 2
 

@@ -3,8 +3,7 @@ import pytest
 
 from eqspike import pipeline as pl
 from eqspike.energy import (EnergyConfigError, SpikeStats, TechnologyProfile,
-                            compute_ifr, energy_estimate, expected_accumulates,
-                            norm_ops)
+                            compute_ifr, energy_estimate, expected_accumulates)
 from eqspike.model import EncoderStack, StackConfig
 from eqspike.quantizer import OpCounter, QuantMode
 
@@ -39,16 +38,18 @@ def test_norm_ops_weighted_fraction():
     stats = hand_stats()
     table = [("a", "lin1", 100), ("b", "lin2", 300)]
     # (0.5*100 + 0.25*300) / 400 = 0.3125
-    assert norm_ops(stats, table) == pytest.approx(0.3125)
+    assert energy_estimate(stats, table, quantized=True).norm_ops == \
+        pytest.approx(0.3125)
 
 
 def test_norm_ops_rejects_unknown_driver():
     with pytest.raises(EnergyConfigError):
-        norm_ops(hand_stats(), [("missing", "lin", 10)])
+        energy_estimate(hand_stats(), [("missing", "lin", 10)], quantized=True)
 
 
 def test_technology_profile_default_ratio_is_nine():
-    assert TechnologyProfile().ratio == pytest.approx(9.0)
+    profile = TechnologyProfile()
+    assert profile.float_acc_pj / profile.int_acc_pj == pytest.approx(9.0)
 
 
 def test_energy_estimate_quantized_vs_float():

@@ -3,7 +3,7 @@ import pytest
 
 from eqspike import autodiff as ad
 from eqspike.autodiff import Tensor
-from eqspike.distill import KdConfig, kd_loss_builder
+from eqspike.distill import KdConfig, kd_loss_builder, teacher_targets
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
 from eqspike.implicit_grad import (ce_loss_builder, example_gradients, mse,
                                    training_step)
@@ -41,7 +41,9 @@ def oracle_gradients(stack, tokens, label, loss_builder, extra_params):
     leaves = stack.param_tensors()
     state = [Tensor(a.copy(), requires_grad=True) for a in sol.asr_star[:-1]]
     inputs = [stack.encoding(tokens, leaves)] + state
-    outputs = [stack.block_forward(i, x, leaves) for i, x in enumerate(inputs)]
+    weights = stack.effective_weights(leaves)
+    outputs = [stack.block_forward(i, x, leaves, weights)
+               for i, x in enumerate(inputs)]
 
     def jacobian_vjp(v):
         ad.backward(outputs, v)
@@ -64,7 +66,7 @@ def kd_builder(stack):
     kd = KdConfig.build(stack.cfg.hidden_dim, teacher.cfg.hidden_dim,
                         stack.cfg.num_layers, teacher.cfg.num_layers,
                         np.random.default_rng(10))
-    return kd_loss_builder(stack, teacher, kd), kd.projections
+    return kd_loss_builder(kd, teacher_targets(teacher)), kd.projections
 
 
 @pytest.mark.parametrize("mode", list(QuantMode), ids=lambda m: m.value)

@@ -404,7 +404,7 @@ def test_block_forward_tapes_one_node_per_fused_op():
     stack = pl.build_student(cfg, tok, num_labels=len(labels))
     leaves = stack.param_tensors()
     enc = stack.encoding(train[0][0], leaves)
-    out = stack.block_forward(0, enc, leaves)
+    out = stack.block_forward(0, enc, leaves, stack.effective_weights(leaves))
     below = {id(n) for n in ad._toposort([enc])}
     nodes = [n for n in ad._toposort([out]) if id(n) not in below]
     # 16 parameter leaves, 6 straight-through weight views, and 18 ops:

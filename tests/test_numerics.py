@@ -24,9 +24,6 @@ def test_init_uniform_bounds_and_determinism():
     np.testing.assert_array_equal(w1, w2)
     bound = 1.0 / np.sqrt(16)
     assert np.all(np.abs(w1) <= bound)
-    # explicit fan_in overrides the column count
-    w3 = init_uniform(np.random.default_rng(7), 50, 16, fan_in=4)
-    assert np.max(np.abs(w3)) > bound
 
 
 def test_adam_first_step_is_lr_sized():
