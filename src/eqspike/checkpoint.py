@@ -25,7 +25,8 @@ class CheckpointError(ValueError):
     pass
 
 
-def _dump(path, obj):
+def write_json(path, obj):
+    """`obj` as compact JSON with sorted keys, one line."""
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
@@ -65,7 +66,7 @@ def save_student(stack: EncoderStack, stage: str, path):
                       "quant_mode": cfg.quant_mode.value},
            "params": _params_to_json(stack.named_params()),
            "quant": quant}
-    _dump(path, obj)
+    write_json(path, obj)
 
 
 def _load(path, kind, build):
@@ -130,7 +131,7 @@ def save_teacher(teacher: TeacherModel, path, metrics: dict | None = None):
            "config": dataclasses.asdict(cfg),
            "params": _params_to_json(teacher.named_params()),
            "metrics": metrics or {}}
-    _dump(path, obj)
+    write_json(path, obj)
 
 
 def load_teacher(path):

@@ -14,7 +14,7 @@ import sys
 
 from . import pipeline as pl
 from .checkpoint import (CheckpointError, load_student, load_teacher,
-                         save_student, save_teacher)
+                         save_student, save_teacher, write_json)
 from .equilibrium import write_trace_csv
 from .numerics import NumericError
 from .pipeline import ConfigError
@@ -26,13 +26,13 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 
 
-def _common(parser):
+def _common(parser, timesteps=False):
     parser.add_argument("--config", default=None, help="YAML config file")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--quant", choices=sorted(m.value for m in QuantMode),
-                        default=None, help="weight quantization mode")
-    parser.add_argument("--timesteps", type=int, default=None)
+    if timesteps:
+        parser.add_argument("--timesteps", type=int, default=None,
+                            help="simulated LIF timesteps")
 
 
 def _load_cfg(args) -> dict:
@@ -41,9 +41,9 @@ def _load_cfg(args) -> dict:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["out_dir"] = args.out
-    if args.quant is not None:
+    if getattr(args, "quant", None) is not None:
         overrides.setdefault("model", {})["quant_mode"] = args.quant
-    if args.timesteps is not None:
+    if getattr(args, "timesteps", None) is not None:
         overrides.setdefault("energy", {})["timesteps"] = args.timesteps
     cfg = pl.load_config(args.config, overrides)
     os.makedirs(cfg["out_dir"], exist_ok=True)
@@ -61,8 +61,8 @@ def cmd_train_teacher(args):
     metrics = pl.train_teacher(cfg, teacher, train_items, dev_items)
     save_teacher(teacher, _out(cfg, "teacher.json"), metrics={
         "dev_accuracy": metrics["dev_accuracy"]})
-    pl.write_json(_out(cfg, "teacher_metrics.json"),
-                  {"dev_accuracy": metrics["dev_accuracy"]})
+    write_json(_out(cfg, "teacher_metrics.json"),
+               {"dev_accuracy": metrics["dev_accuracy"]})
     print(f"teacher dev accuracy {metrics['dev_accuracy']:.3f}")
     return EXIT_OK
 
@@ -93,7 +93,7 @@ def cmd_finetune(args):
     history = pl.finetune_student(cfg, stack, train_items, dev_items)
     stack.freeze_quantization()
     save_student(stack, "finetuned", _out(cfg, "student_finetuned.json"))
-    pl.write_json(_out(cfg, "finetune_metrics.json"), {"history": history})
+    write_json(_out(cfg, "finetune_metrics.json"), {"history": history})
     print(f"final dev accuracy {history[-1]['dev_accuracy']:.3f}")
     return EXIT_OK
 
@@ -106,7 +106,7 @@ def cmd_simulate(args):
     tokens = dev_items[0][0]
     rows, summary = pl.simulate(cfg, stack, tokens, T)
     write_trace_csv(_out(cfg, "trace.csv"), rows)
-    pl.write_json(_out(cfg, "simulate_summary.json"), summary)
+    write_json(_out(cfg, "simulate_summary.json"), summary)
     print(f"max mean-abs deviation from equilibrium "
           f"{summary['max_mean_abs_deviation']:.4f} at T={T}")
     return EXIT_OK
@@ -122,8 +122,7 @@ def cmd_energy(args):
     T = cfg["energy"]["timesteps"]
     result = pl.energy_compare(cfg, stack_q, stack_f,
                                dev_items[:args.eval_size], T)
-    pl.write_json(_out(cfg, "energy_report.json"),
-                  pl.energy_report_json(result))
+    write_json(_out(cfg, "energy_report.json"), pl.energy_report_json(result))
     ratio = result["norm_ops_ratio"]
     print("Norm#OPS ratio quantized/full-precision: "
           + ("undefined" if ratio is None else f"{ratio:.4f}"))
@@ -135,8 +134,7 @@ def cmd_eval(args):
     _tok, _train, dev_items, _labels = pl.make_dataset(cfg)
     stack, stage = load_student(args.student)
     acc = pl.student_accuracy(stack, dev_items, pl.solver_config(cfg))
-    pl.write_json(_out(cfg, "eval_metrics.json"),
-                  {"dev_accuracy": acc, "stage": stage})
+    write_json(_out(cfg, "eval_metrics.json"), {"dev_accuracy": acc, "stage": stage})
     print(f"dev accuracy {acc:.3f}")
     return EXIT_OK
 
@@ -154,6 +152,8 @@ def build_parser():
     p = sub.add_parser("distill", help="stage-1 intermediate-layer KD")
     _common(p)
     p.add_argument("--teacher", required=True, help="teacher checkpoint")
+    p.add_argument("--quant", choices=sorted(m.value for m in QuantMode),
+                   default=None, help="weight quantization mode")
     p.set_defaults(fn=cmd_distill)
 
     p = sub.add_parser("finetune", help="stage-2 cross-entropy fine-tuning")
@@ -164,12 +164,12 @@ def build_parser():
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("simulate", help="temporal convergence trace")
-    _common(p)
+    _common(p, timesteps=True)
     p.add_argument("--student", required=True)
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("energy", help="energy report, quantized vs full precision")
-    _common(p)
+    _common(p, timesteps=True)
     p.add_argument("--quant-ckpt", required=True)
     p.add_argument("--fp-ckpt", required=True)
     p.add_argument("--eval-size", type=int, default=4)

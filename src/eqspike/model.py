@@ -50,13 +50,41 @@ class StackConfig:
     def __post_init__(self):
         # a mode may arrive as its value, from a YAML config or a checkpoint
         object.__setattr__(self, "quant_mode", QuantMode(self.quant_mode))
-        if self.hidden_dim <= 0 or self.intermediate_dim <= 0 or self.num_heads <= 0:
-            raise ValueError("dimensions must be positive")
-        if self.hidden_dim % self.num_heads:
-            raise ValueError("hidden_dim must be divisible by num_heads")
-        if self.num_layers < 1:
-            raise ValueError("need at least one encoder layer")
+        _check_shape(self)
         LifConfig(self.gamma, self.v_th)  # raises on a gamma or v_th out of range
+
+
+def _check_shape(cfg):
+    """Raises ValueError on a block shape no encoder can take."""
+    if cfg.hidden_dim <= 0 or cfg.intermediate_dim <= 0 or cfg.num_heads <= 0:
+        raise ValueError("dimensions must be positive")
+    if cfg.hidden_dim % cfg.num_heads:
+        raise ValueError("hidden_dim must be divisible by num_heads")
+    if cfg.num_layers < 1:
+        raise ValueError("need at least one encoder layer")
+
+
+def _add_blocks(params: dict, cfg, rng, ln_gain: float, ln_bias: float) -> list:
+    """Adds every block's parameters to `params`; returns its linears' names.
+
+    Block i's linear nm is "blk{i}.{nm}", for nm in q, k, v, o, ff1, ff2:
+    a weight ".w" of shape (out, in), drawn in that order, and a zero bias
+    ".b".  Its layer norms "blk{i}.ln1_g" ... "blk{i}.ln2_b" start at gain
+    `ln_gain` and bias `ln_bias`.
+    """
+    d, inter = cfg.hidden_dim, cfg.intermediate_dim
+    names = []
+    for i in range(cfg.num_layers):
+        for nm, (rows, cols) in {"q": (d, d), "k": (d, d), "v": (d, d),
+                                 "o": (d, d), "ff1": (inter, d),
+                                 "ff2": (d, inter)}.items():
+            names.append(f"blk{i}.{nm}")
+            params[names[-1] + ".w"] = init_uniform(rng, rows, cols)
+            params[names[-1] + ".b"] = np.zeros(rows)
+        for ln in ("ln1", "ln2"):
+            params[f"blk{i}.{ln}_g"] = np.full(d, ln_gain)
+            params[f"blk{i}.{ln}_b"] = np.full(d, ln_bias)
+    return names
 
 
 # The gain and bias every student layer norm starts from.
@@ -71,79 +99,33 @@ LN_BIAS_INIT = 0.5
 WINDOW_ROWS = 240
 
 
-@dataclass
-class EncoderBlock:
-    q: QuantizedLinear
-    k: QuantizedLinear
-    v: QuantizedLinear
-    o: QuantizedLinear
-    ff1: QuantizedLinear
-    ff2: QuantizedLinear
-    ln1_g: np.ndarray
-    ln1_b: np.ndarray
-    ln2_g: np.ndarray
-    ln2_b: np.ndarray
-
-    def linears(self):
-        return {"q": self.q, "k": self.k, "v": self.v, "o": self.o,
-                "ff1": self.ff1, "ff2": self.ff2}
-
-
-def _make_linear(rng, out_dim, in_dim, mode, binary_output_scale):
-    return QuantizedLinear(
-        latent_w=init_uniform(rng, out_dim, in_dim),
-        bias=np.zeros(out_dim),
-        mode=mode,
-        binary_output_scale=binary_output_scale,
-    )
-
-
 class EncoderStack:
     """Quantized spiking encoder with embedding and full-precision head."""
 
     def __init__(self, cfg: StackConfig, rng: np.random.Generator):
         self.cfg = cfg
-        d, inter = cfg.hidden_dim, cfg.intermediate_dim
-        self.tok_emb = rng.uniform(-0.25, 0.25, size=(cfg.vocab_size, d))
-        self.pos_emb = rng.uniform(-0.25, 0.25, size=(cfg.max_len, d))
-        self.blocks = []
-        for _ in range(cfg.num_layers):
-            self.blocks.append(EncoderBlock(
-                q=_make_linear(rng, d, d, cfg.quant_mode, cfg.binary_output_scale),
-                k=_make_linear(rng, d, d, cfg.quant_mode, cfg.binary_output_scale),
-                v=_make_linear(rng, d, d, cfg.quant_mode, cfg.binary_output_scale),
-                o=_make_linear(rng, d, d, cfg.quant_mode, cfg.binary_output_scale),
-                ff1=_make_linear(rng, inter, d, cfg.quant_mode, cfg.binary_output_scale),
-                ff2=_make_linear(rng, d, inter, cfg.quant_mode, cfg.binary_output_scale),
-                ln1_g=np.full(d, LN_GAIN_INIT),
-                ln1_b=np.full(d, LN_BIAS_INIT),
-                ln2_g=np.full(d, LN_GAIN_INIT),
-                ln2_b=np.full(d, LN_BIAS_INIT),
-            ))
-        # every quantized linear under its name "blk{i}.{nm}", in block order
-        self.linears = {f"blk{i}.{nm}": lin for i, blk in enumerate(self.blocks)
-                        for nm, lin in blk.linears().items()}
+        d = cfg.hidden_dim
+        p = self.params = {
+            "tok_emb": rng.uniform(-0.25, 0.25, size=(cfg.vocab_size, d)),
+            "pos_emb": rng.uniform(-0.25, 0.25, size=(cfg.max_len, d))}
+        names = _add_blocks(p, cfg, rng, LN_GAIN_INIT, LN_BIAS_INIT)
         # classifier head stays full precision
-        self.cls_w = init_uniform(rng, cfg.num_labels, d)
-        self.cls_b = np.zeros(cfg.num_labels)
+        p["cls.w"] = init_uniform(rng, cfg.num_labels, d)
+        p["cls.b"] = np.zeros(cfg.num_labels)
+        # every quantized linear under its name, holding its ".w"/".b" arrays
+        self.linears = {k: QuantizedLinear(
+            p[k + ".w"], p[k + ".b"], mode=cfg.quant_mode,
+            binary_output_scale=cfg.binary_output_scale) for k in names}
+        # every parameter is updated in place, so these stay its entries
+        self.tok_emb, self.pos_emb = p["tok_emb"], p["pos_emb"]
+        self.cls_w, self.cls_b = p["cls.w"], p["cls.b"]
 
     # -- parameter plumbing --------------------------------------------
     def named_params(self) -> dict:
-        out = {"tok_emb": self.tok_emb, "pos_emb": self.pos_emb,
-               "cls.w": self.cls_w, "cls.b": self.cls_b}
-        for name, lin in self.linears.items():
-            out[f"{name}.w"] = lin.latent_w
-            out[f"{name}.b"] = lin.bias
-        for i, blk in enumerate(self.blocks):
-            out[f"blk{i}.ln1_g"] = blk.ln1_g
-            out[f"blk{i}.ln1_b"] = blk.ln1_b
-            out[f"blk{i}.ln2_g"] = blk.ln2_g
-            out[f"blk{i}.ln2_b"] = blk.ln2_b
-        return out
+        return self.params
 
     def param_tensors(self) -> dict:
-        return {k: Tensor(v, requires_grad=True)
-                for k, v in self.named_params().items()}
+        return {k: Tensor(v, requires_grad=True) for k, v in self.params.items()}
 
     def set_quant_mode(self, mode: QuantMode):
         self.cfg = dataclasses.replace(self.cfg, quant_mode=mode)
@@ -289,18 +271,17 @@ class EncoderStack:
         """
         if T < 1:
             raise ValueError("T must be >= 1")
-        cfg = self.cfg
+        cfg, p = self.cfg, self.params
         lif = LifConfig(cfg.gamma, cfg.v_th)
-        drive = self.encoding(tokens, {"tok_emb": self.tok_emb,
-                                       "pos_emb": self.pos_emb}).data
+        drive = self.encoding(tokens, p).data
         layers = {"input": LifLayerState.zeros(drive.shape, cfg.gamma)}
         parts = {"input": ("input",)}  # per neuron layer, the layers it reports
         d, inter = cfg.hidden_dim, cfg.intermediate_dim
-        # per block: its layer-name prefix, its stacked q/k/v linear, the
-        # block with its other linears pinned, the residual averages and the
-        # telescoped surrogates
+        # per block: its layer-name prefix, its stacked q/k/v linear, its
+        # other linears pinned, the residual averages and the telescoped
+        # surrogates
         runs = []
-        for i, blk in enumerate(self.blocks):
+        for i in range(cfg.num_layers):
             pre = f"blk{i}."
             for nm, width in (("qkv", 3 * d), ("attn", d), ("h1", d),
                               ("out", d), ("int", inter)):
@@ -308,9 +289,10 @@ class EncoderStack:
                     drive.shape[:-1] + (width,), cfg.gamma)
                 parts[pre + nm] = (pre + nm,)
             parts[pre + "qkv"] = (pre + "q", pre + "k", pre + "v")
-            pinned = {nm: getattr(blk, nm).pinned() for nm in ("o", "ff1", "ff2")}
-            runs.append((pre, stack_pinned((blk.q, blk.k, blk.v)),
-                         dataclasses.replace(blk, **pinned),
+            runs.append((pre, stack_pinned([self.linears[pre + nm]
+                                            for nm in ("q", "k", "v")]),
+                         {nm: self.linears[pre + nm].pinned()
+                          for nm in ("o", "ff1", "ff2")},
                          RunningAverage(cfg.gamma), RunningAverage(cfg.gamma),
                          {nm: _Telescoped() for nm in ("attn", "h1", "out")}))
         tracing = trace is not None
@@ -332,28 +314,29 @@ class EncoderStack:
                     means[part] = a.reshape(len(a), -1).mean(axis=1)
             return spikes, asrs
 
-        def block(pre, qkv, blk, r1_avg, r2_avg, tele, s_in):
+        def block(pre, qkv, pinned, r1_avg, r2_avg, tele, s_in):
             """Advance a block over the window; its output spikes.
 
             Each window-sized intermediate is passed straight on, so that
             few of them are alive at once.
             """
             def linear(nm, x):  # the currents of linear nm under spikes x
-                return quantized_forward(getattr(blk, nm), x, counter, pre + nm)
+                return quantized_forward(pinned[nm], x, counter, pre + nm)
 
             def surrogate(nm, phi):  # the spikes of the neurons behind phi
                 return fire(pre + nm, tele[nm](phi, steps))[0]
+
+            def norm(ln, r):  # layer norm ln of the residual average r
+                return layer_norm(r, p[pre + ln + "_g"], p[pre + ln + "_b"]).data
 
             _, aqkv = fire(pre + "qkv", quantized_forward(
                 qkv, s_in, counter, parts[pre + "qkv"]), True)
             sa = surrogate("attn", spiking_attention(
                 *np.split(aqkv, 3, axis=-1), cfg.num_heads).data)
             del aqkv
-            sh = surrogate("h1", layer_norm(r1_avg.push(linear("o", sa) + s_in),
-                                            blk.ln1_g, blk.ln1_b).data)
+            sh = surrogate("h1", norm("ln1", r1_avg.push(linear("o", sa) + s_in)))
             si, _ = fire(pre + "int", linear("ff1", sh))
-            return surrogate("out", layer_norm(r2_avg.push(linear("ff2", si) + sh),
-                                               blk.ln2_g, blk.ln2_b).data)
+            return surrogate("out", norm("ln2", r2_avg.push(linear("ff2", si) + sh)))
 
         reported = [part for names in parts.values() for part in names]
         for t0 in range(0, T, step):
@@ -508,8 +491,7 @@ class TeacherConfig:
     num_labels: int = 2
 
     def __post_init__(self):
-        if self.hidden_dim % self.num_heads:
-            raise ValueError("hidden_dim must be divisible by num_heads")
+        _check_shape(self)
 
 
 class TeacherModel:
@@ -517,21 +499,12 @@ class TeacherModel:
 
     def __init__(self, cfg: TeacherConfig, rng: np.random.Generator):
         self.cfg = cfg
-        d, inter = cfg.hidden_dim, cfg.intermediate_dim
+        d = cfg.hidden_dim
         self.params = {"tok_emb": rng.uniform(-0.1, 0.1, size=(cfg.vocab_size, d)),
                        "pos_emb": rng.uniform(-0.1, 0.1, size=(cfg.max_len, d)),
                        "cls.w": init_uniform(rng, cfg.num_labels, d),
                        "cls.b": np.zeros(cfg.num_labels)}
-        for i in range(cfg.num_layers):
-            for nm, (o, ii) in {"q": (d, d), "k": (d, d), "v": (d, d),
-                                "o": (d, d), "ff1": (inter, d),
-                                "ff2": (d, inter)}.items():
-                self.params[f"blk{i}.{nm}.w"] = init_uniform(rng, o, ii)
-                self.params[f"blk{i}.{nm}.b"] = np.zeros(o)
-            self.params[f"blk{i}.ln1_g"] = np.ones(d)
-            self.params[f"blk{i}.ln1_b"] = np.zeros(d)
-            self.params[f"blk{i}.ln2_g"] = np.ones(d)
-            self.params[f"blk{i}.ln2_b"] = np.zeros(d)
+        _add_blocks(self.params, cfg, rng, 1.0, 0.0)
 
     def named_params(self) -> dict:
         return self.params

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import copy
 import dataclasses
-import json
 import os
 
 import numpy as np
@@ -20,8 +19,7 @@ from .data import (Tokenizer, batches, encode_corpus, load_tsv, stack_by_length,
                    synth_task)
 from .distill import KdConfig, run_distillation
 from .equilibrium import SolverConfig, convergence_trace, solve_fixed_point
-from .energy import (SpikeStats, TechnologyProfile, energy_estimate,
-                     expected_accumulates)
+from .energy import SpikeStats, energy_estimate, expected_accumulates
 from .implicit_grad import ce_loss_builder, training_step
 from .model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
 from .numerics import AdamState, ShapeError, adam_step_many, check_finite
@@ -62,8 +60,6 @@ def default_config() -> dict:
             "batch_size": 16,
             "kd_epochs": 12,
             "finetune_epochs": 17,
-            "adam_beta1": 0.9,
-            "adam_beta2": 0.999,
         },
         "kd": {"layer_map": None, "loss_weights": None},
         "data": {
@@ -72,7 +68,7 @@ def default_config() -> dict:
             "dev_size": 64,
             "path": None,
         },
-        "energy": {"float_acc_pj": 0.9, "int_acc_pj": 0.1, "timesteps": 200},
+        "energy": {"timesteps": 200},
     }
 
 
@@ -157,8 +153,7 @@ def teacher_accuracy(teacher, items) -> float:
 
 def train_teacher(cfg, teacher, train_items, dev_items) -> dict:
     t = cfg["teacher"]
-    adam = AdamState(lr=t["lr"], beta1=cfg["train"]["adam_beta1"],
-                     beta2=cfg["train"]["adam_beta2"])
+    adam = AdamState(lr=t["lr"])
     history = []
     for epoch in range(1, t["epochs"] + 1):
         for batch in batches(train_items, t["batch_size"]):
@@ -198,8 +193,7 @@ def distill_student(cfg, stack, teacher, train_items):
                             stack.cfg.num_layers, teacher.cfg.num_layers, rng,
                             layer_map=cfg["kd"]["layer_map"],
                             loss_weights=cfg["kd"]["loss_weights"])
-    adam = AdamState(lr=cfg["train"]["lr"], beta1=cfg["train"]["adam_beta1"],
-                     beta2=cfg["train"]["adam_beta2"])
+    adam = AdamState(lr=cfg["train"]["lr"])
     report = run_distillation(stack, teacher, train_items,
                               cfg["train"]["kd_epochs"], kd_cfg, adam,
                               solver_cfg=solver_config(cfg),
@@ -214,8 +208,7 @@ def finetune_student(cfg, stack, train_items, dev_items):
     end (early stopping by checkpoint selection), and the history's last
     entry repeats that selected accuracy under the key "selected".
     """
-    adam = AdamState(lr=cfg["train"]["lr"], beta1=cfg["train"]["adam_beta1"],
-                     beta2=cfg["train"]["adam_beta2"])
+    adam = AdamState(lr=cfg["train"]["lr"])
     scfg = solver_config(cfg)
     builder = ce_loss_builder(stack)
     history = []
@@ -258,9 +251,10 @@ def energy_compare(cfg, stack_quant, stack_fp, eval_items, T):
 
     The set is stacked into one `(B, seq)` batch and simulated in one
     `temporal_simulate` call per model; each layer's spike counts are
-    summed over the batch axis.  Raises ConfigError if the two
-    architectures differ or the set is empty, and ShapeError if its
-    sentences differ in length.
+    summed over the batch axis.  Accumulates cost the 45nm
+    `energy.TechnologyProfile` defaults; `cfg` is not read.  Raises
+    ConfigError if the two architectures differ or the set is empty, and
+    ShapeError if its sentences differ in length.
     """
     differ = [f for f in ARCHITECTURE_FIELDS
               if getattr(stack_quant.cfg, f) != getattr(stack_fp.cfg, f)]
@@ -274,8 +268,6 @@ def energy_compare(cfg, stack_quant, stack_fp, eval_items, T):
         raise ShapeError("energy comparison needs equal-length sentences; got "
                          f"lengths {sorted(t.shape[-1] for t, _ in groups)}")
     (tokens, _labels), = groups
-    profile = TechnologyProfile(float_acc_pj=cfg["energy"]["float_acc_pj"],
-                                int_acc_pj=cfg["energy"]["int_acc_pj"])
     out = {}
     for tag, stack in (("quantized", stack_quant), ("full_precision", stack_fp)):
         counter = OpCounter()
@@ -285,8 +277,7 @@ def energy_compare(cfg, stack_quant, stack_fp, eval_items, T):
         table = stack.linear_op_table(stack.cfg.max_len)
         report = energy_estimate(
             stats, table,
-            quantized=stack.cfg.quant_mode is not QuantMode.FULL_PRECISION,
-            profile=profile)
+            quantized=stack.cfg.quant_mode is not QuantMode.FULL_PRECISION)
         expected = expected_accumulates(counts_sum, stack)
         out[tag] = {"report": report, "kernel_ops": dict(counter.per_layer),
                     "expected_ops": expected}
@@ -317,8 +308,3 @@ def energy_report_json(result) -> dict:
             "energy_ratio": None if result["energy_ratio"] is None
             else round(result["energy_ratio"], 12)}
 
-
-def write_json(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")

@@ -1,7 +1,7 @@
 """Test oracles: slow, independent references the tests check eqspike against."""
 
-import dataclasses
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -137,20 +137,22 @@ def step_major_simulate(stack, tokens, T, counter=None, trace=None,
     """
     cfg = stack.cfg
     lif = LifConfig(cfg.gamma, cfg.v_th)
-    drive = stack.encoding(tokens, {"tok_emb": stack.tok_emb,
-                                    "pos_emb": stack.pos_emb}).data
+    drive = stack.encoding(tokens, stack.params).data
     source = _StepLif.zeros(drive.shape)
     layers = {"input": source}
     runs = []
-    for i, blk in enumerate(stack.blocks):
+    for i in range(cfg.num_layers):
         pre = f"blk{i}."
         neurons = {nm: _StepLif.zeros(drive.shape[:-1] + (
             cfg.intermediate_dim if nm == "int" else cfg.hidden_dim,))
             for nm in ("q", "k", "v", "attn", "h1", "out", "int")}
         layers.update((pre + nm, st) for nm, st in neurons.items())
-        pinned = {nm: lin.pinned() for nm, lin in blk.linears().items()}
-        runs.append((dataclasses.replace(blk, **pinned),
-                     {nm: pre + nm for nm in (*pinned, *neurons)}, neurons,
+        blk = {nm: stack.linears[pre + nm].pinned()
+               for nm in ("q", "k", "v", "o", "ff1", "ff2")}
+        blk.update((ln, stack.params[pre + ln])
+                   for ln in ("ln1_g", "ln1_b", "ln2_g", "ln2_b"))
+        runs.append((SimpleNamespace(**blk),
+                     {nm: pre + nm for nm in (*blk, *neurons)}, neurons,
                      _StepAverage(cfg.gamma), _StepAverage(cfg.gamma)))
     spike_counts = {name: np.zeros(st.u.shape) for name, st in layers.items()}
     prev_phi = {}

@@ -46,11 +46,10 @@ def test_loaded_student_is_frozen(tmp_path):
     path = tmp_path / "ckpt.json"
     save_student(stack, "kd", path)
     loaded, _ = load_student(path)
-    for blk in loaded.blocks:
-        for lin in blk.linears().values():
-            assert lin.frozen and lin.frozen_codes is not None
-            assert not lin.frozen_codes.flags.writeable
-            assert not lin.frozen_weight.flags.writeable
+    for lin in loaded.linears.values():
+        assert lin.frozen and lin.frozen_codes is not None
+        assert not lin.frozen_codes.flags.writeable
+        assert not lin.frozen_weight.flags.writeable
 
 
 def test_fp_student_has_no_code_section(tmp_path):
@@ -123,10 +122,9 @@ def test_unfrozen_save_writes_stats_matching_its_codes(tmp_path):
     path = tmp_path / "ckpt.json"
     save_student(stack, "kd", path)
     loaded, _ = load_student(path)
-    for blk, blk2 in zip(stack.blocks, loaded.blocks):
-        for lin, lin2 in zip(blk.linears().values(), blk2.linears().values()):
-            assert not lin.frozen
-            assert lin2.beta == float(np.abs(lin.latent_w).mean())
+    for lin, lin2 in zip(stack.linears.values(), loaded.linears.values()):
+        assert not lin.frozen
+        assert lin2.beta == float(np.abs(lin.latent_w).mean())
     tokens, scfg = np.array([[2, 4, 5], [6, 1, 3]]), SolverConfig(tol=1e-12)
     want = solve_fixed_point(stack, tokens, scfg)
     got = solve_fixed_point(loaded, tokens, scfg)
@@ -135,7 +133,7 @@ def test_unfrozen_save_writes_stats_matching_its_codes(tmp_path):
 
 
 def _linears(stack):
-    return [lin for blk in stack.blocks for lin in blk.linears().values()]
+    return list(stack.linears.values())
 
 
 @pytest.mark.parametrize("mode", [QuantMode.BINARY_1BIT,

@@ -98,9 +98,15 @@ def test_missing_checkpoint_is_io_error(workdir):
 
 @pytest.mark.parametrize("text", ["nonsense: 1\n", "solver: {damping: 0.5}\n",
                                   "vjp: {max_terms: 5}\n",
-                                  "solver: {max_iters: 500}\n"],
+                                  "solver: {max_iters: 500}\n",
+                                  "train: {adam_beta1: 0.9}\n",
+                                  "train: {adam_beta2: 0.999}\n",
+                                  "energy: {float_acc_pj: 0.9}\n",
+                                  "energy: {int_acc_pj: 0.1}\n"],
                          ids=["nonsense", "solver.damping", "vjp.max_terms",
-                              "solver.max_iters"])
+                              "solver.max_iters", "train.adam_beta1",
+                              "train.adam_beta2", "energy.float_acc_pj",
+                              "energy.int_acc_pj"])
 def test_bad_config_key_is_config_error(workdir, capsys, text):
     root, _ = workdir
     bad = root / "bad.yaml"
@@ -108,6 +114,29 @@ def test_bad_config_key_is_config_error(workdir, capsys, text):
     rc = main(["train-teacher", "--config", str(bad), "--out", str(root / "y")])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shape", [{"num_heads": 0}, {"hidden_dim": 0},
+                                   {"intermediate_dim": 0}, {"num_layers": 0}],
+                         ids=lambda s: next(iter(s)))
+def test_bad_teacher_shape_is_config_error(workdir, capsys, shape):
+    root, _ = workdir
+    bad = root / "bad_teacher.yaml"
+    bad.write_text(yaml.safe_dump({**SMALL_CFG, "teacher": {
+        **SMALL_CFG["teacher"], **shape}}))
+    rc = main(["train-teacher", "--config", str(bad), "--out", str(root / "t")])
+    assert rc == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["eval", "--student", "s.json", "--quant", "1bit"],
+                                  ["finetune", "--student", "s.json",
+                                   "--timesteps", "5"]],
+                         ids=["eval--quant", "finetune--timesteps"])
+def test_subcommand_rejects_flags_it_does_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_malformed_yaml_is_config_error(workdir, capsys):

@@ -59,15 +59,30 @@ def test_named_params_cover_all_sublayers():
         assert f"blk{i}.ln1_g" in names and f"blk{i}.ln2_b" in names
 
 
+def test_student_and_teacher_store_the_same_parameters():
+    stack = make_stack(mode=QuantMode.TERNARY_158BIT)
+    teacher = TeacherModel(TeacherConfig(vocab_size=11, hidden_dim=8,
+                                         intermediate_dim=16, max_len=6),
+                           np.random.default_rng(0))
+    assert stack.named_params() is stack.params
+    assert {k: v.shape for k, v in stack.params.items()} == \
+        {k: v.shape for k, v in teacher.params.items()}
+    assert len(stack.linears) == 6 * stack.cfg.num_layers
+    for k, lin in stack.linears.items():
+        assert lin.latent_w is stack.params[k + ".w"]
+        assert lin.bias is stack.params[k + ".b"]
+    assert stack.cls_w is stack.params["cls.w"]
+    assert stack.cls_b is stack.params["cls.b"]
+
+
 def test_set_quant_mode_and_freeze_roundtrip():
     stack = make_stack()
     stack.set_quant_mode(QuantMode.TERNARY_158BIT)
     assert stack.cfg.quant_mode is QuantMode.TERNARY_158BIT
     assert all(lin.mode is QuantMode.TERNARY_158BIT
-               for blk in stack.blocks for lin in blk.linears().values())
+               for lin in stack.linears.values())
     stack.freeze_quantization()
-    assert all(lin.frozen for blk in stack.blocks
-               for lin in blk.linears().values())
+    assert all(lin.frozen for lin in stack.linears.values())
 
 
 def test_spiking_attention_is_convex_mixer():
@@ -211,8 +226,7 @@ def test_temporal_simulate_quantizes_each_linear_once(monkeypatch):
     counter = OpCounter()
     got = stack.temporal_simulate(tokens, T=50, counter=counter)
     assert len(calls) == 6 * stack.cfg.num_layers  # once per linear, not per step
-    assert not any(lin.frozen for blk in stack.blocks
-                   for lin in blk.linears().values())
+    assert not any(lin.frozen for lin in stack.linears.values())
     np.testing.assert_array_equal(got[0], want[0])
     for g, w in zip(got[1:], want[1:]):
         for name in w:
@@ -369,9 +383,9 @@ def test_non_finite_spike_path_is_numeric_error(poison):
     if poison == "tok_emb":
         stack.tok_emb[4, 1] = np.nan
     elif poison == "ln_gain":
-        stack.blocks[1].ln1_g[3] = np.nan
+        stack.params["blk1.ln1_g"][3] = np.nan
     else:
-        stack.blocks[0].ff1.latent_w[2, 5] = np.inf
+        stack.linears["blk0.ff1"].latent_w[2, 5] = np.inf
     with pytest.raises(NumericError), np.errstate(invalid="ignore"):
         stack.temporal_simulate(np.array([[2, 4, 5], [3, 6, 7]]), T=20)
 
