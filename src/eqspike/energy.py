@@ -3,9 +3,9 @@
 Inference firing rate (IFR) is spikes per neuron per timestep.  The
 normalized operation count weights each downstream layer's dense synaptic
 op count by the firing rate of the layer that drives it, relative to the
-total synaptic op count.  Energy applies a per-accumulate cost from a
-technology profile: integer accumulates for quantized weights, floating
-point for full precision.
+total synaptic op count.  Energy applies a 45nm per-accumulate cost:
+integer accumulates for quantized weights, floating point for full
+precision.
 """
 
 from __future__ import annotations
@@ -19,23 +19,9 @@ class EnergyConfigError(ValueError):
     pass
 
 
-@dataclass
-class SpikeStats:
-    spike_totals: dict      # layer name -> total spike count over T steps
-    neuron_counts: dict     # layer name -> number of neurons
-    T: int
-
-    @classmethod
-    def from_counts(cls, spike_counts: dict, T: int) -> "SpikeStats":
-        return cls(spike_totals={k: float(v.sum()) for k, v in spike_counts.items()},
-                   neuron_counts={k: int(v.size) for k, v in spike_counts.items()},
-                   T=T)
-
-
-@dataclass
-class TechnologyProfile:
-    float_acc_pj: float = 0.9   # 45nm float accumulate
-    int_acc_pj: float = 0.1     # 45nm integer accumulate (9x cheaper)
+# 45nm accumulate energies: floating point, and integer (9x cheaper)
+FLOAT_ACC_PJ = 0.9
+INT_ACC_PJ = 0.1
 
 
 @dataclass
@@ -49,27 +35,28 @@ class EnergyReport:
     metadata: dict = field(default_factory=dict)
 
 
-def compute_ifr(stats: SpikeStats) -> dict:
-    """Spikes per neuron per timestep, per layer; always in [0, 1]."""
-    if stats.T < 1:
+def compute_ifr(spike_counts: dict, T: int) -> dict:
+    """Spikes per neuron per timestep, per layer, of the per-neuron spike
+    counts over `T` timesteps; always in [0, 1]."""
+    if T < 1:
         raise ValueError("T must be >= 1")
-    return {name: stats.spike_totals[name] / (stats.neuron_counts[name] * stats.T)
-            for name in stats.spike_totals}
+    return {name: float(c.sum()) / (int(c.size) * T)
+            for name, c in spike_counts.items()}
 
 
-def energy_estimate(stats: SpikeStats, op_table: list, quantized: bool,
-                    profile: TechnologyProfile | None = None) -> EnergyReport:
+def energy_estimate(spike_counts: dict, T: int, op_table: list,
+                    quantized: bool) -> EnergyReport:
     """Dynamic accumulate energy over a T-step inference run.
 
-    `op_table` rows are (driving layer, driven op name, synaptic op count).
-    Norm#OPS is the sum of IFR(driver) * ops over the total ops; the final
-    layer's outgoing term is naturally absent (it drives nothing).
+    `spike_counts` are per-neuron spike counts over `T` timesteps, per
+    layer.  `op_table` rows are (driving layer, driven op name, synaptic op
+    count).  Norm#OPS is the sum of IFR(driver) * ops over the total ops;
+    the final layer's outgoing term is naturally absent (it drives
+    nothing).  An accumulate costs INT_ACC_PJ when `quantized`, else
+    FLOAT_ACC_PJ.
     """
-    profile = profile or TechnologyProfile()
-    if profile.int_acc_pj <= 0 or profile.float_acc_pj <= 0:
-        raise EnergyConfigError("technology profile energies must be positive")
-    ifr = compute_ifr(stats)
-    per_acc = profile.int_acc_pj if quantized else profile.float_acc_pj
+    ifr = compute_ifr(spike_counts, T)
+    per_acc = INT_ACC_PJ if quantized else FLOAT_ACC_PJ
     layer_ops, driven = {}, {}
     num = den = 0.0
     for driver, name, ops in op_table:
@@ -79,7 +66,7 @@ def energy_estimate(stats: SpikeStats, op_table: list, quantized: bool,
         num += rate_ops
         den += ops
         layer_ops[name] = layer_ops.get(name, 0) + ops
-        driven[name] = driven.get(name, 0.0) + rate_ops * stats.T
+        driven[name] = driven.get(name, 0.0) + rate_ops * T
     total = sum(driven.values()) * per_acc
     return EnergyReport(
         ifr=ifr, layer_ops=layer_ops, driven_ops=driven,
@@ -88,7 +75,7 @@ def energy_estimate(stats: SpikeStats, op_table: list, quantized: bool,
         metadata={"quantized": quantized,
                   "classifier_head_included": True,
                   "final_layer_outgoing_term": "omitted",
-                  "T": stats.T})
+                  "T": T})
 
 
 def expected_accumulates(spike_counts: dict, stack) -> dict:

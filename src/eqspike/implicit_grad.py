@@ -11,6 +11,8 @@ A training step stacks its batch and tapes that one forward and one
 backward for all of it, so the parameter leaves are built and each linear
 is quantized once per step.  Loss builders therefore see block outputs
 with a leading batch axis and return the loss summed over the batch.
+The full-precision teacher has the same `param_tensors`/`sweep` contract,
+so its training shares `batch_gradients` with the student's.
 """
 
 from __future__ import annotations
@@ -45,32 +47,29 @@ def mse(pred: Tensor, target) -> Tensor:
     return ad.tensor_sum(ad.mul(diff, diff)) * (1.0 / per_example)
 
 
-def ce_loss_builder(stack):
+def ce_loss(tokens, label, a_blocks, head_leaves):
     """Cross-entropy on the classifier over the final block's CLS rate."""
-
-    def build(tokens, label, a_blocks, head_leaves):
-        logits = classifier_logits(a_blocks[-1], head_leaves)
-        loss = ad.cross_entropy(logits, label)
-        return loss, {"ce": float(loss.data)}
-
-    return build
+    loss = ad.cross_entropy(classifier_logits(a_blocks[-1], head_leaves), label)
+    return loss, {"ce": float(loss.data)}
 
 
-def example_gradients(stack, tokens, label, loss_builder,
+def example_gradients(model, tokens, label, loss_builder,
                       extra_params: dict) -> GradientBundle:
-    """Gradient of the loss at the equilibrium of one example or a batch.
+    """Gradient of the loss on one example or a batch.
 
-    `tokens` is (seq,) with an int `label`, or a stacked batch (B, seq)
-    with labels (B,); gradients, loss and terms are then sums over the
-    batch.  Tapes `stack.sweep`, the forward of `solve_fixed_point` (exact),
-    and runs one backward from the loss; a non-finite rate raises
-    NumericError before the backward.  `loss_builder(tokens, label,
-    a_blocks, head_leaves)` sees the block outputs, (seq, d) or
-    (B, seq, d), and the classifier and `extra_params` leaves, and returns
-    (loss Tensor, dict of floats).
+    `model` is the student `EncoderStack`, whose sweep lands on its
+    equilibrium, or a `TeacherModel`; both have `param_tensors()` and
+    `sweep(tokens, leaves)`.  `tokens` is (seq,) with
+    an int `label`, or a stacked batch (B, seq) with labels (B,);
+    gradients, loss and terms are then sums over the batch.  Tapes the
+    sweep (a student's raises NumericError on a non-finite rate) and runs
+    one backward from the loss.  `loss_builder(tokens, label, a_blocks,
+    head_leaves)` sees the block outputs, (seq, d) or (B, seq, d), and the
+    classifier and `extra_params` leaves, and returns (loss Tensor, dict
+    of floats).
     """
-    leaves = stack.param_tensors()
-    a_blocks = stack.sweep(tokens, leaves)
+    leaves = model.param_tensors()
+    a_blocks = model.sweep(tokens, leaves)
     extra = {name: Tensor(arr, requires_grad=True)
              for name, arr in extra_params.items()}
     head_leaves = {"cls.w": leaves["cls.w"], "cls.b": leaves["cls.b"], **extra}
@@ -81,25 +80,21 @@ def example_gradients(stack, tokens, label, loss_builder,
     return GradientBundle(grads=grads, loss=float(loss.data), loss_terms=terms)
 
 
-def training_step(stack, batch, optimizer: AdamState, loss_builder=None,
-                  extra_params: dict | None = None) -> GradientBundle:
-    """One optimizer step over a batch of (tokens, label) pairs.
+def batch_gradients(model, batch, loss_builder=ce_loss,
+                    extra_params: dict | None = None) -> GradientBundle:
+    """Gradients, loss and terms of a batch of (tokens, label) pairs.
 
     The batch is stacked by sequence length (`data.stack_by_length`; an
     encoded corpus is one group), and each group costs one taped forward
-    and one backward (`example_gradients`).  Gradients, loss and terms are
-    averaged over the batch.  `adam_step_many` checks every gradient finite
-    first, so a non-finite gradient aborts the step before any parameter or
-    optimizer state is touched.
+    and one backward (`example_gradients`).  The group sums are averaged
+    over the batch.
     """
-    loss_builder = loss_builder or ce_loss_builder(stack)
     extra_params = extra_params or {}
-
     grad_sum: dict = {}
     loss_sum = 0.0
     term_sum: dict = {}
     for tokens, labels in stack_by_length(batch):
-        bundle = example_gradients(stack, tokens, labels, loss_builder,
+        bundle = example_gradients(model, tokens, labels, loss_builder,
                                    extra_params)
         loss_sum += bundle.loss
         for k, val in bundle.loss_terms.items():
@@ -107,7 +102,21 @@ def training_step(stack, batch, optimizer: AdamState, loss_builder=None,
         for k, grad in bundle.grads.items():
             grad_sum[k] = grad_sum.get(k, 0.0) + grad
     n = len(batch)
-    avg = {k: g / n for k, g in grad_sum.items()}
-    adam_step_many({**stack.named_params(), **extra_params}, avg, optimizer)
-    return GradientBundle(grads=avg, loss=loss_sum / n,
+    return GradientBundle(grads={k: g / n for k, g in grad_sum.items()},
+                          loss=loss_sum / n,
                           loss_terms={k: v / n for k, v in term_sum.items()})
+
+
+def training_step(stack, batch, optimizer: AdamState, loss_builder=ce_loss,
+                  extra_params: dict | None = None) -> GradientBundle:
+    """One Adam step of the student over a batch of (tokens, label) pairs.
+
+    `batch_gradients`, then `adam_step_many` on the stack's parameters and
+    `extra_params`, which checks every gradient finite before it writes
+    any parameter or optimizer state.
+    """
+    extra_params = extra_params or {}
+    bundle = batch_gradients(stack, batch, loss_builder, extra_params)
+    adam_step_many({**stack.named_params(), **extra_params}, bundle.grads,
+                   optimizer)
+    return bundle

@@ -64,6 +64,19 @@ def _check_shape(cfg):
         raise ValueError("need at least one encoder layer")
 
 
+def _token_ids(tokens, cfg) -> np.ndarray:
+    """`tokens` as int64 ids.  Raises ShapeError unless they are (seq,) or
+    (B, seq) with seq <= `cfg.max_len`, ValueError on an id outside
+    [0, `cfg.vocab_size`)."""
+    tokens = np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim not in (1, 2) or tokens.shape[-1] > cfg.max_len:
+        raise ShapeError("tokens must be (seq,) or (B, seq) within max_len")
+    if np.any((tokens < 0) | (tokens >= cfg.vocab_size)):
+        raise ValueError("token id outside the model's vocabulary of "
+                         f"{cfg.vocab_size}")
+    return tokens
+
+
 def _add_blocks(params: dict, cfg, rng, ln_gain: float, ln_bias: float) -> list:
     """Adds every block's parameters to `params`; returns its linears' names.
 
@@ -146,9 +159,7 @@ class EncoderStack:
 
         `tokens` is (seq,) or (B, seq); the result is (seq, d) or (B, seq, d).
         """
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim not in (1, 2) or tokens.shape[-1] > self.cfg.max_len:
-            raise ShapeError("tokens must be (seq,) or (B, seq) within max_len")
+        tokens = _token_ids(tokens, self.cfg)
         e = ad.getitem(leaves["tok_emb"], tokens)
         pos = ad.getitem(leaves["pos_emb"], slice(0, tokens.shape[-1]))
         return clip01(e + pos + 0.5)
@@ -366,25 +377,29 @@ class EncoderStack:
     def linear_op_table(self, seq_len: int) -> list:
         """(driving spiking layer, consuming op name, synaptic op count).
 
-        Dense fan-in x fan-out counts per linear sublayer; attention score
-        and mix matrices are counted as equivalent accumulates driven by
-        the Q and V neuron layers respectively.  The classifier head is
-        included (driven by the final block's output layer).
+        A linear costs its latent weight's fan-in x fan-out per position;
+        attention score and mix matrices are counted as equivalent
+        accumulates driven by the Q and V neuron layers respectively.  The
+        classifier head is included (driven by the final block's output).
         """
         cfg = self.cfg
-        d, inter = cfg.hidden_dim, cfg.intermediate_dim
+        attention = seq_len * seq_len * cfg.hidden_dim
         rows = []
         for i in range(cfg.num_layers):
+            pre = f"blk{i}."
             src = "input" if i == 0 else f"blk{i - 1}.out"
-            for nm in ("q", "k", "v"):
-                rows.append((src, f"blk{i}.{nm}", seq_len * d * d))
-            rows.append((f"blk{i}.q", f"blk{i}.score", seq_len * seq_len * d))
-            rows.append((f"blk{i}.v", f"blk{i}.mix", seq_len * seq_len * d))
-            rows.append((f"blk{i}.attn", f"blk{i}.o", seq_len * d * d))
-            rows.append((f"blk{i}.h1", f"blk{i}.ff1", seq_len * d * inter))
-            rows.append((f"blk{i}.int", f"blk{i}.ff2", seq_len * inter * d))
+
+            def linear(driver, nm):
+                lin = self.linears[pre + nm]
+                return driver, pre + nm, seq_len * lin.latent_w.size
+
+            rows += [linear(src, "q"), linear(src, "k"), linear(src, "v"),
+                     (pre + "q", pre + "score", attention),
+                     (pre + "v", pre + "mix", attention),
+                     linear(pre + "attn", "o"), linear(pre + "h1", "ff1"),
+                     linear(pre + "int", "ff2")]
         rows.append((f"blk{cfg.num_layers - 1}.out", "classifier",
-                     d * cfg.num_labels))
+                     self.cls_w.size))
         return rows
 
 
@@ -512,18 +527,14 @@ class TeacherModel:
     def param_tensors(self) -> dict:
         return {k: Tensor(v, requires_grad=True) for k, v in self.params.items()}
 
-    def forward(self, tokens, leaves=None):
-        """Returns (per-block hidden state Tensors, logit Tensor).
+    def sweep(self, tokens, leaves) -> list[Tensor]:
+        """The block outputs of one forward pass over `leaves`.
 
-        `tokens` is (seq,) or (B, seq); hiddens are then (seq, d) or
-        (B, seq, d) and logits (C,) or (B, C).
+        `tokens` is (seq,) or (B, seq); each output is then (seq, d) or
+        (B, seq, d), and `classifier_logits` of the last is the logits.
         """
         cfg = self.cfg
-        if leaves is None:
-            leaves = self.param_tensors()
-        tokens = np.asarray(tokens, dtype=np.int64)
-        if np.any(tokens < 0) or np.any(tokens >= cfg.vocab_size):
-            raise ValueError("token id outside teacher vocabulary")
+        tokens = _token_ids(tokens, cfg)
         h = ad.getitem(leaves["tok_emb"], tokens) + ad.getitem(
             leaves["pos_emb"], slice(0, tokens.shape[-1]))
         hiddens = []
@@ -540,11 +551,13 @@ class TeacherModel:
             h = layer_norm(ff + h,
                            leaves[f"blk{i}.ln2_g"], leaves[f"blk{i}.ln2_b"])
             hiddens.append(h)
-        return hiddens, classifier_logits(h, leaves)
+        return hiddens
 
 
 def teacher_forward(teacher: TeacherModel, tokens):
     """Numeric teacher pass: per-block hidden arrays and logits."""
     with no_grad():
-        hiddens, logits = teacher.forward(tokens)
+        leaves = teacher.param_tensors()
+        hiddens = teacher.sweep(tokens, leaves)
+        logits = classifier_logits(hiddens[-1], leaves)
     return [h.data for h in hiddens], logits.data

@@ -14,14 +14,14 @@ import os
 import numpy as np
 import yaml
 
-from . import autodiff as ad
 from .data import (Tokenizer, batches, encode_corpus, load_tsv, stack_by_length,
                    synth_task)
 from .distill import KdConfig, run_distillation
 from .equilibrium import SolverConfig, convergence_trace, solve_fixed_point
-from .energy import SpikeStats, energy_estimate, expected_accumulates
-from .implicit_grad import ce_loss_builder, training_step
-from .model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
+from .energy import energy_estimate, expected_accumulates
+from .implicit_grad import batch_gradients, training_step
+from .model import (EncoderStack, StackConfig, TeacherConfig, TeacherModel,
+                    teacher_forward)
 from .numerics import AdamState, ShapeError, adam_step_many, check_finite
 from .quantizer import OpCounter, QuantMode
 
@@ -142,48 +142,34 @@ def build_teacher(cfg, tokenizer, num_labels=2) -> TeacherModel:
     return TeacherModel(tc, np.random.default_rng(cfg["seed"] + 1))
 
 
-def teacher_accuracy(teacher, items) -> float:
+def _accuracy(logits_of, items) -> float:
+    """Share of `items` whose label is the argmax of `logits_of(tokens)`,
+    one call per sequence length; a non-finite logit raises NumericError."""
     hits = 0
-    with ad.no_grad():
-        for tokens, labels in stack_by_length(items):
-            _, logits = teacher.forward(tokens)
-            hits += int(np.sum(np.argmax(logits.data, axis=-1) == labels))
+    for tokens, labels in stack_by_length(items):
+        logits = check_finite(logits_of(tokens), "logits")
+        hits += int(np.sum(np.argmax(logits, axis=-1) == labels))
     return hits / len(items)
 
 
 def train_teacher(cfg, teacher, train_items, dev_items) -> dict:
+    """Cross-entropy training of the teacher, one `batch_gradients` and one
+    Adam step per batch as in `training_step`; returns its dev accuracy."""
     t = cfg["teacher"]
     adam = AdamState(lr=t["lr"])
-    history = []
-    for epoch in range(1, t["epochs"] + 1):
+    for _epoch in range(t["epochs"]):
         for batch in batches(train_items, t["batch_size"]):
-            leaves = teacher.param_tensors()
-            total = None
-            for tokens, labels in stack_by_length(batch):
-                _, logits = teacher.forward(tokens, leaves)
-                loss = ad.cross_entropy(logits, labels)
-                total = loss if total is None else ad.add(total, loss)
-            total = ad.mul(total, 1.0 / len(batch))
-            ad.backward([total], [1.0])
-            grads = {k: leaf.grad for k, leaf in leaves.items()
-                     if leaf.grad is not None}
-            adam_step_many(teacher.params, grads, adam)
-        history.append({"epoch": epoch, "loss": float(total.data)})
-    dev_acc = teacher_accuracy(teacher, dev_items)
-    return {"dev_accuracy": dev_acc, "epochs": history}
+            adam_step_many(teacher.params, batch_gradients(teacher, batch).grads,
+                           adam)
+    acc = _accuracy(lambda tokens: teacher_forward(teacher, tokens)[1],
+                    dev_items)
+    return {"dev_accuracy": acc}
 
 
 def student_accuracy(stack, items, scfg: SolverConfig) -> float:
-    """Dev accuracy at the equilibrium; one solve per sequence length.
-
-    Raises NumericError on a non-finite logit rather than scoring it.
-    """
-    hits = 0
-    for tokens, labels in stack_by_length(items):
-        sol = solve_fixed_point(stack, tokens, scfg)
-        logits = check_finite(stack.logits(sol.asr_star[-1]), "logits")
-        hits += int(np.sum(np.argmax(logits, axis=-1) == labels))
-    return hits / len(items)
+    """Dev accuracy at the equilibrium; one solve per sequence length."""
+    return _accuracy(lambda tokens: stack.logits(
+        solve_fixed_point(stack, tokens, scfg).asr_star[-1]), items)
 
 
 def distill_student(cfg, stack, teacher, train_items):
@@ -210,13 +196,12 @@ def finetune_student(cfg, stack, train_items, dev_items):
     """
     adam = AdamState(lr=cfg["train"]["lr"])
     scfg = solver_config(cfg)
-    builder = ce_loss_builder(stack)
     history = []
     params = stack.named_params()
     best_acc, best_snapshot = -1.0, None
     for epoch in range(1, cfg["train"]["finetune_epochs"] + 1):
         for batch in batches(train_items, cfg["train"]["batch_size"]):
-            training_step(stack, batch, adam, loss_builder=builder)
+            training_step(stack, batch, adam)
         acc = student_accuracy(stack, dev_items, scfg)
         history.append({"epoch": epoch, "dev_accuracy": acc})
         if acc > best_acc:
@@ -252,7 +237,7 @@ def energy_compare(cfg, stack_quant, stack_fp, eval_items, T):
     The set is stacked into one `(B, seq)` batch and simulated in one
     `temporal_simulate` call per model; each layer's spike counts are
     summed over the batch axis.  Accumulates cost the 45nm
-    `energy.TechnologyProfile` defaults; `cfg` is not read.  Raises
+    `energy.INT_ACC_PJ` and `FLOAT_ACC_PJ`; `cfg` is not read.  Raises
     ConfigError if the two architectures differ or the set is empty, and
     ShapeError if its sentences differ in length.
     """
@@ -273,10 +258,9 @@ def energy_compare(cfg, stack_quant, stack_fp, eval_items, T):
         counter = OpCounter()
         _, _, counts = stack.temporal_simulate(tokens, T, counter=counter)
         counts_sum = {k: v.sum(axis=0) for k, v in counts.items()}
-        stats = SpikeStats.from_counts(counts_sum, T * len(eval_items))
         table = stack.linear_op_table(stack.cfg.max_len)
         report = energy_estimate(
-            stats, table,
+            counts_sum, T * len(eval_items), table,
             quantized=stack.cfg.quant_mode is not QuantMode.FULL_PRECISION)
         expected = expected_accumulates(counts_sum, stack)
         out[tag] = {"report": report, "kernel_ops": dict(counter.per_layer),

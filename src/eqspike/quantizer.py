@@ -163,10 +163,6 @@ class OpCounter:
     def add(self, name: str, count: int):
         self.per_layer[name] = self.per_layer.get(name, 0) + int(count)
 
-    @property
-    def total(self):
-        return sum(self.per_layer.values())
-
 
 def stack_pinned(layers) -> QuantizedLinear:
     """One pinned layer whose outputs are the `layers`' outputs side by side.

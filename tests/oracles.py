@@ -5,12 +5,14 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from eqspike import autodiff as ad
 from eqspike.autodiff import layer_norm
+from eqspike.data import batches, stack_by_length
 from eqspike.distill import KdReport, evaluate_kd_loss, kd_loss_builder
 from eqspike.implicit_grad import training_step
-from eqspike.model import spiking_attention, teacher_forward
+from eqspike.model import classifier_logits, spiking_attention, teacher_forward
 from eqspike.neuron import LifConfig
-from eqspike.numerics import NumericError
+from eqspike.numerics import AdamState, NumericError, adam_step_many
 from eqspike.quantizer import quantized_forward
 
 
@@ -81,6 +83,33 @@ def uncached_distillation(stack, teacher, dataset, epochs, cfg, optimizer,
                                         targets)
         report.append(epoch, pairs, total)
     return report
+
+
+def inline_teacher_gradients(teacher, batch) -> dict:
+    """One taped loss over the whole batch: the teacher's own step.
+
+    The length groups' cross-entropy sums are added on one tape and scaled
+    by 1 / len(batch) before a single backward, as teacher training did
+    before it shared the student's per-group gradient function.
+    """
+    leaves = teacher.param_tensors()
+    total = None
+    for tokens, labels in stack_by_length(batch):
+        logits = classifier_logits(teacher.sweep(tokens, leaves)[-1], leaves)
+        loss = ad.cross_entropy(logits, labels)
+        total = loss if total is None else ad.add(total, loss)
+    ad.backward([ad.mul(total, 1.0 / len(batch))], [1.0])
+    return {k: leaf.grad for k, leaf in leaves.items() if leaf.grad is not None}
+
+
+def inline_teacher_training(cfg, teacher, train_items) -> None:
+    """`pipeline.train_teacher`'s Adam steps on `inline_teacher_gradients`."""
+    t = cfg["teacher"]
+    adam = AdamState(lr=t["lr"])
+    for _epoch in range(t["epochs"]):
+        for batch in batches(train_items, t["batch_size"]):
+            adam_step_many(teacher.params,
+                           inline_teacher_gradients(teacher, batch), adam)
 
 
 # -- the step-major spike path: the reference for the windowed one --------

@@ -16,7 +16,7 @@ import yaml
 from eqspike import pipeline as pl
 from eqspike.cli import main as cli_main
 from eqspike.equilibrium import SolverConfig, convergence_trace, solve_fixed_point
-from eqspike.implicit_grad import ce_loss_builder, example_gradients
+from eqspike.implicit_grad import ce_loss, example_gradients
 from eqspike.model import EncoderStack, StackConfig
 from eqspike.quantizer import QuantMode, quantize_1bit, quantize_158bit
 
@@ -61,8 +61,7 @@ def test_implicit_gradient_correctness():
         stack = EncoderStack(cfg, np.random.default_rng(seed))
         tokens, label = np.array([2, 4, 5, 6]), 1
         scfg = SolverConfig(tol=1e-11)
-        bundle = example_gradients(stack, tokens, label,
-                                   ce_loss_builder(stack), {})
+        bundle = example_gradients(stack, tokens, label, ce_loss, {})
         params = stack.named_params()
 
         def loss():

@@ -1,7 +1,3 @@
-import ast
-import inspect
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -239,36 +235,3 @@ def test_batched_cross_entropy_sums_rows():
     assert total == pytest.approx(sum(rows), rel=1e-14)
     _fd_check(lambda t: ad.cross_entropy(t, labels), logits)
 
-
-def _autodiff_references(path):
-    """Names of autodiff functions the module at `path` refers to.
-
-    In autodiff.py that is every bare name; elsewhere, names imported from
-    `.autodiff` and attributes of the alias `from . import autodiff` binds.
-    """
-    tree = ast.parse(path.read_text(encoding="utf-8"))
-    if path.name == "autodiff.py":
-        return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    aliases, refs = set(), set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 1:
-            if node.module == "autodiff":
-                refs.update(a.name for a in node.names)
-            elif node.module is None:
-                aliases.update(a.asname or a.name for a in node.names
-                               if a.name == "autodiff")
-    refs.update(n.attr for n in ast.walk(tree)
-                if isinstance(n, ast.Attribute)
-                and isinstance(n.value, ast.Name) and n.value.id in aliases)
-    return refs
-
-
-def test_every_public_autodiff_function_has_a_src_caller():
-    # an op that only tests call does not belong in the package
-    public = {name for name, obj in vars(ad).items()
-              if inspect.isfunction(obj) and obj.__module__ == ad.__name__
-              and not name.startswith("_")}
-    used = set()
-    for path in Path(ad.__file__).parent.glob("*.py"):
-        used |= _autodiff_references(path)
-    assert sorted(public - used) == []

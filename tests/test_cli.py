@@ -373,3 +373,39 @@ def test_spike_path_on_non_finite_student_is_numeric_error(
     assert rc == 3
     err = capsys.readouterr().err
     assert "numeric failure" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def wide_vocab_cfg(workdir):
+    """A config whose TSV data has a 200-word vocabulary, wider than the
+    synthetic task's that the pipeline's students were built with."""
+    root, _cfg = workdir
+    data = root / "wide_vocab"
+    data.mkdir()
+    rows = [f"{' '.join(f'w{i + j}' for j in range(5))}\t{i % 2}"
+            for i in range(0, 200, 5)]
+    for split in ("train", "dev"):
+        (data / f"{split}.tsv").write_text("text_a\tlabel\n"
+                                           + "\n".join(rows) + "\n")
+    cfg_path = root / "wide_vocab.yaml"
+    cfg_path.write_text(yaml.safe_dump(
+        {**SMALL_CFG, "data": {**SMALL_CFG["data"], "path": str(data)}}))
+    return str(cfg_path)
+
+
+@pytest.mark.parametrize("command", ["eval", "finetune", "simulate", "energy"])
+def test_out_of_vocabulary_tokens_are_config_error(workdir, artifacts,
+                                                   wide_vocab_cfg, capsys,
+                                                   command):
+    root, _cfg = workdir
+    out, out_fp = artifacts
+    dest = str(root / f"oov_{command}")
+    if command == "energy":
+        rc = _energy(wide_vocab_cfg, dest, f"{out}/student_kd.json",
+                     f"{out_fp}/student_kd.json")
+    else:
+        rc = main([command, "--config", wide_vocab_cfg, "--out", dest,
+                   "--student", f"{out}/student_kd.json"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "vocabulary" in err and "Traceback" not in err

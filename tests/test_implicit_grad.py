@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from eqspike import autodiff as ad
+from eqspike import pipeline as pl
 from eqspike.autodiff import Tensor
 from eqspike.distill import KdConfig, kd_loss_builder, teacher_targets
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
-from eqspike.implicit_grad import (ce_loss_builder, example_gradients, mse,
-                                   training_step)
+from eqspike.implicit_grad import (batch_gradients, ce_loss, example_gradients,
+                                   mse, training_step)
 from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
 from eqspike.numerics import AdamState, NumericError
 from eqspike.quantizer import QuantMode
-from oracles import dense_adjoint_solve
+from oracles import (dense_adjoint_solve, inline_teacher_gradients,
+                     inline_teacher_training)
 
 
 def small_stack(seed=0, mode=QuantMode.FULL_PRECISION):
@@ -73,8 +75,7 @@ def kd_builder(stack):
 @pytest.mark.parametrize("kind", ["ce", "kd"])
 def test_example_gradients_match_dense_adjoint_oracle(mode, kind):
     stack = small_stack(seed=2, mode=mode)
-    builder, extra = (ce_loss_builder(stack), {}) if kind == "ce" \
-        else kd_builder(stack)
+    builder, extra = (ce_loss, {}) if kind == "ce" else kd_builder(stack)
     tokens, label = np.array([2, 4, 5]), 1
     bundle = example_gradients(stack, tokens, label, builder, extra)
     want, loss = oracle_gradients(stack, tokens, label, builder, extra)
@@ -98,7 +99,7 @@ def test_example_gradients_match_finite_differences():
     tokens = np.array([2, 4, 5])
     label = 1
     scfg = SolverConfig(tol=1e-11)
-    bundle = example_gradients(stack, tokens, label, ce_loss_builder(stack), {})
+    bundle = example_gradients(stack, tokens, label, ce_loss, {})
 
     def loss_at(name, idx, value):
         params = stack.named_params()
@@ -177,8 +178,7 @@ def test_quantized_gradients_flow_to_latent_weights():
 @pytest.mark.parametrize("kind", ["ce", "kd"])
 def test_batch_gradients_equal_sum_of_example_gradients(mode, kind):
     stack = small_stack(seed=4, mode=mode)
-    builder, extra = (ce_loss_builder(stack), {}) if kind == "ce" \
-        else kd_builder(stack)
+    builder, extra = (ce_loss, {}) if kind == "ce" else kd_builder(stack)
     rng = np.random.default_rng(11)
     tokens, labels = rng.integers(0, 11, size=(8, 5)), rng.integers(0, 2, size=8)
     batch = example_gradients(stack, tokens, labels, builder, extra)
@@ -199,11 +199,44 @@ def test_training_step_on_mixed_lengths_equals_per_example_average():
     batch = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7, 8]), 1),
              (np.array([3, 9, 1]), 1), (np.array([2, 5]), 0),
              (np.array([4, 4, 6, 2]), 0)]
-    builder = ce_loss_builder(stack)
-    rows = [example_gradients(stack, t, lab, builder, {}) for t, lab in batch]
+    rows = [example_gradients(stack, t, lab, ce_loss, {}) for t, lab in batch]
     step = training_step(stack, batch, AdamState())
     assert step.loss == pytest.approx(np.mean([r.loss for r in rows]), rel=1e-12)
     for name, grad in step.grads.items():
         want = sum(r.grads[name] for r in rows) / len(batch)
         np.testing.assert_allclose(grad, want, rtol=1e-9, atol=1e-12,
+                                   err_msg=name)
+
+
+def small_teacher_run(batch_size):
+    cfg = pl.load_config(None, {
+        "model": {"max_len": 8},
+        "teacher": {"hidden_dim": 8, "intermediate_dim": 12, "epochs": 2,
+                    "batch_size": batch_size},
+        "data": {"train_size": 48, "dev_size": 8}})
+    tok, train, dev, labels = pl.make_dataset(cfg)
+    return cfg, pl.build_teacher(cfg, tok, num_labels=len(labels)), train, dev
+
+
+def test_train_teacher_equals_inline_tape_loop_bitwise_at_batch_16():
+    # dividing the summed gradients by 16 after the backward rounds as
+    # scaling the loss by 1/16 before it does: 16 is a power of two
+    cfg, teacher, train, dev = small_teacher_run(16)
+    cfg2, oracle, _, _ = small_teacher_run(16)
+    pl.train_teacher(cfg, teacher, train, dev)
+    inline_teacher_training(cfg2, oracle, train)
+    for name, value in oracle.named_params().items():
+        np.testing.assert_array_equal(teacher.named_params()[name], value,
+                                      err_msg=name)
+
+
+def test_teacher_batch_gradients_match_inline_tape_loop_at_batch_12():
+    _cfg, teacher, train, _dev = small_teacher_run(12)
+    # two length groups, so the inline loop also adds losses on its tape
+    batch = train[:6] + [(tokens[:5], label) for tokens, label in train[6:12]]
+    got = batch_gradients(teacher, batch).grads
+    want = inline_teacher_gradients(teacher, batch)
+    assert set(got) == set(want)
+    for name, grad in want.items():
+        np.testing.assert_allclose(got[name], grad, rtol=0, atol=1e-14,
                                    err_msg=name)

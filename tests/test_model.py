@@ -202,7 +202,7 @@ def test_op_counter_only_counts_quantized_kernels():
     stack = make_stack(mode=QuantMode.TERNARY_158BIT)
     counter = OpCounter()
     stack.temporal_simulate(np.array([2, 4]), T=10, counter=counter)
-    assert counter.total > 0
+    assert sum(counter.per_layer.values()) > 0
     assert set(counter.per_layer) == {f"blk{i}.{nm}" for i in range(2)
                                       for nm in ("q", "k", "v", "o", "ff1", "ff2")}
 
@@ -247,7 +247,7 @@ def test_batched_temporal_simulate_equals_rows(mode):
     counter = OpCounter()
     logits, asrs, counts = stack.temporal_simulate(tokens, T=40,
                                                    counter=counter)
-    assert logits.shape == (5, 2) and counter.total > 0
+    assert logits.shape == (5, 2) and sum(counter.per_layer.values()) > 0
     rows = OpCounter()  # one counter over the rows, as per-sentence runs
     for b, row in enumerate(tokens):
         want = stack.temporal_simulate(row, T=40, counter=rows)
@@ -455,6 +455,29 @@ def test_teacher_rejects_out_of_vocab():
     teacher = TeacherModel(cfg, np.random.default_rng(0))
     with pytest.raises(ValueError):
         teacher_forward(teacher, np.array([7]))
+
+
+@pytest.mark.parametrize("kind", ["student", "teacher"])
+def test_both_models_reject_the_same_bad_tokens(kind):
+    # vocab_size 11 and max_len 6 for both models
+    if kind == "student":
+        stack = make_stack()
+
+        def forward(tokens):
+            return solve_fixed_point(stack, tokens, SolverConfig())
+    else:
+        teacher = TeacherModel(TeacherConfig(
+            vocab_size=11, hidden_dim=8, intermediate_dim=16, num_heads=2,
+            num_layers=1, max_len=6), np.random.default_rng(0))
+
+        def forward(tokens):
+            return teacher_forward(teacher, tokens)
+    for ids in ([2, 11], [[2, 4], [-1, 3]]):
+        with pytest.raises(ValueError, match="vocabulary"):
+            forward(np.array(ids))
+    for shape in ((7,), (2, 7), (1, 2, 3)):
+        with pytest.raises(ShapeError):
+            forward(np.full(shape, 2))
 
 
 def test_batched_teacher_forward_equals_rows():

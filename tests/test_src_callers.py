@@ -1,0 +1,86 @@
+"""Every public name of the package has a caller outside the tests.
+
+A function, class or method that only tests reach does not belong in the
+package.  Callers are the package's own modules and the benchmark's
+(`eqbench/`, its tests excepted).
+"""
+
+import ast
+import importlib
+import inspect
+from collections import defaultdict
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "eqspike"
+CALLERS = sorted(SRC.glob("*.py")) + sorted(
+    p for p in (ROOT / "eqbench").glob("*.py") if not p.name.startswith("test_"))
+
+
+def _public_names():
+    """(module, name, methods) for each public function and class of the
+    package; `methods` are a class's public methods and properties."""
+    for path in sorted(SRC.glob("*.py")):
+        mod = importlib.import_module(f"eqspike.{path.stem}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) \
+                    != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield path.stem, name, []
+            elif inspect.isclass(obj):
+                yield path.stem, name, [
+                    attr for attr, member in vars(obj).items()
+                    if not attr.startswith("_") and (
+                        inspect.isfunction(member) or isinstance(
+                            member, (classmethod, staticmethod, property)))]
+
+
+def _references(path):
+    """({package module: names the file refers to in it}, attribute names).
+
+    In a module's own file that is every bare name; elsewhere, the names
+    imported from it and the attributes of an alias bound to it.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    refs, aliases = defaultdict(set), {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 1:
+            module = node.module
+        elif node.level == 0 and (node.module or "").split(".")[0] == "eqspike":
+            module = node.module.partition(".")[2] or None
+        else:
+            continue
+        if module is None:  # from . import m / from eqspike import m as x
+            aliases.update((a.asname or a.name, a.name) for a in node.names)
+        else:
+            refs[module].update(a.name for a in node.names)
+    attrs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                refs[aliases[node.value.id]].add(node.attr)
+    if path.parent == SRC:
+        refs[path.stem] |= {n.id for n in ast.walk(tree)
+                            if isinstance(n, ast.Name)}
+    return refs, attrs
+
+
+def test_every_public_name_has_a_src_caller():
+    refs, attrs = defaultdict(set), set()
+    for path in CALLERS:
+        file_refs, file_attrs = _references(path)
+        for module, names in file_refs.items():
+            refs[module] |= names
+        attrs |= file_attrs
+    uncalled = []
+    for module, name, methods in _public_names():
+        if name not in refs[module]:
+            uncalled.append(f"{module}.{name}")
+        # a method is reached through an instance, so any attribute of
+        # its name counts
+        uncalled += [f"{module}.{name}.{m}" for m in methods if m not in attrs]
+    assert uncalled == []
