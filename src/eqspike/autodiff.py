@@ -354,5 +354,6 @@ def backward(outputs, cotangents):
         for parent, pg in zip(node._parents, node._vjp(node.grad)):
             if not parent.requires_grad:
                 continue
-            parent.grad = pg.copy() if parent.grad is None else parent.grad + pg
+            # no copy: no code updates a .grad array in place
+            parent.grad = pg if parent.grad is None else parent.grad + pg
     return None

@@ -19,7 +19,7 @@ from .data import batches, stack_by_length
 from .equilibrium import SolverConfig, solve_fixed_point
 from .implicit_grad import mse, training_step
 from .model import TeacherModel, teacher_forward
-from .numerics import AdamState
+from .numerics import AdamState, FlatParams
 
 
 class KdConfigError(ValueError):
@@ -64,9 +64,9 @@ class KdConfig:
         cfg = cls(layer_map=layer_map, loss_weights=loss_weights)
         if any(t >= num_teacher for t in layer_map):
             raise KdConfigError("layer map entries must be teacher block indices")
-        for i in range(num_student):
-            cfg.projections[f"kd.proj{i}"] = _init_projection(
-                student_dim, teacher_dim, rng)
+        cfg.projections = FlatParams({
+            f"kd.proj{i}": _init_projection(student_dim, teacher_dim, rng)
+            for i in range(num_student)})
         return cfg
 
 

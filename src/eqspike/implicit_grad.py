@@ -26,14 +26,16 @@ from .autodiff import Tensor
 from .data import stack_by_length
 from .equilibrium import solve_fixed_point  # noqa: F401  (public re-export)
 from .model import classifier_logits
-from .numerics import AdamState, adam_step_many
+from .numerics import AdamState, FlatParams, adam_step_many, flat_params
 
 
 @dataclass
 class GradientBundle:
-    grads: dict
+    grads: dict  # name -> gradient, for each parameter the loss reached
     loss: float
     loss_terms: dict = field(default_factory=dict)
+    # batch_gradients: one gradient buffer per parameter owner, for Adam
+    buffers: list = field(default_factory=list)
 
 
 def mse(pred: Tensor, target) -> Tensor:
@@ -80,17 +82,27 @@ def example_gradients(model, tokens, label, loss_builder,
     return GradientBundle(grads=grads, loss=float(loss.data), loss_terms=terms)
 
 
+def _owners(model, extra_params: FlatParams) -> list:
+    """The parameter buffers a step trains: the model's, then any extras."""
+    return [model.params] + ([extra_params] if extra_params else [])
+
+
 def batch_gradients(model, batch, loss_builder=ce_loss,
                     extra_params: dict | None = None) -> GradientBundle:
     """Gradients, loss and terms of a batch of (tokens, label) pairs.
 
     The batch is stacked by sequence length (`data.stack_by_length`; an
     encoded corpus is one group), and each group costs one taped forward
-    and one backward (`example_gradients`).  The group sums are averaged
-    over the batch.
+    and one backward (`example_gradients`).  The groups' leaf gradients are
+    added into one zero buffer per parameter owner (`FlatParams.zeros`: the
+    model's, then `extra_params`'), in group order, and each buffer is
+    divided once by the batch size; a buffer then drops the entries the
+    loss did not reach.  `grads` holds every buffer's entries.
     """
-    extra_params = extra_params or {}
-    grad_sum: dict = {}
+    extra_params = flat_params(extra_params or {})
+    buffers = [p.zeros() for p in _owners(model, extra_params)]
+    sums = {name: g for buf in buffers for name, g in buf.items()}
+    reached = set()
     loss_sum = 0.0
     term_sum: dict = {}
     for tokens, labels in stack_by_length(batch):
@@ -100,23 +112,33 @@ def batch_gradients(model, batch, loss_builder=ce_loss,
         for k, val in bundle.loss_terms.items():
             term_sum[k] = term_sum.get(k, 0.0) + val
         for k, grad in bundle.grads.items():
-            grad_sum[k] = grad_sum.get(k, 0.0) + grad
+            sums[k] += grad
+        reached.update(bundle.grads)
     n = len(batch)
-    return GradientBundle(grads={k: g / n for k, g in grad_sum.items()},
+    for buf in buffers:
+        buf.flat /= n
+        for name in [k for k in buf if k not in reached]:
+            del buf[name]
+    return GradientBundle(grads={k: g for buf in buffers for k, g in buf.items()},
                           loss=loss_sum / n,
-                          loss_terms={k: v / n for k, v in term_sum.items()})
+                          loss_terms={k: v / n for k, v in term_sum.items()},
+                          buffers=buffers)
 
 
 def training_step(stack, batch, optimizer: AdamState, loss_builder=ce_loss,
                   extra_params: dict | None = None) -> GradientBundle:
     """One Adam step of the student over a batch of (tokens, label) pairs.
 
-    `batch_gradients`, then `adam_step_many` on the stack's parameters and
-    `extra_params`, which checks every gradient finite before it writes
-    any parameter or optimizer state.
+    `batch_gradients`, then one `adam_step_many` over the stack's buffer
+    and that of `extra_params`, which checks every gradient finite before
+    it writes any parameter or optimizer state.  A plain dict of
+    `extra_params` is stepped as a FlatParams copy and written back.
     """
     extra_params = extra_params or {}
-    bundle = batch_gradients(stack, batch, loss_builder, extra_params)
-    adam_step_many({**stack.named_params(), **extra_params}, bundle.grads,
-                   optimizer)
+    extra = flat_params(extra_params)
+    bundle = batch_gradients(stack, batch, loss_builder, extra)
+    adam_step_many(_owners(stack, extra), bundle.buffers, optimizer)
+    if extra is not extra_params:
+        for name, arr in extra_params.items():
+            arr[...] = extra[name]
     return bundle

@@ -27,7 +27,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor, clip01, layer_norm, no_grad
 from .neuron import LifConfig, LifLayerState, RunningAverage, lif_step
-from .numerics import ShapeError, check_finite, init_uniform
+from .numerics import FlatParams, ShapeError, check_finite, init_uniform
 from .quantizer import (OpCounter, QuantMode, QuantizedLinear,
                         effective_weight_tensor, quantized_forward,
                         stack_pinned)
@@ -118,13 +118,13 @@ class EncoderStack:
     def __init__(self, cfg: StackConfig, rng: np.random.Generator):
         self.cfg = cfg
         d = cfg.hidden_dim
-        p = self.params = {
-            "tok_emb": rng.uniform(-0.25, 0.25, size=(cfg.vocab_size, d)),
-            "pos_emb": rng.uniform(-0.25, 0.25, size=(cfg.max_len, d))}
+        p = {"tok_emb": rng.uniform(-0.25, 0.25, size=(cfg.vocab_size, d)),
+             "pos_emb": rng.uniform(-0.25, 0.25, size=(cfg.max_len, d))}
         names = _add_blocks(p, cfg, rng, LN_GAIN_INIT, LN_BIAS_INIT)
         # classifier head stays full precision
         p["cls.w"] = init_uniform(rng, cfg.num_labels, d)
         p["cls.b"] = np.zeros(cfg.num_labels)
+        p = self.params = FlatParams(p)
         # every quantized linear under its name, holding its ".w"/".b" arrays
         self.linears = {k: QuantizedLinear(
             p[k + ".w"], p[k + ".b"], mode=cfg.quant_mode,
@@ -515,11 +515,12 @@ class TeacherModel:
     def __init__(self, cfg: TeacherConfig, rng: np.random.Generator):
         self.cfg = cfg
         d = cfg.hidden_dim
-        self.params = {"tok_emb": rng.uniform(-0.1, 0.1, size=(cfg.vocab_size, d)),
-                       "pos_emb": rng.uniform(-0.1, 0.1, size=(cfg.max_len, d)),
-                       "cls.w": init_uniform(rng, cfg.num_labels, d),
-                       "cls.b": np.zeros(cfg.num_labels)}
-        _add_blocks(self.params, cfg, rng, 1.0, 0.0)
+        p = {"tok_emb": rng.uniform(-0.1, 0.1, size=(cfg.vocab_size, d)),
+             "pos_emb": rng.uniform(-0.1, 0.1, size=(cfg.max_len, d)),
+             "cls.w": init_uniform(rng, cfg.num_labels, d),
+             "cls.b": np.zeros(cfg.num_labels)}
+        _add_blocks(p, cfg, rng, 1.0, 0.0)
+        self.params = FlatParams(p)
 
     def named_params(self) -> dict:
         return self.params

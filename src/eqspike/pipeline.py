@@ -159,8 +159,8 @@ def train_teacher(cfg, teacher, train_items, dev_items) -> dict:
     adam = AdamState(lr=t["lr"])
     for _epoch in range(t["epochs"]):
         for batch in batches(train_items, t["batch_size"]):
-            adam_step_many(teacher.params, batch_gradients(teacher, batch).grads,
-                           adam)
+            adam_step_many([teacher.params],
+                           batch_gradients(teacher, batch).buffers, adam)
     acc = _accuracy(lambda tokens: teacher_forward(teacher, tokens)[1],
                     dev_items)
     return {"dev_accuracy": acc}
@@ -197,7 +197,7 @@ def finetune_student(cfg, stack, train_items, dev_items):
     adam = AdamState(lr=cfg["train"]["lr"])
     scfg = solver_config(cfg)
     history = []
-    params = stack.named_params()
+    flat = stack.named_params().flat  # every parameter, so a snapshot is one copy
     best_acc, best_snapshot = -1.0, None
     for epoch in range(1, cfg["train"]["finetune_epochs"] + 1):
         for batch in batches(train_items, cfg["train"]["batch_size"]):
@@ -205,11 +205,9 @@ def finetune_student(cfg, stack, train_items, dev_items):
         acc = student_accuracy(stack, dev_items, scfg)
         history.append({"epoch": epoch, "dev_accuracy": acc})
         if acc > best_acc:
-            best_acc = acc
-            best_snapshot = {k: v.copy() for k, v in params.items()}
+            best_acc, best_snapshot = acc, flat.copy()
     if best_snapshot is not None:
-        for k, v in params.items():
-            v[...] = best_snapshot[k]
+        flat[...] = best_snapshot
     history.append({"epoch": "selected", "dev_accuracy": best_acc})
     return history
 

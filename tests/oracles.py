@@ -9,10 +9,10 @@ from eqspike import autodiff as ad
 from eqspike.autodiff import layer_norm
 from eqspike.data import batches, stack_by_length
 from eqspike.distill import KdReport, evaluate_kd_loss, kd_loss_builder
-from eqspike.implicit_grad import training_step
+from eqspike.implicit_grad import GradientBundle, example_gradients, training_step
 from eqspike.model import classifier_logits, spiking_attention, teacher_forward
 from eqspike.neuron import LifConfig
-from eqspike.numerics import AdamState, NumericError, adam_step_many
+from eqspike.numerics import NumericError, ShapeError, check_finite
 from eqspike.quantizer import quantized_forward
 
 
@@ -103,13 +103,81 @@ def inline_teacher_gradients(teacher, batch) -> dict:
 
 
 def inline_teacher_training(cfg, teacher, train_items) -> None:
-    """`pipeline.train_teacher`'s Adam steps on `inline_teacher_gradients`."""
+    """`pipeline.train_teacher`'s Adam steps on `inline_teacher_gradients`,
+    taken by the per-tensor `TensorAdam`."""
     t = cfg["teacher"]
-    adam = AdamState(lr=t["lr"])
+    adam = TensorAdam(lr=t["lr"])
     for _epoch in range(t["epochs"]):
         for batch in batches(train_items, t["batch_size"]):
-            adam_step_many(teacher.params,
-                           inline_teacher_gradients(teacher, batch), adam)
+            adam.step_many(teacher.params,
+                           inline_teacher_gradients(teacher, batch))
+
+
+# -- per-tensor Adam and per-name averaging: the reference for the flat step
+
+@dataclass
+class TensorAdam:
+    """Adam with one update per named tensor and moments per name."""
+    lr: float = 1e-3
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-8
+    step: int = 0
+    m: dict = field(default_factory=dict)
+    v: dict = field(default_factory=dict)
+
+    def update(self, name, param, grad):
+        """One Adam update for a named parameter; returns the new value."""
+        if name not in self.m:
+            self.m[name] = np.zeros_like(param)
+            self.v[name] = np.zeros_like(param)
+        m = self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * grad
+        v = self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * grad ** 2
+        t = max(self.step, 1)
+        mhat = m / (1 - self.beta1 ** t)
+        vhat = v / (1 - self.beta2 ** t)
+        return param - self.lr * mhat / (np.sqrt(vhat) + self.eps)
+
+    def step_many(self, params: dict, grads: dict) -> None:
+        """In-place step over a dict of parameters; those without a gradient
+        are skipped, and every gradient is checked before any write."""
+        todo = [(name, p, grads[name]) for name, p in params.items()
+                if name in grads]
+        for name, p, g in todo:
+            if p.shape != g.shape:
+                raise ShapeError(f"adam: param {p.shape} vs grad {g.shape} "
+                                 f"for {name}")
+            check_finite(g, f"gradient for {name}")
+        self.step += 1
+        for name, p, g in todo:
+            p[...] = self.update(name, p, g)
+
+
+def per_name_batch_gradients(model, batch, loss_builder, extra_params):
+    """`implicit_grad.batch_gradients` as a sum per name over the length
+    groups' `example_gradients`, each sum divided by the batch size."""
+    grad_sum, loss_sum, term_sum = {}, 0.0, {}
+    for tokens, labels in stack_by_length(batch):
+        bundle = example_gradients(model, tokens, labels, loss_builder,
+                                   extra_params)
+        loss_sum += bundle.loss
+        for k, val in bundle.loss_terms.items():
+            term_sum[k] = term_sum.get(k, 0.0) + val
+        for k, grad in bundle.grads.items():
+            grad_sum[k] = grad_sum.get(k, 0.0) + grad
+    n = len(batch)
+    return GradientBundle(grads={k: g / n for k, g in grad_sum.items()},
+                          loss=loss_sum / n,
+                          loss_terms={k: v / n for k, v in term_sum.items()})
+
+
+def per_tensor_training_step(stack, batch, adam: TensorAdam, loss_builder,
+                             extra_params) -> GradientBundle:
+    """`implicit_grad.training_step` on `per_name_batch_gradients` and
+    `TensorAdam`."""
+    bundle = per_name_batch_gradients(stack, batch, loss_builder, extra_params)
+    adam.step_many({**stack.params, **extra_params}, bundle.grads)
+    return bundle
 
 
 # -- the step-major spike path: the reference for the windowed one --------

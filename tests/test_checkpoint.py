@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from eqspike import pipeline as pl
 from eqspike.checkpoint import (CheckpointError, load_student, load_teacher,
                                 save_student, save_teacher)
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
@@ -179,3 +180,40 @@ def test_frozen_ternary_simulation_is_unchanged_by_round_trip(tmp_path):
         for name, want in runs[0][1].items():
             np.testing.assert_array_equal(asrs[name], want, err_msg=name)
         assert per_layer == runs[0][2]
+
+
+def _assert_views_of_one_buffer(model):
+    """Every entry, linear and alias of `model` is a view of its buffer."""
+    params = model.named_params()
+    for name, value in params.items():
+        assert np.shares_memory(value, params.flat), name
+    if isinstance(model, EncoderStack):
+        for k, lin in model.linears.items():
+            assert lin.latent_w is params[k + ".w"]
+            assert lin.bias is params[k + ".b"]
+        for alias, name in (("tok_emb", "tok_emb"), ("pos_emb", "pos_emb"),
+                            ("cls_w", "cls.w"), ("cls_b", "cls.b")):
+            assert getattr(model, alias) is params[name]
+            assert np.shares_memory(getattr(model, alias), params.flat)
+
+
+def test_parameters_stay_views_of_one_buffer(tmp_path):
+    cfg = pl.load_config(None, {
+        "model": {"hidden_dim": 8, "intermediate_dim": 12, "max_len": 8},
+        "teacher": {"hidden_dim": 8, "intermediate_dim": 12},
+        "train": {"batch_size": 8, "finetune_epochs": 2},
+        "data": {"train_size": 16, "dev_size": 8}})
+    tok, train, dev, labels = pl.make_dataset(cfg)
+    teacher = pl.build_teacher(cfg, tok, num_labels=len(labels))
+    save_teacher(teacher, tmp_path / "teacher.json")
+    _assert_views_of_one_buffer(load_teacher(tmp_path / "teacher.json"))
+    stack = pl.build_student(cfg, tok, num_labels=len(labels))
+    stack.freeze_quantization()
+    _assert_views_of_one_buffer(stack)
+    save_student(stack, "kd", tmp_path / "student.json")
+    stack, _ = load_student(tmp_path / "student.json")
+    _assert_views_of_one_buffer(stack)
+    stack.set_quant_mode(QuantMode.BINARY_1BIT)
+    _assert_views_of_one_buffer(stack)
+    pl.finetune_student(cfg, stack, train, dev)  # restores the best epoch
+    _assert_views_of_one_buffer(stack)

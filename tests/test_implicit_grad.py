@@ -1,7 +1,13 @@
+import importlib
+import pkgutil
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import eqspike
 from eqspike import autodiff as ad
+from eqspike import implicit_grad, numerics
 from eqspike import pipeline as pl
 from eqspike.autodiff import Tensor
 from eqspike.distill import KdConfig, kd_loss_builder, teacher_targets
@@ -11,8 +17,9 @@ from eqspike.implicit_grad import (batch_gradients, ce_loss, example_gradients,
 from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
 from eqspike.numerics import AdamState, NumericError
 from eqspike.quantizer import QuantMode
-from oracles import (dense_adjoint_solve, inline_teacher_gradients,
-                     inline_teacher_training)
+from oracles import (TensorAdam, dense_adjoint_solve,
+                     inline_teacher_gradients, inline_teacher_training,
+                     per_tensor_training_step)
 
 
 def small_stack(seed=0, mode=QuantMode.FULL_PRECISION):
@@ -159,12 +166,48 @@ def test_non_finite_gradient_leaves_params_and_optimizer_untouched():
     stack.cls_b[0] = np.inf  # the loss, and so every gradient, turns NaN
     before = {k: v.copy() for k, v in stack.named_params().items()}
     m = {k: v.copy() for k, v in adam.m.items()}
+    v = {k: v.copy() for k, v in adam.v.items()}
     with pytest.raises(NumericError), np.errstate(invalid="ignore"):
         training_step(stack, batch, adam)
     assert adam.step == 1
-    for k, v in stack.named_params().items():
-        np.testing.assert_array_equal(v, before[k], err_msg=k)
-        np.testing.assert_array_equal(adam.m[k], m[k], err_msg=k)
+    for k, value in stack.named_params().items():
+        np.testing.assert_array_equal(value, before[k], err_msg=k)
+    assert adam.m.keys() == m.keys() == adam.v.keys() == v.keys() \
+        == {tuple(stack.params.layout)}
+    for k in m:
+        np.testing.assert_array_equal(adam.m[k], m[k])
+        np.testing.assert_array_equal(adam.v[k], v[k])
+
+
+@pytest.mark.parametrize("kind", ["ce", "kd"])
+def test_training_step_equals_per_tensor_oracle_bitwise(kind):
+    # Adam over the flat buffers computes the bits of one update per
+    # tensor, and the flat gradient sum those of the per-name sums
+    got, want = (small_stack(seed=13, mode=QuantMode.TERNARY_158BIT)
+                 for _ in range(2))
+    (builder, extra), (oracle_builder, oracle_extra) = \
+        ((ce_loss, {}), (ce_loss, {})) if kind == "ce" else \
+        (kd_builder(got), kd_builder(want))
+    head = got.params["cls.w"].copy()
+    batch = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7, 8]), 1),
+             (np.array([3, 9, 1]), 1), (np.array([4, 4, 6, 2]), 0)]
+    adam, oracle = AdamState(lr=1e-2), TensorAdam(lr=1e-2)
+    for _ in range(3):
+        step = training_step(got, batch, adam, builder, extra)
+        ref = per_tensor_training_step(want, batch, oracle, oracle_builder,
+                                       oracle_extra)
+        assert step.loss == ref.loss and step.loss_terms == ref.loss_terms
+        assert step.grads.keys() == ref.grads.keys()
+        for name, grad in ref.grads.items():
+            np.testing.assert_array_equal(step.grads[name], grad, err_msg=name)
+    for name, value in {**want.params, **oracle_extra}.items():
+        np.testing.assert_array_equal({**got.params, **extra}[name], value,
+                                      err_msg=name)
+    if kind == "kd":  # the loss never reaches the head: value and moments kept
+        slot = got.params.layout["cls.w"][0]
+        np.testing.assert_array_equal(got.params["cls.w"], head)
+        assert not np.any(adam.m[tuple(got.params.layout)][slot])
+        assert len(adam.m) == 2  # the stack's buffer and the projections'
 
 
 def test_quantized_gradients_flow_to_latent_weights():
@@ -240,3 +283,35 @@ def test_teacher_batch_gradients_match_inline_tape_loop_at_batch_12():
     for name, grad in want.items():
         np.testing.assert_allclose(got[name], grad, rtol=0, atol=1e-14,
                                    err_msg=name)
+
+
+def test_pipeline_chain_steps_adam_once_per_step(monkeypatch):
+    # the call counts a traced `eqbench` train run asserts
+    calls = Counter()
+    modules = [importlib.import_module(f"eqspike.{m.name}")
+               for m in pkgutil.iter_modules(eqspike.__path__)]
+    for fn in (numerics.adam_step_many, implicit_grad.training_step):
+        def counted(*args, _fn=fn, **kwargs):
+            calls[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for mod in modules:  # every binding, as `from .x import f` makes one
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    cfg = pl.load_config(None, {
+        "model": {"hidden_dim": 8, "intermediate_dim": 12, "max_len": 8},
+        "teacher": {"hidden_dim": 8, "intermediate_dim": 12, "epochs": 2,
+                    "batch_size": 8},
+        "train": {"batch_size": 8, "kd_epochs": 2, "finetune_epochs": 3},
+        "data": {"train_size": 20, "dev_size": 8}})
+    tok, train, dev, labels = pl.make_dataset(cfg)
+    teacher = pl.build_teacher(cfg, tok, num_labels=len(labels))
+    stack = pl.build_student(cfg, tok, num_labels=len(labels))
+    steps = 3  # ceil(20 / 8) batches per epoch, for teacher and student
+    pl.train_teacher(cfg, teacher, train, dev)
+    assert calls == {"adam_step_many": 2 * steps}
+    pl.distill_student(cfg, stack, teacher, train)
+    pl.finetune_student(cfg, stack, train, dev)
+    assert calls == {"adam_step_many": 2 * steps + (2 + 3) * steps,
+                     "training_step": (2 + 3) * steps}
