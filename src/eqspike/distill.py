@@ -13,11 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .data import batches, stack_by_length
 from .equilibrium import SolverConfig, solve_fixed_point
-from .implicit_grad import mse, training_step
+from .implicit_grad import training_step
 from .model import TeacherModel, teacher_forward
 from .numerics import AdamState, FlatParams
 
@@ -79,27 +77,55 @@ def _init_projection(ds: int, dt: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(ds, dt)) / np.sqrt(ds)
 
 
-def kd_loss(student_asrs: list, teacher_hiddens: list, cfg: KdConfig,
-            proj_leaves: dict | None = None):
-    """Weighted sum of per-pair MSE terms; returns (Tensor, per-pair floats).
+def mse(pred, target, weight):
+    """Mean squared error per example, summed over the batch, and the
+    gradient on `pred` of `weight` times it.
 
-    `student_asrs` entries may be Tensors (training) or arrays (reporting),
-    (seq, d) for one example or (B, seq, d) for a batch; each term is then
-    the sum over the batch of per-example MSE means.
+    The last two axes (seq, d) hold one example and any axis before them
+    is a batch axis; a 1-D or 2-D input is a single example.
     """
+    diff = pred - target
+    scale = 1.0 / int(np.prod(diff.shape[-2:]))
+    g = weight * scale * diff
+    return float((diff * diff).sum() * scale), g + g
+
+
+def kd_loss(student_asrs: list, teacher_hiddens: list, cfg: KdConfig,
+            projections: dict | None = None):
+    """Weighted sum of per-pair MSE terms and its gradients.
+
+    Pair i projects student block i by "kd.proj{i}" of `projections`
+    (`cfg.projections` if None) and compares it with teacher block
+    `cfg.layer_map[i]`.  Block outputs are (seq, d) for one example or
+    (B, seq, d) for a batch; each term is then the sum over the batch of
+    per-example MSE means.  Returns the total, the per-pair terms, and the
+    total's gradient on each projected student block (the projection's
+    input gradient and its own are `project_backward`'s).  Raises
+    KdConfigError unless there is one projection per mapped block.
+    """
+    projections = cfg.projections if projections is None else projections
     if len(cfg.layer_map) != len(student_asrs):
         raise KdConfigError("every student block needs a teacher mapping")
-    total = None
-    per_pair = []
-    for i, t_idx in enumerate(cfg.layer_map):
-        proj = proj_leaves[f"kd.proj{i}"] if proj_leaves is not None \
-            else Tensor(cfg.projections[f"kd.proj{i}"])
-        s = ad.as_tensor(student_asrs[i])
-        term = mse(s @ proj, teacher_hiddens[t_idx])
-        per_pair.append(float(term.data))
-        weighted = ad.mul(term, cfg.loss_weights[i])
-        total = weighted if total is None else ad.add(total, weighted)
-    return total, per_pair
+    missing = [f"kd.proj{i}" for i in range(len(cfg.layer_map))
+               if f"kd.proj{i}" not in projections]
+    if missing:
+        raise KdConfigError(f"KD projections {', '.join(missing)} are "
+                            "missing; KdConfig.build makes them")
+    total, per_pair, g_proj = 0.0, [], []
+    for i, (t_idx, weight) in enumerate(zip(cfg.layer_map, cfg.loss_weights)):
+        term, g = mse(student_asrs[i] @ projections[f"kd.proj{i}"],
+                      teacher_hiddens[t_idx], float(weight))
+        per_pair.append(term)
+        g_proj.append(g)
+        total += term * weight
+    return float(total), per_pair, g_proj
+
+
+def project_backward(g, s, proj):
+    """(gradient on s, gradient on proj) of the projection s @ proj, for
+    s (..., k, n); the projection's gradient is summed over the batch."""
+    gp = np.swapaxes(s, -1, -2) @ g
+    return g @ proj.T, gp.sum(axis=tuple(range(gp.ndim - 2)))
 
 
 @dataclass
@@ -139,16 +165,20 @@ def kd_loss_builder(cfg: KdConfig, targets):
     `teacher_targets` does.
     """
 
-    def build(tokens, label, a_blocks, head_leaves):
-        total, per_pair = kd_loss(a_blocks, targets(tokens), cfg,
-                                  proj_leaves=head_leaves)
-        return total, {"kd": float(total.data),
-                       **{f"kd_pair{j}": v for j, v in enumerate(per_pair)}}
+    def build(tokens, label, a_blocks, head):
+        total, per_pair, g_proj = kd_loss(a_blocks, targets(tokens), cfg, head)
+        g_blocks, g_head = [], {}
+        for i, (g, s) in enumerate(zip(g_proj, a_blocks)):
+            name = f"kd.proj{i}"
+            g_s, g_head[name] = project_backward(g, s, head[name])
+            g_blocks.append(g_s)
+        return total, {"kd": total, **{f"kd_pair{j}": v for j, v in
+                                       enumerate(per_pair)}}, g_blocks, g_head
 
     return build
 
 
-def evaluate_kd_loss(stack, dataset, cfg: KdConfig, solver_cfg: SolverConfig,
+def evaluate_kd_loss(stack, dataset, cfg: KdConfig,
                      targets) -> tuple[float, list]:
     """Mean distillation loss over a dataset (no training).
 
@@ -157,9 +187,9 @@ def evaluate_kd_loss(stack, dataset, cfg: KdConfig, solver_cfg: SolverConfig,
     total = 0.0
     pair_sum = None
     for tokens, _labels in stack_by_length(dataset):
-        sol = solve_fixed_point(stack, tokens, solver_cfg)
-        t, per_pair = kd_loss(sol.asr_star, targets(tokens), cfg)
-        total += float(t.data)
+        sol = solve_fixed_point(stack, tokens, SolverConfig())
+        t, per_pair, _ = kd_loss(sol.asr_star, targets(tokens), cfg)
+        total += t
         pair_sum = per_pair if pair_sum is None else \
             [a + b for a, b in zip(pair_sum, per_pair)]
     n = len(dataset)
@@ -168,7 +198,6 @@ def evaluate_kd_loss(stack, dataset, cfg: KdConfig, solver_cfg: SolverConfig,
 
 def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
                      cfg: KdConfig, optimizer: AdamState,
-                     solver_cfg: SolverConfig | None = None,
                      batch_size: int = 16) -> KdReport:
     """Stage-1 training: minimize the distillation loss over the dataset.
 
@@ -176,7 +205,6 @@ def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
     student is untouched and only that row is emitted.  The steps and the
     evaluations share one teacher pass per distinct stacked batch.
     """
-    solver_cfg = solver_cfg or SolverConfig(tol=1e-8)
     targets = teacher_targets(teacher)
     builder = kd_loss_builder(cfg, targets)
     report = KdReport()
@@ -185,7 +213,6 @@ def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
             for batch in batches(dataset, batch_size):
                 training_step(stack, batch, optimizer, loss_builder=builder,
                               extra_params=cfg.projections)
-        total, pairs = evaluate_kd_loss(stack, dataset, cfg, solver_cfg,
-                                        targets)
+        total, pairs = evaluate_kd_loss(stack, dataset, cfg, targets)
         report.append(epoch, pairs, total)
     return report

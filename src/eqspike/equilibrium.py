@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import no_grad
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -36,19 +34,17 @@ def solve_fixed_point(stack, tokens, cfg: SolverConfig) -> EquilibriumSolution:
     `sublayer_asr` then carry the leading batch axis.  Sentences do not
     interact, so a batch solve equals the per-sentence solves.
 
-    The solve is `stack.sweep` untaped: block i reads only block i-1, so
-    it lands on the fixed point exactly; `stack.rate_map` certifies it to
-    `cfg.tol` from outside.  An unfrozen stack is quantized once per solve.
-    Raises NumericError on a non-finite rate.
+    The solve is `stack.sweep` without caches: block i reads only block
+    i-1, so it lands on the fixed point exactly; `stack.rate_map`
+    certifies it to `cfg.tol` from outside.  An unfrozen stack is
+    quantized once per solve.  Raises NumericError on a non-finite rate.
     """
     record = {}
-    with no_grad():
-        rates = stack.sweep(tokens, stack.param_tensors(), record)
-    return EquilibriumSolution(asr_star=[a.data for a in rates],
-                               sublayer_asr=record)
+    rates = stack.sweep(tokens, record)
+    return EquilibriumSolution(asr_star=rates, sublayer_asr=record)
 
 
-def convergence_trace(stack, tokens, T: int, solver_cfg: SolverConfig | None = None):
+def convergence_trace(stack, tokens, T: int):
     """Temporal simulation trace: (step, layer, mean rate, |mean - target|) rows.
 
     Targets are the per-layer mean equilibrium rates, so the residual column
@@ -56,8 +52,7 @@ def convergence_trace(stack, tokens, T: int, solver_cfg: SolverConfig | None = N
     the rows, the equilibrium solution and the `temporal_simulate` result
     (logits, ASRs, spike counts) of the traced run.
     """
-    solver_cfg = solver_cfg or SolverConfig(tol=1e-8)
-    sol = solve_fixed_point(stack, tokens, solver_cfg)
+    sol = solve_fixed_point(stack, tokens, SolverConfig())
     targets = {name: float(np.mean(v)) for name, v in sol.sublayer_asr.items()}
     rows = []
     result = stack.temporal_simulate(tokens, T, trace=rows, trace_targets=targets)

@@ -4,15 +4,19 @@ Gradients never unroll the temporal simulation.  Block i of the stack
 reads only block i-1, so the Jacobian of the rate map in the block state
 is strictly lower triangular: one forward pass from the encoding through
 the blocks lands on the fixed point a* = f(a*), and one backward pass
-over that forward's tape solves the implicit-function adjoint equation
+through that forward solves the implicit-function adjoint equation
 v = dL/da* + (df/da)^T v exactly.
 
-A training step stacks its batch and tapes that one forward and one
-backward for all of it, so the parameter leaves are built and each linear
-is quantized once per step.  Loss builders therefore see block outputs
-with a leading batch axis and return the loss summed over the batch.
-The full-precision teacher has the same `param_tensors`/`sweep` contract,
-so its training shares `batch_gradients` with the student's.
+That backward is written out in closed form: the sweep keeps each
+block's cache, the loss returns its gradient on each block output, and
+the model's `backward` runs the blocks' backwards in reverse order,
+adding every parameter gradient straight into a flat gradient buffer.
+A training step stacks its batch and runs one forward and one backward
+for all of it, so each linear is quantized once per step.  Loss builders
+therefore see block outputs with a leading batch axis and return the
+loss summed over the batch.  The full-precision teacher has the same
+`sweep`/`backward` contract, so its training shares `batch_gradients`
+with the student's.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 from .data import stack_by_length
 from .equilibrium import solve_fixed_point  # noqa: F401  (public re-export)
 from .model import classifier_logits
@@ -34,52 +37,20 @@ class GradientBundle:
     grads: dict  # name -> gradient, for each parameter the loss reached
     loss: float
     loss_terms: dict = field(default_factory=dict)
-    # batch_gradients: one gradient buffer per parameter owner, for Adam
+    # one gradient buffer per parameter owner, for Adam
     buffers: list = field(default_factory=list)
 
 
-def mse(pred: Tensor, target) -> Tensor:
-    """Mean squared error per example, summed over the batch.
-
-    The last two axes (seq, d) hold one example and any axis before them
-    is a batch axis; a 1-D or 2-D input is a single example.
-    """
-    diff = ad.sub(pred, np.asarray(target, dtype=np.float64))
-    per_example = int(np.prod(diff.data.shape[-2:]))
-    return ad.tensor_sum(ad.mul(diff, diff)) * (1.0 / per_example)
-
-
-def ce_loss(tokens, label, a_blocks, head_leaves):
+def ce_loss(tokens, label, a_blocks, head):
     """Cross-entropy on the classifier over the final block's CLS rate."""
-    loss = ad.cross_entropy(classifier_logits(a_blocks[-1], head_leaves), label)
-    return loss, {"ce": float(loss.data)}
-
-
-def example_gradients(model, tokens, label, loss_builder,
-                      extra_params: dict) -> GradientBundle:
-    """Gradient of the loss on one example or a batch.
-
-    `model` is the student `EncoderStack`, whose sweep lands on its
-    equilibrium, or a `TeacherModel`; both have `param_tensors()` and
-    `sweep(tokens, leaves)`.  `tokens` is (seq,) with
-    an int `label`, or a stacked batch (B, seq) with labels (B,);
-    gradients, loss and terms are then sums over the batch.  Tapes the
-    sweep (a student's raises NumericError on a non-finite rate) and runs
-    one backward from the loss.  `loss_builder(tokens, label, a_blocks,
-    head_leaves)` sees the block outputs, (seq, d) or (B, seq, d), and the
-    classifier and `extra_params` leaves, and returns (loss Tensor, dict
-    of floats).
-    """
-    leaves = model.param_tensors()
-    a_blocks = model.sweep(tokens, leaves)
-    extra = {name: Tensor(arr, requires_grad=True)
-             for name, arr in extra_params.items()}
-    head_leaves = {"cls.w": leaves["cls.w"], "cls.b": leaves["cls.b"], **extra}
-    loss, terms = loss_builder(tokens, label, a_blocks, head_leaves)
-    ad.backward([loss], [1.0])
-    grads = {name: leaf.grad for name, leaf in {**leaves, **extra}.items()
-             if leaf.grad is not None}
-    return GradientBundle(grads=grads, loss=float(loss.data), loss_terms=terms)
+    final = a_blocks[-1]
+    loss, g_logits = ad.cross_entropy(classifier_logits(final, head), label)
+    g_cls, g_w, g_b = ad.linear_backward(g_logits, final[..., 0, :],
+                                         head["cls.w"])
+    g_final = np.zeros_like(final)
+    g_final[..., 0, :] = g_cls
+    return (loss, {"ce": loss}, [None] * (len(a_blocks) - 1) + [g_final],
+            {"cls.w": g_w, "cls.b": g_b})
 
 
 def _owners(model, extra_params: FlatParams) -> list:
@@ -87,38 +58,73 @@ def _owners(model, extra_params: FlatParams) -> list:
     return [model.params] + ([extra_params] if extra_params else [])
 
 
+def example_gradients(model, tokens, label, loss_builder,
+                      extra_params: dict) -> GradientBundle:
+    """Gradient of the loss on one example or a batch.
+
+    `model` is the student `EncoderStack`, whose sweep lands on its
+    equilibrium, or a `TeacherModel`.  `tokens` is (seq,) with an int
+    `label`, or a stacked batch (B, seq) with labels (B,); gradients, loss
+    and terms are then sums over the batch.  Runs the sweep with its caches
+    (a student's raises NumericError on a non-finite rate), the loss and
+    the model's backward.
+
+    `loss_builder(tokens, label, a_blocks, head)` sees the block outputs,
+    (seq, d) or (B, seq, d), and `head`: the classifier's "cls.w" and
+    "cls.b" and the `extra_params`.  It returns the loss, a dict of float
+    terms, its gradient on each block output (None where it does not read
+    one) and a dict of gradients of the `head` entries it reaches.
+
+    The gradients are added straight into new gradient `buffers`, one
+    `FlatParams.zeros` per owner: the model's, then `extra_params`'.  A
+    `head` entry the loss does not reach is dropped from its buffer, so
+    Adam keeps that parameter and its moments.  `grads` holds the buffers'
+    entries.
+    """
+    buffers = [p.zeros() for p in _owners(model, flat_params(extra_params))]
+    caches = []
+    a_blocks = model.sweep(tokens, caches=caches)
+    head = {"cls.w": model.params["cls.w"], "cls.b": model.params["cls.b"],
+            **extra_params}
+    loss, terms, g_blocks, g_head = loss_builder(tokens, label, a_blocks, head)
+    model.backward(caches, g_blocks, buffers[0])
+    for buf in buffers:
+        for name in [k for k in buf if k in head]:
+            if name in g_head:
+                buf[name] += g_head[name]
+            else:
+                del buf[name]
+    return GradientBundle(grads={k: g for buf in buffers for k, g in buf.items()},
+                          loss=loss, loss_terms=terms, buffers=buffers)
+
+
 def batch_gradients(model, batch, loss_builder=ce_loss,
                     extra_params: dict | None = None) -> GradientBundle:
     """Gradients, loss and terms of a batch of (tokens, label) pairs.
 
     The batch is stacked by sequence length (`data.stack_by_length`; an
-    encoded corpus is one group), and each group costs one taped forward
-    and one backward (`example_gradients`).  The groups' leaf gradients are
-    added into one zero buffer per parameter owner (`FlatParams.zeros`: the
-    model's, then `extra_params`'), in group order, and each buffer is
-    divided once by the batch size; a buffer then drops the entries the
-    loss did not reach.  `grads` holds every buffer's entries.
+    encoded corpus is one group), and each group costs one forward and one
+    backward (`example_gradients`).  The later groups' gradient buffers
+    are added into the first group's, in group order, and each buffer is
+    then divided once by the batch size.  `grads` holds every buffer's
+    entries.
     """
     extra_params = flat_params(extra_params or {})
-    buffers = [p.zeros() for p in _owners(model, extra_params)]
-    sums = {name: g for buf in buffers for name, g in buf.items()}
-    reached = set()
-    loss_sum = 0.0
-    term_sum: dict = {}
+    buffers, loss_sum, term_sum = None, 0.0, {}
     for tokens, labels in stack_by_length(batch):
         bundle = example_gradients(model, tokens, labels, loss_builder,
                                    extra_params)
+        if buffers is None:
+            buffers = bundle.buffers
+        else:
+            for buf, part in zip(buffers, bundle.buffers):
+                buf.flat += part.flat
         loss_sum += bundle.loss
         for k, val in bundle.loss_terms.items():
             term_sum[k] = term_sum.get(k, 0.0) + val
-        for k, grad in bundle.grads.items():
-            sums[k] += grad
-        reached.update(bundle.grads)
     n = len(batch)
     for buf in buffers:
         buf.flat /= n
-        for name in [k for k in buf if k not in reached]:
-            del buf[name]
     return GradientBundle(grads={k: g for buf in buffers for k, g in buf.items()},
                           loss=loss_sum / n,
                           loss_terms={k: v / n for k, v in term_sum.items()},

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor, clip01, layer_norm, no_grad
+from .autodiff import (clip01, clip01_backward, gelu, gelu_backward,
+                       layer_norm, layer_norm_backward, linear,
+                       linear_backward)
 from .neuron import LifConfig, LifLayerState, RunningAverage, lif_step
 from .numerics import FlatParams, ShapeError, check_finite, init_uniform
 from .quantizer import (OpCounter, QuantMode, QuantizedLinear,
@@ -75,6 +76,70 @@ def _token_ids(tokens, cfg) -> np.ndarray:
         raise ValueError("token id outside the model's vocabulary of "
                          f"{cfg.vocab_size}")
     return tokens
+
+
+def _embed(params, tokens: np.ndarray) -> np.ndarray:
+    """Token plus position embedding of checked `tokens`, (..., seq, d)."""
+    return params["tok_emb"][tokens] + params["pos_emb"][:tokens.shape[-1]]
+
+
+def _embed_backward(tokens: np.ndarray, g: np.ndarray, grads: dict):
+    """Adds the gradient `g` on `_embed(params, tokens)` into `grads`.
+
+    Rows that `tokens` repeats accumulate in a zero table before it is
+    added, as each position contributes once per sentence.
+    """
+    table = np.zeros_like(grads["tok_emb"])
+    np.add.at(table, tokens, g)
+    grads["tok_emb"] += table
+    grads["pos_emb"][:tokens.shape[-1]] += g.sum(axis=tuple(range(g.ndim - 2)))
+
+
+def _linear_backward(g, x, w, grads: dict, name: str):
+    """`linear_backward` of linear `name` (weight `w`), its weight and bias
+    gradients added into `grads`; returns the input gradient."""
+    gx, gw, gb = linear_backward(g, x, w)
+    grads[name + ".w"] += gw
+    grads[name + ".b"] += gb
+    return gx
+
+
+def _norm_backward(g, saved, params, grads: dict, name: str):
+    """`layer_norm_backward` of layer norm `name` ("blk{i}.ln1" or "ln2"),
+    its gain and bias gradients added into `grads`; returns gx."""
+    gx, ggain, gbias = layer_norm_backward(g, saved, params[name + "_g"])
+    grads[name + "_g"] += ggain
+    grads[name + "_b"] += gbias
+    return gx
+
+
+def _block_input_grad(g_res, g_loss, g_qkv):
+    """The gradient on a block's input, summed in one fixed order.
+
+    The residual's term, then the loss's own gradient on that input (None
+    when the loss does not read it), then the q, k and v terms: the order
+    in which the taped reference in `tests/oracles.py` sums them, so
+    training stays bitwise equal to it.
+    """
+    g = g_res if g_loss is None else g_res + g_loss
+    for term in g_qkv:
+        g = g + term
+    return g
+
+
+def _blocks_backward(model, caches: list, g_blocks: list, grads: dict):
+    """The gradient on the first block's input; each block's backward adds
+    its parameter gradients into `grads` on the way down.
+
+    `caches` is a `sweep`'s: its input's entry, then one per block.
+    `g_blocks` is the loss's gradient on each block output, None where the
+    loss does not read it; it must read the last one.
+    """
+    g = g_blocks[-1]
+    for i in reversed(range(len(caches) - 1)):
+        g = model.block_backward(i, g, caches[i + 1], grads,
+                                 g_blocks[i - 1] if i else None)
+    return g
 
 
 def _add_blocks(params: dict, cfg, rng, ln_gain: float, ln_bias: float) -> list:
@@ -137,9 +202,6 @@ class EncoderStack:
     def named_params(self) -> dict:
         return self.params
 
-    def param_tensors(self) -> dict:
-        return {k: Tensor(v, requires_grad=True) for k, v in self.params.items()}
-
     def set_quant_mode(self, mode: QuantMode):
         self.cfg = dataclasses.replace(self.cfg, quant_mode=mode)
         for lin in self.linears.values():
@@ -154,94 +216,132 @@ class EncoderStack:
     # Rate tensors are (seq, d) for one sentence or (B, seq, d) for a
     # stacked batch of equal-length sentences; every rate-path function
     # acts on the last two axes and carries any leading axis through.
-    def encoding(self, tokens, leaves) -> Tensor:
+    def encoding(self, tokens) -> np.ndarray:
         """Token + positional embedding, affinely shifted into [0,1].
 
         `tokens` is (seq,) or (B, seq); the result is (seq, d) or (B, seq, d).
         """
-        tokens = _token_ids(tokens, self.cfg)
-        e = ad.getitem(leaves["tok_emb"], tokens)
-        pos = ad.getitem(leaves["pos_emb"], slice(0, tokens.shape[-1]))
-        return clip01(e + pos + 0.5)
+        return clip01(_embed(self.params, _token_ids(tokens, self.cfg)) + 0.5)
 
-    def effective_weights(self, leaves) -> dict:
-        """Each linear's effective weight Tensor, keyed "blk{i}.{name}".
+    def effective_weights(self) -> dict:
+        """Each linear's effective weight, keyed "blk{i}.{name}".
 
-        Built from the "blk{i}.{name}.w" leaves by `effective_weight_tensor`
-        (quantized afresh unless the layer is frozen).
+        Built by `effective_weight_tensor` (quantized afresh unless the
+        layer is frozen).
         """
-        return {name: effective_weight_tensor(lin, leaves[f"{name}.w"])
+        return {name: effective_weight_tensor(lin)
                 for name, lin in self.linears.items()}
 
-    def block_forward(self, i: int, a_prev: Tensor, leaves, weights: dict,
-                      record: dict | None = None) -> Tensor:
+    def block_forward(self, i: int, a_prev: np.ndarray, weights: dict,
+                      record: dict | None = None,
+                      caches: list | None = None) -> np.ndarray:
         """Block i's rate equations on the block input `a_prev`.
 
-        `weights` are the `effective_weights` of `leaves`.  Each linear is
-        one `ad.linear` node and each spiking nonlinearity one threshold
-        `clip01(·, v_th)` node; with attention, the two layer norms and the
-        two residual adds, a block tapes 18 op nodes over its 16 parameter
-        leaves (plus one straight-through view per quantized linear).
+        `weights` are the `effective_weights`.  Each linear feeds a
+        threshold `clip01(·, v_th)`; attention mixes the q/k/v rates, and
+        two layer norms close the residual halves.  `record`, when given,
+        collects the block's spiking rates; `caches`, when given, gets the
+        cache `block_backward` reads.  Without it the block's intermediates
+        are freed on return.
         """
-        cfg = self.cfg
+        cfg, p, pre = self.cfg, self.params, f"blk{i}."
         vth = cfg.v_th
 
         def lin(name, x):
-            key = f"blk{i}.{name}"
-            return ad.linear(x, weights[key], leaves[f"{key}.b"])
+            return linear(x, weights[pre + name], p[pre + name + ".b"])
 
-        aq = clip01(lin("q", a_prev), vth)
-        ak = clip01(lin("k", a_prev), vth)
-        av = clip01(lin("v", a_prev), vth)
-        mixed = spiking_attention(aq, ak, av, cfg.num_heads)
+        zq, zk, zv = lin("q", a_prev), lin("k", a_prev), lin("v", a_prev)
+        aq, ak, av = clip01(zq, vth), clip01(zk, vth), clip01(zv, vth)
+        mixed, att = spiking_attention(aq, ak, av, cfg.num_heads)
         a_attn = clip01(mixed, vth)
-        r1 = lin("o", a_attn) + a_prev
-        h1 = clip01(layer_norm(r1, leaves[f"blk{i}.ln1_g"],
-                               leaves[f"blk{i}.ln1_b"]), vth)
-        ai = clip01(lin("ff1", h1), vth)
-        r2 = lin("ff2", ai) + h1
-        out = clip01(layer_norm(r2, leaves[f"blk{i}.ln2_g"],
-                                leaves[f"blk{i}.ln2_b"]), vth)
+        n1, ln1 = layer_norm(lin("o", a_attn) + a_prev, p[pre + "ln1_g"],
+                             p[pre + "ln1_b"])
+        h1 = clip01(n1, vth)
+        zi = lin("ff1", h1)
+        ai = clip01(zi, vth)
+        n2, ln2 = layer_norm(lin("ff2", ai) + h1, p[pre + "ln2_g"],
+                             p[pre + "ln2_b"])
+        out = clip01(n2, vth)
         if record is not None:
-            record[f"blk{i}.q"] = aq.data
-            record[f"blk{i}.k"] = ak.data
-            record[f"blk{i}.v"] = av.data
-            record[f"blk{i}.attn"] = a_attn.data
-            record[f"blk{i}.h1"] = h1.data
-            record[f"blk{i}.int"] = ai.data
-            record[f"blk{i}.out"] = out.data
+            record.update({pre + "q": aq, pre + "k": ak, pre + "v": av,
+                           pre + "attn": a_attn, pre + "h1": h1,
+                           pre + "int": ai, pre + "out": out})
+        if caches is not None:
+            caches.append((weights, a_prev, zq, zk, zv, att, mixed, a_attn, n1,
+                           ln1, h1, zi, ai, n2, ln2))
         return out
 
-    def sweep(self, tokens, leaves, record: dict | None = None) -> list[Tensor]:
-        """The block outputs of one forward pass over `leaves`.
+    def block_backward(self, i: int, g: np.ndarray, cache: tuple,
+                       grads: dict, g_loss: np.ndarray | None = None):
+        """The gradient on block i's input from `g` on its output.
 
-        The one rate-path forward: the equilibrium solve runs it untaped,
-        training on the tape.  Block i reads only block i-1, so one pass in
-        block order from the encoding lands on the fixed point of the rate
-        equations.  The encoding and each linear's effective weight are
-        built once.  `record`, when given, collects every spiking layer's
-        rates ("input" and per block).  Raises NumericError on a non-finite
-        rate.
+        `cache` is `block_forward`'s.  Each parameter's gradient is added
+        into its `grads` view (a quantized linear's straight through to its
+        latent weight).  `g_loss` is the loss's own gradient on the block's
+        input (`_block_input_grad` fixes the summation order).
         """
-        prev = self.encoding(tokens, leaves)
+        (weights, a_prev, zq, zk, zv, att, mixed, a_attn, n1, ln1, h1, zi, ai,
+         n2, ln2) = cache
+        p, vth, pre = self.params, self.cfg.v_th, f"blk{i}."
+
+        def lin(name, g, x):
+            return _linear_backward(g, x, weights[pre + name], grads,
+                                    pre + name)
+
+        g_r2 = _norm_backward(clip01_backward(g, n2, vth), ln2, p, grads,
+                              pre + "ln2")
+        g_h1 = g_r2 + lin("ff1", clip01_backward(lin("ff2", g_r2, ai), zi, vth),
+                          h1)
+        g_r1 = _norm_backward(clip01_backward(g_h1, n1, vth), ln1, p, grads,
+                              pre + "ln1")
+        g_qkv = attention_backward(
+            clip01_backward(lin("o", g_r1, a_attn), mixed, vth), att)
+        return _block_input_grad(g_r1, g_loss, [
+            lin(name, clip01_backward(ga, z, vth), a_prev)
+            for name, ga, z in zip(("q", "k", "v"), g_qkv, (zq, zk, zv))])
+
+    def sweep(self, tokens, record: dict | None = None,
+              caches: list | None = None) -> list[np.ndarray]:
+        """The block outputs of one forward pass.
+
+        The one rate-path forward, shared by the equilibrium solve and
+        training.  Block i reads only block i-1, so one pass in block order
+        from the encoding lands on the fixed point of the rate equations.
+        The encoding and each linear's effective weight are built once.
+        `record`, when given, collects every spiking layer's rates
+        ("input" and per block); `caches`, when given, gets what `backward`
+        reads (the tokens and the encoding's pre-activation, then each
+        block's cache).  Raises NumericError on a non-finite rate.
+        """
+        tokens = _token_ids(tokens, self.cfg)
+        x = _embed(self.params, tokens) + 0.5
+        prev = clip01(x)
         if record is not None:
-            record["input"] = prev.data
-        weights = self.effective_weights(leaves)
+            record["input"] = prev
+        if caches is not None:
+            caches.append((tokens, x))
+        weights = self.effective_weights()
         outs = []
         for i in range(self.cfg.num_layers):
-            prev = self.block_forward(i, prev, leaves, weights, record)
-            check_finite(prev.data, f"rates of block {i}")
+            prev = self.block_forward(i, prev, weights, record, caches)
+            check_finite(prev, f"rates of block {i}")
             outs.append(prev)
         return outs
 
+    def backward(self, caches: list, g_blocks: list, grads: dict):
+        """Adds the gradient of a loss into `grads`, a gradient buffer's
+        views, from the loss's gradient on each block output of the `sweep`
+        that filled `caches` (None where the loss does not read one)."""
+        tokens, x = caches[0]
+        g = _blocks_backward(self, caches, g_blocks, grads)
+        _embed_backward(tokens, clip01_backward(g, x), grads)
+
     def rate_map(self, tokens, state: list[np.ndarray]) -> list[np.ndarray]:
         """The undamped Jacobi update f(state); fixed points satisfy f(a)=a."""
-        with no_grad():
-            leaves = self.param_tensors()
-            weights = self.effective_weights(leaves)
-            inputs = [self.encoding(tokens, leaves)] + [Tensor(a) for a in state[:-1]]
-            return [self.block_forward(i, inputs[i], leaves, weights).data
-                    for i in range(self.cfg.num_layers)]
+        weights = self.effective_weights()
+        inputs = [self.encoding(tokens)] + list(state[:-1])
+        return [self.block_forward(i, inputs[i], weights)
+                for i in range(self.cfg.num_layers)]
 
     def logits(self, final: np.ndarray) -> np.ndarray:
         """Numeric logits (..., C) of final-block rates (..., seq, d).
@@ -284,7 +384,7 @@ class EncoderStack:
             raise ValueError("T must be >= 1")
         cfg, p = self.cfg, self.params
         lif = LifConfig(cfg.gamma, cfg.v_th)
-        drive = self.encoding(tokens, p).data
+        drive = self.encoding(tokens)
         layers = {"input": LifLayerState.zeros(drive.shape, cfg.gamma)}
         parts = {"input": ("input",)}  # per neuron layer, the layers it reports
         d, inter = cfg.hidden_dim, cfg.intermediate_dim
@@ -338,12 +438,12 @@ class EncoderStack:
                 return fire(pre + nm, tele[nm](phi, steps))[0]
 
             def norm(ln, r):  # layer norm ln of the residual average r
-                return layer_norm(r, p[pre + ln + "_g"], p[pre + ln + "_b"]).data
+                return layer_norm(r, p[pre + ln + "_g"], p[pre + ln + "_b"])[0]
 
             _, aqkv = fire(pre + "qkv", quantized_forward(
                 qkv, s_in, counter, parts[pre + "qkv"]), True)
             sa = surrogate("attn", spiking_attention(
-                *np.split(aqkv, 3, axis=-1), cfg.num_heads).data)
+                *np.split(aqkv, 3, axis=-1), cfg.num_heads)[0])
             del aqkv
             sh = surrogate("h1", norm("ln1", r1_avg.push(linear("o", sa) + s_in)))
             si, _ = fire(pre + "int", linear("ff1", sh))
@@ -428,48 +528,50 @@ class _Telescoped:
         return current
 
 
-def spiking_attention(q: Tensor, k: Tensor, v: Tensor, num_heads: int) -> Tensor:
-    """Scaled dot-product attention over rate tensors, split by head.
+def spiking_attention(q, k, v, num_heads: int):
+    """Scaled dot-product attention over rate arrays, split by head.
 
-    q, k and v are (..., seq, d) Tensors or arrays; attention runs within
-    each sequence, and leading axes are a batch.  Rows of the score matrix
-    are softmax-normalized; with rate values in [0,1] the mixed output
-    stays in [0,1] (convex combination).  One autodiff primitive: the
-    forward is plain numpy in the operation order of the composite
-    split/matmul/softmax/merge graph (bitwise equal to it), and the
-    backward is the closed-form softmax-attention VJP.
+    q, k and v are (..., seq, d); attention runs within each sequence, and
+    leading axes are a batch.  Rows of the score matrix are
+    softmax-normalized; with rate values in [0,1] the mixed output stays in
+    [0,1] (convex combination).  The operation order is that of the
+    composite split/matmul/softmax/merge graph (bitwise equal to it).
+    Returns the mixed output and the intermediates `attention_backward`
+    reads.
     """
-    q, k, v = ad.as_tensor(q), ad.as_tensor(k), ad.as_tensor(v)
-    shape = q.data.shape
+    shape = q.shape
     d = shape[-1]
-    if len(shape) < 2 or d % num_heads or k.data.shape != shape \
-            or v.data.shape != shape:
+    if len(shape) < 2 or d % num_heads or k.shape != shape \
+            or v.shape != shape:
         raise ShapeError("attention shapes inconsistent with num_heads")
     dh = d // num_heads
     by_head = shape[:-1] + (num_heads, dh)
     heads_first, keys_last = _head_axes(len(shape) - 2)
-    qh, kh, vh = (x.data.reshape(by_head).transpose(heads_first)
-                  for x in (q, k, v))
+    qh, kh, vh = (x.reshape(by_head).transpose(heads_first) for x in (q, k, v))
     scale = 1.0 / math.sqrt(dh)
     scores = (qh @ kh.transpose(keys_last)) * scale
     e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
     total = e.sum(axis=-1, keepdims=True)
     weights = e / total
     mixed = (weights @ vh).transpose(heads_first).reshape(shape)
+    return mixed, (qh, kh, vh, e, total, weights)
 
-    def vjp(g):
-        gh = g.reshape(by_head).transpose(heads_first)
-        gw = gh @ vh.transpose(keys_last)
-        gv = weights.transpose(keys_last) @ gh
-        # quotient rule through e / total, then exp and the score scale
-        ge = gw / total + (-gw * e / total ** 2).sum(axis=-1, keepdims=True)
-        gs = ge * e * scale
-        gq = gs @ kh
-        gk = (qh.transpose(keys_last) @ gs).transpose(keys_last)
-        return tuple(x.transpose(heads_first).reshape(shape)
-                     for x in (gq, gk, gv))
 
-    return ad._make(mixed, (q, k, v), vjp)
+def attention_backward(g, saved) -> tuple:
+    """(gq, gk, gv) of `spiking_attention` from its `saved` intermediates:
+    the closed-form softmax-attention VJP."""
+    qh, kh, vh, e, total, weights = saved
+    heads_first, keys_last = _head_axes(qh.ndim - 3)
+    by_head = g.shape[:-1] + (qh.shape[-3], qh.shape[-1])
+    gh = g.reshape(by_head).transpose(heads_first)
+    gw = gh @ vh.transpose(keys_last)
+    gv = weights.transpose(keys_last) @ gh
+    # quotient rule through e / total, then exp and the score scale
+    ge = gw / total + (-gw * e / total ** 2).sum(axis=-1, keepdims=True)
+    gs = ge * e * (1.0 / math.sqrt(qh.shape[-1]))
+    gq = gs @ kh
+    gk = (qh.transpose(keys_last) @ gs).transpose(keys_last)
+    return tuple(x.transpose(heads_first).reshape(g.shape) for x in (gq, gk, gv))
 
 
 @functools.cache
@@ -483,14 +585,13 @@ def _head_axes(lead: int):
     return b + (lead + 1, lead, lead + 2), b + (lead, lead + 2, lead + 1)
 
 
-def classifier_logits(a_final: Tensor, leaves) -> Tensor:
+def classifier_logits(a_final: np.ndarray, params) -> np.ndarray:
     """Logits (..., C) = cls @ W^T + b from final states (..., seq, d).
 
     The first position carries the CLS token; W and b are the "cls.w" and
-    "cls.b" leaves.
+    "cls.b" entries of `params`.
     """
-    cls = ad.getitem(a_final, (Ellipsis, 0, slice(None)))
-    return ad.linear(cls, leaves["cls.w"], leaves["cls.b"])
+    return linear(a_final[..., 0, :], params["cls.w"], params["cls.b"])
 
 
 # -- teacher ------------------------------------------------------------
@@ -525,40 +626,70 @@ class TeacherModel:
     def named_params(self) -> dict:
         return self.params
 
-    def param_tensors(self) -> dict:
-        return {k: Tensor(v, requires_grad=True) for k, v in self.params.items()}
-
-    def sweep(self, tokens, leaves) -> list[Tensor]:
-        """The block outputs of one forward pass over `leaves`.
+    def sweep(self, tokens, caches: list | None = None) -> list[np.ndarray]:
+        """The block outputs of one forward pass.
 
         `tokens` is (seq,) or (B, seq); each output is then (seq, d) or
         (B, seq, d), and `classifier_logits` of the last is the logits.
+        `caches`, when given, gets what `backward` reads (the tokens, then
+        each block's cache).
         """
-        cfg = self.cfg
-        tokens = _token_ids(tokens, cfg)
-        h = ad.getitem(leaves["tok_emb"], tokens) + ad.getitem(
-            leaves["pos_emb"], slice(0, tokens.shape[-1]))
+        tokens = _token_ids(tokens, self.cfg)
+        h = _embed(self.params, tokens)
+        if caches is not None:
+            caches.append(tokens)
         hiddens = []
-        for i in range(cfg.num_layers):
-            def lin(nm, x):
-                return ad.linear(x, leaves[f"blk{i}.{nm}.w"],
-                                 leaves[f"blk{i}.{nm}.b"])
-
-            attn = spiking_attention(lin("q", h), lin("k", h), lin("v", h),
-                                     cfg.num_heads)
-            h = layer_norm(lin("o", attn) + h,
-                           leaves[f"blk{i}.ln1_g"], leaves[f"blk{i}.ln1_b"])
-            ff = lin("ff2", ad.gelu(lin("ff1", h)))
-            h = layer_norm(ff + h,
-                           leaves[f"blk{i}.ln2_g"], leaves[f"blk{i}.ln2_b"])
+        for i in range(self.cfg.num_layers):
+            h = self.block_forward(i, h, caches)
             hiddens.append(h)
         return hiddens
+
+    def block_forward(self, i: int, h: np.ndarray,
+                      caches: list | None = None) -> np.ndarray:
+        """Block i on its input `h`; `caches`, when given, gets the cache
+        `block_backward` reads."""
+        p, pre = self.params, f"blk{i}."
+
+        def lin(name, x):
+            return linear(x, p[pre + name + ".w"], p[pre + name + ".b"])
+
+        attn, att = spiking_attention(lin("q", h), lin("k", h), lin("v", h),
+                                      self.cfg.num_heads)
+        h1, ln1 = layer_norm(lin("o", attn) + h, p[pre + "ln1_g"],
+                             p[pre + "ln1_b"])
+        act, gl = gelu(lin("ff1", h1))
+        out, ln2 = layer_norm(lin("ff2", act) + h1, p[pre + "ln2_g"],
+                              p[pre + "ln2_b"])
+        if caches is not None:
+            caches.append((h, att, attn, ln1, h1, gl, act, ln2))
+        return out
+
+    def block_backward(self, i: int, g: np.ndarray, cache: tuple,
+                       grads: dict, g_loss: np.ndarray | None = None):
+        """The gradient on block i's input from `g` on its output, as
+        `EncoderStack.block_backward` takes it."""
+        h, att, attn, ln1, h1, gl, act, ln2 = cache
+        p, pre = self.params, f"blk{i}."
+
+        def lin(name, g, x):
+            return _linear_backward(g, x, p[pre + name + ".w"], grads,
+                                    pre + name)
+
+        g_r2 = _norm_backward(g, ln2, p, grads, pre + "ln2")
+        g_h1 = g_r2 + lin("ff1", gelu_backward(lin("ff2", g_r2, act), gl), h1)
+        g_r1 = _norm_backward(g_h1, ln1, p, grads, pre + "ln1")
+        g_qkv = attention_backward(lin("o", g_r1, attn), att)
+        return _block_input_grad(g_r1, g_loss, [
+            lin(name, ga, h) for name, ga in zip(("q", "k", "v"), g_qkv)])
+
+    def backward(self, caches: list, g_blocks: list, grads: dict):
+        """Adds the gradient of a loss into `grads`, as
+        `EncoderStack.backward` does."""
+        _embed_backward(caches[0], _blocks_backward(self, caches, g_blocks,
+                                                    grads), grads)
 
 
 def teacher_forward(teacher: TeacherModel, tokens):
     """Numeric teacher pass: per-block hidden arrays and logits."""
-    with no_grad():
-        leaves = teacher.param_tensors()
-        hiddens = teacher.sweep(tokens, leaves)
-        logits = classifier_logits(hiddens[-1], leaves)
-    return [h.data for h in hiddens], logits.data
+    hiddens = teacher.sweep(tokens)
+    return hiddens, classifier_logits(hiddens[-1], teacher.params)

@@ -182,7 +182,6 @@ def distill_student(cfg, stack, teacher, train_items):
     adam = AdamState(lr=cfg["train"]["lr"])
     report = run_distillation(stack, teacher, train_items,
                               cfg["train"]["kd_epochs"], kd_cfg, adam,
-                              solver_cfg=solver_config(cfg),
                               batch_size=cfg["train"]["batch_size"])
     return report, kd_cfg
 
@@ -213,14 +212,13 @@ def finetune_student(cfg, stack, train_items, dev_items):
 
 
 def simulate(cfg, stack, tokens, T):
-    """Convergence trace rows + temporal-vs-equilibrium deviation summary."""
-    rows, sol, (_, asrs, _) = convergence_trace(stack, tokens, T,
-                                                solver_config(cfg))
+    """Convergence trace rows + temporal-vs-equilibrium deviation summary;
+    `cfg` is not read."""
+    rows, sol, (_, asrs, _) = convergence_trace(stack, tokens, T)
     deviations = {f"layer_{i}": float(np.mean(np.abs(asrs[f"blk{i}.out"] - a)))
                   for i, a in enumerate(sol.asr_star)}
     summary = {"T": T, "mean_abs_deviation": deviations,
-               "max_mean_abs_deviation": max(deviations.values()),
-               "solver_iters": sol.iters_used}
+               "max_mean_abs_deviation": max(deviations.values())}
     return rows, summary
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import autodiff as ad
 from .numerics import ShapeError, check_finite
 
 
@@ -233,22 +232,25 @@ def quantized_forward(layer: QuantizedLinear, x: np.ndarray,
     return out
 
 
-def effective_weight_tensor(layer: QuantizedLinear, latent: ad.Tensor) -> ad.Tensor:
-    """Autodiff view of the effective weight with straight-through backward.
+def effective_weight_tensor(layer: QuantizedLinear) -> np.ndarray:
+    """The weight array the layer's rate-path forward multiplies by.
 
-    A frozen layer applies its pinned effective weight; otherwise `latent`
-    is quantized afresh.  Training a stack that is left frozen
-    therefore keeps its codes pinned; `EncoderStack.set_quant_mode`
-    unfreezes it first, as `eqspike finetune` does.  Quantization
-    statistics (alpha/beta) are treated as constants of the backward pass;
-    upstream gradients reach the latent weights unchanged.
+    A full-precision layer's is its latent weight itself; a frozen layer
+    applies its pinned effective weight; otherwise the latent weights are
+    quantized afresh.  Training a stack that is left frozen therefore
+    keeps its codes pinned; `EncoderStack.set_quant_mode` unfreezes it
+    first, as `eqspike finetune` does.  The backward is straight-through:
+    a linear's weight gradient is added to the latent weights unchanged,
+    and alpha/beta are constants of it.  (The name, from when this built
+    an autodiff view, is the span `eqbench` requires every workload to
+    trace.)
     """
     if layer.mode is QuantMode.FULL_PRECISION:
-        return latent
+        return layer.latent_w
     if layer.frozen:
-        return ad.ste(latent, layer.frozen_weight)
-    q = _requantize(layer, latent.data)
-    return ad.ste(latent, q * _output_scale(layer))
+        return layer.frozen_weight
+    q = _requantize(layer, layer.latent_w)  # refreshes alpha/beta first
+    return q * _output_scale(layer)
 
 
 # -- 2-bit code packing (little-endian within each byte) ----------------

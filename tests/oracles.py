@@ -1,19 +1,20 @@
 """Test oracles: slow, independent references the tests check eqspike against."""
 
+import math
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
-from eqspike import autodiff as ad
 from eqspike.autodiff import layer_norm
 from eqspike.data import batches, stack_by_length
 from eqspike.distill import KdReport, evaluate_kd_loss, kd_loss_builder
 from eqspike.implicit_grad import GradientBundle, example_gradients, training_step
-from eqspike.model import classifier_logits, spiking_attention, teacher_forward
+from eqspike.model import _head_axes, _token_ids, spiking_attention, teacher_forward
 from eqspike.neuron import LifConfig
 from eqspike.numerics import NumericError, ShapeError, check_finite
-from eqspike.quantizer import quantized_forward
+from eqspike.quantizer import (QuantMode, _output_scale, _requantize,
+                               quantized_forward)
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -62,7 +63,7 @@ def dense_adjoint_solve(g: list, jacobian_vjp) -> list:
 
 
 def uncached_distillation(stack, teacher, dataset, epochs, cfg, optimizer,
-                          solver_cfg, batch_size=16):
+                          batch_size=16):
     """`distill.run_distillation` with a fresh teacher pass at every use.
 
     Every training step and every evaluation group calls `teacher_forward`
@@ -79,8 +80,7 @@ def uncached_distillation(stack, teacher, dataset, epochs, cfg, optimizer,
                 training_step(stack, dataset[start:start + batch_size],
                               optimizer, loss_builder=builder,
                               extra_params=cfg.projections)
-        total, pairs = evaluate_kd_loss(stack, dataset, cfg, solver_cfg,
-                                        targets)
+        total, pairs = evaluate_kd_loss(stack, dataset, cfg, targets)
         report.append(epoch, pairs, total)
     return report
 
@@ -92,13 +92,14 @@ def inline_teacher_gradients(teacher, batch) -> dict:
     by 1 / len(batch) before a single backward, as teacher training did
     before it shared the student's per-group gradient function.
     """
-    leaves = teacher.param_tensors()
+    leaves = param_tensors(teacher)
     total = None
     for tokens, labels in stack_by_length(batch):
-        logits = classifier_logits(teacher.sweep(tokens, leaves)[-1], leaves)
-        loss = ad.cross_entropy(logits, labels)
-        total = loss if total is None else ad.add(total, loss)
-    ad.backward([ad.mul(total, 1.0 / len(batch))], [1.0])
+        logits = taped_logits(taped_teacher_sweep(teacher, tokens, leaves)[-1],
+                              leaves)
+        loss = taped_cross_entropy(logits, labels)
+        total = loss if total is None else add(total, loss)
+    backward([mul(total, 1.0 / len(batch))], [1.0])
     return {k: leaf.grad for k, leaf in leaves.items() if leaf.grad is not None}
 
 
@@ -234,7 +235,7 @@ def step_major_simulate(stack, tokens, T, counter=None, trace=None,
     """
     cfg = stack.cfg
     lif = LifConfig(cfg.gamma, cfg.v_th)
-    drive = stack.encoding(tokens, stack.params).data
+    drive = stack.encoding(tokens)
     source = _StepLif.zeros(drive.shape)
     layers = {"input": source}
     runs = []
@@ -269,16 +270,16 @@ def step_major_simulate(stack, tokens, T, counter=None, trace=None,
             n["k"].step(quantized_forward(blk.k, s_in, counter, key["k"]), lif)
             n["v"].step(quantized_forward(blk.v, s_in, counter, key["v"]), lif)
             attn_current = spiking_attention(
-                n["q"].asr(), n["k"].asr(), n["v"].asr(), cfg.num_heads).data
+                n["q"].asr(), n["k"].asr(), n["v"].asr(), cfg.num_heads)[0]
             n["attn"].step(telescoped(key["attn"], attn_current, t), lif)
             r1 = quantized_forward(blk.o, n["attn"].s, counter, key["o"]) + s_in
-            h1_current = layer_norm(r1_avg.push(r1), blk.ln1_g, blk.ln1_b).data
+            h1_current = layer_norm(r1_avg.push(r1), blk.ln1_g, blk.ln1_b)[0]
             n["h1"].step(telescoped(key["h1"], h1_current, t), lif)
             n["int"].step(quantized_forward(blk.ff1, n["h1"].s, counter,
                                             key["ff1"]), lif)
             r2 = quantized_forward(blk.ff2, n["int"].s, counter,
                                    key["ff2"]) + n["h1"].s
-            out_current = layer_norm(r2_avg.push(r2), blk.ln2_g, blk.ln2_b).data
+            out_current = layer_norm(r2_avg.push(r2), blk.ln2_g, blk.ln2_b)[0]
             n["out"].step(telescoped(key["out"], out_current, t), lif)
             s_in = n["out"].s
         for name, st in layers.items():
@@ -295,3 +296,408 @@ def step_major_simulate(stack, tokens, T, counter=None, trace=None,
     asrs = {name: st.asr() for name, st in layers.items()}
     final = asrs[f"blk{cfg.num_layers - 1}.out"]
     return stack.logits(final), asrs, spike_counts
+
+
+# -- the reverse-mode tape: the reference for the closed-form backward ----
+#
+# A minimal tape over numpy arrays, with the rate path, the teacher and the
+# two losses written on it as eqspike computed them before each op got its
+# named backward.  `taped_example_gradients` is the reference the
+# closed-form gradients are checked against bitwise.
+
+_GRAD_ENABLED = True
+
+
+class no_grad:
+    """Context manager that disables graph construction."""
+
+    def __enter__(self):
+        global _GRAD_ENABLED
+        self._prev = _GRAD_ENABLED
+        _GRAD_ENABLED = False
+        return self
+
+    def __exit__(self, *exc):
+        global _GRAD_ENABLED
+        _GRAD_ENABLED = self._prev
+        return False
+
+
+def _unbroadcast(grad, shape):
+    """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
+    if grad.shape == shape:
+        return grad
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+class Tensor:
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_vjp")
+
+    def __init__(self, data, requires_grad=False, parents=(), vjp=None):
+        self.data = np.asarray(data, dtype=np.float64)
+        self.grad = None
+        self.requires_grad = requires_grad
+        self._parents = parents
+        self._vjp = vjp
+
+    def __add__(self, other):
+        return add(self, other)
+
+    __radd__ = __add__
+
+    def __mul__(self, other):
+        return mul(self, other)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, other):
+        return matmul(self, other)
+
+    def __getitem__(self, idx):
+        return getitem(self, idx)
+
+
+def as_tensor(x):
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def _make(data, parents, vjp):
+    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        return Tensor(data, requires_grad=True, parents=parents, vjp=vjp)
+    return Tensor(data)
+
+
+def add(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    return _make(a.data + b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)))
+
+
+def sub(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    return _make(a.data - b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)))
+
+
+def mul(a, b):
+    a, b = as_tensor(a), as_tensor(b)
+    return _make(a.data * b.data, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.data.shape),
+        _unbroadcast(g * a.data, b.data.shape)))
+
+
+def matmul(a, b):
+    """a @ b for a (..., k, n) and a matrix b (n, m), as the KD projection uses."""
+    a, b = as_tensor(a), as_tensor(b)
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise ValueError(f"matmul of {a.data.shape} and {b.data.shape}: "
+                         "needs (..., k, n) @ (n, m)")
+    return _make(a.data @ b.data, (a, b), lambda g: (
+        g @ b.data.T,
+        _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape)))
+
+
+def exp(a):
+    a = as_tensor(a)
+    out = np.exp(a.data)
+    return _make(out, (a,), lambda g: (g * out,))
+
+
+def log(a):
+    a = as_tensor(a)
+    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+
+
+def erf(a):
+    from scipy.special import erf as _erf
+
+    a = as_tensor(a)
+    return _make(_erf(a.data), (a,), lambda g: (
+        g * (2.0 / math.sqrt(math.pi)) * np.exp(-a.data ** 2),))
+
+
+def tensor_sum(a, axis=None, keepdims=False):
+    a = as_tensor(a)
+
+    def vjp(g):
+        g = np.asarray(g)
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, a.data.shape).copy(),)
+
+    return _make(a.data.sum(axis=axis, keepdims=keepdims), (a,), vjp)
+
+
+def getitem(a, idx):
+    """a[idx]; rows an index array repeats accumulate their gradients."""
+    a = as_tensor(a)
+
+    def vjp(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        return (full,)
+
+    return _make(a.data[idx], (a,), vjp)
+
+
+def ste(latent, forward_value):
+    """Straight-through op: forward `forward_value`, backward identity to `latent`."""
+    latent = as_tensor(latent)
+    out = np.asarray(forward_value, dtype=np.float64)
+    if out.shape != latent.data.shape:
+        raise ValueError("STE forward value must match latent shape")
+    return _make(out, (latent,), lambda g: (g,))
+
+
+def taped_linear(x, w, b):
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+
+    def vjp(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        return (g @ w.data, g2.T @ x.data.reshape(-1, x.data.shape[-1]),
+                g2.sum(axis=0))
+
+    return _make(x.data @ w.data.T + b.data, (x, w, b), vjp)
+
+
+def taped_clip01(a, v_th=1.0):
+    a = as_tensor(a)
+    scaled = a.data / v_th
+    return _make(np.clip(scaled, 0.0, 1.0), (a,), lambda g: (
+        g * ((scaled >= 0.0) & (scaled <= 1.0)) / v_th,))
+
+
+def taped_layer_norm(x, gain, bias, eps=1e-5):
+    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
+    scale = 1.0 / x.data.shape[-1]
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * scale + eps)
+    xhat = xc * inv
+
+    def vjp(g):
+        gxhat = g * gain.data
+        gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+        return (_unbroadcast(gx, x.data.shape),
+                _unbroadcast(g * xhat, gain.data.shape),
+                _unbroadcast(g, bias.data.shape))
+
+    return _make(xhat * gain.data + bias.data, (x, gain, bias), vjp)
+
+
+def taped_attention(q, k, v, num_heads):
+    """`model.spiking_attention` as one tape node with its VJP closure."""
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    shape = q.data.shape
+    dh = shape[-1] // num_heads
+    by_head = shape[:-1] + (num_heads, dh)
+    heads_first, keys_last = _head_axes(len(shape) - 2)
+    qh, kh, vh = (x.data.reshape(by_head).transpose(heads_first)
+                  for x in (q, k, v))
+    scale = 1.0 / math.sqrt(dh)
+    scores = (qh @ kh.transpose(keys_last)) * scale
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    total = e.sum(axis=-1, keepdims=True)
+    weights = e / total
+    mixed = (weights @ vh).transpose(heads_first).reshape(shape)
+
+    def vjp(g):
+        gh = g.reshape(by_head).transpose(heads_first)
+        gw = gh @ vh.transpose(keys_last)
+        gv = weights.transpose(keys_last) @ gh
+        ge = gw / total + (-gw * e / total ** 2).sum(axis=-1, keepdims=True)
+        gs = ge * e * scale
+        gq = gs @ kh
+        gk = (qh.transpose(keys_last) @ gs).transpose(keys_last)
+        return tuple(x.transpose(heads_first).reshape(shape)
+                     for x in (gq, gk, gv))
+
+    return _make(mixed, (q, k, v), vjp)
+
+
+def taped_gelu(a):
+    a = as_tensor(a)
+    return mul(mul(a, 0.5), add(erf(mul(a, 1.0 / math.sqrt(2.0))), 1.0))
+
+
+def taped_cross_entropy(logits, label):
+    """Negative log-likelihood of `label` under softmax(logits), summed."""
+    logits = as_tensor(logits)
+    labels = np.asarray(label, dtype=np.int64)
+    m = np.max(logits.data, axis=-1, keepdims=True)
+    lse = add(log(tensor_sum(exp(sub(logits, m)), axis=-1)), m[..., 0])
+    picked = getitem(logits, np.indices(labels.shape, sparse=True) + (labels,))
+    return tensor_sum(sub(lse, picked))
+
+
+def taped_mse(pred, target):
+    diff = sub(pred, np.asarray(target, dtype=np.float64))
+    per_example = int(np.prod(diff.data.shape[-2:]))
+    return tensor_sum(mul(diff, diff)) * (1.0 / per_example)
+
+
+def _toposort(roots):
+    order, seen, stack = [], set(), list(roots)
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        pending = [p for p in node._parents if id(p) not in seen]
+        if pending:
+            stack.append(node)
+            stack.extend(pending)
+        else:
+            seen.add(id(node))
+            order.append(node)
+    return order
+
+
+def backward(outputs, cotangents):
+    """Accumulate grads of `outputs` (seeded with `cotangents`) into leaf
+    .grad, summing a node's incoming gradients in reverse topological
+    order.  Clears grads in the touched subgraph first, so a graph can be
+    replayed with fresh cotangents."""
+    roots = [o for o in outputs if o.requires_grad]
+    order = _toposort(roots)
+    for node in order:
+        node.grad = None
+    for out, cot in zip(outputs, cotangents):
+        if out.requires_grad:
+            g = np.broadcast_to(np.asarray(cot, dtype=np.float64), out.data.shape)
+            out.grad = out.grad + g if out.grad is not None else np.array(g)
+    for node in reversed(order):
+        if node.grad is None or node._vjp is None:
+            continue
+        for parent, pg in zip(node._parents, node._vjp(node.grad)):
+            if parent.requires_grad:
+                parent.grad = pg if parent.grad is None else parent.grad + pg
+
+
+# -- the models and losses on the tape
+
+def param_tensors(model) -> dict:
+    return {k: Tensor(v, requires_grad=True) for k, v in model.params.items()}
+
+
+def taped_weights(stack, leaves) -> dict:
+    """Each linear's effective weight as a straight-through view of its leaf."""
+    out = {}
+    for name, lin in stack.linears.items():
+        latent = leaves[f"{name}.w"]
+        if lin.mode is QuantMode.FULL_PRECISION:
+            out[name] = latent
+        elif lin.frozen:
+            out[name] = ste(latent, lin.frozen_weight)
+        else:
+            q = _requantize(lin, latent.data)
+            out[name] = ste(latent, q * _output_scale(lin))
+    return out
+
+
+def taped_encoding(stack, tokens, leaves):
+    tokens = _token_ids(tokens, stack.cfg)
+    e = getitem(leaves["tok_emb"], tokens)
+    pos = getitem(leaves["pos_emb"], slice(0, tokens.shape[-1]))
+    return taped_clip01(e + pos + 0.5)
+
+
+def taped_block(stack, i, a_prev, leaves, weights):
+    """Block i of the student's rate path on the tape."""
+    vth, pre = stack.cfg.v_th, f"blk{i}."
+
+    def lin(name, x):
+        return taped_linear(x, weights[pre + name], leaves[pre + name + ".b"])
+
+    aq = taped_clip01(lin("q", a_prev), vth)
+    ak = taped_clip01(lin("k", a_prev), vth)
+    av = taped_clip01(lin("v", a_prev), vth)
+    a_attn = taped_clip01(taped_attention(aq, ak, av, stack.cfg.num_heads), vth)
+    h1 = taped_clip01(taped_layer_norm(lin("o", a_attn) + a_prev,
+                                       leaves[pre + "ln1_g"],
+                                       leaves[pre + "ln1_b"]), vth)
+    ai = taped_clip01(lin("ff1", h1), vth)
+    return taped_clip01(taped_layer_norm(lin("ff2", ai) + h1,
+                                         leaves[pre + "ln2_g"],
+                                         leaves[pre + "ln2_b"]), vth)
+
+
+def taped_sweep(stack, tokens, leaves) -> list:
+    prev, weights, outs = taped_encoding(stack, tokens, leaves), \
+        taped_weights(stack, leaves), []
+    for i in range(stack.cfg.num_layers):
+        prev = taped_block(stack, i, prev, leaves, weights)
+        outs.append(prev)
+    return outs
+
+
+def taped_teacher_sweep(teacher, tokens, leaves) -> list:
+    cfg = teacher.cfg
+    tokens = _token_ids(tokens, cfg)
+    h = getitem(leaves["tok_emb"], tokens) + getitem(
+        leaves["pos_emb"], slice(0, tokens.shape[-1]))
+    hiddens = []
+    for i in range(cfg.num_layers):
+        def lin(nm, x):
+            return taped_linear(x, leaves[f"blk{i}.{nm}.w"],
+                                leaves[f"blk{i}.{nm}.b"])
+
+        attn = taped_attention(lin("q", h), lin("k", h), lin("v", h),
+                               cfg.num_heads)
+        h = taped_layer_norm(lin("o", attn) + h, leaves[f"blk{i}.ln1_g"],
+                             leaves[f"blk{i}.ln1_b"])
+        ff = lin("ff2", taped_gelu(lin("ff1", h)))
+        h = taped_layer_norm(ff + h, leaves[f"blk{i}.ln2_g"],
+                             leaves[f"blk{i}.ln2_b"])
+        hiddens.append(h)
+    return hiddens
+
+
+def taped_logits(a_final, leaves):
+    cls = getitem(a_final, (Ellipsis, 0, slice(None)))
+    return taped_linear(cls, leaves["cls.w"], leaves["cls.b"])
+
+
+def taped_ce_loss(tokens, label, a_blocks, head_leaves):
+    loss = taped_cross_entropy(taped_logits(a_blocks[-1], head_leaves), label)
+    return loss, {"ce": float(loss.data)}
+
+
+def taped_kd_loss_builder(cfg, targets):
+    """`distill.kd_loss_builder` on the tape."""
+
+    def build(tokens, label, a_blocks, head_leaves):
+        hiddens, total, per_pair = targets(tokens), None, []
+        for i, t_idx in enumerate(cfg.layer_map):
+            term = taped_mse(as_tensor(a_blocks[i]) @ head_leaves[f"kd.proj{i}"],
+                             hiddens[t_idx])
+            per_pair.append(float(term.data))
+            weighted = mul(term, cfg.loss_weights[i])
+            total = weighted if total is None else add(total, weighted)
+        return total, {"kd": float(total.data),
+                       **{f"kd_pair{j}": v for j, v in enumerate(per_pair)}}
+
+    return build
+
+
+def taped_example_gradients(model, tokens, label, loss_builder,
+                            extra_params) -> GradientBundle:
+    """One taped forward and one backward: `example_gradients` as the tape
+    computed it.  `model` is an `EncoderStack` or a `TeacherModel`, and
+    `loss_builder` a taped one, returning (loss Tensor, float terms)."""
+    leaves = param_tensors(model)
+    sweep = taped_sweep if hasattr(model, "linears") else taped_teacher_sweep
+    a_blocks = sweep(model, tokens, leaves)
+    extra = {name: Tensor(arr, requires_grad=True)
+             for name, arr in extra_params.items()}
+    head = {"cls.w": leaves["cls.w"], "cls.b": leaves["cls.b"], **extra}
+    loss, terms = loss_builder(tokens, label, a_blocks, head)
+    backward([loss], [1.0])
+    grads = {name: leaf.grad for name, leaf in {**leaves, **extra}.items()
+             if leaf.grad is not None}
+    return GradientBundle(grads=grads, loss=float(loss.data), loss_terms=terms)

@@ -215,8 +215,7 @@ CHECKPOINT_STEPS = (10, 16, 25, 40, 63, 100, 158, 251, 398, 500)
 
 
 def _trace_residuals(stack, tokens, T):
-    rows, _sol, _result = convergence_trace(stack, tokens, T,
-                                            SolverConfig(tol=1e-8))
+    rows, _sol, _result = convergence_trace(stack, tokens, T)
     by_layer = {}
     for step, layer, _mean, resid in rows:
         by_layer.setdefault(layer, []).append(resid)

@@ -1,76 +1,89 @@
+"""The closed-form op pairs against finite differences, and the taped
+reference in `oracles` (which the closed-form gradients are checked
+against bitwise) against finite differences too."""
+
 import numpy as np
 import pytest
 
+import oracles as tp
 from eqspike import autodiff as ad
+from eqspike.distill import mse, project_backward
 from oracles import finite_difference_grad
 
 
 def _fd_check(build, x0, atol=1e-6):
-    """Compare reverse-mode gradient of a scalar graph against central
-    finite differences at x0."""
-    leaf = ad.Tensor(x0.copy(), requires_grad=True)
+    """Compare the taped reference's gradient of a scalar graph against
+    central finite differences at x0."""
+    leaf = tp.Tensor(x0.copy(), requires_grad=True)
     out = build(leaf)
-    ad.backward([out], [1.0])
+    tp.backward([out], [1.0])
     analytic = leaf.grad.copy()
 
     def f(x):
-        with ad.no_grad():
-            return float(build(ad.Tensor(x)).data)
+        with tp.no_grad():
+            return float(build(tp.Tensor(x)).data)
 
     fd = finite_difference_grad(f, x0.copy())
     np.testing.assert_allclose(analytic, fd, atol=atol)
 
 
+def _fd_match(value, analytic, x0, atol=1e-6, h=1e-4):
+    """Compare a closed-form gradient `analytic` of the scalar `value(x)`
+    against central finite differences at x0."""
+    fd = finite_difference_grad(lambda x: float(value(x)), x0.copy(), h=h)
+    np.testing.assert_allclose(analytic, fd, atol=atol)
+
+
 def test_add_mul_broadcast():
     x0 = np.array([[1.0, -2.0], [0.5, 3.0]])
-    row = ad.Tensor(np.array([0.3, -0.7]))
-    _fd_check(lambda t: ad.tensor_sum(ad.mul(ad.add(t, row), t)), x0)
+    row = tp.Tensor(np.array([0.3, -0.7]))
+    _fd_check(lambda t: tp.tensor_sum(tp.mul(tp.add(t, row), t)), x0)
 
 
 def test_sub():
     x0 = np.array([1.0, 2.0, -3.0])
-    _fd_check(lambda t: ad.tensor_sum(ad.mul(ad.sub(t, 0.5), ad.sub(2.0, t))), x0)
+    _fd_check(lambda t: tp.tensor_sum(tp.mul(tp.sub(t, 0.5), tp.sub(2.0, t))), x0)
 
 
 def test_matmul_grad_2d():
     rng = np.random.default_rng(0)
     x0 = rng.normal(size=(3, 4))
-    b = ad.Tensor(rng.normal(size=(4, 2)))
-    _fd_check(lambda t: ad.tensor_sum(ad.matmul(t, b)), x0)
+    b = tp.Tensor(rng.normal(size=(4, 2)))
+    _fd_check(lambda t: tp.tensor_sum(tp.matmul(t, b)), x0)
 
 
 def test_matmul_grad_batched():
     # the KD projection's case: (B, seq, n) @ (n, m)
     rng = np.random.default_rng(1)
     x0, b0 = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 2))
-    g = ad.Tensor(rng.normal(size=(2, 3, 2)))  # a generic cotangent
-    _fd_check(lambda t: ad.tensor_sum(ad.mul(ad.matmul(t, b0), g)), x0)
-    _fd_check(lambda t: ad.tensor_sum(ad.mul(ad.matmul(x0, t), g)), b0)
+    g = tp.Tensor(rng.normal(size=(2, 3, 2)))  # a generic cotangent
+    _fd_check(lambda t: tp.tensor_sum(tp.mul(tp.matmul(t, b0), g)), x0)
+    _fd_check(lambda t: tp.tensor_sum(tp.mul(tp.matmul(x0, t), g)), b0)
 
 
 def test_matmul_rejects_other_shapes():
     for a, b in [(np.ones(4), np.ones((4, 2))), (np.ones((3, 4)), np.ones(4)),
                  (np.ones((3, 4)), np.ones((2, 4, 2)))]:
         with pytest.raises(ValueError):
-            ad.matmul(a, b)
+            tp.matmul(a, b)
 
 
 def test_elementwise_unary_grads():
     x0 = np.array([0.2, 1.3, 2.5])
-    _fd_check(lambda t: ad.tensor_sum(ad.exp(t)), x0)
-    _fd_check(lambda t: ad.tensor_sum(ad.log(t)), x0)
-    _fd_check(lambda t: ad.tensor_sum(ad.erf(t)), x0)
+    _fd_check(lambda t: tp.tensor_sum(tp.exp(t)), x0)
+    _fd_check(lambda t: tp.tensor_sum(tp.log(t)), x0)
+    _fd_check(lambda t: tp.tensor_sum(tp.erf(t)), x0)
 
 
 def test_getitem():
     x0 = np.arange(6.0).reshape(2, 3)
-    _fd_check(lambda t: ad.tensor_sum(ad.mul(t[0], t[0])), x0)
+    _fd_check(lambda t: tp.tensor_sum(tp.mul(t[0], t[0])), x0)
 
 
 def test_getitem_accumulates_repeated_indices():
-    table = ad.Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
-    out = ad.tensor_sum(ad.getitem(table, np.array([1, 1, 3])))
-    ad.backward([out], [1.0])
+    table = tp.Tensor(np.arange(8.0).reshape(4, 2), requires_grad=True)
+    out = tp.tensor_sum(tp.getitem(table, np.array([1, 1, 3])))
+    tp.backward([out], [1.0])
     expected = np.zeros((4, 2))
     expected[1] = 2.0
     expected[3] = 1.0
@@ -78,21 +91,18 @@ def test_getitem_accumulates_repeated_indices():
 
 
 def test_clip01_forward_and_subgradient():
-    x = ad.Tensor(np.array([-0.5, 0.0, 0.5, 1.0, 1.5]), requires_grad=True)
-    y = ad.clip01(x)
-    np.testing.assert_array_equal(y.data, [0.0, 0.0, 0.5, 1.0, 1.0])
-    ad.backward([ad.tensor_sum(y)], [1.0])
+    x = np.array([-0.5, 0.0, 0.5, 1.0, 1.5])
+    np.testing.assert_array_equal(ad.clip01(x), [0.0, 0.0, 0.5, 1.0, 1.0])
     # pass-through on the closed interval [0, 1], zero outside
-    np.testing.assert_array_equal(x.grad, [0.0, 1.0, 1.0, 1.0, 0.0])
+    np.testing.assert_array_equal(ad.clip01_backward(np.ones(5), x),
+                                  [0.0, 1.0, 1.0, 1.0, 0.0])
 
 
 def test_clip01_threshold_equals_divided_clip_bitwise():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(3, 5, 8)) * 0.8 + 0.35
-    with ad.no_grad():
-        got = ad.clip01(a, 0.7).data
     want = np.clip(a / 0.7, 0.0, 1.0)
-    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(ad.clip01(a, 0.7), want)
 
 
 def test_clip01_threshold_grad_matches_finite_differences():
@@ -101,17 +111,17 @@ def test_clip01_threshold_grad_matches_finite_differences():
     kinks = np.abs(a0) < 1e-3
     kinks |= np.abs(a0 - 0.7) < 1e-3
     a0[kinks] += 0.01  # keep finite differences off the kinks at 0 and v_th
-    w = ad.Tensor(rng.normal(size=(4, 6)))  # a generic cotangent
-    _fd_check(lambda t: ad.tensor_sum(ad.mul(ad.clip01(t, 0.7), w)), a0)
+    w = rng.normal(size=(4, 6))  # a generic cotangent
+    _fd_match(lambda a: (ad.clip01(a, 0.7) * w).sum(),
+              ad.clip01_backward(w, a0, 0.7), a0)
 
 
 def test_clip01_threshold_boundary_subgradient():
-    x = ad.Tensor(np.array([-0.1, 0.0, 0.35, 0.7, 0.8]), requires_grad=True)
-    y = ad.clip01(x, 0.7)
-    np.testing.assert_array_equal(y.data, [0.0, 0.0, 0.5, 1.0, 1.0])
-    ad.backward([ad.tensor_sum(y)], [1.0])
+    x = np.array([-0.1, 0.0, 0.35, 0.7, 0.8])
+    np.testing.assert_array_equal(ad.clip01(x, 0.7), [0.0, 0.0, 0.5, 1.0, 1.0])
     # 1/v_th on the closed interval [0, v_th], bounds included; 0 outside
-    np.testing.assert_array_equal(x.grad, [0.0, 1 / 0.7, 1 / 0.7, 1 / 0.7, 0.0])
+    np.testing.assert_array_equal(ad.clip01_backward(np.ones(5), x, 0.7),
+                                  [0.0, 1 / 0.7, 1 / 0.7, 1 / 0.7, 0.0])
 
 
 LINEAR_SHAPES = pytest.mark.parametrize(
@@ -124,30 +134,41 @@ def test_linear_forward_equals_composite_bitwise(shape):
     x, w, b = rng.normal(size=shape), rng.normal(size=(3, 5)), rng.normal(size=3)
     # reference: the affine map as plain numpy ops
     want = np.matmul(x, np.transpose(w)) + b
-    np.testing.assert_array_equal(ad.linear(x, w, b).data, want)
+    np.testing.assert_array_equal(ad.linear(x, w, b), want)
 
 
 @LINEAR_SHAPES
 def test_linear_grads_match_finite_differences(shape):
     rng = np.random.default_rng(12)
     x0, w0, b0 = rng.normal(size=shape), rng.normal(size=(3, 5)), rng.normal(size=3)
-    g = ad.Tensor(rng.normal(size=shape[:-1] + (3,)))  # a generic cotangent
-
-    def weighted(x, w, b):
-        return ad.tensor_sum(ad.mul(ad.linear(x, w, b), g))
-
-    _fd_check(lambda t: weighted(t, w0, b0), x0)
-    _fd_check(lambda t: weighted(x0, t, b0), w0)
-    _fd_check(lambda t: weighted(x0, w0, t), b0)
+    g = rng.normal(size=shape[:-1] + (3,))  # a generic cotangent
+    gx, gw, gb = ad.linear_backward(g, x0, w0)
+    _fd_match(lambda x: (ad.linear(x, w0, b0) * g).sum(), gx, x0)
+    _fd_match(lambda w: (ad.linear(x0, w, b0) * g).sum(), gw, w0)
+    _fd_match(lambda b: (ad.linear(x0, w0, b) * g).sum(), gb, b0)
 
 
 def test_gelu_and_layer_norm_grads():
     rng = np.random.default_rng(5)
     x0 = rng.normal(size=(2, 6))
-    _fd_check(lambda t: ad.tensor_sum(ad.gelu(t)), x0, atol=1e-5)
-    gain = ad.Tensor(rng.normal(size=6))
-    bias = ad.Tensor(rng.normal(size=6))
-    _fd_check(lambda t: ad.tensor_sum(ad.layer_norm(t, gain, bias)), x0, atol=1e-5)
+    g = rng.normal(size=(2, 6))  # a generic cotangent
+    _fd_match(lambda x: (ad.gelu(x)[0] * g).sum(),
+              ad.gelu_backward(g, ad.gelu(x0)[1]), x0, atol=1e-5)
+    gain, bias = rng.normal(size=6), rng.normal(size=6)
+    out, saved = ad.layer_norm(x0, gain, bias)
+    _fd_match(lambda x: (ad.layer_norm(x, gain, bias)[0] * g).sum(),
+              ad.layer_norm_backward(g, saved, gain)[0], x0, atol=1e-5)
+
+
+def test_gelu_equals_taped_reference_bitwise():
+    rng = np.random.default_rng(13)
+    x0, g = rng.normal(size=(3, 4, 6)), rng.normal(size=(3, 4, 6))
+    out, saved = ad.gelu(x0)
+    leaf = tp.Tensor(x0, requires_grad=True)
+    taped = tp.taped_gelu(leaf)
+    tp.backward([taped], [g])
+    np.testing.assert_array_equal(out, taped.data)
+    np.testing.assert_array_equal(ad.gelu_backward(g, saved), leaf.grad)
 
 
 def composite_layer_norm(x, gain, bias, eps=1e-5):
@@ -165,62 +186,75 @@ def test_layer_norm_forward_equals_composite_bitwise():
         x = rng.random(shape) * 3.0 - 1.0
         gain, bias = rng.normal(size=shape[-1]), rng.normal(size=shape[-1])
         want = composite_layer_norm(x, gain, bias)
-        np.testing.assert_array_equal(ad.layer_norm(x, gain, bias).data, want)
+        np.testing.assert_array_equal(ad.layer_norm(x, gain, bias)[0], want)
 
 
 def test_layer_norm_grads_with_batch_axis():
     rng = np.random.default_rng(7)
     x0 = rng.normal(size=(3, 4, 6))
     gain0, bias0 = rng.normal(size=6), rng.normal(size=6)
-    w = ad.Tensor(rng.normal(size=(3, 4, 6)))  # a generic cotangent
-
-    def weighted(x, gain, bias):
-        return ad.tensor_sum(ad.mul(ad.layer_norm(x, gain, bias), w))
-
-    _fd_check(lambda t: weighted(t, gain0, bias0), x0, atol=1e-6)
-    _fd_check(lambda t: weighted(x0, t, bias0), gain0, atol=1e-6)
-    _fd_check(lambda t: weighted(x0, gain0, t), bias0, atol=1e-6)
+    w = rng.normal(size=(3, 4, 6))  # a generic cotangent
+    gx, ggain, gbias = ad.layer_norm_backward(
+        w, ad.layer_norm(x0, gain0, bias0)[1], gain0)
+    _fd_match(lambda x: (ad.layer_norm(x, gain0, bias0)[0] * w).sum(), gx, x0)
+    _fd_match(lambda gain: (ad.layer_norm(x0, gain, bias0)[0] * w).sum(),
+              ggain, gain0)
+    _fd_match(lambda bias: (ad.layer_norm(x0, gain0, bias)[0] * w).sum(),
+              gbias, bias0)
 
 
 def test_cross_entropy_matches_log_softmax():
     logits = np.array([1.0, -2.0, 0.5])
-    with ad.no_grad():
-        loss = float(ad.cross_entropy(ad.Tensor(logits), 2).data)
+    loss, _ = ad.cross_entropy(logits, 2)
     expected = -(logits[2] - np.log(np.exp(logits).sum()))
     assert abs(loss - expected) < 1e-12
-    _fd_check(lambda t: ad.cross_entropy(t, 0), logits)
+    _fd_match(lambda x: ad.cross_entropy(x, 0)[0],
+              ad.cross_entropy(logits, 0)[1], logits)
+
+
+def test_kd_mse_and_projection_grads_match_finite_differences():
+    rng = np.random.default_rng(14)
+    s0, p0 = rng.random((2, 3, 4)), rng.normal(size=(4, 5))
+    target = rng.normal(size=(2, 3, 5))
+
+    def value(s, proj):
+        return mse(s @ proj, target, 0.7)[0] * 0.7
+
+    g_s, g_p = project_backward(mse(s0 @ p0, target, 0.7)[1], s0, p0)
+    _fd_match(lambda s: value(s, p0), g_s, s0)
+    _fd_match(lambda proj: value(s0, proj), g_p, p0)
 
 
 def test_ste_passes_cotangent_to_latent():
-    latent = ad.Tensor(np.array([0.3, -0.9]), requires_grad=True)
+    latent = tp.Tensor(np.array([0.3, -0.9]), requires_grad=True)
     forward = np.array([1.0, -1.0])
-    y = ad.ste(latent, forward)
+    y = tp.ste(latent, forward)
     np.testing.assert_array_equal(y.data, forward)
-    ad.backward([ad.tensor_sum(ad.mul(y, ad.Tensor(np.array([2.0, 5.0]))))], [1.0])
+    tp.backward([tp.tensor_sum(tp.mul(y, tp.Tensor(np.array([2.0, 5.0]))))], [1.0])
     np.testing.assert_array_equal(latent.grad, [2.0, 5.0])
 
 
 def test_no_grad_suppresses_graph():
-    x = ad.Tensor(np.ones(3), requires_grad=True)
-    with ad.no_grad():
-        y = ad.mul(x, x)
+    x = tp.Tensor(np.ones(3), requires_grad=True)
+    with tp.no_grad():
+        y = tp.mul(x, x)
     assert y._parents == ()
 
 
 def test_backward_resets_between_calls():
-    x = ad.Tensor(np.array([3.0]), requires_grad=True)
-    y = ad.mul(x, x)
-    ad.backward([y], [np.ones(1)])
+    x = tp.Tensor(np.array([3.0]), requires_grad=True)
+    y = tp.mul(x, x)
+    tp.backward([y], [np.ones(1)])
     first = x.grad.copy()
-    ad.backward([y], [np.ones(1)])
+    tp.backward([y], [np.ones(1)])
     np.testing.assert_array_equal(x.grad, first)  # replay, not accumulation
 
 
 def test_backward_multiple_outputs_sums_contributions():
-    x = ad.Tensor(np.array([2.0]), requires_grad=True)
-    y1 = ad.mul(x, x)
-    y2 = ad.mul(x, 3.0)
-    ad.backward([y1, y2], [np.ones(1), np.ones(1)])
+    x = tp.Tensor(np.array([2.0]), requires_grad=True)
+    y1 = tp.mul(x, x)
+    y2 = tp.mul(x, 3.0)
+    tp.backward([y1, y2], [np.ones(1), np.ones(1)])
     np.testing.assert_allclose(x.grad, [2 * 2.0 + 3.0])
 
 
@@ -228,10 +262,8 @@ def test_batched_cross_entropy_sums_rows():
     rng = np.random.default_rng(8)
     logits = rng.normal(size=(4, 3)) * 2.0
     labels = np.array([2, 0, 1, 2])
-    with ad.no_grad():
-        total = float(ad.cross_entropy(ad.Tensor(logits), labels).data)
-        rows = [float(ad.cross_entropy(ad.Tensor(r), int(lab)).data)
-                for r, lab in zip(logits, labels)]
-    assert total == pytest.approx(sum(rows), rel=1e-14)
-    _fd_check(lambda t: ad.cross_entropy(t, labels), logits)
-
+    total, grad = ad.cross_entropy(logits, labels)
+    rows = [ad.cross_entropy(r, int(lab)) for r, lab in zip(logits, labels)]
+    assert total == pytest.approx(sum(loss for loss, _ in rows), rel=1e-14)
+    np.testing.assert_array_equal(grad, [g for _, g in rows])
+    _fd_match(lambda x: ad.cross_entropy(x, labels)[0], grad, logits)

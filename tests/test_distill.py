@@ -7,7 +7,6 @@ from eqspike.distill import (KdConfig, KdConfigError, KdReport,
                              _init_projection, default_layer_map,
                              evaluate_kd_loss, kd_loss, run_distillation,
                              teacher_targets)
-from eqspike.equilibrium import SolverConfig
 from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
 from eqspike.numerics import AdamState
 from eqspike.quantizer import QuantMode
@@ -91,8 +90,8 @@ def test_kd_loss_zero_when_projection_reconstructs_teacher():
     teacher_h = [rng.normal(size=(4, 6))]
     cfg = KdConfig.build(6, 6, 1, 1, rng)
     # identity projection and matching rates -> exactly zero loss
-    total, per_pair = kd_loss([teacher_h[0].copy()], teacher_h, cfg)
-    assert float(total.data) == 0.0
+    total, per_pair, _ = kd_loss([teacher_h[0].copy()], teacher_h, cfg)
+    assert total == 0.0
     assert per_pair == [0.0]
 
 
@@ -101,8 +100,15 @@ def test_kd_loss_weighted_sum():
     t0, t1 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
     cfg = KdConfig.build(4, 4, 2, 2, rng, loss_weights=[2.0, 3.0])
     s = [np.zeros((3, 4)), np.zeros((3, 4))]
-    total, per_pair = kd_loss(s, [t0, t1], cfg)
-    assert float(total.data) == pytest.approx(2 * per_pair[0] + 3 * per_pair[1])
+    total, per_pair, _ = kd_loss(s, [t0, t1], cfg)
+    assert total == pytest.approx(2 * per_pair[0] + 3 * per_pair[1])
+
+
+def test_kd_loss_on_a_config_without_projections_names_them():
+    # KdConfig built directly, not by KdConfig.build, has no projections
+    cfg = KdConfig(layer_map=[0, 1])
+    with pytest.raises(KdConfigError, match="kd.proj0, kd.proj1"):
+        kd_loss([np.zeros((3, 4))] * 2, [np.zeros((3, 4))] * 2, cfg)
 
 
 def test_kd_loss_requires_full_mapping():
@@ -140,8 +146,7 @@ def test_run_distillation_reduces_loss_and_reports_epoch_zero():
             (np.array([2, 8, 9]), 0)]
     cfg = KdConfig.build(8, 8, 2, 2, np.random.default_rng(3))
     report = run_distillation(stack, teacher, data, epochs=5, cfg=cfg,
-                              optimizer=AdamState(lr=5e-3),
-                              solver_cfg=SolverConfig(tol=1e-8))
+                              optimizer=AdamState(lr=5e-3))
     assert report.epochs[0][0] == 0
     assert len(report.epochs) == 6
     assert report.epochs[-1][2] < report.epochs[0][2]
@@ -163,10 +168,8 @@ def test_evaluate_kd_loss_averages_over_dataset():
     cfg = KdConfig.build(8, 8, 2, 2, np.random.default_rng(0))
     data = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7]), 1)]
     targets = teacher_targets(teacher)
-    total, pairs = evaluate_kd_loss(stack, data, cfg, SolverConfig(tol=1e-8),
-                                    targets)
-    singles = [evaluate_kd_loss(stack, [ex], cfg, SolverConfig(tol=1e-8),
-                                targets)[0] for ex in data]
+    total, pairs = evaluate_kd_loss(stack, data, cfg, targets)
+    singles = [evaluate_kd_loss(stack, [ex], cfg, targets)[0] for ex in data]
     assert total == pytest.approx(np.mean(singles))
     assert len(pairs) == 2
 
@@ -226,7 +229,7 @@ def _run_pair(seed, teacher, data, runner, epochs=2):
     stack, _ = _tiny_pair(seed=seed)
     cfg = KdConfig.build(8, 8, 2, 2, np.random.default_rng(seed))
     report = runner(stack, teacher, data, epochs, cfg, AdamState(lr=5e-3),
-                    solver_cfg=SolverConfig(tol=1e-8), batch_size=4)
+                    batch_size=4)
     return report, stack, cfg
 
 

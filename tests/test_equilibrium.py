@@ -25,8 +25,9 @@ def test_solver_config_validation(bad):
 
 
 def test_solve_builds_leaves_once_and_runs_one_sweep(monkeypatch):
+    # the effective weights are built once per solve
     stack = small_stack()
-    calls = {"param_tensors": 0, "block_forward": 0}
+    calls = {"effective_weights": 0, "block_forward": 0}
     for name in calls:
         def counted(self, *args, _orig=getattr(EncoderStack, name), _name=name,
                     **kwargs):
@@ -34,7 +35,8 @@ def test_solve_builds_leaves_once_and_runs_one_sweep(monkeypatch):
             return _orig(self, *args, **kwargs)
         monkeypatch.setattr(EncoderStack, name, counted)
     sol = solve_fixed_point(stack, np.array([2, 4, 5]), SolverConfig(tol=1e-12))
-    assert calls == {"param_tensors": 1, "block_forward": stack.cfg.num_layers}
+    assert calls == {"effective_weights": 1,
+                     "block_forward": stack.cfg.num_layers}
     assert sol.iters_used == 1 and sol.converged
 
 
@@ -122,8 +124,7 @@ def test_pipeline_simulate_runs_one_simulation(monkeypatch):
     assert len(calls) == 1
     assert len(rows) == T * len(asrs)
     assert summary == {"T": T, "mean_abs_deviation": want,
-                       "max_mean_abs_deviation": max(want.values()),
-                       "solver_iters": sol.iters_used}
+                       "max_mean_abs_deviation": max(want.values())}
 
 
 @pytest.mark.parametrize("mode", list(QuantMode), ids=lambda m: m.value)

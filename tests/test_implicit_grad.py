@@ -6,86 +6,99 @@ import numpy as np
 import pytest
 
 import eqspike
-from eqspike import autodiff as ad
+import oracles as tp
 from eqspike import implicit_grad, numerics
 from eqspike import pipeline as pl
-from eqspike.autodiff import Tensor
-from eqspike.distill import KdConfig, kd_loss_builder, teacher_targets
+from eqspike.distill import KdConfig, kd_loss_builder, mse, teacher_targets
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
 from eqspike.implicit_grad import (batch_gradients, ce_loss, example_gradients,
-                                   mse, training_step)
-from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
+                                   training_step)
+from eqspike.autodiff import cross_entropy, linear_backward
+from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
+                           TeacherModel, classifier_logits)
 from eqspike.numerics import AdamState, NumericError
 from eqspike.quantizer import QuantMode
 from oracles import (TensorAdam, dense_adjoint_solve,
                      inline_teacher_gradients, inline_teacher_training,
-                     per_tensor_training_step)
+                     per_tensor_training_step, taped_ce_loss,
+                     taped_example_gradients, taped_kd_loss_builder)
 
 
-def small_stack(seed=0, mode=QuantMode.FULL_PRECISION):
+def small_stack(seed=0, mode=QuantMode.FULL_PRECISION, num_layers=2, v_th=1.0):
     cfg = StackConfig(vocab_size=11, hidden_dim=8, intermediate_dim=12,
-                      num_heads=2, num_layers=2, max_len=6, num_labels=2,
-                      quant_mode=mode)
+                      num_heads=2, num_layers=num_layers, max_len=6,
+                      num_labels=2, quant_mode=mode, v_th=v_th)
     return EncoderStack(cfg, np.random.default_rng(seed))
 
 
-def oracle_gradients(stack, tokens, label, loss_builder, extra_params):
+def oracle_gradients(stack, tokens, label, taped_builder, extra_params):
     """Implicit-function gradients with the adjoint solved densely.
 
-    a* enters the loss as constant leaves; v = dL/da* + (df/da)^T v is
-    solved by `dense_adjoint_solve` on the rate map f built from the public
-    `encoding` and `block_forward` at a*; v^T df/dtheta is then added.
+    a* enters the taped loss as constant leaves; v = dL/da* + (df/da)^T v
+    is solved by `dense_adjoint_solve` on the rate map f taped at a* (the
+    reference's encoding and blocks); v^T df/dtheta is then added.
     """
     sol = solve_fixed_point(stack, tokens, SolverConfig(tol=1e-12))
-    a_leaves = [Tensor(a.copy(), requires_grad=True) for a in sol.asr_star]
-    head = {"cls.w": Tensor(stack.cls_w, requires_grad=True),
-            "cls.b": Tensor(stack.cls_b, requires_grad=True),
-            **{k: Tensor(v, requires_grad=True) for k, v in extra_params.items()}}
-    loss, _ = loss_builder(tokens, label, a_leaves, head)
-    ad.backward([loss], [1.0])
+    a_leaves = [tp.Tensor(a.copy(), requires_grad=True) for a in sol.asr_star]
+    head = {"cls.w": tp.Tensor(stack.cls_w, requires_grad=True),
+            "cls.b": tp.Tensor(stack.cls_b, requires_grad=True),
+            **{k: tp.Tensor(v, requires_grad=True)
+               for k, v in extra_params.items()}}
+    loss, _ = taped_builder(tokens, label, a_leaves, head)
+    tp.backward([loss], [1.0])
     g = [np.zeros_like(a.data) if a.grad is None else a.grad.copy()
          for a in a_leaves]
     grads = {k: t.grad.copy() for k, t in head.items() if t.grad is not None}
 
-    leaves = stack.param_tensors()
-    state = [Tensor(a.copy(), requires_grad=True) for a in sol.asr_star[:-1]]
-    inputs = [stack.encoding(tokens, leaves)] + state
-    weights = stack.effective_weights(leaves)
-    outputs = [stack.block_forward(i, x, leaves, weights)
+    leaves = tp.param_tensors(stack)
+    state = [tp.Tensor(a.copy(), requires_grad=True) for a in sol.asr_star[:-1]]
+    inputs = [tp.taped_encoding(stack, tokens, leaves)] + state
+    weights = tp.taped_weights(stack, leaves)
+    outputs = [tp.taped_block(stack, i, x, leaves, weights)
                for i, x in enumerate(inputs)]
 
     def jacobian_vjp(v):
-        ad.backward(outputs, v)
+        tp.backward(outputs, v)
         return [s.grad.copy() if s.grad is not None else np.zeros_like(s.data)
                 for s in state] + [np.zeros_like(sol.asr_star[-1])]
 
     v = dense_adjoint_solve(g, jacobian_vjp)
-    ad.backward(outputs, v)
+    tp.backward(outputs, v)
     for k, leaf in leaves.items():
         if leaf.grad is not None:
             grads[k] = grads.get(k, 0.0) + leaf.grad
     return grads, float(loss.data)
 
 
-def kd_builder(stack):
+def kd_builders(stack, loss_weights=None):
+    """The KD loss builder of a small teacher, its taped reference and the
+    projections."""
     teacher = TeacherModel(TeacherConfig(vocab_size=11, hidden_dim=6,
                                          intermediate_dim=8, num_heads=2,
                                          num_layers=2, max_len=6),
                            np.random.default_rng(9))
     kd = KdConfig.build(stack.cfg.hidden_dim, teacher.cfg.hidden_dim,
                         stack.cfg.num_layers, teacher.cfg.num_layers,
-                        np.random.default_rng(10))
-    return kd_loss_builder(kd, teacher_targets(teacher)), kd.projections
+                        np.random.default_rng(10), loss_weights=loss_weights)
+    targets = teacher_targets(teacher)
+    return (kd_loss_builder(kd, targets), taped_kd_loss_builder(kd, targets),
+            kd.projections)
+
+
+def kd_builder(stack):
+    builder, _taped, projections = kd_builders(stack)
+    return builder, projections
 
 
 @pytest.mark.parametrize("mode", list(QuantMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("kind", ["ce", "kd"])
 def test_example_gradients_match_dense_adjoint_oracle(mode, kind):
     stack = small_stack(seed=2, mode=mode)
-    builder, extra = (ce_loss, {}) if kind == "ce" else kd_builder(stack)
+    builder, taped, extra = (ce_loss, taped_ce_loss, {}) if kind == "ce" \
+        else kd_builders(stack)
     tokens, label = np.array([2, 4, 5]), 1
     bundle = example_gradients(stack, tokens, label, builder, extra)
-    want, loss = oracle_gradients(stack, tokens, label, builder, extra)
+    want, loss = oracle_gradients(stack, tokens, label, taped, extra)
     assert bundle.loss == loss
     assert set(bundle.grads) == set(want)
     for name, grad in want.items():
@@ -94,9 +107,54 @@ def test_example_gradients_match_dense_adjoint_oracle(mode, kind):
 
 
 def test_mse_value():
-    with ad.no_grad():
-        val = float(mse(ad.Tensor(np.array([1.0, 3.0])), np.array([0.0, 1.0])).data)
+    val, _ = mse(np.array([1.0, 3.0]), np.array([0.0, 1.0]), 1.0)
     assert val == pytest.approx((1.0 + 4.0) / 2)
+
+
+CLOSED_FORM_CASES = {
+    "student-ce": dict(kind="ce"),
+    "student-kd-L2": dict(kind="kd"),
+    # blocks 0 and 1 feed the next block's q, k, v and residual and the KD
+    # term: five consumers, summed in the tape's order
+    "student-kd-L3": dict(kind="kd", num_layers=3, v_th=0.8,
+                          loss_weights=[0.5, 2.0, 1.25]),
+}
+
+
+@pytest.mark.parametrize("mode", list(QuantMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("case", CLOSED_FORM_CASES)
+def test_closed_form_gradients_equal_taped_oracle_bitwise(mode, case):
+    kw = dict(CLOSED_FORM_CASES[case])
+    kind, loss_weights = kw.pop("kind"), kw.pop("loss_weights", None)
+    stack = small_stack(seed=14, mode=mode, **kw)
+    if kind == "ce":
+        builder, taped, extra = ce_loss, taped_ce_loss, {}
+    else:
+        builder, taped, extra = kd_builders(stack, loss_weights)
+    rng = np.random.default_rng(15)
+    for tokens, labels in ((rng.integers(0, 11, size=(5, 6)),
+                            rng.integers(0, 2, size=5)), (np.array([2, 4, 5]), 1)):
+        got = example_gradients(stack, tokens, labels, builder, extra)
+        want = taped_example_gradients(stack, tokens, labels, taped, extra)
+        assert got.loss == want.loss and got.loss_terms == want.loss_terms
+        assert got.grads.keys() == want.grads.keys()
+        assert ("cls.w" in got.grads) == (kind == "ce")
+        for name, grad in want.grads.items():
+            np.testing.assert_array_equal(got.grads[name], grad, err_msg=name)
+
+
+def test_closed_form_teacher_gradients_equal_taped_oracle_bitwise():
+    teacher = TeacherModel(TeacherConfig(vocab_size=11, hidden_dim=8,
+                                         intermediate_dim=12, num_heads=2,
+                                         num_layers=2, max_len=6),
+                           np.random.default_rng(16))
+    rng = np.random.default_rng(17)
+    tokens, labels = rng.integers(0, 11, size=(5, 6)), rng.integers(0, 2, size=5)
+    got = example_gradients(teacher, tokens, labels, ce_loss, {})
+    want = taped_example_gradients(teacher, tokens, labels, taped_ce_loss, {})
+    assert got.loss == want.loss and got.grads.keys() == want.grads.keys()
+    for name, grad in want.grads.items():
+        np.testing.assert_array_equal(got.grads[name], grad, err_msg=name)
 
 
 def test_example_gradients_match_finite_differences():
@@ -144,12 +202,18 @@ def test_training_step_supports_extra_params():
     stack = small_stack(seed=6)
     proj = {"proj": np.zeros((2, 2))}
 
-    def builder(tokens, label, a_leaves, head_leaves):
-        cls = ad.getitem(a_leaves[-1], (Ellipsis, 0, slice(None)))
-        logits = ad.linear(cls, head_leaves["cls.w"], head_leaves["cls.b"])
-        logits = ad.matmul(logits, head_leaves["proj"])
-        loss = ad.cross_entropy(logits, label)
-        return loss, {}
+    def builder(tokens, label, a_blocks, head):
+        # cross-entropy of the classifier's logits times a trained matrix
+        final = a_blocks[-1]
+        logits = classifier_logits(final, head)
+        loss, g = cross_entropy(logits @ head["proj"], label)  # (1, C)
+        g_proj = logits.T @ g
+        g_cls, g_w, g_b = linear_backward(g @ head["proj"].T,
+                                          final[..., 0, :], head["cls.w"])
+        g_final = np.zeros_like(final)
+        g_final[..., 0, :] = g_cls
+        return loss, {}, [None, g_final], {"cls.w": g_w, "cls.b": g_b,
+                                           "proj": g_proj}
 
     adam = AdamState(lr=1e-2)
     before = proj["proj"].copy()

@@ -1,16 +1,17 @@
 import numpy as np
 import pytest
 
-from eqspike import autodiff as ad
 from eqspike import model
 from eqspike import pipeline as pl
 from eqspike import quantizer
 from eqspike.data import stack_by_length
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
 from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
-                           TeacherModel, spiking_attention, teacher_forward)
+                           TeacherModel, attention_backward, spiking_attention,
+                           teacher_forward)
 from eqspike.numerics import NumericError, ShapeError
 from eqspike.quantizer import OpCounter, QuantMode, quantize_158bit
+import oracles as tp
 from oracles import finite_difference_grad, step_major_simulate
 
 
@@ -37,8 +38,7 @@ def test_stack_config_validates_lif_parameters(bad):
 
 def test_encoding_lies_in_unit_interval():
     stack = make_stack()
-    with ad.no_grad():
-        enc = stack.encoding(np.array([2, 4, 5]), stack.param_tensors()).data
+    enc = stack.encoding(np.array([2, 4, 5]))
     assert enc.shape == (3, stack.cfg.hidden_dim)
     assert enc.min() >= 0.0 and enc.max() <= 1.0
 
@@ -46,7 +46,7 @@ def test_encoding_lies_in_unit_interval():
 def test_encoding_rejects_long_sequences():
     stack = make_stack()
     with pytest.raises(ShapeError):
-        stack.encoding(np.arange(stack.cfg.max_len + 1), stack.param_tensors())
+        stack.encoding(np.arange(stack.cfg.max_len + 1))
 
 
 def test_named_params_cover_all_sublayers():
@@ -90,8 +90,7 @@ def test_spiking_attention_is_convex_mixer():
     q = rng.random((5, 8))
     k = rng.random((5, 8))
     v = rng.random((5, 8))
-    with ad.no_grad():
-        out = spiking_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), 2).data
+    out = spiking_attention(q, k, v, 2)[0]
     assert out.shape == (5, 8)
     # per-head convex combination of value rows stays inside their range
     assert out.min() >= v.min() - 1e-12 and out.max() <= v.max() + 1e-12
@@ -100,8 +99,7 @@ def test_spiking_attention_is_convex_mixer():
 def test_spiking_attention_single_head_matches_manual():
     rng = np.random.default_rng(2)
     q, k, v = rng.random((3, 4)), rng.random((3, 4)), rng.random((3, 4))
-    with ad.no_grad():
-        out = spiking_attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), 1).data
+    out = spiking_attention(q, k, v, 1)[0]
     scores = q @ k.T / np.sqrt(4)
     w = np.exp(scores - scores.max(axis=-1, keepdims=True))
     w /= w.sum(axis=-1, keepdims=True)
@@ -137,7 +135,7 @@ def test_spiking_attention_equals_composite_bitwise(heads, shape):
     rng = np.random.default_rng(3)
     q, k, v = (rng.random(shape) for _ in range(3))
     want = composite_attention(q, k, v, heads)
-    np.testing.assert_array_equal(spiking_attention(q, k, v, heads).data, want)
+    np.testing.assert_array_equal(spiking_attention(q, k, v, heads)[0], want)
 
 
 @ATTENTION_CASES
@@ -147,24 +145,20 @@ def test_spiking_attention_grads_match_finite_differences(heads, shape):
     w = rng.normal(size=shape)  # a generic cotangent
 
     def loss(args):
-        return ad.tensor_sum(ad.mul(spiking_attention(*args, heads), w))
+        return float((spiking_attention(*args, heads)[0] * w).sum())
 
-    leaves = [ad.Tensor(x.copy(), requires_grad=True) for x in qkv]
-    ad.backward([loss(leaves)], [1.0])
+    grads = attention_backward(w, spiking_attention(*qkv, heads)[1])
     for j in range(3):
         def f(x, j=j):
-            return float(loss([x if i == j else a
-                               for i, a in enumerate(qkv)]).data)
+            return loss([x if i == j else a for i, a in enumerate(qkv)])
 
         fd = finite_difference_grad(f, qkv[j].copy(), h=1e-5)
-        np.testing.assert_allclose(leaves[j].grad, fd, atol=1e-8,
-                                   err_msg="qkv"[j])
+        np.testing.assert_allclose(grads[j], fd, atol=1e-8, err_msg="qkv"[j])
 
 
 def test_spiking_attention_shape_errors():
     with pytest.raises(ShapeError):
-        spiking_attention(ad.Tensor(np.zeros((3, 5))), ad.Tensor(np.zeros((3, 5))),
-                          ad.Tensor(np.zeros((3, 5))), 2)
+        spiking_attention(np.zeros((3, 5)), np.zeros((3, 5)), np.zeros((3, 5)), 2)
 
 
 @pytest.mark.parametrize("mode", [QuantMode.FULL_PRECISION,
@@ -412,19 +406,34 @@ def test_temporal_simulate_rejects_bad_token_shapes():
             stack.temporal_simulate(tokens, T=5)
 
 
-def test_block_forward_tapes_one_node_per_fused_op():
-    cfg = pl.load_config(None, {})  # the default 2-block ternary shape
+@pytest.mark.parametrize("with_loss", [False, True], ids=["alone", "loss"])
+def test_block_backward_equals_taped_block_bitwise(with_loss):
+    # one block of the default 2-block ternary shape under a generic output
+    # gradient; `with_loss` adds a gradient of the loss's own on the input
+    cfg = pl.load_config(None, {})
     tok, train, _dev, labels = pl.make_dataset(cfg)
     stack = pl.build_student(cfg, tok, num_labels=len(labels))
-    leaves = stack.param_tensors()
-    enc = stack.encoding(train[0][0], leaves)
-    out = stack.block_forward(0, enc, leaves, stack.effective_weights(leaves))
-    below = {id(n) for n in ad._toposort([enc])}
-    nodes = [n for n in ad._toposort([out]) if id(n) not in below]
-    # 16 parameter leaves, 6 straight-through weight views, and 18 ops:
-    # 6 linears, 7 threshold clips, attention, 2 layer norms, 2 residual adds
-    assert sum(n._vjp is None for n in nodes) == 16
-    assert len(nodes) == 40
+    rng = np.random.default_rng(5)
+    a_prev = rng.random((3, 12, 32))
+    g_out, g_loss = rng.normal(size=(2, 3, 12, 32))
+    caches = []
+    out = stack.block_forward(1, a_prev, stack.effective_weights(), None, caches)
+    grads = stack.params.zeros()
+    g_in = stack.block_backward(1, g_out, caches[0], grads,
+                                g_loss if with_loss else None)
+
+    leaves = tp.param_tensors(stack)
+    x = tp.Tensor(a_prev, requires_grad=True)
+    taped = tp.taped_block(stack, 1, x, leaves, tp.taped_weights(stack, leaves))
+    loss = tp.tensor_sum(tp.mul(taped, g_out))
+    if with_loss:  # as the KD loss reads block outputs: block i before i+1
+        loss = tp.add(tp.tensor_sum(tp.mul(x, g_loss)), loss)
+    tp.backward([loss], [1.0])
+    np.testing.assert_array_equal(out, taped.data)
+    np.testing.assert_array_equal(g_in, x.grad)
+    for name, leaf in leaves.items():
+        want = np.zeros_like(leaf.data) if leaf.grad is None else leaf.grad
+        np.testing.assert_array_equal(grads[name], want, err_msg=name)
 
 
 def test_linear_op_table_counts():

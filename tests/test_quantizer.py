@@ -3,7 +3,7 @@ import base64
 import numpy as np
 import pytest
 
-from eqspike import autodiff as ad
+from eqspike.model import _linear_backward
 from eqspike.numerics import ShapeError
 from eqspike.quantizer import (OpCounter, QuantizedLinear, QuantMode,
                                effective_weight_tensor, pack_codes,
@@ -71,14 +71,12 @@ def _layer(mode, rng=None, out_dim=4, in_dim=6, **kw):
 
 
 def _effective_weight(layer):
-    with ad.no_grad():
-        return effective_weight_tensor(layer, ad.Tensor(layer.latent_w)).data
+    return effective_weight_tensor(layer)
 
 
 def test_effective_weight_fp_is_latent():
     layer = _layer(QuantMode.FULL_PRECISION)
-    latent = ad.Tensor(layer.latent_w, requires_grad=True)
-    assert effective_weight_tensor(layer, latent) is latent
+    assert effective_weight_tensor(layer) is layer.latent_w
 
 
 def test_effective_weight_ternary_is_scaled_codes():
@@ -114,8 +112,7 @@ def test_pinned_arrays_are_built_once_and_read_only(mode, output_scale):
     with pytest.raises(ValueError):
         w[0, 0] = 0.5
     assert layer.codes() is q
-    latent = ad.Tensor(layer.latent_w, requires_grad=True)
-    assert effective_weight_tensor(layer, latent).data is w
+    assert effective_weight_tensor(layer) is w
 
 
 def test_spike_accumulation_matches_dense_matmul():
@@ -214,13 +211,16 @@ def test_quantized_forward_rejects_bad_width():
 
 def test_effective_weight_tensor_ste_gradient():
     layer = _layer(QuantMode.TERNARY_158BIT)
-    latent = ad.Tensor(layer.latent_w.copy(), requires_grad=True)
-    w_eff = effective_weight_tensor(layer, latent)
+    w_eff = effective_weight_tensor(layer)
     q, beta = quantize_158bit(layer.latent_w)
-    np.testing.assert_allclose(w_eff.data, q * beta)
-    g = np.random.default_rng(4).normal(size=w_eff.shape)
-    ad.backward([ad.tensor_sum(ad.mul(w_eff, ad.Tensor(g)))], [1.0])
-    np.testing.assert_array_equal(latent.grad, g)  # identity straight-through
+    np.testing.assert_allclose(w_eff, q * beta)
+    rng = np.random.default_rng(4)
+    x, g = rng.random((3, layer.in_dim)), rng.normal(size=(3, layer.out_dim))
+    grads = {"lin.w": np.zeros_like(w_eff), "lin.b": np.zeros(layer.out_dim)}
+    _linear_backward(g, x, w_eff, grads, "lin")
+    # identity straight-through: the latent weights get the gradient of
+    # the effective weight
+    np.testing.assert_array_equal(grads["lin.w"], g.T @ x)
 
 
 def test_pack_unpack_roundtrip():
