@@ -1,21 +1,22 @@
 """Versioned JSON checkpoints for student and teacher models.
 
 Student checkpoints carry the latent full-precision tensors, the quant
-mode, frozen alpha/beta statistics, and the packed 2-bit integer codes
-(little-endian within each byte) used by the inference path.  A stage tag
-records where in the training pipeline the artifact was produced.
+mode, and per quantized linear its alpha/beta statistics and packed 2-bit
+integer codes (little-endian within each byte).  A loaded student is
+frozen on its latent weights' quantization, which must be the saved one.
+A stage tag records where in the training pipeline the artifact was
+produced.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 
 import numpy as np
 
 from .model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
-from .quantizer import QuantMode, pack_codes, unpack_codes
+from .quantizer import pack_codes, unpack_codes
 
 FORMAT_VERSION = 1
 STAGES = ("init", "kd", "finetuned")
@@ -50,17 +51,11 @@ def save_student(stack: EncoderStack, stage: str, path):
     if stage not in STAGES:
         raise CheckpointError(f"unknown stage {stage!r}")
     cfg = stack.cfg
-    quant = {"mode": cfg.quant_mode.value, "layers": {}}
-    if cfg.quant_mode is not QuantMode.FULL_PRECISION:
-        for name, lin in stack.linears.items():
-            # the codes and alpha/beta written come from one quantization
-            lin = lin.pinned()
-            codes = lin.codes()
-            quant["layers"][name] = {
-                "alpha": lin.alpha, "beta": lin.beta,
-                "shape": list(codes.shape),
-                "codes": pack_codes(codes),
-            }
+    # the codes and alpha/beta written come from one quantization
+    quant = {"mode": cfg.quant_mode.value, "layers": {
+        name: {"alpha": p.alpha, "beta": p.beta, "shape": list(p.codes.shape),
+               "codes": pack_codes(p.codes)}
+        for name, p in stack.pinned().items() if p.quantized}}
     obj = {"format_version": FORMAT_VERSION, "kind": "student", "stage": stage,
            "config": {**dataclasses.asdict(cfg),
                       "quant_mode": cfg.quant_mode.value},
@@ -109,19 +104,27 @@ def _build_student(obj):
     stack = EncoderStack(_config(StackConfig, obj["config"]),
                          np.random.default_rng(0))
     _params_from_json(stack.named_params(), obj["params"])
-    for key, lin in stack.linears.items():
-        entry = obj["quant"]["layers"].get(key)
-        if entry is None:
+    layers = dict(obj["quant"]["layers"])
+    pins = stack.pinned()  # each linear re-pinned on its saved latent weight
+    for key, p in pins.items():
+        if not p.quantized:
             continue
+        entry = layers.pop(key, None)
+        if entry is None:
+            raise CheckpointError(f"quant entry {key} is missing")
         shape = tuple(entry["shape"])
-        if shape != lin.latent_w.shape:
+        if shape != p.codes.shape:
             raise CheckpointError(f"quant entry {key}: shape {shape} vs "
-                                  f"{lin.latent_w.shape}")
-        alpha, beta = entry["alpha"], entry["beta"]
-        if not (math.isfinite(alpha) and math.isfinite(beta)):
-            raise CheckpointError(f"quant entry {key}: alpha/beta "
-                                  f"{alpha}/{beta} not finite")
-        lin.pin(unpack_codes(entry["codes"], shape), alpha, beta)
+                                  f"{p.codes.shape}")
+        # a non-finite or mistyped alpha/beta differs from the re-pin's too
+        if (entry["alpha"], entry["beta"]) != (p.alpha, p.beta) \
+                or not np.array_equal(unpack_codes(entry["codes"], shape),
+                                      p.codes):
+            raise CheckpointError(f"quant entry {key}: codes or alpha/beta "
+                                  "are not those of its latent weights")
+    if layers:
+        raise CheckpointError(f"unknown quant entries {sorted(layers)}")
+    stack.frozen = pins
     return stack, obj["stage"]
 
 

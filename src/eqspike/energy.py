@@ -82,18 +82,16 @@ def expected_accumulates(spike_counts: dict, stack) -> dict:
     """Per-linear accumulate counts implied by the spike log.
 
     Each (spiking input = 1, nonzero weight) pair is one accumulate;
-    ternary zero codes contribute nothing.  A linear's spikes come from
-    its driving layer in `stack.linear_op_table`.  Must agree exactly with
-    the counts instrumented inside the inference kernel.
+    ternary zero codes contribute nothing.  The nonzeros are counted afresh
+    on each linear's `stack.pinned()` codes (the latent weights at full
+    precision), and its spikes come from its driving layer in
+    `stack.linear_op_table`.  Must agree exactly with the counts
+    instrumented inside the inference kernel.
     """
-    from .quantizer import QuantMode
-
     drivers = {name: src for src, name, _ops in stack.linear_op_table(1)}
     out = {}
-    for name, lin in stack.linears.items():
-        w = lin.codes() if lin.mode is not QuantMode.FULL_PRECISION \
-            else lin.latent_w
-        nnz_col = np.count_nonzero(w, axis=0)
+    for name, pinned in stack.pinned().items():
+        nnz_col = np.count_nonzero(pinned.codes, axis=0)
         counts = spike_counts[drivers[name]]
         out[name] = int((counts.reshape(-1, counts.shape[-1]).sum(axis=0)
                          * nnz_col).sum())

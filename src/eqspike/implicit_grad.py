@@ -29,7 +29,7 @@ from . import autodiff as ad
 from .data import stack_by_length
 from .equilibrium import solve_fixed_point  # noqa: F401  (public re-export)
 from .model import classifier_logits
-from .numerics import AdamState, FlatParams, adam_step_many, flat_params
+from .numerics import AdamState, FlatParams, adam_step_many
 
 
 @dataclass
@@ -53,13 +53,13 @@ def ce_loss(tokens, label, a_blocks, head):
             {"cls.w": g_w, "cls.b": g_b})
 
 
-def _owners(model, extra_params: FlatParams) -> list:
+def _owners(model, extra_params: FlatParams | None) -> list:
     """The parameter buffers a step trains: the model's, then any extras."""
     return [model.params] + ([extra_params] if extra_params else [])
 
 
 def example_gradients(model, tokens, label, loss_builder,
-                      extra_params: dict) -> GradientBundle:
+                      extra_params: FlatParams | None) -> GradientBundle:
     """Gradient of the loss on one example or a batch.
 
     `model` is the student `EncoderStack`, whose sweep lands on its
@@ -81,11 +81,11 @@ def example_gradients(model, tokens, label, loss_builder,
     Adam keeps that parameter and its moments.  `grads` holds the buffers'
     entries.
     """
-    buffers = [p.zeros() for p in _owners(model, flat_params(extra_params))]
+    buffers = [p.zeros() for p in _owners(model, extra_params)]
     caches = []
     a_blocks = model.sweep(tokens, caches=caches)
     head = {"cls.w": model.params["cls.w"], "cls.b": model.params["cls.b"],
-            **extra_params}
+            **(extra_params or {})}
     loss, terms, g_blocks, g_head = loss_builder(tokens, label, a_blocks, head)
     model.backward(caches, g_blocks, buffers[0])
     for buf in buffers:
@@ -99,7 +99,7 @@ def example_gradients(model, tokens, label, loss_builder,
 
 
 def batch_gradients(model, batch, loss_builder=ce_loss,
-                    extra_params: dict | None = None) -> GradientBundle:
+                    extra_params: FlatParams | None = None) -> GradientBundle:
     """Gradients, loss and terms of a batch of (tokens, label) pairs.
 
     The batch is stacked by sequence length (`data.stack_by_length`; an
@@ -109,7 +109,6 @@ def batch_gradients(model, batch, loss_builder=ce_loss,
     then divided once by the batch size.  `grads` holds every buffer's
     entries.
     """
-    extra_params = flat_params(extra_params or {})
     buffers, loss_sum, term_sum = None, 0.0, {}
     for tokens, labels in stack_by_length(batch):
         bundle = example_gradients(model, tokens, labels, loss_builder,
@@ -132,19 +131,13 @@ def batch_gradients(model, batch, loss_builder=ce_loss,
 
 
 def training_step(stack, batch, optimizer: AdamState, loss_builder=ce_loss,
-                  extra_params: dict | None = None) -> GradientBundle:
+                  extra_params: FlatParams | None = None) -> GradientBundle:
     """One Adam step of the student over a batch of (tokens, label) pairs.
 
     `batch_gradients`, then one `adam_step_many` over the stack's buffer
     and that of `extra_params`, which checks every gradient finite before
-    it writes any parameter or optimizer state.  A plain dict of
-    `extra_params` is stepped as a FlatParams copy and written back.
+    it writes any parameter or optimizer state.
     """
-    extra_params = extra_params or {}
-    extra = flat_params(extra_params)
-    bundle = batch_gradients(stack, batch, loss_builder, extra)
-    adam_step_many(_owners(stack, extra), bundle.buffers, optimizer)
-    if extra is not extra_params:
-        for name, arr in extra_params.items():
-            arr[...] = extra[name]
+    bundle = batch_gradients(stack, batch, loss_builder, extra_params)
+    adam_step_many(_owners(stack, extra_params), bundle.buffers, optimizer)
     return bundle

@@ -29,9 +29,8 @@ from .autodiff import (clip01, clip01_backward, gelu, gelu_backward,
                        linear_backward)
 from .neuron import LifConfig, LifLayerState, RunningAverage, lif_step
 from .numerics import FlatParams, ShapeError, check_finite, init_uniform
-from .quantizer import (OpCounter, QuantMode, QuantizedLinear,
-                        effective_weight_tensor, quantized_forward,
-                        stack_pinned)
+from .quantizer import (OpCounter, QuantMode, effective_weight_tensor, pin,
+                        quantized_forward, stack_pinned)
 
 
 @dataclass(frozen=True)
@@ -185,15 +184,14 @@ class EncoderStack:
         d = cfg.hidden_dim
         p = {"tok_emb": rng.uniform(-0.25, 0.25, size=(cfg.vocab_size, d)),
              "pos_emb": rng.uniform(-0.25, 0.25, size=(cfg.max_len, d))}
-        names = _add_blocks(p, cfg, rng, LN_GAIN_INIT, LN_BIAS_INIT)
+        self.linear_names = _add_blocks(p, cfg, rng, LN_GAIN_INIT,
+                                        LN_BIAS_INIT)
         # classifier head stays full precision
         p["cls.w"] = init_uniform(rng, cfg.num_labels, d)
         p["cls.b"] = np.zeros(cfg.num_labels)
         p = self.params = FlatParams(p)
-        # every quantized linear under its name, holding its ".w"/".b" arrays
-        self.linears = {k: QuantizedLinear(
-            p[k + ".w"], p[k + ".b"], mode=cfg.quant_mode,
-            binary_output_scale=cfg.binary_output_scale) for k in names}
+        # each linear's `Pinned` by name while the quantization is frozen
+        self.frozen = None
         # every parameter is updated in place, so these stay its entries
         self.tok_emb, self.pos_emb = p["tok_emb"], p["pos_emb"]
         self.cls_w, self.cls_b = p["cls.w"], p["cls.b"]
@@ -203,14 +201,24 @@ class EncoderStack:
         return self.params
 
     def set_quant_mode(self, mode: QuantMode):
+        """Switches every linear to `mode`, unfrozen."""
         self.cfg = dataclasses.replace(self.cfg, quant_mode=mode)
-        for lin in self.linears.values():
-            lin.mode = mode
-            lin.frozen_codes = lin.frozen_weight = lin.column_nnz = None
+        self.frozen = None
 
     def freeze_quantization(self):
-        for lin in self.linears.values():
-            lin.freeze()
+        """Pins every linear on one quantization of its current latent
+        weight, until `set_quant_mode` unfreezes the stack."""
+        self.frozen = self._pin_latent()
+
+    def _pin_latent(self) -> dict:
+        cfg = self.cfg
+        return {k: pin(self.params[k + ".w"], cfg.quant_mode,
+                       cfg.binary_output_scale) for k in self.linear_names}
+
+    def pinned(self) -> dict:
+        """Each linear's `Pinned` by name: the frozen ones, else a fresh
+        `pin` of each latent weight (the stack is left as it is)."""
+        return self._pin_latent() if self.frozen is None else self.frozen
 
     # -- steady-state (rate) path --------------------------------------
     # Rate tensors are (seq, d) for one sentence or (B, seq, d) for a
@@ -224,13 +232,10 @@ class EncoderStack:
         return clip01(_embed(self.params, _token_ids(tokens, self.cfg)) + 0.5)
 
     def effective_weights(self) -> dict:
-        """Each linear's effective weight, keyed "blk{i}.{name}".
-
-        Built by `effective_weight_tensor` (quantized afresh unless the
-        layer is frozen).
-        """
-        return {name: effective_weight_tensor(lin)
-                for name, lin in self.linears.items()}
+        """Each linear's effective weight, keyed "blk{i}.{name}": that of
+        its `pinned` value (quantized afresh unless the stack is frozen)."""
+        return {name: effective_weight_tensor(p)
+                for name, p in self.pinned().items()}
 
     def block_forward(self, i: int, a_prev: np.ndarray, weights: dict,
                       record: dict | None = None,
@@ -375,8 +380,8 @@ class EncoderStack:
         currents on whole windows.  Within a step every dependency runs
         from one sublayer to the next, and across steps only through each
         layer's own state, so this is bitwise the step-by-step simulation.
-        Linears are `pinned` once (an unfrozen layer is quantized once, its
-        alpha/beta left as they were), and finiteness is checked once, on
+        Linears are `pinned` once (an unfrozen stack quantizes each linear
+        once, not once per step), and finiteness is checked once, on
         every membrane potential at the end (a non-finite current leaves it
         non-finite for good), raising NumericError.
         """
@@ -388,9 +393,9 @@ class EncoderStack:
         layers = {"input": LifLayerState.zeros(drive.shape, cfg.gamma)}
         parts = {"input": ("input",)}  # per neuron layer, the layers it reports
         d, inter = cfg.hidden_dim, cfg.intermediate_dim
-        # per block: its layer-name prefix, its stacked q/k/v linear, its
-        # other linears pinned, the residual averages and the telescoped
-        # surrogates
+        pins = self.pinned()
+        # per block: its layer-name prefix, its stacked q/k/v linear and
+        # bias, the residual averages and the telescoped surrogates
         runs = []
         for i in range(cfg.num_layers):
             pre = f"blk{i}."
@@ -399,11 +404,9 @@ class EncoderStack:
                 layers[pre + nm] = LifLayerState.zeros(
                     drive.shape[:-1] + (width,), cfg.gamma)
                 parts[pre + nm] = (pre + nm,)
-            parts[pre + "qkv"] = (pre + "q", pre + "k", pre + "v")
-            runs.append((pre, stack_pinned([self.linears[pre + nm]
-                                            for nm in ("q", "k", "v")]),
-                         {nm: self.linears[pre + nm].pinned()
-                          for nm in ("o", "ff1", "ff2")},
+            qkv = parts[pre + "qkv"] = (pre + "q", pre + "k", pre + "v")
+            runs.append((pre, stack_pinned([pins[k] for k in qkv]),
+                         np.concatenate([p[k + ".b"] for k in qkv]),
                          RunningAverage(cfg.gamma), RunningAverage(cfg.gamma),
                          {nm: _Telescoped() for nm in ("attn", "h1", "out")}))
         tracing = trace is not None
@@ -425,14 +428,15 @@ class EncoderStack:
                     means[part] = a.reshape(len(a), -1).mean(axis=1)
             return spikes, asrs
 
-        def block(pre, qkv, pinned, r1_avg, r2_avg, tele, s_in):
+        def block(pre, qkv, qkv_bias, r1_avg, r2_avg, tele, s_in):
             """Advance a block over the window; its output spikes.
 
             Each window-sized intermediate is passed straight on, so that
             few of them are alive at once.
             """
             def linear(nm, x):  # the currents of linear nm under spikes x
-                return quantized_forward(pinned[nm], x, counter, pre + nm)
+                return quantized_forward(pins[pre + nm], x, p[pre + nm + ".b"],
+                                         counter, pre + nm)
 
             def surrogate(nm, phi):  # the spikes of the neurons behind phi
                 return fire(pre + nm, tele[nm](phi, steps))[0]
@@ -441,7 +445,7 @@ class EncoderStack:
                 return layer_norm(r, p[pre + ln + "_g"], p[pre + ln + "_b"])[0]
 
             _, aqkv = fire(pre + "qkv", quantized_forward(
-                qkv, s_in, counter, parts[pre + "qkv"]), True)
+                qkv, s_in, qkv_bias, counter, parts[pre + "qkv"]), True)
             sa = surrogate("attn", spiking_attention(
                 *np.split(aqkv, 3, axis=-1), cfg.num_heads)[0])
             del aqkv
@@ -490,8 +494,8 @@ class EncoderStack:
             src = "input" if i == 0 else f"blk{i - 1}.out"
 
             def linear(driver, nm):
-                lin = self.linears[pre + nm]
-                return driver, pre + nm, seq_len * lin.latent_w.size
+                w = self.params[pre + nm + ".w"]
+                return driver, pre + nm, seq_len * w.size
 
             rows += [linear(src, "q"), linear(src, "k"), linear(src, "v"),
                      (pre + "q", pre + "score", attention),

@@ -68,11 +68,6 @@ class FlatParams(dict):
         return out
 
 
-def flat_params(arrays: dict) -> FlatParams:
-    """`arrays` itself if it is a FlatParams, else a FlatParams copy of it."""
-    return arrays if isinstance(arrays, FlatParams) else FlatParams(arrays)
-
-
 @dataclass
 class AdamState:
     """Adam's settings, step counter and moments.

@@ -5,14 +5,19 @@ Binary: weights are mean-centered then mapped by signum to {-1, +1}
 value, clipped to [-1, 1], and rounded (ties away from zero) to
 {-1, 0, +1}; the layer output is rescaled by that mean absolute value.
 Latent full-precision weights stay trainable; gradients pass through the
-quantizer unchanged.
+quantizer unchanged.  A quantization is a `Pinned` value, built by `pin`:
+its codes, effective weight, alpha/beta and nonzero codes per input
+column, all fixed when it is built.  A training step pins each linear
+afresh; a frozen stack keeps one pin per linear until it is unfrozen.
 """
 
 from __future__ import annotations
 
 import base64
 import enum
-from dataclasses import dataclass, field, replace
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,105 +57,72 @@ def quantize_158bit(w: np.ndarray, epsilon: float = 1e-6):
     return q, beta
 
 
-@dataclass
-class QuantizedLinear:
-    """A linear layer with latent full-precision weights and a quant mode.
+def _readonly(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    latent_w has shape (out, in); forward computes x @ W_eff.T + bias.
-    alpha/beta hold the statistics of the most recent quantization (they
-    are recomputed from the latent weights on every call during training
-    and frozen for inference by `pin`).  A pinned layer keeps its float64
-    codes, its effective weight and the nonzero codes per input column
-    (what the `OpCounter` multiplies spikes by), all read-only.
+
+@dataclass(frozen=True, eq=False)
+class Pinned:
+    """One quantization of a linear's weight, fixed, with read-only arrays.
+
+    `codes` (out, in) are float64 in {-1, +1} (1-bit) or {-1, 0, +1}
+    (1.58-bit); at full precision they are the latent weights themselves
+    and `scale` is None.  Otherwise `scale` is the factor on the codes:
+    beta, or 1.0 for a binary linear without an output scale.  `weight` is
+    the codes times that scale, the weight the rate path multiplies by (an
+    unscaled binary linear's is its codes array).  alpha is the 1-bit
+    quantizer's mean and beta its output scale's statistic, each 0.0 where
+    the mode has none.  A `stack_pinned` linear has `parts` > 1.
     """
-    latent_w: np.ndarray
-    bias: np.ndarray
-    mode: QuantMode = QuantMode.FULL_PRECISION
-    alpha: float = 0.0
-    beta: float = 0.0
-    binary_output_scale: bool = False
-    frozen_codes: np.ndarray = field(default=None, repr=False)
-    frozen_weight: np.ndarray = field(default=None, repr=False)
-    column_nnz: np.ndarray = field(default=None, repr=False)
+    codes: np.ndarray
+    weight: np.ndarray
+    scale: float | np.ndarray | None
+    alpha: float
+    beta: float
+    parts: int = 1
 
     @property
-    def frozen(self) -> bool:
-        """Whether `pin` has fixed the codes (never for full precision)."""
-        return self.frozen_weight is not None
+    def quantized(self) -> bool:
+        """Whether the codes are integer codes, not real-valued weights."""
+        return self.scale is not None
 
-    @property
-    def out_dim(self):
-        return self.latent_w.shape[0]
-
-    @property
-    def in_dim(self):
-        return self.latent_w.shape[1]
-
-    def freeze(self):
-        """Pin the codes and statistics of one quantization of latent_w.
-
-        A full-precision layer has nothing to pin and is left as it is.
-        """
-        if self.mode is not QuantMode.FULL_PRECISION:
-            q = _requantize(self, self.latent_w)
-            self.pin(q, self.alpha, self.beta)
-
-    def pin(self, codes: np.ndarray, alpha: float, beta: float):
-        """Freeze the layer on `codes` and their statistics alpha/beta.
-
-        The float64 codes, the effective weight (codes x output scale) and
-        the nonzero codes per input column are built here, once, and made
-        read-only; a binary layer without an output scale uses its codes
-        array as its weight.
-        """
-        q = np.array(codes, dtype=np.float64)
-        self.alpha, self.beta = alpha, beta
-        scale = _output_scale(self)
-        w = q if scale == 1.0 else q * scale
-        nnz = np.count_nonzero(q, axis=0)
-        q.flags.writeable = w.flags.writeable = nnz.flags.writeable = False
-        self.frozen_codes, self.frozen_weight, self.column_nnz = q, w, nnz
-
-    def pinned(self) -> "QuantizedLinear":
-        """This layer if pinned, else a pinned copy of it.
-
-        A pinned layer has its `column_nnz`.  A quantized copy is frozen on
-        one quantization of the current latent weights; a full-precision
-        copy counts the nonzeros of its latent weights.  The layer itself
-        is left untouched.
-        """
-        if self.column_nnz is not None:
-            return self
-        pin = replace(self)
-        if self.mode is QuantMode.FULL_PRECISION:
-            pin.column_nnz = np.count_nonzero(self.latent_w, axis=0)
-        else:
-            pin.freeze()
-        return pin
-
-    def codes(self) -> np.ndarray:
-        if self.mode is QuantMode.FULL_PRECISION:
-            raise ValueError("full-precision layer has no integer codes")
-        return self.pinned().frozen_codes
+    @functools.cached_property
+    def column_nnz(self) -> np.ndarray:
+        """The nonzero codes per input column, what the `OpCounter`
+        multiplies spikes by: (in,), or (parts, in) for a stack.  Counted
+        on first use (the spike path's; training never reads it)."""
+        nnz = np.count_nonzero(
+            self.codes.reshape(self.parts, -1, self.codes.shape[1]), axis=1)
+        return _readonly(nnz[0] if self.parts == 1 else nnz)[0]
 
 
-def _requantize(layer: QuantizedLinear, w: np.ndarray) -> np.ndarray:
-    """Codes of `w` in the layer's mode; refreshes the layer's alpha/beta."""
-    if layer.mode is QuantMode.BINARY_1BIT:
-        q, layer.alpha = quantize_1bit(w)
-        if layer.binary_output_scale:
-            layer.beta = float(np.abs(w).mean())
+def pin(w: np.ndarray, mode: QuantMode,
+        binary_output_scale: bool = False) -> Pinned:
+    """The latent weight `w` (out, in) quantized in `mode`, pinned.
+
+    The one place that tells the modes apart.  At full precision the codes
+    and the weight are a read-only view of `w` itself.  A binary linear
+    keeps its mean alpha, and beta = mean |w| as its output scale only
+    under `binary_output_scale`; a ternary linear's scale is its absmean
+    beta.
+    """
+    if mode is QuantMode.FULL_PRECISION:
+        view, = _readonly(w.view())
+        return Pinned(view, view, None, 0.0, 0.0)
+    alpha = beta = 0.0
+    if mode is QuantMode.BINARY_1BIT:
+        q, alpha = quantize_1bit(w)
+        if binary_output_scale:
+            beta = float(np.abs(w).mean())
+        scale = beta if binary_output_scale else 1.0
     else:
-        q, layer.beta = quantize_158bit(w)
-    return q
-
-
-def _output_scale(layer: QuantizedLinear) -> float:
-    """The factor on a quantized layer's codes: beta, or 1.0 for a binary
-    layer without an output scale."""
-    if layer.mode is QuantMode.BINARY_1BIT and not layer.binary_output_scale:
-        return 1.0
-    return layer.beta
+        q, beta = quantize_158bit(w)
+        scale = beta
+    weight = q if scale == 1.0 else q * scale
+    q, weight = _readonly(q, weight)
+    return Pinned(q, weight, scale, alpha, beta)
 
 
 class OpCounter:
@@ -163,94 +135,78 @@ class OpCounter:
         self.per_layer[name] = self.per_layer.get(name, 0) + int(count)
 
 
-def stack_pinned(layers) -> QuantizedLinear:
-    """One pinned layer whose outputs are the `layers`' outputs side by side.
+def stack_pinned(parts) -> Pinned:
+    """One pinned linear whose outputs are the pinned `parts`' side by side.
 
-    The layers share their shape, mode and `binary_output_scale`.  Their
-    pinned weights, codes and biases are concatenated; beta becomes the
-    per-output vector of each part's output scale (a binary layer without
-    an output scale ignores it).  Its `column_nnz` has one row per part,
-    for `quantized_forward` to count and compute each part as its own
-    layer would.
+    The parts share their shape, and are all quantized or all full
+    precision.  Their codes and weights are concatenated; a quantized
+    stack's scale is the per-output vector of each part's scale.  Its
+    `parts` tell `quantized_forward` to count and compute each part as its
+    own linear would.  A stack has no one alpha or beta (NaN).
     """
-    parts = [lin.pinned() for lin in layers]
     first = parts[0]
-    if any((p.latent_w.shape, p.mode, p.binary_output_scale) != (
-            first.latent_w.shape, first.mode, first.binary_output_scale)
+    if any((p.codes.shape, p.quantized) != (first.codes.shape, first.quantized)
            for p in parts):
-        raise ShapeError("stacked layers differ in shape or mode")
-    out = replace(first, latent_w=np.concatenate([p.latent_w for p in parts]),
-                  bias=np.concatenate([p.bias for p in parts]),
-                  column_nnz=np.stack([p.column_nnz for p in parts]))
-    if first.mode is not QuantMode.FULL_PRECISION:
-        out.beta = np.repeat([_output_scale(p) for p in parts], first.out_dim)
-        out.frozen_codes = np.concatenate([p.frozen_codes for p in parts])
-        out.frozen_weight = np.concatenate([p.frozen_weight for p in parts])
-    return out
+        raise ShapeError("stacked linears differ in shape or mode")
+    scale = None
+    if first.quantized:
+        scale = np.repeat([p.scale for p in parts], first.codes.shape[0])
+    codes, weight = _readonly(np.concatenate([p.codes for p in parts]),
+                              np.concatenate([p.weight for p in parts]))
+    return Pinned(codes, weight, scale, math.nan, math.nan, len(parts))
 
 
-def quantized_forward(layer: QuantizedLinear, x: np.ndarray,
+def quantized_forward(layer: Pinned, x: np.ndarray, bias: np.ndarray,
                       counter: OpCounter | None = None,
                       name: str | tuple = "") -> np.ndarray:
-    """Spike-driven forward pass; x is 0/1 spikes (..., in), as `lif_step`
-    emits, with any leading axes.
+    """Spike-driven forward pass of a pinned linear plus `bias`; x is 0/1
+    spikes (..., in), as `lif_step` emits, with any leading axes.
 
-    A quantized layer computes `scale * (x @ codes.T) + bias`: with spikes
+    A quantized linear computes `scale * (x @ codes.T) + bias`: with spikes
     in {0, 1} and codes in {-1, 0, +1} every partial sum is a small
     integer, so the matmul is exact signed accumulation of the columns
     whose input spiked (no multiplies are needed), and the output scale is
     applied once afterwards.  The counter counts the accumulates, one per
-    (nonzero input, nonzero code or weight) pair, from the layer's
-    `column_nnz`.  A `stack_pinned` layer counts each part under its own
+    (nonzero input, nonzero code or weight) pair, from the linear's
+    `column_nnz`.  A `stack_pinned` linear counts each part under its own
     name, `name` then being the tuple of the parts' names; its outputs are
     bitwise its parts' (exact sums for codes, and for full precision, whose
     real-valued sums depend on the matmul's shape, one matmul per part).
-    The layer runs `pinned`: an unfrozen quantized layer's alpha/beta are
-    left as they were.
     """
     x = np.asarray(x)
-    if x.shape[-1] != layer.in_dim:
-        raise ShapeError(f"input width {x.shape[-1]} vs layer {layer.in_dim}")
-    layer = layer.pinned()
-    nnz = layer.column_nnz
+    in_dim = layer.codes.shape[1]
+    if x.shape[-1] != in_dim:
+        raise ShapeError(f"input width {x.shape[-1]} vs layer {in_dim}")
     if counter is not None:
-        active = (x.reshape(-1, layer.in_dim) != 0).sum(axis=0)
-        if nnz.ndim == 1:
-            counter.add(name, int(active @ nnz))
+        active = (x.reshape(-1, in_dim) != 0).sum(axis=0)
+        if layer.parts == 1:
+            counter.add(name, int(active @ layer.column_nnz))
         else:
-            for part, ops in zip(name, nnz @ active, strict=True):
+            for part, ops in zip(name, layer.column_nnz @ active, strict=True):
                 counter.add(part, int(ops))
-    if layer.mode is not QuantMode.FULL_PRECISION:
-        out = x @ layer.frozen_codes.T
-        out *= _output_scale(layer)
-    elif nnz.ndim == 1:
-        out = x @ layer.latent_w.T
+    if layer.quantized:
+        out = x @ layer.codes.T
+        out *= layer.scale
+    elif layer.parts == 1:
+        out = x @ layer.codes.T
     else:
-        parts = np.split(layer.latent_w, len(nnz))
+        parts = np.split(layer.codes, layer.parts)
         out = np.concatenate([x @ w.T for w in parts], axis=-1)
-    out += layer.bias
+    out += bias
     return out
 
 
-def effective_weight_tensor(layer: QuantizedLinear) -> np.ndarray:
-    """The weight array the layer's rate-path forward multiplies by.
+def effective_weight_tensor(layer: Pinned) -> np.ndarray:
+    """The weight array a pinned linear's rate-path forward multiplies by.
 
-    A full-precision layer's is its latent weight itself; a frozen layer
-    applies its pinned effective weight; otherwise the latent weights are
-    quantized afresh.  Training a stack that is left frozen therefore
-    keeps its codes pinned; `EncoderStack.set_quant_mode` unfreezes it
-    first, as `eqspike finetune` does.  The backward is straight-through:
-    a linear's weight gradient is added to the latent weights unchanged,
-    and alpha/beta are constants of it.  (The name, from when this built
-    an autodiff view, is the span `eqbench` requires every workload to
-    trace.)
+    `EncoderStack.effective_weights` reads every linear's weight through
+    this one call, frozen or not (the name, from when this built an
+    autodiff view, is the span `eqbench` requires every workload to
+    trace).  The backward is straight-through: a linear's weight gradient
+    is added to the latent weights unchanged, and alpha/beta are constants
+    of it.
     """
-    if layer.mode is QuantMode.FULL_PRECISION:
-        return layer.latent_w
-    if layer.frozen:
-        return layer.frozen_weight
-    q = _requantize(layer, layer.latent_w)  # refreshes alpha/beta first
-    return q * _output_scale(layer)
+    return layer.weight
 
 
 # -- 2-bit code packing (little-endian within each byte) ----------------

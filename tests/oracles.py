@@ -13,8 +13,7 @@ from eqspike.implicit_grad import GradientBundle, example_gradients, training_st
 from eqspike.model import _head_axes, _token_ids, spiking_attention, teacher_forward
 from eqspike.neuron import LifConfig
 from eqspike.numerics import NumericError, ShapeError, check_finite
-from eqspike.quantizer import (QuantMode, _output_scale, _requantize,
-                               quantized_forward)
+from eqspike.quantizer import quantized_forward
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -238,15 +237,16 @@ def step_major_simulate(stack, tokens, T, counter=None, trace=None,
     drive = stack.encoding(tokens)
     source = _StepLif.zeros(drive.shape)
     layers = {"input": source}
-    runs = []
+    runs, pins = [], stack.pinned()
     for i in range(cfg.num_layers):
         pre = f"blk{i}."
         neurons = {nm: _StepLif.zeros(drive.shape[:-1] + (
             cfg.intermediate_dim if nm == "int" else cfg.hidden_dim,))
             for nm in ("q", "k", "v", "attn", "h1", "out", "int")}
         layers.update((pre + nm, st) for nm, st in neurons.items())
-        blk = {nm: stack.linears[pre + nm].pinned()
-               for nm in ("q", "k", "v", "o", "ff1", "ff2")}
+        blk = {nm: pins[pre + nm] for nm in ("q", "k", "v", "o", "ff1", "ff2")}
+        blk.update((nm + "_b", stack.params[pre + nm + ".b"])
+                   for nm in list(blk))
         blk.update((ln, stack.params[pre + ln])
                    for ln in ("ln1_g", "ln1_b", "ln2_g", "ln2_b"))
         runs.append((SimpleNamespace(**blk),
@@ -266,19 +266,22 @@ def step_major_simulate(stack, tokens, T, counter=None, trace=None,
         source.step(drive, lif)
         s_in = source.s
         for blk, key, n, r1_avg, r2_avg in runs:
-            n["q"].step(quantized_forward(blk.q, s_in, counter, key["q"]), lif)
-            n["k"].step(quantized_forward(blk.k, s_in, counter, key["k"]), lif)
-            n["v"].step(quantized_forward(blk.v, s_in, counter, key["v"]), lif)
+            def linear(nm, x, blk=blk, key=key):
+                return quantized_forward(getattr(blk, nm), x,
+                                         getattr(blk, nm + "_b"), counter,
+                                         key[nm])
+
+            n["q"].step(linear("q", s_in), lif)
+            n["k"].step(linear("k", s_in), lif)
+            n["v"].step(linear("v", s_in), lif)
             attn_current = spiking_attention(
                 n["q"].asr(), n["k"].asr(), n["v"].asr(), cfg.num_heads)[0]
             n["attn"].step(telescoped(key["attn"], attn_current, t), lif)
-            r1 = quantized_forward(blk.o, n["attn"].s, counter, key["o"]) + s_in
+            r1 = linear("o", n["attn"].s) + s_in
             h1_current = layer_norm(r1_avg.push(r1), blk.ln1_g, blk.ln1_b)[0]
             n["h1"].step(telescoped(key["h1"], h1_current, t), lif)
-            n["int"].step(quantized_forward(blk.ff1, n["h1"].s, counter,
-                                            key["ff1"]), lif)
-            r2 = quantized_forward(blk.ff2, n["int"].s, counter,
-                                   key["ff2"]) + n["h1"].s
+            n["int"].step(linear("ff1", n["h1"].s), lif)
+            r2 = linear("ff2", n["int"].s) + n["h1"].s
             out_current = layer_norm(r2_avg.push(r2), blk.ln2_g, blk.ln2_b)[0]
             n["out"].step(telescoped(key["out"], out_current, t), lif)
             s_in = n["out"].s
@@ -588,15 +591,9 @@ def param_tensors(model) -> dict:
 def taped_weights(stack, leaves) -> dict:
     """Each linear's effective weight as a straight-through view of its leaf."""
     out = {}
-    for name, lin in stack.linears.items():
+    for name, pinned in stack.pinned().items():
         latent = leaves[f"{name}.w"]
-        if lin.mode is QuantMode.FULL_PRECISION:
-            out[name] = latent
-        elif lin.frozen:
-            out[name] = ste(latent, lin.frozen_weight)
-        else:
-            q = _requantize(lin, latent.data)
-            out[name] = ste(latent, q * _output_scale(lin))
+        out[name] = ste(latent, pinned.weight) if pinned.quantized else latent
     return out
 
 
@@ -691,7 +688,7 @@ def taped_example_gradients(model, tokens, label, loss_builder,
     computed it.  `model` is an `EncoderStack` or a `TeacherModel`, and
     `loss_builder` a taped one, returning (loss Tensor, float terms)."""
     leaves = param_tensors(model)
-    sweep = taped_sweep if hasattr(model, "linears") else taped_teacher_sweep
+    sweep = taped_sweep if hasattr(model, "pinned") else taped_teacher_sweep
     a_blocks = sweep(model, tokens, leaves)
     extra = {name: Tensor(arr, requires_grad=True)
              for name, arr in extra_params.items()}

@@ -47,10 +47,11 @@ def test_loaded_student_is_frozen(tmp_path):
     path = tmp_path / "ckpt.json"
     save_student(stack, "kd", path)
     loaded, _ = load_student(path)
-    for lin in loaded.linears.values():
-        assert lin.frozen and lin.frozen_codes is not None
-        assert not lin.frozen_codes.flags.writeable
-        assert not lin.frozen_weight.flags.writeable
+    assert list(loaded.frozen) == loaded.linear_names
+    for pinned in loaded.frozen.values():
+        assert pinned.quantized
+        assert not pinned.codes.flags.writeable
+        assert not pinned.weight.flags.writeable
 
 
 def test_fp_student_has_no_code_section(tmp_path):
@@ -123,18 +124,14 @@ def test_unfrozen_save_writes_stats_matching_its_codes(tmp_path):
     path = tmp_path / "ckpt.json"
     save_student(stack, "kd", path)
     loaded, _ = load_student(path)
-    for lin, lin2 in zip(stack.linears.values(), loaded.linears.values()):
-        assert not lin.frozen
-        assert lin2.beta == float(np.abs(lin.latent_w).mean())
+    assert stack.frozen is None
+    for name, pinned in loaded.frozen.items():
+        assert pinned.beta == float(np.abs(stack.params[name + ".w"]).mean())
     tokens, scfg = np.array([[2, 4, 5], [6, 1, 3]]), SolverConfig(tol=1e-12)
     want = solve_fixed_point(stack, tokens, scfg)
     got = solve_fixed_point(loaded, tokens, scfg)
     for a, b in zip(got.asr_star, want.asr_star):
         np.testing.assert_array_equal(a, b)
-
-
-def _linears(stack):
-    return list(stack.linears.values())
 
 
 @pytest.mark.parametrize("mode", [QuantMode.BINARY_1BIT,
@@ -143,15 +140,14 @@ def _linears(stack):
 def test_refrozen_stack_solves_on_its_new_codes(tmp_path, mode):
     stack = make_stack(mode=mode, seed=2)
     stack.freeze_quantization()
-    old = [lin.frozen_weight for lin in _linears(stack)]
+    old = [pinned.weight for pinned in stack.frozen.values()]
     stack.set_quant_mode(mode)  # unfreezes, as `eqspike finetune` does
-    assert all(lin.frozen_codes is None and lin.frozen_weight is None
-               for lin in _linears(stack))
+    assert stack.frozen is None
     batch = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7]), 1)]
     training_step(stack, batch, AdamState(lr=0.2))
     stack.freeze_quantization()
-    assert any(not np.array_equal(lin.frozen_weight, w)
-               for lin, w in zip(_linears(stack), old))
+    assert any(not np.array_equal(pinned.weight, w)
+               for pinned, w in zip(stack.frozen.values(), old))
     tokens, scfg = np.array([[2, 4, 5], [6, 1, 3]]), SolverConfig(tol=1e-12)
     got = solve_fixed_point(stack, tokens, scfg)
     path = tmp_path / "ckpt.json"
@@ -183,14 +179,11 @@ def test_frozen_ternary_simulation_is_unchanged_by_round_trip(tmp_path):
 
 
 def _assert_views_of_one_buffer(model):
-    """Every entry, linear and alias of `model` is a view of its buffer."""
+    """Every entry and alias of `model` is a view of its buffer."""
     params = model.named_params()
     for name, value in params.items():
         assert np.shares_memory(value, params.flat), name
     if isinstance(model, EncoderStack):
-        for k, lin in model.linears.items():
-            assert lin.latent_w is params[k + ".w"]
-            assert lin.bias is params[k + ".b"]
         for alias, name in (("tok_emb", "tok_emb"), ("pos_emb", "pos_emb"),
                             ("cls_w", "cls.w"), ("cls_b", "cls.b")):
             assert getattr(model, alias) is params[name]
@@ -217,3 +210,21 @@ def test_parameters_stay_views_of_one_buffer(tmp_path):
     _assert_views_of_one_buffer(stack)
     pl.finetune_student(cfg, stack, train, dev)  # restores the best epoch
     _assert_views_of_one_buffer(stack)
+
+
+def test_mode_switch_after_freeze_saves_the_new_modes_statistics(tmp_path):
+    cfg = pl.load_config(None, {})  # the default ternary shape, seed 0
+    tok, _train, _dev, labels = pl.make_dataset(cfg)
+    stack = pl.build_student(cfg, tok, num_labels=len(labels))
+    stack.freeze_quantization()
+    stack.set_quant_mode(QuantMode.BINARY_1BIT)
+    path = tmp_path / "ckpt.json"
+    save_student(stack, "kd", path)
+    layers = json.loads(path.read_text())["quant"]["layers"]
+    # an unscaled binary linear has no beta: none of the ternary pin's
+    names = [f"blk{i}.{nm}" for i in range(cfg["model"]["num_layers"])
+             for nm in ("q", "k", "v", "o", "ff1", "ff2")]
+    assert {k: entry["beta"] for k, entry in layers.items()} == \
+        dict.fromkeys(names, 0.0)
+    loaded, _ = load_student(path)
+    assert loaded.cfg.quant_mode is QuantMode.BINARY_1BIT

@@ -10,6 +10,7 @@ from eqspike import pipeline as pl
 from eqspike.checkpoint import save_student
 from eqspike.cli import main
 from eqspike.data import CLS
+from eqspike.quantizer import pack_codes, unpack_codes
 
 SMALL_CFG = {
     "model": {"hidden_dim": 8, "intermediate_dim": 12, "num_heads": 2,
@@ -213,6 +214,10 @@ def _corrupt(obj, defect):
         obj["params"]["tok_emb"][CLS][0] = float("nan")
     elif defect == "inf-beta":
         obj["quant"]["layers"]["blk1.ff2"]["beta"] = float("inf")
+    elif defect == "missing-quant-entry":
+        del obj["quant"]["layers"]["blk0.k"]
+    elif defect == "unknown-quant-entry":
+        obj["quant"]["layers"]["blk9.k"] = obj["quant"]["layers"]["blk0.k"]
     elif defect == "unknown-field":
         obj["config"]["bogus"] = 1
     elif defect == "missing-gamma":
@@ -222,7 +227,9 @@ def _corrupt(obj, defect):
 
 
 @pytest.mark.parametrize("defect", ["quant-shape", "nan-param", "inf-beta",
-                                    "gamma", "unknown-field", "missing-gamma"])
+                                    "missing-quant-entry",
+                                    "unknown-quant-entry", "gamma",
+                                    "unknown-field", "missing-gamma"])
 def test_invalid_student_checkpoint_is_config_error(workdir, artifacts, capsys,
                                                     defect):
     root, cfg = workdir
@@ -236,6 +243,26 @@ def test_invalid_student_checkpoint_is_config_error(workdir, artifacts, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(ckpt) in err
+
+
+def test_flipped_code_is_config_error_naming_its_linear(workdir, artifacts,
+                                                        capsys):
+    # the saved codes must be those of the saved latent weights
+    root, cfg = workdir
+    out, _ = artifacts
+    obj = json.loads(open(f"{out}/student_finetuned.json").read())
+    assert obj["quant"]["mode"] == "1.58bit"
+    entry = obj["quant"]["layers"]["blk1.ff1"]
+    codes = unpack_codes(entry["codes"], entry["shape"])
+    codes[2, 3] = {0.0: 1.0, 1.0: -1.0, -1.0: 0.0}[codes[2, 3]]
+    entry["codes"] = pack_codes(codes)
+    ckpt = root / "flipped_code.json"
+    ckpt.write_text(json.dumps(obj))
+    rc = main(["eval", "--config", cfg, "--out", str(root / "flipped"),
+               "--student", str(ckpt)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "quant entry blk1.ff1" in err
 
 
 def test_distill_with_bad_gamma_is_config_error(workdir, artifacts, capsys):

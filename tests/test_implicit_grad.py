@@ -16,7 +16,7 @@ from eqspike.implicit_grad import (batch_gradients, ce_loss, example_gradients,
 from eqspike.autodiff import cross_entropy, linear_backward
 from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
                            TeacherModel, classifier_logits)
-from eqspike.numerics import AdamState, NumericError
+from eqspike.numerics import AdamState, FlatParams, NumericError
 from eqspike.quantizer import QuantMode
 from oracles import (TensorAdam, dense_adjoint_solve,
                      inline_teacher_gradients, inline_teacher_training,
@@ -200,7 +200,7 @@ def test_training_step_reduces_loss():
 
 def test_training_step_supports_extra_params():
     stack = small_stack(seed=6)
-    proj = {"proj": np.zeros((2, 2))}
+    proj = FlatParams({"proj": np.zeros((2, 2))})
 
     def builder(tokens, label, a_blocks, head):
         # cross-entropy of the classifier's logits times a trained matrix

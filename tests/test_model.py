@@ -67,10 +67,10 @@ def test_student_and_teacher_store_the_same_parameters():
     assert stack.named_params() is stack.params
     assert {k: v.shape for k, v in stack.params.items()} == \
         {k: v.shape for k, v in teacher.params.items()}
-    assert len(stack.linears) == 6 * stack.cfg.num_layers
-    for k, lin in stack.linears.items():
-        assert lin.latent_w is stack.params[k + ".w"]
-        assert lin.bias is stack.params[k + ".b"]
+    assert len(stack.linear_names) == 6 * stack.cfg.num_layers
+    assert list(stack.pinned()) == stack.linear_names
+    for k in stack.linear_names:
+        assert {k + ".w", k + ".b"} <= set(stack.params)
     assert stack.cls_w is stack.params["cls.w"]
     assert stack.cls_b is stack.params["cls.b"]
 
@@ -79,10 +79,14 @@ def test_set_quant_mode_and_freeze_roundtrip():
     stack = make_stack()
     stack.set_quant_mode(QuantMode.TERNARY_158BIT)
     assert stack.cfg.quant_mode is QuantMode.TERNARY_158BIT
-    assert all(lin.mode is QuantMode.TERNARY_158BIT
-               for lin in stack.linears.values())
+    assert stack.frozen is None
+    for name, pinned in stack.pinned().items():
+        q, beta = quantize_158bit(stack.params[name + ".w"])
+        np.testing.assert_array_equal(pinned.codes, q)
+        assert pinned.beta == beta
     stack.freeze_quantization()
-    assert all(lin.frozen for lin in stack.linears.values())
+    assert stack.pinned() is stack.frozen
+    assert list(stack.frozen) == stack.linear_names
 
 
 def test_spiking_attention_is_convex_mixer():
@@ -220,7 +224,7 @@ def test_temporal_simulate_quantizes_each_linear_once(monkeypatch):
     counter = OpCounter()
     got = stack.temporal_simulate(tokens, T=50, counter=counter)
     assert len(calls) == 6 * stack.cfg.num_layers  # once per linear, not per step
-    assert not any(lin.frozen for lin in stack.linears.values())
+    assert stack.frozen is None
     np.testing.assert_array_equal(got[0], want[0])
     for g, w in zip(got[1:], want[1:]):
         for name in w:
@@ -379,7 +383,7 @@ def test_non_finite_spike_path_is_numeric_error(poison):
     elif poison == "ln_gain":
         stack.params["blk1.ln1_g"][3] = np.nan
     else:
-        stack.linears["blk0.ff1"].latent_w[2, 5] = np.inf
+        stack.params["blk0.ff1.w"][2, 5] = np.inf
     with pytest.raises(NumericError), np.errstate(invalid="ignore"):
         stack.temporal_simulate(np.array([[2, 4, 5], [3, 6, 7]]), T=20)
 

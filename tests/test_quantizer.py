@@ -1,12 +1,13 @@
 import base64
+import dataclasses
 
 import numpy as np
 import pytest
 
 from eqspike.model import _linear_backward
 from eqspike.numerics import ShapeError
-from eqspike.quantizer import (OpCounter, QuantizedLinear, QuantMode,
-                               effective_weight_tensor, pack_codes,
+from eqspike.quantizer import (OpCounter, Pinned, QuantMode,
+                               effective_weight_tensor, pack_codes, pin,
                                quantize_1bit, quantize_158bit,
                                quantized_forward, stack_pinned,
                                unpack_codes)
@@ -64,73 +65,72 @@ def test_quantizers_reject_empty(fn):
         fn(np.zeros((0, 3)))
 
 
-def _layer(mode, rng=None, out_dim=4, in_dim=6, **kw):
+def _layer(mode, rng=None, out_dim=4, in_dim=6, binary_output_scale=False):
+    """(pinned linear, its latent weight, a bias) of a random weight."""
     rng = rng or np.random.default_rng(2)
-    return QuantizedLinear(latent_w=rng.normal(size=(out_dim, in_dim)),
-                           bias=rng.normal(size=out_dim), mode=mode, **kw)
-
-
-def _effective_weight(layer):
-    return effective_weight_tensor(layer)
+    w = rng.normal(size=(out_dim, in_dim))
+    return pin(w, mode, binary_output_scale), w, rng.normal(size=out_dim)
 
 
 def test_effective_weight_fp_is_latent():
-    layer = _layer(QuantMode.FULL_PRECISION)
-    assert effective_weight_tensor(layer) is layer.latent_w
+    layer, w, _ = _layer(QuantMode.FULL_PRECISION)
+    weight = effective_weight_tensor(layer)
+    assert weight.base is w and layer.codes is weight
+    assert layer.scale is None and not layer.quantized
 
 
 def test_effective_weight_ternary_is_scaled_codes():
-    layer = _layer(QuantMode.TERNARY_158BIT)
-    q, beta = quantize_158bit(layer.latent_w)
-    np.testing.assert_allclose(_effective_weight(layer), q * beta)
+    layer, w, _ = _layer(QuantMode.TERNARY_158BIT)
+    q, beta = quantize_158bit(w)
+    np.testing.assert_allclose(effective_weight_tensor(layer), q * beta)
     assert layer.beta == beta
 
 
 def test_freeze_pins_codes():
-    layer = _layer(QuantMode.TERNARY_158BIT)
-    layer.freeze()
-    before = _effective_weight(layer).copy()
-    layer.latent_w += 10.0  # latent drift must not change frozen inference
-    np.testing.assert_array_equal(_effective_weight(layer), before)
+    layer, w, _ = _layer(QuantMode.TERNARY_158BIT)
+    before = effective_weight_tensor(layer).copy()
+    w += 10.0  # latent drift must not change frozen inference
+    np.testing.assert_array_equal(effective_weight_tensor(layer), before)
 
 
 @pytest.mark.parametrize("mode,output_scale", [
     (QuantMode.BINARY_1BIT, False), (QuantMode.BINARY_1BIT, True),
     (QuantMode.TERNARY_158BIT, False)], ids=["1bit", "1bit-scaled", "1.58bit"])
 def test_pinned_arrays_are_built_once_and_read_only(mode, output_scale):
-    layer = _layer(mode, binary_output_scale=output_scale)
-    fresh = _effective_weight(layer).copy()
-    layer.freeze()
-    q, w = layer.frozen_codes, layer.frozen_weight
+    layer, latent, _ = _layer(mode, binary_output_scale=output_scale)
+    q, w = layer.codes, layer.weight
     assert q.dtype == np.float64 and not q.flags.writeable
-    assert not w.flags.writeable
-    np.testing.assert_array_equal(w, fresh)
+    assert not w.flags.writeable and not layer.column_nnz.flags.writeable
+    np.testing.assert_array_equal(
+        w, effective_weight_tensor(pin(latent, mode, output_scale)))
     if output_scale or mode is QuantMode.TERNARY_158BIT:
         np.testing.assert_array_equal(w, q * layer.beta)
     else:
         assert w is q  # unscaled binary codes are the weight
     with pytest.raises(ValueError):
         w[0, 0] = 0.5
-    assert layer.codes() is q
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layer.beta = 1.0
     assert effective_weight_tensor(layer) is w
 
 
 def test_spike_accumulation_matches_dense_matmul():
     rng = np.random.default_rng(3)
     for mode in (QuantMode.BINARY_1BIT, QuantMode.TERNARY_158BIT):
-        layer = _layer(mode, rng)
-        spikes = (rng.random((5, layer.in_dim)) < 0.4).astype(float)
-        out = quantized_forward(layer, spikes)
-        dense = spikes @ _effective_weight(layer).T + layer.bias
+        layer, _, bias = _layer(mode, rng)
+        spikes = (rng.random((5, layer.codes.shape[1])) < 0.4).astype(float)
+        out = quantized_forward(layer, spikes, bias)
+        dense = spikes @ effective_weight_tensor(layer).T + bias
         np.testing.assert_allclose(out, dense, atol=1e-12)
 
 
 def test_accumulate_kernel_sums_columns():
-    layer = _layer(QuantMode.BINARY_1BIT, out_dim=2, in_dim=3)
-    layer.pin(np.array([[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]]), 0.0, 1.0)
+    codes = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]])
+    layer = Pinned(codes, codes, 1.0, 0.0, 0.0)
+    bias = np.array([0.25, -0.5])
     x = np.array([True, True, False])
-    np.testing.assert_array_equal(quantized_forward(layer, x),
-                                  np.array([0.0, 1.0]) + layer.bias)
+    np.testing.assert_array_equal(quantized_forward(layer, x, bias),
+                                  np.array([0.0, 1.0]) + bias)
 
 
 def column_sum_oracle(codes, x):
@@ -148,32 +148,29 @@ def column_sum_oracle(codes, x):
 def test_accumulate_equals_column_sum_oracle_on_batched_spikes(mode,
                                                                output_scale):
     rng = np.random.default_rng(6)
-    layer = _layer(mode, rng, out_dim=9, in_dim=40,
-                   binary_output_scale=output_scale)
-    layer.freeze()
-    codes = layer.codes()
+    layer, _, bias = _layer(mode, rng, out_dim=9, in_dim=40,
+                            binary_output_scale=output_scale)
+    codes, in_dim = layer.codes, layer.codes.shape[1]
     scale = layer.beta if output_scale or mode is QuantMode.TERNARY_158BIT \
         else 1.0
-    spikes = rng.random((3, 7, layer.in_dim)) < 0.3
+    spikes = rng.random((3, 7, in_dim)) < 0.3
     spikes[0, 0] = False  # a row with no spike
     spikes[0, 1] = True  # and one where every input spikes
     want = column_sum_oracle(codes, spikes)
     counter = OpCounter()
-    out = quantized_forward(layer, spikes, counter, "lin")
-    np.testing.assert_array_equal(out, scale * want + layer.bias)
+    out = quantized_forward(layer, spikes, bias, counter, "lin")
+    np.testing.assert_array_equal(out, scale * want + bias)
     assert sum(counter.per_layer.values()) == int(
-        (spikes.reshape(-1, layer.in_dim).sum(axis=0)
+        (spikes.reshape(-1, in_dim).sum(axis=0)
          * np.count_nonzero(codes, axis=0)).sum())
 
 
 def test_op_counter_counts_spikes_times_nonzero_column_weights():
-    layer = QuantizedLinear(latent_w=np.array([[0.05, 2.0], [1.0, -0.05]]),
-                            bias=np.zeros(2), mode=QuantMode.TERNARY_158BIT)
-    codes = layer.codes()
-    nnz_col = np.count_nonzero(codes, axis=0)
+    layer = pin(np.array([[0.05, 2.0], [1.0, -0.05]]), QuantMode.TERNARY_158BIT)
+    nnz_col = np.count_nonzero(layer.codes, axis=0)
     spikes = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
     counter = OpCounter()
-    quantized_forward(layer, spikes, counter=counter, name="lin")
+    quantized_forward(layer, spikes, np.zeros(2), counter=counter, name="lin")
     expected = int((spikes.sum(axis=0) * nnz_col).sum())
     assert counter.per_layer["lin"] == expected
     assert sum(counter.per_layer.values()) == expected
@@ -187,36 +184,45 @@ def test_stacked_layer_is_its_parts_bitwise(mode, output_scale):
     # d = 64 and 20 x 12 rows: a shape at which one (., 64) @ (64, 192)
     # matmul of real weights rounds differently from three (., 64) @ (64, 64)
     rng = np.random.default_rng(8)
-    parts = [_layer(mode, rng, out_dim=64, in_dim=64,
-                    binary_output_scale=output_scale) for _ in range(3)]
+    layers = [_layer(mode, rng, out_dim=64, in_dim=64,
+                     binary_output_scale=output_scale) for _ in range(3)]
+    parts, biases = [p for p, _, _ in layers], [b for _, _, b in layers]
+    before = [(p.codes.copy(), p.weight.copy(), p.column_nnz.copy())
+              for p in parts]
     spikes = rng.random((20, 12, 64)) < 0.4
     stacked = stack_pinned(parts)
     counter, want_counter = OpCounter(), OpCounter()
-    out = quantized_forward(stacked, spikes, counter, ("q", "k", "v"))
-    want = np.concatenate([quantized_forward(p, spikes, want_counter, nm)
-                           for p, nm in zip(parts, "qkv")], axis=-1)
+    out = quantized_forward(stacked, spikes, np.concatenate(biases), counter,
+                            ("q", "k", "v"))
+    want = np.concatenate([quantized_forward(p, spikes, b, want_counter, nm)
+                           for p, b, nm in zip(parts, biases, "qkv")], axis=-1)
     np.testing.assert_array_equal(out, want)
     assert list(counter.per_layer.items()) == \
         list(want_counter.per_layer.items())
-    assert not any(p.frozen for p in parts)  # the parts are left as they were
+    for p, arrays in zip(parts, before):  # the parts are left as they were
+        for got, was in zip((p.codes, p.weight, p.column_nnz), arrays):
+            np.testing.assert_array_equal(got, was)
+    assert not any(a.flags.writeable for a in (
+        stacked.codes, stacked.weight, stacked.column_nnz))
     with pytest.raises(ShapeError):
-        stack_pinned([parts[0], _layer(mode, rng, out_dim=32, in_dim=64)])
+        stack_pinned([parts[0], _layer(mode, rng, out_dim=32, in_dim=64)[0]])
 
 
 def test_quantized_forward_rejects_bad_width():
-    layer = _layer(QuantMode.FULL_PRECISION)
+    layer, w, bias = _layer(QuantMode.FULL_PRECISION)
     with pytest.raises(ShapeError):
-        quantized_forward(layer, np.zeros(layer.in_dim + 1))
+        quantized_forward(layer, np.zeros(w.shape[1] + 1), bias)
 
 
 def test_effective_weight_tensor_ste_gradient():
-    layer = _layer(QuantMode.TERNARY_158BIT)
+    layer, w, _ = _layer(QuantMode.TERNARY_158BIT)
     w_eff = effective_weight_tensor(layer)
-    q, beta = quantize_158bit(layer.latent_w)
+    q, beta = quantize_158bit(w)
     np.testing.assert_allclose(w_eff, q * beta)
     rng = np.random.default_rng(4)
-    x, g = rng.random((3, layer.in_dim)), rng.normal(size=(3, layer.out_dim))
-    grads = {"lin.w": np.zeros_like(w_eff), "lin.b": np.zeros(layer.out_dim)}
+    out_dim, in_dim = w.shape
+    x, g = rng.random((3, in_dim)), rng.normal(size=(3, out_dim))
+    grads = {"lin.w": np.zeros_like(w_eff), "lin.b": np.zeros(out_dim)}
     _linear_backward(g, x, w_eff, grads, "lin")
     # identity straight-through: the latent weights get the gradient of
     # the effective weight
