@@ -19,7 +19,10 @@ output; the rate path keeps them only while it trains, and solves and
 the spike path drop them.  Every op acts on the last axis (or the last
 two) and carries any leading axis through, so a stacked batch runs the
 same graph as one example.  `model` wires the pairs into each block's
-forward and backward.
+forward and backward.  The ops call their ufuncs and reductions directly
+(`np.add.reduce`, not `.sum` or `.mean`), skip the identity divide by a
+threshold of 1, and write in place only into temporaries they allocated
+themselves, never into an input or an array a caller keeps.
 """
 
 from __future__ import annotations
@@ -31,7 +34,9 @@ import numpy as np
 
 def linear(x, w, b):
     """The affine map x @ w.T + b; w is (out, in), x (..., in)."""
-    return x @ w.T + b
+    out = x @ w.T
+    out += b
+    return out
 
 
 def linear_backward(g, x, w):
@@ -41,12 +46,12 @@ def linear_backward(g, x, w):
     flattened.
     """
     g2 = g.reshape(-1, g.shape[-1])
-    return g @ w, g2.T @ x.reshape(-1, x.shape[-1]), g2.sum(axis=0)
+    return g @ w, g2.T @ x.reshape(-1, x.shape[-1]), np.add.reduce(g2, axis=0)
 
 
 def clip01(a, v_th=1.0):
     """The spiking-rate surrogate clip(a / v_th, 0, 1)."""
-    return np.clip(a / v_th, 0.0, 1.0)
+    return (a if v_th == 1.0 else a / v_th).clip(0.0, 1.0)
 
 
 def clip01_backward(g, a, v_th=1.0):
@@ -56,10 +61,15 @@ def clip01_backward(g, a, v_th=1.0):
     0 outside.  The boundary convention (full derivative at exactly 0 and
     v_th) keeps units trainable when a fixed point lands on the clip
     boundary.  The mask is built from `a` here, so a forward without a
-    backward costs one divide and one clip.
+    backward computes no mask; at v_th = 1 neither the mask nor the
+    gradient takes a divide.
     """
+    if v_th == 1.0:
+        return g * ((a >= 0.0) & (a <= 1.0))
     scaled = a / v_th
-    return g * ((scaled >= 0.0) & (scaled <= 1.0)) / v_th
+    out = g * ((scaled >= 0.0) & (scaled <= 1.0))
+    out /= v_th
+    return out
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
@@ -69,21 +79,39 @@ def layer_norm(x, gain, bias, eps=1e-5):
     `layer_norm_backward` reads.
     """
     scale = 1.0 / x.shape[-1]
-    xc = x - x.sum(axis=-1, keepdims=True) * scale
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) * scale + eps)
-    xhat = xc * inv
-    return xhat * gain + bias, (xhat, inv)
+    mean = np.add.reduce(x, axis=-1, keepdims=True)
+    mean *= scale
+    xc = x - mean
+    inv = np.add.reduce(xc * xc, axis=-1, keepdims=True)
+    inv *= scale
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xc *= inv  # now x-hat
+    out = xc * gain
+    out += bias
+    return out, (xc, inv)
 
 
 def layer_norm_backward(g, saved, gain):
     """(gx, ggain, gbias) of `layer_norm` from its `saved` pair; the gain and
     bias gradients are summed over every leading axis."""
     xhat, inv = saved
-    gxhat = g * gain
-    gx = inv * (gxhat - gxhat.mean(axis=-1, keepdims=True)
-                - xhat * (gxhat * xhat).mean(axis=-1, keepdims=True))
+    n = g.shape[-1]
+    gx = g * gain
+    mean = np.add.reduce(gx, axis=-1, keepdims=True)
+    mean /= n
+    t = gx * xhat
+    proj = np.add.reduce(t, axis=-1, keepdims=True)
+    proj /= n
+    # inv * (gxhat - mean(gxhat) - xhat * mean(gxhat * xhat))
+    gx -= mean
+    np.multiply(xhat, proj, out=t)
+    gx -= t
+    gx *= inv
     lead = tuple(range(g.ndim - 1))
-    return gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+    np.multiply(g, xhat, out=t)
+    return gx, np.add.reduce(t, axis=lead), np.add.reduce(g, axis=lead)
 
 
 def gelu(a):
@@ -115,11 +143,13 @@ def cross_entropy(logits, labels):
     if labels.shape != logits.shape[:-1]:
         raise ValueError(f"labels of shape {labels.shape} for logits "
                          f"{logits.shape}")
-    m = np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(logits - m)
-    total = e.sum(axis=-1)
+    m = np.maximum.reduce(logits, axis=-1, keepdims=True)
+    grad = logits - m  # then exp, then the softmax, in place
+    np.exp(grad, out=grad)
+    total = np.add.reduce(grad, axis=-1)
     picked = np.indices(labels.shape, sparse=True) + (labels,)
-    loss = float((np.log(total) + m[..., 0] - logits[picked]).sum())
-    grad = (1.0 / total)[..., None] * e
+    loss = float(np.add.reduce(np.log(total) + m[..., 0] - logits[picked],
+                               axis=None))
+    grad *= (1.0 / total)[..., None]
     grad[picked] -= 1.0
     return loss, grad

@@ -552,10 +552,11 @@ def spiking_attention(q, k, v, num_heads: int):
     by_head = shape[:-1] + (num_heads, dh)
     heads_first, keys_last = _head_axes(len(shape) - 2)
     qh, kh, vh = (x.reshape(by_head).transpose(heads_first) for x in (q, k, v))
-    scale = 1.0 / math.sqrt(dh)
-    scores = (qh @ kh.transpose(keys_last)) * scale
-    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
-    total = e.sum(axis=-1, keepdims=True)
+    e = qh @ kh.transpose(keys_last)  # the scores, then exp in place
+    e *= 1.0 / math.sqrt(dh)
+    e -= np.maximum.reduce(e, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    total = np.add.reduce(e, axis=-1, keepdims=True)
     weights = e / total
     mixed = (weights @ vh).transpose(heads_first).reshape(shape)
     return mixed, (qh, kh, vh, e, total, weights)
@@ -570,9 +571,16 @@ def attention_backward(g, saved) -> tuple:
     gh = g.reshape(by_head).transpose(heads_first)
     gw = gh @ vh.transpose(keys_last)
     gv = weights.transpose(keys_last) @ gh
-    # quotient rule through e / total, then exp and the score scale
-    ge = gw / total + (-gw * e / total ** 2).sum(axis=-1, keepdims=True)
-    gs = ge * e * (1.0 / math.sqrt(qh.shape[-1]))
+    # quotient rule through e / total, then exp and the score scale:
+    # gs = (gw / total + sum(-gw * e / total ** 2)) * e * (1 / sqrt(dh))
+    t = -gw
+    t *= e
+    t /= total ** 2
+    gs = gw  # gw's own buffer, made the score gradient in place
+    gs /= total
+    gs += np.add.reduce(t, axis=-1, keepdims=True)
+    gs *= e
+    gs *= 1.0 / math.sqrt(qh.shape[-1])
     gq = gs @ kh
     gk = (qh.transpose(keys_last) @ gs).transpose(keys_last)
     return tuple(x.transpose(heads_first).reshape(g.shape) for x in (gq, gk, gv))

@@ -23,7 +23,7 @@ class NumericError(ArithmeticError):
 
 def check_finite(x, what="value"):
     x = np.asarray(x)
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericError(f"non-finite {what}")
     return x
 

@@ -172,20 +172,25 @@ def quantized_forward(layer: Pinned, x: np.ndarray, bias: np.ndarray,
     name, `name` then being the tuple of the parts' names; its outputs are
     bitwise its parts' (exact sums for codes, and for full precision, whose
     real-valued sums depend on the matmul's shape, one matmul per part).
+    Codes take one 2-D matmul over all of x's rows; full precision keeps
+    x's own shape for the same reason.
     """
     x = np.asarray(x)
     in_dim = layer.codes.shape[1]
     if x.shape[-1] != in_dim:
         raise ShapeError(f"input width {x.shape[-1]} vs layer {in_dim}")
+    rows = x.reshape(-1, in_dim)
     if counter is not None:
-        active = (x.reshape(-1, in_dim) != 0).sum(axis=0)
+        active = np.count_nonzero(rows, axis=0)
         if layer.parts == 1:
             counter.add(name, int(active @ layer.column_nnz))
         else:
             for part, ops in zip(name, layer.column_nnz @ active, strict=True):
                 counter.add(part, int(ops))
     if layer.quantized:
-        out = x @ layer.codes.T
+        # one GEMM over every row: its sums are exact small integers, so
+        # they do not depend on the matmul's shape
+        out = (rows @ layer.codes.T).reshape(x.shape[:-1] + (-1,))
         out *= layer.scale
     elif layer.parts == 1:
         out = x @ layer.codes.T

@@ -124,6 +124,21 @@ def test_clip01_threshold_boundary_subgradient():
                                   [0.0, 1 / 0.7, 1 / 0.7, 1 / 0.7, 0.0])
 
 
+def test_clip01_at_unit_threshold_equals_taped_clip01_bitwise():
+    # the unit threshold skips the divide: signed zeros, the bounds, the
+    # floats just outside [0, 1] and NaN, under gradients of either sign
+    a = np.array([-0.0, 0.0, 1.0, np.nextafter(0.0, -1.0),
+                  np.nextafter(1.0, 2.0), np.nan])
+    for g in (np.linspace(-2.0, 0.5, a.size), np.linspace(2.0, -0.5, a.size)):
+        leaf = tp.Tensor(a, requires_grad=True)
+        taped = tp.taped_clip01(leaf, 1.0)
+        tp.backward([taped], [g])
+        for got, want in ((ad.clip01(a, 1.0), taped.data),
+                          (ad.clip01_backward(g, a, 1.0), leaf.grad)):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
 LINEAR_SHAPES = pytest.mark.parametrize(
     "shape", [(5,), (4, 5), (2, 4, 5)], ids=["in", "seq-in", "batch-seq-in"])
 

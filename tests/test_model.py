@@ -440,6 +440,28 @@ def test_block_backward_equals_taped_block_bitwise(with_loss):
         np.testing.assert_array_equal(grads[name], want, err_msg=name)
 
 
+@pytest.mark.parametrize("v_th", [1.0, 0.7])
+def test_sweep_equals_taped_sweep_bitwise_at_the_inference_shape(v_th):
+    # the shape `eqspike eval` solves at in the benchmark: a frozen 1-bit
+    # d=64, inter=128, L=4 stack on 30-token sentences
+    cfg = StackConfig(vocab_size=50, hidden_dim=64, intermediate_dim=128,
+                      num_heads=2, num_layers=4, max_len=32, num_labels=2,
+                      quant_mode=QuantMode.BINARY_1BIT, v_th=v_th)
+    stack = EncoderStack(cfg, np.random.default_rng(12))
+    stack.freeze_quantization()
+    leaves = tp.param_tensors(stack)
+    rng = np.random.default_rng(13)
+    for tokens in (rng.integers(0, 50, 30), rng.integers(0, 50, (3, 30))):
+        outs = stack.sweep(tokens)
+        with tp.no_grad():
+            taped = tp.taped_sweep(stack, tokens, leaves)
+        assert len(outs) == len(taped) == 4
+        for i, (got, want) in enumerate(zip(outs, taped)):
+            np.testing.assert_array_equal(got, want.data, err_msg=f"block {i}")
+            np.testing.assert_array_equal(np.signbit(got),
+                                          np.signbit(want.data))
+
+
 def test_linear_op_table_counts():
     stack = make_stack()
     rows = stack.linear_op_table(seq_len=3)

@@ -208,6 +208,50 @@ def test_stacked_layer_is_its_parts_bitwise(mode, output_scale):
         stack_pinned([parts[0], _layer(mode, rng, out_dim=32, in_dim=64)[0]])
 
 
+def per_index_forward(layer, x, bias, counter, names):
+    """Reference: the spike kernel as one product per leading (C, B) index
+    of x, then scaled and biased; its counts, one `OpCounter.add` per part
+    in order, from each input's spikes times its nonzero codes."""
+    codes, in_dim = layer.codes, layer.codes.shape[1]
+    out = np.empty(x.shape[:-1] + (codes.shape[0],))
+    for idx in np.ndindex(x.shape[:-2]):
+        out[idx] = x[idx] @ codes.T
+    out *= layer.scale
+    out += bias
+    active = (x.reshape(-1, in_dim) != 0).sum(axis=0)
+    for name, part in zip(names, np.split(codes, layer.parts), strict=True):
+        counter.add(name, int(active @ np.count_nonzero(part, axis=0)))
+    return out
+
+
+@pytest.mark.parametrize("spike_dtype", [bool, float], ids=["bool", "float"])
+@pytest.mark.parametrize("mode,stacked", [
+    (QuantMode.BINARY_1BIT, False), (QuantMode.TERNARY_158BIT, False),
+    (QuantMode.BINARY_1BIT, True), (QuantMode.TERNARY_158BIT, True)],
+    ids=["1bit", "1.58bit", "1bit-qkv", "1.58bit-qkv"])
+def test_code_kernel_equals_per_index_products_bitwise(mode, stacked,
+                                                       spike_dtype):
+    # a (C, B, seq, in) window of spikes, as `temporal_simulate` passes it
+    rng = np.random.default_rng(14)
+    parts = [_layer(mode, rng, out_dim=64, in_dim=64) for _ in range(3)]
+    if stacked:
+        layer, names = stack_pinned([p for p, _, _ in parts]), ("q", "k", "v")
+        bias = np.concatenate([b for _, _, b in parts])
+    else:
+        (layer, _, bias), names = parts[0], ("q",)
+    spikes = (rng.random((5, 3, 12, 64)) < 0.4).astype(spike_dtype)
+    spikes[0, 0, 0] = 0  # a row with no spike
+    counter, want_counter = OpCounter(), OpCounter()
+    out = quantized_forward(layer, spikes, bias, counter,
+                            names if stacked else names[0])
+    want = per_index_forward(layer, spikes, bias, want_counter, names)
+    assert out.shape == want.shape
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(want))
+    assert list(counter.per_layer.items()) == \
+        list(want_counter.per_layer.items())
+
+
 def test_quantized_forward_rejects_bad_width():
     layer, w, bias = _layer(QuantMode.FULL_PRECISION)
     with pytest.raises(ShapeError):
