@@ -59,7 +59,7 @@ def save_student(stack: EncoderStack, stage: str, path):
     obj = {"format_version": FORMAT_VERSION, "kind": "student", "stage": stage,
            "config": {**dataclasses.asdict(cfg),
                       "quant_mode": cfg.quant_mode.value},
-           "params": _params_to_json(stack.named_params()),
+           "params": _params_to_json(stack.params),
            "quant": quant}
     write_json(path, obj)
 
@@ -103,7 +103,7 @@ def _config(cls, blob):
 def _build_student(obj):
     stack = EncoderStack(_config(StackConfig, obj["config"]),
                          np.random.default_rng(0))
-    _params_from_json(stack.named_params(), obj["params"])
+    _params_from_json(stack.params, obj["params"])
     layers = dict(obj["quant"]["layers"])
     pins = stack.pinned()  # each linear re-pinned on its saved latent weight
     for key, p in pins.items():
@@ -132,7 +132,7 @@ def save_teacher(teacher: TeacherModel, path, metrics: dict | None = None):
     cfg = teacher.cfg
     obj = {"format_version": FORMAT_VERSION, "kind": "teacher", "stage": "teacher",
            "config": dataclasses.asdict(cfg),
-           "params": _params_to_json(teacher.named_params()),
+           "params": _params_to_json(teacher.params),
            "metrics": metrics or {}}
     write_json(path, obj)
 
@@ -144,5 +144,5 @@ def load_teacher(path):
 def _build_teacher(obj):
     teacher = TeacherModel(_config(TeacherConfig, obj["config"]),
                            np.random.default_rng(0))
-    _params_from_json(teacher.named_params(), obj["params"])
+    _params_from_json(teacher.params, obj["params"])
     return teacher

@@ -14,9 +14,10 @@ adding every parameter gradient straight into a flat gradient buffer.
 A training step stacks its batch and runs one forward and one backward
 for all of it, so each linear is quantized once per step.  Loss builders
 therefore see block outputs with a leading batch axis and return the
-loss summed over the batch.  The full-precision teacher has the same
-`sweep`/`backward` contract, so its training shares `batch_gradients`
-with the student's.
+loss summed over the batch.  The full-precision teacher runs on the
+same rate-path skeleton (`model` binds one `sweep` and one `backward` in
+both classes), so its training shares `batch_gradients` with the
+student's.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import numpy as np
 from . import autodiff as ad
 from .data import stack_by_length
 from .equilibrium import solve_fixed_point  # noqa: F401  (public re-export)
-from .model import classifier_logits
 from .numerics import AdamState, FlatParams, adam_step_many
 
 
@@ -42,11 +42,16 @@ class GradientBundle:
 
 
 def ce_loss(tokens, label, a_blocks, head):
-    """Cross-entropy on the classifier over the final block's CLS rate."""
+    """Cross-entropy on the classifier over the final block's CLS rate.
+
+    The logits are one `linear` over the batch's CLS rows, and their
+    gradient goes back through that linear's `linear_backward`.
+    """
     final = a_blocks[-1]
-    loss, g_logits = ad.cross_entropy(classifier_logits(final, head), label)
-    g_cls, g_w, g_b = ad.linear_backward(g_logits, final[..., 0, :],
-                                         head["cls.w"])
+    cls = final[..., 0, :]
+    loss, g_logits = ad.cross_entropy(
+        ad.linear(cls, head["cls.w"], head["cls.b"]), label)
+    g_cls, g_w, g_b = ad.linear_backward(g_logits, cls, head["cls.w"])
     g_final = np.zeros_like(final)
     g_final[..., 0, :] = g_cls
     return (loss, {"ce": loss}, [None] * (len(a_blocks) - 1) + [g_final],
@@ -66,7 +71,7 @@ def example_gradients(model, tokens, label, loss_builder,
     equilibrium, or a `TeacherModel`.  `tokens` is (seq,) with an int
     `label`, or a stacked batch (B, seq) with labels (B,); gradients, loss
     and terms are then sums over the batch.  Runs the sweep with its caches
-    (a student's raises NumericError on a non-finite rate), the loss and
+    (it raises NumericError on a non-finite block output), the loss and
     the model's backward.
 
     `loss_builder(tokens, label, a_blocks, head)` sees the block outputs,

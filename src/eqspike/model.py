@@ -1,18 +1,28 @@
-"""Spiking encoder stack (quantized) and the full-precision teacher.
+"""The spiking student encoder and the full-precision teacher, on one skeleton.
 
-The student stack has two forward paths that must agree in the long run:
+The student is the teacher's encoder with two changes: threshold neurons
+in place of its activations, and 1-bit or 1.58-bit weights.  So the rate
+path is written once and both models bind it: `sweep`, `block_forward`,
+`block_backward`, `backward` and the classifier head `logits`.  A model
+brings only its `neurons`, one (forward, backward) pair per site, and its
+`effective_weights`:
 
-* a steady-state path that evaluates each block's rate equations directly
-  on average spiking rates (used for equilibrium solving and training), and
-* a temporal path that simulates leaky integrate-and-fire neurons step by
-  step with spike-driven quantized linear layers (used for inference and
-  energy accounting).
+* the student fires `clip01(·, v_th)` at q/k/v, attn, h1, int and out and
+  `clip01(· + 0.5)` at the input, and runs on its pinned (quantized)
+  weights;
+* the teacher is the identity at every site but int, where it is GELU,
+  and runs on its latent weights.
 
-Block structure: quantized Q/K/V projections feed spiking neurons, their
-rates mix through scaled dot-product attention, and the attention output
-plus a residual passes through a normalization surrogate; the feed-forward
-half mirrors that with an intermediate spiking layer.  Rates live in
-[0, 1] by construction (the clip surrogate of the firing nonlinearity).
+Block structure: q/k/v projections feed neurons, their outputs mix
+through scaled dot-product attention, and the attention output plus a
+residual passes through a layer norm; the feed-forward half mirrors that
+with an intermediate neuron layer.  Student rates live in [0, 1] by
+construction.
+
+The student also has a temporal path that simulates leaky
+integrate-and-fire neurons step by step with spike-driven quantized
+linears (inference and energy accounting); it agrees with the rate path
+in the long run.
 """
 
 from __future__ import annotations
@@ -34,7 +44,9 @@ from .quantizer import (OpCounter, QuantMode, effective_weight_tensor, pin,
 
 
 @dataclass(frozen=True)
-class StackConfig:
+class TeacherConfig:
+    """An encoder's shape: the teacher's config, and the first fields of
+    the student's."""
     vocab_size: int
     hidden_dim: int = 64
     intermediate_dim: int = 128
@@ -42,6 +54,19 @@ class StackConfig:
     num_layers: int = 2
     max_len: int = 32
     num_labels: int = 2
+
+    def __post_init__(self):
+        if self.hidden_dim <= 0 or self.intermediate_dim <= 0 \
+                or self.num_heads <= 0:
+            raise ValueError("dimensions must be positive")
+        if self.hidden_dim % self.num_heads:
+            raise ValueError("hidden_dim must be divisible by num_heads")
+        if self.num_layers < 1:
+            raise ValueError("need at least one encoder layer")
+
+
+@dataclass(frozen=True)
+class StackConfig(TeacherConfig):
     quant_mode: QuantMode = QuantMode.FULL_PRECISION
     gamma: float = 1.0
     v_th: float = 1.0
@@ -50,18 +75,8 @@ class StackConfig:
     def __post_init__(self):
         # a mode may arrive as its value, from a YAML config or a checkpoint
         object.__setattr__(self, "quant_mode", QuantMode(self.quant_mode))
-        _check_shape(self)
+        super().__post_init__()
         LifConfig(self.gamma, self.v_th)  # raises on a gamma or v_th out of range
-
-
-def _check_shape(cfg):
-    """Raises ValueError on a block shape no encoder can take."""
-    if cfg.hidden_dim <= 0 or cfg.intermediate_dim <= 0 or cfg.num_heads <= 0:
-        raise ValueError("dimensions must be positive")
-    if cfg.hidden_dim % cfg.num_heads:
-        raise ValueError("hidden_dim must be divisible by num_heads")
-    if cfg.num_layers < 1:
-        raise ValueError("need at least one encoder layer")
 
 
 def _token_ids(tokens, cfg) -> np.ndarray:
@@ -82,36 +97,6 @@ def _embed(params, tokens: np.ndarray) -> np.ndarray:
     return params["tok_emb"][tokens] + params["pos_emb"][:tokens.shape[-1]]
 
 
-def _embed_backward(tokens: np.ndarray, g: np.ndarray, grads: dict):
-    """Adds the gradient `g` on `_embed(params, tokens)` into `grads`.
-
-    Rows that `tokens` repeats accumulate in a zero table before it is
-    added, as each position contributes once per sentence.
-    """
-    table = np.zeros_like(grads["tok_emb"])
-    np.add.at(table, tokens, g)
-    grads["tok_emb"] += table
-    grads["pos_emb"][:tokens.shape[-1]] += g.sum(axis=tuple(range(g.ndim - 2)))
-
-
-def _linear_backward(g, x, w, grads: dict, name: str):
-    """`linear_backward` of linear `name` (weight `w`), its weight and bias
-    gradients added into `grads`; returns the input gradient."""
-    gx, gw, gb = linear_backward(g, x, w)
-    grads[name + ".w"] += gw
-    grads[name + ".b"] += gb
-    return gx
-
-
-def _norm_backward(g, saved, params, grads: dict, name: str):
-    """`layer_norm_backward` of layer norm `name` ("blk{i}.ln1" or "ln2"),
-    its gain and bias gradients added into `grads`; returns gx."""
-    gx, ggain, gbias = layer_norm_backward(g, saved, params[name + "_g"])
-    grads[name + "_g"] += ggain
-    grads[name + "_b"] += gbias
-    return gx
-
-
 def _block_input_grad(g_res, g_loss, g_qkv):
     """The gradient on a block's input, summed in one fixed order.
 
@@ -123,21 +108,6 @@ def _block_input_grad(g_res, g_loss, g_qkv):
     g = g_res if g_loss is None else g_res + g_loss
     for term in g_qkv:
         g = g + term
-    return g
-
-
-def _blocks_backward(model, caches: list, g_blocks: list, grads: dict):
-    """The gradient on the first block's input; each block's backward adds
-    its parameter gradients into `grads` on the way down.
-
-    `caches` is a `sweep`'s: its input's entry, then one per block.
-    `g_blocks` is the loss's gradient on each block output, None where the
-    loss does not read it; it must read the last one.
-    """
-    g = g_blocks[-1]
-    for i in reversed(range(len(caches) - 1)):
-        g = model.block_backward(i, g, caches[i + 1], grads,
-                                 g_blocks[i - 1] if i else None)
     return g
 
 
@@ -164,6 +134,175 @@ def _add_blocks(params: dict, cfg, rng, ln_gain: float, ln_bias: float) -> list:
     return names
 
 
+# -- neurons: per site, forward(a) -> (output, saved) and
+# backward(g, saved) -> the gradient on a
+
+# A block's neuron sites, in the order `block_forward` records them.
+SITES = ("q", "k", "v", "attn", "h1", "int", "out")
+
+
+def _identity(a):
+    # `a` itself, not a copy, and a backward that passes `g` on: so the
+    # teacher runs exactly the operations of a plain GELU encoder
+    return a, None
+
+
+def _identity_backward(g, _saved):
+    return g
+
+
+def _shifted_clip(e):
+    """The student's input neuron: clip01(e + 0.5), saving e + 0.5."""
+    x = e + 0.5
+    return clip01(x), x
+
+
+def _threshold_neurons(v_th: float) -> dict:
+    """The student's neurons: `clip01(·, v_th)` at every block site, saving
+    the pre-activation, and `_shifted_clip` at the input."""
+    fire = (lambda a: (clip01(a, v_th), a),
+            lambda g, a: clip01_backward(g, a, v_th))
+    return {"input": (_shifted_clip, clip01_backward),
+            **dict.fromkeys(SITES, fire)}
+
+
+# -- the rate-path skeleton, bound by both model classes ----------------
+# Rate tensors are (seq, d) for one sentence or (B, seq, d) for a stacked
+# batch of equal-length sentences; every rate-path function acts on the
+# last two axes and carries any leading axis through.
+
+def _sweep(self, tokens, record: dict | None = None,
+           caches: list | None = None) -> list[np.ndarray]:
+    """The block outputs of one forward pass.
+
+    The one rate-path forward, shared by the student's equilibrium solve,
+    training and the teacher.  Block i reads only block i-1, so one pass in
+    block order from the input neuron lands on the fixed point of the rate
+    equations.  The input and each linear's effective weight are built
+    once.  `record`, when given, collects every neuron site's output
+    ("input" and per block); `caches`, when given, gets what `backward`
+    reads (the tokens and the input neuron's saved value, then each
+    block's cache).  Raises NumericError on a non-finite block output.
+    """
+    tokens = _token_ids(tokens, self.cfg)
+    prev, saved = self.neurons["input"][0](_embed(self.params, tokens))
+    if record is not None:
+        record["input"] = prev
+    if caches is not None:
+        caches.append((tokens, saved))
+    weights = self.effective_weights()
+    outs = []
+    for i in range(self.cfg.num_layers):
+        prev = self.block_forward(i, prev, weights, record, caches)
+        check_finite(prev, f"rates of block {i}")
+        outs.append(prev)
+    return outs
+
+
+def _block_forward(self, i: int, a_prev: np.ndarray, weights: dict,
+                   record: dict | None = None,
+                   caches: list | None = None) -> np.ndarray:
+    """Block i's rate equations on the block input `a_prev`.
+
+    `weights` are the `effective_weights`.  Each linear feeds its neuron
+    site; attention mixes the q/k/v outputs, and two layer norms close the
+    residual halves.  `record`, when given, collects the block's neuron
+    outputs; `caches`, when given, gets the cache `block_backward` reads.
+    Without it the block's intermediates are freed on return.
+    """
+    p, pre, fire = self.params, f"blk{i}.", self.neurons
+
+    def lin(name, x):
+        return linear(x, weights[pre + name], p[pre + name + ".b"])
+
+    (aq, sq), (ak, sk), (av, sv) = (fire[nm][0](lin(nm, a_prev))
+                                    for nm in ("q", "k", "v"))
+    mixed, att = spiking_attention(aq, ak, av, self.cfg.num_heads)
+    a_attn, s_attn = fire["attn"][0](mixed)
+    n1, ln1 = layer_norm(lin("o", a_attn) + a_prev, p[pre + "ln1_g"],
+                         p[pre + "ln1_b"])
+    h1, s_h1 = fire["h1"][0](n1)
+    ai, s_int = fire["int"][0](lin("ff1", h1))
+    n2, ln2 = layer_norm(lin("ff2", ai) + h1, p[pre + "ln2_g"],
+                         p[pre + "ln2_b"])
+    out, s_out = fire["out"][0](n2)
+    if record is not None:
+        record.update({pre + "q": aq, pre + "k": ak, pre + "v": av,
+                       pre + "attn": a_attn, pre + "h1": h1,
+                       pre + "int": ai, pre + "out": out})
+    if caches is not None:
+        caches.append((weights, a_prev, (sq, sk, sv), att, s_attn, a_attn,
+                       ln1, s_h1, h1, s_int, ai, ln2, s_out))
+    return out
+
+
+def _block_backward(self, i: int, g: np.ndarray, cache: tuple, grads: dict,
+                    g_loss: np.ndarray | None = None):
+    """The gradient on block i's input from `g` on its output.
+
+    `cache` is `block_forward`'s.  Each parameter's gradient is added into
+    its `grads` view (a quantized linear's straight through to its latent
+    weight).  `g_loss` is the loss's own gradient on the block's input
+    (`_block_input_grad` fixes the summation order).
+    """
+    (weights, a_prev, s_qkv, att, s_attn, a_attn, ln1, s_h1, h1, s_int, ai,
+     ln2, s_out) = cache
+    p, pre, fire = self.params, f"blk{i}.", self.neurons
+
+    def lin(name, g, x):
+        gx, gw, gb = linear_backward(g, x, weights[pre + name])
+        grads[pre + name + ".w"] += gw
+        grads[pre + name + ".b"] += gb
+        return gx
+
+    def norm(name, g, saved):
+        gx, ggain, gbias = layer_norm_backward(g, saved, p[pre + name + "_g"])
+        grads[pre + name + "_g"] += ggain
+        grads[pre + name + "_b"] += gbias
+        return gx
+
+    g_r2 = norm("ln2", fire["out"][1](g, s_out), ln2)
+    g_h1 = g_r2 + lin("ff1", fire["int"][1](lin("ff2", g_r2, ai), s_int), h1)
+    g_r1 = norm("ln1", fire["h1"][1](g_h1, s_h1), ln1)
+    g_qkv = attention_backward(fire["attn"][1](lin("o", g_r1, a_attn), s_attn),
+                               att)
+    return _block_input_grad(g_r1, g_loss, [
+        lin(nm, fire[nm][1](ga, s), a_prev)
+        for nm, ga, s in zip(("q", "k", "v"), g_qkv, s_qkv)])
+
+
+def _backward(self, caches: list, g_blocks: list, grads: dict):
+    """Adds the gradient of a loss into `grads`, a gradient buffer's views.
+
+    `caches` is a `sweep`'s.  `g_blocks` is the loss's gradient on each
+    block output, None where the loss does not read it; it must read the
+    last one.  Each block's backward runs in reverse order, then the input
+    neuron's, then the embeddings': rows that the tokens repeat accumulate
+    in a zero table before it is added, as each position contributes once
+    per sentence.
+    """
+    g = g_blocks[-1]
+    for i in reversed(range(len(caches) - 1)):
+        g = self.block_backward(i, g, caches[i + 1], grads,
+                                g_blocks[i - 1] if i else None)
+    tokens, saved = caches[0]
+    g = self.neurons["input"][1](g, saved)
+    table = np.zeros_like(grads["tok_emb"])
+    np.add.at(table, tokens, g)
+    grads["tok_emb"] += table
+    grads["pos_emb"][:tokens.shape[-1]] += g.sum(axis=tuple(range(g.ndim - 2)))
+
+
+def _logits(self, final: np.ndarray) -> np.ndarray:
+    """Numeric logits (..., C) of final-block outputs (..., seq, d).
+
+    The CLS row (position 0) takes one matrix-vector product per sentence,
+    so a sentence's logits do not depend on its batch.
+    """
+    p = self.params
+    return (p["cls.w"] @ final[..., 0, :, None])[..., 0] + p["cls.b"]
+
+
 # The gain and bias every student layer norm starts from.
 LN_GAIN_INIT = 0.2
 LN_BIAS_INIT = 0.5
@@ -179,6 +318,12 @@ WINDOW_ROWS = 240
 class EncoderStack:
     """Quantized spiking encoder with embedding and full-precision head."""
 
+    sweep = _sweep
+    block_forward = _block_forward
+    block_backward = _block_backward
+    backward = _backward
+    logits = _logits
+
     def __init__(self, cfg: StackConfig, rng: np.random.Generator):
         self.cfg = cfg
         d = cfg.hidden_dim
@@ -190,16 +335,14 @@ class EncoderStack:
         p["cls.w"] = init_uniform(rng, cfg.num_labels, d)
         p["cls.b"] = np.zeros(cfg.num_labels)
         p = self.params = FlatParams(p)
+        self.neurons = _threshold_neurons(cfg.v_th)
         # each linear's `Pinned` by name while the quantization is frozen
         self.frozen = None
         # every parameter is updated in place, so these stay its entries
         self.tok_emb, self.pos_emb = p["tok_emb"], p["pos_emb"]
         self.cls_w, self.cls_b = p["cls.w"], p["cls.b"]
 
-    # -- parameter plumbing --------------------------------------------
-    def named_params(self) -> dict:
-        return self.params
-
+    # -- quantization ---------------------------------------------------
     def set_quant_mode(self, mode: QuantMode):
         """Switches every linear to `mode`, unfrozen."""
         self.cfg = dataclasses.replace(self.cfg, quant_mode=mode)
@@ -221,15 +364,14 @@ class EncoderStack:
         return self._pin_latent() if self.frozen is None else self.frozen
 
     # -- steady-state (rate) path --------------------------------------
-    # Rate tensors are (seq, d) for one sentence or (B, seq, d) for a
-    # stacked batch of equal-length sentences; every rate-path function
-    # acts on the last two axes and carries any leading axis through.
     def encoding(self, tokens) -> np.ndarray:
-        """Token + positional embedding, affinely shifted into [0,1].
+        """The input neuron's rates: token + positional embedding, shifted
+        into [0, 1].
 
         `tokens` is (seq,) or (B, seq); the result is (seq, d) or (B, seq, d).
         """
-        return clip01(_embed(self.params, _token_ids(tokens, self.cfg)) + 0.5)
+        e = _embed(self.params, _token_ids(tokens, self.cfg))
+        return self.neurons["input"][0](e)[0]
 
     def effective_weights(self) -> dict:
         """Each linear's effective weight, keyed "blk{i}.{name}": that of
@@ -237,124 +379,12 @@ class EncoderStack:
         return {name: effective_weight_tensor(p)
                 for name, p in self.pinned().items()}
 
-    def block_forward(self, i: int, a_prev: np.ndarray, weights: dict,
-                      record: dict | None = None,
-                      caches: list | None = None) -> np.ndarray:
-        """Block i's rate equations on the block input `a_prev`.
-
-        `weights` are the `effective_weights`.  Each linear feeds a
-        threshold `clip01(·, v_th)`; attention mixes the q/k/v rates, and
-        two layer norms close the residual halves.  `record`, when given,
-        collects the block's spiking rates; `caches`, when given, gets the
-        cache `block_backward` reads.  Without it the block's intermediates
-        are freed on return.
-        """
-        cfg, p, pre = self.cfg, self.params, f"blk{i}."
-        vth = cfg.v_th
-
-        def lin(name, x):
-            return linear(x, weights[pre + name], p[pre + name + ".b"])
-
-        zq, zk, zv = lin("q", a_prev), lin("k", a_prev), lin("v", a_prev)
-        aq, ak, av = clip01(zq, vth), clip01(zk, vth), clip01(zv, vth)
-        mixed, att = spiking_attention(aq, ak, av, cfg.num_heads)
-        a_attn = clip01(mixed, vth)
-        n1, ln1 = layer_norm(lin("o", a_attn) + a_prev, p[pre + "ln1_g"],
-                             p[pre + "ln1_b"])
-        h1 = clip01(n1, vth)
-        zi = lin("ff1", h1)
-        ai = clip01(zi, vth)
-        n2, ln2 = layer_norm(lin("ff2", ai) + h1, p[pre + "ln2_g"],
-                             p[pre + "ln2_b"])
-        out = clip01(n2, vth)
-        if record is not None:
-            record.update({pre + "q": aq, pre + "k": ak, pre + "v": av,
-                           pre + "attn": a_attn, pre + "h1": h1,
-                           pre + "int": ai, pre + "out": out})
-        if caches is not None:
-            caches.append((weights, a_prev, zq, zk, zv, att, mixed, a_attn, n1,
-                           ln1, h1, zi, ai, n2, ln2))
-        return out
-
-    def block_backward(self, i: int, g: np.ndarray, cache: tuple,
-                       grads: dict, g_loss: np.ndarray | None = None):
-        """The gradient on block i's input from `g` on its output.
-
-        `cache` is `block_forward`'s.  Each parameter's gradient is added
-        into its `grads` view (a quantized linear's straight through to its
-        latent weight).  `g_loss` is the loss's own gradient on the block's
-        input (`_block_input_grad` fixes the summation order).
-        """
-        (weights, a_prev, zq, zk, zv, att, mixed, a_attn, n1, ln1, h1, zi, ai,
-         n2, ln2) = cache
-        p, vth, pre = self.params, self.cfg.v_th, f"blk{i}."
-
-        def lin(name, g, x):
-            return _linear_backward(g, x, weights[pre + name], grads,
-                                    pre + name)
-
-        g_r2 = _norm_backward(clip01_backward(g, n2, vth), ln2, p, grads,
-                              pre + "ln2")
-        g_h1 = g_r2 + lin("ff1", clip01_backward(lin("ff2", g_r2, ai), zi, vth),
-                          h1)
-        g_r1 = _norm_backward(clip01_backward(g_h1, n1, vth), ln1, p, grads,
-                              pre + "ln1")
-        g_qkv = attention_backward(
-            clip01_backward(lin("o", g_r1, a_attn), mixed, vth), att)
-        return _block_input_grad(g_r1, g_loss, [
-            lin(name, clip01_backward(ga, z, vth), a_prev)
-            for name, ga, z in zip(("q", "k", "v"), g_qkv, (zq, zk, zv))])
-
-    def sweep(self, tokens, record: dict | None = None,
-              caches: list | None = None) -> list[np.ndarray]:
-        """The block outputs of one forward pass.
-
-        The one rate-path forward, shared by the equilibrium solve and
-        training.  Block i reads only block i-1, so one pass in block order
-        from the encoding lands on the fixed point of the rate equations.
-        The encoding and each linear's effective weight are built once.
-        `record`, when given, collects every spiking layer's rates
-        ("input" and per block); `caches`, when given, gets what `backward`
-        reads (the tokens and the encoding's pre-activation, then each
-        block's cache).  Raises NumericError on a non-finite rate.
-        """
-        tokens = _token_ids(tokens, self.cfg)
-        x = _embed(self.params, tokens) + 0.5
-        prev = clip01(x)
-        if record is not None:
-            record["input"] = prev
-        if caches is not None:
-            caches.append((tokens, x))
-        weights = self.effective_weights()
-        outs = []
-        for i in range(self.cfg.num_layers):
-            prev = self.block_forward(i, prev, weights, record, caches)
-            check_finite(prev, f"rates of block {i}")
-            outs.append(prev)
-        return outs
-
-    def backward(self, caches: list, g_blocks: list, grads: dict):
-        """Adds the gradient of a loss into `grads`, a gradient buffer's
-        views, from the loss's gradient on each block output of the `sweep`
-        that filled `caches` (None where the loss does not read one)."""
-        tokens, x = caches[0]
-        g = _blocks_backward(self, caches, g_blocks, grads)
-        _embed_backward(tokens, clip01_backward(g, x), grads)
-
     def rate_map(self, tokens, state: list[np.ndarray]) -> list[np.ndarray]:
         """The undamped Jacobi update f(state); fixed points satisfy f(a)=a."""
         weights = self.effective_weights()
         inputs = [self.encoding(tokens)] + list(state[:-1])
         return [self.block_forward(i, inputs[i], weights)
                 for i in range(self.cfg.num_layers)]
-
-    def logits(self, final: np.ndarray) -> np.ndarray:
-        """Numeric logits (..., C) of final-block rates (..., seq, d).
-
-        The CLS row (position 0) takes one matrix-vector product per
-        sentence, so a sentence's logits do not depend on its batch.
-        """
-        return (self.cls_w @ final[..., 0, :, None])[..., 0] + self.cls_b
 
     # -- temporal (spiking) path ---------------------------------------
     def temporal_simulate(self, tokens, T: int, counter: OpCounter | None = None,
@@ -597,33 +627,21 @@ def _head_axes(lead: int):
     return b + (lead + 1, lead, lead + 2), b + (lead, lead + 2, lead + 1)
 
 
-def classifier_logits(a_final: np.ndarray, params) -> np.ndarray:
-    """Logits (..., C) = cls @ W^T + b from final states (..., seq, d).
-
-    The first position carries the CLS token; W and b are the "cls.w" and
-    "cls.b" entries of `params`.
-    """
-    return linear(a_final[..., 0, :], params["cls.w"], params["cls.b"])
-
-
 # -- teacher ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TeacherConfig:
-    vocab_size: int
-    hidden_dim: int = 64
-    intermediate_dim: int = 128
-    num_heads: int = 2
-    num_layers: int = 2
-    max_len: int = 32
-    num_labels: int = 2
-
-    def __post_init__(self):
-        _check_shape(self)
-
-
 class TeacherModel:
-    """Small non-spiking transformer encoder (softmax attention, GELU FFN)."""
+    """Small non-spiking transformer encoder (softmax attention, GELU FFN)
+    on the student's rate-path skeleton."""
+
+    sweep = _sweep
+    block_forward = _block_forward
+    block_backward = _block_backward
+    backward = _backward
+    logits = _logits
+    # the identity at every site but the intermediate layer's GELU
+    neurons = {**dict.fromkeys(("input",) + SITES,
+                               (_identity, _identity_backward)),
+               "int": (gelu, gelu_backward)}
 
     def __init__(self, cfg: TeacherConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -632,76 +650,15 @@ class TeacherModel:
              "pos_emb": rng.uniform(-0.1, 0.1, size=(cfg.max_len, d)),
              "cls.w": init_uniform(rng, cfg.num_labels, d),
              "cls.b": np.zeros(cfg.num_labels)}
-        _add_blocks(p, cfg, rng, 1.0, 0.0)
+        self.linear_names = _add_blocks(p, cfg, rng, 1.0, 0.0)
         self.params = FlatParams(p)
 
-    def named_params(self) -> dict:
-        return self.params
-
-    def sweep(self, tokens, caches: list | None = None) -> list[np.ndarray]:
-        """The block outputs of one forward pass.
-
-        `tokens` is (seq,) or (B, seq); each output is then (seq, d) or
-        (B, seq, d), and `classifier_logits` of the last is the logits.
-        `caches`, when given, gets what `backward` reads (the tokens, then
-        each block's cache).
-        """
-        tokens = _token_ids(tokens, self.cfg)
-        h = _embed(self.params, tokens)
-        if caches is not None:
-            caches.append(tokens)
-        hiddens = []
-        for i in range(self.cfg.num_layers):
-            h = self.block_forward(i, h, caches)
-            hiddens.append(h)
-        return hiddens
-
-    def block_forward(self, i: int, h: np.ndarray,
-                      caches: list | None = None) -> np.ndarray:
-        """Block i on its input `h`; `caches`, when given, gets the cache
-        `block_backward` reads."""
-        p, pre = self.params, f"blk{i}."
-
-        def lin(name, x):
-            return linear(x, p[pre + name + ".w"], p[pre + name + ".b"])
-
-        attn, att = spiking_attention(lin("q", h), lin("k", h), lin("v", h),
-                                      self.cfg.num_heads)
-        h1, ln1 = layer_norm(lin("o", attn) + h, p[pre + "ln1_g"],
-                             p[pre + "ln1_b"])
-        act, gl = gelu(lin("ff1", h1))
-        out, ln2 = layer_norm(lin("ff2", act) + h1, p[pre + "ln2_g"],
-                              p[pre + "ln2_b"])
-        if caches is not None:
-            caches.append((h, att, attn, ln1, h1, gl, act, ln2))
-        return out
-
-    def block_backward(self, i: int, g: np.ndarray, cache: tuple,
-                       grads: dict, g_loss: np.ndarray | None = None):
-        """The gradient on block i's input from `g` on its output, as
-        `EncoderStack.block_backward` takes it."""
-        h, att, attn, ln1, h1, gl, act, ln2 = cache
-        p, pre = self.params, f"blk{i}."
-
-        def lin(name, g, x):
-            return _linear_backward(g, x, p[pre + name + ".w"], grads,
-                                    pre + name)
-
-        g_r2 = _norm_backward(g, ln2, p, grads, pre + "ln2")
-        g_h1 = g_r2 + lin("ff1", gelu_backward(lin("ff2", g_r2, act), gl), h1)
-        g_r1 = _norm_backward(g_h1, ln1, p, grads, pre + "ln1")
-        g_qkv = attention_backward(lin("o", g_r1, attn), att)
-        return _block_input_grad(g_r1, g_loss, [
-            lin(name, ga, h) for name, ga in zip(("q", "k", "v"), g_qkv)])
-
-    def backward(self, caches: list, g_blocks: list, grads: dict):
-        """Adds the gradient of a loss into `grads`, as
-        `EncoderStack.backward` does."""
-        _embed_backward(caches[0], _blocks_backward(self, caches, g_blocks,
-                                                    grads), grads)
+    def effective_weights(self) -> dict:
+        """Each linear's latent weight, keyed "blk{i}.{name}"."""
+        return {name: self.params[name + ".w"] for name in self.linear_names}
 
 
 def teacher_forward(teacher: TeacherModel, tokens):
     """Numeric teacher pass: per-block hidden arrays and logits."""
     hiddens = teacher.sweep(tokens)
-    return hiddens, classifier_logits(hiddens[-1], teacher.params)
+    return hiddens, teacher.logits(hiddens[-1])

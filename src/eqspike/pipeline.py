@@ -196,7 +196,7 @@ def finetune_student(cfg, stack, train_items, dev_items):
     adam = AdamState(lr=cfg["train"]["lr"])
     scfg = solver_config(cfg)
     history = []
-    flat = stack.named_params().flat  # every parameter, so a snapshot is one copy
+    flat = stack.params.flat  # every parameter, so a snapshot is one copy
     best_acc, best_snapshot = -1.0, None
     for epoch in range(1, cfg["train"]["finetune_epochs"] + 1):
         for batch in batches(train_items, cfg["train"]["batch_size"]):
@@ -222,9 +222,10 @@ def simulate(cfg, stack, tokens, T):
     return rows, summary
 
 
-# the StackConfig fields that the op table and the simulated shapes read
-ARCHITECTURE_FIELDS = ("hidden_dim", "intermediate_dim", "num_heads",
-                       "num_layers", "max_len", "num_labels")
+# the shape fields that the op table and the simulated shapes read: all
+# of TeacherConfig's, which StackConfig extends, but the vocabulary size
+ARCHITECTURE_FIELDS = tuple(f.name for f in dataclasses.fields(TeacherConfig)
+                            if f.name != "vocab_size")
 
 
 def energy_compare(cfg, stack_quant, stack_fp, eval_items, T):

@@ -62,7 +62,7 @@ def test_implicit_gradient_correctness():
         tokens, label = np.array([2, 4, 5, 6]), 1
         scfg = SolverConfig(tol=1e-11)
         bundle = example_gradients(stack, tokens, label, ce_loss, {})
-        params = stack.named_params()
+        params = stack.params
 
         def loss():
             s = solve_fixed_point(stack, tokens, scfg)

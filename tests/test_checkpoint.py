@@ -26,8 +26,8 @@ def test_student_roundtrip_parameters(tmp_path):
     save_student(stack, "kd", path)
     loaded, stage = load_student(path)
     assert stage == "kd"
-    for k, v in stack.named_params().items():
-        np.testing.assert_array_equal(loaded.named_params()[k], v)
+    for k, v in stack.params.items():
+        np.testing.assert_array_equal(loaded.params[k], v)
     assert loaded.cfg.quant_mode is QuantMode.TERNARY_158BIT
 
 
@@ -107,8 +107,8 @@ def test_teacher_roundtrip(tmp_path):
     path = tmp_path / "t.json"
     save_teacher(teacher, path, metrics={"dev_accuracy": 0.75})
     loaded = load_teacher(path)
-    for k, v in teacher.named_params().items():
-        np.testing.assert_array_equal(loaded.named_params()[k], v)
+    for k, v in teacher.params.items():
+        np.testing.assert_array_equal(loaded.params[k], v)
     assert json.loads(path.read_text())["metrics"]["dev_accuracy"] == 0.75
 
 
@@ -180,7 +180,7 @@ def test_frozen_ternary_simulation_is_unchanged_by_round_trip(tmp_path):
 
 def _assert_views_of_one_buffer(model):
     """Every entry and alias of `model` is a view of its buffer."""
-    params = model.named_params()
+    params = model.params
     for name, value in params.items():
         assert np.shares_memory(value, params.flat), name
     if isinstance(model, EncoderStack):

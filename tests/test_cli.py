@@ -172,7 +172,7 @@ def _poison_on_load(monkeypatch, path, name, index):
     def poisoned(p):
         stack, stage = load(p)
         if p == path:
-            stack.named_params()[name][index] = np.nan
+            stack.params[name][index] = np.nan
         return stack, stage
 
     monkeypatch.setattr(cli, "load_student", poisoned)

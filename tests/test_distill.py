@@ -154,12 +154,12 @@ def test_run_distillation_reduces_loss_and_reports_epoch_zero():
 
 def test_run_distillation_zero_epochs_untouched():
     stack, teacher = _tiny_pair(seed=5)
-    before = {k: v.copy() for k, v in stack.named_params().items()}
+    before = {k: v.copy() for k, v in stack.params.items()}
     cfg = KdConfig.build(8, 8, 2, 2, np.random.default_rng(0))
     report = run_distillation(stack, teacher, [(np.array([2, 4]), 0)],
                               epochs=0, cfg=cfg, optimizer=AdamState())
     assert len(report.epochs) == 1
-    for k, v in stack.named_params().items():
+    for k, v in stack.params.items():
         np.testing.assert_array_equal(v, before[k])
 
 
@@ -240,8 +240,8 @@ def _assert_runs_bitwise_equal(got, want):
                                   [p for _, p, _ in r_want.epochs])
     np.testing.assert_array_equal([t for _, _, t in r_got.epochs],
                                   [t for _, _, t in r_want.epochs])
-    want_params = s_want.named_params()
-    for name, value in s_got.named_params().items():
+    want_params = s_want.params
+    for name, value in s_got.params.items():
         np.testing.assert_array_equal(value, want_params[name])
     assert list(c_got.projections) == list(c_want.projections)
     for name, value in c_got.projections.items():
@@ -260,7 +260,7 @@ def test_teacher_targets_do_not_leak_across_runs():
     _, teacher = _tiny_pair(seed=10)
     data = _items(8, 4, seed=6)
     first, _, _ = _run_pair(10, teacher, data, run_distillation)
-    for name, value in teacher.named_params().items():
+    for name, value in teacher.params.items():
         if name.endswith(".w"):
             value *= 1.5  # the next run sees a changed teacher
     second = _run_pair(10, teacher, data, run_distillation)

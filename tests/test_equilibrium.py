@@ -65,7 +65,7 @@ def test_feedforward_stack_converges_in_depth_iterations():
 @pytest.mark.parametrize("name", ["tok_emb", "blk1.ff2.w"])
 def test_non_finite_rate_is_numeric_error(name):
     stack = small_stack()
-    stack.named_params()[name][2, 0] = np.nan
+    stack.params[name][2, 0] = np.nan
     with pytest.raises(NumericError, match="non-finite rates"):
         solve_fixed_point(stack, np.array([2, 4, 5]), SolverConfig())
 

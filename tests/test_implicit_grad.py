@@ -13,9 +13,8 @@ from eqspike.distill import KdConfig, kd_loss_builder, mse, teacher_targets
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
 from eqspike.implicit_grad import (batch_gradients, ce_loss, example_gradients,
                                    training_step)
-from eqspike.autodiff import cross_entropy, linear_backward
-from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
-                           TeacherModel, classifier_logits)
+from eqspike.autodiff import cross_entropy, linear, linear_backward
+from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
 from eqspike.numerics import AdamState, FlatParams, NumericError
 from eqspike.quantizer import QuantMode
 from oracles import (TensorAdam, dense_adjoint_solve,
@@ -167,7 +166,7 @@ def test_example_gradients_match_finite_differences():
     bundle = example_gradients(stack, tokens, label, ce_loss, {})
 
     def loss_at(name, idx, value):
-        params = stack.named_params()
+        params = stack.params
         keep = params[name].reshape(-1)[idx]
         params[name].reshape(-1)[idx] = value
         s = solve_fixed_point(stack, tokens, scfg)
@@ -182,7 +181,7 @@ def test_example_gradients_match_finite_differences():
     for name in ("blk0.q.w", "blk1.ff2.w", "cls.w", "tok_emb"):
         flat = bundle.grads[name].reshape(-1)
         for idx in rng.choice(flat.size, size=3, replace=False):
-            x0 = stack.named_params()[name].reshape(-1)[idx]
+            x0 = stack.params[name].reshape(-1)[idx]
             fd = (loss_at(name, idx, x0 + h) - loss_at(name, idx, x0 - h)) / (2 * h)
             if abs(flat[idx]) > 1e-6:
                 assert abs(fd - flat[idx]) / max(abs(fd), abs(flat[idx])) < 1e-2
@@ -205,7 +204,7 @@ def test_training_step_supports_extra_params():
     def builder(tokens, label, a_blocks, head):
         # cross-entropy of the classifier's logits times a trained matrix
         final = a_blocks[-1]
-        logits = classifier_logits(final, head)
+        logits = linear(final[..., 0, :], head["cls.w"], head["cls.b"])
         loss, g = cross_entropy(logits @ head["proj"], label)  # (1, C)
         g_proj = logits.T @ g
         g_cls, g_w, g_b = linear_backward(g @ head["proj"].T,
@@ -228,13 +227,13 @@ def test_non_finite_gradient_leaves_params_and_optimizer_untouched():
     adam = AdamState()
     training_step(stack, batch, adam)
     stack.cls_b[0] = np.inf  # the loss, and so every gradient, turns NaN
-    before = {k: v.copy() for k, v in stack.named_params().items()}
+    before = {k: v.copy() for k, v in stack.params.items()}
     m = {k: v.copy() for k, v in adam.m.items()}
     v = {k: v.copy() for k, v in adam.v.items()}
     with pytest.raises(NumericError), np.errstate(invalid="ignore"):
         training_step(stack, batch, adam)
     assert adam.step == 1
-    for k, value in stack.named_params().items():
+    for k, value in stack.params.items():
         np.testing.assert_array_equal(value, before[k], err_msg=k)
     assert adam.m.keys() == m.keys() == adam.v.keys() == v.keys() \
         == {tuple(stack.params.layout)}
@@ -332,8 +331,8 @@ def test_train_teacher_equals_inline_tape_loop_bitwise_at_batch_16():
     cfg2, oracle, _, _ = small_teacher_run(16)
     pl.train_teacher(cfg, teacher, train, dev)
     inline_teacher_training(cfg2, oracle, train)
-    for name, value in oracle.named_params().items():
-        np.testing.assert_array_equal(teacher.named_params()[name], value,
+    for name, value in oracle.params.items():
+        np.testing.assert_array_equal(teacher.params[name], value,
                                       err_msg=name)
 
 

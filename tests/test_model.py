@@ -6,6 +6,7 @@ from eqspike import pipeline as pl
 from eqspike import quantizer
 from eqspike.data import stack_by_length
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
+from eqspike.implicit_grad import batch_gradients
 from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
                            TeacherModel, attention_backward, spiking_attention,
                            teacher_forward)
@@ -51,7 +52,7 @@ def test_encoding_rejects_long_sequences():
 
 def test_named_params_cover_all_sublayers():
     stack = make_stack()
-    names = set(stack.named_params())
+    names = set(stack.params)
     assert {"tok_emb", "pos_emb", "cls.w", "cls.b"} <= names
     for i in range(2):
         for nm in ("q", "k", "v", "o", "ff1", "ff2"):
@@ -64,7 +65,6 @@ def test_student_and_teacher_store_the_same_parameters():
     teacher = TeacherModel(TeacherConfig(vocab_size=11, hidden_dim=8,
                                          intermediate_dim=16, max_len=6),
                            np.random.default_rng(0))
-    assert stack.named_params() is stack.params
     assert {k: v.shape for k, v in stack.params.items()} == \
         {k: v.shape for k, v in teacher.params.items()}
     assert len(stack.linear_names) == 6 * stack.cfg.num_layers
@@ -515,6 +515,19 @@ def test_both_models_reject_the_same_bad_tokens(kind):
             forward(np.full(shape, 2))
 
 
+def test_non_finite_teacher_weight_is_numeric_error():
+    # the shared sweep checks every block output, the teacher's too
+    cfg = TeacherConfig(vocab_size=11, hidden_dim=8, intermediate_dim=16,
+                        num_heads=2, num_layers=2, max_len=6)
+    teacher = TeacherModel(cfg, np.random.default_rng(0))
+    teacher.params["blk0.ff1.w"][3, 1] = np.nan
+    tokens = np.array([2, 4, 5])
+    with pytest.raises(NumericError), np.errstate(invalid="ignore"):
+        teacher_forward(teacher, tokens)
+    with pytest.raises(NumericError), np.errstate(invalid="ignore"):
+        batch_gradients(teacher, [(tokens, 1)])
+
+
 def test_batched_teacher_forward_equals_rows():
     cfg = TeacherConfig(vocab_size=11, hidden_dim=8, intermediate_dim=16,
                         num_heads=2, num_layers=2, max_len=6, num_labels=3)
@@ -526,4 +539,4 @@ def test_batched_teacher_forward_equals_rows():
         h_row, l_row = teacher_forward(teacher, row)
         for got, want in zip(hiddens, h_row):
             np.testing.assert_array_equal(got[b], want)
-        np.testing.assert_allclose(logits[b], l_row, rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(logits[b], l_row)
