@@ -84,6 +84,8 @@ def load_tsv(path) -> Corpus:
         if len(cols) != len(header) or not cols[-1].strip():
             raise ParseError(f"{path}:{lineno}: malformed row")
         raw.append((cols[0], cols[1] if pair_mode else None, cols[-1].strip()))
+    if not raw:
+        raise ParseError(f"{path}: no data rows")
     label_names = sorted({r[2] for r in raw})
     label_id = {name: i for i, name in enumerate(label_names)}
     examples = [Example(a, b, label_id[lab]) for a, b, lab in raw]

@@ -90,30 +90,28 @@ def mse(pred, target, weight):
     return float((diff * diff).sum() * scale), g + g
 
 
-def kd_loss(student_asrs: list, teacher_hiddens: list, cfg: KdConfig,
-            projections: dict | None = None):
+def kd_loss(student_asrs: list, teacher_hiddens: list, cfg: KdConfig):
     """Weighted sum of per-pair MSE terms and its gradients.
 
-    Pair i projects student block i by "kd.proj{i}" of `projections`
-    (`cfg.projections` if None) and compares it with teacher block
-    `cfg.layer_map[i]`.  Block outputs are (seq, d) for one example or
-    (B, seq, d) for a batch; each term is then the sum over the batch of
-    per-example MSE means.  Returns the total, the per-pair terms, and the
-    total's gradient on each projected student block (the projection's
-    input gradient and its own are `project_backward`'s).  Raises
-    KdConfigError unless there is one projection per mapped block.
+    Pair i projects student block i by `cfg.projections["kd.proj{i}"]`
+    and compares it with teacher block `cfg.layer_map[i]`.  Block outputs
+    are (seq, d) for one example or (B, seq, d) for a batch; each term is
+    then the sum over the batch of per-example MSE means.  Returns the
+    total, the per-pair terms, and the total's gradient on each projected
+    student block (the projection's input gradient and its own are
+    `project_backward`'s).  Raises KdConfigError unless there is one
+    projection per mapped block.
     """
-    projections = cfg.projections if projections is None else projections
     if len(cfg.layer_map) != len(student_asrs):
         raise KdConfigError("every student block needs a teacher mapping")
     missing = [f"kd.proj{i}" for i in range(len(cfg.layer_map))
-               if f"kd.proj{i}" not in projections]
+               if f"kd.proj{i}" not in cfg.projections]
     if missing:
         raise KdConfigError(f"KD projections {', '.join(missing)} are "
                             "missing; KdConfig.build makes them")
     total, per_pair, g_proj = 0.0, [], []
     for i, (t_idx, weight) in enumerate(zip(cfg.layer_map, cfg.loss_weights)):
-        term, g = mse(student_asrs[i] @ projections[f"kd.proj{i}"],
+        term, g = mse(student_asrs[i] @ cfg.projections[f"kd.proj{i}"],
                       teacher_hiddens[t_idx], float(weight))
         per_pair.append(term)
         g_proj.append(g)
@@ -166,7 +164,7 @@ def kd_loss_builder(cfg: KdConfig, targets):
     """
 
     def build(tokens, label, a_blocks, head):
-        total, per_pair, g_proj = kd_loss(a_blocks, targets(tokens), cfg, head)
+        total, per_pair, g_proj = kd_loss(a_blocks, targets(tokens), cfg)
         g_blocks, g_head = [], {}
         for i, (g, s) in enumerate(zip(g_proj, a_blocks)):
             name = f"kd.proj{i}"

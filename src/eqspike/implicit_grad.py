@@ -34,7 +34,7 @@ from .numerics import AdamState, FlatParams, adam_step_many
 
 @dataclass
 class GradientBundle:
-    grads: dict  # name -> gradient, for each parameter the loss reached
+    grads: dict  # name -> gradient, for every parameter of the step
     loss: float
     loss_terms: dict = field(default_factory=dict)
     # one gradient buffer per parameter owner, for Adam
@@ -64,7 +64,8 @@ def _owners(model, extra_params: FlatParams | None) -> list:
 
 
 def example_gradients(model, tokens, label, loss_builder,
-                      extra_params: FlatParams | None) -> GradientBundle:
+                      extra_params: FlatParams | None,
+                      buffers: list | None = None) -> GradientBundle:
     """Gradient of the loss on one example or a batch.
 
     `model` is the student `EncoderStack`, whose sweep lands on its
@@ -80,13 +81,14 @@ def example_gradients(model, tokens, label, loss_builder,
     terms, its gradient on each block output (None where it does not read
     one) and a dict of gradients of the `head` entries it reaches.
 
-    The gradients are added straight into new gradient `buffers`, one
-    `FlatParams.zeros` per owner: the model's, then `extra_params`'.  A
-    `head` entry the loss does not reach is dropped from its buffer, so
-    Adam keeps that parameter and its moments.  `grads` holds the buffers'
-    entries.
+    The gradients are added into `buffers`, one `FlatParams.zeros` per
+    owner (the model's, then `extra_params`'), or into new ones if None;
+    each parameter takes one add, except a `head` entry the loss does not
+    reach, which takes none (the classifier's under the KD loss).  `grads`
+    holds the buffers' entries.
     """
-    buffers = [p.zeros() for p in _owners(model, extra_params)]
+    if buffers is None:
+        buffers = [p.zeros() for p in _owners(model, extra_params)]
     caches = []
     a_blocks = model.sweep(tokens, caches=caches)
     head = {"cls.w": model.params["cls.w"], "cls.b": model.params["cls.b"],
@@ -94,11 +96,8 @@ def example_gradients(model, tokens, label, loss_builder,
     loss, terms, g_blocks, g_head = loss_builder(tokens, label, a_blocks, head)
     model.backward(caches, g_blocks, buffers[0])
     for buf in buffers:
-        for name in [k for k in buf if k in head]:
-            if name in g_head:
-                buf[name] += g_head[name]
-            else:
-                del buf[name]
+        for name in g_head.keys() & buf.keys():
+            buf[name] += g_head[name]
     return GradientBundle(grads={k: g for buf in buffers for k, g in buf.items()},
                           loss=loss, loss_terms=terms, buffers=buffers)
 
@@ -109,20 +108,15 @@ def batch_gradients(model, batch, loss_builder=ce_loss,
 
     The batch is stacked by sequence length (`data.stack_by_length`; an
     encoded corpus is one group), and each group costs one forward and one
-    backward (`example_gradients`).  The later groups' gradient buffers
-    are added into the first group's, in group order, and each buffer is
-    then divided once by the batch size.  `grads` holds every buffer's
-    entries.
+    backward (`example_gradients`), adding into one set of gradient
+    buffers, in group order.  Each buffer is then divided once by the
+    batch size.  `grads` holds every buffer's entries.
     """
-    buffers, loss_sum, term_sum = None, 0.0, {}
+    buffers = [p.zeros() for p in _owners(model, extra_params)]
+    loss_sum, term_sum = 0.0, {}
     for tokens, labels in stack_by_length(batch):
         bundle = example_gradients(model, tokens, labels, loss_builder,
-                                   extra_params)
-        if buffers is None:
-            buffers = bundle.buffers
-        else:
-            for buf, part in zip(buffers, bundle.buffers):
-                buf.flat += part.flat
+                                   extra_params, buffers)
         loss_sum += bundle.loss
         for k, val in bundle.loss_terms.items():
             term_sum[k] = term_sum.get(k, 0.0) + val

@@ -339,7 +339,6 @@ class EncoderStack:
         # each linear's `Pinned` by name while the quantization is frozen
         self.frozen = None
         # every parameter is updated in place, so these stay its entries
-        self.tok_emb, self.pos_emb = p["tok_emb"], p["pos_emb"]
         self.cls_w, self.cls_b = p["cls.w"], p["cls.b"]
 
     # -- quantization ---------------------------------------------------
@@ -533,7 +532,7 @@ class EncoderStack:
                      linear(pre + "attn", "o"), linear(pre + "h1", "ff1"),
                      linear(pre + "int", "ff2")]
         rows.append((f"blk{cfg.num_layers - 1}.out", "classifier",
-                     self.cls_w.size))
+                     self.params["cls.w"].size))
         return rows
 
 

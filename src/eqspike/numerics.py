@@ -61,7 +61,7 @@ class FlatParams(dict):
 
     def zeros(self) -> "FlatParams":
         """A zero buffer of this layout with every entry: a gradient sum's
-        start.  A gradient buffer drops the entries the loss did not reach."""
+        start."""
         out = FlatParams.__new__(FlatParams)
         out.layout, out.flat = self.layout, np.zeros(self.flat.size)
         out.update(out._views())
@@ -84,29 +84,20 @@ class AdamState:
     v: dict = field(default_factory=dict)
 
 
-def _runs(grad: FlatParams) -> list:
-    """The slices of `grad.flat` its entries cover, consecutive ones joined."""
-    runs = []
-    for s, _shape in (grad.layout[name] for name in grad):
-        if runs and runs[-1].stop == s.start:
-            runs[-1] = slice(runs[-1].start, s.stop)
-        else:
-            runs.append(s)
-    return runs
-
-
 def adam_step_many(params: list, grads: list, state: AdamState) -> None:
     """One in-place Adam step (one step counter tick) over parameter buffers.
 
     `params` are FlatParams and `grads` their gradient buffers, in the same
-    order: each a `FlatParams.zeros` of its parameters' layout holding an
-    entry for each parameter the loss reached.  A parameter without one
-    keeps its value and its moments.  Every gradient buffer's layout and
-    finiteness is checked before anything is written, so a ShapeError or
-    NumericError leaves the parameters and `state` as they were.  Each run
-    of consecutive entries then takes one element-wise update of the flat
-    parameter, gradient and moment arrays, which is bitwise the update of
-    each entry on its own.
+    order, each a `FlatParams.zeros` of its parameters' layout.  Every
+    gradient buffer's layout and finiteness is checked before anything is
+    written, so a ShapeError or NumericError leaves the parameters and
+    `state` as they were.  Each buffer then takes one element-wise update
+    of its flat parameter, gradient and moment arrays, which is bitwise
+    the update of each entry on its own.
+
+    A parameter whose gradient and moments are zero keeps its exact value
+    (`eps > 0`).  So a fresh `AdamState` per training stage leaves a
+    parameter the stage's loss never reaches as it was, moments included.
     """
     if len(params) != len(grads):
         raise ShapeError(f"adam: {len(params)} parameter buffers vs "
@@ -127,23 +118,22 @@ def adam_step_many(params: list, grads: list, state: AdamState) -> None:
         if key not in state.m:
             state.m[key] = np.zeros(p.flat.size)
             state.v[key] = np.zeros(p.flat.size)
-        for run in _runs(g):
-            grad, m, v = g.flat[run], state.m[key][run], state.v[key][run]
-            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
-            # p -= lr m^ / (sqrt(v^) + eps), operation by operation, but in
-            # place and in two scratch arrays: a temporary per operation
-            # took about twice as long at the default shape
-            m *= b1
-            tmp = (1 - b1) * grad
-            m += tmp
-            np.multiply(grad, grad, out=tmp)
-            tmp *= 1 - b2
-            v *= b2
-            v += tmp
-            np.divide(v, bias2, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            tmp += state.eps
-            step = m / bias1
-            step *= state.lr
-            step /= tmp
-            p.flat[run] -= step
+        grad, m, v = g.flat, state.m[key], state.v[key]
+        # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+        # p -= lr m^ / (sqrt(v^) + eps), operation by operation, but in
+        # place and in two scratch arrays: a temporary per operation
+        # took about twice as long at the default shape
+        m *= b1
+        tmp = (1 - b1) * grad
+        m += tmp
+        np.multiply(grad, grad, out=tmp)
+        tmp *= 1 - b2
+        v *= b2
+        v += tmp
+        np.divide(v, bias2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += state.eps
+        step = m / bias1
+        step *= state.lr
+        step /= tmp
+        p.flat -= step

@@ -72,16 +72,29 @@ def default_config() -> dict:
     }
 
 
+def _fits(default, val) -> bool:
+    """Whether `val` may stand for `default`: a bool only for a bool, a
+    non-bool int for an int, an int or a float for a float, a value of the
+    default's own type otherwise; anything where the default is None."""
+    if default is None:
+        return True
+    if isinstance(default, bool) or isinstance(val, bool):
+        return type(val) is type(default)
+    return isinstance(val, (int, float) if isinstance(default, float)
+                      else type(default))
+
+
 def _merge(base: dict, override: dict, path="") -> dict:
     out = copy.deepcopy(base)
     for key, val in override.items():
         here = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(f"unknown config key {here!r}")
-        if isinstance(base[key], dict) and isinstance(val, dict):
-            out[key] = _merge(base[key], val, here)
-        else:
-            out[key] = val
+        if not _fits(base[key], val):
+            raise ConfigError(f"config key {here!r} must be "
+                              f"{type(base[key]).__name__}, not {val!r}")
+        out[key] = _merge(base[key], val, here) \
+            if isinstance(base[key], dict) else val
     return out
 
 

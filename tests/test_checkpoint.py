@@ -184,8 +184,7 @@ def _assert_views_of_one_buffer(model):
     for name, value in params.items():
         assert np.shares_memory(value, params.flat), name
     if isinstance(model, EncoderStack):
-        for alias, name in (("tok_emb", "tok_emb"), ("pos_emb", "pos_emb"),
-                            ("cls_w", "cls.w"), ("cls_b", "cls.b")):
+        for alias, name in (("cls_w", "cls.w"), ("cls_b", "cls.b")):
             assert getattr(model, alias) is params[name]
             assert np.shares_memory(getattr(model, alias), params.flat)
 

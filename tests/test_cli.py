@@ -103,11 +103,13 @@ def test_missing_checkpoint_is_io_error(workdir):
                                   "train: {adam_beta1: 0.9}\n",
                                   "train: {adam_beta2: 0.999}\n",
                                   "energy: {float_acc_pj: 0.9}\n",
-                                  "energy: {int_acc_pj: 0.1}\n"],
+                                  "energy: {int_acc_pj: 0.1}\n",
+                                  "seed: x\n", "data: {train_size: 3.0}\n"],
                          ids=["nonsense", "solver.damping", "vjp.max_terms",
                               "solver.max_iters", "train.adam_beta1",
                               "train.adam_beta2", "energy.float_acc_pj",
-                              "energy.int_acc_pj"])
+                              "energy.int_acc_pj", "seed",
+                              "data.train_size"])
 def test_bad_config_key_is_config_error(workdir, capsys, text):
     root, _ = workdir
     bad = root / "bad.yaml"

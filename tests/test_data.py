@@ -67,6 +67,7 @@ def test_load_tsv_pair_mode(tmp_path):
     "text_a\tlabel\nonly-one-column\n",  # missing column
     "text_a\tlabel\nx\t\n",  # empty label
     "text_a\ttext_b\tlabel\na\tb\n",  # pair header, missing label column
+    "text_a\tlabel\n",  # header only, no data rows
 ])
 def test_load_tsv_errors(tmp_path, content):
     p = tmp_path / "bad.tsv"

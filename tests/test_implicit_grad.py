@@ -99,7 +99,9 @@ def test_example_gradients_match_dense_adjoint_oracle(mode, kind):
     bundle = example_gradients(stack, tokens, label, builder, extra)
     want, loss = oracle_gradients(stack, tokens, label, taped, extra)
     assert bundle.loss == loss
-    assert set(bundle.grads) == set(want)
+    assert set(bundle.grads) == set(want) | {"cls.w", "cls.b"}
+    for name in set(bundle.grads) - set(want):  # unreached by the KD loss
+        assert not bundle.grads[name].any(), name
     for name, grad in want.items():
         np.testing.assert_allclose(bundle.grads[name], grad, rtol=0, atol=1e-10,
                                    err_msg=name)
@@ -136,8 +138,10 @@ def test_closed_form_gradients_equal_taped_oracle_bitwise(mode, case):
         got = example_gradients(stack, tokens, labels, builder, extra)
         want = taped_example_gradients(stack, tokens, labels, taped, extra)
         assert got.loss == want.loss and got.loss_terms == want.loss_terms
-        assert got.grads.keys() == want.grads.keys()
-        assert ("cls.w" in got.grads) == (kind == "ce")
+        assert got.grads.keys() == want.grads.keys() | {"cls.w", "cls.b"}
+        assert ("cls.w" in want.grads) == (kind == "ce")
+        for name in got.grads.keys() - want.grads.keys():  # KD: the head
+            assert not got.grads[name].any(), name
         for name, grad in want.grads.items():
             np.testing.assert_array_equal(got.grads[name], grad, err_msg=name)
 

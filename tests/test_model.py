@@ -379,7 +379,7 @@ def test_windowed_simulation_equals_step_major_oracle_bitwise(
 def test_non_finite_spike_path_is_numeric_error(poison):
     stack = make_stack(mode=QuantMode.FULL_PRECISION)
     if poison == "tok_emb":
-        stack.tok_emb[4, 1] = np.nan
+        stack.params["tok_emb"][4, 1] = np.nan
     elif poison == "ln_gain":
         stack.params["blk1.ln1_g"][3] = np.nan
     else:
