@@ -157,23 +157,24 @@ def teacher_targets(teacher: TeacherModel):
 
 
 def kd_loss_builder(cfg: KdConfig, targets):
-    """Loss builder for training_step: distillation only (stage 1).
+    """The distillation loss of `training_step` (stage 1); it adds the
+    gradient of each projection into `grads`.
 
     `targets` maps stacked tokens to the teacher's hiddens, as
     `teacher_targets` does.
     """
 
-    def build(tokens, label, a_blocks, head):
-        total, per_pair, g_proj = kd_loss(a_blocks, targets(tokens), cfg)
-        g_blocks, g_head = [], {}
+    def loss(tokens, labels, a_blocks, params, grads):
+        total, _per_pair, g_proj = kd_loss(a_blocks, targets(tokens), cfg)
+        g_blocks = []
         for i, (g, s) in enumerate(zip(g_proj, a_blocks)):
             name = f"kd.proj{i}"
-            g_s, g_head[name] = project_backward(g, s, head[name])
+            g_s, g_p = project_backward(g, s, params[name])
+            grads[name] += g_p
             g_blocks.append(g_s)
-        return total, {"kd": total, **{f"kd_pair{j}": v for j, v in
-                                       enumerate(per_pair)}}, g_blocks, g_head
+        return total, g_blocks
 
-    return build
+    return loss
 
 
 def evaluate_kd_loss(stack, dataset, cfg: KdConfig,
@@ -204,12 +205,12 @@ def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
     evaluations share one teacher pass per distinct stacked batch.
     """
     targets = teacher_targets(teacher)
-    builder = kd_loss_builder(cfg, targets)
+    loss = kd_loss_builder(cfg, targets)
     report = KdReport()
     for epoch in range(epochs + 1):
         if epoch:  # epoch 0 reports the loss before any step
             for batch in batches(dataset, batch_size):
-                training_step(stack, batch, optimizer, loss_builder=builder,
+                training_step(stack, batch, optimizer, loss=loss,
                               extra_params=cfg.projections)
         total, pairs = evaluate_kd_loss(stack, dataset, cfg, targets)
         report.append(epoch, pairs, total)

@@ -34,8 +34,8 @@ def solve_fixed_point(stack, tokens, cfg: SolverConfig) -> EquilibriumSolution:
     `sublayer_asr` then carry the leading batch axis.  Sentences do not
     interact, so a batch solve equals the per-sentence solves.
 
-    The solve is `stack.sweep` without caches: block i reads only block
-    i-1, so it lands on the fixed point exactly; `stack.rate_map`
+    The solve is `stack.sweep` without caches, which lands on the fixed
+    point exactly (the `model` module docstring says why); `stack.rate_map`
     certifies it to `cfg.tol` from outside.  An unfrozen stack is
     quantized once per solve.  Raises NumericError on a non-finite rate.
     """

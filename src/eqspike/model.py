@@ -19,6 +19,16 @@ residual passes through a layer norm; the feed-forward half mirrors that
 with an intermediate neuron layer.  Student rates live in [0, 1] by
 construction.
 
+Why the rate equilibrium is one sweep: block i reads only block i-1,
+never itself or a later block, so the rate map's Jacobian in the block
+state is strictly lower triangular.  One forward pass in block order
+lands on the fixed point a* = f(a*) exactly, and one backward pass
+through that pass's caches solves the implicit-function adjoint
+v = dL/da* + (df/da)^T v exactly.  SpikingBERT (Bal & Sengupta, AAAI
+2024) trains its spiking equilibrium by implicit differentiation, with
+iterative fixed-point and adjoint solves; this architecture needs
+neither.
+
 The student also has a temporal path that simulates leaky
 integrate-and-fire neurons step by step with spike-driven quantized
 linears (inference and energy accounting); it agrees with the rate path
@@ -176,13 +186,13 @@ def _sweep(self, tokens, record: dict | None = None,
     """The block outputs of one forward pass.
 
     The one rate-path forward, shared by the student's equilibrium solve,
-    training and the teacher.  Block i reads only block i-1, so one pass in
-    block order from the input neuron lands on the fixed point of the rate
-    equations.  The input and each linear's effective weight are built
-    once.  `record`, when given, collects every neuron site's output
-    ("input" and per block); `caches`, when given, gets what `backward`
-    reads (the tokens and the input neuron's saved value, then each
-    block's cache).  Raises NumericError on a non-finite block output.
+    training and the teacher; it lands on the fixed point of the rate
+    equations (the module docstring says why).  The input and each
+    linear's effective weight are built once.  `record`, when given,
+    collects every neuron site's output ("input" and per block); `caches`,
+    when given, gets what `backward` reads (the tokens and the input
+    neuron's saved value, then each block's cache).  Raises NumericError
+    on a non-finite block output.
     """
     tokens = _token_ids(tokens, self.cfg)
     prev, saved = self.neurons["input"][0](_embed(self.params, tokens))
@@ -274,12 +284,13 @@ def _block_backward(self, i: int, g: np.ndarray, cache: tuple, grads: dict,
 def _backward(self, caches: list, g_blocks: list, grads: dict):
     """Adds the gradient of a loss into `grads`, a gradient buffer's views.
 
-    `caches` is a `sweep`'s.  `g_blocks` is the loss's gradient on each
-    block output, None where the loss does not read it; it must read the
-    last one.  Each block's backward runs in reverse order, then the input
-    neuron's, then the embeddings': rows that the tokens repeat accumulate
-    in a zero table before it is added, as each position contributes once
-    per sentence.
+    `grads` maps names to those views; only the model's own are written,
+    so it may hold a loss's other entries too.  `caches` is a `sweep`'s.
+    `g_blocks` is the loss's gradient on each block output, None where the
+    loss does not read it; it must read the last one.  Each block's
+    backward runs in reverse order, then the input neuron's, then the
+    embeddings': rows that the tokens repeat accumulate in a zero table
+    before it is added, as each position contributes once per sentence.
     """
     g = g_blocks[-1]
     for i in reversed(range(len(caches) - 1)):

@@ -98,6 +98,11 @@ def _merge(base: dict, override: dict, path="") -> dict:
     return out
 
 
+# the type of a value, other than None, of each key whose default is None
+_NONE_DEFAULT_TYPES = {("data", "path"): str, ("kd", "layer_map"): list,
+                       ("kd", "loss_weights"): list}
+
+
 def load_config(path=None, overrides: dict | None = None) -> dict:
     cfg = default_config()
     if path is not None:
@@ -111,6 +116,11 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         cfg = _merge(cfg, user)
     if overrides:
         cfg = _merge(cfg, overrides)
+    for (section, key), kind in _NONE_DEFAULT_TYPES.items():
+        val = cfg[section][key]
+        if val is not None and not isinstance(val, kind):
+            raise ConfigError(f"config key '{section}.{key}' must be "
+                              f"{kind.__name__} or null, not {val!r}")
     try:
         QuantMode(cfg["model"]["quant_mode"])
     except ValueError as exc:
@@ -173,7 +183,7 @@ def train_teacher(cfg, teacher, train_items, dev_items) -> dict:
     for _epoch in range(t["epochs"]):
         for batch in batches(train_items, t["batch_size"]):
             adam_step_many([teacher.params],
-                           batch_gradients(teacher, batch).buffers, adam)
+                           batch_gradients(teacher, batch)[1], adam)
     acc = _accuracy(lambda tokens: teacher_forward(teacher, tokens)[1],
                     dev_items)
     return {"dev_accuracy": acc}

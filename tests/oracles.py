@@ -9,7 +9,7 @@ import numpy as np
 from eqspike.autodiff import layer_norm
 from eqspike.data import batches, stack_by_length
 from eqspike.distill import KdReport, evaluate_kd_loss, kd_loss_builder
-from eqspike.implicit_grad import GradientBundle, example_gradients, training_step
+from eqspike.implicit_grad import example_gradients, training_step
 from eqspike.model import _head_axes, _token_ids, spiking_attention, teacher_forward
 from eqspike.neuron import LifConfig
 from eqspike.numerics import NumericError, ShapeError, check_finite
@@ -71,13 +71,13 @@ def uncached_distillation(stack, teacher, dataset, epochs, cfg, optimizer,
     def targets(tokens):
         return teacher_forward(teacher, tokens)[0]
 
-    builder = kd_loss_builder(cfg, targets)
+    loss = kd_loss_builder(cfg, targets)
     report = KdReport()
     for epoch in range(epochs + 1):
         if epoch:
             for start in range(0, len(dataset), batch_size):
                 training_step(stack, dataset[start:start + batch_size],
-                              optimizer, loss_builder=builder,
+                              optimizer, loss=loss,
                               extra_params=cfg.projections)
         total, pairs = evaluate_kd_loss(stack, dataset, cfg, targets)
         report.append(epoch, pairs, total)
@@ -153,31 +153,38 @@ class TensorAdam:
             p[...] = self.update(name, p, g)
 
 
-def per_name_batch_gradients(model, batch, loss_builder, extra_params):
+def example_gradient_dict(model, tokens, labels, loss, extra_params):
+    """`implicit_grad.example_gradients` into new zero buffers: the loss
+    and a dict of every trained parameter's gradient, the model's then
+    the `extra_params`' (a `FlatParams`, or empty)."""
+    owners = [model.params] + ([extra_params] if extra_params else [])
+    params = {name: a for p in owners for name, a in p.items()}
+    grads = {name: g for p in owners for name, g in p.zeros().items()}
+    return example_gradients(model, tokens, labels, loss, params, grads), grads
+
+
+def per_name_batch_gradients(model, batch, loss, extra_params):
     """`implicit_grad.batch_gradients` as a sum per name over the length
-    groups' `example_gradients`, each sum divided by the batch size."""
-    grad_sum, loss_sum, term_sum = {}, 0.0, {}
+    groups' `example_gradient_dict`s, each sum divided by the batch size:
+    (mean loss, name -> gradient)."""
+    grad_sum, loss_sum = {}, 0.0
     for tokens, labels in stack_by_length(batch):
-        bundle = example_gradients(model, tokens, labels, loss_builder,
-                                   extra_params)
-        loss_sum += bundle.loss
-        for k, val in bundle.loss_terms.items():
-            term_sum[k] = term_sum.get(k, 0.0) + val
-        for k, grad in bundle.grads.items():
+        value, grads = example_gradient_dict(model, tokens, labels, loss,
+                                             extra_params)
+        loss_sum += value
+        for k, grad in grads.items():
             grad_sum[k] = grad_sum.get(k, 0.0) + grad
     n = len(batch)
-    return GradientBundle(grads={k: g / n for k, g in grad_sum.items()},
-                          loss=loss_sum / n,
-                          loss_terms={k: v / n for k, v in term_sum.items()})
+    return loss_sum / n, {k: g / n for k, g in grad_sum.items()}
 
 
-def per_tensor_training_step(stack, batch, adam: TensorAdam, loss_builder,
-                             extra_params) -> GradientBundle:
+def per_tensor_training_step(stack, batch, adam: TensorAdam, loss,
+                             extra_params):
     """`implicit_grad.training_step` on `per_name_batch_gradients` and
-    `TensorAdam`."""
-    bundle = per_name_batch_gradients(stack, batch, loss_builder, extra_params)
-    adam.step_many({**stack.params, **extra_params}, bundle.grads)
-    return bundle
+    `TensorAdam`: (mean loss, name -> gradient)."""
+    value, grads = per_name_batch_gradients(stack, batch, loss, extra_params)
+    adam.step_many({**stack.params, **extra_params}, grads)
+    return value, grads
 
 
 # -- the step-major spike path: the reference for the windowed one --------
@@ -660,41 +667,37 @@ def taped_logits(a_final, leaves):
     return taped_linear(cls, leaves["cls.w"], leaves["cls.b"])
 
 
-def taped_ce_loss(tokens, label, a_blocks, head_leaves):
-    loss = taped_cross_entropy(taped_logits(a_blocks[-1], head_leaves), label)
-    return loss, {"ce": float(loss.data)}
+def taped_ce_loss(tokens, labels, a_blocks, leaves):
+    return taped_cross_entropy(taped_logits(a_blocks[-1], leaves), labels)
 
 
 def taped_kd_loss_builder(cfg, targets):
     """`distill.kd_loss_builder` on the tape."""
 
-    def build(tokens, label, a_blocks, head_leaves):
-        hiddens, total, per_pair = targets(tokens), None, []
+    def loss(tokens, labels, a_blocks, leaves):
+        hiddens, total = targets(tokens), None
         for i, t_idx in enumerate(cfg.layer_map):
-            term = taped_mse(as_tensor(a_blocks[i]) @ head_leaves[f"kd.proj{i}"],
+            term = taped_mse(as_tensor(a_blocks[i]) @ leaves[f"kd.proj{i}"],
                              hiddens[t_idx])
-            per_pair.append(float(term.data))
             weighted = mul(term, cfg.loss_weights[i])
             total = weighted if total is None else add(total, weighted)
-        return total, {"kd": float(total.data),
-                       **{f"kd_pair{j}": v for j, v in enumerate(per_pair)}}
+        return total
 
-    return build
+    return loss
 
 
-def taped_example_gradients(model, tokens, label, loss_builder,
-                            extra_params) -> GradientBundle:
+def taped_example_gradients(model, tokens, labels, loss, extra_params):
     """One taped forward and one backward: `example_gradients` as the tape
-    computed it.  `model` is an `EncoderStack` or a `TeacherModel`, and
-    `loss_builder` a taped one, returning (loss Tensor, float terms)."""
+    computed it, returning the loss and each reached leaf's gradient.
+    `model` is an `EncoderStack` or a `TeacherModel`, and `loss` a taped
+    one: (tokens, labels, a_blocks, leaves) -> loss Tensor, reading its
+    parameters from `leaves`, the model's and the `extra_params`'."""
     leaves = param_tensors(model)
     sweep = taped_sweep if hasattr(model, "pinned") else taped_teacher_sweep
     a_blocks = sweep(model, tokens, leaves)
-    extra = {name: Tensor(arr, requires_grad=True)
-             for name, arr in extra_params.items()}
-    head = {"cls.w": leaves["cls.w"], "cls.b": leaves["cls.b"], **extra}
-    loss, terms = loss_builder(tokens, label, a_blocks, head)
-    backward([loss], [1.0])
-    grads = {name: leaf.grad for name, leaf in {**leaves, **extra}.items()
-             if leaf.grad is not None}
-    return GradientBundle(grads=grads, loss=float(loss.data), loss_terms=terms)
+    leaves.update({name: Tensor(arr, requires_grad=True)
+                   for name, arr in extra_params.items()})
+    value = loss(tokens, labels, a_blocks, leaves)
+    backward([value], [1.0])
+    return float(value.data), {name: leaf.grad for name, leaf in leaves.items()
+                               if leaf.grad is not None}

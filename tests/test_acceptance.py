@@ -15,10 +15,12 @@ import yaml
 
 from eqspike import pipeline as pl
 from eqspike.cli import main as cli_main
+from eqspike.data import encode_corpus, synth_task
 from eqspike.equilibrium import SolverConfig, convergence_trace, solve_fixed_point
-from eqspike.implicit_grad import ce_loss, example_gradients
+from eqspike.implicit_grad import ce_loss
 from eqspike.model import EncoderStack, StackConfig
 from eqspike.quantizer import QuantMode, quantize_1bit, quantize_158bit
+from oracles import example_gradient_dict
 
 SEEDS = (0, 1, 2, 3, 4)
 
@@ -61,7 +63,7 @@ def test_implicit_gradient_correctness():
         stack = EncoderStack(cfg, np.random.default_rng(seed))
         tokens, label = np.array([2, 4, 5, 6]), 1
         scfg = SolverConfig(tol=1e-11)
-        bundle = example_gradients(stack, tokens, label, ce_loss, {})
+        _, grads = example_gradient_dict(stack, tokens, label, ce_loss, {})
         params = stack.params
 
         def loss():
@@ -70,7 +72,7 @@ def test_implicit_gradient_correctness():
             shifted = logits - logits.max()
             return -(shifted[label] - np.log(np.exp(shifted).sum()))
 
-        for name, grad in bundle.grads.items():
+        for name, grad in grads.items():
             flat_p = params[name].reshape(-1)
             flat_g = grad.reshape(-1)
             for i in range(flat_p.size):
@@ -125,27 +127,36 @@ def test_quantizer_exactness():
 @pytest.fixture(scope="module")
 def training_grid():
     """Per-seed results of the staged pipeline in all three weight modes,
-    plus the KD-disabled ablation of the ternary arm."""
+    plus the KD-disabled ablation of the ternary arm.  Each arm's selected
+    student is also scored once on a held-out set of 512 sentences that
+    neither training nor selection saw ("held_out")."""
     grid = {}
     for seed in SEEDS:
         cfg = pl.load_config(None, {"seed": seed})
         tok, train, dev, labels = pl.make_dataset(cfg)
+        held = encode_corpus(tok, synth_task(cfg["data"]["task"], 512,
+                                             seed + 2000))
         teacher = pl.build_teacher(cfg, tok, num_labels=len(labels))
         pl.train_teacher(cfg, teacher, train, dev)
-        row = {}
+        row = {"held_out": {}}
+
+        def score(arm, stack, history):
+            row[arm] = history[-1]["dev_accuracy"]
+            row["held_out"][arm] = pl.student_accuracy(
+                stack, held, pl.solver_config(cfg))
+
         for mode in ("fp", "1.58bit", "1bit"):
             stack = pl.build_student(cfg, tok, quant_mode=mode,
                                      num_labels=len(labels))
             kd_report, _ = pl.distill_student(cfg, stack, teacher, train)
-            history = pl.finetune_student(cfg, stack, train, dev)
-            row[mode] = history[-1]["dev_accuracy"]
+            score(mode, stack, pl.finetune_student(cfg, stack, train, dev))
             if mode == "1.58bit":
                 row["kd_first"] = kd_report.epochs[0][2]
                 row["kd_last"] = kd_report.epochs[-1][2]
                 ablation = pl.build_student(cfg, tok, quant_mode=mode,
                                             num_labels=len(labels))
-                hist2 = pl.finetune_student(cfg, ablation, train, dev)
-                row["no_kd"] = hist2[-1]["dev_accuracy"]
+                score("no_kd", ablation,
+                      pl.finetune_student(cfg, ablation, train, dev))
         grid[seed] = row
     return grid
 
@@ -177,12 +188,18 @@ def test_quantization_ordering(training_grid):
     threshold = 0.85
     assert median >= threshold, (
         f"median ternary dev accuracy {median:.3f} below {threshold}")
+
+    def held_out(row):
+        return "/".join(f"{row['held_out'][arm]:.3f}"
+                        for arm in ("fp", "1.58bit", "1bit", "no_kd"))
+
     per_seed = "; ".join(
         f"seed {seed} {row['fp']:.3f}/{row['1.58bit']:.3f}/{row['1bit']:.3f}"
-        for seed, row in training_grid.items())
+        f" (held-out {held_out(row)})" for seed, row in training_grid.items())
     report(f"quantization ordering: full >= ternary >= binary on {ordered}/5 "
            f"seeds; median ternary dev accuracy {median:.3f} >= {threshold}; "
-           f"dev accuracy fp/1.58-bit/1-bit: {per_seed}")
+           f"dev accuracy fp/1.58-bit/1-bit (held-out fp/1.58-bit/1-bit/no-KD):"
+           f" {per_seed}")
 
 
 # -- 6. spike-weighted operation and energy accounting ------------------

@@ -104,12 +104,15 @@ def test_missing_checkpoint_is_io_error(workdir):
                                   "train: {adam_beta2: 0.999}\n",
                                   "energy: {float_acc_pj: 0.9}\n",
                                   "energy: {int_acc_pj: 0.1}\n",
-                                  "seed: x\n", "data: {train_size: 3.0}\n"],
+                                  "seed: x\n", "data: {train_size: 3.0}\n",
+                                  "data: {path: 3}\n", "kd: {layer_map: 3}\n",
+                                  "kd: {loss_weights: 3}\n"],
                          ids=["nonsense", "solver.damping", "vjp.max_terms",
                               "solver.max_iters", "train.adam_beta1",
                               "train.adam_beta2", "energy.float_acc_pj",
                               "energy.int_acc_pj", "seed",
-                              "data.train_size"])
+                              "data.train_size", "data.path", "kd.layer_map",
+                              "kd.loss_weights"])
 def test_bad_config_key_is_config_error(workdir, capsys, text):
     root, _ = workdir
     bad = root / "bad.yaml"

@@ -11,23 +11,29 @@ from eqspike import implicit_grad, numerics
 from eqspike import pipeline as pl
 from eqspike.distill import KdConfig, kd_loss_builder, mse, teacher_targets
 from eqspike.equilibrium import SolverConfig, solve_fixed_point
-from eqspike.implicit_grad import (batch_gradients, ce_loss, example_gradients,
-                                   training_step)
+from eqspike.implicit_grad import batch_gradients, ce_loss, training_step
 from eqspike.autodiff import cross_entropy, linear, linear_backward
 from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
 from eqspike.numerics import AdamState, FlatParams, NumericError
 from eqspike.quantizer import QuantMode
-from oracles import (TensorAdam, dense_adjoint_solve,
+from oracles import (TensorAdam, dense_adjoint_solve, example_gradient_dict,
                      inline_teacher_gradients, inline_teacher_training,
                      per_tensor_training_step, taped_ce_loss,
                      taped_example_gradients, taped_kd_loss_builder)
 
 
-def small_stack(seed=0, mode=QuantMode.FULL_PRECISION, num_layers=2, v_th=1.0):
+def small_stack(seed=0, mode=QuantMode.FULL_PRECISION, num_layers=2, v_th=1.0,
+                num_labels=2):
     cfg = StackConfig(vocab_size=11, hidden_dim=8, intermediate_dim=12,
                       num_heads=2, num_layers=num_layers, max_len=6,
-                      num_labels=2, quant_mode=mode, v_th=v_th)
+                      num_labels=num_labels, quant_mode=mode, v_th=v_th)
     return EncoderStack(cfg, np.random.default_rng(seed))
+
+
+def by_name(buffers):
+    """name -> gradient over `batch_gradients`' or `training_step`'s
+    buffers."""
+    return {name: g for buf in buffers for name, g in buf.items()}
 
 
 def oracle_gradients(stack, tokens, label, taped_builder, extra_params):
@@ -43,7 +49,7 @@ def oracle_gradients(stack, tokens, label, taped_builder, extra_params):
             "cls.b": tp.Tensor(stack.cls_b, requires_grad=True),
             **{k: tp.Tensor(v, requires_grad=True)
                for k, v in extra_params.items()}}
-    loss, _ = taped_builder(tokens, label, a_leaves, head)
+    loss = taped_builder(tokens, label, a_leaves, head)
     tp.backward([loss], [1.0])
     g = [np.zeros_like(a.data) if a.grad is None else a.grad.copy()
          for a in a_leaves]
@@ -96,14 +102,14 @@ def test_example_gradients_match_dense_adjoint_oracle(mode, kind):
     builder, taped, extra = (ce_loss, taped_ce_loss, {}) if kind == "ce" \
         else kd_builders(stack)
     tokens, label = np.array([2, 4, 5]), 1
-    bundle = example_gradients(stack, tokens, label, builder, extra)
+    value, grads = example_gradient_dict(stack, tokens, label, builder, extra)
     want, loss = oracle_gradients(stack, tokens, label, taped, extra)
-    assert bundle.loss == loss
-    assert set(bundle.grads) == set(want) | {"cls.w", "cls.b"}
-    for name in set(bundle.grads) - set(want):  # unreached by the KD loss
-        assert not bundle.grads[name].any(), name
+    assert value == loss
+    assert set(grads) == set(want) | {"cls.w", "cls.b"}
+    for name in set(grads) - set(want):  # unreached by the KD loss
+        assert not grads[name].any(), name
     for name, grad in want.items():
-        np.testing.assert_allclose(bundle.grads[name], grad, rtol=0, atol=1e-10,
+        np.testing.assert_allclose(grads[name], grad, rtol=0, atol=1e-10,
                                    err_msg=name)
 
 
@@ -119,6 +125,7 @@ CLOSED_FORM_CASES = {
     # term: five consumers, summed in the tape's order
     "student-kd-L3": dict(kind="kd", num_layers=3, v_th=0.8,
                           loss_weights=[0.5, 2.0, 1.25]),
+    "student-ce-3-labels": dict(kind="ce", num_labels=3),
 }
 
 
@@ -134,16 +141,19 @@ def test_closed_form_gradients_equal_taped_oracle_bitwise(mode, case):
         builder, taped, extra = kd_builders(stack, loss_weights)
     rng = np.random.default_rng(15)
     for tokens, labels in ((rng.integers(0, 11, size=(5, 6)),
-                            rng.integers(0, 2, size=5)), (np.array([2, 4, 5]), 1)):
-        got = example_gradients(stack, tokens, labels, builder, extra)
-        want = taped_example_gradients(stack, tokens, labels, taped, extra)
-        assert got.loss == want.loss and got.loss_terms == want.loss_terms
-        assert got.grads.keys() == want.grads.keys() | {"cls.w", "cls.b"}
-        assert ("cls.w" in want.grads) == (kind == "ce")
-        for name in got.grads.keys() - want.grads.keys():  # KD: the head
-            assert not got.grads[name].any(), name
-        for name, grad in want.grads.items():
-            np.testing.assert_array_equal(got.grads[name], grad, err_msg=name)
+                            rng.integers(0, stack.cfg.num_labels, size=5)),
+                           (np.array([2, 4, 5]), 1)):
+        got_loss, got = example_gradient_dict(stack, tokens, labels, builder,
+                                              extra)
+        want_loss, want = taped_example_gradients(stack, tokens, labels, taped,
+                                                  extra)
+        assert got_loss == want_loss
+        assert got.keys() == want.keys() | {"cls.w", "cls.b"}
+        assert ("cls.w" in want) == (kind == "ce")
+        for name in got.keys() - want.keys():  # KD: the head
+            assert not got[name].any(), name
+        for name, grad in want.items():
+            np.testing.assert_array_equal(got[name], grad, err_msg=name)
 
 
 def test_closed_form_teacher_gradients_equal_taped_oracle_bitwise():
@@ -153,11 +163,12 @@ def test_closed_form_teacher_gradients_equal_taped_oracle_bitwise():
                            np.random.default_rng(16))
     rng = np.random.default_rng(17)
     tokens, labels = rng.integers(0, 11, size=(5, 6)), rng.integers(0, 2, size=5)
-    got = example_gradients(teacher, tokens, labels, ce_loss, {})
-    want = taped_example_gradients(teacher, tokens, labels, taped_ce_loss, {})
-    assert got.loss == want.loss and got.grads.keys() == want.grads.keys()
-    for name, grad in want.grads.items():
-        np.testing.assert_array_equal(got.grads[name], grad, err_msg=name)
+    got_loss, got = example_gradient_dict(teacher, tokens, labels, ce_loss, {})
+    want_loss, want = taped_example_gradients(teacher, tokens, labels,
+                                              taped_ce_loss, {})
+    assert got_loss == want_loss and got.keys() == want.keys()
+    for name, grad in want.items():
+        np.testing.assert_array_equal(got[name], grad, err_msg=name)
 
 
 def test_example_gradients_match_finite_differences():
@@ -167,7 +178,7 @@ def test_example_gradients_match_finite_differences():
     tokens = np.array([2, 4, 5])
     label = 1
     scfg = SolverConfig(tol=1e-11)
-    bundle = example_gradients(stack, tokens, label, ce_loss, {})
+    _, grads = example_gradient_dict(stack, tokens, label, ce_loss, {})
 
     def loss_at(name, idx, value):
         params = stack.params
@@ -183,7 +194,7 @@ def test_example_gradients_match_finite_differences():
     rng = np.random.default_rng(0)
     h = 1e-4
     for name in ("blk0.q.w", "blk1.ff2.w", "cls.w", "tok_emb"):
-        flat = bundle.grads[name].reshape(-1)
+        flat = grads[name].reshape(-1)
         for idx in rng.choice(flat.size, size=3, replace=False):
             x0 = stack.params[name].reshape(-1)[idx]
             fd = (loss_at(name, idx, x0 + h) - loss_at(name, idx, x0 - h)) / (2 * h)
@@ -195,32 +206,33 @@ def test_training_step_reduces_loss():
     stack = small_stack(seed=5)
     batch = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7]), 1)]
     adam = AdamState(lr=5e-3)
-    first = training_step(stack, batch, adam)
+    first, _ = training_step(stack, batch, adam)
     for _ in range(20):
-        last = training_step(stack, batch, adam)
-    assert last.loss < first.loss
+        last, _ = training_step(stack, batch, adam)
+    assert last < first
 
 
 def test_training_step_supports_extra_params():
     stack = small_stack(seed=6)
     proj = FlatParams({"proj": np.zeros((2, 2))})
 
-    def builder(tokens, label, a_blocks, head):
+    def loss(tokens, labels, a_blocks, params, grads):
         # cross-entropy of the classifier's logits times a trained matrix
         final = a_blocks[-1]
-        logits = linear(final[..., 0, :], head["cls.w"], head["cls.b"])
-        loss, g = cross_entropy(logits @ head["proj"], label)  # (1, C)
-        g_proj = logits.T @ g
-        g_cls, g_w, g_b = linear_backward(g @ head["proj"].T,
-                                          final[..., 0, :], head["cls.w"])
+        logits = linear(final[..., 0, :], params["cls.w"], params["cls.b"])
+        value, g = cross_entropy(logits @ params["proj"], labels)  # (1, C)
+        grads["proj"] += logits.T @ g
+        g_cls, g_w, g_b = linear_backward(g @ params["proj"].T,
+                                          final[..., 0, :], params["cls.w"])
+        grads["cls.w"] += g_w
+        grads["cls.b"] += g_b
         g_final = np.zeros_like(final)
         g_final[..., 0, :] = g_cls
-        return loss, {}, [None, g_final], {"cls.w": g_w, "cls.b": g_b,
-                                           "proj": g_proj}
+        return value, [None, g_final]
 
     adam = AdamState(lr=1e-2)
     before = proj["proj"].copy()
-    training_step(stack, [(np.array([2, 4]), 1)], adam, loss_builder=builder,
+    training_step(stack, [(np.array([2, 4]), 1)], adam, loss=loss,
                   extra_params=proj)
     assert not np.array_equal(proj["proj"], before)
 
@@ -260,13 +272,14 @@ def test_training_step_equals_per_tensor_oracle_bitwise(kind):
              (np.array([3, 9, 1]), 1), (np.array([4, 4, 6, 2]), 0)]
     adam, oracle = AdamState(lr=1e-2), TensorAdam(lr=1e-2)
     for _ in range(3):
-        step = training_step(got, batch, adam, builder, extra)
-        ref = per_tensor_training_step(want, batch, oracle, oracle_builder,
-                                       oracle_extra)
-        assert step.loss == ref.loss and step.loss_terms == ref.loss_terms
-        assert step.grads.keys() == ref.grads.keys()
-        for name, grad in ref.grads.items():
-            np.testing.assert_array_equal(step.grads[name], grad, err_msg=name)
+        step_loss, buffers = training_step(got, batch, adam, builder, extra)
+        ref_loss, ref = per_tensor_training_step(want, batch, oracle,
+                                                 oracle_builder, oracle_extra)
+        step = by_name(buffers)
+        assert step_loss == ref_loss
+        assert step.keys() == ref.keys()
+        for name, grad in ref.items():
+            np.testing.assert_array_equal(step[name], grad, err_msg=name)
     for name, value in {**want.params, **oracle_extra}.items():
         np.testing.assert_array_equal({**got.params, **extra}[name], value,
                                       err_msg=name)
@@ -279,9 +292,10 @@ def test_training_step_equals_per_tensor_oracle_bitwise(kind):
 
 def test_quantized_gradients_flow_to_latent_weights():
     stack = small_stack(seed=8, mode=QuantMode.TERNARY_158BIT)
-    bundle = training_step(stack, [(np.array([2, 4, 5]), 1)], AdamState())
-    assert "blk0.ff1.w" in bundle.grads
-    assert np.any(bundle.grads["blk0.ff1.w"] != 0.0)
+    grads = by_name(training_step(stack, [(np.array([2, 4, 5]), 1)],
+                                  AdamState())[1])
+    assert "blk0.ff1.w" in grads
+    assert np.any(grads["blk0.ff1.w"] != 0.0)
 
 
 @pytest.mark.parametrize("mode", list(QuantMode), ids=lambda m: m.value)
@@ -291,16 +305,13 @@ def test_batch_gradients_equal_sum_of_example_gradients(mode, kind):
     builder, extra = (ce_loss, {}) if kind == "ce" else kd_builder(stack)
     rng = np.random.default_rng(11)
     tokens, labels = rng.integers(0, 11, size=(8, 5)), rng.integers(0, 2, size=8)
-    batch = example_gradients(stack, tokens, labels, builder, extra)
-    rows = [example_gradients(stack, t, int(lab), builder, extra)
+    loss, grads = example_gradient_dict(stack, tokens, labels, builder, extra)
+    rows = [example_gradient_dict(stack, t, int(lab), builder, extra)
             for t, lab in zip(tokens, labels)]
-    assert batch.loss == pytest.approx(sum(r.loss for r in rows), rel=1e-12)
-    for term, val in batch.loss_terms.items():
-        assert val == pytest.approx(sum(r.loss_terms[term] for r in rows),
-                                    rel=1e-12), term
-    assert set(batch.grads) == set(rows[0].grads)
-    for name, grad in batch.grads.items():
-        np.testing.assert_allclose(grad, sum(r.grads[name] for r in rows),
+    assert loss == pytest.approx(sum(value for value, _ in rows), rel=1e-12)
+    assert set(grads) == set(rows[0][1])
+    for name, grad in grads.items():
+        np.testing.assert_allclose(grad, sum(g[name] for _, g in rows),
                                    rtol=1e-9, atol=1e-12, err_msg=name)
 
 
@@ -309,11 +320,13 @@ def test_training_step_on_mixed_lengths_equals_per_example_average():
     batch = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7, 8]), 1),
              (np.array([3, 9, 1]), 1), (np.array([2, 5]), 0),
              (np.array([4, 4, 6, 2]), 0)]
-    rows = [example_gradients(stack, t, lab, ce_loss, {}) for t, lab in batch]
-    step = training_step(stack, batch, AdamState())
-    assert step.loss == pytest.approx(np.mean([r.loss for r in rows]), rel=1e-12)
-    for name, grad in step.grads.items():
-        want = sum(r.grads[name] for r in rows) / len(batch)
+    rows = [example_gradient_dict(stack, t, lab, ce_loss, {})
+            for t, lab in batch]
+    loss, buffers = training_step(stack, batch, AdamState())
+    assert loss == pytest.approx(np.mean([value for value, _ in rows]),
+                                 rel=1e-12)
+    for name, grad in by_name(buffers).items():
+        want = sum(g[name] for _, g in rows) / len(batch)
         np.testing.assert_allclose(grad, want, rtol=1e-9, atol=1e-12,
                                    err_msg=name)
 
@@ -344,7 +357,7 @@ def test_teacher_batch_gradients_match_inline_tape_loop_at_batch_12():
     _cfg, teacher, train, _dev = small_teacher_run(12)
     # two length groups, so the inline loop also adds losses on its tape
     batch = train[:6] + [(tokens[:5], label) for tokens, label in train[6:12]]
-    got = batch_gradients(teacher, batch).grads
+    got = by_name(batch_gradients(teacher, batch)[1])
     want = inline_teacher_gradients(teacher, batch)
     assert set(got) == set(want)
     for name, grad in want.items():

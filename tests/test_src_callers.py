@@ -1,11 +1,13 @@
-"""Every public name of the package has a caller outside the tests.
+"""Every public name of the package has a caller outside the tests, and
+every field of a public dataclass a reader.
 
-A function, class or method that only tests reach does not belong in the
-package.  Callers are the package's own modules and the benchmark's
-(`eqbench/`, its tests excepted).
+A function, class, method or field that only tests reach does not belong
+in the package.  Callers are the package's own modules and the
+benchmark's (`eqbench/`, its tests excepted).
 """
 
 import ast
+import dataclasses
 import importlib
 import inspect
 from collections import defaultdict
@@ -84,3 +86,17 @@ def test_every_public_name_has_a_src_caller():
         # its name counts
         uncalled += [f"{module}.{name}.{m}" for m in methods if m not in attrs]
     assert uncalled == []
+
+
+def test_every_public_dataclass_field_is_read_outside_the_tests():
+    reads = {node.attr for path in CALLERS
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.ctx, ast.Load)}
+    unread = []
+    for module, name, _methods in _public_names():
+        obj = getattr(importlib.import_module(f"eqspike.{module}"), name)
+        if dataclasses.is_dataclass(obj):
+            unread += [f"{module}.{name}.{f.name}"
+                       for f in dataclasses.fields(obj) if f.name not in reads]
+    assert unread == []
