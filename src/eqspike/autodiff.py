@@ -10,7 +10,7 @@ that maps the gradient on its output to the gradients on its inputs:
 * `clip01` / `clip01_backward`, the spiking-rate surrogate
   clip(a / v_th, 0, 1) with its threshold folded in;
 * `layer_norm` / `layer_norm_backward`;
-* `gelu` / `gelu_backward`, the teacher's activation;
+* `gelu` / `gelu_backward`, the teacher's activation, on a numpy `erf`;
 * `cross_entropy`, which returns the loss and its gradient on the logits.
 
 `model.spiking_attention` / `model.attention_backward` is the fifth pair.
@@ -114,12 +114,44 @@ def layer_norm_backward(g, saved, gain):
     return gx, np.add.reduce(t, axis=lead), np.add.reduce(g, axis=lead)
 
 
+# Cephes' ndtr.c (S. L. Moshier), highest power first; U and Q are monic
+_ERF_T = (9.604973739870516, 90.02601972038427, 2232.005345946843,
+          7003.325141128051, 55592.30130103949)
+_ERF_U = (1.0, 33.56171416475031, 521.3579497801527, 4594.323829709801,
+          22629.000061389095, 49267.39426086359)
+_ERF_P = (2.461969814735305e-10, 0.5641895648310689, 7.463210564422699,
+          48.63719709856814, 196.5208329560771, 526.4451949954773,
+          934.5285271719576, 1027.5518868951572, 557.5353353693994)
+_ERF_Q = (1.0, 13.228195115474499, 86.70721408859897, 354.9377788878199,
+          975.7085017432055, 1823.9091668790973, 2246.3376081871097,
+          1656.6630919416134, 557.5353408177277)
+
+
+def _polevl(x, coefs):
+    """Horner's rule in Cephes' `polevl` order."""
+    out = x * coefs[0] + coefs[1]
+    for c in coefs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def erf(x):
+    """Elementwise erf as Cephes': x T(x^2) / U(x^2) up to |x| = 1, then
+    1 - exp(-x^2) P(|x|) / Q(|x|) on those entries only; signed as x."""
+    ax = np.abs(x)
+    small = np.minimum(ax, 1.0)  # so that +-inf takes no inf / inf
+    z = small * small
+    out = small * _polevl(z, _ERF_T)
+    out /= _polevl(z, _ERF_U)
+    big = ax > 1.0
+    a = np.minimum(ax[big], 8.0)  # from 8 on, erf rounds to 1
+    out[big] = 1.0 - np.exp(-a * a) * _polevl(a, _ERF_P) / _polevl(a, _ERF_Q)
+    return np.copysign(out, x, out=out)
+
+
 def gelu(a):
     """0.5 a (1 + erf(a / sqrt 2)), and the intermediates its backward reads."""
-    # imported here: scipy.special adds about 25 MB and 0.2 s to a process,
-    # and only the teacher's gelu needs it
-    from scipy.special import erf
-
     s = a * (1.0 / math.sqrt(2.0))
     half, t = a * 0.5, erf(s) + 1.0
     return half * t, (s, half, t)

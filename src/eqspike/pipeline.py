@@ -98,9 +98,12 @@ def _merge(base: dict, override: dict, path="") -> dict:
     return out
 
 
-# the type of a value, other than None, of each key whose default is None
-_NONE_DEFAULT_TYPES = {("data", "path"): str, ("kd", "layer_map"): list,
-                       ("kd", "loss_weights"): list}
+_NONE_DEFAULT_TYPES = {  # per key whose default is None: what else it takes
+    ("data", "path"): ("a non-empty str", lambda v: isinstance(v, str) and v),
+    ("kd", "layer_map"): ("a list of ints", lambda v: isinstance(
+        v, list) and all(_fits(0, x) for x in v)),
+    ("kd", "loss_weights"): ("a list of numbers", lambda v: isinstance(
+        v, list) and all(_fits(0.0, x) for x in v))}
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
@@ -116,11 +119,11 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         cfg = _merge(cfg, user)
     if overrides:
         cfg = _merge(cfg, overrides)
-    for (section, key), kind in _NONE_DEFAULT_TYPES.items():
+    for (section, key), (what, fits) in _NONE_DEFAULT_TYPES.items():
         val = cfg[section][key]
-        if val is not None and not isinstance(val, kind):
-            raise ConfigError(f"config key '{section}.{key}' must be "
-                              f"{kind.__name__} or null, not {val!r}")
+        if val is not None and not fits(val):
+            raise ConfigError(f"config key '{section}.{key}' must be {what} "
+                              f"or null, not {val!r}")
     try:
         QuantMode(cfg["model"]["quant_mode"])
     except ValueError as exc:

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from eqspike.autodiff import layer_norm
+from eqspike.autodiff import erf as _erf, layer_norm
 from eqspike.data import batches, stack_by_length
 from eqspike.distill import KdReport, evaluate_kd_loss, kd_loss_builder
 from eqspike.implicit_grad import example_gradients, training_step
@@ -425,8 +425,6 @@ def log(a):
 
 
 def erf(a):
-    from scipy.special import erf as _erf
-
     a = as_tensor(a)
     return _make(_erf(a.data), (a,), lambda g: (
         g * (2.0 / math.sqrt(math.pi)) * np.exp(-a.data ** 2),))

@@ -2,6 +2,8 @@
 reference in `oracles` (which the closed-form gradients are checked
 against bitwise) against finite differences too."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,43 @@ def test_gelu_equals_taped_reference_bitwise():
     tp.backward([taped], [g])
     np.testing.assert_array_equal(out, taped.data)
     np.testing.assert_array_equal(ad.gelu_backward(g, saved), leaf.grad)
+
+
+def _erf_inputs():
+    """A dense grid over [-10, 10], and each branch edge of `ad.erf` (1 and
+    8 with their float neighbours), zeros, subnormals and infinities."""
+    edges = [0.0, 1.0, 8.0, 5e-324, 1e-310, 2.2e-308, np.inf]
+    edges += [np.nextafter(e, d) for e in (1.0, 8.0) for d in (0.0, np.inf)]
+    pos = np.concatenate([np.linspace(0.0, 10.0, 200_001), edges])
+    return np.concatenate([pos, -pos])
+
+
+def _ulps(got, want):
+    """|got - want| in units of the last place of `want`."""
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_erf_within_4_ulp_of_math_erf():
+    # both are accurate to about 2 ulp; the largest gap seen is 3
+    x = _erf_inputs()
+    want = np.array([math.erf(v) for v in x])
+    assert _ulps(ad.erf(x), want).max() <= 4
+
+
+def test_erf_within_1_ulp_of_scipy():
+    special = pytest.importorskip("scipy.special")
+    x = _erf_inputs()
+    assert _ulps(ad.erf(x), special.erf(x)).max() <= 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_erf_is_odd_and_keeps_its_edge_values():
+    x = _erf_inputs()  # every input next to its negation, so odd bitwise
+    np.testing.assert_array_equal(ad.erf(-x).view(np.int64),
+                                  (-ad.erf(x)).view(np.int64))
+    assert np.signbit(ad.erf(np.array([-0.0]))[0])
+    np.testing.assert_array_equal(ad.erf(np.array([np.inf, -np.inf, np.nan])),
+                                  [1.0, -1.0, np.nan])
 
 
 def composite_layer_norm(x, gain, bias, eps=1e-5):

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -97,29 +99,36 @@ def test_missing_checkpoint_is_io_error(workdir):
     assert rc == 4
 
 
-@pytest.mark.parametrize("text", ["nonsense: 1\n", "solver: {damping: 0.5}\n",
-                                  "vjp: {max_terms: 5}\n",
-                                  "solver: {max_iters: 500}\n",
-                                  "train: {adam_beta1: 0.9}\n",
-                                  "train: {adam_beta2: 0.999}\n",
-                                  "energy: {float_acc_pj: 0.9}\n",
-                                  "energy: {int_acc_pj: 0.1}\n",
-                                  "seed: x\n", "data: {train_size: 3.0}\n",
-                                  "data: {path: 3}\n", "kd: {layer_map: 3}\n",
-                                  "kd: {loss_weights: 3}\n"],
-                         ids=["nonsense", "solver.damping", "vjp.max_terms",
-                              "solver.max_iters", "train.adam_beta1",
-                              "train.adam_beta2", "energy.float_acc_pj",
-                              "energy.int_acc_pj", "seed",
-                              "data.train_size", "data.path", "kd.layer_map",
-                              "kd.loss_weights"])
-def test_bad_config_key_is_config_error(workdir, capsys, text):
+@pytest.mark.parametrize("key, text", [
+    ("nonsense", "nonsense: 1\n"),
+    ("solver.damping", "solver: {damping: 0.5}\n"),
+    ("vjp", "vjp: {max_terms: 5}\n"),
+    ("solver.max_iters", "solver: {max_iters: 500}\n"),
+    ("train.adam_beta1", "train: {adam_beta1: 0.9}\n"),
+    ("train.adam_beta2", "train: {adam_beta2: 0.999}\n"),
+    ("energy.float_acc_pj", "energy: {float_acc_pj: 0.9}\n"),
+    ("energy.int_acc_pj", "energy: {int_acc_pj: 0.1}\n"),
+    ("seed", "seed: x\n"), ("data.train_size", "data: {train_size: 3.0}\n"),
+    ("data.path", "data: {path: 3}\n"), ("data.path", "data: {path: ''}\n"),
+    ("kd.layer_map", "kd: {layer_map: 3}\n"),
+    ("kd.layer_map", "kd: {layer_map: [true, 1]}\n"),
+    ("kd.loss_weights", "kd: {loss_weights: 3}\n"),
+    ("kd.loss_weights", "kd: {loss_weights: [a, 1]}\n"),
+    ("kd.loss_weights", "kd: {loss_weights: [true, 1]}\n")],
+    ids=["nonsense", "solver.damping", "vjp.max_terms", "solver.max_iters",
+         "train.adam_beta1", "train.adam_beta2", "energy.float_acc_pj",
+         "energy.int_acc_pj", "seed", "data.train_size", "data.path",
+         "data.path-empty", "kd.layer_map", "kd.layer_map-bool-entry",
+         "kd.loss_weights", "kd.loss_weights-str-entry",
+         "kd.loss_weights-bool-entry"])
+def test_bad_config_key_is_config_error(workdir, capsys, key, text):
     root, _ = workdir
     bad = root / "bad.yaml"
     bad.write_text(text)
     rc = main(["train-teacher", "--config", str(bad), "--out", str(root / "y")])
     assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and f"'{key}'" in err
 
 
 @pytest.mark.parametrize("shape", [{"num_heads": 0}, {"hidden_dim": 0},
@@ -318,6 +327,27 @@ def test_train_teacher_rerun_is_byte_identical(workdir):
         assert main(["train-teacher", "--config", cfg, "--out", out]) == 0
     for name in ("teacher.json", "teacher_metrics.json"):
         assert open(f"{a}/{name}", "rb").read() == open(f"{b}/{name}", "rb").read()
+
+
+def test_teacher_trains_with_scipy_unimportable(workdir):
+    """The teacher's GELU runs on numpy alone: a process in which scipy
+    cannot be imported trains the same teacher, byte for byte."""
+    root, cfg = workdir
+    here, alone = str(root / "scipy_here"), str(root / "scipy_none")
+    assert main(["train-teacher", "--config", cfg, "--out", here]) == 0
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from eqspike.cli import main; "
+            f"sys.exit(main(['train-teacher', '--config', {cfg!r}, "
+            f"'--out', {alone!r}]))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pl.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    for name in ("teacher.json", "teacher_metrics.json"):
+        assert open(f"{here}/{name}", "rb").read() == \
+            open(f"{alone}/{name}", "rb").read()
 
 
 def test_simulate_and_energy_rerun_byte_identical(workdir, artifacts):
