@@ -15,7 +15,6 @@ import sys
 from . import pipeline as pl
 from .checkpoint import (CheckpointError, load_student, load_teacher,
                          save_student, save_teacher, write_json)
-from .equilibrium import write_trace_csv
 from .numerics import NumericError
 from .pipeline import ConfigError
 from .quantizer import QuantMode
@@ -52,6 +51,13 @@ def _load_cfg(args) -> dict:
 
 def _out(cfg, name):
     return os.path.join(cfg["out_dir"], name)
+
+
+def write_trace_csv(path, rows):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("step,layer_name,mean_asr,residual\n")
+        for step, layer, mean_asr, resid in rows:
+            fh.write(f"{step},{layer},{mean_asr:.12g},{resid:.12g}\n")
 
 
 def cmd_train_teacher(args):
@@ -133,7 +139,7 @@ def cmd_eval(args):
     cfg = _load_cfg(args)
     _tok, _train, dev_items, _labels = pl.make_dataset(cfg)
     stack, stage = load_student(args.student)
-    acc = pl.student_accuracy(stack, dev_items, pl.solver_config(cfg))
+    acc = pl.student_accuracy(stack, dev_items)
     write_json(_out(cfg, "eval_metrics.json"), {"dev_accuracy": acc, "stage": stage})
     print(f"dev accuracy {acc:.3f}")
     return EXIT_OK

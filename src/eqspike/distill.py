@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import batches, stack_by_length
-from .equilibrium import SolverConfig, solve_fixed_point
+from .equilibrium import solve_fixed_point
 from .implicit_grad import training_step
 from .model import TeacherModel, teacher_forward
 from .numerics import AdamState, FlatParams
@@ -33,39 +33,36 @@ def default_layer_map(num_student: int, num_teacher: int) -> list[int]:
 @dataclass
 class KdConfig:
     layer_map: list[int]
-    projections: dict = field(default_factory=dict)  # "kd.proj{i}" -> (ds, dt)
-    loss_weights: list[float] = None
-
-    def __post_init__(self):
-        if not all(isinstance(t, (int, np.integer)) and t >= 0
-                   for t in self.layer_map):
-            raise KdConfigError("layer map entries must be teacher block indices")
-        if any(b > a for a, b in zip(self.layer_map[1:], self.layer_map[:-1])):
-            raise KdConfigError("layer map must be nondecreasing")
-        if self.loss_weights is None:
-            self.loss_weights = [1.0] * len(self.layer_map)
-        if len(self.loss_weights) != len(self.layer_map):
-            raise KdConfigError("one loss weight per mapped pair required")
-        weights = np.asarray(self.loss_weights, dtype=np.float64)
-        if not np.all(np.isfinite(weights) & (weights >= 0)):
-            raise KdConfigError("loss weights must be finite and >= 0")
+    projections: FlatParams  # "kd.proj{i}" -> (ds, dt)
+    loss_weights: list[float]
 
     @classmethod
     def build(cls, student_dim: int, teacher_dim: int, num_student: int,
               num_teacher: int, rng: np.random.Generator,
               layer_map: list[int] | None = None,
               loss_weights: list[float] | None = None) -> "KdConfig":
-        layer_map = layer_map if layer_map is not None else \
-            default_layer_map(num_student, num_teacher)
+        """The one builder: checks the map (default `default_layer_map`)
+        and weights (default 1), then draws a projection per student block."""
+        if layer_map is None:
+            layer_map = default_layer_map(num_student, num_teacher)
         if len(layer_map) != num_student:
             raise KdConfigError("one layer map entry per student block required")
-        cfg = cls(layer_map=layer_map, loss_weights=loss_weights)
-        if any(t >= num_teacher for t in layer_map):
+        if not all(isinstance(t, (int, np.integer)) and 0 <= t < num_teacher
+                   for t in layer_map):
             raise KdConfigError("layer map entries must be teacher block indices")
-        cfg.projections = FlatParams({
+        if any(b > a for a, b in zip(layer_map[1:], layer_map[:-1])):
+            raise KdConfigError("layer map must be nondecreasing")
+        if loss_weights is None:
+            loss_weights = [1.0] * num_student
+        if len(loss_weights) != num_student:
+            raise KdConfigError("one loss weight per mapped pair required")
+        weights = np.asarray(loss_weights, dtype=np.float64)
+        if not np.all(np.isfinite(weights) & (weights >= 0)):
+            raise KdConfigError("loss weights must be finite and >= 0")
+        projections = FlatParams({
             f"kd.proj{i}": _init_projection(student_dim, teacher_dim, rng)
             for i in range(num_student)})
-        return cfg
+        return cls(layer_map, projections, loss_weights)
 
 
 def _init_projection(ds: int, dt: int, rng: np.random.Generator) -> np.ndarray:
@@ -99,16 +96,8 @@ def kd_loss(student_asrs: list, teacher_hiddens: list, cfg: KdConfig):
     then the sum over the batch of per-example MSE means.  Returns the
     total, the per-pair terms, and the total's gradient on each projected
     student block (the projection's input gradient and its own are
-    `project_backward`'s).  Raises KdConfigError unless there is one
-    projection per mapped block.
+    `project_backward`'s).
     """
-    if len(cfg.layer_map) != len(student_asrs):
-        raise KdConfigError("every student block needs a teacher mapping")
-    missing = [f"kd.proj{i}" for i in range(len(cfg.layer_map))
-               if f"kd.proj{i}" not in cfg.projections]
-    if missing:
-        raise KdConfigError(f"KD projections {', '.join(missing)} are "
-                            "missing; KdConfig.build makes them")
     total, per_pair, g_proj = 0.0, [], []
     for i, (t_idx, weight) in enumerate(zip(cfg.layer_map, cfg.loss_weights)):
         term, g = mse(student_asrs[i] @ cfg.projections[f"kd.proj{i}"],
@@ -186,7 +175,7 @@ def evaluate_kd_loss(stack, dataset, cfg: KdConfig,
     total = 0.0
     pair_sum = None
     for tokens, _labels in stack_by_length(dataset):
-        sol = solve_fixed_point(stack, tokens, SolverConfig())
+        sol = solve_fixed_point(stack, tokens)
         t, per_pair, _ = kd_loss(sol.asr_star, targets(tokens), cfg)
         total += t
         pair_sum = per_pair if pair_sum is None else \

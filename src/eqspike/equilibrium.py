@@ -1,16 +1,14 @@
-"""Fixed-point solving of the stack's rate equations and convergence traces."""
+"""Fixed-point solving of the stack's rate equations."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class SolverConfig:
     # the bound on max|rate_map(a*) - a*| that certifies a solution a*
-    tol: float = 1e-6
+    tol: float = 1e-8
 
     def __post_init__(self):
         if not self.tol > 0:  # rejects NaN too
@@ -26,7 +24,7 @@ class EquilibriumSolution:
     converged = True
 
 
-def solve_fixed_point(stack, tokens, cfg: SolverConfig) -> EquilibriumSolution:
+def solve_fixed_point(stack, tokens, cfg=None) -> EquilibriumSolution:
     """Solve the stack's steady-state rate equations in one forward sweep.
 
     `tokens` is one sentence (seq,) or a stacked batch (B, seq) of
@@ -36,31 +34,11 @@ def solve_fixed_point(stack, tokens, cfg: SolverConfig) -> EquilibriumSolution:
 
     The solve is `stack.sweep` without caches, which lands on the fixed
     point exactly (the `model` module docstring says why); `stack.rate_map`
-    certifies it to `cfg.tol` from outside.  An unfrozen stack is
-    quantized once per solve.  Raises NumericError on a non-finite rate.
+    certifies it to a `SolverConfig.tol` from outside.  `cfg` is not read;
+    it stays for callers that pass a `SolverConfig` positionally.  An
+    unfrozen stack is quantized once per solve.  Raises NumericError on a
+    non-finite rate.
     """
     record = {}
     rates = stack.sweep(tokens, record)
     return EquilibriumSolution(asr_star=rates, sublayer_asr=record)
-
-
-def convergence_trace(stack, tokens, T: int):
-    """Temporal simulation trace: (step, layer, mean rate, |mean - target|) rows.
-
-    Targets are the per-layer mean equilibrium rates, so the residual column
-    tracks how far each sub-layer still is from its fixed point.  Returns
-    the rows, the equilibrium solution and the `temporal_simulate` result
-    (logits, ASRs, spike counts) of the traced run.
-    """
-    sol = solve_fixed_point(stack, tokens, SolverConfig())
-    targets = {name: float(np.mean(v)) for name, v in sol.sublayer_asr.items()}
-    rows = []
-    result = stack.temporal_simulate(tokens, T, trace=rows, trace_targets=targets)
-    return rows, sol, result
-
-
-def write_trace_csv(path, rows):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,layer_name,mean_asr,residual\n")
-        for step, layer, mean_asr, resid in rows:
-            fh.write(f"{step},{layer},{mean_asr:.12g},{resid:.12g}\n")

@@ -17,7 +17,7 @@ import yaml
 from .data import (Tokenizer, batches, encode_corpus, load_tsv, stack_by_length,
                    synth_task)
 from .distill import KdConfig, run_distillation
-from .equilibrium import SolverConfig, convergence_trace, solve_fixed_point
+from .equilibrium import SolverConfig, solve_fixed_point
 from .energy import energy_estimate, expected_accumulates
 from .implicit_grad import batch_gradients, training_step
 from .model import (EncoderStack, StackConfig, TeacherConfig, TeacherModel,
@@ -54,7 +54,6 @@ def default_config() -> dict:
             "epochs": 12,
             "batch_size": 16,
         },
-        "solver": {"tol": 1e-8},
         "train": {
             "lr": 3e-3,
             "batch_size": 16,
@@ -98,12 +97,16 @@ def _merge(base: dict, override: dict, path="") -> dict:
     return out
 
 
-_NONE_DEFAULT_TYPES = {  # per key whose default is None: what else it takes
-    ("data", "path"): ("a non-empty str", lambda v: isinstance(v, str) and v),
-    ("kd", "layer_map"): ("a list of ints", lambda v: isinstance(
+_VALUE_RULES = {  # per key, what a value other than null must be
+    ("data", "path"): ("a non-empty str or null",
+                       lambda v: isinstance(v, str) and v),
+    ("kd", "layer_map"): ("a list of ints or null", lambda v: isinstance(
         v, list) and all(_fits(0, x) for x in v)),
-    ("kd", "loss_weights"): ("a list of numbers", lambda v: isinstance(
-        v, list) and all(_fits(0.0, x) for x in v))}
+    ("kd", "loss_weights"): ("a list of numbers or null", lambda v: isinstance(
+        v, list) and all(_fits(0.0, x) for x in v)),
+    ("teacher", "epochs"): ("at least 0", lambda v: v >= 0),
+    ("train", "kd_epochs"): ("at least 0", lambda v: v >= 0),
+    ("train", "finetune_epochs"): ("at least 1", lambda v: v >= 1)}
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
@@ -119,20 +122,21 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         cfg = _merge(cfg, user)
     if overrides:
         cfg = _merge(cfg, overrides)
-    for (section, key), (what, fits) in _NONE_DEFAULT_TYPES.items():
+    for (section, key), (what, fits) in _VALUE_RULES.items():
         val = cfg[section][key]
         if val is not None and not fits(val):
-            raise ConfigError(f"config key '{section}.{key}' must be {what} "
-                              f"or null, not {val!r}")
-    try:
-        QuantMode(cfg["model"]["quant_mode"])
+            raise ConfigError(f"config key '{section}.{key}' must be {what}, "
+                              f"not {val!r}")
+    try:  # the student's own rules, on placeholder data sizes
+        StackConfig(**cfg["model"], vocab_size=1)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise ConfigError(f"config section 'model': {exc}") from None
     return cfg
 
 
 def solver_config(cfg) -> SolverConfig:
-    return SolverConfig(tol=cfg["solver"]["tol"])
+    """The default `SolverConfig`, for the benchmark's certification."""
+    return SolverConfig()
 
 
 def make_dataset(cfg):
@@ -192,10 +196,11 @@ def train_teacher(cfg, teacher, train_items, dev_items) -> dict:
     return {"dev_accuracy": acc}
 
 
-def student_accuracy(stack, items, scfg: SolverConfig) -> float:
-    """Dev accuracy at the equilibrium; one solve per sequence length."""
+def student_accuracy(stack, items, scfg=None) -> float:
+    """Dev accuracy at the equilibrium; one solve per sequence length.
+    `scfg` is not read; it stays for callers that pass it positionally."""
     return _accuracy(lambda tokens: stack.logits(
-        solve_fixed_point(stack, tokens, scfg).asr_star[-1]), items)
+        solve_fixed_point(stack, tokens).asr_star[-1]), items)
 
 
 def distill_student(cfg, stack, teacher, train_items):
@@ -220,14 +225,13 @@ def finetune_student(cfg, stack, train_items, dev_items):
     entry repeats that selected accuracy under the key "selected".
     """
     adam = AdamState(lr=cfg["train"]["lr"])
-    scfg = solver_config(cfg)
     history = []
     flat = stack.params.flat  # every parameter, so a snapshot is one copy
     best_acc, best_snapshot = -1.0, None
     for epoch in range(1, cfg["train"]["finetune_epochs"] + 1):
         for batch in batches(train_items, cfg["train"]["batch_size"]):
             training_step(stack, batch, adam)
-        acc = student_accuracy(stack, dev_items, scfg)
+        acc = student_accuracy(stack, dev_items)
         history.append({"epoch": epoch, "dev_accuracy": acc})
         if acc > best_acc:
             best_acc, best_snapshot = acc, flat.copy()
@@ -238,9 +242,14 @@ def finetune_student(cfg, stack, train_items, dev_items):
 
 
 def simulate(cfg, stack, tokens, T):
-    """Convergence trace rows + temporal-vs-equilibrium deviation summary;
-    `cfg` is not read."""
-    rows, sol, (_, asrs, _) = convergence_trace(stack, tokens, T)
+    """Trace rows (step, layer, mean rate, |mean - the layer's mean
+    equilibrium rate|) + temporal-vs-equilibrium deviation summary; `cfg`
+    is not read."""
+    sol = solve_fixed_point(stack, tokens)
+    targets = {name: float(np.mean(v)) for name, v in sol.sublayer_asr.items()}
+    rows = []
+    _, asrs, _ = stack.temporal_simulate(tokens, T, trace=rows,
+                                         trace_targets=targets)
     deviations = {f"layer_{i}": float(np.mean(np.abs(asrs[f"blk{i}.out"] - a)))
                   for i, a in enumerate(sol.asr_star)}
     summary = {"T": T, "mean_abs_deviation": deviations,

@@ -16,7 +16,7 @@ import yaml
 from eqspike import pipeline as pl
 from eqspike.cli import main as cli_main
 from eqspike.data import encode_corpus, synth_task
-from eqspike.equilibrium import SolverConfig, convergence_trace, solve_fixed_point
+from eqspike.equilibrium import SolverConfig, solve_fixed_point
 from eqspike.implicit_grad import ce_loss
 from eqspike.model import EncoderStack, StackConfig
 from eqspike.quantizer import QuantMode, quantize_1bit, quantize_158bit
@@ -232,7 +232,7 @@ CHECKPOINT_STEPS = (10, 16, 25, 40, 63, 100, 158, 251, 398, 500)
 
 
 def _trace_residuals(stack, tokens, T):
-    rows, _sol, _result = convergence_trace(stack, tokens, T)
+    rows, _summary = pl.simulate(None, stack, tokens, T)
     by_layer = {}
     for step, layer, _mean, resid in rows:
         by_layer.setdefault(layer, []).append(resid)

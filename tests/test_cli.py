@@ -101,9 +101,10 @@ def test_missing_checkpoint_is_io_error(workdir):
 
 @pytest.mark.parametrize("key, text", [
     ("nonsense", "nonsense: 1\n"),
-    ("solver.damping", "solver: {damping: 0.5}\n"),
+    ("solver", "solver: {damping: 0.5}\n"),
     ("vjp", "vjp: {max_terms: 5}\n"),
-    ("solver.max_iters", "solver: {max_iters: 500}\n"),
+    ("solver", "solver: {max_iters: 500}\n"),
+    ("solver", "solver: {tol: 1.0e-8}\n"),
     ("train.adam_beta1", "train: {adam_beta1: 0.9}\n"),
     ("train.adam_beta2", "train: {adam_beta2: 0.999}\n"),
     ("energy.float_acc_pj", "energy: {float_acc_pj: 0.9}\n"),
@@ -114,13 +115,18 @@ def test_missing_checkpoint_is_io_error(workdir):
     ("kd.layer_map", "kd: {layer_map: [true, 1]}\n"),
     ("kd.loss_weights", "kd: {loss_weights: 3}\n"),
     ("kd.loss_weights", "kd: {loss_weights: [a, 1]}\n"),
-    ("kd.loss_weights", "kd: {loss_weights: [true, 1]}\n")],
+    ("kd.loss_weights", "kd: {loss_weights: [true, 1]}\n"),
+    ("teacher.epochs", "teacher: {epochs: -3}\n"),
+    ("train.kd_epochs", "train: {kd_epochs: -2}\n"),
+    ("train.finetune_epochs", "train: {finetune_epochs: 0}\n")],
     ids=["nonsense", "solver.damping", "vjp.max_terms", "solver.max_iters",
+         "solver.tol",
          "train.adam_beta1", "train.adam_beta2", "energy.float_acc_pj",
          "energy.int_acc_pj", "seed", "data.train_size", "data.path",
          "data.path-empty", "kd.layer_map", "kd.layer_map-bool-entry",
          "kd.loss_weights", "kd.loss_weights-str-entry",
-         "kd.loss_weights-bool-entry"])
+         "kd.loss_weights-bool-entry", "teacher.epochs-negative",
+         "train.kd_epochs-negative", "train.finetune_epochs-zero"])
 def test_bad_config_key_is_config_error(workdir, capsys, key, text):
     root, _ = workdir
     bad = root / "bad.yaml"
@@ -312,12 +318,18 @@ def test_distill_with_bad_kd_config_is_config_error(workdir, artifacts, capsys,
     assert not os.path.exists(dest / "student_kd.json")
 
 
-def test_bad_quant_mode_is_config_error(workdir):
+@pytest.mark.parametrize("model", [{"quant_mode": "3bit"}, {"gamma": 1.5},
+                                   {"num_heads": 3, "hidden_dim": 8},
+                                   {"v_th": 0}],
+                         ids=["quant_mode", "gamma", "num_heads", "v_th"])
+def test_bad_model_section_is_config_error(workdir, capsys, model):
+    # train-teacher builds no student, so the section is checked at load
     root, _ = workdir
     bad = root / "badmode.yaml"
-    bad.write_text("model:\n  quant_mode: 3bit\n")
+    bad.write_text(yaml.safe_dump({"model": model}))
     rc = main(["train-teacher", "--config", str(bad), "--out", str(root / "z")])
     assert rc == 2
+    assert "config error: config section 'model'" in capsys.readouterr().err
 
 
 def test_train_teacher_rerun_is_byte_identical(workdir):

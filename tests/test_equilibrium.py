@@ -3,8 +3,8 @@ import pytest
 
 from eqspike import pipeline as pl
 from eqspike import quantizer
-from eqspike.equilibrium import (SolverConfig, convergence_trace,
-                                 solve_fixed_point, write_trace_csv)
+from eqspike.cli import write_trace_csv
+from eqspike.equilibrium import SolverConfig, solve_fixed_point
 from eqspike.model import EncoderStack, StackConfig
 from eqspike.numerics import NumericError
 from eqspike.quantizer import QuantMode
@@ -22,6 +22,12 @@ def small_stack(seed=0, mode=QuantMode.FULL_PRECISION):
 def test_solver_config_validation(bad):
     with pytest.raises(ValueError):
         SolverConfig(**bad)
+
+
+def test_certification_tolerance_is_1e_8_without_a_config_key():
+    # the bound the config's removed solver.tol always supplied
+    tol = pl.solver_config(pl.load_config(None)).tol
+    assert tol == 1e-8 == SolverConfig().tol
 
 
 def test_solve_builds_leaves_once_and_runs_one_sweep(monkeypatch):
@@ -80,9 +86,15 @@ def test_solution_records_sublayer_rates():
 
 def test_convergence_trace_rows_and_csv(tmp_path):
     stack = small_stack()
-    rows, sol, (logits, asrs, counts) = convergence_trace(
-        stack, np.array([2, 4, 5]), T=20)
-    # the traced run's result is the untraced simulation's
+    rows, _summary = pl.simulate(None, stack, np.array([2, 4, 5]), T=20)
+    # the rows trace against each layer's mean equilibrium rate, and the
+    # traced run's result is the untraced simulation's
+    sol = solve_fixed_point(stack, np.array([2, 4, 5]))
+    trace = []
+    logits, asrs, counts = stack.temporal_simulate(
+        np.array([2, 4, 5]), T=20, trace=trace, trace_targets={
+            name: float(np.mean(v)) for name, v in sol.sublayer_asr.items()})
+    assert trace == rows
     want_logits, want_asrs, want_counts = stack.temporal_simulate(
         np.array([2, 4, 5]), T=20)
     np.testing.assert_array_equal(logits, want_logits)

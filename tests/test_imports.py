@@ -1,9 +1,10 @@
 """Importing the package loads no scipy.
 
-`scipy.special` adds about 25 MB and 0.2 s to a process, and only the
-teacher's gelu needs it, so `autodiff.gelu` imports it when it runs.  A
-module-level import anywhere would cost every command and benchmark
-process that never trains a teacher.
+No eqspike module imports scipy: the teacher's GELU runs on the numpy
+`autodiff.erf`.  `tests/test_dependencies.py` catches an import written in
+`src/`; this test also catches one that a dependency brings in.  Loading
+scipy cost about a quarter of a `train` benchmark process's peak RSS
+(67.8 against 50.4 MB at the default config).
 """
 
 import os
