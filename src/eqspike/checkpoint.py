@@ -1,11 +1,12 @@
 """Versioned JSON checkpoints for student and teacher models.
 
-Student checkpoints carry the latent full-precision tensors, the quant
-mode, and per quantized linear its alpha/beta statistics and packed 2-bit
-integer codes (little-endian within each byte).  A loaded student is
-frozen on its latent weights' quantization, which must be the saved one.
-A stage tag records where in the training pipeline the artifact was
-produced.
+Both kinds share one envelope: format version, kind, stage, config and
+parameters.  Student checkpoints add the quant mode and, per quantized
+linear, its alpha/beta statistics and packed 2-bit integer codes
+(little-endian within each byte); a loaded student is frozen on its
+latent weights' quantization, which must be the saved one.  Teacher
+checkpoints add their training metrics.  A stage tag records where in the
+training pipeline the artifact was produced.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 import numpy as np
 
 from .model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
-from .quantizer import pack_codes, unpack_codes
+from .quantizer import QuantMode, pack_codes, unpack_codes
 
 FORMAT_VERSION = 1
 STAGES = ("init", "kd", "finetuned")
@@ -33,35 +34,14 @@ def write_json(path, obj):
         fh.write("\n")
 
 
-def _params_to_json(params):
-    return {k: v.tolist() for k, v in params.items()}
-
-
-def _params_from_json(params, blob):
-    for k, v in params.items():
-        arr = np.asarray(blob[k], dtype=np.float64)
-        if arr.shape != v.shape:
-            raise CheckpointError(f"parameter {k}: shape {arr.shape} vs {v.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"parameter {k} is not finite")
-        v[...] = arr
-
-
-def save_student(stack: EncoderStack, stage: str, path):
-    if stage not in STAGES:
-        raise CheckpointError(f"unknown stage {stage!r}")
-    cfg = stack.cfg
-    # the codes and alpha/beta written come from one quantization
-    quant = {"mode": cfg.quant_mode.value, "layers": {
-        name: {"alpha": p.alpha, "beta": p.beta, "shape": list(p.codes.shape),
-               "codes": pack_codes(p.codes)}
-        for name, p in stack.pinned().items() if p.quantized}}
-    obj = {"format_version": FORMAT_VERSION, "kind": "student", "stage": stage,
-           "config": {**dataclasses.asdict(cfg),
-                      "quant_mode": cfg.quant_mode.value},
-           "params": _params_to_json(stack.params),
-           "quant": quant}
-    write_json(path, obj)
+def _save(model, kind, stage, path, **extra):
+    """Writes `model`'s envelope and the `extra` sections to `path`."""
+    config = {k: v.value if isinstance(v, QuantMode) else v
+              for k, v in dataclasses.asdict(model.cfg).items()}
+    write_json(path, {"format_version": FORMAT_VERSION, "kind": kind,
+                      "stage": stage, "config": config,
+                      "params": {k: v.tolist() for k, v in model.params.items()},
+                      **extra})
 
 
 def _load(path, kind, build):
@@ -85,25 +65,45 @@ def _load(path, kind, build):
                               f"({type(exc).__name__}: {exc})") from exc
 
 
+def _restore(model_cls, cfg_cls, obj):
+    """`model_cls` built from an envelope's config, which must name
+    exactly the `cfg_cls` fields, holding its parameters, each of which
+    must have the model's shape and be finite."""
+    blob = obj["config"]
+    fields = {f.name for f in dataclasses.fields(cfg_cls)}
+    missing, unknown = fields - set(blob), set(blob) - fields
+    if missing or unknown:
+        raise CheckpointError(f"config must name exactly the {cfg_cls.__name__} "
+                              f"fields (missing {sorted(missing)}, unknown "
+                              f"{sorted(unknown)})")
+    model = model_cls(cfg_cls(**blob), np.random.default_rng(0))
+    for k, v in model.params.items():
+        arr = np.asarray(obj["params"][k], dtype=np.float64)
+        if arr.shape != v.shape:
+            raise CheckpointError(f"parameter {k}: shape {arr.shape} vs {v.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"parameter {k} is not finite")
+        v[...] = arr
+    return model
+
+
+def save_student(stack: EncoderStack, stage: str, path):
+    if stage not in STAGES:
+        raise CheckpointError(f"unknown stage {stage!r}")
+    # the codes and alpha/beta written come from one quantization
+    _save(stack, "student", stage, path, quant={
+        "mode": stack.cfg.quant_mode.value, "layers": {
+            name: {"alpha": p.alpha, "beta": p.beta,
+                   "shape": list(p.codes.shape), "codes": pack_codes(p.codes)}
+            for name, p in stack.pinned().items() if p.quantized}})
+
+
 def load_student(path):
     return _load(path, "student", _build_student)
 
 
-def _config(cls, blob):
-    """`cls` built from a checkpoint's config, which names exactly its fields."""
-    fields = {f.name for f in dataclasses.fields(cls)}
-    missing, unknown = fields - set(blob), set(blob) - fields
-    if missing or unknown:
-        raise CheckpointError(f"config must name exactly the {cls.__name__} "
-                              f"fields (missing {sorted(missing)}, unknown "
-                              f"{sorted(unknown)})")
-    return cls(**blob)
-
-
 def _build_student(obj):
-    stack = EncoderStack(_config(StackConfig, obj["config"]),
-                         np.random.default_rng(0))
-    _params_from_json(stack.params, obj["params"])
+    stack = _restore(EncoderStack, StackConfig, obj)
     layers = dict(obj["quant"]["layers"])
     pins = stack.pinned()  # each linear re-pinned on its saved latent weight
     for key, p in pins.items():
@@ -129,20 +129,9 @@ def _build_student(obj):
 
 
 def save_teacher(teacher: TeacherModel, path, metrics: dict | None = None):
-    cfg = teacher.cfg
-    obj = {"format_version": FORMAT_VERSION, "kind": "teacher", "stage": "teacher",
-           "config": dataclasses.asdict(cfg),
-           "params": _params_to_json(teacher.params),
-           "metrics": metrics or {}}
-    write_json(path, obj)
+    _save(teacher, "teacher", "teacher", path, metrics=metrics or {})
 
 
 def load_teacher(path):
-    return _load(path, "teacher", _build_teacher)
-
-
-def _build_teacher(obj):
-    teacher = TeacherModel(_config(TeacherConfig, obj["config"]),
-                           np.random.default_rng(0))
-    _params_from_json(teacher.params, obj["params"])
-    return teacher
+    return _load(path, "teacher",
+                 lambda obj: _restore(TeacherModel, TeacherConfig, obj))

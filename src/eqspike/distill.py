@@ -74,53 +74,41 @@ def _init_projection(ds: int, dt: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(ds, dt)) / np.sqrt(ds)
 
 
-def mse(pred, target, weight):
-    """Mean squared error per example, summed over the batch, and the
-    gradient on `pred` of `weight` times it.
-
-    The last two axes (seq, d) hold one example and any axis before them
-    is a batch axis; a 1-D or 2-D input is a single example.
-    """
-    diff = pred - target
-    scale = 1.0 / int(np.prod(diff.shape[-2:]))
-    g = weight * scale * diff
-    return float((diff * diff).sum() * scale), g + g
-
-
-def kd_loss(student_asrs: list, teacher_hiddens: list, cfg: KdConfig):
-    """Weighted sum of per-pair MSE terms and its gradients.
+def kd_loss(student_asrs: list, teacher_hiddens: list, cfg: KdConfig,
+            grads: dict | None = None):
+    """Weighted sum of per-pair MSE terms and, given `grads`, its gradients.
 
     Pair i projects student block i by `cfg.projections["kd.proj{i}"]`
     and compares it with teacher block `cfg.layer_map[i]`.  Block outputs
     are (seq, d) for one example or (B, seq, d) for a batch; each term is
     then the sum over the batch of per-example MSE means.  Returns the
-    total, the per-pair terms, and the total's gradient on each projected
-    student block (the projection's input gradient and its own are
-    `project_backward`'s).
+    total, the per-pair terms and the total's gradient on each student
+    block.  The gradients are computed only when `grads` is given: each
+    projection's, summed over the batch, is added into its `grads` entry;
+    otherwise the block gradients are None.
     """
-    total, per_pair, g_proj = 0.0, [], []
+    total, per_pair = 0.0, []
+    g_blocks = None if grads is None else []
     for i, (t_idx, weight) in enumerate(zip(cfg.layer_map, cfg.loss_weights)):
-        term, g = mse(student_asrs[i] @ cfg.projections[f"kd.proj{i}"],
-                      teacher_hiddens[t_idx], float(weight))
+        name, s = f"kd.proj{i}", student_asrs[i]
+        proj = cfg.projections[name]
+        diff = s @ proj - teacher_hiddens[t_idx]
+        scale = 1.0 / int(np.prod(diff.shape[-2:]))
+        term = float((diff * diff).sum() * scale)
         per_pair.append(term)
-        g_proj.append(g)
         total += term * weight
-    return float(total), per_pair, g_proj
-
-
-def project_backward(g, s, proj):
-    """(gradient on s, gradient on proj) of the projection s @ proj, for
-    s (..., k, n); the projection's gradient is summed over the batch."""
-    gp = np.swapaxes(s, -1, -2) @ g
-    return g @ proj.T, gp.sum(axis=tuple(range(gp.ndim - 2)))
+        if grads is not None:
+            g = float(weight) * scale * diff
+            g = g + g
+            gp = np.swapaxes(s, -1, -2) @ g
+            grads[name] += gp.sum(axis=tuple(range(gp.ndim - 2)))
+            g_blocks.append(g @ proj.T)
+    return float(total), per_pair, g_blocks
 
 
 @dataclass
 class KdReport:
     epochs: list = field(default_factory=list)  # (epoch, per-pair mse, total)
-
-    def append(self, epoch: int, per_pair: list, total: float):
-        self.epochs.append((epoch, list(per_pair), total))
 
     def write_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
@@ -146,21 +134,17 @@ def teacher_targets(teacher: TeacherModel):
 
 
 def kd_loss_builder(cfg: KdConfig, targets):
-    """The distillation loss of `training_step` (stage 1); it adds the
-    gradient of each projection into `grads`.
+    """The distillation loss of `training_step` (stage 1): `kd_loss` on
+    the teacher's hiddens, with the projections `cfg.projections` holds,
+    which are the views `training_step` trains as `extra_params`.
 
     `targets` maps stacked tokens to the teacher's hiddens, as
     `teacher_targets` does.
     """
 
     def loss(tokens, labels, a_blocks, params, grads):
-        total, _per_pair, g_proj = kd_loss(a_blocks, targets(tokens), cfg)
-        g_blocks = []
-        for i, (g, s) in enumerate(zip(g_proj, a_blocks)):
-            name = f"kd.proj{i}"
-            g_s, g_p = project_backward(g, s, params[name])
-            grads[name] += g_p
-            g_blocks.append(g_s)
+        total, _per_pair, g_blocks = kd_loss(a_blocks, targets(tokens), cfg,
+                                             grads)
         return total, g_blocks
 
     return loss
@@ -202,5 +186,5 @@ def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
                 training_step(stack, batch, optimizer, loss=loss,
                               extra_params=cfg.projections)
         total, pairs = evaluate_kd_loss(stack, dataset, cfg, targets)
-        report.append(epoch, pairs, total)
+        report.epochs.append((epoch, pairs, total))
     return report

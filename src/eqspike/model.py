@@ -73,6 +73,8 @@ class TeacherConfig:
             raise ValueError("hidden_dim must be divisible by num_heads")
         if self.num_layers < 1:
             raise ValueError("need at least one encoder layer")
+        if self.max_len < 1:
+            raise ValueError("max_len must be at least 1")
 
 
 @dataclass(frozen=True)

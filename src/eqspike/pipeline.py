@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import math
 import os
 
 import numpy as np
@@ -104,9 +105,16 @@ _VALUE_RULES = {  # per key, what a value other than null must be
         v, list) and all(_fits(0, x) for x in v)),
     ("kd", "loss_weights"): ("a list of numbers or null", lambda v: isinstance(
         v, list) and all(_fits(0.0, x) for x in v)),
+    ("teacher", "lr"): ("finite and > 0", lambda v: 0 < v < math.inf),
     ("teacher", "epochs"): ("at least 0", lambda v: v >= 0),
+    ("teacher", "batch_size"): ("at least 1", lambda v: v >= 1),
+    ("train", "lr"): ("finite and > 0", lambda v: 0 < v < math.inf),
+    ("train", "batch_size"): ("at least 1", lambda v: v >= 1),
     ("train", "kd_epochs"): ("at least 0", lambda v: v >= 0),
-    ("train", "finetune_epochs"): ("at least 1", lambda v: v >= 1)}
+    ("train", "finetune_epochs"): ("at least 1", lambda v: v >= 1),
+    ("data", "train_size"): ("at least 2", lambda v: v >= 2),
+    ("data", "dev_size"): ("at least 2", lambda v: v >= 2),
+    ("energy", "timesteps"): ("at least 1", lambda v: v >= 1)}
 
 
 def load_config(path=None, overrides: dict | None = None) -> dict:
@@ -127,10 +135,14 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         if val is not None and not fits(val):
             raise ConfigError(f"config key '{section}.{key}' must be {what}, "
                               f"not {val!r}")
-    try:  # the student's own rules, on placeholder data sizes
-        StackConfig(**cfg["model"], vocab_size=1)
-    except ValueError as exc:
-        raise ConfigError(f"config section 'model': {exc}") from None
+    # each model's own rules, on placeholder data sizes
+    for section, build in (
+            ("model", lambda: StackConfig(**cfg["model"], vocab_size=1)),
+            ("teacher", lambda: _teacher_config(cfg, vocab_size=1))):
+        try:
+            build()
+        except ValueError as exc:
+            raise ConfigError(f"config section {section!r}: {exc}") from None
     return cfg
 
 
@@ -161,15 +173,19 @@ def build_student(cfg, tokenizer, quant_mode=None, num_labels=2) -> EncoderStack
     return EncoderStack(sc, np.random.default_rng(cfg["seed"]))
 
 
-def build_teacher(cfg, tokenizer, num_labels=2) -> TeacherModel:
-    """The teacher of the `teacher` section's TeacherConfig fields; its
-    sequence length is the student's."""
+def _teacher_config(cfg, vocab_size, num_labels=2) -> TeacherConfig:
+    """The `teacher` section's TeacherConfig fields; the teacher's sequence
+    length is the student's."""
     t = cfg["teacher"]
     shape = {f.name: t[f.name] for f in dataclasses.fields(TeacherConfig)
              if f.name in t}
-    tc = TeacherConfig(**shape, vocab_size=tokenizer.vocab_size,
-                       max_len=cfg["model"]["max_len"], num_labels=num_labels)
-    return TeacherModel(tc, np.random.default_rng(cfg["seed"] + 1))
+    return TeacherConfig(**shape, vocab_size=vocab_size,
+                         max_len=cfg["model"]["max_len"], num_labels=num_labels)
+
+
+def build_teacher(cfg, tokenizer, num_labels=2) -> TeacherModel:
+    return TeacherModel(_teacher_config(cfg, tokenizer.vocab_size, num_labels),
+                        np.random.default_rng(cfg["seed"] + 1))
 
 
 def _accuracy(logits_of, items) -> float:

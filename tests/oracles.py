@@ -80,7 +80,7 @@ def uncached_distillation(stack, teacher, dataset, epochs, cfg, optimizer,
                               optimizer, loss=loss,
                               extra_params=cfg.projections)
         total, pairs = evaluate_kd_loss(stack, dataset, cfg, targets)
-        report.append(epoch, pairs, total)
+        report.epochs.append((epoch, pairs, total))
     return report
 
 

@@ -16,7 +16,7 @@ import yaml
 from eqspike import pipeline as pl
 from eqspike.cli import main as cli_main
 from eqspike.data import encode_corpus, synth_task
-from eqspike.equilibrium import SolverConfig, solve_fixed_point
+from eqspike.equilibrium import solve_fixed_point
 from eqspike.implicit_grad import ce_loss
 from eqspike.model import EncoderStack, StackConfig
 from eqspike.quantizer import QuantMode, quantize_1bit, quantize_158bit
@@ -41,7 +41,7 @@ def test_temporal_equilibrium_equivalence():
         stack = EncoderStack(cfg, np.random.default_rng(seed))
         rng = np.random.default_rng(1000 + seed)
         tokens = rng.integers(2, 24, size=6)
-        sol = solve_fixed_point(stack, tokens, SolverConfig(tol=1e-8))
+        sol = solve_fixed_point(stack, tokens)
         _, asrs, _ = stack.temporal_simulate(tokens, T)
         for i, target in enumerate(sol.asr_star):
             dev = float(np.mean(np.abs(asrs[f"blk{i}.out"] - target)))
@@ -62,12 +62,11 @@ def test_implicit_gradient_correctness():
                           quant_mode=QuantMode.FULL_PRECISION)
         stack = EncoderStack(cfg, np.random.default_rng(seed))
         tokens, label = np.array([2, 4, 5, 6]), 1
-        scfg = SolverConfig(tol=1e-11)
         _, grads = example_gradient_dict(stack, tokens, label, ce_loss, {})
         params = stack.params
 
         def loss():
-            s = solve_fixed_point(stack, tokens, scfg)
+            s = solve_fixed_point(stack, tokens)
             logits = stack.cls_w @ s.asr_star[-1][0] + stack.cls_b
             shifted = logits - logits.max()
             return -(shifted[label] - np.log(np.exp(shifted).sum()))
@@ -142,8 +141,7 @@ def training_grid():
 
         def score(arm, stack, history):
             row[arm] = history[-1]["dev_accuracy"]
-            row["held_out"][arm] = pl.student_accuracy(
-                stack, held, pl.solver_config(cfg))
+            row["held_out"][arm] = pl.student_accuracy(stack, held)
 
         for mode in ("fp", "1.58bit", "1bit"):
             stack = pl.build_student(cfg, tok, quant_mode=mode,

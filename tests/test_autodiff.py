@@ -9,7 +9,8 @@ import pytest
 
 import oracles as tp
 from eqspike import autodiff as ad
-from eqspike.distill import mse, project_backward
+from eqspike.distill import KdConfig, kd_loss
+from eqspike.numerics import FlatParams
 from oracles import finite_difference_grad
 
 
@@ -266,17 +267,19 @@ def test_cross_entropy_matches_log_softmax():
               ad.cross_entropy(logits, 0)[1], logits)
 
 
-def test_kd_mse_and_projection_grads_match_finite_differences():
+def test_kd_loss_grads_match_finite_differences():
     rng = np.random.default_rng(14)
     s0, p0 = rng.random((2, 3, 4)), rng.normal(size=(4, 5))
-    target = rng.normal(size=(2, 3, 5))
+    target = [rng.normal(size=(2, 3, 5))]
 
-    def value(s, proj):
-        return mse(s @ proj, target, 0.7)[0] * 0.7
+    def kd(s, proj, grads=None):
+        cfg = KdConfig([0], FlatParams({"kd.proj0": proj}), [0.7])
+        return kd_loss([s], target, cfg, grads)
 
-    g_s, g_p = project_backward(mse(s0 @ p0, target, 0.7)[1], s0, p0)
-    _fd_match(lambda s: value(s, p0), g_s, s0)
-    _fd_match(lambda proj: value(s0, proj), g_p, p0)
+    grads = {"kd.proj0": np.zeros_like(p0)}
+    (g_s,) = kd(s0, p0, grads)[2]
+    _fd_match(lambda s: kd(s, p0)[0], g_s, s0)
+    _fd_match(lambda proj: kd(s0, proj)[0], grads["kd.proj0"], p0)
 
 
 def test_ste_passes_cotangent_to_latent():

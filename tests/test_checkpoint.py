@@ -6,7 +6,7 @@ import pytest
 from eqspike import pipeline as pl
 from eqspike.checkpoint import (CheckpointError, load_student, load_teacher,
                                 save_student, save_teacher)
-from eqspike.equilibrium import SolverConfig, solve_fixed_point
+from eqspike.equilibrium import solve_fixed_point
 from eqspike.implicit_grad import training_step
 from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
 from eqspike.numerics import AdamState
@@ -77,6 +77,23 @@ def test_checkpoint_files_are_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+@pytest.mark.parametrize("kind", ["student", "teacher"])
+def test_save_load_save_is_byte_identical(tmp_path, kind):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    if kind == "student":
+        save_student(make_stack(), "kd", first)
+        save_student(load_student(first)[0], "kd", second)
+    else:
+        teacher = TeacherModel(TeacherConfig(vocab_size=11, hidden_dim=8,
+                                             intermediate_dim=12, num_heads=2,
+                                             num_layers=2, max_len=6),
+                               np.random.default_rng(1))
+        metrics = {"dev_accuracy": 0.75}
+        save_teacher(teacher, first, metrics=metrics)
+        save_teacher(load_teacher(first), second, metrics=metrics)
+    assert first.read_bytes() == second.read_bytes()
+
+
 def test_load_student_rejects_wrong_kind(tmp_path):
     teacher = TeacherModel(TeacherConfig(vocab_size=11, hidden_dim=8,
                                          intermediate_dim=12, num_heads=2,
@@ -127,9 +144,9 @@ def test_unfrozen_save_writes_stats_matching_its_codes(tmp_path):
     assert stack.frozen is None
     for name, pinned in loaded.frozen.items():
         assert pinned.beta == float(np.abs(stack.params[name + ".w"]).mean())
-    tokens, scfg = np.array([[2, 4, 5], [6, 1, 3]]), SolverConfig(tol=1e-12)
-    want = solve_fixed_point(stack, tokens, scfg)
-    got = solve_fixed_point(loaded, tokens, scfg)
+    tokens = np.array([[2, 4, 5], [6, 1, 3]])
+    want = solve_fixed_point(stack, tokens)
+    got = solve_fixed_point(loaded, tokens)
     for a, b in zip(got.asr_star, want.asr_star):
         np.testing.assert_array_equal(a, b)
 
@@ -148,12 +165,12 @@ def test_refrozen_stack_solves_on_its_new_codes(tmp_path, mode):
     stack.freeze_quantization()
     assert any(not np.array_equal(pinned.weight, w)
                for pinned, w in zip(stack.frozen.values(), old))
-    tokens, scfg = np.array([[2, 4, 5], [6, 1, 3]]), SolverConfig(tol=1e-12)
-    got = solve_fixed_point(stack, tokens, scfg)
+    tokens = np.array([[2, 4, 5], [6, 1, 3]])
+    got = solve_fixed_point(stack, tokens)
     path = tmp_path / "ckpt.json"
     save_student(stack, "finetuned", path)
     loaded, _ = load_student(path)
-    want = solve_fixed_point(loaded, tokens, scfg)
+    want = solve_fixed_point(loaded, tokens)
     for a, b in zip(got.asr_star, want.asr_star):
         np.testing.assert_array_equal(a, b)
 

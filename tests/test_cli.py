@@ -118,7 +118,14 @@ def test_missing_checkpoint_is_io_error(workdir):
     ("kd.loss_weights", "kd: {loss_weights: [true, 1]}\n"),
     ("teacher.epochs", "teacher: {epochs: -3}\n"),
     ("train.kd_epochs", "train: {kd_epochs: -2}\n"),
-    ("train.finetune_epochs", "train: {finetune_epochs: 0}\n")],
+    ("train.finetune_epochs", "train: {finetune_epochs: 0}\n"),
+    ("train.lr", "train: {lr: -0.5}\n"), ("train.lr", "train: {lr: .nan}\n"),
+    ("teacher.lr", "teacher: {lr: 0}\n"), ("teacher.lr", "teacher: {lr: .inf}\n"),
+    ("train.batch_size", "train: {batch_size: 0}\n"),
+    ("teacher.batch_size", "teacher: {batch_size: 0}\n"),
+    ("energy.timesteps", "energy: {timesteps: 0}\n"),
+    ("data.train_size", "data: {train_size: 1}\n"),
+    ("data.dev_size", "data: {dev_size: 1}\n")],
     ids=["nonsense", "solver.damping", "vjp.max_terms", "solver.max_iters",
          "solver.tol",
          "train.adam_beta1", "train.adam_beta2", "energy.float_acc_pj",
@@ -126,7 +133,10 @@ def test_missing_checkpoint_is_io_error(workdir):
          "data.path-empty", "kd.layer_map", "kd.layer_map-bool-entry",
          "kd.loss_weights", "kd.loss_weights-str-entry",
          "kd.loss_weights-bool-entry", "teacher.epochs-negative",
-         "train.kd_epochs-negative", "train.finetune_epochs-zero"])
+         "train.kd_epochs-negative", "train.finetune_epochs-zero",
+         "train.lr-negative", "train.lr-nan", "teacher.lr-zero",
+         "teacher.lr-inf", "train.batch_size-zero", "teacher.batch_size-zero",
+         "energy.timesteps-zero", "data.train_size-one", "data.dev_size-one"])
 def test_bad_config_key_is_config_error(workdir, capsys, key, text):
     root, _ = workdir
     bad = root / "bad.yaml"
@@ -138,8 +148,10 @@ def test_bad_config_key_is_config_error(workdir, capsys, key, text):
 
 
 @pytest.mark.parametrize("shape", [{"num_heads": 0}, {"hidden_dim": 0},
-                                   {"intermediate_dim": 0}, {"num_layers": 0}],
-                         ids=lambda s: next(iter(s)))
+                                   {"intermediate_dim": 0}, {"num_layers": 0},
+                                   {"num_heads": 3}],
+                         ids=["num_heads", "hidden_dim", "intermediate_dim",
+                              "num_layers", "num_heads-indivisible"])
 def test_bad_teacher_shape_is_config_error(workdir, capsys, shape):
     root, _ = workdir
     bad = root / "bad_teacher.yaml"
@@ -147,7 +159,15 @@ def test_bad_teacher_shape_is_config_error(workdir, capsys, shape):
         **SMALL_CFG["teacher"], **shape}}))
     rc = main(["train-teacher", "--config", str(bad), "--out", str(root / "t")])
     assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    assert "config error: config section 'teacher'" in capsys.readouterr().err
+
+
+def test_zero_timesteps_flag_is_config_error_naming_the_key(workdir, capsys):
+    root, cfg = workdir
+    rc = main(["simulate", "--config", cfg, "--out", str(root / "t0"),
+               "--student", str(root / "nope.json"), "--timesteps", "0"])
+    assert rc == 2
+    assert "'energy.timesteps'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [["eval", "--student", "s.json", "--quant", "1bit"],
@@ -265,6 +285,32 @@ def test_invalid_student_checkpoint_is_config_error(workdir, artifacts, capsys,
     assert "config error" in err and str(ckpt) in err
 
 
+@pytest.mark.parametrize("defect", ["nan-param", "unknown-field",
+                                    "missing-field", "cls-shape"])
+def test_invalid_teacher_checkpoint_is_config_error(workdir, artifacts, capsys,
+                                                    defect):
+    root, cfg = workdir
+    out, _ = artifacts
+    obj = json.loads(open(f"{out}/teacher.json").read())
+    if defect == "nan-param":
+        obj["params"]["tok_emb"][CLS][0] = float("nan")
+    elif defect == "unknown-field":
+        obj["config"]["bogus"] = 1
+    elif defect == "missing-field":
+        del obj["config"]["num_heads"]
+    else:
+        obj["params"]["cls.b"] = [0.0, 0.0, 0.0]
+    ckpt = root / f"invalid_teacher_{defect}.json"
+    ckpt.write_text(json.dumps(obj))
+    dest = root / "invalid_teacher"
+    rc = main(["distill", "--config", cfg, "--out", str(dest),
+               "--teacher", str(ckpt)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and str(ckpt) in err
+    assert not os.path.exists(dest / "student_kd.json")
+
+
 def test_flipped_code_is_config_error_naming_its_linear(workdir, artifacts,
                                                         capsys):
     # the saved codes must be those of the saved latent weights
@@ -320,8 +366,9 @@ def test_distill_with_bad_kd_config_is_config_error(workdir, artifacts, capsys,
 
 @pytest.mark.parametrize("model", [{"quant_mode": "3bit"}, {"gamma": 1.5},
                                    {"num_heads": 3, "hidden_dim": 8},
-                                   {"v_th": 0}],
-                         ids=["quant_mode", "gamma", "num_heads", "v_th"])
+                                   {"v_th": 0}, {"max_len": 0}],
+                         ids=["quant_mode", "gamma", "num_heads", "v_th",
+                              "max_len"])
 def test_bad_model_section_is_config_error(workdir, capsys, model):
     # train-teacher builds no student, so the section is checked at load
     root, _ = workdir

@@ -97,10 +97,21 @@ def test_kd_loss_weighted_sum():
     assert total == pytest.approx(2 * per_pair[0] + 3 * per_pair[1])
 
 
+def test_kd_loss_is_a_mean_squared_error_with_optional_gradients():
+    cfg = KdConfig.build(2, 2, 1, 1, np.random.default_rng(0))  # identity
+    s, t = [np.array([[1.0, 3.0]])], [np.array([[0.0, 1.0]])]
+    assert kd_loss(s, t, cfg) == (2.5, [2.5], None)  # (1 + 4) / 2
+    grads = {"kd.proj0": np.zeros((2, 2))}
+    total, per_pair, g_blocks = kd_loss(s, t, cfg, grads)
+    assert (total, per_pair) == (2.5, [2.5])
+    np.testing.assert_array_equal(g_blocks[0], [[1.0, 2.0]])  # 2 diff / 2
+    np.testing.assert_array_equal(grads["kd.proj0"], [[1.0, 2.0], [3.0, 6.0]])
+
+
 def test_kd_report_csv(tmp_path):
     report = KdReport()
-    report.append(0, [1.5, 2.5], 4.0)
-    report.append(1, [1.0, 2.0], 3.0)
+    report.epochs.append((0, [1.5, 2.5], 4.0))
+    report.epochs.append((1, [1.0, 2.0], 3.0))
     path = tmp_path / "kd.csv"
     report.write_csv(path)
     lines = path.read_text().splitlines()

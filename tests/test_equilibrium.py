@@ -40,7 +40,7 @@ def test_solve_builds_leaves_once_and_runs_one_sweep(monkeypatch):
             calls[_name] += 1
             return _orig(self, *args, **kwargs)
         monkeypatch.setattr(EncoderStack, name, counted)
-    sol = solve_fixed_point(stack, np.array([2, 4, 5]), SolverConfig(tol=1e-12))
+    sol = solve_fixed_point(stack, np.array([2, 4, 5]))
     assert calls == {"effective_weights": 1,
                      "block_forward": stack.cfg.num_layers}
     assert sol.iters_used == 1 and sol.converged
@@ -49,7 +49,7 @@ def test_solve_builds_leaves_once_and_runs_one_sweep(monkeypatch):
 def test_stack_fixed_point_is_self_consistent():
     stack = small_stack()
     tokens = np.array([2, 4, 5, 6])
-    sol = solve_fixed_point(stack, tokens, SolverConfig(tol=1e-10))
+    sol = solve_fixed_point(stack, tokens)
     assert sol.converged
     # a* must be invariant under one more application of the rate map
     again = stack.rate_map(tokens, [a.copy() for a in sol.asr_star])
@@ -63,7 +63,7 @@ def test_feedforward_stack_converges_in_depth_iterations():
     # of the L blocks lands exactly on the fixed point.
     stack = small_stack()
     tokens = np.array([2, 4, 5])
-    sol = solve_fixed_point(stack, tokens, SolverConfig(tol=1e-12))
+    sol = solve_fixed_point(stack, tokens)
     for got, want in zip(stack.rate_map(tokens, sol.asr_star), sol.asr_star):
         np.testing.assert_array_equal(got, want)
 
@@ -73,12 +73,12 @@ def test_non_finite_rate_is_numeric_error(name):
     stack = small_stack()
     stack.params[name][2, 0] = np.nan
     with pytest.raises(NumericError, match="non-finite rates"):
-        solve_fixed_point(stack, np.array([2, 4, 5]), SolverConfig())
+        solve_fixed_point(stack, np.array([2, 4, 5]))
 
 
 def test_solution_records_sublayer_rates():
     stack = small_stack()
-    sol = solve_fixed_point(stack, np.array([2, 4]), SolverConfig(tol=1e-10))
+    sol = solve_fixed_point(stack, np.array([2, 4]))
     for i in range(stack.cfg.num_layers):
         for sub in ("q", "k", "v", "attn", "h1", "int", "out"):
             assert f"blk{i}.{sub}" in sol.sublayer_asr
@@ -120,7 +120,7 @@ def test_pipeline_simulate_runs_one_simulation(monkeypatch):
     cfg = pl.load_config(None, {})
     tokens, T = np.array([2, 4, 5]), 20
     # the summary as solve and an untraced simulation give it
-    sol = solve_fixed_point(stack, tokens, pl.solver_config(cfg))
+    sol = solve_fixed_point(stack, tokens)
     _, asrs, _ = stack.temporal_simulate(tokens, T)
     want = {f"layer_{i}": float(np.mean(np.abs(asrs[f"blk{i}.out"] - a)))
             for i, a in enumerate(sol.asr_star)}
@@ -143,11 +143,10 @@ def test_pipeline_simulate_runs_one_simulation(monkeypatch):
 def test_batch_solve_equals_per_sentence_solves(mode):
     stack = small_stack(seed=1, mode=mode)
     batch = np.random.default_rng(2).integers(0, 11, size=(5, 6))
-    scfg = SolverConfig(tol=1e-12)
-    sol = solve_fixed_point(stack, batch, scfg)
+    sol = solve_fixed_point(stack, batch)
     assert sol.converged and sol.asr_star[0].shape == (5, 6, 8)
     for b, tokens in enumerate(batch):
-        one = solve_fixed_point(stack, tokens, scfg)
+        one = solve_fixed_point(stack, tokens)
         for got, want in zip(sol.asr_star, one.asr_star):
             np.testing.assert_array_equal(got[b], want)
         assert set(sol.sublayer_asr) == set(one.sublayer_asr)
@@ -162,8 +161,7 @@ def test_batch_solve_equals_per_sentence_solves(mode):
 def test_frozen_solve_uses_pinned_codes(mode, monkeypatch):
     stack = small_stack(seed=3, mode=mode)
     tokens = np.array([[2, 4, 5], [6, 7, 1]])
-    scfg = SolverConfig(tol=1e-12)
-    fresh = solve_fixed_point(stack, tokens, scfg)
+    fresh = solve_fixed_point(stack, tokens)
     stack.freeze_quantization()
     calls = []
     for name in ("quantize_1bit", "quantize_158bit"):
@@ -171,7 +169,7 @@ def test_frozen_solve_uses_pinned_codes(mode, monkeypatch):
             calls.append(1)
             return _orig(*args, **kwargs)
         monkeypatch.setattr(quantizer, name, counted)
-    pinned = solve_fixed_point(stack, tokens, scfg)
+    pinned = solve_fixed_point(stack, tokens)
     assert calls == []
     for got, want in zip(pinned.asr_star, fresh.asr_star):
         np.testing.assert_array_equal(got, want)
@@ -189,7 +187,7 @@ def test_unfrozen_solve_quantizes_each_linear_once(mode, monkeypatch):
             calls.append(1)
             return _orig(*args, **kwargs)
         monkeypatch.setattr(quantizer, name, counted)
-    sol = solve_fixed_point(stack, tokens, SolverConfig(tol=1e-12))
+    sol = solve_fixed_point(stack, tokens)
     assert len(calls) == 6 * stack.cfg.num_layers
     # the prebuilt weights are the ones the rate map builds per block
     for got, want in zip(stack.rate_map(tokens, sol.asr_star), sol.asr_star):

@@ -9,8 +9,8 @@ import eqspike
 import oracles as tp
 from eqspike import implicit_grad, numerics
 from eqspike import pipeline as pl
-from eqspike.distill import KdConfig, kd_loss_builder, mse, teacher_targets
-from eqspike.equilibrium import SolverConfig, solve_fixed_point
+from eqspike.distill import KdConfig, kd_loss_builder, teacher_targets
+from eqspike.equilibrium import solve_fixed_point
 from eqspike.implicit_grad import batch_gradients, ce_loss, training_step
 from eqspike.autodiff import cross_entropy, linear, linear_backward
 from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
@@ -43,7 +43,7 @@ def oracle_gradients(stack, tokens, label, taped_builder, extra_params):
     is solved by `dense_adjoint_solve` on the rate map f taped at a* (the
     reference's encoding and blocks); v^T df/dtheta is then added.
     """
-    sol = solve_fixed_point(stack, tokens, SolverConfig(tol=1e-12))
+    sol = solve_fixed_point(stack, tokens)
     a_leaves = [tp.Tensor(a.copy(), requires_grad=True) for a in sol.asr_star]
     head = {"cls.w": tp.Tensor(stack.cls_w, requires_grad=True),
             "cls.b": tp.Tensor(stack.cls_b, requires_grad=True),
@@ -113,11 +113,6 @@ def test_example_gradients_match_dense_adjoint_oracle(mode, kind):
                                    err_msg=name)
 
 
-def test_mse_value():
-    val, _ = mse(np.array([1.0, 3.0]), np.array([0.0, 1.0]), 1.0)
-    assert val == pytest.approx((1.0 + 4.0) / 2)
-
-
 CLOSED_FORM_CASES = {
     "student-ce": dict(kind="ce"),
     "student-kd-L2": dict(kind="kd"),
@@ -177,14 +172,13 @@ def test_example_gradients_match_finite_differences():
     stack = small_stack(seed=3)
     tokens = np.array([2, 4, 5])
     label = 1
-    scfg = SolverConfig(tol=1e-11)
     _, grads = example_gradient_dict(stack, tokens, label, ce_loss, {})
 
     def loss_at(name, idx, value):
         params = stack.params
         keep = params[name].reshape(-1)[idx]
         params[name].reshape(-1)[idx] = value
-        s = solve_fixed_point(stack, tokens, scfg)
+        s = solve_fixed_point(stack, tokens)
         logits = stack.cls_w @ s.asr_star[-1][0] + stack.cls_b
         shifted = logits - logits.max()
         loss = -(shifted[label] - np.log(np.exp(shifted).sum()))

@@ -5,7 +5,7 @@ from eqspike import model
 from eqspike import pipeline as pl
 from eqspike import quantizer
 from eqspike.data import stack_by_length
-from eqspike.equilibrium import SolverConfig, solve_fixed_point
+from eqspike.equilibrium import solve_fixed_point
 from eqspike.implicit_grad import batch_gradients
 from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
                            TeacherModel, attention_backward, spiking_attention,
@@ -189,7 +189,7 @@ def test_temporal_simulate_rejects_bad_horizon():
 def test_temporal_asr_approaches_fixed_point():
     stack = make_stack(seed=4)
     tokens = np.array([2, 4, 5, 6])
-    sol = solve_fixed_point(stack, tokens, SolverConfig(tol=1e-10))
+    sol = solve_fixed_point(stack, tokens)
     _, asrs, _ = stack.temporal_simulate(tokens, T=800)
     for i, target in enumerate(sol.asr_star):
         dev = float(np.mean(np.abs(asrs[f"blk{i}.out"] - target)))
@@ -393,12 +393,11 @@ def test_batched_solve_logits_equal_each_sentence_alone():
     tok, _train, dev, labels = pl.make_dataset(cfg)
     stack = pl.build_student(cfg, tok, num_labels=len(labels))
     stack.freeze_quantization()
-    scfg = pl.solver_config(cfg)
     for tokens, _labels in stack_by_length(dev[:16]):
-        batch = stack.logits(solve_fixed_point(stack, tokens, scfg).asr_star[-1])
+        batch = stack.logits(solve_fixed_point(stack, tokens).asr_star[-1])
         assert batch.shape == (len(tokens), len(labels))
         for row, sentence in zip(batch, tokens):
-            alone = solve_fixed_point(stack, sentence, scfg).asr_star[-1]
+            alone = solve_fixed_point(stack, sentence).asr_star[-1]
             np.testing.assert_array_equal(row, stack.logits(alone))
 
 
@@ -499,7 +498,7 @@ def test_both_models_reject_the_same_bad_tokens(kind):
         stack = make_stack()
 
         def forward(tokens):
-            return solve_fixed_point(stack, tokens, SolverConfig())
+            return solve_fixed_point(stack, tokens)
     else:
         teacher = TeacherModel(TeacherConfig(
             vocab_size=11, hidden_dim=8, intermediate_dim=16, num_heads=2,

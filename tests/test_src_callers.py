@@ -100,3 +100,67 @@ def test_every_public_dataclass_field_is_read_outside_the_tests():
             unread += [f"{module}.{name}.{f.name}"
                        for f in dataclasses.fields(obj) if f.name not in reads]
     assert unread == []
+
+
+BENCH = ROOT / "eqbench"
+# spans the benchmark still reads of functions that no longer exist
+DEAD_SPANS = {"autodiff.backward", "implicit_grad.implicit_vjp",
+              "model.EncoderStack.param_tensors"}
+
+
+def _strings(node):
+    return {n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def _span_names():
+    """Every span name the benchmark reads: each workload's `must_trace`
+    and `expected_counts` keys, the names `layers.py` looks up, and
+    `tracer.py`'s quantizers, hook keys and spanned autodiff names."""
+    def walk(name):
+        return ast.walk(ast.parse((BENCH / name).read_text(encoding="utf-8")))
+
+    names = set()
+    for node in walk("workloads.py"):
+        if isinstance(node, ast.Assign) and any(
+                getattr(t, "id", None) == "must_trace" for t in node.targets):
+            names |= _strings(node.value)
+        elif isinstance(node, ast.FunctionDef) \
+                and node.name == "expected_counts":
+            names |= {k.value for ret in ast.walk(node)
+                      if isinstance(ret, ast.Return) for k in ret.value.keys}
+    for node in walk("layers.py"):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in {
+                "calls", "self_ms", "incl_ms", "rec"}:
+            names |= {a.value for a in node.args if isinstance(a, ast.Constant)}
+    for node in walk("tracer.py"):
+        target = getattr(node, "targets", [None])[0]
+        target = getattr(target, "id", None)
+        if target == "QUANTIZERS":
+            names |= _strings(node.value)
+        elif target in ("_PRE_HOOKS", "_POST_HOOKS"):  # `**` entries: key None
+            names |= {k.value for k in node.value.keys if k is not None}
+        elif target == "AUTODIFF_SPANNED":
+            names |= {f"autodiff.{n}" for n in _strings(node.value)}
+    return names
+
+
+def _is_public_callable(name):
+    """Whether `name` is module.function or module.Class.method of a
+    public function or method defined in that eqspike module."""
+    module, *path = name.split(".")
+    mod = importlib.import_module(f"eqspike.{module}")
+    obj = vars(mod).get(path[0])
+    if getattr(obj, "__module__", None) != mod.__name__ \
+            or any(p.startswith("_") for p in path):
+        return False
+    if len(path) == 2:
+        obj = vars(obj).get(path[1]) if inspect.isclass(obj) else None
+    return inspect.isfunction(obj) or isinstance(obj, (classmethod,
+                                                       staticmethod))
+
+
+def test_every_span_name_the_benchmark_reads_is_a_public_function():
+    names = _span_names()
+    assert len(names) > len(DEAD_SPANS)
+    assert {n for n in names if not _is_public_callable(n)} == DEAD_SPANS
