@@ -7,8 +7,8 @@ that maps the gradient on its output to the gradients on its inputs:
 
 * `linear` / `linear_backward`, the affine map x @ w.T + b, whose weight
   gradient is one GEMM;
-* `clip01` / `clip01_backward`, the spiking-rate surrogate
-  clip(a / v_th, 0, 1) with its threshold folded in;
+* `clip01` / `clip01_backward`, the spiking-rate surrogate clip(a, 0, 1),
+  the long-run rate of an integrate-and-fire neuron at unit threshold;
 * `layer_norm` / `layer_norm_backward`;
 * `gelu` / `gelu_backward`, the teacher's activation, on a numpy `erf`;
 * `cross_entropy`, which returns the loss and its gradient on the logits.
@@ -20,9 +20,9 @@ the spike path drop them.  Every op acts on the last axis (or the last
 two) and carries any leading axis through, so a stacked batch runs the
 same graph as one example.  `model` wires the pairs into each block's
 forward and backward.  The ops call their ufuncs and reductions directly
-(`np.add.reduce`, not `.sum` or `.mean`), skip the identity divide by a
-threshold of 1, and write in place only into temporaries they allocated
-themselves, never into an input or an array a caller keeps.
+(`np.add.reduce`, not `.sum` or `.mean`) and write in place only into
+temporaries they allocated themselves, never into an input or an array a
+caller keeps.
 """
 
 from __future__ import annotations
@@ -49,27 +49,21 @@ def linear_backward(g, x, w):
     return g @ w, g2.T @ x.reshape(-1, x.shape[-1]), np.add.reduce(g2, axis=0)
 
 
-def clip01(a, v_th=1.0):
-    """The spiking-rate surrogate clip(a / v_th, 0, 1)."""
-    return (a if v_th == 1.0 else a / v_th).clip(0.0, 1.0)
+def clip01(a):
+    """The spiking-rate surrogate clip(a, 0, 1)."""
+    return a.clip(0.0, 1.0)
 
 
-def clip01_backward(g, a, v_th=1.0):
-    """The gradient on `a` of `clip01(a, v_th)` under the output gradient `g`.
+def clip01_backward(g, a):
+    """The gradient on `a` of `clip01(a)` under the output gradient `g`.
 
-    Subgradient 1/v_th where a / v_th lies in the closed interval [0, 1],
-    0 outside.  The boundary convention (full derivative at exactly 0 and
-    v_th) keeps units trainable when a fixed point lands on the clip
-    boundary.  The mask is built from `a` here, so a forward without a
-    backward computes no mask; at v_th = 1 neither the mask nor the
-    gradient takes a divide.
+    Subgradient 1 where a lies in the closed interval [0, 1], 0 outside.
+    The boundary convention (full derivative at exactly 0 and 1) keeps
+    units trainable when a fixed point lands on the clip boundary.  The
+    mask is built from `a` here, so a forward without a backward computes
+    no mask.
     """
-    if v_th == 1.0:
-        return g * ((a >= 0.0) & (a <= 1.0))
-    scaled = a / v_th
-    out = g * ((scaled >= 0.0) & (scaled <= 1.0))
-    out /= v_th
-    return out
+    return g * ((a >= 0.0) & (a <= 1.0))
 
 
 def layer_norm(x, gain, bias, eps=1e-5):

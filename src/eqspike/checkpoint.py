@@ -47,16 +47,19 @@ def _save(model, kind, stage, path, **extra):
 def _load(path, kind, build):
     """`build(obj)` for the JSON object of a `kind` checkpoint at `path`.
 
-    A missing, mistyped or invalid field (a shape, a non-finite number, a
-    config that names other fields than the model's or values it rejects)
-    is reported as a CheckpointError naming `path`.
+    Text that is not JSON, or a missing, mistyped or invalid field (a
+    shape, a non-finite number, a config or parameter set that names other
+    fields or parameters than the model's, or values it rejects) is
+    reported as a CheckpointError naming `path`; a file that cannot be
+    read raises its OSError.
     """
-    with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
-    if not isinstance(obj, dict) or obj.get("format_version") != FORMAT_VERSION \
-            or obj.get("kind") != kind:
-        raise CheckpointError(f"{path}: not a {kind} checkpoint")
     try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        if not isinstance(obj, dict) \
+                or obj.get("format_version") != FORMAT_VERSION \
+                or obj.get("kind") != kind:
+            raise CheckpointError(f"not a {kind} checkpoint")
         return build(obj)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
@@ -65,20 +68,27 @@ def _load(path, kind, build):
                               f"({type(exc).__name__}: {exc})") from exc
 
 
+def _require_exactly(saved, names, what: str):
+    """Raises a CheckpointError unless `saved` names exactly `names`."""
+    missing, unknown = set(names) - set(saved), set(saved) - set(names)
+    if missing or unknown:
+        raise CheckpointError(f"{what} (missing {sorted(missing)}, unknown "
+                              f"{sorted(unknown)})")
+
+
 def _restore(model_cls, cfg_cls, obj):
     """`model_cls` built from an envelope's config, which must name
-    exactly the `cfg_cls` fields, holding its parameters, each of which
-    must have the model's shape and be finite."""
+    exactly the `cfg_cls` fields, holding its parameters, which must be
+    exactly the model's, each with the model's shape and finite."""
     blob = obj["config"]
-    fields = {f.name for f in dataclasses.fields(cfg_cls)}
-    missing, unknown = fields - set(blob), set(blob) - fields
-    if missing or unknown:
-        raise CheckpointError(f"config must name exactly the {cfg_cls.__name__} "
-                              f"fields (missing {sorted(missing)}, unknown "
-                              f"{sorted(unknown)})")
+    _require_exactly(blob, [f.name for f in dataclasses.fields(cfg_cls)],
+                     f"config must name exactly the {cfg_cls.__name__} fields")
     model = model_cls(cfg_cls(**blob), np.random.default_rng(0))
+    saved = obj["params"]
+    _require_exactly(saved, model.params,
+                     "params must name exactly the model's parameters")
     for k, v in model.params.items():
-        arr = np.asarray(obj["params"][k], dtype=np.float64)
+        arr = np.asarray(saved[k], dtype=np.float64)
         if arr.shape != v.shape:
             raise CheckpointError(f"parameter {k}: shape {arr.shape} vs {v.shape}")
         if not np.all(np.isfinite(arr)):

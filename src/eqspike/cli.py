@@ -31,7 +31,7 @@ def _common(parser, timesteps=False):
     parser.add_argument("--out", default=None, help="output directory")
     if timesteps:
         parser.add_argument("--timesteps", type=int, default=None,
-                            help="simulated LIF timesteps")
+                            help="simulated spiking timesteps")
 
 
 def _load_cfg(args) -> dict:

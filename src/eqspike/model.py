@@ -7,7 +7,7 @@ path is written once and both models bind it: `sweep`, `block_forward`,
 brings only its `neurons`, one (forward, backward) pair per site, and its
 `effective_weights`:
 
-* the student fires `clip01(·, v_th)` at q/k/v, attn, h1, int and out and
+* the student fires `clip01` at q/k/v, attn, h1, int and out and
   `clip01(· + 0.5)` at the input, and runs on its pinned (quantized)
   weights;
 * the teacher is the identity at every site but int, where it is GELU,
@@ -29,8 +29,8 @@ v = dL/da* + (df/da)^T v exactly.  SpikingBERT (Bal & Sengupta, AAAI
 iterative fixed-point and adjoint solves; this architecture needs
 neither.
 
-The student also has a temporal path that simulates leaky
-integrate-and-fire neurons step by step with spike-driven quantized
+The student also has a temporal path that simulates integrate-and-fire
+neurons at unit threshold step by step with spike-driven quantized
 linears (inference and energy accounting); it agrees with the rate path
 in the long run.
 """
@@ -47,7 +47,7 @@ import numpy as np
 from .autodiff import (clip01, clip01_backward, gelu, gelu_backward,
                        layer_norm, layer_norm_backward, linear,
                        linear_backward)
-from .neuron import LifConfig, LifLayerState, RunningAverage, lif_step
+from .neuron import LifLayerState, lif_step, running_means
 from .numerics import FlatParams, ShapeError, check_finite, init_uniform
 from .quantizer import (OpCounter, QuantMode, effective_weight_tensor, pin,
                         quantized_forward, stack_pinned)
@@ -80,15 +80,12 @@ class TeacherConfig:
 @dataclass(frozen=True)
 class StackConfig(TeacherConfig):
     quant_mode: QuantMode = QuantMode.FULL_PRECISION
-    gamma: float = 1.0
-    v_th: float = 1.0
     binary_output_scale: bool = False
 
     def __post_init__(self):
         # a mode may arrive as its value, from a YAML config or a checkpoint
         object.__setattr__(self, "quant_mode", QuantMode(self.quant_mode))
         super().__post_init__()
-        LifConfig(self.gamma, self.v_th)  # raises on a gamma or v_th out of range
 
 
 def _token_ids(tokens, cfg) -> np.ndarray:
@@ -169,13 +166,9 @@ def _shifted_clip(e):
     return clip01(x), x
 
 
-def _threshold_neurons(v_th: float) -> dict:
-    """The student's neurons: `clip01(·, v_th)` at every block site, saving
-    the pre-activation, and `_shifted_clip` at the input."""
-    fire = (lambda a: (clip01(a, v_th), a),
-            lambda g, a: clip01_backward(g, a, v_th))
-    return {"input": (_shifted_clip, clip01_backward),
-            **dict.fromkeys(SITES, fire)}
+def _clip(a):
+    """The student's block neuron: clip01(a), saving a."""
+    return clip01(a), a
 
 
 # -- the rate-path skeleton, bound by both model classes ----------------
@@ -336,6 +329,10 @@ class EncoderStack:
     block_backward = _block_backward
     backward = _backward
     logits = _logits
+    # `clip01` at every block site, saving the pre-activation, and
+    # `_shifted_clip` at the input
+    neurons = {"input": (_shifted_clip, clip01_backward),
+               **dict.fromkeys(SITES, (_clip, clip01_backward))}
 
     def __init__(self, cfg: StackConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -348,7 +345,6 @@ class EncoderStack:
         p["cls.w"] = init_uniform(rng, cfg.num_labels, d)
         p["cls.b"] = np.zeros(cfg.num_labels)
         p = self.params = FlatParams(p)
-        self.neurons = _threshold_neurons(cfg.v_th)
         # each linear's `Pinned` by name while the quantization is frozen
         self.frozen = None
         # every parameter is updated in place, so these stay its entries
@@ -402,7 +398,7 @@ class EncoderStack:
     def temporal_simulate(self, tokens, T: int, counter: OpCounter | None = None,
                           trace: list | None = None,
                           trace_targets: dict | None = None):
-        """Full LIF simulation for T steps, a window of steps at a time.
+        """Full spiking simulation for T steps, a window of steps at a time.
 
         `tokens` is (seq,) or (B, seq): a batch runs in one pass, each row
         bitwise equal to its own run.  Returns (logits (..., C), per-layer
@@ -430,26 +426,25 @@ class EncoderStack:
         if T < 1:
             raise ValueError("T must be >= 1")
         cfg, p = self.cfg, self.params
-        lif = LifConfig(cfg.gamma, cfg.v_th)
         drive = self.encoding(tokens)
-        layers = {"input": LifLayerState.zeros(drive.shape, cfg.gamma)}
+        layers = {"input": LifLayerState.zeros(drive.shape)}
         parts = {"input": ("input",)}  # per neuron layer, the layers it reports
         d, inter = cfg.hidden_dim, cfg.intermediate_dim
         pins = self.pinned()
         # per block: its layer-name prefix, its stacked q/k/v linear and
-        # bias, the residual averages and the telescoped surrogates
+        # bias, the residual sums and the telescoped surrogates
         runs = []
         for i in range(cfg.num_layers):
             pre = f"blk{i}."
             for nm, width in (("qkv", 3 * d), ("attn", d), ("h1", d),
                               ("out", d), ("int", inter)):
                 layers[pre + nm] = LifLayerState.zeros(
-                    drive.shape[:-1] + (width,), cfg.gamma)
+                    drive.shape[:-1] + (width,))
                 parts[pre + nm] = (pre + nm,)
             qkv = parts[pre + "qkv"] = (pre + "q", pre + "k", pre + "v")
             runs.append((pre, stack_pinned([pins[k] for k in qkv]),
                          np.concatenate([p[k + ".b"] for k in qkv]),
-                         RunningAverage(cfg.gamma), RunningAverage(cfg.gamma),
+                         np.zeros(drive.shape), np.zeros(drive.shape),
                          {nm: _Telescoped() for nm in ("attn", "h1", "out")}))
         tracing = trace is not None
         step = max(1, WINDOW_ROWS // (drive.size // drive.shape[-1]))
@@ -463,14 +458,14 @@ class EncoderStack:
         # which the window loop below binds
         def fire(name, currents, per_step_asr=False):
             """Advance layer `name` over the window; its (spikes, ASRs)."""
-            spikes, asrs = lif_step(layers[name], currents, lif,
-                                    per_step_asr or tracing)
+            spikes, asrs = lif_step(layers[name], currents,
+                                    steps if per_step_asr or tracing else None)
             if tracing:
                 for part, a in split(name, asrs).items():
                     means[part] = a.reshape(len(a), -1).mean(axis=1)
             return spikes, asrs
 
-        def block(pre, qkv, qkv_bias, r1_avg, r2_avg, tele, s_in):
+        def block(pre, qkv, qkv_bias, r1_sum, r2_sum, tele, s_in):
             """Advance a block over the window; its output spikes.
 
             Each window-sized intermediate is passed straight on, so that
@@ -491,9 +486,11 @@ class EncoderStack:
             sa = surrogate("attn", spiking_attention(
                 *np.split(aqkv, 3, axis=-1), cfg.num_heads)[0])
             del aqkv
-            sh = surrogate("h1", norm("ln1", r1_avg.push(linear("o", sa) + s_in)))
+            sh = surrogate("h1", norm("ln1", running_means(
+                linear("o", sa) + s_in, r1_sum, steps)))
             si, _ = fire(pre + "int", linear("ff1", sh))
-            return surrogate("out", norm("ln2", r2_avg.push(linear("ff2", si) + sh)))
+            return surrogate("out", norm("ln2", running_means(
+                linear("ff2", si) + sh, r2_sum, steps)))
 
         reported = [part for names in parts.values() for part in names]
         for t0 in range(0, T, step):
@@ -514,7 +511,7 @@ class EncoderStack:
         asrs, spike_counts = {}, {}
         for name, st in layers.items():
             check_finite(st.u, f"membrane potential of {name}")
-            asrs.update(split(name, st.rate.value))
+            asrs.update(split(name, st.count / T))
             spike_counts.update(split(name, st.count))
         final = asrs[f"blk{cfg.num_layers - 1}.out"]
         return self.logits(final), asrs, spike_counts

@@ -42,8 +42,6 @@ def default_config() -> dict:
             "num_layers": 2,
             "max_len": 12,
             "quant_mode": "1.58bit",
-            "gamma": 1.0,
-            "v_th": 1.0,
             "binary_output_scale": False,
         },
         "teacher": {

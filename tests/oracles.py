@@ -11,7 +11,6 @@ from eqspike.data import batches, stack_by_length
 from eqspike.distill import KdReport, evaluate_kd_loss, kd_loss_builder
 from eqspike.implicit_grad import example_gradients, training_step
 from eqspike.model import _head_axes, _token_ids, spiking_attention, teacher_forward
-from eqspike.neuron import LifConfig
 from eqspike.numerics import NumericError, ShapeError, check_finite
 from eqspike.quantizer import quantized_forward
 
@@ -191,7 +190,8 @@ def per_tensor_training_step(stack, batch, adam: TensorAdam, loss,
 
 @dataclass
 class _StepLif:
-    """One LIF layer advanced one timestep at a time, with its ASR sums."""
+    """One integrate-and-fire layer at unit threshold, advanced one
+    timestep at a time, with its ASR sums."""
     u: np.ndarray
     s: np.ndarray
     asr_num: np.ndarray
@@ -202,13 +202,13 @@ class _StepLif:
         return cls(u=np.zeros(shape), s=np.zeros(shape, dtype=bool),
                    asr_num=np.zeros(shape))
 
-    def step(self, current, cfg):
-        u_mid = cfg.gamma * self.u + current
-        spikes = u_mid > cfg.v_th
-        self.u = u_mid - cfg.v_th * spikes
+    def step(self, current):
+        u_mid = self.u + current
+        spikes = u_mid > 1.0
+        self.u = u_mid - spikes
         self.s = spikes
-        self.asr_num = cfg.gamma * self.asr_num + spikes
-        self.asr_den = cfg.gamma * self.asr_den + 1.0
+        self.asr_num = self.asr_num + spikes
+        self.asr_den = self.asr_den + 1.0
 
     def asr(self):
         return self.asr_num / self.asr_den
@@ -216,16 +216,15 @@ class _StepLif:
 
 @dataclass
 class _StepAverage:
-    """Leak-weighted running average, pushed one timestep at a time."""
-    gamma: float
+    """Running average, pushed one timestep at a time."""
     num: np.ndarray = field(default=None)
     den: float = 0.0
 
     def push(self, value):
         if self.num is None:
             self.num = np.zeros_like(value)
-        self.num = self.gamma * self.num + value
-        self.den = self.gamma * self.den + 1.0
+        self.num = self.num + value
+        self.den = self.den + 1.0
         return self.num / self.den
 
 
@@ -240,7 +239,6 @@ def step_major_simulate(stack, tokens, T, counter=None, trace=None,
     layer's final membrane potential under its layer name.
     """
     cfg = stack.cfg
-    lif = LifConfig(cfg.gamma, cfg.v_th)
     drive = stack.encoding(tokens)
     source = _StepLif.zeros(drive.shape)
     layers = {"input": source}
@@ -258,7 +256,7 @@ def step_major_simulate(stack, tokens, T, counter=None, trace=None,
                    for ln in ("ln1_g", "ln1_b", "ln2_g", "ln2_b"))
         runs.append((SimpleNamespace(**blk),
                      {nm: pre + nm for nm in (*blk, *neurons)}, neurons,
-                     _StepAverage(cfg.gamma), _StepAverage(cfg.gamma)))
+                     _StepAverage(), _StepAverage()))
     spike_counts = {name: np.zeros(st.u.shape) for name, st in layers.items()}
     prev_phi = {}
 
@@ -270,7 +268,7 @@ def step_major_simulate(stack, tokens, T, counter=None, trace=None,
         return t * value - (t - 1) * prev
 
     for t in range(1, T + 1):
-        source.step(drive, lif)
+        source.step(drive)
         s_in = source.s
         for blk, key, n, r1_avg, r2_avg in runs:
             def linear(nm, x, blk=blk, key=key):
@@ -278,19 +276,19 @@ def step_major_simulate(stack, tokens, T, counter=None, trace=None,
                                          getattr(blk, nm + "_b"), counter,
                                          key[nm])
 
-            n["q"].step(linear("q", s_in), lif)
-            n["k"].step(linear("k", s_in), lif)
-            n["v"].step(linear("v", s_in), lif)
+            n["q"].step(linear("q", s_in))
+            n["k"].step(linear("k", s_in))
+            n["v"].step(linear("v", s_in))
             attn_current = spiking_attention(
                 n["q"].asr(), n["k"].asr(), n["v"].asr(), cfg.num_heads)[0]
-            n["attn"].step(telescoped(key["attn"], attn_current, t), lif)
+            n["attn"].step(telescoped(key["attn"], attn_current, t))
             r1 = linear("o", n["attn"].s) + s_in
             h1_current = layer_norm(r1_avg.push(r1), blk.ln1_g, blk.ln1_b)[0]
-            n["h1"].step(telescoped(key["h1"], h1_current, t), lif)
-            n["int"].step(linear("ff1", n["h1"].s), lif)
+            n["h1"].step(telescoped(key["h1"], h1_current, t))
+            n["int"].step(linear("ff1", n["h1"].s))
             r2 = linear("ff2", n["int"].s) + n["h1"].s
             out_current = layer_norm(r2_avg.push(r2), blk.ln2_g, blk.ln2_b)[0]
-            n["out"].step(telescoped(key["out"], out_current, t), lif)
+            n["out"].step(telescoped(key["out"], out_current, t))
             s_in = n["out"].s
         for name, st in layers.items():
             spike_counts[name] += st.s
@@ -474,11 +472,11 @@ def taped_linear(x, w, b):
     return _make(x.data @ w.data.T + b.data, (x, w, b), vjp)
 
 
-def taped_clip01(a, v_th=1.0):
+def taped_clip01(a):
     a = as_tensor(a)
-    scaled = a.data / v_th
-    return _make(np.clip(scaled, 0.0, 1.0), (a,), lambda g: (
-        g * ((scaled >= 0.0) & (scaled <= 1.0)) / v_th,))
+    x = a.data
+    return _make(np.clip(x, 0.0, 1.0), (a,), lambda g: (
+        g * ((x >= 0.0) & (x <= 1.0)),))
 
 
 def taped_layer_norm(x, gain, bias, eps=1e-5):
@@ -611,22 +609,22 @@ def taped_encoding(stack, tokens, leaves):
 
 def taped_block(stack, i, a_prev, leaves, weights):
     """Block i of the student's rate path on the tape."""
-    vth, pre = stack.cfg.v_th, f"blk{i}."
+    pre = f"blk{i}."
 
     def lin(name, x):
         return taped_linear(x, weights[pre + name], leaves[pre + name + ".b"])
 
-    aq = taped_clip01(lin("q", a_prev), vth)
-    ak = taped_clip01(lin("k", a_prev), vth)
-    av = taped_clip01(lin("v", a_prev), vth)
-    a_attn = taped_clip01(taped_attention(aq, ak, av, stack.cfg.num_heads), vth)
+    aq = taped_clip01(lin("q", a_prev))
+    ak = taped_clip01(lin("k", a_prev))
+    av = taped_clip01(lin("v", a_prev))
+    a_attn = taped_clip01(taped_attention(aq, ak, av, stack.cfg.num_heads))
     h1 = taped_clip01(taped_layer_norm(lin("o", a_attn) + a_prev,
                                        leaves[pre + "ln1_g"],
-                                       leaves[pre + "ln1_b"]), vth)
-    ai = taped_clip01(lin("ff1", h1), vth)
+                                       leaves[pre + "ln1_b"]))
+    ai = taped_clip01(lin("ff1", h1))
     return taped_clip01(taped_layer_norm(lin("ff2", ai) + h1,
                                          leaves[pre + "ln2_g"],
-                                         leaves[pre + "ln2_b"]), vth)
+                                         leaves[pre + "ln2_b"]))
 
 
 def taped_sweep(stack, tokens, leaves) -> list:

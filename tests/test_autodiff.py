@@ -101,43 +101,17 @@ def test_clip01_forward_and_subgradient():
                                   [0.0, 1.0, 1.0, 1.0, 0.0])
 
 
-def test_clip01_threshold_equals_divided_clip_bitwise():
-    rng = np.random.default_rng(9)
-    a = rng.normal(size=(3, 5, 8)) * 0.8 + 0.35
-    want = np.clip(a / 0.7, 0.0, 1.0)
-    np.testing.assert_array_equal(ad.clip01(a, 0.7), want)
-
-
-def test_clip01_threshold_grad_matches_finite_differences():
-    rng = np.random.default_rng(10)
-    a0 = rng.uniform(-0.5, 1.2, size=(4, 6))
-    kinks = np.abs(a0) < 1e-3
-    kinks |= np.abs(a0 - 0.7) < 1e-3
-    a0[kinks] += 0.01  # keep finite differences off the kinks at 0 and v_th
-    w = rng.normal(size=(4, 6))  # a generic cotangent
-    _fd_match(lambda a: (ad.clip01(a, 0.7) * w).sum(),
-              ad.clip01_backward(w, a0, 0.7), a0)
-
-
-def test_clip01_threshold_boundary_subgradient():
-    x = np.array([-0.1, 0.0, 0.35, 0.7, 0.8])
-    np.testing.assert_array_equal(ad.clip01(x, 0.7), [0.0, 0.0, 0.5, 1.0, 1.0])
-    # 1/v_th on the closed interval [0, v_th], bounds included; 0 outside
-    np.testing.assert_array_equal(ad.clip01_backward(np.ones(5), x, 0.7),
-                                  [0.0, 1 / 0.7, 1 / 0.7, 1 / 0.7, 0.0])
-
-
 def test_clip01_at_unit_threshold_equals_taped_clip01_bitwise():
-    # the unit threshold skips the divide: signed zeros, the bounds, the
-    # floats just outside [0, 1] and NaN, under gradients of either sign
+    # signed zeros, the bounds, the floats just outside [0, 1] and NaN,
+    # under gradients of either sign
     a = np.array([-0.0, 0.0, 1.0, np.nextafter(0.0, -1.0),
                   np.nextafter(1.0, 2.0), np.nan])
     for g in (np.linspace(-2.0, 0.5, a.size), np.linspace(2.0, -0.5, a.size)):
         leaf = tp.Tensor(a, requires_grad=True)
-        taped = tp.taped_clip01(leaf, 1.0)
+        taped = tp.taped_clip01(leaf)
         tp.backward([taped], [g])
-        for got, want in ((ad.clip01(a, 1.0), taped.data),
-                          (ad.clip01_backward(g, a, 1.0), leaf.grad)):
+        for got, want in ((ad.clip01(a), taped.data),
+                          (ad.clip01_backward(g, a), leaf.grad)):
             np.testing.assert_array_equal(got, want)
             np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 

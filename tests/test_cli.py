@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ def test_artifact_contents_parse(artifacts):
     assert 0.0 < energy["norm_ops_ratio"]
     assert energy["energy_ratio"] == pytest.approx(
         energy["norm_ops_ratio"] / 9.0, rel=1e-9)
-    lines = open(os.path.join(out, "kd_report.csv")).read().splitlines()
+    lines = Path(out, "kd_report.csv").read_text().splitlines()
     assert lines[0] == "epoch,pair_index,mse,total"
 
 
@@ -125,7 +126,9 @@ def test_missing_checkpoint_is_io_error(workdir):
     ("teacher.batch_size", "teacher: {batch_size: 0}\n"),
     ("energy.timesteps", "energy: {timesteps: 0}\n"),
     ("data.train_size", "data: {train_size: 1}\n"),
-    ("data.dev_size", "data: {dev_size: 1}\n")],
+    ("data.dev_size", "data: {dev_size: 1}\n"),
+    ("model.gamma", "model: {gamma: 1.0}\n"),
+    ("model.v_th", "model: {v_th: 1.0}\n")],
     ids=["nonsense", "solver.damping", "vjp.max_terms", "solver.max_iters",
          "solver.tol",
          "train.adam_beta1", "train.adam_beta2", "energy.float_acc_pj",
@@ -136,7 +139,8 @@ def test_missing_checkpoint_is_io_error(workdir):
          "train.kd_epochs-negative", "train.finetune_epochs-zero",
          "train.lr-negative", "train.lr-nan", "teacher.lr-zero",
          "teacher.lr-inf", "train.batch_size-zero", "teacher.batch_size-zero",
-         "energy.timesteps-zero", "data.train_size-one", "data.dev_size-one"])
+         "energy.timesteps-zero", "data.train_size-one", "data.dev_size-one",
+         "model.gamma", "model.v_th"])
 def test_bad_config_key_is_config_error(workdir, capsys, key, text):
     root, _ = workdir
     bad = root / "bad.yaml"
@@ -260,48 +264,68 @@ def _corrupt(obj, defect):
         obj["quant"]["layers"]["blk9.k"] = obj["quant"]["layers"]["blk0.k"]
     elif defect == "unknown-field":
         obj["config"]["bogus"] = 1
-    elif defect == "missing-gamma":
-        del obj["config"]["gamma"]
-    else:
-        obj["config"]["gamma"] = 2.0
+    elif defect == "missing-field":
+        del obj["config"]["binary_output_scale"]
+    elif defect == "max_len":
+        obj["config"]["max_len"] = 0
+    elif defect == "parent-format":  # the neuron knobs a student once saved
+        obj["config"].update(gamma=1.0, v_th=1.0)
+    elif defect == "unknown-param":
+        obj["params"]["bogus.w"] = obj["params"]["cls.b"]
+
+
+def _write_checkpoint(path, obj, defect):
+    """`obj` as a checkpoint at `path`; cut off mid-file for "truncated-json"."""
+    text = json.dumps(obj)
+    path.write_text(text[:len(text) // 2] if defect == "truncated-json"
+                    else text)
 
 
 @pytest.mark.parametrize("defect", ["quant-shape", "nan-param", "inf-beta",
                                     "missing-quant-entry",
-                                    "unknown-quant-entry", "gamma",
-                                    "unknown-field", "missing-gamma"])
+                                    "unknown-quant-entry", "max_len",
+                                    "unknown-field", "missing-field",
+                                    "parent-format", "unknown-param",
+                                    "truncated-json"])
 def test_invalid_student_checkpoint_is_config_error(workdir, artifacts, capsys,
                                                     defect):
     root, cfg = workdir
     out, _ = artifacts
-    obj = json.loads(open(f"{out}/student_finetuned.json").read())
+    obj = json.loads(Path(out, "student_finetuned.json").read_text())
     _corrupt(obj, defect)
     ckpt = root / f"invalid_{defect}.json"
-    ckpt.write_text(json.dumps(obj))
+    _write_checkpoint(ckpt, obj, defect)
     rc = main(["eval", "--config", cfg, "--out", str(root / "invalid"),
                "--student", str(ckpt)])
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(ckpt) in err
+    if defect == "parent-format":
+        assert "unknown ['gamma', 'v_th']" in err
+    elif defect == "unknown-param":
+        assert "unknown ['bogus.w']" in err
 
 
 @pytest.mark.parametrize("defect", ["nan-param", "unknown-field",
-                                    "missing-field", "cls-shape"])
+                                    "missing-field", "cls-shape",
+                                    "unknown-param", "truncated-json"])
 def test_invalid_teacher_checkpoint_is_config_error(workdir, artifacts, capsys,
                                                     defect):
     root, cfg = workdir
     out, _ = artifacts
-    obj = json.loads(open(f"{out}/teacher.json").read())
+    obj = json.loads(Path(out, "teacher.json").read_text())
     if defect == "nan-param":
         obj["params"]["tok_emb"][CLS][0] = float("nan")
     elif defect == "unknown-field":
         obj["config"]["bogus"] = 1
     elif defect == "missing-field":
         del obj["config"]["num_heads"]
-    else:
+    elif defect == "unknown-param":  # a block the 2-block teacher lacks
+        obj["params"]["blk7.q.w"] = obj["params"]["blk0.q.w"]
+    elif defect == "cls-shape":
         obj["params"]["cls.b"] = [0.0, 0.0, 0.0]
     ckpt = root / f"invalid_teacher_{defect}.json"
-    ckpt.write_text(json.dumps(obj))
+    _write_checkpoint(ckpt, obj, defect)
     dest = root / "invalid_teacher"
     rc = main(["distill", "--config", cfg, "--out", str(dest),
                "--teacher", str(ckpt)])
@@ -316,7 +340,7 @@ def test_flipped_code_is_config_error_naming_its_linear(workdir, artifacts,
     # the saved codes must be those of the saved latent weights
     root, cfg = workdir
     out, _ = artifacts
-    obj = json.loads(open(f"{out}/student_finetuned.json").read())
+    obj = json.loads(Path(out, "student_finetuned.json").read_text())
     assert obj["quant"]["mode"] == "1.58bit"
     entry = obj["quant"]["layers"]["blk1.ff1"]
     codes = unpack_codes(entry["codes"], entry["shape"])
@@ -364,11 +388,10 @@ def test_distill_with_bad_kd_config_is_config_error(workdir, artifacts, capsys,
     assert not os.path.exists(dest / "student_kd.json")
 
 
-@pytest.mark.parametrize("model", [{"quant_mode": "3bit"}, {"gamma": 1.5},
+@pytest.mark.parametrize("model", [{"quant_mode": "3bit"},
                                    {"num_heads": 3, "hidden_dim": 8},
-                                   {"v_th": 0}, {"max_len": 0}],
-                         ids=["quant_mode", "gamma", "num_heads", "v_th",
-                              "max_len"])
+                                   {"max_len": 0}],
+                         ids=["quant_mode", "num_heads", "max_len"])
 def test_bad_model_section_is_config_error(workdir, capsys, model):
     # train-teacher builds no student, so the section is checked at load
     root, _ = workdir
@@ -385,7 +408,7 @@ def test_train_teacher_rerun_is_byte_identical(workdir):
     for out in (a, b):
         assert main(["train-teacher", "--config", cfg, "--out", out]) == 0
     for name in ("teacher.json", "teacher_metrics.json"):
-        assert open(f"{a}/{name}", "rb").read() == open(f"{b}/{name}", "rb").read()
+        assert Path(a, name).read_bytes() == Path(b, name).read_bytes()
 
 
 def test_teacher_trains_with_scipy_unimportable(workdir):
@@ -405,8 +428,7 @@ def test_teacher_trains_with_scipy_unimportable(workdir):
                           text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     for name in ("teacher.json", "teacher_metrics.json"):
-        assert open(f"{here}/{name}", "rb").read() == \
-            open(f"{alone}/{name}", "rb").read()
+        assert Path(here, name).read_bytes() == Path(alone, name).read_bytes()
 
 
 def test_simulate_and_energy_rerun_byte_identical(workdir, artifacts):
@@ -421,7 +443,7 @@ def test_simulate_and_energy_rerun_byte_identical(workdir, artifacts):
                      "--fp-ckpt", f"{out_fp}/student_kd.json",
                      "--eval-size", "2"]) == 0
     for name in ("trace.csv", "simulate_summary.json", "energy_report.json"):
-        assert open(f"{a}/{name}", "rb").read() == open(f"{b}/{name}", "rb").read()
+        assert Path(a, name).read_bytes() == Path(b, name).read_bytes()
 
 
 def _energy(cfg, out, quant_ckpt, fp_ckpt, *extra):

@@ -22,11 +22,11 @@ from oracles import (TensorAdam, dense_adjoint_solve, example_gradient_dict,
                      taped_example_gradients, taped_kd_loss_builder)
 
 
-def small_stack(seed=0, mode=QuantMode.FULL_PRECISION, num_layers=2, v_th=1.0,
+def small_stack(seed=0, mode=QuantMode.FULL_PRECISION, num_layers=2,
                 num_labels=2):
     cfg = StackConfig(vocab_size=11, hidden_dim=8, intermediate_dim=12,
                       num_heads=2, num_layers=num_layers, max_len=6,
-                      num_labels=num_labels, quant_mode=mode, v_th=v_th)
+                      num_labels=num_labels, quant_mode=mode)
     return EncoderStack(cfg, np.random.default_rng(seed))
 
 
@@ -118,7 +118,7 @@ CLOSED_FORM_CASES = {
     "student-kd-L2": dict(kind="kd"),
     # blocks 0 and 1 feed the next block's q, k, v and residual and the KD
     # term: five consumers, summed in the tape's order
-    "student-kd-L3": dict(kind="kd", num_layers=3, v_th=0.8,
+    "student-kd-L3": dict(kind="kd", num_layers=3,
                           loss_weights=[0.5, 2.0, 1.25]),
     "student-ce-3-labels": dict(kind="ce", num_labels=3),
 }
