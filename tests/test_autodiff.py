@@ -101,6 +101,25 @@ def test_clip01_forward_and_subgradient():
                                   [0.0, 1.0, 1.0, 1.0, 0.0])
 
 
+def test_clip01_threshold_equals_divided_clip_bitwise():
+    # dropping the divide by the unit threshold changes no bit
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(3, 5, 8)) * 0.8 + 0.35
+    want = np.clip(a / 1.0, 0.0, 1.0)
+    np.testing.assert_array_equal(ad.clip01(a), want)
+
+
+def test_clip01_threshold_grad_matches_finite_differences():
+    rng = np.random.default_rng(10)
+    a0 = rng.uniform(-0.5, 1.5, size=(4, 6))
+    kinks = np.abs(a0) < 1e-3
+    kinks |= np.abs(a0 - 1.0) < 1e-3
+    a0[kinks] += 0.01  # keep finite differences off the kinks at 0 and 1
+    w = rng.normal(size=(4, 6))  # a generic cotangent
+    _fd_match(lambda a: (ad.clip01(a) * w).sum(),
+              ad.clip01_backward(w, a0), a0)
+
+
 def test_clip01_at_unit_threshold_equals_taped_clip01_bitwise():
     # signed zeros, the bounds, the floats just outside [0, 1] and NaN,
     # under gradients of either sign

@@ -126,9 +126,7 @@ def test_missing_checkpoint_is_io_error(workdir):
     ("teacher.batch_size", "teacher: {batch_size: 0}\n"),
     ("energy.timesteps", "energy: {timesteps: 0}\n"),
     ("data.train_size", "data: {train_size: 1}\n"),
-    ("data.dev_size", "data: {dev_size: 1}\n"),
-    ("model.gamma", "model: {gamma: 1.0}\n"),
-    ("model.v_th", "model: {v_th: 1.0}\n")],
+    ("data.dev_size", "data: {dev_size: 1}\n")],
     ids=["nonsense", "solver.damping", "vjp.max_terms", "solver.max_iters",
          "solver.tol",
          "train.adam_beta1", "train.adam_beta2", "energy.float_acc_pj",
@@ -139,8 +137,7 @@ def test_missing_checkpoint_is_io_error(workdir):
          "train.kd_epochs-negative", "train.finetune_epochs-zero",
          "train.lr-negative", "train.lr-nan", "teacher.lr-zero",
          "teacher.lr-inf", "train.batch_size-zero", "teacher.batch_size-zero",
-         "energy.timesteps-zero", "data.train_size-one", "data.dev_size-one",
-         "model.gamma", "model.v_th"])
+         "energy.timesteps-zero", "data.train_size-one", "data.dev_size-one"])
 def test_bad_config_key_is_config_error(workdir, capsys, key, text):
     root, _ = workdir
     bad = root / "bad.yaml"
@@ -268,6 +265,8 @@ def _corrupt(obj, defect):
         del obj["config"]["binary_output_scale"]
     elif defect == "max_len":
         obj["config"]["max_len"] = 0
+    elif defect == "gamma":
+        obj["config"]["gamma"] = 2.0
     elif defect == "parent-format":  # the neuron knobs a student once saved
         obj["config"].update(gamma=1.0, v_th=1.0)
     elif defect == "unknown-param":
@@ -283,7 +282,7 @@ def _write_checkpoint(path, obj, defect):
 
 @pytest.mark.parametrize("defect", ["quant-shape", "nan-param", "inf-beta",
                                     "missing-quant-entry",
-                                    "unknown-quant-entry", "max_len",
+                                    "unknown-quant-entry", "gamma", "max_len",
                                     "unknown-field", "missing-field",
                                     "parent-format", "unknown-param",
                                     "truncated-json"])
@@ -300,7 +299,9 @@ def test_invalid_student_checkpoint_is_config_error(workdir, artifacts, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(ckpt) in err
-    if defect == "parent-format":
+    if defect == "gamma":
+        assert "unknown ['gamma']" in err
+    elif defect == "parent-format":
         assert "unknown ['gamma', 'v_th']" in err
     elif defect == "unknown-param":
         assert "unknown ['bogus.w']" in err
@@ -388,18 +389,22 @@ def test_distill_with_bad_kd_config_is_config_error(workdir, artifacts, capsys,
     assert not os.path.exists(dest / "student_kd.json")
 
 
-@pytest.mark.parametrize("model", [{"quant_mode": "3bit"},
-                                   {"num_heads": 3, "hidden_dim": 8},
-                                   {"max_len": 0}],
-                         ids=["quant_mode", "num_heads", "max_len"])
-def test_bad_model_section_is_config_error(workdir, capsys, model):
-    # train-teacher builds no student, so the section is checked at load
+@pytest.mark.parametrize("model, message", [
+    ({"quant_mode": "3bit"}, "config section 'model'"),
+    ({"gamma": 1.5}, "unknown config key 'model.gamma'"),
+    ({"num_heads": 3, "hidden_dim": 8}, "config section 'model'"),
+    ({"v_th": 0}, "unknown config key 'model.v_th'"),
+    ({"max_len": 0}, "config section 'model'")],
+    ids=["quant_mode", "gamma", "num_heads", "v_th", "max_len"])
+def test_bad_model_section_is_config_error(workdir, capsys, model, message):
+    # train-teacher builds no student, so the section is checked at load;
+    # the neuron knobs gamma and v_th are no longer keys
     root, _ = workdir
     bad = root / "badmode.yaml"
     bad.write_text(yaml.safe_dump({"model": model}))
     rc = main(["train-teacher", "--config", str(bad), "--out", str(root / "z")])
     assert rc == 2
-    assert "config error: config section 'model'" in capsys.readouterr().err
+    assert f"config error: {message}" in capsys.readouterr().err
 
 
 def test_train_teacher_rerun_is_byte_identical(workdir):

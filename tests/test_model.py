@@ -35,6 +35,15 @@ def test_stack_config_validates_head_divisibility():
                     num_heads=2, num_layers=1, max_len=4, num_labels=2)
 
 
+@pytest.mark.parametrize("bad", [{"gamma": 1.5}, {"gamma": 0.0},
+                                 {"v_th": 0.0}, {"v_th": -1.0}])
+def test_stack_config_validates_lif_parameters(bad):
+    # the neuron is fixed at no leak and threshold 1: neither is a field
+    with pytest.raises(TypeError):
+        StackConfig(vocab_size=5, hidden_dim=8, intermediate_dim=8,
+                    num_heads=2, num_layers=1, max_len=4, num_labels=2, **bad)
+
+
 def test_encoding_lies_in_unit_interval():
     stack = make_stack()
     enc = stack.encoding(np.array([2, 4, 5]))
@@ -184,16 +193,26 @@ def test_temporal_simulate_rejects_bad_horizon():
         make_stack().temporal_simulate(np.array([2]), T=0)
 
 
-@MODES
-def test_temporal_asr_approaches_fixed_point(mode):
-    stack = make_stack(seed=4, mode=mode)
-    stack.freeze_quantization()
+def _assert_temporal_asr_near_fixed_point(stack):
     tokens = np.array([2, 4, 5, 6])
     sol = solve_fixed_point(stack, tokens)
     _, asrs, _ = stack.temporal_simulate(tokens, T=800)
     for i, target in enumerate(sol.asr_star):
         dev = float(np.mean(np.abs(asrs[f"blk{i}.out"] - target)))
         assert dev < 0.02
+
+
+def test_temporal_asr_approaches_fixed_point():
+    _assert_temporal_asr_near_fixed_point(make_stack(seed=4))
+
+
+@pytest.mark.parametrize("mode", [QuantMode.BINARY_1BIT,
+                                  QuantMode.TERNARY_158BIT],
+                         ids=["1bit", "1.58bit"])
+def test_quantized_temporal_asr_approaches_fixed_point(mode):
+    stack = make_stack(seed=4, mode=mode)
+    stack.freeze_quantization()
+    _assert_temporal_asr_near_fixed_point(stack)
 
 
 def test_op_counter_only_counts_quantized_kernels():

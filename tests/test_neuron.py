@@ -57,11 +57,13 @@ def test_asr_batch_shapes():
     np.testing.assert_array_equal(asrs[-1], state.count / 100)
 
 
+@pytest.mark.parametrize("low, high", [(-0.5, 2.5), (0.0, 1.0)],
+                         ids=["default", "subthreshold"])
 @pytest.mark.parametrize("C", [1, 2, 7, 20])
-def test_window_equals_single_steps_bitwise(C):
+def test_window_equals_single_steps_bitwise(C, low, high):
     # one window of C currents is C steps of one: the membrane potential,
     # the spikes and the ASR after every step agree bit for bit
-    currents = np.random.default_rng(C).uniform(-0.5, 2.5, size=(2 * C, 3, 4))
+    currents = np.random.default_rng(C).uniform(low, high, size=(2 * C, 3, 4))
     steps = np.arange(1.0, 2 * C + 1)
     windowed, stepped = (LifLayerState.zeros((3, 4)) for _ in range(2))
     got_spikes, got_asrs = [], []
