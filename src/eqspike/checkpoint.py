@@ -1,16 +1,19 @@
 """Versioned JSON checkpoints for student and teacher models.
 
 Both kinds share one envelope: format version, kind, stage, config and
-parameters.  Student checkpoints add the quant mode and, per quantized
-linear, its alpha/beta statistics and packed 2-bit integer codes
-(little-endian within each byte); a loaded student is frozen on its
-latent weights' quantization, which must be the saved one.  Teacher
-checkpoints add their training metrics.  A stage tag records where in the
-training pipeline the artifact was produced.
+parameters, each parameter stored as the base64 of its little-endian
+float64 bytes (bitwise, and without formatting a float as text).  Student
+checkpoints add the quant mode and, per quantized linear, its alpha/beta
+statistics and packed 2-bit integer codes (little-endian within each
+byte); a loaded student is frozen on its latent weights' quantization,
+which must be the saved one.  Teacher checkpoints add their training
+metrics.  A stage tag records where in the training pipeline the
+artifact was produced.
 """
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
 
@@ -19,7 +22,7 @@ import numpy as np
 from .model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
 from .quantizer import QuantMode, pack_codes, unpack_codes
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2  # 1 stored each parameter as nested lists of JSON numbers
 STAGES = ("init", "kd", "finetuned")
 
 
@@ -34,32 +37,60 @@ def write_json(path, obj):
         fh.write("\n")
 
 
+def encode_array(a) -> str:
+    """`a` as the base64 of its little-endian float64 bytes."""
+    return base64.b64encode(np.asarray(a, "<f8").tobytes()).decode("ascii")
+
+
+def decode_array(text, shape, what: str) -> np.ndarray:
+    """The read-only float64 array of `shape` that `encode_array` wrote as
+    `text`; a CheckpointError naming `what` unless `text` is a base64
+    string of exactly that many values."""
+    if not isinstance(text, str):
+        raise CheckpointError(f"{what} is a {type(text).__name__}, not a "
+                              "base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error, or a non-ASCII character
+        raise CheckpointError(f"{what} is not valid base64 ({exc})") from None
+    size = int(np.prod(shape))
+    if len(raw) != 8 * size:
+        raise CheckpointError(f"{what}: {len(raw)} bytes, not the {8 * size} "
+                              f"of {size} float64 values (shape {shape})")
+    return np.frombuffer(raw, "<f8").reshape(shape)
+
+
 def _save(model, kind, stage, path, **extra):
     """Writes `model`'s envelope and the `extra` sections to `path`."""
     config = {k: v.value if isinstance(v, QuantMode) else v
               for k, v in dataclasses.asdict(model.cfg).items()}
     write_json(path, {"format_version": FORMAT_VERSION, "kind": kind,
                       "stage": stage, "config": config,
-                      "params": {k: v.tolist() for k, v in model.params.items()},
+                      "params": {k: encode_array(v)
+                                 for k, v in model.params.items()},
                       **extra})
 
 
 def _load(path, kind, build):
     """`build(obj)` for the JSON object of a `kind` checkpoint at `path`.
 
-    Text that is not JSON, or a missing, mistyped or invalid field (a
-    shape, a non-finite number, a config or parameter set that names other
-    fields or parameters than the model's, or values it rejects) is
-    reported as a CheckpointError naming `path`; a file that cannot be
-    read raises its OSError.
+    Text that is not JSON, another format version, or a missing, mistyped
+    or invalid field (a shape, a parameter that is not the base64 of the
+    model's number of values, a non-finite number, a config or parameter
+    set that names other fields or parameters than the model's, or values
+    it rejects) is reported as a CheckpointError naming `path`; a file
+    that cannot be read raises its OSError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        if not isinstance(obj, dict) \
-                or obj.get("format_version") != FORMAT_VERSION \
-                or obj.get("kind") != kind:
+        if not isinstance(obj, dict) or obj.get("kind") != kind:
             raise CheckpointError(f"not a {kind} checkpoint")
+        if obj.get("format_version") != FORMAT_VERSION:
+            raise CheckpointError(
+                f"unsupported {kind} checkpoint (format_version "
+                f"{obj.get('format_version')!r}; this eqspike reads "
+                f"{FORMAT_VERSION})")
         return build(obj)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
@@ -79,7 +110,7 @@ def _require_exactly(saved, names, what: str):
 def _restore(model_cls, cfg_cls, obj):
     """`model_cls` built from an envelope's config, which must name
     exactly the `cfg_cls` fields, holding its parameters, which must be
-    exactly the model's, each with the model's shape and finite."""
+    exactly the model's, each encoded with the model's size and finite."""
     blob = obj["config"]
     _require_exactly(blob, [f.name for f in dataclasses.fields(cfg_cls)],
                      f"config must name exactly the {cfg_cls.__name__} fields")
@@ -88,9 +119,7 @@ def _restore(model_cls, cfg_cls, obj):
     _require_exactly(saved, model.params,
                      "params must name exactly the model's parameters")
     for k, v in model.params.items():
-        arr = np.asarray(saved[k], dtype=np.float64)
-        if arr.shape != v.shape:
-            raise CheckpointError(f"parameter {k}: shape {arr.shape} vs {v.shape}")
+        arr = decode_array(saved[k], v.shape, f"parameter {k}")
         if not np.all(np.isfinite(arr)):
             raise CheckpointError(f"parameter {k} is not finite")
         v[...] = arr

@@ -1,11 +1,14 @@
+import base64
 import json
+import re
 
 import numpy as np
 import pytest
 
 from eqspike import pipeline as pl
-from eqspike.checkpoint import (CheckpointError, load_student, load_teacher,
-                                save_student, save_teacher)
+from eqspike.checkpoint import (FORMAT_VERSION, CheckpointError, encode_array,
+                                load_student, load_teacher, save_student,
+                                save_teacher)
 from eqspike.equilibrium import solve_fixed_point
 from eqspike.implicit_grad import training_step
 from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
@@ -18,6 +21,32 @@ def make_stack(mode=QuantMode.TERNARY_158BIT, seed=0):
                       num_heads=2, num_layers=2, max_len=6, num_labels=2,
                       quant_mode=mode)
     return EncoderStack(cfg, np.random.default_rng(seed))
+
+
+def make_teacher(seed=1):
+    return TeacherModel(TeacherConfig(vocab_size=11, hidden_dim=8,
+                                      intermediate_dim=12, num_heads=2,
+                                      num_layers=2, max_len=6),
+                        np.random.default_rng(seed))
+
+
+def _save_kind(kind, path, model=None):
+    """Saves `model` (by default a small model of `kind`) to `path`;
+    returns it and the loader of `kind`."""
+    if kind == "student":
+        model = make_stack() if model is None else model
+        save_student(model, "kd", path)
+        return model, lambda p: load_student(p)[0]
+    model = make_teacher() if model is None else model
+    save_teacher(model, path)
+    return model, load_teacher
+
+
+def _rewrite(path, edit):
+    """Applies `edit` to the JSON object of the checkpoint at `path`."""
+    obj = json.loads(path.read_text())
+    edit(obj)
+    path.write_text(json.dumps(obj))
 
 
 def test_student_roundtrip_parameters(tmp_path):
@@ -84,10 +113,7 @@ def test_save_load_save_is_byte_identical(tmp_path, kind):
         save_student(make_stack(), "kd", first)
         save_student(load_student(first)[0], "kd", second)
     else:
-        teacher = TeacherModel(TeacherConfig(vocab_size=11, hidden_dim=8,
-                                             intermediate_dim=12, num_heads=2,
-                                             num_layers=2, max_len=6),
-                               np.random.default_rng(1))
+        teacher = make_teacher()
         metrics = {"dev_accuracy": 0.75}
         save_teacher(teacher, first, metrics=metrics)
         save_teacher(load_teacher(first), second, metrics=metrics)
@@ -110,17 +136,84 @@ def test_load_student_rejects_shape_mismatch(tmp_path):
     path = tmp_path / "ckpt.json"
     save_student(stack, "kd", path)
     obj = json.loads(path.read_text())
-    obj["params"]["cls.b"] = [0.0, 0.0, 0.0]
+    obj["params"]["cls.b"] = encode_array(np.zeros(3))  # one value too long
     path.write_text(json.dumps(obj))
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match=re.escape(
+            "parameter cls.b: 24 bytes, not the 16 of 2 float64 values")):
         load_student(path)
 
 
+# the values a text float could lose: a sign, the smallest subnormal, range
+EXTREMES = [-0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 0.1]
+
+
+@pytest.mark.parametrize("kind", ["student", "teacher"])
+def test_every_parameter_round_trips_bitwise(tmp_path, kind):
+    model = make_stack() if kind == "student" else make_teacher()
+    model.params["tok_emb"][0, :len(EXTREMES)] = EXTREMES
+    model.params["cls.b"][...] = -0.0
+    path = tmp_path / "ckpt.json"
+    _, load = _save_kind(kind, path, model)
+    loaded = load(path)
+    assert list(loaded.params) == list(model.params)
+    for k, v in model.params.items():
+        assert loaded.params[k].tobytes() == v.tobytes(), k
+
+
+@pytest.mark.parametrize("kind", ["student", "teacher"])
+@pytest.mark.parametrize("value,message", [
+    ([0.0, 0.0], "parameter cls.b is a list, not a base64 string"),
+    (None, "parameter cls.b is a NoneType, not a base64 string"),
+    ("AAAA*AAA", "parameter cls.b is not valid base64"),
+    ("\u00e9AAA", "parameter cls.b is not valid base64"),
+    (base64.b64encode(bytes(15)).decode(),
+     "parameter cls.b: 15 bytes, not the 16 of 2 float64 values"),
+    (encode_array(np.zeros(1)),
+     "parameter cls.b: 8 bytes, not the 16 of 2 float64 values"),
+    (encode_array([0.0, np.inf]), "parameter cls.b is not finite"),
+], ids=["list", "null", "bad-char", "non-ascii", "15-bytes", "too-short",
+        "inf"])
+def test_malformed_parameter_is_checkpoint_error_naming_it(tmp_path, kind,
+                                                           value, message):
+    path = tmp_path / "ckpt.json"
+    _, load = _save_kind(kind, path)
+    _rewrite(path, lambda obj: obj["params"].update({"cls.b": value}))
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        load(path)
+
+
+@pytest.mark.parametrize("kind", ["student", "teacher"])
+def test_version_1_checkpoint_names_both_versions(tmp_path, kind):
+    path = tmp_path / "ckpt.json"
+    model, load = _save_kind(kind, path)
+
+    def as_version_1(obj):  # parameters as the nested lists version 1 wrote
+        obj["format_version"] = 1
+        obj["params"] = {k: v.tolist() for k, v in model.params.items()}
+
+    _rewrite(path, as_version_1)
+    assert FORMAT_VERSION == 2
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"unsupported {kind} checkpoint (format_version 1; this eqspike "
+            "reads 2)")):
+        load(path)
+
+
+def test_default_student_checkpoint_stays_binary_sized(tmp_path):
+    # base64 float64 is 32/3 bytes a value; a text float takes about 20
+    cfg = pl.load_config(None, {})
+    tok, _train, _dev, labels = pl.make_dataset(cfg)
+    stack = pl.build_student(cfg, tok, num_labels=len(labels))
+    path = tmp_path / "ckpt.json"
+    save_student(stack, "kd", path)
+    obj = json.loads(path.read_text())
+    obj["params"] = dict.fromkeys(obj["params"], "")
+    envelope = len(json.dumps(obj, sort_keys=True, separators=(",", ":"))) + 1
+    assert path.stat().st_size <= envelope + 11 * stack.params.flat.size
+
+
 def test_teacher_roundtrip(tmp_path):
-    teacher = TeacherModel(TeacherConfig(vocab_size=11, hidden_dim=8,
-                                         intermediate_dim=12, num_heads=2,
-                                         num_layers=2, max_len=6),
-                           np.random.default_rng(1))
+    teacher = make_teacher()
     path = tmp_path / "t.json"
     save_teacher(teacher, path, metrics={"dev_accuracy": 0.75})
     loaded = load_teacher(path)

@@ -10,7 +10,8 @@ import yaml
 
 from eqspike import cli
 from eqspike import pipeline as pl
-from eqspike.checkpoint import save_student
+from eqspike.checkpoint import (FORMAT_VERSION, decode_array, encode_array,
+                                save_student)
 from eqspike.cli import main
 from eqspike.data import CLS
 from eqspike.quantizer import pack_codes, unpack_codes
@@ -194,7 +195,8 @@ def test_malformed_yaml_is_config_error(workdir, capsys):
 def test_truncated_checkpoint_is_config_error(workdir, capsys, kind):
     root, cfg = workdir
     ckpt = root / f"truncated_{kind}.json"
-    ckpt.write_text(json.dumps({"format_version": 1, "kind": kind}))
+    ckpt.write_text(json.dumps({"format_version": FORMAT_VERSION,
+                                "kind": kind}))
     argv = (["eval", "--student", str(ckpt)] if kind == "student"
             else ["distill", "--teacher", str(ckpt)])
     rc = main(argv + ["--config", cfg, "--out", str(root / "t")])
@@ -248,11 +250,31 @@ def test_eval_of_non_finite_student_is_numeric_error(workdir, artifacts,
     assert "numeric failure" in capsys.readouterr().err
 
 
+def _with_nan_embedding(obj):
+    """`obj` with a NaN in its `tok_emb` row for CLS, validly encoded."""
+    cfg = obj["config"]
+    emb = decode_array(obj["params"]["tok_emb"],
+                       (cfg["vocab_size"], cfg["hidden_dim"]), "tok_emb").copy()
+    emb[CLS, 0] = np.nan
+    obj["params"]["tok_emb"] = encode_array(emb)
+
+
+# the message each defect's check gives, where a test names one
+DEFECT_MESSAGE = {
+    "nan-param": "parameter tok_emb is not finite",
+    "cls-shape": "parameter cls.b: 24 bytes, not the 16 of 2 float64 values",
+    "gamma": "unknown ['gamma']",
+    "parent-format": "unknown ['gamma', 'v_th']",
+    "unknown-param": "unknown ['bogus.w']",
+    "format-v1": f"format_version 1; this eqspike reads {FORMAT_VERSION}",
+}
+
+
 def _corrupt(obj, defect):
     if defect == "quant-shape":  # as many codes, in the wrong (out, in)
         obj["quant"]["layers"]["blk0.q"]["shape"] = [4, 16]
     elif defect == "nan-param":
-        obj["params"]["tok_emb"][CLS][0] = float("nan")
+        _with_nan_embedding(obj)
     elif defect == "inf-beta":
         obj["quant"]["layers"]["blk1.ff2"]["beta"] = float("inf")
     elif defect == "missing-quant-entry":
@@ -271,6 +293,8 @@ def _corrupt(obj, defect):
         obj["config"].update(gamma=1.0, v_th=1.0)
     elif defect == "unknown-param":
         obj["params"]["bogus.w"] = obj["params"]["cls.b"]
+    elif defect == "format-v1":  # every checkpoint written before format 2
+        obj["format_version"] = 1
 
 
 def _write_checkpoint(path, obj, defect):
@@ -285,7 +309,7 @@ def _write_checkpoint(path, obj, defect):
                                     "unknown-quant-entry", "gamma", "max_len",
                                     "unknown-field", "missing-field",
                                     "parent-format", "unknown-param",
-                                    "truncated-json"])
+                                    "format-v1", "truncated-json"])
 def test_invalid_student_checkpoint_is_config_error(workdir, artifacts, capsys,
                                                     defect):
     root, cfg = workdir
@@ -299,24 +323,20 @@ def test_invalid_student_checkpoint_is_config_error(workdir, artifacts, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(ckpt) in err
-    if defect == "gamma":
-        assert "unknown ['gamma']" in err
-    elif defect == "parent-format":
-        assert "unknown ['gamma', 'v_th']" in err
-    elif defect == "unknown-param":
-        assert "unknown ['bogus.w']" in err
+    assert DEFECT_MESSAGE.get(defect, "") in err
 
 
 @pytest.mark.parametrize("defect", ["nan-param", "unknown-field",
                                     "missing-field", "cls-shape",
-                                    "unknown-param", "truncated-json"])
+                                    "unknown-param", "format-v1",
+                                    "truncated-json"])
 def test_invalid_teacher_checkpoint_is_config_error(workdir, artifacts, capsys,
                                                     defect):
     root, cfg = workdir
     out, _ = artifacts
     obj = json.loads(Path(out, "teacher.json").read_text())
     if defect == "nan-param":
-        obj["params"]["tok_emb"][CLS][0] = float("nan")
+        _with_nan_embedding(obj)
     elif defect == "unknown-field":
         obj["config"]["bogus"] = 1
     elif defect == "missing-field":
@@ -324,7 +344,9 @@ def test_invalid_teacher_checkpoint_is_config_error(workdir, artifacts, capsys,
     elif defect == "unknown-param":  # a block the 2-block teacher lacks
         obj["params"]["blk7.q.w"] = obj["params"]["blk0.q.w"]
     elif defect == "cls-shape":
-        obj["params"]["cls.b"] = [0.0, 0.0, 0.0]
+        obj["params"]["cls.b"] = encode_array(np.zeros(3))  # one value too long
+    elif defect == "format-v1":
+        obj["format_version"] = 1
     ckpt = root / f"invalid_teacher_{defect}.json"
     _write_checkpoint(ckpt, obj, defect)
     dest = root / "invalid_teacher"
@@ -333,6 +355,8 @@ def test_invalid_teacher_checkpoint_is_config_error(workdir, artifacts, capsys,
     assert rc == 2
     err = capsys.readouterr().err
     assert "config error" in err and str(ckpt) in err
+    assert {**DEFECT_MESSAGE, "unknown-param": "unknown ['blk7.q.w']"}.get(
+        defect, "") in err
     assert not os.path.exists(dest / "student_kd.json")
 
 
