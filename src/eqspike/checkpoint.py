@@ -155,10 +155,14 @@ def _build_student(obj):
         if shape != p.codes.shape:
             raise CheckpointError(f"quant entry {key}: shape {shape} vs "
                                   f"{p.codes.shape}")
+        try:  # a non-string, not base64, a 0b10 code or a wrong count
+            codes = unpack_codes(entry["codes"], shape)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"quant entry {key}: invalid codes ({exc})") \
+                from None
         # a non-finite or mistyped alpha/beta differs from the re-pin's too
         if (entry["alpha"], entry["beta"]) != (p.alpha, p.beta) \
-                or not np.array_equal(unpack_codes(entry["codes"], shape),
-                                      p.codes):
+                or not np.array_equal(codes, p.codes):
             raise CheckpointError(f"quant entry {key}: codes or alpha/beta "
                                   "are not those of its latent weights")
     if layers:

@@ -47,7 +47,7 @@ import numpy as np
 from .autodiff import (clip01, clip01_backward, gelu, gelu_backward,
                        layer_norm, layer_norm_backward, linear,
                        linear_backward)
-from .neuron import LifLayerState, lif_step, running_means
+from .neuron import LifLayerState, lif_step, running_means, telescoped
 from .numerics import FlatParams, ShapeError, check_finite, init_uniform
 from .quantizer import (OpCounter, QuantMode, effective_weight_tensor, pin,
                         quantized_forward, stack_pinned)
@@ -396,15 +396,14 @@ class EncoderStack:
 
     # -- temporal (spiking) path ---------------------------------------
     def temporal_simulate(self, tokens, T: int, counter: OpCounter | None = None,
-                          trace: list | None = None,
-                          trace_targets: dict | None = None):
+                          trace: list | None = None):
         """Full spiking simulation for T steps, a window of steps at a time.
 
         `tokens` is (seq,) or (B, seq): a batch runs in one pass, each row
         bitwise equal to its own run.  Returns (logits (..., C), per-layer
         ASR dict, per-layer per-neuron spike count dict), ASRs and counts
         (..., seq, width).  `trace`, when given, collects (step, layer,
-        mean_asr, residual) rows; residuals are against `trace_targets`.
+        mean_asr) rows.
 
         The steps run in windows of WINDOW_ROWS // (B * seq) steps (at
         least one).  Within a window the sublayers go in block order, each
@@ -432,7 +431,7 @@ class EncoderStack:
         d, inter = cfg.hidden_dim, cfg.intermediate_dim
         pins = self.pinned()
         # per block: its layer-name prefix, its stacked q/k/v linear and
-        # bias, the residual sums and the telescoped surrogates
+        # bias, the residual sums and each telescoped surrogate's last value
         runs = []
         for i in range(cfg.num_layers):
             pre = f"blk{i}."
@@ -445,7 +444,8 @@ class EncoderStack:
             runs.append((pre, stack_pinned([pins[k] for k in qkv]),
                          np.concatenate([p[k + ".b"] for k in qkv]),
                          np.zeros(drive.shape), np.zeros(drive.shape),
-                         {nm: _Telescoped() for nm in ("attn", "h1", "out")}))
+                         {nm: np.zeros(drive.shape)
+                          for nm in ("attn", "h1", "out")}))
         tracing = trace is not None
         step = max(1, WINDOW_ROWS // (drive.size // drive.shape[-1]))
 
@@ -465,7 +465,7 @@ class EncoderStack:
                     means[part] = a.reshape(len(a), -1).mean(axis=1)
             return spikes, asrs
 
-        def block(pre, qkv, qkv_bias, r1_sum, r2_sum, tele, s_in):
+        def block(pre, qkv, qkv_bias, r1_sum, r2_sum, phi_last, s_in):
             """Advance a block over the window; its output spikes.
 
             Each window-sized intermediate is passed straight on, so that
@@ -476,7 +476,7 @@ class EncoderStack:
                                          counter, pre + nm)
 
             def surrogate(nm, phi):  # the spikes of the neurons behind phi
-                return fire(pre + nm, tele[nm](phi, steps))[0]
+                return fire(pre + nm, telescoped(phi, steps, phi_last[nm]))[0]
 
             def norm(ln, r):  # layer norm ln of the residual average r
                 return layer_norm(r, p[pre + ln + "_g"], p[pre + ln + "_b"])[0]
@@ -501,12 +501,9 @@ class EncoderStack:
             for run in runs:
                 s_in = block(*run, s_in)
             if tracing:
-                for k in range(len(steps)):
-                    for name, m in means.items():
-                        m = float(m[k])
-                        target = trace_targets.get(name) if trace_targets else None
-                        resid = abs(m - target) if target is not None else float("nan")
-                        trace.append((t0 + 1 + k, name, m, resid))
+                trace.extend((t0 + 1 + k, name, float(m[k]))
+                             for k in range(len(steps))
+                             for name, m in means.items())
 
         asrs, spike_counts = {}, {}
         for name, st in layers.items():
@@ -515,60 +512,6 @@ class EncoderStack:
             spike_counts.update(split(name, st.count))
         final = asrs[f"blk{cfg.num_layers - 1}.out"]
         return self.logits(final), asrs, spike_counts
-
-    # -- energy bookkeeping --------------------------------------------
-    def linear_op_table(self, seq_len: int) -> list:
-        """(driving spiking layer, consuming op name, synaptic op count).
-
-        A linear costs its latent weight's fan-in x fan-out per position;
-        attention score and mix matrices are counted as equivalent
-        accumulates driven by the Q and V neuron layers respectively.  The
-        classifier head is included (driven by the final block's output).
-        """
-        cfg = self.cfg
-        attention = seq_len * seq_len * cfg.hidden_dim
-        rows = []
-        for i in range(cfg.num_layers):
-            pre = f"blk{i}."
-            src = "input" if i == 0 else f"blk{i - 1}.out"
-
-            def linear(driver, nm):
-                w = self.params[pre + nm + ".w"]
-                return driver, pre + nm, seq_len * w.size
-
-            rows += [linear(src, "q"), linear(src, "k"), linear(src, "v"),
-                     (pre + "q", pre + "score", attention),
-                     (pre + "v", pre + "mix", attention),
-                     linear(pre + "attn", "o"), linear(pre + "h1", "ff1"),
-                     linear(pre + "int", "ff2")]
-        rows.append((f"blk{cfg.num_layers - 1}.out", "classifier",
-                     self.params["cls.w"].size))
-        return rows
-
-
-class _Telescoped:
-    """Input currents of the neurons behind a nonlinear surrogate.
-
-    The surrogates (attention mix, normalization) are driven so that their
-    integrated input current through step t equals t * phi_t, phi_t the
-    surrogate of the running averages at t: the current at step t is
-    t * phi_t - (t - 1) * phi_{t-1}.  That telescoping keeps the temporal
-    path converging at the 1/T rate of the rate averages themselves
-    instead of accumulating burn-in error.
-    """
-
-    def __init__(self):
-        self.last = None  # phi at the step before the next window
-
-    def __call__(self, phi: np.ndarray, steps: np.ndarray) -> np.ndarray:
-        """The currents of a window: `phi` (C, ...) at the steps `steps` (C,)."""
-        ts = steps.reshape((-1,) + (1,) * (phi.ndim - 1))
-        current = ts * phi
-        current[1:] -= (ts[1:] - 1.0) * phi[:-1]
-        if self.last is not None:  # at step 1 the current is phi_1 itself
-            current[0] -= (ts[0] - 1.0) * self.last
-        self.last = phi[-1].copy()
-        return current
 
 
 def spiking_attention(q, k, v, num_heads: int):

@@ -7,7 +7,8 @@ neurons do not leak: the rate path's clip(a, 0, 1) is their long-run
 spiking rate only without leak.  A layer's average spiking rate (ASR)
 after t steps is its spike count over t; the counts are exact integers in
 float64, so no second running sum is kept.  `running_means` gives the
-same running averages of any signal pushed a window at a time.
+same running averages of any signal pushed a window at a time, and
+`telescoped` the input currents of the neurons behind such a signal.
 """
 
 from __future__ import annotations
@@ -46,6 +47,30 @@ def running_means(window: np.ndarray, total: np.ndarray, steps: np.ndarray,
     np.copyto(total, out[-1, ...])
     out /= steps.reshape((-1,) + (1,) * (out.ndim - 1))
     return out
+
+
+def telescoped(phi: np.ndarray, steps: np.ndarray,
+               last: np.ndarray) -> np.ndarray:
+    """Input currents of the neurons behind a nonlinear surrogate.
+
+    The surrogates (attention mix, normalization) are driven so that their
+    integrated input current through step t equals t * phi_t, phi_t the
+    surrogate of the running averages at t: the current at step t is
+    t * phi_t - (t - 1) * phi_{t-1}.  That telescoping keeps the temporal
+    path converging at the 1/T rate of the rate averages themselves
+    instead of accumulating burn-in error.
+
+    `phi` is a window's C steps (C, ...), `steps` (C,) their numbers and
+    `last` phi before the window, advanced in place to its last step: zeros
+    before step 1, where subtracting 0 * 0 leaves phi_1 bitwise, -0.0
+    included.  One window of C steps is bitwise C windows of one.
+    """
+    ts = steps.reshape((-1,) + (1,) * (phi.ndim - 1))
+    current = ts * phi
+    current[1:] -= (ts[1:] - 1.0) * phi[:-1]
+    current[0] -= (ts[0] - 1.0) * last
+    np.copyto(last, phi[-1])
+    return current
 
 
 def lif_step(state: LifLayerState, currents: np.ndarray,

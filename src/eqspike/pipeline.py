@@ -19,12 +19,11 @@ from .data import (Tokenizer, batches, encode_corpus, load_tsv, stack_by_length,
                    synth_task)
 from .distill import KdConfig, run_distillation
 from .equilibrium import SolverConfig, solve_fixed_point
-from .energy import energy_estimate, expected_accumulates
+from .energy import account
 from .implicit_grad import batch_gradients, training_step
 from .model import (EncoderStack, StackConfig, TeacherConfig, TeacherModel,
                     teacher_forward)
 from .numerics import AdamState, ShapeError, adam_step_many, check_finite
-from .quantizer import OpCounter, QuantMode
 
 
 class ConfigError(ValueError):
@@ -133,10 +132,14 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         if val is not None and not fits(val):
             raise ConfigError(f"config key '{section}.{key}' must be {what}, "
                               f"not {val!r}")
-    # each model's own rules, on placeholder data sizes
+    # each model's and the KD map's own rules, on placeholder data sizes
+    m, t = cfg["model"], cfg["teacher"]
     for section, build in (
-            ("model", lambda: StackConfig(**cfg["model"], vocab_size=1)),
-            ("teacher", lambda: _teacher_config(cfg, vocab_size=1))):
+            ("model", lambda: StackConfig(**m, vocab_size=1)),
+            ("teacher", lambda: _teacher_config(cfg, vocab_size=1)),
+            ("kd", lambda: KdConfig.build(
+                m["hidden_dim"], t["hidden_dim"], m["num_layers"],
+                t["num_layers"], np.random.default_rng(0), **cfg["kd"]))):
         try:
             build()
         except ValueError as exc:
@@ -261,9 +264,9 @@ def simulate(cfg, stack, tokens, T):
     is not read."""
     sol = solve_fixed_point(stack, tokens)
     targets = {name: float(np.mean(v)) for name, v in sol.sublayer_asr.items()}
-    rows = []
-    _, asrs, _ = stack.temporal_simulate(tokens, T, trace=rows,
-                                         trace_targets=targets)
+    trace = []
+    _, asrs, _ = stack.temporal_simulate(tokens, T, trace=trace)
+    rows = [(t, name, m, abs(m - targets[name])) for t, name, m in trace]
     deviations = {f"layer_{i}": float(np.mean(np.abs(asrs[f"blk{i}.out"] - a)))
                   for i, a in enumerate(sol.asr_star)}
     summary = {"T": T, "mean_abs_deviation": deviations,
@@ -271,8 +274,9 @@ def simulate(cfg, stack, tokens, T):
     return rows, summary
 
 
-# the shape fields that the op table and the simulated shapes read: all
-# of TeacherConfig's, which StackConfig extends, but the vocabulary size
+# the shape fields two compared models share: all of TeacherConfig's, which
+# StackConfig extends, but the vocabulary size.  The op table reads the
+# simulated length, not `max_len`, which stays as the position table's.
 ARCHITECTURE_FIELDS = tuple(f.name for f in dataclasses.fields(TeacherConfig)
                             if f.name != "vocab_size")
 
@@ -280,9 +284,9 @@ ARCHITECTURE_FIELDS = tuple(f.name for f in dataclasses.fields(TeacherConfig)
 def energy_compare(cfg, stack_quant, stack_fp, eval_items, T):
     """Energy reports for both models on a shared eval set, plus ratios.
 
-    The set is stacked into one `(B, seq)` batch and simulated in one
-    `temporal_simulate` call per model; each layer's spike counts are
-    summed over the batch axis.  Accumulates cost the 45nm
+    The set is stacked into one `(B, seq)` batch, and each model's
+    `energy.account` simulates it in one `temporal_simulate` call and
+    prices it at length seq.  Accumulates cost the 45nm
     `energy.INT_ACC_PJ` and `FLOAT_ACC_PJ`; `cfg` is not read.  Raises
     ConfigError if the two architectures differ or the set is empty, and
     ShapeError if its sentences differ in length.
@@ -299,42 +303,26 @@ def energy_compare(cfg, stack_quant, stack_fp, eval_items, T):
         raise ShapeError("energy comparison needs equal-length sentences; got "
                          f"lengths {sorted(t.shape[-1] for t, _ in groups)}")
     (tokens, _labels), = groups
-    out = {}
-    for tag, stack in (("quantized", stack_quant), ("full_precision", stack_fp)):
-        counter = OpCounter()
-        _, _, counts = stack.temporal_simulate(tokens, T, counter=counter)
-        counts_sum = {k: v.sum(axis=0) for k, v in counts.items()}
-        table = stack.linear_op_table(stack.cfg.max_len)
-        report = energy_estimate(
-            counts_sum, T * len(eval_items), table,
-            quantized=stack.cfg.quant_mode is not QuantMode.FULL_PRECISION)
-        expected = expected_accumulates(counts_sum, stack)
-        out[tag] = {"report": report, "kernel_ops": dict(counter.per_layer),
-                    "expected_ops": expected}
-    nq = out["quantized"]["report"].norm_ops
-    nf = out["full_precision"]["report"].norm_ops
-    out["norm_ops_ratio"] = nq / nf if nf > 0 else None
-    eq = out["quantized"]["report"].total_energy_pj
-    ef = out["full_precision"]["report"].total_energy_pj
-    out["energy_ratio"] = eq / ef if ef > 0 else None
+    out = {"quantized": account(stack_quant, tokens, T),
+           "full_precision": account(stack_fp, tokens, T)}
+    q, f = out["quantized"]["report"], out["full_precision"]["report"]
+    for ratio, key in (("norm_ops_ratio", "norm_ops"),
+                       ("energy_ratio", "total_energy_pj")):
+        out[ratio] = q[key] / f[key] if f[key] > 0 else None
     return out
 
 
 def energy_report_json(result) -> dict:
-    def rep(tag):
-        r = result[tag]["report"]
-        return {"ifr": {k: round(v, 12) for k, v in sorted(r.ifr.items())},
-                "layer_ops": dict(sorted(r.layer_ops.items())),
-                "driven_ops": {k: round(v, 6) for k, v in sorted(r.driven_ops.items())},
-                "norm_ops": round(r.norm_ops, 12),
-                "total_energy_pj": round(r.total_energy_pj, 6),
-                "acc_energy_pj": r.acc_energy_pj,
-                "metadata": r.metadata}
+    """`energy_compare`'s reports and ratios, rounded as
+    `energy_report.json` stores them."""
+    def rep(r):
+        return {**r, "ifr": {k: round(v, 12) for k, v in r["ifr"].items()},
+                "driven_ops": {k: round(v, 6)
+                               for k, v in r["driven_ops"].items()},
+                "norm_ops": round(r["norm_ops"], 12),
+                "total_energy_pj": round(r["total_energy_pj"], 6)}
 
-    return {"quantized": rep("quantized"),
-            "full_precision": rep("full_precision"),
-            "norm_ops_ratio": None if result["norm_ops_ratio"] is None
-            else round(result["norm_ops_ratio"], 12),
-            "energy_ratio": None if result["energy_ratio"] is None
-            else round(result["energy_ratio"], 12)}
-
+    return {"quantized": rep(result["quantized"]["report"]),
+            "full_precision": rep(result["full_precision"]["report"]),
+            **{k: None if result[k] is None else round(result[k], 12)
+               for k in ("norm_ops_ratio", "energy_ratio")}}

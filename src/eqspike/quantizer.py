@@ -233,8 +233,10 @@ def pack_codes(q: np.ndarray) -> str:
 
 
 def unpack_codes(packed: str, shape) -> np.ndarray:
-    raw = np.frombuffer(base64.b64decode(packed.encode("ascii")), dtype=np.uint8)
+    raw = np.frombuffer(base64.b64decode(packed, validate=True), dtype=np.uint8)
     n = int(np.prod(shape))
+    if len(raw) != -(-n // 4):
+        raise ValueError(f"{len(raw)} bytes, not the {-(-n // 4)} of {n} codes")
     bits = ((raw[:, None] >> _SHIFTS) & 0b11).reshape(-1)[:n]
     if np.any(bits == 0b10):
         raise ValueError("invalid 2-bit weight code")

@@ -229,7 +229,7 @@ class _StepAverage:
 
 
 def step_major_simulate(stack, tokens, T, counter=None, trace=None,
-                        trace_targets=None, membranes=None):
+                        membranes=None):
     """`EncoderStack.temporal_simulate` as one loop over timesteps.
 
     Each step runs every sublayer of every block once, in block order, with
@@ -293,11 +293,8 @@ def step_major_simulate(stack, tokens, T, counter=None, trace=None,
         for name, st in layers.items():
             spike_counts[name] += st.s
         if trace is not None:
-            for name, st in layers.items():
-                m = float(np.mean(st.asr()))
-                target = trace_targets.get(name) if trace_targets else None
-                resid = abs(m - target) if target is not None else float("nan")
-                trace.append((t, name, m, resid))
+            trace.extend((t, name, float(np.mean(st.asr())))
+                         for name, st in layers.items())
 
     if membranes is not None:
         membranes.update((name, st.u) for name, st in layers.items())

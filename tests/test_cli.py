@@ -267,6 +267,9 @@ DEFECT_MESSAGE = {
     "parent-format": "unknown ['gamma', 'v_th']",
     "unknown-param": "unknown ['bogus.w']",
     "format-v1": f"format_version 1; this eqspike reads {FORMAT_VERSION}",
+    "codes-bad-char": "quant entry blk0.q: invalid codes",
+    "codes-int": "quant entry blk0.q: invalid codes (argument should be a "
+                 "bytes-like object or ASCII string, not 'int')",
 }
 
 
@@ -295,6 +298,11 @@ def _corrupt(obj, defect):
         obj["params"]["bogus.w"] = obj["params"]["cls.b"]
     elif defect == "format-v1":  # every checkpoint written before format 2
         obj["format_version"] = 1
+    elif defect == "codes-bad-char":  # skipping "*!" would read the same codes
+        entry = obj["quant"]["layers"]["blk0.q"]
+        entry["codes"] = entry["codes"][:4] + "*!" + entry["codes"][4:]
+    elif defect == "codes-int":
+        obj["quant"]["layers"]["blk0.q"]["codes"] = 5
 
 
 def _write_checkpoint(path, obj, defect):
@@ -309,7 +317,8 @@ def _write_checkpoint(path, obj, defect):
                                     "unknown-quant-entry", "gamma", "max_len",
                                     "unknown-field", "missing-field",
                                     "parent-format", "unknown-param",
-                                    "format-v1", "truncated-json"])
+                                    "format-v1", "truncated-json",
+                                    "codes-bad-char", "codes-int"])
 def test_invalid_student_checkpoint_is_config_error(workdir, artifacts, capsys,
                                                     defect):
     root, cfg = workdir
@@ -413,22 +422,25 @@ def test_distill_with_bad_kd_config_is_config_error(workdir, artifacts, capsys,
     assert not os.path.exists(dest / "student_kd.json")
 
 
-@pytest.mark.parametrize("model, message", [
-    ({"quant_mode": "3bit"}, "config section 'model'"),
-    ({"gamma": 1.5}, "unknown config key 'model.gamma'"),
-    ({"num_heads": 3, "hidden_dim": 8}, "config section 'model'"),
-    ({"v_th": 0}, "unknown config key 'model.v_th'"),
-    ({"max_len": 0}, "config section 'model'")],
-    ids=["quant_mode", "gamma", "num_heads", "v_th", "max_len"])
-def test_bad_model_section_is_config_error(workdir, capsys, model, message):
-    # train-teacher builds no student, so the section is checked at load;
-    # the neuron knobs gamma and v_th are no longer keys
+@pytest.mark.parametrize("config, message", [
+    ({"model": {"quant_mode": "3bit"}}, "config section 'model'"),
+    ({"model": {"gamma": 1.5}}, "unknown config key 'model.gamma'"),
+    ({"model": {"num_heads": 3, "hidden_dim": 8}}, "config section 'model'"),
+    ({"model": {"v_th": 0}}, "unknown config key 'model.v_th'"),
+    ({"model": {"max_len": 0}}, "config section 'model'"),
+    ({"kd": {"layer_map": [5, 7]}}, "config section 'kd'")],
+    ids=["quant_mode", "gamma", "num_heads", "v_th", "max_len", "kd-layer_map"])
+def test_bad_model_section_is_config_error(workdir, capsys, config, message):
+    # train-teacher builds no student and no KD map, so the model and kd
+    # sections are checked at load, before a teacher is trained; the neuron
+    # knobs gamma and v_th are no longer keys
     root, _ = workdir
     bad = root / "badmode.yaml"
-    bad.write_text(yaml.safe_dump({"model": model}))
+    bad.write_text(yaml.safe_dump(config))
     rc = main(["train-teacher", "--config", str(bad), "--out", str(root / "z")])
     assert rc == 2
     assert f"config error: {message}" in capsys.readouterr().err
+    assert not os.path.exists(root / "z" / "teacher.json")
 
 
 def test_train_teacher_rerun_is_byte_identical(workdir):

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from eqspike import pipeline as pl
 from eqspike.energy import (FLOAT_ACC_PJ, INT_ACC_PJ, EnergyConfigError,
-                            compute_ifr, energy_estimate, expected_accumulates)
+                            compute_ifr, energy_estimate, expected_accumulates,
+                            op_table)
 from eqspike.model import EncoderStack, StackConfig
 from eqspike.quantizer import OpCounter, QuantMode
 
@@ -30,8 +33,8 @@ def test_compute_ifr_rejects_bad_horizon():
 def test_norm_ops_weighted_fraction():
     table = [("a", "lin1", 100), ("b", "lin2", 300)]
     # (0.5*100 + 0.25*300) / 400 = 0.3125
-    assert energy_estimate(hand_counts(), T, table, quantized=True).norm_ops \
-        == pytest.approx(0.3125)
+    assert energy_estimate(hand_counts(), T, table, quantized=True)[
+        "norm_ops"] == pytest.approx(0.3125)
 
 
 def test_norm_ops_rejects_unknown_driver():
@@ -50,25 +53,52 @@ def test_energy_estimate_quantized_vs_float():
     f = energy_estimate(hand_counts(), T, table, quantized=False)
     # same executed accumulates, different per-accumulate cost
     executed = (0.5 * 100 + 0.25 * 300) * T
-    assert q.total_energy_pj == pytest.approx(executed * 0.1)
-    assert f.total_energy_pj == pytest.approx(executed * 0.9)
-    assert f.total_energy_pj / q.total_energy_pj == pytest.approx(9.0)
-    assert q.acc_energy_pj == 0.1 and f.acc_energy_pj == 0.9
-    assert q.norm_ops == f.norm_ops == pytest.approx(0.3125)
+    assert q["total_energy_pj"] == pytest.approx(executed * 0.1)
+    assert f["total_energy_pj"] == pytest.approx(executed * 0.9)
+    assert f["total_energy_pj"] / q["total_energy_pj"] == pytest.approx(9.0)
+    assert q["acc_energy_pj"] == 0.1 and f["acc_energy_pj"] == 0.9
+    assert q["norm_ops"] == f["norm_ops"] == pytest.approx(0.3125)
 
 
 def test_energy_report_metadata():
     rep = energy_estimate(hand_counts(), T, [("a", "lin", 10)], quantized=True)
-    assert rep.metadata["quantized"] is True
-    assert rep.metadata["classifier_head_included"] is True
-    assert rep.metadata["T"] == 2
+    assert rep["metadata"]["quantized"] is True
+    assert rep["metadata"]["classifier_head_included"] is True
+    assert rep["metadata"]["T"] == 2
 
 
-def make_stack(mode):
+def make_stack(mode, max_len=6):
     cfg = StackConfig(vocab_size=11, hidden_dim=8, intermediate_dim=12,
-                      num_heads=2, num_layers=2, max_len=6, num_labels=2,
+                      num_heads=2, num_layers=2, max_len=max_len, num_labels=2,
                       quant_mode=mode)
     return EncoderStack(cfg, np.random.default_rng(0))
+
+
+def test_op_table_counts():
+    rows = op_table(make_stack(QuantMode.TERNARY_158BIT), seq_len=3)
+    d, inter = 8, 12
+    total = sum(c for _, _, c in rows)
+    per_block = 4 * 3 * d * d + 2 * 3 * 3 * d + 3 * d * inter + 3 * inter * d
+    assert total == 2 * per_block + d * 2
+    drivers = {src for src, _, _ in rows}
+    assert "input" in drivers and "blk1.out" in drivers
+
+
+def test_energy_report_is_priced_at_the_simulated_length():
+    # 4-token sentences on max_len-12 models: the op table counts the 4
+    # positions that run, so max_len does not reach the report
+    stacks = [make_stack(m, max_len=12) for m in (QuantMode.TERNARY_158BIT,
+                                                  QuantMode.FULL_PRECISION)]
+    items = [(np.array([2, 4, 5, 6]), 0), (np.array([3, 7, 1, 9]), 1)]
+    result = pl.energy_compare(None, *stacks, items, T=10)
+    d = stacks[0].cfg.hidden_dim
+    for tag in ("quantized", "full_precision"):
+        layer_ops = result[tag]["report"]["layer_ops"]
+        assert layer_ops["blk0.q"] == 4 * d * d
+        assert layer_ops["blk0.score"] == 4 * 4 * d
+    for stack in stacks:  # the same parameters, at max_len 4
+        stack.cfg = dataclasses.replace(stack.cfg, max_len=4)
+    assert pl.energy_compare(None, *stacks, items, T=10) == result
 
 
 def test_expected_accumulates_matches_instrumented_kernel_exactly():

@@ -90,11 +90,12 @@ def test_convergence_trace_rows_and_csv(tmp_path):
     # the rows trace against each layer's mean equilibrium rate, and the
     # traced run's result is the untraced simulation's
     sol = solve_fixed_point(stack, np.array([2, 4, 5]))
+    targets = {name: float(np.mean(v)) for name, v in sol.sublayer_asr.items()}
     trace = []
-    logits, asrs, counts = stack.temporal_simulate(
-        np.array([2, 4, 5]), T=20, trace=trace, trace_targets={
-            name: float(np.mean(v)) for name, v in sol.sublayer_asr.items()})
-    assert trace == rows
+    logits, asrs, counts = stack.temporal_simulate(np.array([2, 4, 5]), T=20,
+                                                   trace=trace)
+    assert [(t, name, m, abs(m - targets[name])) for t, name, m in trace] \
+        == rows
     want_logits, want_asrs, want_counts = stack.temporal_simulate(
         np.array([2, 4, 5]), T=20)
     np.testing.assert_array_equal(logits, want_logits)

@@ -343,7 +343,6 @@ def test_windowed_simulation_equals_step_major_oracle_bitwise(
     if not batch:
         tokens = tokens[0]
     steps = model.WINDOW_ROWS // tokens.size  # steps per window
-    targets = {"input": 0.5, "blk0.q": 0.25, "blk1.out": 0.75}
     # the neuron layers temporal_simulate makes, in the order it makes them
     states, make = [], model.LifLayerState.zeros
 
@@ -357,13 +356,12 @@ def test_windowed_simulation_equals_step_major_oracle_bitwise(
     for T in (1, steps - 1, steps + 1, 200):
         want_counter, want_trace, want_u = OpCounter(), [], {}
         want = step_major_simulate(stack, tokens, T, counter=want_counter,
-                                   trace=want_trace, trace_targets=targets,
-                                   membranes=want_u)
+                                   trace=want_trace, membranes=want_u)
         for tracing in (False, True):
             counter, trace = OpCounter(), [] if tracing else None
             states.clear()
             got = stack.temporal_simulate(tokens, T, counter=counter,
-                                          trace=trace, trace_targets=targets)
+                                          trace=trace)
             got_u = {}
             for name, st in zip(names, states, strict=True):
                 parts = [name[:-3] + nm for nm in "qkv"] \
@@ -469,17 +467,6 @@ def test_sweep_equals_taped_sweep_bitwise_at_the_inference_shape():
             np.testing.assert_array_equal(got, want.data, err_msg=f"block {i}")
             np.testing.assert_array_equal(np.signbit(got),
                                           np.signbit(want.data))
-
-
-def test_linear_op_table_counts():
-    stack = make_stack()
-    rows = stack.linear_op_table(seq_len=3)
-    d, inter = 8, 16
-    total = sum(c for _, _, c in rows)
-    per_block = 4 * 3 * d * d + 2 * 3 * 3 * d + 3 * d * inter + 3 * inter * d
-    assert total == 2 * per_block + d * 2
-    drivers = {src for src, _, _ in rows}
-    assert "input" in drivers and "blk1.out" in drivers
 
 
 def test_teacher_forward_shapes_and_determinism():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from eqspike.neuron import LifLayerState, lif_step, running_means
+from eqspike.neuron import LifLayerState, lif_step, running_means, telescoped
 
 
 def step(state, current):
@@ -112,12 +112,27 @@ def test_running_average_constant_signal_is_identity():
 
 
 def test_running_average_window_equals_single_steps_bitwise():
+    # running means and telescoped currents alike, each advancing its
+    # state in place
     values = np.random.default_rng(2).normal(size=(12, 2, 3))
+    values[0, 0, 0] = -0.0
     steps = np.arange(1.0, 13.0)
-    windowed, stepped = np.zeros((2, 3)), np.zeros((2, 3))
-    got = np.concatenate([running_means(values[:5].copy(), windowed, steps[:5]),
-                          running_means(values[5:].copy(), windowed, steps[5:])])
-    want = np.concatenate([running_means(v[None].copy(), stepped, steps[[k]])
-                           for k, v in enumerate(values)])
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(windowed, stepped)
+    for advance in (lambda w, state, s: running_means(w.copy(), state, s),
+                    lambda w, state, s: telescoped(w, s, state)):
+        windowed, stepped = np.zeros((2, 3)), np.zeros((2, 3))
+        got = np.concatenate([advance(values[:5], windowed, steps[:5]),
+                              advance(values[5:], windowed, steps[5:])])
+        want = np.concatenate([advance(v[None], stepped, steps[[k]])
+                               for k, v in enumerate(values)])
+        assert got.tobytes() == want.tobytes()
+        assert windowed.tobytes() == stepped.tobytes()
+    # the current at step 1 is phi_1 itself, -0.0 included
+    assert telescoped(values[:1], steps[:1], np.zeros((2, 3))).tobytes() \
+        == values[:1].tobytes()
+    # on integer-valued phi the currents through step t sum to t * phi_t
+    phi = np.random.default_rng(3).integers(-5, 6, size=(12, 2, 3)) * 1.0
+    last = np.zeros((2, 3))
+    currents = np.concatenate([telescoped(phi[:7], steps[:7], last),
+                               telescoped(phi[7:], steps[7:], last)])
+    np.testing.assert_array_equal(np.cumsum(currents, axis=0),
+                                  steps[:, None, None] * phi)

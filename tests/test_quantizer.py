@@ -341,3 +341,8 @@ def test_unpack_rejects_invalid_bit_pattern():
     bad = base64.b64encode(bytes([0b10])).decode()
     with pytest.raises(ValueError):
         unpack_codes(bad, (1,))
+    # nor does it skip a character outside base64, or take extra bytes
+    with pytest.raises(ValueError, match="Only base64 data"):
+        unpack_codes("AQ*!==", (1,))
+    with pytest.raises(ValueError, match="2 bytes, not the 1 of 1 codes"):
+        unpack_codes(base64.b64encode(bytes(2)).decode(), (1,))
