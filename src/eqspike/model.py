@@ -213,29 +213,35 @@ def _block_forward(self, i: int, a_prev: np.ndarray, weights: dict,
     site; attention mixes the q/k/v outputs, and two layer norms close the
     residual halves.  `record`, when given, collects the block's neuron
     outputs; `caches`, when given, gets the cache `block_backward` reads.
-    Without it the block's intermediates are freed on return.
+    Without it each site's saved intermediates are dropped as soon as the
+    site returns.
     """
     p, pre, fire = self.params, f"blk{i}.", self.neurons
+    saved = [] if caches is not None else None
 
     def lin(name, x):
         return linear(x, weights[pre + name], p[pre + name + ".b"])
 
-    (aq, sq), (ak, sk), (av, sv) = (fire[nm][0](lin(nm, a_prev))
-                                    for nm in ("q", "k", "v"))
-    mixed, att = spiking_attention(aq, ak, av, self.cfg.num_heads)
-    a_attn, s_attn = fire["attn"][0](mixed)
-    n1, ln1 = layer_norm(lin("o", a_attn) + a_prev, p[pre + "ln1_g"],
-                         p[pre + "ln1_b"])
-    h1, s_h1 = fire["h1"][0](n1)
-    ai, s_int = fire["int"][0](lin("ff1", h1))
-    n2, ln2 = layer_norm(lin("ff2", ai) + h1, p[pre + "ln2_g"],
-                         p[pre + "ln2_b"])
-    out, s_out = fire["out"][0](n2)
+    def keep(out_and_saved):
+        out, s = out_and_saved
+        if saved is not None:
+            saved.append(s)
+        return out
+
+    aq, ak, av = (keep(fire[nm][0](lin(nm, a_prev))) for nm in ("q", "k", "v"))
+    a_attn = keep(fire["attn"][0](
+        keep(spiking_attention(aq, ak, av, self.cfg.num_heads))))
+    h1 = keep(fire["h1"][0](keep(layer_norm(
+        lin("o", a_attn) + a_prev, p[pre + "ln1_g"], p[pre + "ln1_b"]))))
+    ai = keep(fire["int"][0](lin("ff1", h1)))
+    out = keep(fire["out"][0](keep(layer_norm(
+        lin("ff2", ai) + h1, p[pre + "ln2_g"], p[pre + "ln2_b"]))))
     if record is not None:
         record.update({pre + "q": aq, pre + "k": ak, pre + "v": av,
                        pre + "attn": a_attn, pre + "h1": h1,
                        pre + "int": ai, pre + "out": out})
     if caches is not None:
+        sq, sk, sv, att, s_attn, ln1, s_h1, s_int, ln2, s_out = saved
         caches.append((weights, a_prev, (sq, sk, sv), att, s_attn, a_attn,
                        ln1, s_h1, h1, s_int, ai, ln2, s_out))
     return out
