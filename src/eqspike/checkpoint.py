@@ -71,15 +71,16 @@ def _save(model, kind, stage, path, **extra):
                       **extra})
 
 
-def _load(path, kind, build):
+def _load(path, kind, stages, build):
     """`build(obj)` for the JSON object of a `kind` checkpoint at `path`.
 
-    Text that is not JSON, another format version, or a missing, mistyped
-    or invalid field (a shape, a parameter that is not the base64 of the
-    model's number of values, a non-finite number, a config or parameter
-    set that names other fields or parameters than the model's, or values
-    it rejects) is reported as a CheckpointError naming `path`; a file
-    that cannot be read raises its OSError.
+    Text that is not JSON, another format version, a stage not in
+    `stages`, or a missing, mistyped or invalid field (a shape, a parameter
+    that is not the base64 of the model's number of values, a non-finite
+    number, a config or parameter set that names other fields or
+    parameters than the model's, or values it rejects) is reported as a
+    CheckpointError naming `path`; a file that cannot be read raises its
+    OSError.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -91,6 +92,9 @@ def _load(path, kind, build):
                 f"unsupported {kind} checkpoint (format_version "
                 f"{obj.get('format_version')!r}; this eqspike reads "
                 f"{FORMAT_VERSION})")
+        if obj["stage"] not in stages:
+            raise CheckpointError(f"unknown {kind} stage {obj['stage']!r} "
+                                  f"(expected one of {list(stages)})")
         return build(obj)
     except CheckpointError as exc:
         raise CheckpointError(f"{path}: {exc}") from None
@@ -138,7 +142,7 @@ def save_student(stack: EncoderStack, stage: str, path):
 
 
 def load_student(path):
-    return _load(path, "student", _build_student)
+    return _load(path, "student", STAGES, _build_student)
 
 
 def _build_student(obj):
@@ -176,5 +180,5 @@ def save_teacher(teacher: TeacherModel, path, metrics: dict | None = None):
 
 
 def load_teacher(path):
-    return _load(path, "teacher",
+    return _load(path, "teacher", ("teacher",),
                  lambda obj: _restore(TeacherModel, TeacherConfig, obj))

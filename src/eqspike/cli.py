@@ -78,7 +78,7 @@ def cmd_distill(args):
     tokenizer, train_items, _dev, labels = pl.make_dataset(cfg)
     teacher = load_teacher(args.teacher)
     stack = pl.build_student(cfg, tokenizer, num_labels=len(labels))
-    report, _kd_cfg = pl.distill_student(cfg, stack, teacher, train_items)
+    report, _projections = pl.distill_student(cfg, stack, teacher, train_items)
     stack.freeze_quantization()
     save_student(stack, "kd", _out(cfg, "student_kd.json"))
     report.write_csv(_out(cfg, "kd_report.csv"))

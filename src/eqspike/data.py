@@ -67,8 +67,13 @@ def _split(text: str) -> list:
     return text.lower().split()
 
 
-def load_tsv(path) -> Corpus:
-    """TSV with header `text_a[<TAB>text_b]<TAB>label`; labels to dense ids."""
+def load_tsv(path, label_names: list | None = None) -> Corpus:
+    """TSV with header `text_a[<TAB>text_b]<TAB>label`; labels to dense ids.
+
+    Label i is `label_names[i]`, by default the file's own labels in sorted
+    order; a dev split passes its training split's, and a label outside
+    them is a ParseError naming its line.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -83,12 +88,18 @@ def load_tsv(path) -> Corpus:
         cols = line.split("\t")
         if len(cols) != len(header) or not cols[-1].strip():
             raise ParseError(f"{path}:{lineno}: malformed row")
-        raw.append((cols[0], cols[1] if pair_mode else None, cols[-1].strip()))
+        raw.append((lineno, cols[0], cols[1] if pair_mode else None,
+                    cols[-1].strip()))
     if not raw:
         raise ParseError(f"{path}: no data rows")
-    label_names = sorted({r[2] for r in raw})
+    if label_names is None:
+        label_names = sorted({r[-1] for r in raw})
     label_id = {name: i for i, name in enumerate(label_names)}
-    examples = [Example(a, b, label_id[lab]) for a, b, lab in raw]
+    for lineno, _a, _b, lab in raw:
+        if lab not in label_id:
+            raise ParseError(f"{path}:{lineno}: label {lab!r} is not one of "
+                             f"the training labels {label_names}")
+    examples = [Example(a, b, label_id[lab]) for _n, a, b, lab in raw]
     return Corpus(examples=examples, label_names=label_names)
 
 

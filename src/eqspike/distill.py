@@ -1,9 +1,10 @@
 """Intermediate-layer distillation from the teacher into the spiking student.
 
-Each mapped student block's equilibrium rate matrix is linearly projected
-into the teacher's hidden width and pulled toward the corresponding
-teacher block output under an MSE loss; the projections train jointly
-with the student.
+Student block i's equilibrium rate matrix is projected by `kd.proj{i}`
+into the teacher's hidden width and pulled toward teacher block
+`default_layer_map(Ls, Lt)[i]` under an MSE loss, where Ls and Lt are the
+two models' depths; every pair weighs 1.  The projections train jointly
+with the student and are the only distillation state.
 """
 
 from __future__ import annotations
@@ -20,49 +21,17 @@ from .model import TeacherModel, teacher_forward
 from .numerics import AdamState, FlatParams
 
 
-class KdConfigError(ValueError):
-    pass
-
-
 def default_layer_map(num_student: int, num_teacher: int) -> list[int]:
     """Uniform-stride mapping: student block i -> teacher block ceil((i+1)*Lt/Ls)."""
     return [math.ceil((i + 1) * num_teacher / num_student) - 1
             for i in range(num_student)]
 
 
-@dataclass
-class KdConfig:
-    layer_map: list[int]
-    projections: FlatParams  # "kd.proj{i}" -> (ds, dt)
-    loss_weights: list[float]
-
-    @classmethod
-    def build(cls, student_dim: int, teacher_dim: int, num_student: int,
-              num_teacher: int, rng: np.random.Generator,
-              layer_map: list[int] | None = None,
-              loss_weights: list[float] | None = None) -> "KdConfig":
-        """The one builder: checks the map (default `default_layer_map`)
-        and weights (default 1), then draws a projection per student block."""
-        if layer_map is None:
-            layer_map = default_layer_map(num_student, num_teacher)
-        if len(layer_map) != num_student:
-            raise KdConfigError("one layer map entry per student block required")
-        if not all(isinstance(t, (int, np.integer)) and 0 <= t < num_teacher
-                   for t in layer_map):
-            raise KdConfigError("layer map entries must be teacher block indices")
-        if any(b > a for a, b in zip(layer_map[1:], layer_map[:-1])):
-            raise KdConfigError("layer map must be nondecreasing")
-        if loss_weights is None:
-            loss_weights = [1.0] * num_student
-        if len(loss_weights) != num_student:
-            raise KdConfigError("one loss weight per mapped pair required")
-        weights = np.asarray(loss_weights, dtype=np.float64)
-        if not np.all(np.isfinite(weights) & (weights >= 0)):
-            raise KdConfigError("loss weights must be finite and >= 0")
-        projections = FlatParams({
-            f"kd.proj{i}": _init_projection(student_dim, teacher_dim, rng)
-            for i in range(num_student)})
-        return cls(layer_map, projections, loss_weights)
+def init_projections(ds: int, dt: int, num_student: int,
+                     rng: np.random.Generator) -> FlatParams:
+    """One (ds, dt) `kd.proj{i}` per student block, drawn in block order."""
+    return FlatParams({f"kd.proj{i}": _init_projection(ds, dt, rng)
+                       for i in range(num_student)})
 
 
 def _init_projection(ds: int, dt: int, rng: np.random.Generator) -> np.ndarray:
@@ -74,14 +43,15 @@ def _init_projection(ds: int, dt: int, rng: np.random.Generator) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=(ds, dt)) / np.sqrt(ds)
 
 
-def kd_loss(student_asrs: list, teacher_hiddens: list, cfg: KdConfig,
+def kd_loss(student_asrs: list, teacher_hiddens: list, projections,
             grads: dict | None = None):
-    """Weighted sum of per-pair MSE terms and, given `grads`, its gradients.
+    """Sum of per-pair MSE terms and, given `grads`, its gradients.
 
-    Pair i projects student block i by `cfg.projections["kd.proj{i}"]`
-    and compares it with teacher block `cfg.layer_map[i]`.  Block outputs
-    are (seq, d) for one example or (B, seq, d) for a batch; each term is
-    then the sum over the batch of per-example MSE means.  Returns the
+    Pair i projects student block i by `projections["kd.proj{i}"]` and
+    compares it with teacher block `default_layer_map(len(student_asrs),
+    len(teacher_hiddens))[i]`.  Block outputs are (seq, d) for one example
+    or (B, seq, d) for a batch; each term is then the sum over the batch
+    of per-example MSE means.  Returns the
     total, the per-pair terms and the total's gradient on each student
     block.  The gradients are computed only when `grads` is given: each
     projection's, summed over the batch, is added into its `grads` entry;
@@ -89,16 +59,17 @@ def kd_loss(student_asrs: list, teacher_hiddens: list, cfg: KdConfig,
     """
     total, per_pair = 0.0, []
     g_blocks = None if grads is None else []
-    for i, (t_idx, weight) in enumerate(zip(cfg.layer_map, cfg.loss_weights)):
+    layer_map = default_layer_map(len(student_asrs), len(teacher_hiddens))
+    for i, t_idx in enumerate(layer_map):
         name, s = f"kd.proj{i}", student_asrs[i]
-        proj = cfg.projections[name]
+        proj = projections[name]
         diff = s @ proj - teacher_hiddens[t_idx]
         scale = 1.0 / int(np.prod(diff.shape[-2:]))
         term = float((diff * diff).sum() * scale)
         per_pair.append(term)
-        total += term * weight
+        total += term
         if grads is not None:
-            g = float(weight) * scale * diff
+            g = scale * diff
             g = g + g
             gp = np.swapaxes(s, -1, -2) @ g
             grads[name] += gp.sum(axis=tuple(range(gp.ndim - 2)))
@@ -133,24 +104,24 @@ def teacher_targets(teacher: TeacherModel):
     return targets
 
 
-def kd_loss_builder(cfg: KdConfig, targets):
+def kd_loss_builder(projections, targets):
     """The distillation loss of `training_step` (stage 1): `kd_loss` on
-    the teacher's hiddens, with the projections `cfg.projections` holds,
-    which are the views `training_step` trains as `extra_params`.
+    the teacher's hiddens, with `projections`, the views `training_step`
+    trains as `extra_params`.
 
     `targets` maps stacked tokens to the teacher's hiddens, as
     `teacher_targets` does.
     """
 
     def loss(tokens, labels, a_blocks, params, grads):
-        total, _per_pair, g_blocks = kd_loss(a_blocks, targets(tokens), cfg,
-                                             grads)
+        total, _per_pair, g_blocks = kd_loss(a_blocks, targets(tokens),
+                                             projections, grads)
         return total, g_blocks
 
     return loss
 
 
-def evaluate_kd_loss(stack, dataset, cfg: KdConfig,
+def evaluate_kd_loss(stack, dataset, projections,
                      targets) -> tuple[float, list]:
     """Mean distillation loss over a dataset (no training).
 
@@ -160,7 +131,7 @@ def evaluate_kd_loss(stack, dataset, cfg: KdConfig,
     pair_sum = None
     for tokens, _labels in stack_by_length(dataset):
         sol = solve_fixed_point(stack, tokens)
-        t, per_pair, _ = kd_loss(sol.asr_star, targets(tokens), cfg)
+        t, per_pair, _ = kd_loss(sol.asr_star, targets(tokens), projections)
         total += t
         pair_sum = per_pair if pair_sum is None else \
             [a + b for a, b in zip(pair_sum, per_pair)]
@@ -169,7 +140,7 @@ def evaluate_kd_loss(stack, dataset, cfg: KdConfig,
 
 
 def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
-                     cfg: KdConfig, optimizer: AdamState,
+                     projections, optimizer: AdamState,
                      batch_size: int = 16) -> KdReport:
     """Stage-1 training: minimize the distillation loss over the dataset.
 
@@ -178,13 +149,13 @@ def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
     evaluations share one teacher pass per distinct stacked batch.
     """
     targets = teacher_targets(teacher)
-    loss = kd_loss_builder(cfg, targets)
+    loss = kd_loss_builder(projections, targets)
     report = KdReport()
     for epoch in range(epochs + 1):
         if epoch:  # epoch 0 reports the loss before any step
             for batch in batches(dataset, batch_size):
                 training_step(stack, batch, optimizer, loss=loss,
-                              extra_params=cfg.projections)
-        total, pairs = evaluate_kd_loss(stack, dataset, cfg, targets)
+                              extra_params=projections)
+        total, pairs = evaluate_kd_loss(stack, dataset, projections, targets)
         report.epochs.append((epoch, pairs, total))
     return report

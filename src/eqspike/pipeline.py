@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import math
 import os
 
@@ -17,7 +18,7 @@ import yaml
 
 from .data import (Tokenizer, batches, encode_corpus, load_tsv, stack_by_length,
                    synth_task)
-from .distill import KdConfig, run_distillation
+from .distill import init_projections, run_distillation
 from .equilibrium import SolverConfig, solve_fixed_point
 from .energy import account
 from .implicit_grad import batch_gradients, training_step
@@ -58,7 +59,6 @@ def default_config() -> dict:
             "kd_epochs": 12,
             "finetune_epochs": 17,
         },
-        "kd": {"layer_map": None, "loss_weights": None},
         "data": {
             "task": "keyword-presence",
             "train_size": 64,
@@ -95,13 +95,10 @@ def _merge(base: dict, override: dict, path="") -> dict:
     return out
 
 
-_VALUE_RULES = {  # per key, what a value other than null must be
+_VALUE_RULES = {  # per key path, what a value other than null must be
+    ("seed",): ("at least 0", lambda v: v >= 0),
     ("data", "path"): ("a non-empty str or null",
                        lambda v: isinstance(v, str) and v),
-    ("kd", "layer_map"): ("a list of ints or null", lambda v: isinstance(
-        v, list) and all(_fits(0, x) for x in v)),
-    ("kd", "loss_weights"): ("a list of numbers or null", lambda v: isinstance(
-        v, list) and all(_fits(0.0, x) for x in v)),
     ("teacher", "lr"): ("finite and > 0", lambda v: 0 < v < math.inf),
     ("teacher", "epochs"): ("at least 0", lambda v: v >= 0),
     ("teacher", "batch_size"): ("at least 1", lambda v: v >= 1),
@@ -127,19 +124,15 @@ def load_config(path=None, overrides: dict | None = None) -> dict:
         cfg = _merge(cfg, user)
     if overrides:
         cfg = _merge(cfg, overrides)
-    for (section, key), (what, fits) in _VALUE_RULES.items():
-        val = cfg[section][key]
+    for keys, (what, fits) in _VALUE_RULES.items():
+        val = functools.reduce(dict.__getitem__, keys, cfg)
         if val is not None and not fits(val):
-            raise ConfigError(f"config key '{section}.{key}' must be {what}, "
+            raise ConfigError(f"config key '{'.'.join(keys)}' must be {what}, "
                               f"not {val!r}")
-    # each model's and the KD map's own rules, on placeholder data sizes
-    m, t = cfg["model"], cfg["teacher"]
+    # each model's own rules, on placeholder data sizes
     for section, build in (
-            ("model", lambda: StackConfig(**m, vocab_size=1)),
-            ("teacher", lambda: _teacher_config(cfg, vocab_size=1)),
-            ("kd", lambda: KdConfig.build(
-                m["hidden_dim"], t["hidden_dim"], m["num_layers"],
-                t["num_layers"], np.random.default_rng(0), **cfg["kd"]))):
+            ("model", lambda: StackConfig(**cfg["model"], vocab_size=1)),
+            ("teacher", lambda: _teacher_config(cfg, vocab_size=1))):
         try:
             build()
         except ValueError as exc:
@@ -157,7 +150,7 @@ def make_dataset(cfg):
     d = cfg["data"]
     if d["path"]:
         train = load_tsv(os.path.join(d["path"], "train.tsv"))
-        dev = load_tsv(os.path.join(d["path"], "dev.tsv"))
+        dev = load_tsv(os.path.join(d["path"], "dev.tsv"), train.label_names)
     else:
         train = synth_task(d["task"], d["train_size"], cfg["seed"])
         dev = synth_task(d["task"], d["dev_size"], cfg["seed"] + 1000)
@@ -221,17 +214,15 @@ def student_accuracy(stack, items, scfg=None) -> float:
 
 
 def distill_student(cfg, stack, teacher, train_items):
-    """Stage-1 KD; returns the per-epoch report."""
-    rng = np.random.default_rng(cfg["seed"] + 2)
-    kd_cfg = KdConfig.build(stack.cfg.hidden_dim, teacher.cfg.hidden_dim,
-                            stack.cfg.num_layers, teacher.cfg.num_layers, rng,
-                            layer_map=cfg["kd"]["layer_map"],
-                            loss_weights=cfg["kd"]["loss_weights"])
+    """Stage-1 KD; returns the per-epoch report and the trained projections."""
+    projections = init_projections(
+        stack.cfg.hidden_dim, teacher.cfg.hidden_dim, stack.cfg.num_layers,
+        np.random.default_rng(cfg["seed"] + 2))
     adam = AdamState(lr=cfg["train"]["lr"])
     report = run_distillation(stack, teacher, train_items,
-                              cfg["train"]["kd_epochs"], kd_cfg, adam,
+                              cfg["train"]["kd_epochs"], projections, adam,
                               batch_size=cfg["train"]["batch_size"])
-    return report, kd_cfg
+    return report, projections
 
 
 def finetune_student(cfg, stack, train_items, dev_items):

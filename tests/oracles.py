@@ -8,7 +8,8 @@ import numpy as np
 
 from eqspike.autodiff import erf as _erf, layer_norm
 from eqspike.data import batches, stack_by_length
-from eqspike.distill import KdReport, evaluate_kd_loss, kd_loss_builder
+from eqspike.distill import (KdReport, default_layer_map, evaluate_kd_loss,
+                             kd_loss_builder)
 from eqspike.implicit_grad import example_gradients, training_step
 from eqspike.model import _head_axes, _token_ids, spiking_attention, teacher_forward
 from eqspike.numerics import NumericError, ShapeError, check_finite
@@ -60,8 +61,8 @@ def dense_adjoint_solve(g: list, jacobian_vjp) -> list:
     return out
 
 
-def uncached_distillation(stack, teacher, dataset, epochs, cfg, optimizer,
-                          batch_size=16):
+def uncached_distillation(stack, teacher, dataset, epochs, projections,
+                          optimizer, batch_size=16):
     """`distill.run_distillation` with a fresh teacher pass at every use.
 
     Every training step and every evaluation group calls `teacher_forward`
@@ -70,15 +71,15 @@ def uncached_distillation(stack, teacher, dataset, epochs, cfg, optimizer,
     def targets(tokens):
         return teacher_forward(teacher, tokens)[0]
 
-    loss = kd_loss_builder(cfg, targets)
+    loss = kd_loss_builder(projections, targets)
     report = KdReport()
     for epoch in range(epochs + 1):
         if epoch:
             for start in range(0, len(dataset), batch_size):
                 training_step(stack, dataset[start:start + batch_size],
                               optimizer, loss=loss,
-                              extra_params=cfg.projections)
-        total, pairs = evaluate_kd_loss(stack, dataset, cfg, targets)
+                              extra_params=projections)
+        total, pairs = evaluate_kd_loss(stack, dataset, projections, targets)
         report.epochs.append((epoch, pairs, total))
     return report
 
@@ -664,16 +665,17 @@ def taped_ce_loss(tokens, labels, a_blocks, leaves):
     return taped_cross_entropy(taped_logits(a_blocks[-1], leaves), labels)
 
 
-def taped_kd_loss_builder(cfg, targets):
-    """`distill.kd_loss_builder` on the tape."""
+def taped_kd_loss_builder(targets):
+    """`distill.kd_loss_builder` on the tape; the projections are the
+    `kd.proj{i}` leaves."""
 
     def loss(tokens, labels, a_blocks, leaves):
         hiddens, total = targets(tokens), None
-        for i, t_idx in enumerate(cfg.layer_map):
+        layer_map = default_layer_map(len(a_blocks), len(hiddens))
+        for i, t_idx in enumerate(layer_map):
             term = taped_mse(as_tensor(a_blocks[i]) @ leaves[f"kd.proj{i}"],
                              hiddens[t_idx])
-            weighted = mul(term, cfg.loss_weights[i])
-            total = weighted if total is None else add(total, weighted)
+            total = term if total is None else add(total, term)
         return total
 
     return loss

@@ -9,8 +9,7 @@ import pytest
 
 import oracles as tp
 from eqspike import autodiff as ad
-from eqspike.distill import KdConfig, kd_loss
-from eqspike.numerics import FlatParams
+from eqspike.distill import kd_loss
 from oracles import finite_difference_grad
 
 
@@ -266,8 +265,7 @@ def test_kd_loss_grads_match_finite_differences():
     target = [rng.normal(size=(2, 3, 5))]
 
     def kd(s, proj, grads=None):
-        cfg = KdConfig([0], FlatParams({"kd.proj0": proj}), [0.7])
-        return kd_loss([s], target, cfg, grads)
+        return kd_loss([s], target, {"kd.proj0": proj}, grads)
 
     grads = {"kd.proj0": np.zeros_like(p0)}
     (g_s,) = kd(s0, p0, grads)[2]

@@ -113,11 +113,12 @@ def test_missing_checkpoint_is_io_error(workdir):
     ("energy.int_acc_pj", "energy: {int_acc_pj: 0.1}\n"),
     ("seed", "seed: x\n"), ("data.train_size", "data: {train_size: 3.0}\n"),
     ("data.path", "data: {path: 3}\n"), ("data.path", "data: {path: ''}\n"),
-    ("kd.layer_map", "kd: {layer_map: 3}\n"),
-    ("kd.layer_map", "kd: {layer_map: [true, 1]}\n"),
-    ("kd.loss_weights", "kd: {loss_weights: 3}\n"),
-    ("kd.loss_weights", "kd: {loss_weights: [a, 1]}\n"),
-    ("kd.loss_weights", "kd: {loss_weights: [true, 1]}\n"),
+    ("kd", "kd: {layer_map: 3}\n"),
+    ("kd", "kd: {layer_map: [true, 1]}\n"),
+    ("kd", "kd: {loss_weights: 3}\n"),
+    ("kd", "kd: {loss_weights: [a, 1]}\n"),
+    ("kd", "kd: {loss_weights: [true, 1]}\n"),
+    ("seed", "seed: -1\n"),
     ("teacher.epochs", "teacher: {epochs: -3}\n"),
     ("train.kd_epochs", "train: {kd_epochs: -2}\n"),
     ("train.finetune_epochs", "train: {finetune_epochs: 0}\n"),
@@ -134,7 +135,8 @@ def test_missing_checkpoint_is_io_error(workdir):
          "energy.int_acc_pj", "seed", "data.train_size", "data.path",
          "data.path-empty", "kd.layer_map", "kd.layer_map-bool-entry",
          "kd.loss_weights", "kd.loss_weights-str-entry",
-         "kd.loss_weights-bool-entry", "teacher.epochs-negative",
+         "kd.loss_weights-bool-entry", "seed-negative",
+         "teacher.epochs-negative",
          "train.kd_epochs-negative", "train.finetune_epochs-zero",
          "train.lr-negative", "train.lr-nan", "teacher.lr-zero",
          "teacher.lr-inf", "train.batch_size-zero", "teacher.batch_size-zero",
@@ -270,6 +272,8 @@ DEFECT_MESSAGE = {
     "codes-bad-char": "quant entry blk0.q: invalid codes",
     "codes-int": "quant entry blk0.q: invalid codes (argument should be a "
                  "bytes-like object or ASCII string, not 'int')",
+    "bogus-stage": "unknown student stage ['bogus']",
+    "finetuned-stage": "unknown teacher stage 'finetuned'",
 }
 
 
@@ -303,6 +307,8 @@ def _corrupt(obj, defect):
         entry["codes"] = entry["codes"][:4] + "*!" + entry["codes"][4:]
     elif defect == "codes-int":
         obj["quant"]["layers"]["blk0.q"]["codes"] = 5
+    elif defect == "bogus-stage":
+        obj["stage"] = ["bogus"]
 
 
 def _write_checkpoint(path, obj, defect):
@@ -318,7 +324,8 @@ def _write_checkpoint(path, obj, defect):
                                     "unknown-field", "missing-field",
                                     "parent-format", "unknown-param",
                                     "format-v1", "truncated-json",
-                                    "codes-bad-char", "codes-int"])
+                                    "codes-bad-char", "codes-int",
+                                    "bogus-stage"])
 def test_invalid_student_checkpoint_is_config_error(workdir, artifacts, capsys,
                                                     defect):
     root, cfg = workdir
@@ -338,7 +345,7 @@ def test_invalid_student_checkpoint_is_config_error(workdir, artifacts, capsys,
 @pytest.mark.parametrize("defect", ["nan-param", "unknown-field",
                                     "missing-field", "cls-shape",
                                     "unknown-param", "format-v1",
-                                    "truncated-json"])
+                                    "truncated-json", "finetuned-stage"])
 def test_invalid_teacher_checkpoint_is_config_error(workdir, artifacts, capsys,
                                                     defect):
     root, cfg = workdir
@@ -356,6 +363,8 @@ def test_invalid_teacher_checkpoint_is_config_error(workdir, artifacts, capsys,
         obj["params"]["cls.b"] = encode_array(np.zeros(3))  # one value too long
     elif defect == "format-v1":
         obj["format_version"] = 1
+    elif defect == "finetuned-stage":
+        obj["stage"] = "finetuned"
     ckpt = root / f"invalid_teacher_{defect}.json"
     _write_checkpoint(ckpt, obj, defect)
     dest = root / "invalid_teacher"
@@ -405,9 +414,10 @@ def test_distill_with_bad_gamma_is_config_error(workdir, artifacts, capsys):
 
 @pytest.mark.parametrize("kd", [{"layer_map": [-1, 0]}, {"layer_map": [0.5, 1]},
                                 {"layer_map": [0]},
-                                {"loss_weights": [1.0, -1.0]}],
+                                {"loss_weights": [1.0, -1.0]},
+                                {"layer_map": [0, 1]}],
                          ids=["negative-index", "float-index", "short-map",
-                              "negative-weight"])
+                              "negative-weight", "default-map"])
 def test_distill_with_bad_kd_config_is_config_error(workdir, artifacts, capsys,
                                                     kd):
     root, _ = workdir
@@ -418,7 +428,9 @@ def test_distill_with_bad_kd_config_is_config_error(workdir, artifacts, capsys,
     rc = main(["distill", "--config", str(bad), "--out", str(dest),
                "--teacher", f"{out}/teacher.json"])
     assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    # the map follows the two depths and every pair weighs 1: even the
+    # default map is no longer a key
+    assert "config error: unknown config key 'kd'" in capsys.readouterr().err
     assert not os.path.exists(dest / "student_kd.json")
 
 
@@ -428,12 +440,12 @@ def test_distill_with_bad_kd_config_is_config_error(workdir, artifacts, capsys,
     ({"model": {"num_heads": 3, "hidden_dim": 8}}, "config section 'model'"),
     ({"model": {"v_th": 0}}, "unknown config key 'model.v_th'"),
     ({"model": {"max_len": 0}}, "config section 'model'"),
-    ({"kd": {"layer_map": [5, 7]}}, "config section 'kd'")],
+    ({"kd": {"layer_map": [5, 7]}}, "unknown config key 'kd'")],
     ids=["quant_mode", "gamma", "num_heads", "v_th", "max_len", "kd-layer_map"])
 def test_bad_model_section_is_config_error(workdir, capsys, config, message):
-    # train-teacher builds no student and no KD map, so the model and kd
-    # sections are checked at load, before a teacher is trained; the neuron
-    # knobs gamma and v_th are no longer keys
+    # train-teacher builds no student, so the model section is checked at
+    # load, before a teacher is trained; the neuron knobs gamma and v_th
+    # and the kd section are no longer keys
     root, _ = workdir
     bad = root / "badmode.yaml"
     bad.write_text(yaml.safe_dump(config))
@@ -575,6 +587,40 @@ def wide_vocab_cfg(workdir):
     cfg_path.write_text(yaml.safe_dump(
         {**SMALL_CFG, "data": {**SMALL_CFG["data"], "path": str(data)}}))
     return str(cfg_path)
+
+
+def _tsv_data(root, dev_labels):
+    """A TSV data directory whose train split has the labels neg and pos,
+    and whose dev rows carry `dev_labels`."""
+    data = root / "tsv"
+    data.mkdir()
+    (data / "train.tsv").write_text("text_a\tlabel\ngood day\tpos\n"
+                                    "bad day\tneg\n")
+    (data / "dev.tsv").write_text("text_a\tlabel\n" + "".join(
+        f"fine day\t{label}\n" for label in dev_labels))
+    return data
+
+
+def test_dev_labels_take_the_training_split_ids(tmp_path):
+    # a dev split without neg must not renumber pos as 0
+    cfg = pl.load_config(overrides={"data": {
+        "path": str(_tsv_data(tmp_path, ["pos", "pos"]))}})
+    _tok, train, dev, labels = pl.make_dataset(cfg)
+    assert labels == ["neg", "pos"]
+    assert [label for _tokens, label in train] == [1, 0]
+    assert [label for _tokens, label in dev] == [1, 1]
+
+
+def test_unknown_dev_label_is_config_error(tmp_path, capsys):
+    data = _tsv_data(tmp_path, ["pos", "maybe"])
+    cfg = tmp_path / "maybe.yaml"
+    cfg.write_text(yaml.safe_dump(
+        {**SMALL_CFG, "data": {**SMALL_CFG["data"], "path": str(data)}}))
+    rc = main(["train-teacher", "--config", str(cfg),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{data / 'dev.tsv'}:3: label 'maybe'" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out" / "teacher.json")
 
 
 @pytest.mark.parametrize("command", ["eval", "finetune", "simulate", "energy"])

@@ -3,10 +3,9 @@ import pytest
 
 from eqspike import distill
 from eqspike.data import stack_by_length
-from eqspike.distill import (KdConfig, KdConfigError, KdReport,
-                             _init_projection, default_layer_map,
-                             evaluate_kd_loss, kd_loss, run_distillation,
-                             teacher_targets)
+from eqspike.distill import (KdReport, _init_projection, default_layer_map,
+                             evaluate_kd_loss, init_projections, kd_loss,
+                             run_distillation, teacher_targets)
 from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
 from eqspike.numerics import AdamState
 from eqspike.quantizer import QuantMode
@@ -25,49 +24,24 @@ def test_default_layer_map_shallow_student():
     assert default_layer_map(1, 5) == [4]
 
 
+DEPTHS = [(ls, lt) for ls in range(1, 7) for lt in range(1, 7)]
+
+
+def test_default_layer_map_indexes_each_student_block_into_the_teacher():
+    # the map kd_loss derives from the two depths: one teacher block index
+    # per student block, the last on the teacher's last block
+    for num_student, num_teacher in DEPTHS:
+        layer_map = default_layer_map(num_student, num_teacher)
+        assert len(layer_map) == num_student
+        assert all(isinstance(t, int) and 0 <= t < num_teacher
+                   for t in layer_map)
+        assert layer_map[-1] == num_teacher - 1
+
+
 def test_layer_map_must_be_nondecreasing():
-    with pytest.raises(KdConfigError, match="nondecreasing"):
-        KdConfig.build(4, 4, 2, 2, np.random.default_rng(0), layer_map=[1, 0])
-
-
-def test_loss_weights_length_checked():
-    with pytest.raises(KdConfigError, match="one loss weight per mapped pair"):
-        KdConfig.build(4, 4, 2, 2, np.random.default_rng(0),
-                       loss_weights=[1.0])
-
-
-def test_build_rejects_map_beyond_teacher():
-    with pytest.raises(KdConfigError):
-        KdConfig.build(4, 4, 2, 2, np.random.default_rng(0), layer_map=[0, 5])
-
-
-@pytest.mark.parametrize("layer_map", [[-1, 0], [0.5, 1]],
-                         ids=["negative", "non-integer"])
-def test_build_rejects_non_index_teacher_entry(layer_map):
-    # -1 would silently index the teacher's last block, 0.5 nothing at all
-    with pytest.raises(KdConfigError, match="teacher block indices"):
-        KdConfig.build(4, 4, 2, 2, np.random.default_rng(0),
-                       layer_map=layer_map)
-
-
-@pytest.mark.parametrize("layer_map", [[0], [0, 1, 1]])
-def test_build_rejects_map_not_matching_student_depth(layer_map):
-    with pytest.raises(KdConfigError, match="per student block"):
-        KdConfig.build(4, 4, 2, 2, np.random.default_rng(0),
-                       layer_map=layer_map)
-
-
-@pytest.mark.parametrize("weight", [float("nan"), float("inf"), -0.5])
-def test_build_rejects_non_finite_or_negative_loss_weight(weight):
-    with pytest.raises(KdConfigError, match="finite and >= 0"):
-        KdConfig.build(4, 4, 2, 2, np.random.default_rng(0),
-                       loss_weights=[1.0, weight])
-
-
-def test_zero_loss_weight_is_legal():
-    cfg = KdConfig.build(4, 4, 2, 2, np.random.default_rng(0),
-                         loss_weights=[0.0, 1.0])
-    assert cfg.loss_weights == [0.0, 1.0]
+    for num_student, num_teacher in DEPTHS:
+        layer_map = default_layer_map(num_student, num_teacher)
+        assert layer_map == sorted(layer_map)
 
 
 def test_projection_identity_padding():
@@ -78,31 +52,43 @@ def test_projection_identity_padding():
     assert wide.shape == (6, 4)
 
 
+def test_init_projections_draw_one_per_student_block_in_order():
+    got = init_projections(6, 4, 3, np.random.default_rng(1))
+    want = np.random.default_rng(1)
+    assert list(got) == ["kd.proj0", "kd.proj1", "kd.proj2"]
+    for name in got:
+        np.testing.assert_array_equal(got[name], _init_projection(6, 4, want))
+
+
 def test_kd_loss_zero_when_projection_reconstructs_teacher():
     rng = np.random.default_rng(1)
     teacher_h = [rng.normal(size=(4, 6))]
-    cfg = KdConfig.build(6, 6, 1, 1, rng)
+    projections = init_projections(6, 6, 1, rng)
     # identity projection and matching rates -> exactly zero loss
-    total, per_pair, _ = kd_loss([teacher_h[0].copy()], teacher_h, cfg)
+    total, per_pair, _ = kd_loss([teacher_h[0].copy()], teacher_h,
+                                 projections)
     assert total == 0.0
     assert per_pair == [0.0]
 
 
-def test_kd_loss_weighted_sum():
+def test_kd_loss_sums_unit_weight_pairs_on_the_default_map():
+    # a 2-block student against a 4-block teacher reads teacher blocks 1
+    # and 3; with zero rates each pair's MSE is its block's mean square
     rng = np.random.default_rng(2)
-    t0, t1 = rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
-    cfg = KdConfig.build(4, 4, 2, 2, rng, loss_weights=[2.0, 3.0])
-    s = [np.zeros((3, 4)), np.zeros((3, 4))]
-    total, per_pair, _ = kd_loss(s, [t0, t1], cfg)
-    assert total == pytest.approx(2 * per_pair[0] + 3 * per_pair[1])
+    hiddens = [rng.normal(size=(3, 4)) for _ in range(4)]
+    projections = init_projections(4, 4, 2, rng)
+    total, per_pair, _ = kd_loss([np.zeros((3, 4))] * 2, hiddens, projections)
+    assert per_pair == [float((hiddens[1] ** 2).sum() / 12),
+                        float((hiddens[3] ** 2).sum() / 12)]
+    assert total == per_pair[0] + per_pair[1]
 
 
 def test_kd_loss_is_a_mean_squared_error_with_optional_gradients():
-    cfg = KdConfig.build(2, 2, 1, 1, np.random.default_rng(0))  # identity
-    s, t = [np.array([[1.0, 3.0]])], [np.array([[0.0, 1.0]])]
-    assert kd_loss(s, t, cfg) == (2.5, [2.5], None)  # (1 + 4) / 2
+    projections = init_projections(2, 2, 1, np.random.default_rng(0))
+    s, t = [np.array([[1.0, 3.0]])], [np.array([[0.0, 1.0]])]  # identity
+    assert kd_loss(s, t, projections) == (2.5, [2.5], None)  # (1 + 4) / 2
     grads = {"kd.proj0": np.zeros((2, 2))}
-    total, per_pair, g_blocks = kd_loss(s, t, cfg, grads)
+    total, per_pair, g_blocks = kd_loss(s, t, projections, grads)
     assert (total, per_pair) == (2.5, [2.5])
     np.testing.assert_array_equal(g_blocks[0], [[1.0, 2.0]])  # 2 diff / 2
     np.testing.assert_array_equal(grads["kd.proj0"], [[1.0, 2.0], [3.0, 6.0]])
@@ -135,8 +121,9 @@ def test_run_distillation_reduces_loss_and_reports_epoch_zero():
     stack, teacher = _tiny_pair()
     data = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7]), 1),
             (np.array([2, 8, 9]), 0)]
-    cfg = KdConfig.build(8, 8, 2, 2, np.random.default_rng(3))
-    report = run_distillation(stack, teacher, data, epochs=5, cfg=cfg,
+    projections = init_projections(8, 8, 2, np.random.default_rng(3))
+    report = run_distillation(stack, teacher, data, epochs=5,
+                              projections=projections,
                               optimizer=AdamState(lr=5e-3))
     assert report.epochs[0][0] == 0
     assert len(report.epochs) == 6
@@ -146,9 +133,10 @@ def test_run_distillation_reduces_loss_and_reports_epoch_zero():
 def test_run_distillation_zero_epochs_untouched():
     stack, teacher = _tiny_pair(seed=5)
     before = {k: v.copy() for k, v in stack.params.items()}
-    cfg = KdConfig.build(8, 8, 2, 2, np.random.default_rng(0))
+    projections = init_projections(8, 8, 2, np.random.default_rng(0))
     report = run_distillation(stack, teacher, [(np.array([2, 4]), 0)],
-                              epochs=0, cfg=cfg, optimizer=AdamState())
+                              epochs=0, projections=projections,
+                              optimizer=AdamState())
     assert len(report.epochs) == 1
     for k, v in stack.params.items():
         np.testing.assert_array_equal(v, before[k])
@@ -156,11 +144,12 @@ def test_run_distillation_zero_epochs_untouched():
 
 def test_evaluate_kd_loss_averages_over_dataset():
     stack, teacher = _tiny_pair(seed=6)
-    cfg = KdConfig.build(8, 8, 2, 2, np.random.default_rng(0))
+    projections = init_projections(8, 8, 2, np.random.default_rng(0))
     data = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7]), 1)]
     targets = teacher_targets(teacher)
-    total, pairs = evaluate_kd_loss(stack, data, cfg, targets)
-    singles = [evaluate_kd_loss(stack, [ex], cfg, targets)[0] for ex in data]
+    total, pairs = evaluate_kd_loss(stack, data, projections, targets)
+    singles = [evaluate_kd_loss(stack, [ex], projections, targets)[0]
+               for ex in data]
     assert total == pytest.approx(np.mean(singles))
     assert len(pairs) == 2
 
@@ -199,9 +188,10 @@ def test_run_distillation_one_teacher_pass_per_distinct_batch(
     calls = _counting_teacher(monkeypatch)
     stack, teacher = _tiny_pair(seed=7)
     data = _items(64, 4)
-    cfg = KdConfig.build(8, 8, 2, 2, np.random.default_rng(0))
-    run_distillation(stack, teacher, data, epochs=epochs, cfg=cfg,
-                     optimizer=AdamState(lr=5e-3), batch_size=16)
+    projections = init_projections(8, 8, 2, np.random.default_rng(0))
+    run_distillation(stack, teacher, data, epochs=epochs,
+                     projections=projections, optimizer=AdamState(lr=5e-3),
+                     batch_size=16)
     assert len(calls) == expected
 
 
@@ -210,22 +200,22 @@ def test_run_distillation_mixed_lengths_one_pass_per_distinct_group(
     calls = _counting_teacher(monkeypatch)
     stack, teacher = _tiny_pair(seed=8)
     data = _items(6, 3, seed=1) + _items(5, 5, seed=2) + _items(6, 3, seed=3)
-    cfg = KdConfig.build(8, 8, 2, 2, np.random.default_rng(0))
-    run_distillation(stack, teacher, data, epochs=3, cfg=cfg,
+    projections = init_projections(8, 8, 2, np.random.default_rng(0))
+    run_distillation(stack, teacher, data, epochs=3, projections=projections,
                      optimizer=AdamState(lr=5e-3), batch_size=4)
     assert len(calls) == len(_distinct_groups(data, 4))
 
 
 def _run_pair(seed, teacher, data, runner, epochs=2):
     stack, _ = _tiny_pair(seed=seed)
-    cfg = KdConfig.build(8, 8, 2, 2, np.random.default_rng(seed))
-    report = runner(stack, teacher, data, epochs, cfg, AdamState(lr=5e-3),
-                    batch_size=4)
-    return report, stack, cfg
+    projections = init_projections(8, 8, 2, np.random.default_rng(seed))
+    report = runner(stack, teacher, data, epochs, projections,
+                    AdamState(lr=5e-3), batch_size=4)
+    return report, stack, projections
 
 
 def _assert_runs_bitwise_equal(got, want):
-    (r_got, s_got, c_got), (r_want, s_want, c_want) = got, want
+    (r_got, s_got, p_got), (r_want, s_want, p_want) = got, want
     assert [e for e, _, _ in r_got.epochs] == [e for e, _, _ in r_want.epochs]
     np.testing.assert_array_equal([p for _, p, _ in r_got.epochs],
                                   [p for _, p, _ in r_want.epochs])
@@ -234,9 +224,9 @@ def _assert_runs_bitwise_equal(got, want):
     want_params = s_want.params
     for name, value in s_got.params.items():
         np.testing.assert_array_equal(value, want_params[name])
-    assert list(c_got.projections) == list(c_want.projections)
-    for name, value in c_got.projections.items():
-        np.testing.assert_array_equal(value, c_want.projections[name])
+    assert list(p_got) == list(p_want)
+    for name, value in p_got.items():
+        np.testing.assert_array_equal(value, p_want[name])
 
 
 def test_shared_teacher_targets_bitwise_equal_uncached_run():

@@ -9,7 +9,7 @@ import eqspike
 import oracles as tp
 from eqspike import implicit_grad, numerics
 from eqspike import pipeline as pl
-from eqspike.distill import KdConfig, kd_loss_builder, teacher_targets
+from eqspike.distill import init_projections, kd_loss_builder, teacher_targets
 from eqspike.equilibrium import solve_fixed_point
 from eqspike.implicit_grad import batch_gradients, ce_loss, training_step
 from eqspike.autodiff import cross_entropy, linear, linear_backward
@@ -75,19 +75,19 @@ def oracle_gradients(stack, tokens, label, taped_builder, extra_params):
     return grads, float(loss.data)
 
 
-def kd_builders(stack, loss_weights=None):
+def kd_builders(stack):
     """The KD loss builder of a small teacher, its taped reference and the
     projections."""
     teacher = TeacherModel(TeacherConfig(vocab_size=11, hidden_dim=6,
                                          intermediate_dim=8, num_heads=2,
                                          num_layers=2, max_len=6),
                            np.random.default_rng(9))
-    kd = KdConfig.build(stack.cfg.hidden_dim, teacher.cfg.hidden_dim,
-                        stack.cfg.num_layers, teacher.cfg.num_layers,
-                        np.random.default_rng(10), loss_weights=loss_weights)
+    projections = init_projections(stack.cfg.hidden_dim, teacher.cfg.hidden_dim,
+                                   stack.cfg.num_layers,
+                                   np.random.default_rng(10))
     targets = teacher_targets(teacher)
-    return (kd_loss_builder(kd, targets), taped_kd_loss_builder(kd, targets),
-            kd.projections)
+    return (kd_loss_builder(projections, targets),
+            taped_kd_loss_builder(targets), projections)
 
 
 def kd_builder(stack):
@@ -118,8 +118,7 @@ CLOSED_FORM_CASES = {
     "student-kd-L2": dict(kind="kd"),
     # blocks 0 and 1 feed the next block's q, k, v and residual and the KD
     # term: five consumers, summed in the tape's order
-    "student-kd-L3": dict(kind="kd", num_layers=3,
-                          loss_weights=[0.5, 2.0, 1.25]),
+    "student-kd-L3": dict(kind="kd", num_layers=3),
     "student-ce-3-labels": dict(kind="ce", num_labels=3),
 }
 
@@ -128,12 +127,12 @@ CLOSED_FORM_CASES = {
 @pytest.mark.parametrize("case", CLOSED_FORM_CASES)
 def test_closed_form_gradients_equal_taped_oracle_bitwise(mode, case):
     kw = dict(CLOSED_FORM_CASES[case])
-    kind, loss_weights = kw.pop("kind"), kw.pop("loss_weights", None)
+    kind = kw.pop("kind")
     stack = small_stack(seed=14, mode=mode, **kw)
     if kind == "ce":
         builder, taped, extra = ce_loss, taped_ce_loss, {}
     else:
-        builder, taped, extra = kd_builders(stack, loss_weights)
+        builder, taped, extra = kd_builders(stack)
     rng = np.random.default_rng(15)
     for tokens, labels in ((rng.integers(0, 11, size=(5, 6)),
                             rng.integers(0, stack.cfg.num_labels, size=5)),

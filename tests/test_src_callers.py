@@ -1,5 +1,5 @@
-"""Every public name of the package has a caller outside the tests, and
-every field of a public dataclass a reader.
+"""Every public name of the package has a caller outside the tests, every
+field of a public dataclass a reader, and every default config value one.
 
 A function, class, method or field that only tests reach does not belong
 in the package.  Callers are the package's own modules and the
@@ -12,6 +12,9 @@ import importlib
 import inspect
 from collections import defaultdict
 from pathlib import Path
+
+from eqspike.model import StackConfig, TeacherConfig
+from eqspike.pipeline import default_config
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "eqspike"
@@ -99,6 +102,30 @@ def test_every_public_dataclass_field_is_read_outside_the_tests():
         if dataclasses.is_dataclass(obj):
             unread += [f"{module}.{name}.{f.name}"
                        for f in dataclasses.fields(obj) if f.name not in reads]
+    assert unread == []
+
+
+def _config_leaves(cfg, path=()):
+    for key, val in cfg.items():
+        if isinstance(val, dict):
+            yield from _config_leaves(val, path + (key,))
+        else:
+            yield path + (key,)
+
+
+def test_every_default_config_value_has_a_src_reader():
+    # a reader subscripts the key by name, or the key is a field of the
+    # dataclass its section builds
+    subscripts = {n.slice.value for path in sorted(SRC.glob("*.py"))
+                  for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                  if isinstance(n, ast.Subscript)
+                  and isinstance(n.slice, ast.Constant)}
+    fields = {section: {f.name for f in dataclasses.fields(cls)}
+              for section, cls in (("model", StackConfig),
+                                   ("teacher", TeacherConfig))}
+    unread = [".".join(path) for path in _config_leaves(default_config())
+              if path[-1] not in subscripts
+              and path[-1] not in fields.get(path[0], ())]
     assert unread == []
 
 
