@@ -27,15 +27,49 @@ def test_default_layer_map_shallow_student():
 DEPTHS = [(ls, lt) for ls in range(1, 7) for lt in range(1, 7)]
 
 
-def test_default_layer_map_indexes_each_student_block_into_the_teacher():
-    # the map kd_loss derives from the two depths: one teacher block index
-    # per student block, the last on the teacher's last block
+def _zero_student_pairs(hiddens, layer_map):
+    # with zero student rates each pair's MSE is its teacher block's mean
+    # square, scaled as kd_loss scales it
+    return [float((hiddens[t] * hiddens[t]).sum() * (1.0 / hiddens[t].size))
+            for t in layer_map]
+
+
+def test_build_rejects_map_beyond_teacher():
+    # no map is given any more: the one kd_loss derives stays inside the
+    # teacher, ending on its last block, even under a deeper student
     for num_student, num_teacher in DEPTHS:
         layer_map = default_layer_map(num_student, num_teacher)
-        assert len(layer_map) == num_student
-        assert all(isinstance(t, int) and 0 <= t < num_teacher
-                   for t in layer_map)
+        assert max(layer_map) < num_teacher
         assert layer_map[-1] == num_teacher - 1
+    rng = np.random.default_rng(4)
+    hiddens = [rng.normal(size=(3, 4)) for _ in range(2)]
+    projections = init_projections(4, 4, 4, rng)
+    _, per_pair, _ = kd_loss([np.zeros((3, 4))] * 4, hiddens, projections)
+    assert per_pair == _zero_student_pairs(hiddens, [0, 0, 1, 1])
+
+
+@pytest.mark.parametrize("layer_map", [[1], [0, 1, 1]])
+def test_build_rejects_map_not_matching_student_depth(layer_map):
+    # a student of len(layer_map) blocks against a 2-block teacher: the
+    # derived map and kd_loss's terms number the student's blocks
+    num_student = len(layer_map)
+    assert default_layer_map(num_student, 2) == layer_map
+    rng = np.random.default_rng(5)
+    hiddens = [rng.normal(size=(3, 4)) for _ in range(2)]
+    projections = init_projections(4, 4, num_student, rng)
+    _, per_pair, _ = kd_loss([np.zeros((3, 4))] * num_student, hiddens,
+                             projections)
+    assert per_pair == _zero_student_pairs(hiddens, layer_map)
+
+
+@pytest.mark.parametrize("is_index", [lambda t: t >= 0,
+                                      lambda t: isinstance(t, int)],
+                         ids=["negative", "non-integer"])
+def test_build_rejects_non_index_teacher_entry(is_index):
+    # -1 would silently index the teacher's last block, 0.5 nothing at
+    # all; the derived map holds neither at any depth
+    for num_student, num_teacher in DEPTHS:
+        assert all(map(is_index, default_layer_map(num_student, num_teacher)))
 
 
 def test_layer_map_must_be_nondecreasing():
@@ -78,8 +112,7 @@ def test_kd_loss_sums_unit_weight_pairs_on_the_default_map():
     hiddens = [rng.normal(size=(3, 4)) for _ in range(4)]
     projections = init_projections(4, 4, 2, rng)
     total, per_pair, _ = kd_loss([np.zeros((3, 4))] * 2, hiddens, projections)
-    assert per_pair == [float((hiddens[1] ** 2).sum() / 12),
-                        float((hiddens[3] ** 2).sum() / 12)]
+    assert per_pair == _zero_student_pairs(hiddens, [1, 3])
     assert total == per_pair[0] + per_pair[1]
 
 
