@@ -319,12 +319,15 @@ def _logits(self, final: np.ndarray) -> np.ndarray:
 LN_GAIN_INIT = 0.2
 LN_BIAS_INIT = 0.5
 
-# Neuron rows (batch x sequence positions) x timesteps in one window of
-# `EncoderStack.temporal_simulate`: 20 steps for one 12-token sentence, and
-# one step at a time once a batch has WINDOW_ROWS rows.  A longer window
+# The bytes a window of `EncoderStack.temporal_simulate` may give its
+# widest array, at the default shapes the float64 q/k/v currents (B x seq
+# x 3d per step): a window holds as many steps as fit, and at least one.
+# For one 12-token d=32 sentence that is 80 steps, three windows for
+# T=200; a 64-sentence batch runs one step at a time.  A longer window
 # pays the per-call overhead less often but holds more of its steps in
-# memory at once.
-WINDOW_ROWS = 240
+# memory at once.  The budget stays under the heap's mmap threshold
+# (`eqspike.MMAP_THRESHOLD`), so a window's arrays reuse freed heap pages.
+WINDOW_BYTES = 720 << 10
 
 
 class EncoderStack:
@@ -411,9 +414,13 @@ class EncoderStack:
         (..., seq, width).  `trace`, when given, collects (step, layer,
         mean_asr) rows.
 
-        The steps run in windows of WINDOW_ROWS // (B * seq) steps (at
-        least one).  Within a window the sublayers go in block order, each
-        over all the window's steps in one call.  A block's q, k and v
+        The steps run in windows of as many steps as keep the widest window
+        array (B * seq rows of max(3d, intermediate, heads * seq) float64
+        values per step) within WINDOW_BYTES, and at least one.  Within a
+        window the sublayers go in block order, each over all the window's
+        steps in one call, and each window-sized array is dropped once its
+        consumer has run; a layer's per-step ASRs overwrite its currents.
+        A block's q, k and v
         linears read the same spikes and drive independent neurons, so they
         run as one layer: one `quantized_forward` on their `stack_pinned`
         linear and one `lif_step` on their neurons side by side.  So a
@@ -453,7 +460,10 @@ class EncoderStack:
                          {nm: np.zeros(drive.shape)
                           for nm in ("attn", "h1", "out")}))
         tracing = trace is not None
-        step = max(1, WINDOW_ROWS // (drive.size // drive.shape[-1]))
+        # the widest float64 window array per step and neuron row: the q/k/v
+        # currents, the intermediate layer's, or the attention scores
+        widest = max(3 * d, inter, cfg.num_heads * drive.shape[-2])
+        step = max(1, WINDOW_BYTES // (8 * widest * (drive.size // d)))
 
         def split(name, x):
             """{reported layer: its part of x (..., width)} for layer `name`."""
@@ -463,9 +473,15 @@ class EncoderStack:
         # `fire` and `block` read the current window's `steps` and `means`,
         # which the window loop below binds
         def fire(name, currents, per_step_asr=False):
-            """Advance layer `name` over the window; its (spikes, ASRs)."""
-            spikes, asrs = lif_step(layers[name], currents,
-                                    steps if per_step_asr or tracing else None)
+            """Advance layer `name` over the window; its (spikes, ASRs).
+
+            The ASRs overwrite the currents, unless those are the input's
+            read-only drive.
+            """
+            spikes, asrs = lif_step(
+                layers[name], currents,
+                steps if per_step_asr or tracing else None,
+                currents if currents.flags.writeable else None)
             if tracing:
                 for part, a in split(name, asrs).items():
                     means[part] = a.reshape(len(a), -1).mean(axis=1)
@@ -489,9 +505,10 @@ class EncoderStack:
 
             _, aqkv = fire(pre + "qkv", quantized_forward(
                 qkv, s_in, qkv_bias, counter, parts[pre + "qkv"]), True)
-            sa = surrogate("attn", spiking_attention(
-                *np.split(aqkv, 3, axis=-1), cfg.num_heads)[0])
-            del aqkv
+            mixed = spiking_attention(*np.split(aqkv, 3, axis=-1),
+                                      cfg.num_heads)[0]
+            del aqkv  # freed before the attention neurons' currents
+            sa = surrogate("attn", mixed)
             sh = surrogate("h1", norm("ln1", running_means(
                 linear("o", sa) + s_in, r1_sum, steps)))
             si, _ = fire(pre + "int", linear("ff1", sh))

@@ -74,17 +74,23 @@ def telescoped(phi: np.ndarray, steps: np.ndarray,
 
 
 def lif_step(state: LifLayerState, currents: np.ndarray,
-             steps: np.ndarray | None = None):
+             steps: np.ndarray | None = None,
+             out: np.ndarray | None = None):
     """Advance the layer over a window of C timesteps (in place).
 
     `currents` is (C, *shape), one input current per step.  Only the
     membrane recurrence loops over the steps, with in-place ufuncs on
     `state.u`: each step's spikes go into the bool window, are copied as
     0/1 into one float64 reset buffer and subtracted, so a step allocates
-    nothing and multiplies no bool by a float.  Returns (spikes, asrs): the
-    bool spikes (C, *shape) and, given the window's step numbers `steps`
-    (C,), the ASR after each step (C, *shape), else None.  One window of C
-    steps is bitwise C windows of one.
+    nothing and runs no ufunc that mixes bool and float64 (`u -= fired`
+    gives the same bits, but its casting loop costs more than the copy).
+    Returns (spikes, asrs): the bool spikes (C, *shape) and, given the
+    window's step numbers `steps` (C,), the ASR after each step (C,
+    *shape), else None.  The ASRs go into `out`, a float64 array of the
+    currents' shape, which may be `currents` itself once the caller is
+    done with them (every current is read before the first ASR is
+    written); by default a new array.  One window of C steps is bitwise C
+    windows of one.
 
     Firing uses a strict u > 1 comparison; u == 1 does not fire.  The
     currents are not checked: a NaN or infinite current leaves `state.u`
@@ -107,5 +113,6 @@ def lif_step(state: LifLayerState, currents: np.ndarray,
     if steps is None:
         state.count += spikes.sum(axis=0, dtype=np.float64)
         return spikes, None
-    return spikes, running_means(spikes, state.count, steps,
-                                 np.empty(spikes.shape))
+    return spikes, running_means(
+        spikes, state.count, steps,
+        np.empty(spikes.shape) if out is None else out)

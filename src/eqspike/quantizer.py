@@ -97,6 +97,13 @@ class Pinned:
             self.codes.reshape(self.parts, -1, self.codes.shape[1]), axis=1)
         return _readonly(nnz[0] if self.parts == 1 else nnz)[0]
 
+    @functools.cached_property
+    def codes_t32(self) -> np.ndarray:
+        """The codes transposed (in, out), contiguous float32: the right
+        operand of `quantized_forward`'s code GEMM.  Made on first use."""
+        return _readonly(np.ascontiguousarray(self.codes.T,
+                                              dtype=np.float32))[0]
+
 
 def pin(w: np.ndarray, mode: QuantMode,
         binary_output_scale: bool = False) -> Pinned:
@@ -163,17 +170,21 @@ def quantized_forward(layer: Pinned, x: np.ndarray, bias: np.ndarray,
     spikes (..., in), as `lif_step` emits, with any leading axes.
 
     A quantized linear computes `scale * (x @ codes.T) + bias`: with spikes
-    in {0, 1} and codes in {-1, 0, +1} every partial sum is a small
-    integer, so the matmul is exact signed accumulation of the columns
-    whose input spiked (no multiplies are needed), and the output scale is
-    applied once afterwards.  The counter counts the accumulates, one per
-    (nonzero input, nonzero code or weight) pair, from the linear's
-    `column_nnz`.  A `stack_pinned` linear counts each part under its own
-    name, `name` then being the tuple of the parts' names; its outputs are
-    bitwise its parts' (exact sums for codes, and for full precision, whose
-    real-valued sums depend on the matmul's shape, one matmul per part).
-    Codes take one 2-D matmul over all of x's rows; full precision keeps
-    x's own shape for the same reason.
+    in {0, 1} and codes in {-1, 0, +1} the matmul is signed accumulation of
+    the columns whose input spiked (no multiplies are needed), and the
+    output scale is applied once afterwards, in float64.  The matmul runs in
+    float32, on the spikes cast to float32 and the cached `codes_t32`: every
+    partial sum is an integer of magnitude at most the fan-in, and float32
+    holds every integer below 2^24 exactly, so at any fan-in below 2^24 each
+    sum is exact in any order of summation, and its cast to float64 is the
+    float64 matmul's result bit for bit.  The counter counts the
+    accumulates, one per (nonzero input, nonzero code or weight) pair, from
+    the linear's `column_nnz`.  A `stack_pinned` linear counts each part
+    under its own name, `name` then being the tuple of the parts' names; its
+    outputs are bitwise its parts' (exact sums for codes, and for full
+    precision, whose real-valued sums depend on the matmul's shape, one
+    matmul per part).  Codes take one 2-D matmul over all of x's rows; full
+    precision keeps x's own shape for the same reason.
     """
     x = np.asarray(x)
     in_dim = layer.codes.shape[1]
@@ -189,8 +200,9 @@ def quantized_forward(layer: Pinned, x: np.ndarray, bias: np.ndarray,
                 counter.add(part, int(ops))
     if layer.quantized:
         # one GEMM over every row: its sums are exact small integers, so
-        # they do not depend on the matmul's shape
-        out = (rows @ layer.codes.T).reshape(x.shape[:-1] + (-1,))
+        # they depend neither on the matmul's shape nor on its precision
+        sums = rows.astype(np.float32) @ layer.codes_t32
+        out = sums.astype(np.float64).reshape(x.shape[:-1] + (-1,))
         out *= layer.scale
     elif layer.parts == 1:
         out = x @ layer.codes.T

@@ -13,7 +13,6 @@ from eqspike.distill import (KdReport, default_layer_map, evaluate_kd_loss,
 from eqspike.implicit_grad import example_gradients, training_step
 from eqspike.model import _head_axes, _token_ids, spiking_attention, teacher_forward
 from eqspike.numerics import NumericError, ShapeError, check_finite
-from eqspike.quantizer import quantized_forward
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -229,12 +228,28 @@ class _StepAverage:
         return self.num / self.den
 
 
+def dense_spike_linear(pinned, x, bias, counter=None, name=""):
+    """`quantizer.quantized_forward` in float64: x (..., in) 0/1 spikes
+    through the pinned linear, `x @ codes.T * scale + bias` (codes) or
+    `x @ w.T + bias` (full precision), counting one accumulate per
+    (spiking input, nonzero code or weight) pair into `counter`."""
+    x = np.asarray(x).astype(float)
+    out = x @ pinned.codes.T
+    if pinned.quantized:
+        out = out * pinned.scale
+    if counter is not None:
+        active = np.count_nonzero(x.reshape(-1, x.shape[-1]), axis=0)
+        counter.add(name, int(active @ np.count_nonzero(pinned.codes, axis=0)))
+    return out + bias
+
+
 def step_major_simulate(stack, tokens, T, counter=None, trace=None,
                         membranes=None):
     """`EncoderStack.temporal_simulate` as one loop over timesteps.
 
     Each step runs every sublayer of every block once, in block order, with
-    one `quantized_forward` per linear and one neuron update per layer.
+    one float64 `dense_spike_linear` per linear and one neuron update per
+    layer.
     Returns (logits, ASR dict, spike-count dict) and fills `counter` and
     `trace` as `temporal_simulate` does; `membranes`, when given, gets each
     layer's final membrane potential under its layer name.
@@ -273,9 +288,9 @@ def step_major_simulate(stack, tokens, T, counter=None, trace=None,
         s_in = source.s
         for blk, key, n, r1_avg, r2_avg in runs:
             def linear(nm, x, blk=blk, key=key):
-                return quantized_forward(getattr(blk, nm), x,
-                                         getattr(blk, nm + "_b"), counter,
-                                         key[nm])
+                return dense_spike_linear(getattr(blk, nm), x,
+                                          getattr(blk, nm + "_b"), counter,
+                                          key[nm])
 
             n["q"].step(linear("q", s_in))
             n["k"].step(linear("k", s_in))

@@ -304,7 +304,8 @@ def test_temporal_simulate_calls_each_kernel_once_per_sublayer_per_window(
         monkeypatch.setattr(model, name, counted(name))
     monkeypatch.setattr(OpCounter, "add", add)
     tokens = np.array([[2, 4, 5], [3, 6, 7]])
-    steps = model.WINDOW_ROWS // tokens.size  # steps per window
+    # steps per window: the q/k/v currents (3d wide) are the widest array
+    steps = model.WINDOW_BYTES // (8 * 3 * stack.cfg.hidden_dim * tokens.size)
     T, L = 2 * steps + 1, stack.cfg.num_layers  # two full windows and one step
     stack.temporal_simulate(tokens, T, counter=OpCounter())
     windows = 3
@@ -318,7 +319,9 @@ def test_temporal_simulate_calls_each_kernel_once_per_sublayer_per_window(
 
 def test_temporal_simulate_window_is_one_step_for_large_batches(monkeypatch):
     stack = make_stack(mode=QuantMode.TERNARY_158BIT)
-    tokens = np.tile(np.array([2, 4, 5, 6]), (model.WINDOW_ROWS // 4, 1))
+    # a batch whose q/k/v currents (3d wide) fill the budget in one step
+    rows = model.WINDOW_BYTES // (8 * 3 * stack.cfg.hidden_dim)
+    tokens = np.tile(np.array([2, 4, 5, 6]), (rows // 4, 1))
     windows = []
     inner = model.lif_step
 
@@ -342,7 +345,8 @@ def test_windowed_simulation_equals_step_major_oracle_bitwise(
     tokens = np.array([[2, 4, 5, 6, 7], [3, 8, 9, 10, 1], [2, 2, 6, 5, 4]])
     if not batch:
         tokens = tokens[0]
-    steps = model.WINDOW_ROWS // tokens.size  # steps per window
+    # steps per window: the q/k/v currents (3d wide) are the widest array
+    steps = model.WINDOW_BYTES // (8 * 3 * stack.cfg.hidden_dim * tokens.size)
     # the neuron layers temporal_simulate makes, in the order it makes them
     states, make = [], model.LifLayerState.zeros
 

@@ -252,6 +252,55 @@ def test_code_kernel_equals_per_index_products_bitwise(mode, stacked,
         list(want_counter.per_layer.items())
 
 
+def _constant_codes(sign, fan_in, scale=0.375, out_dim=5):
+    codes = np.full((out_dim, fan_in), float(sign))
+    return Pinned(codes, codes * scale, scale, 0.0, scale)
+
+
+def _float32_kernel_case(case):
+    """(pinned linear, 0/1 spikes, bias) for one float32-kernel case."""
+    rng = np.random.default_rng(21)
+    bias = rng.normal(size=5)
+    if case in ("all+1", "all-1"):  # every input spikes: sums of +-fan-in
+        layer = _constant_codes(1 if case == "all+1" else -1, 128)
+        return layer, np.ones((2, 128), dtype=bool), bias
+    if case == "ternary-zeros":
+        layer, _, bias = _layer(QuantMode.TERNARY_158BIT, rng, out_dim=5,
+                                in_dim=128)
+        assert 0 < np.count_nonzero(layer.codes == 0) < layer.codes.size
+    elif case == "1bit-unscaled":
+        layer, _, bias = _layer(QuantMode.BINARY_1BIT, rng, out_dim=5,
+                                in_dim=128)
+        assert layer.scale == 1.0
+    else:  # a q/k/v stack, each part with its own scale, on (B, seq, in)
+        parts = [_layer(QuantMode.TERNARY_158BIT, rng, out_dim=64, in_dim=64)
+                 for _ in range(3)]
+        layer = stack_pinned([p for p, _, _ in parts])
+        assert len({p.scale for p, _, _ in parts}) == 3
+        spikes = rng.random((4, 12, 64)) < 0.5
+        spikes[0, 0] = True
+        return layer, spikes, np.concatenate([b for _, _, b in parts])
+    return layer, rng.random((3, 7, 128)) < 0.5, bias
+
+
+@pytest.mark.parametrize("case", ["all+1", "all-1", "ternary-zeros",
+                                  "1bit-unscaled", "qkv-stack"])
+def test_float32_code_kernel_equals_float64_reference_bitwise(case):
+    layer, spikes, bias = _float32_kernel_case(case)
+    assert layer.codes_t32.dtype == np.float32
+    assert layer.codes_t32.flags.c_contiguous
+    assert not layer.codes_t32.flags.writeable
+    want = spikes.astype(float) @ layer.codes.T * layer.scale + bias
+    out = quantized_forward(layer, spikes, bias)
+    assert out.dtype == np.float64 and out.shape == want.shape
+    np.testing.assert_array_equal(out, want)
+    np.testing.assert_array_equal(np.signbit(out), np.signbit(want))
+    if case.startswith("all"):  # the extreme sums, +-fan-in
+        np.testing.assert_array_equal(
+            quantized_forward(layer, spikes, np.zeros_like(bias)),
+            np.full(want.shape, 128 * layer.codes[0, 0] * layer.scale))
+
+
 def test_quantized_forward_rejects_bad_width():
     layer, w, bias = _layer(QuantMode.FULL_PRECISION)
     with pytest.raises(ShapeError):
