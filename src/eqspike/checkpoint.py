@@ -2,13 +2,13 @@
 
 Both kinds share one envelope: format version, kind, stage, config and
 parameters, each parameter stored as the base64 of its little-endian
-float64 bytes (bitwise, and without formatting a float as text).  Student
-checkpoints add the quant mode and, per quantized linear, its alpha/beta
-statistics and packed 2-bit integer codes (little-endian within each
-byte); a loaded student is frozen on its latent weights' quantization,
-which must be the saved one.  Teacher checkpoints add their training
-metrics.  A stage tag records where in the training pipeline the
-artifact was produced.
+float64 bytes (bitwise, and without formatting a float as text).  A
+student stores its latent weights only, its quant mode being part of its
+config: its codes and scales are a function of the two, so a loaded
+student is frozen on the quantization `pin` derives from them, which is
+bitwise its saver's wherever the saver was pinned on those weights.
+Teacher checkpoints add their training metrics.  A stage tag records
+where in the training pipeline the artifact was produced.
 """
 
 from __future__ import annotations
@@ -20,9 +20,11 @@ import json
 import numpy as np
 
 from .model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
-from .quantizer import QuantMode, pack_codes, unpack_codes
+from .quantizer import QuantMode
 
-FORMAT_VERSION = 2  # 1 stored each parameter as nested lists of JSON numbers
+# 1 stored each parameter as nested lists of JSON numbers; 2 added each
+# student linear's codes and scales, which its latent weights determine
+FORMAT_VERSION = 3
 STAGES = ("init", "kd", "finetuned")
 
 
@@ -75,10 +77,10 @@ def _load(path, kind, stages, build):
     """`build(obj)` for the JSON object of a `kind` checkpoint at `path`.
 
     Text that is not JSON, another format version, a stage not in
-    `stages`, or a missing, mistyped or invalid field (a shape, a parameter
-    that is not the base64 of the model's number of values, a non-finite
-    number, a config or parameter set that names other fields or
-    parameters than the model's, or values it rejects) is reported as a
+    `stages`, or a missing, mistyped or invalid field (a parameter that is
+    not the base64 of the model's number of values, a non-finite number, a
+    config or parameter set that names other fields or parameters than the
+    model's, or values it rejects) is reported as a
     CheckpointError naming `path`; a file that cannot be read raises its
     OSError.
     """
@@ -133,12 +135,7 @@ def _restore(model_cls, cfg_cls, obj):
 def save_student(stack: EncoderStack, stage: str, path):
     if stage not in STAGES:
         raise CheckpointError(f"unknown stage {stage!r}")
-    # the codes and alpha/beta written come from one quantization
-    _save(stack, "student", stage, path, quant={
-        "mode": stack.cfg.quant_mode.value, "layers": {
-            name: {"alpha": p.alpha, "beta": p.beta,
-                   "shape": list(p.codes.shape), "codes": pack_codes(p.codes)}
-            for name, p in stack.pinned().items() if p.quantized}})
+    _save(stack, "student", stage, path)
 
 
 def load_student(path):
@@ -147,31 +144,7 @@ def load_student(path):
 
 def _build_student(obj):
     stack = _restore(EncoderStack, StackConfig, obj)
-    layers = dict(obj["quant"]["layers"])
-    pins = stack.pinned()  # each linear re-pinned on its saved latent weight
-    for key, p in pins.items():
-        if not p.quantized:
-            continue
-        entry = layers.pop(key, None)
-        if entry is None:
-            raise CheckpointError(f"quant entry {key} is missing")
-        shape = tuple(entry["shape"])
-        if shape != p.codes.shape:
-            raise CheckpointError(f"quant entry {key}: shape {shape} vs "
-                                  f"{p.codes.shape}")
-        try:  # a non-string, not base64, a 0b10 code or a wrong count
-            codes = unpack_codes(entry["codes"], shape)
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"quant entry {key}: invalid codes ({exc})") \
-                from None
-        # a non-finite or mistyped alpha/beta differs from the re-pin's too
-        if (entry["alpha"], entry["beta"]) != (p.alpha, p.beta) \
-                or not np.array_equal(codes, p.codes):
-            raise CheckpointError(f"quant entry {key}: codes or alpha/beta "
-                                  "are not those of its latent weights")
-    if layers:
-        raise CheckpointError(f"unknown quant entries {sorted(layers)}")
-    stack.frozen = pins
+    stack.freeze_quantization()
     return stack, obj["stage"]
 
 

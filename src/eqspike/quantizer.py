@@ -6,17 +6,16 @@ value, clipped to [-1, 1], and rounded (ties away from zero) to
 {-1, 0, +1}; the layer output is rescaled by that mean absolute value.
 Latent full-precision weights stay trainable; gradients pass through the
 quantizer unchanged.  A quantization is a `Pinned` value, built by `pin`:
-its codes, effective weight, alpha/beta and nonzero codes per input
-column, all fixed when it is built.  A training step pins each linear
-afresh; a frozen stack keeps one pin per linear until it is unfrozen.
+its codes, effective weight, output scale and nonzero codes per input
+column, all fixed when it is built, and a function of the latent weight
+and the mode alone.  A training step pins each linear afresh; a frozen
+stack keeps one pin per linear until it is unfrozen.
 """
 
 from __future__ import annotations
 
-import base64
 import enum
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,15 +71,12 @@ class Pinned:
     and `scale` is None.  Otherwise `scale` is the factor on the codes:
     beta, or 1.0 for a binary linear without an output scale.  `weight` is
     the codes times that scale, the weight the rate path multiplies by (an
-    unscaled binary linear's is its codes array).  alpha is the 1-bit
-    quantizer's mean and beta its output scale's statistic, each 0.0 where
-    the mode has none.  A `stack_pinned` linear has `parts` > 1.
+    unscaled binary linear's is its codes array).  A `stack_pinned` linear
+    has `parts` > 1.
     """
     codes: np.ndarray
     weight: np.ndarray
     scale: float | np.ndarray | None
-    alpha: float
-    beta: float
     parts: int = 1
 
     @property
@@ -110,26 +106,22 @@ def pin(w: np.ndarray, mode: QuantMode,
     """The latent weight `w` (out, in) quantized in `mode`, pinned.
 
     The one place that tells the modes apart.  At full precision the codes
-    and the weight are a read-only view of `w` itself.  A binary linear
-    keeps its mean alpha, and beta = mean |w| as its output scale only
-    under `binary_output_scale`; a ternary linear's scale is its absmean
-    beta.
+    and the weight are a read-only view of `w` itself.  A binary linear's
+    codes are the signs about its mean, scaled by beta = mean |w| only
+    under `binary_output_scale` (else by 1.0); a ternary linear's scale is
+    its absmean beta.
     """
     if mode is QuantMode.FULL_PRECISION:
         view, = _readonly(w.view())
-        return Pinned(view, view, None, 0.0, 0.0)
-    alpha = beta = 0.0
+        return Pinned(view, view, None)
     if mode is QuantMode.BINARY_1BIT:
-        q, alpha = quantize_1bit(w)
-        if binary_output_scale:
-            beta = float(np.abs(w).mean())
-        scale = beta if binary_output_scale else 1.0
+        q, _alpha = quantize_1bit(w)
+        scale = float(np.abs(w).mean()) if binary_output_scale else 1.0
     else:
-        q, beta = quantize_158bit(w)
-        scale = beta
+        q, scale = quantize_158bit(w)
     weight = q if scale == 1.0 else q * scale
     q, weight = _readonly(q, weight)
-    return Pinned(q, weight, scale, alpha, beta)
+    return Pinned(q, weight, scale)
 
 
 class OpCounter:
@@ -149,7 +141,7 @@ def stack_pinned(parts) -> Pinned:
     precision.  Their codes and weights are concatenated; a quantized
     stack's scale is the per-output vector of each part's scale.  Its
     `parts` tell `quantized_forward` to count and compute each part as its
-    own linear would.  A stack has no one alpha or beta (NaN).
+    own linear would.
     """
     first = parts[0]
     if any((p.codes.shape, p.quantized) != (first.codes.shape, first.quantized)
@@ -160,7 +152,7 @@ def stack_pinned(parts) -> Pinned:
         scale = np.repeat([p.scale for p in parts], first.codes.shape[0])
     codes, weight = _readonly(np.concatenate([p.codes for p in parts]),
                               np.concatenate([p.weight for p in parts]))
-    return Pinned(codes, weight, scale, math.nan, math.nan, len(parts))
+    return Pinned(codes, weight, scale, len(parts))
 
 
 def quantized_forward(layer: Pinned, x: np.ndarray, bias: np.ndarray,
@@ -220,36 +212,8 @@ def effective_weight_tensor(layer: Pinned) -> np.ndarray:
     this one call, frozen or not (the name, from when this built an
     autodiff view, is the span `eqbench` requires every workload to
     trace).  The backward is straight-through: a linear's weight gradient
-    is added to the latent weights unchanged, and alpha/beta are constants
+    is added to the latent weights unchanged, and the scale is a constant
     of it.
     """
     return layer.weight
 
-
-# -- 2-bit code packing (little-endian within each byte) ----------------
-# code values: 0b00 -> 0, 0b01 -> +1, 0b11 -> -1; weight k occupies bits
-# (k % 4) * 2 .. +1 of byte k // 4.
-
-_SHIFTS = np.array([0, 2, 4, 6], dtype=np.uint8)
-_FROM_BITS = np.array([0.0, 1.0, np.nan, -1.0])  # 0b10 is not a code
-
-
-def pack_codes(q: np.ndarray) -> str:
-    flat = q.astype(np.int64).reshape(-1)
-    if not np.all(np.isin(flat, (-1, 0, 1))):
-        raise ValueError("codes must lie in {-1, 0, +1}")
-    bits = np.zeros(-(-flat.size // 4) * 4, dtype=np.uint8)
-    bits[:flat.size] = flat & 0b11  # two's complement: -1 -> 0b11
-    out = np.bitwise_or.reduce(bits.reshape(-1, 4) << _SHIFTS, axis=1)
-    return base64.b64encode(out.tobytes()).decode("ascii")
-
-
-def unpack_codes(packed: str, shape) -> np.ndarray:
-    raw = np.frombuffer(base64.b64decode(packed, validate=True), dtype=np.uint8)
-    n = int(np.prod(shape))
-    if len(raw) != -(-n // 4):
-        raise ValueError(f"{len(raw)} bytes, not the {-(-n // 4)} of {n} codes")
-    bits = ((raw[:, None] >> _SHIFTS) & 0b11).reshape(-1)[:n]
-    if np.any(bits == 0b10):
-        raise ValueError("invalid 2-bit weight code")
-    return _FROM_BITS[bits].reshape(shape)

@@ -1,6 +1,7 @@
 import base64
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,13 +14,19 @@ from eqspike.equilibrium import solve_fixed_point
 from eqspike.implicit_grad import training_step
 from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
 from eqspike.numerics import AdamState
-from eqspike.quantizer import OpCounter, QuantMode
+from eqspike.quantizer import OpCounter, QuantMode, pin
+
+# a 1.58-bit student as format version 2 wrote it: the latent weights and,
+# per linear, its alpha, beta and packed 2-bit codes
+STUDENT_V2 = Path(__file__).parent / "data" / "student_v2.json"
+# the top-level keys of a student checkpoint
+ENVELOPE = {"format_version", "kind", "stage", "config", "params"}
 
 
-def make_stack(mode=QuantMode.TERNARY_158BIT, seed=0):
+def make_stack(mode=QuantMode.TERNARY_158BIT, seed=0, **kw):
     cfg = StackConfig(vocab_size=11, hidden_dim=8, intermediate_dim=12,
                       num_heads=2, num_layers=2, max_len=6, num_labels=2,
-                      quant_mode=mode)
+                      quant_mode=mode, **kw)
     return EncoderStack(cfg, np.random.default_rng(seed))
 
 
@@ -87,10 +94,35 @@ def test_fp_student_has_no_code_section(tmp_path):
     stack = make_stack(mode=QuantMode.FULL_PRECISION)
     path = tmp_path / "ckpt.json"
     save_student(stack, "init", path)
-    obj = json.loads(path.read_text())
-    assert obj["quant"]["layers"] == {}
+    assert set(json.loads(path.read_text())) == ENVELOPE
     loaded, _ = load_student(path)
     assert loaded.cfg.quant_mode is QuantMode.FULL_PRECISION
+
+
+@pytest.mark.parametrize("mode,kw", [
+    (QuantMode.FULL_PRECISION, {}), (QuantMode.BINARY_1BIT, {}),
+    (QuantMode.BINARY_1BIT, {"binary_output_scale": True}),
+    (QuantMode.TERNARY_158BIT, {})],
+    ids=["fp", "1bit", "1bit-output-scale", "1.58bit"])
+def test_loaded_student_is_pinned_on_its_saved_latent_weights(tmp_path, mode,
+                                                              kw):
+    stack = make_stack(mode=mode, seed=5, **kw)
+    stack.freeze_quantization()
+    path = tmp_path / "ckpt.json"
+    save_student(stack, "kd", path)
+    assert set(json.loads(path.read_text())) == ENVELOPE
+    loaded, _ = load_student(path)
+    assert list(loaded.frozen) == stack.linear_names
+    for name, got in loaded.frozen.items():
+        want = pin(stack.params[name + ".w"], mode, **kw)
+        for field in ("codes", "weight"):
+            assert getattr(got, field).tobytes() == \
+                getattr(want, field).tobytes(), (name, field)
+        assert (got.scale, got.parts) == (want.scale, want.parts), name
+    tokens = np.array([[2, 4, 5], [6, 1, 3]])
+    want = stack.logits(solve_fixed_point(stack, tokens).asr_star[-1])
+    got = loaded.logits(solve_fixed_point(loaded, tokens).asr_star[-1])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_save_student_rejects_bad_stage(tmp_path):
@@ -192,10 +224,21 @@ def test_version_1_checkpoint_names_both_versions(tmp_path, kind):
         obj["params"] = {k: v.tolist() for k, v in model.params.items()}
 
     _rewrite(path, as_version_1)
-    assert FORMAT_VERSION == 2
+    assert FORMAT_VERSION == 3
     with pytest.raises(CheckpointError, match=re.escape(
             f"unsupported {kind} checkpoint (format_version 1; this eqspike "
-            "reads 2)")):
+            "reads 3)")):
+        load(path)
+    # version 2 wrote a teacher as version 3 does, a student with codes too
+    if kind == "student":
+        path = STUDENT_V2
+        assert "quant" in json.loads(path.read_text())
+    else:
+        _save_kind(kind, path, model)
+        _rewrite(path, lambda obj: obj.update(format_version=2))
+    with pytest.raises(CheckpointError, match=re.escape(
+            f"unsupported {kind} checkpoint (format_version 2; this eqspike "
+            "reads 3)")):
         load(path)
 
 
@@ -236,7 +279,7 @@ def test_unfrozen_save_writes_stats_matching_its_codes(tmp_path):
     loaded, _ = load_student(path)
     assert stack.frozen is None
     for name, pinned in loaded.frozen.items():
-        assert pinned.beta == float(np.abs(stack.params[name + ".w"]).mean())
+        assert pinned.scale == float(np.abs(stack.params[name + ".w"]).mean())
     tokens = np.array([[2, 4, 5], [6, 1, 3]])
     want = solve_fixed_point(stack, tokens)
     got = solve_fixed_point(loaded, tokens)
@@ -329,11 +372,10 @@ def test_mode_switch_after_freeze_saves_the_new_modes_statistics(tmp_path):
     stack.set_quant_mode(QuantMode.BINARY_1BIT)
     path = tmp_path / "ckpt.json"
     save_student(stack, "kd", path)
-    layers = json.loads(path.read_text())["quant"]["layers"]
-    # an unscaled binary linear has no beta: none of the ternary pin's
-    names = [f"blk{i}.{nm}" for i in range(cfg["model"]["num_layers"])
-             for nm in ("q", "k", "v", "o", "ff1", "ff2")]
-    assert {k: entry["beta"] for k, entry in layers.items()} == \
-        dict.fromkeys(names, 0.0)
     loaded, _ = load_student(path)
     assert loaded.cfg.quant_mode is QuantMode.BINARY_1BIT
+    # an unscaled binary linear's scale is 1.0: none of the ternary pin's
+    names = [f"blk{i}.{nm}" for i in range(cfg["model"]["num_layers"])
+             for nm in ("q", "k", "v", "o", "ff1", "ff2")]
+    assert {k: pinned.scale for k, pinned in loaded.frozen.items()} == \
+        dict.fromkeys(names, 1.0)

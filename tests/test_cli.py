@@ -14,7 +14,6 @@ from eqspike.checkpoint import (FORMAT_VERSION, decode_array, encode_array,
                                 save_student)
 from eqspike.cli import main
 from eqspike.data import CLS
-from eqspike.quantizer import pack_codes, unpack_codes
 
 SMALL_CFG = {
     "model": {"hidden_dim": 8, "intermediate_dim": 12, "num_heads": 2,
@@ -25,6 +24,8 @@ SMALL_CFG = {
     "data": {"train_size": 8, "dev_size": 8},
     "energy": {"timesteps": 30},
 }
+# a student as format version 2 wrote it, with its codes next to its latents
+STUDENT_V2 = Path(__file__).parent / "data" / "student_v2.json"
 
 
 @pytest.fixture(scope="module")
@@ -269,25 +270,15 @@ DEFECT_MESSAGE = {
     "parent-format": "unknown ['gamma', 'v_th']",
     "unknown-param": "unknown ['bogus.w']",
     "format-v1": f"format_version 1; this eqspike reads {FORMAT_VERSION}",
-    "codes-bad-char": "quant entry blk0.q: invalid codes",
-    "codes-int": "quant entry blk0.q: invalid codes (argument should be a "
-                 "bytes-like object or ASCII string, not 'int')",
+    "format-v2": f"format_version 2; this eqspike reads {FORMAT_VERSION}",
     "bogus-stage": "unknown student stage ['bogus']",
     "finetuned-stage": "unknown teacher stage 'finetuned'",
 }
 
 
 def _corrupt(obj, defect):
-    if defect == "quant-shape":  # as many codes, in the wrong (out, in)
-        obj["quant"]["layers"]["blk0.q"]["shape"] = [4, 16]
-    elif defect == "nan-param":
+    if defect == "nan-param":
         _with_nan_embedding(obj)
-    elif defect == "inf-beta":
-        obj["quant"]["layers"]["blk1.ff2"]["beta"] = float("inf")
-    elif defect == "missing-quant-entry":
-        del obj["quant"]["layers"]["blk0.k"]
-    elif defect == "unknown-quant-entry":
-        obj["quant"]["layers"]["blk9.k"] = obj["quant"]["layers"]["blk0.k"]
     elif defect == "unknown-field":
         obj["config"]["bogus"] = 1
     elif defect == "missing-field":
@@ -302,11 +293,6 @@ def _corrupt(obj, defect):
         obj["params"]["bogus.w"] = obj["params"]["cls.b"]
     elif defect == "format-v1":  # every checkpoint written before format 2
         obj["format_version"] = 1
-    elif defect == "codes-bad-char":  # skipping "*!" would read the same codes
-        entry = obj["quant"]["layers"]["blk0.q"]
-        entry["codes"] = entry["codes"][:4] + "*!" + entry["codes"][4:]
-    elif defect == "codes-int":
-        obj["quant"]["layers"]["blk0.q"]["codes"] = 5
     elif defect == "bogus-stage":
         obj["stage"] = ["bogus"]
 
@@ -318,19 +304,18 @@ def _write_checkpoint(path, obj, defect):
                     else text)
 
 
-@pytest.mark.parametrize("defect", ["quant-shape", "nan-param", "inf-beta",
-                                    "missing-quant-entry",
-                                    "unknown-quant-entry", "gamma", "max_len",
+@pytest.mark.parametrize("defect", ["nan-param", "gamma", "max_len",
                                     "unknown-field", "missing-field",
                                     "parent-format", "unknown-param",
-                                    "format-v1", "truncated-json",
-                                    "codes-bad-char", "codes-int",
+                                    "format-v1", "format-v2", "truncated-json",
                                     "bogus-stage"])
 def test_invalid_student_checkpoint_is_config_error(workdir, artifacts, capsys,
                                                     defect):
     root, cfg = workdir
     out, _ = artifacts
-    obj = json.loads(Path(out, "student_finetuned.json").read_text())
+    source = STUDENT_V2 if defect == "format-v2" \
+        else Path(out, "student_finetuned.json")
+    obj = json.loads(source.read_text())
     _corrupt(obj, defect)
     ckpt = root / f"invalid_{defect}.json"
     _write_checkpoint(ckpt, obj, defect)
@@ -345,7 +330,8 @@ def test_invalid_student_checkpoint_is_config_error(workdir, artifacts, capsys,
 @pytest.mark.parametrize("defect", ["nan-param", "unknown-field",
                                     "missing-field", "cls-shape",
                                     "unknown-param", "format-v1",
-                                    "truncated-json", "finetuned-stage"])
+                                    "format-v2", "truncated-json",
+                                    "finetuned-stage"])
 def test_invalid_teacher_checkpoint_is_config_error(workdir, artifacts, capsys,
                                                     defect):
     root, cfg = workdir
@@ -361,8 +347,9 @@ def test_invalid_teacher_checkpoint_is_config_error(workdir, artifacts, capsys,
         obj["params"]["blk7.q.w"] = obj["params"]["blk0.q.w"]
     elif defect == "cls-shape":
         obj["params"]["cls.b"] = encode_array(np.zeros(3))  # one value too long
-    elif defect == "format-v1":
-        obj["format_version"] = 1
+    elif defect in ("format-v1", "format-v2"):
+        # a version-2 teacher is this file, saying version 2
+        obj["format_version"] = int(defect[-1])
     elif defect == "finetuned-stage":
         obj["stage"] = "finetuned"
     ckpt = root / f"invalid_teacher_{defect}.json"
@@ -376,26 +363,6 @@ def test_invalid_teacher_checkpoint_is_config_error(workdir, artifacts, capsys,
     assert {**DEFECT_MESSAGE, "unknown-param": "unknown ['blk7.q.w']"}.get(
         defect, "") in err
     assert not os.path.exists(dest / "student_kd.json")
-
-
-def test_flipped_code_is_config_error_naming_its_linear(workdir, artifacts,
-                                                        capsys):
-    # the saved codes must be those of the saved latent weights
-    root, cfg = workdir
-    out, _ = artifacts
-    obj = json.loads(Path(out, "student_finetuned.json").read_text())
-    assert obj["quant"]["mode"] == "1.58bit"
-    entry = obj["quant"]["layers"]["blk1.ff1"]
-    codes = unpack_codes(entry["codes"], entry["shape"])
-    codes[2, 3] = {0.0: 1.0, 1.0: -1.0, -1.0: 0.0}[codes[2, 3]]
-    entry["codes"] = pack_codes(codes)
-    ckpt = root / "flipped_code.json"
-    ckpt.write_text(json.dumps(obj))
-    rc = main(["eval", "--config", cfg, "--out", str(root / "flipped"),
-               "--student", str(ckpt)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "config error" in err and "quant entry blk1.ff1" in err
 
 
 def test_distill_with_bad_gamma_is_config_error(workdir, artifacts, capsys):

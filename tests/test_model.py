@@ -90,7 +90,7 @@ def test_set_quant_mode_and_freeze_roundtrip():
     for name, pinned in stack.pinned().items():
         q, beta = quantize_158bit(stack.params[name + ".w"])
         np.testing.assert_array_equal(pinned.codes, q)
-        assert pinned.beta == beta
+        assert pinned.scale == beta
     stack.freeze_quantization()
     assert stack.pinned() is stack.frozen
     assert list(stack.frozen) == stack.linear_names
@@ -334,19 +334,13 @@ def test_temporal_simulate_window_is_one_step_for_large_batches(monkeypatch):
     assert windows == [1] * (1 + 5 * stack.cfg.num_layers) * 3
 
 
-@MODES
-@pytest.mark.parametrize("kw", [{}, {"binary_output_scale": True}],
-                         ids=["1.0", "1.0-output-scale"])
-@pytest.mark.parametrize("batch", [False, True], ids=["seq", "B-seq"])
-def test_windowed_simulation_equals_step_major_oracle_bitwise(
-        monkeypatch, mode, kw, batch):
-    stack = make_stack(seed=2, mode=mode, **kw)
-    stack.freeze_quantization()
-    tokens = np.array([[2, 4, 5, 6, 7], [3, 8, 9, 10, 1], [2, 2, 6, 5, 4]])
-    if not batch:
-        tokens = tokens[0]
-    # steps per window: the q/k/v currents (3d wide) are the widest array
-    steps = model.WINDOW_BYTES // (8 * 3 * stack.cfg.hidden_dim * tokens.size)
+ORACLE_TOKENS = np.array([[2, 4, 5, 6, 7], [3, 8, 9, 10, 1], [2, 2, 6, 5, 4]])
+
+
+def _assert_windows_equal_oracle(monkeypatch, stack, tokens, timesteps):
+    """`stack.temporal_simulate` of `tokens` at each of `timesteps`, traced
+    and not, equals `step_major_simulate` bitwise: logits, rates, spike
+    counts, membranes, op counts and trace."""
     # the neuron layers temporal_simulate makes, in the order it makes them
     states, make = [], model.LifLayerState.zeros
 
@@ -357,7 +351,7 @@ def test_windowed_simulation_equals_step_major_oracle_bitwise(
     monkeypatch.setattr(model.LifLayerState, "zeros", classmethod(zeros))
     names = ["input"] + [f"blk{i}.{nm}" for i in range(stack.cfg.num_layers)
                          for nm in ("qkv", "attn", "h1", "out", "int")]
-    for T in (1, steps - 1, steps + 1, 200):
+    for T in timesteps:
         want_counter, want_trace, want_u = OpCounter(), [], {}
         want = step_major_simulate(stack, tokens, T, counter=want_counter,
                                    trace=want_trace, membranes=want_u)
@@ -386,6 +380,35 @@ def test_windowed_simulation_equals_step_major_oracle_bitwise(
         np.testing.assert_array_equal([row[2:] for row in trace],
                                       [row[2:] for row in want_trace])
         assert len(trace) == T * len(want[1])
+
+
+@MODES
+@pytest.mark.parametrize("kw", [{}, {"binary_output_scale": True}],
+                         ids=["1.0", "1.0-output-scale"])
+@pytest.mark.parametrize("batch", [False, True], ids=["seq", "B-seq"])
+def test_windowed_simulation_equals_step_major_oracle_bitwise(
+        monkeypatch, mode, kw, batch):
+    stack = make_stack(seed=2, mode=mode, **kw)
+    stack.freeze_quantization()
+    tokens = ORACLE_TOKENS if batch else ORACLE_TOKENS[0]
+    # a budget of four steps a window: the tiling is the same at any budget,
+    # and the oracle's cost grows with T (the real one is crossed below)
+    monkeypatch.setattr(model, "WINDOW_BYTES",
+                        4 * 8 * 3 * stack.cfg.hidden_dim * tokens.size)
+    # steps per window: the q/k/v currents (3d wide) are the widest array
+    steps = model.WINDOW_BYTES // (8 * 3 * stack.cfg.hidden_dim * tokens.size)
+    _assert_windows_equal_oracle(monkeypatch, stack, tokens,
+                                 (1, steps - 1, steps + 1, 200))
+
+
+def test_windowed_simulation_crosses_the_real_budget_bitwise(monkeypatch):
+    stack = make_stack(seed=2, mode=QuantMode.TERNARY_158BIT)
+    stack.freeze_quantization()
+    steps = model.WINDOW_BYTES // (8 * 3 * stack.cfg.hidden_dim
+                                   * ORACLE_TOKENS.size)
+    assert steps > 1
+    _assert_windows_equal_oracle(monkeypatch, stack, ORACLE_TOKENS,
+                                 (steps + 1,))
 
 
 @pytest.mark.parametrize("poison", ["tok_emb", "ln_gain", "fp_weight"])

@@ -1,4 +1,3 @@
-import base64
 import dataclasses
 
 import numpy as np
@@ -7,10 +6,9 @@ import pytest
 from eqspike.autodiff import linear_backward
 from eqspike.numerics import ShapeError
 from eqspike.quantizer import (OpCounter, Pinned, QuantMode,
-                               effective_weight_tensor, pack_codes, pin,
-                               quantize_1bit, quantize_158bit,
-                               quantized_forward, stack_pinned,
-                               unpack_codes)
+                               effective_weight_tensor, pin, quantize_1bit,
+                               quantize_158bit, quantized_forward,
+                               stack_pinned)
 
 
 def test_binary_codes_and_alpha():
@@ -83,7 +81,7 @@ def test_effective_weight_ternary_is_scaled_codes():
     layer, w, _ = _layer(QuantMode.TERNARY_158BIT)
     q, beta = quantize_158bit(w)
     np.testing.assert_allclose(effective_weight_tensor(layer), q * beta)
-    assert layer.beta == beta
+    assert layer.scale == beta
 
 
 def test_freeze_pins_codes():
@@ -104,13 +102,13 @@ def test_pinned_arrays_are_built_once_and_read_only(mode, output_scale):
     np.testing.assert_array_equal(
         w, effective_weight_tensor(pin(latent, mode, output_scale)))
     if output_scale or mode is QuantMode.TERNARY_158BIT:
-        np.testing.assert_array_equal(w, q * layer.beta)
+        np.testing.assert_array_equal(w, q * layer.scale)
     else:
         assert w is q  # unscaled binary codes are the weight
     with pytest.raises(ValueError):
         w[0, 0] = 0.5
     with pytest.raises(dataclasses.FrozenInstanceError):
-        layer.beta = 1.0
+        layer.scale = 1.0
     assert effective_weight_tensor(layer) is w
 
 
@@ -126,7 +124,7 @@ def test_spike_accumulation_matches_dense_matmul():
 
 def test_accumulate_kernel_sums_columns():
     codes = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, 1.0]])
-    layer = Pinned(codes, codes, 1.0, 0.0, 0.0)
+    layer = Pinned(codes, codes, 1.0)
     bias = np.array([0.25, -0.5])
     x = np.array([True, True, False])
     np.testing.assert_array_equal(quantized_forward(layer, x, bias),
@@ -148,11 +146,11 @@ def column_sum_oracle(codes, x):
 def test_accumulate_equals_column_sum_oracle_on_batched_spikes(mode,
                                                                output_scale):
     rng = np.random.default_rng(6)
-    layer, _, bias = _layer(mode, rng, out_dim=9, in_dim=40,
-                            binary_output_scale=output_scale)
+    layer, latent, bias = _layer(mode, rng, out_dim=9, in_dim=40,
+                                 binary_output_scale=output_scale)
     codes, in_dim = layer.codes, layer.codes.shape[1]
-    scale = layer.beta if output_scale or mode is QuantMode.TERNARY_158BIT \
-        else 1.0
+    scale = float(np.abs(latent).mean()) \
+        if output_scale or mode is QuantMode.TERNARY_158BIT else 1.0
     spikes = rng.random((3, 7, in_dim)) < 0.3
     spikes[0, 0] = False  # a row with no spike
     spikes[0, 1] = True  # and one where every input spikes
@@ -254,7 +252,7 @@ def test_code_kernel_equals_per_index_products_bitwise(mode, stacked,
 
 def _constant_codes(sign, fan_in, scale=0.375, out_dim=5):
     codes = np.full((out_dim, fan_in), float(sign))
-    return Pinned(codes, codes * scale, scale, 0.0, scale)
+    return Pinned(codes, codes * scale, scale)
 
 
 def _float32_kernel_case(case):
@@ -319,79 +317,3 @@ def test_effective_weight_tensor_ste_gradient():
     # identity straight-through: the latent weights get the gradient of
     # the effective weight
     np.testing.assert_array_equal(gw, g.T @ x)
-
-
-def test_pack_unpack_roundtrip():
-    rng = np.random.default_rng(5)
-    q = rng.integers(-1, 2, size=(7, 5)).astype(float)
-    packed = pack_codes(q)
-    np.testing.assert_array_equal(unpack_codes(packed, q.shape), q)
-
-
-def test_pack_codes_layout():
-    # little-endian within the byte: codes [+1, 0, -1, 0] -> 0b00_11_00_01
-    packed = pack_codes(np.array([1, 0, -1, 0]))
-    import base64
-    assert base64.b64decode(packed) == bytes([0b00110001])
-
-
-_TO_BITS = {0: 0b00, 1: 0b01, -1: 0b11}
-_FROM_BITS = {0b00: 0, 0b01: 1, 0b11: -1}
-
-
-def pack_loop(q):
-    """Reference: the per-code packing loop."""
-    flat = q.astype(np.int64).reshape(-1)
-    out = bytearray((flat.size + 3) // 4)
-    for k, val in enumerate(flat):
-        out[k // 4] |= _TO_BITS[int(val)] << ((k % 4) * 2)
-    return base64.b64encode(bytes(out)).decode("ascii")
-
-
-def unpack_loop(packed, shape):
-    """Reference: the per-code unpacking loop."""
-    raw = base64.b64decode(packed.encode("ascii"))
-    n = int(np.prod(shape))
-    flat = np.empty(n, dtype=np.float64)
-    for k in range(n):
-        bits = (raw[k // 4] >> ((k % 4) * 2)) & 0b11
-        if bits == 0b10:
-            raise ValueError("invalid 2-bit weight code")
-        flat[k] = _FROM_BITS[bits]
-    return flat.reshape(shape)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 5, 6, 7, 13, 62, 1023])
-def test_pack_and_unpack_match_per_code_loop(n):
-    rng = np.random.default_rng(n)
-    q = rng.integers(-1, 2, size=n).astype(float)
-    packed = pack_codes(q)
-    assert packed == pack_loop(q)
-    np.testing.assert_array_equal(unpack_codes(packed, (n,)), unpack_loop(packed, (n,)))
-    # arbitrary bytes: both decode alike, or both reject a 0b10 code
-    raw = base64.b64encode(rng.integers(0, 256, size=(n + 3) // 4,
-                                        dtype=np.uint8).tobytes()).decode()
-    try:
-        want = unpack_loop(raw, (n,))
-    except ValueError:
-        with pytest.raises(ValueError):
-            unpack_codes(raw, (n,))
-    else:
-        np.testing.assert_array_equal(unpack_codes(raw, (n,)), want)
-
-
-def test_pack_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        pack_codes(np.array([2]))
-
-
-def test_unpack_rejects_invalid_bit_pattern():
-    import base64
-    bad = base64.b64encode(bytes([0b10])).decode()
-    with pytest.raises(ValueError):
-        unpack_codes(bad, (1,))
-    # nor does it skip a character outside base64, or take extra bytes
-    with pytest.raises(ValueError, match="Only base64 data"):
-        unpack_codes("AQ*!==", (1,))
-    with pytest.raises(ValueError, match="2 bytes, not the 1 of 1 codes"):
-        unpack_codes(base64.b64encode(bytes(2)).decode(), (1,))
