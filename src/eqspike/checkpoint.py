@@ -20,7 +20,7 @@ import json
 import numpy as np
 
 from .model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
-from .quantizer import QuantMode
+from .quantizer import QuantMode, pin
 
 # 1 stored each parameter as nested lists of JSON numbers; 2 added each
 # student linear's codes and scales, which its latent weights determine
@@ -133,8 +133,21 @@ def _restore(model_cls, cfg_cls, obj):
 
 
 def save_student(stack: EncoderStack, stage: str, path):
+    """Writes `stack`'s latent weights; a CheckpointError for an unknown
+    stage, or for a frozen stack whose pinned codes or scale are not `pin`
+    of its latent weights now (trained since it froze: its file would load
+    pinned on other codes than it ran), naming the first such linear."""
     if stage not in STAGES:
         raise CheckpointError(f"unknown stage {stage!r}")
+    cfg = stack.cfg
+    for name, held in (stack.frozen or {}).items():
+        now = pin(stack.params[name + ".w"], cfg.quant_mode,
+                  cfg.binary_output_scale)
+        if held.scale != now.scale or not np.array_equal(held.codes,
+                                                         now.codes):
+            raise CheckpointError(
+                f"frozen linear {name}: its codes or scale are not those of "
+                "its latent weights (trained since the stack froze)")
     _save(stack, "student", stage, path)
 
 

@@ -503,17 +503,21 @@ class EncoderStack:
             def norm(ln, r):  # layer norm ln of the residual average r
                 return layer_norm(r, p[pre + ln + "_g"], p[pre + ln + "_b"])[0]
 
+            def residual(nm, x, skip, total):  # running mean of nm(x) + skip
+                r = linear(nm, x)
+                r += skip
+                return running_means(r, total, steps)
+
             _, aqkv = fire(pre + "qkv", quantized_forward(
                 qkv, s_in, qkv_bias, counter, parts[pre + "qkv"]), True)
             mixed = spiking_attention(*np.split(aqkv, 3, axis=-1),
                                       cfg.num_heads)[0]
             del aqkv  # freed before the attention neurons' currents
             sa = surrogate("attn", mixed)
-            sh = surrogate("h1", norm("ln1", running_means(
-                linear("o", sa) + s_in, r1_sum, steps)))
+            sh = surrogate("h1", norm("ln1", residual("o", sa, s_in, r1_sum)))
             si, _ = fire(pre + "int", linear("ff1", sh))
-            return surrogate("out", norm("ln2", running_means(
-                linear("ff2", si) + sh, r2_sum, steps)))
+            return surrogate("out", norm("ln2", residual("ff2", si, sh,
+                                                         r2_sum)))
 
         reported = [part for names in parts.values() for part in names]
         for t0 in range(0, T, step):
@@ -528,11 +532,16 @@ class EncoderStack:
                              for k in range(len(steps))
                              for name, m in means.items())
 
+        # each layer's state is dropped once checked and split, so that not
+        # every state, ASR and count is alive at once; a part of the counts
+        # over T is bitwise that part of count / T
         asrs, spike_counts = {}, {}
-        for name, st in layers.items():
+        for name in list(layers):
+            st = layers.pop(name)
             check_finite(st.u, f"membrane potential of {name}")
-            asrs.update(split(name, st.count / T))
-            spike_counts.update(split(name, st.count))
+            counts = split(name, st.count)
+            spike_counts.update(counts)
+            asrs.update((part, c / T) for part, c in counts.items())
         final = asrs[f"blk{cfg.num_layers - 1}.out"]
         return self.logits(final), asrs, spike_counts
 

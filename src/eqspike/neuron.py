@@ -37,15 +37,19 @@ def running_means(window: np.ndarray, total: np.ndarray, steps: np.ndarray,
     `window` is the signal's C steps (C, ...), `steps` (C,) their step
     numbers and `total` its sum over the steps before the window, which is
     advanced in place to the sum through the window's last step.  The sums
-    run in step order, so one window of C steps is bitwise C windows of
-    one.  The means go into `out`, by default `window` itself.
+    run in step order, one `np.add` per step from row to row of `out`, so
+    one window of C steps is bitwise C windows of one; one divide by
+    `steps` follows.  The means go into `out`, by default `window` itself;
+    a ValueError if `out` cannot be viewed as C rows without a copy.
     """
     out = window if out is None else out
-    np.add(total, window[0, ...], out=out[0, ...])
-    for k in range(1, len(window)):
-        np.add(out[k - 1, ...], window[k, ...], out=out[k, ...])
+    C, n = len(window), total.size
+    rows = out.reshape(C, n, copy=False)
+    acc = total.reshape(n)
+    for x, row in zip(window.reshape(C, n), rows):
+        acc = np.add(acc, x, out=row)
     np.copyto(total, out[-1, ...])
-    out /= steps.reshape((-1,) + (1,) * (out.ndim - 1))
+    np.divide(rows, steps[:, None], out=rows)
     return out
 
 
@@ -79,18 +83,24 @@ def lif_step(state: LifLayerState, currents: np.ndarray,
     """Advance the layer over a window of C timesteps (in place).
 
     `currents` is (C, *shape), one input current per step.  Only the
-    membrane recurrence loops over the steps, with in-place ufuncs on
-    `state.u`: each step's spikes go into the bool window, are copied as
-    0/1 into one float64 reset buffer and subtracted, so a step allocates
-    nothing and runs no ufunc that mixes bool and float64 (`u -= fired`
-    gives the same bits, but its casting loop costs more than the copy).
-    Returns (spikes, asrs): the bool spikes (C, *shape) and, given the
-    window's step numbers `steps` (C,), the ASR after each step (C,
-    *shape), else None.  The ASRs go into `out`, a float64 array of the
-    currents' shape, which may be `currents` itself once the caller is
-    done with them (every current is read before the first ASR is
-    written); by default a new array.  One window of C steps is bitwise C
-    windows of one.
+    membrane recurrence loops over the steps, on row views of the state,
+    in four numpy operations a step: `np.add` of the current into
+    `state.u`, `np.greater` into the bool spike row, a copy of those
+    spikes as 0/1 into one float64 reset buffer, and `np.subtract` of it.
+    So a step allocates nothing and runs no ufunc that mixes bool and
+    float64 (`u -= fired` gives the same bits, but its casting loop costs
+    more than the copy).  Returns (spikes, asrs): the bool spikes (C,
+    *shape) and, given the window's step numbers `steps` (C,), the ASR
+    after each step (C, *shape), else None.  With `steps`, a fifth
+    operation a step adds the reset buffer to the running spike count in
+    that step's row of the ASRs, and one divide by `steps` follows;
+    without them the window's spikes are summed into `state.count` once.
+    The ASRs go into `out`, a float64 array of the currents' shape, which
+    may be `currents` itself once the caller is done with them (each
+    step's current is read before its ASR is written); by default a new
+    array.  A ValueError if `state.u`, `state.count` or `out` cannot be
+    viewed as rows without a copy, whose writes would be lost.  One
+    window of C steps is bitwise C windows of one.
 
     Firing uses a strict u > 1 comparison; u == 1 does not fire.  The
     currents are not checked: a NaN or infinite current leaves `state.u`
@@ -101,18 +111,24 @@ def lif_step(state: LifLayerState, currents: np.ndarray,
     if currents.shape[1:] != state.u.shape:
         raise ValueError(f"current shape {currents.shape} vs window of "
                          f"neurons {state.u.shape}")
-    spikes = np.empty(currents.shape, dtype=bool)
-    reset = np.empty(state.u.shape)
-    u = state.u
-    for k in range(len(currents)):
-        fired = spikes[k, ...]
-        u += currents[k, ...]
+    C, n = len(currents), state.u.size
+    u, count = (a.reshape(n, copy=False) for a in (state.u, state.count))
+    spikes = np.empty((C, n), dtype=bool)
+    reset = np.empty(n)
+    asrs, rows, total = None, (None,) * C, count
+    if steps is not None:
+        asrs = np.empty(currents.shape) if out is None else out
+        rows = asrs.reshape(C, n, copy=False)
+    for current, fired, row in zip(currents.reshape(C, n), spikes, rows):
+        np.add(u, current, out=u)
         np.greater(u, 1.0, out=fired)
-        np.copyto(reset, fired)
-        u -= reset
-    if steps is None:
-        state.count += spikes.sum(axis=0, dtype=np.float64)
-        return spikes, None
-    return spikes, running_means(
-        spikes, state.count, steps,
-        np.empty(spikes.shape) if out is None else out)
+        reset[...] = fired
+        np.subtract(u, reset, out=u)
+        if row is not None:
+            total = np.add(total, reset, out=row)
+    if asrs is None:
+        count += spikes.sum(axis=0, dtype=np.float64)
+    else:
+        count[...] = total
+        np.divide(rows, steps[:, None], out=rows)
+    return spikes.reshape(currents.shape), asrs

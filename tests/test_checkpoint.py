@@ -379,3 +379,23 @@ def test_mode_switch_after_freeze_saves_the_new_modes_statistics(tmp_path):
              for nm in ("q", "k", "v", "o", "ff1", "ff2")]
     assert {k: pinned.scale for k, pinned in loaded.frozen.items()} == \
         dict.fromkeys(names, 1.0)
+
+
+def test_save_refuses_a_frozen_stack_trained_since_it_froze(tmp_path):
+    stack = make_stack()  # d=8, ternary
+    stack.freeze_quantization()
+    batch = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7]), 1)]
+    training_step(stack, batch, AdamState(lr=0.2))
+    moved = [name for name, held in stack.frozen.items()
+             if not np.array_equal(held.codes, pin(
+                 stack.params[name + ".w"], QuantMode.TERNARY_158BIT).codes)]
+    assert moved[0] == "blk0.q"
+    path = tmp_path / "ckpt.json"
+    with pytest.raises(CheckpointError, match=r"frozen linear blk0\.q:"):
+        save_student(stack, "finetuned", path)
+    assert not path.exists()
+    stack.freeze_quantization()  # pinned afresh on the trained weights
+    save_student(stack, "finetuned", path)
+    loaded, _ = load_student(path)
+    for name, held in stack.frozen.items():
+        np.testing.assert_array_equal(loaded.frozen[name].codes, held.codes)

@@ -136,3 +136,78 @@ def test_running_average_window_equals_single_steps_bitwise():
                                telescoped(phi[7:], steps[7:], last)])
     np.testing.assert_array_equal(np.cumsum(currents, axis=0),
                                   steps[:, None, None] * phi)
+
+
+def one_step_windows(state, currents, steps):
+    """`lif_step` one step at a time: the spikes and the ASRs."""
+    runs = [lif_step(state, current[None], steps[[k]])
+            for k, current in enumerate(currents)]
+    return (np.concatenate([s for s, _ in runs]),
+            np.concatenate([a for _, a in runs]))
+
+
+def assert_window_is_one_step_windows(shape, currents, out=None):
+    """A window of `currents` (read before `out`, which may alias them)
+    against one-step windows: spikes, ASRs, potentials and counts, bitwise."""
+    steps = np.arange(1.0, len(currents) + 1)
+    stepped = LifLayerState.zeros(shape)
+    want_spikes, want_asrs = one_step_windows(stepped, np.array(currents),
+                                              steps)
+    windowed = LifLayerState.zeros(shape)
+    spikes, asrs = lif_step(windowed, currents, steps, out)
+    if out is not None:
+        assert asrs is out
+    assert spikes.tobytes() == want_spikes.tobytes()
+    assert asrs.tobytes() == want_asrs.tobytes()
+    assert windowed.u.tobytes() == stepped.u.tobytes()
+    assert windowed.count.tobytes() == stepped.count.tobytes()
+
+
+def test_zero_dim_layer_updates_bitwise():
+    # a layer of one neuron of shape (): its window is (C,), whose rows
+    # are scalars unless viewed as (C, 1)
+    currents = np.random.default_rng(4).uniform(0.0, 2.0, size=9)
+    assert_window_is_one_step_windows((), currents)
+    state = LifLayerState.zeros(())
+    lif_step(state, currents)
+    assert state.count == one_step_windows(
+        LifLayerState.zeros(()), currents, np.arange(1.0, 10.0))[0].sum()
+    total = np.zeros(())
+    means = running_means(currents.copy(), total, np.arange(1.0, 10.0))
+    np.testing.assert_array_equal(means, np.cumsum(currents) / np.arange(1, 10))
+    assert total == np.cumsum(currents)[-1]
+
+
+def test_asrs_may_overwrite_the_currents_bitwise():
+    currents = np.random.default_rng(5).uniform(-0.5, 2.5, size=(11, 3, 4))
+    assert_window_is_one_step_windows((3, 4), currents.copy())
+    assert_window_is_one_step_windows((3, 4), currents, out=currents)
+
+
+def test_stride_zero_drive_bitwise():
+    # the input layer's drive: one (B, seq, d) array broadcast over steps
+    drive = np.random.default_rng(6).uniform(0.0, 1.0, size=(2, 3, 4))
+    currents = np.broadcast_to(drive, (13,) + drive.shape)
+    assert currents.strides[0] == 0
+    assert_window_is_one_step_windows(drive.shape, currents)
+
+
+@pytest.mark.parametrize("where", ["u", "count", "out"])
+def test_non_contiguous_state_or_out_raises(where):
+    # a row view of these would be a copy, whose writes would be lost
+    currents = np.random.default_rng(7).uniform(0.0, 2.0, size=(5, 3, 4))
+    steps = np.arange(1.0, 6.0)
+    state = LifLayerState.zeros((3, 4))
+    out = np.zeros((5, 3, 4))
+    strided = np.zeros((5, 3, 8))[..., :4]
+    if where == "out":
+        out = strided
+    else:
+        setattr(state, where, strided[0])
+    with pytest.raises(ValueError):
+        lif_step(state, currents, steps, out)
+    assert not state.u.any() and not state.count.any() and not out.any()
+    if where == "out":
+        with pytest.raises(ValueError):
+            running_means(currents, np.zeros((3, 4)), steps, strided)
+        assert not strided.any()

@@ -2,8 +2,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from oracles import dense_spike_linear
 
 from eqspike.autodiff import linear_backward
+from eqspike.model import WINDOW_BYTES
 from eqspike.numerics import ShapeError
 from eqspike.quantizer import (OpCounter, Pinned, QuantMode,
                                effective_weight_tensor, pin, quantize_1bit,
@@ -248,6 +250,36 @@ def test_code_kernel_equals_per_index_products_bitwise(mode, stacked,
     np.testing.assert_array_equal(np.signbit(out), np.signbit(want))
     assert list(counter.per_layer.items()) == \
         list(want_counter.per_layer.items())
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "qkv"])
+@pytest.mark.parametrize("mode", [QuantMode.FULL_PRECISION,
+                                  QuantMode.BINARY_1BIT,
+                                  QuantMode.TERNARY_158BIT],
+                         ids=lambda m: m.value)
+def test_op_counts_equal_the_dense_oracle(mode, stacked):
+    rng = np.random.default_rng(30)
+    in_dim, names = 8, ("q", "k", "v") if stacked else ("q",)
+    parts = []
+    for _ in names:
+        w = rng.normal(size=(16, in_dim))
+        w[rng.random(w.shape) < 0.2] = 0.0  # zero weights count nothing
+        parts.append((pin(w, mode), rng.normal(size=16)))
+    layer = stack_pinned([p for p, _ in parts]) if stacked else parts[0][0]
+    bias = np.concatenate([b for _, b in parts])
+    # a linear of fan-in in_dim sees at most this many rows in a window,
+    # the widest window array being at least in_dim values per row
+    most_rows = WINDOW_BYTES // (8 * in_dim)
+    assert most_rows < 2 ** 24  # the float32 spike counts stay exact
+    for spikes in (rng.random((5, 3, 12, in_dim)) < 0.3,  # (C, B, seq, in)
+                   np.ones((most_rows, in_dim), dtype=bool)):
+        counter, want = OpCounter(), OpCounter()
+        quantized_forward(layer, spikes, bias, counter,
+                          names if stacked else names[0])
+        for (part, b), name in zip(parts, names):
+            dense_spike_linear(part, spikes, b, want, name)
+        assert counter.per_layer == want.per_layer
+        assert all(ops > 0 for ops in counter.per_layer.values())
 
 
 def _constant_codes(sign, fan_in, scale=0.375, out_dim=5):
