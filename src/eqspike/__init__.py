@@ -15,9 +15,9 @@ __version__ = "0.1.0"
 # one step fits, and one step of 64 sentences is 0.56 MiB at d=32 and
 # 1.1 MiB at d=64 (`tests/test_heap_policy.py`).  The trim threshold is
 # above the most memory the default pipeline frees at once and then needs
-# again: `energy --eval-size 64` holds up to 12.9 MiB while one model's
-# T=200 simulation runs, frees it, and builds it again for the other
-# model.  At most 16 MiB of freed heap is retained.
+# again: `energy --eval-size 64` holds up to 10.2 MiB (its tracemalloc
+# peak) while one model's T=200 simulation runs, frees it, and builds it
+# again for the other model.  At most 16 MiB of freed heap is retained.
 MMAP_THRESHOLD = 4 << 20
 TRIM_THRESHOLD = 16 << 20
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # parameter numbers, malloc.h

@@ -50,7 +50,7 @@ from .autodiff import (clip01, clip01_backward, gelu, gelu_backward,
 from .neuron import LifLayerState, lif_step, running_means, telescoped
 from .numerics import FlatParams, ShapeError, check_finite, init_uniform
 from .quantizer import (OpCounter, QuantMode, effective_weight_tensor, pin,
-                        quantized_forward, stack_pinned)
+                        quantized_forward, split_last, stack_pinned)
 
 
 @dataclass(frozen=True)
@@ -214,7 +214,7 @@ def _block_forward(self, i: int, a_prev: np.ndarray, weights: dict,
     residual halves.  `record`, when given, collects the block's neuron
     outputs; `caches`, when given, gets the cache `block_backward` reads.
     Without it each site's saved intermediates are dropped as soon as the
-    site returns.
+    site returns, and attention saves none.
     """
     p, pre, fire = self.params, f"blk{i}.", self.neurons
     saved = [] if caches is not None else None
@@ -229,8 +229,8 @@ def _block_forward(self, i: int, a_prev: np.ndarray, weights: dict,
         return out
 
     aq, ak, av = (keep(fire[nm][0](lin(nm, a_prev))) for nm in ("q", "k", "v"))
-    a_attn = keep(fire["attn"][0](
-        keep(spiking_attention(aq, ak, av, self.cfg.num_heads))))
+    a_attn = keep(fire["attn"][0](keep(spiking_attention(
+        aq, ak, av, self.cfg.num_heads, save=saved is not None))))
     h1 = keep(fire["h1"][0](keep(layer_norm(
         lin("o", a_attn) + a_prev, p[pre + "ln1_g"], p[pre + "ln1_b"]))))
     ai = keep(fire["int"][0](lin("ff1", h1)))
@@ -468,7 +468,7 @@ class EncoderStack:
         def split(name, x):
             """{reported layer: its part of x (..., width)} for layer `name`."""
             return {part: np.ascontiguousarray(a) for part, a in zip(
-                parts[name], np.split(x, len(parts[name]), axis=-1))}
+                parts[name], split_last(x, len(parts[name])))}
 
         # `fire` and `block` read the current window's `steps` and `means`,
         # which the window loop below binds
@@ -510,8 +510,8 @@ class EncoderStack:
 
             _, aqkv = fire(pre + "qkv", quantized_forward(
                 qkv, s_in, qkv_bias, counter, parts[pre + "qkv"]), True)
-            mixed = spiking_attention(*np.split(aqkv, 3, axis=-1),
-                                      cfg.num_heads)[0]
+            mixed = spiking_attention(*split_last(aqkv, 3), cfg.num_heads,
+                                      save=False)[0]
             del aqkv  # freed before the attention neurons' currents
             sa = surrogate("attn", mixed)
             sh = surrogate("h1", norm("ln1", residual("o", sa, s_in, r1_sum)))
@@ -546,7 +546,7 @@ class EncoderStack:
         return self.logits(final), asrs, spike_counts
 
 
-def spiking_attention(q, k, v, num_heads: int):
+def spiking_attention(q, k, v, num_heads: int, save: bool = True):
     """Scaled dot-product attention over rate arrays, split by head.
 
     q, k and v are (..., seq, d); attention runs within each sequence, and
@@ -554,8 +554,11 @@ def spiking_attention(q, k, v, num_heads: int):
     softmax-normalized; with rate values in [0,1] the mixed output stays in
     [0,1] (convex combination).  The operation order is that of the
     composite split/matmul/softmax/merge graph (bitwise equal to it).
+    The heads are mixed straight into the output's (..., seq, d) layout.
     Returns the mixed output and the intermediates `attention_backward`
-    reads.
+    reads.  Without `save` those are None and the softmax is normalized in
+    place, so that only the scores and the output are allocated: the same
+    bits, with less memory.
     """
     shape = q.shape
     d = shape[-1]
@@ -571,9 +574,10 @@ def spiking_attention(q, k, v, num_heads: int):
     e -= np.maximum.reduce(e, axis=-1, keepdims=True)
     np.exp(e, out=e)
     total = np.add.reduce(e, axis=-1, keepdims=True)
-    weights = e / total
-    mixed = (weights @ vh).transpose(heads_first).reshape(shape)
-    return mixed, (qh, kh, vh, e, total, weights)
+    weights = e / total if save else np.divide(e, total, out=e)
+    mixed = np.empty(shape)
+    np.matmul(weights, vh, mixed.reshape(by_head).transpose(heads_first))
+    return mixed, ((qh, kh, vh, e, total, weights) if save else None)
 
 
 def attention_backward(g, saved) -> tuple:

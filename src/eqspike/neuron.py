@@ -47,7 +47,7 @@ def running_means(window: np.ndarray, total: np.ndarray, steps: np.ndarray,
     rows = out.reshape(C, n, copy=False)
     acc = total.reshape(n)
     for x, row in zip(window.reshape(C, n), rows):
-        acc = np.add(acc, x, out=row)
+        acc = np.add(acc, x, row)
     np.copyto(total, out[-1, ...])
     np.divide(rows, steps[:, None], out=rows)
     return out
@@ -87,7 +87,9 @@ def lif_step(state: LifLayerState, currents: np.ndarray,
     in four numpy operations a step: `np.add` of the current into
     `state.u`, `np.greater` into the bool spike row, a copy of those
     spikes as 0/1 into one float64 reset buffer, and `np.subtract` of it.
-    So a step allocates nothing and runs no ufunc that mixes bool and
+    Each ufunc, here and in `running_means`, gets its output positionally,
+    which costs less per call than the `out=` keyword.  So a step
+    allocates nothing and runs no ufunc that mixes bool and
     float64 (`u -= fired` gives the same bits, but its casting loop costs
     more than the copy).  Returns (spikes, asrs): the bool spikes (C,
     *shape) and, given the window's step numbers `steps` (C,), the ASR
@@ -120,12 +122,12 @@ def lif_step(state: LifLayerState, currents: np.ndarray,
         asrs = np.empty(currents.shape) if out is None else out
         rows = asrs.reshape(C, n, copy=False)
     for current, fired, row in zip(currents.reshape(C, n), spikes, rows):
-        np.add(u, current, out=u)
-        np.greater(u, 1.0, out=fired)
+        np.add(u, current, u)
+        np.greater(u, 1.0, fired)
         reset[...] = fired
-        np.subtract(u, reset, out=u)
+        np.subtract(u, reset, u)
         if row is not None:
-            total = np.add(total, reset, out=row)
+            total = np.add(total, reset, row)
     if asrs is None:
         count += spikes.sum(axis=0, dtype=np.float64)
     else:

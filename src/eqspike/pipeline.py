@@ -14,7 +14,6 @@ import math
 import os
 
 import numpy as np
-import yaml
 
 from .data import (Tokenizer, batches, encode_corpus, load_tsv, stack_by_length,
                    synth_task)
@@ -114,6 +113,8 @@ _VALUE_RULES = {  # per key path, what a value other than null must be
 def load_config(path=None, overrides: dict | None = None) -> dict:
     cfg = default_config()
     if path is not None:
+        import yaml  # only a config file needs it: not imported by default
+
         with open(path, encoding="utf-8") as fh:
             try:
                 user = yaml.safe_load(fh) or {}

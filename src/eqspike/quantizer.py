@@ -155,6 +155,13 @@ def stack_pinned(parts) -> Pinned:
     return Pinned(codes, weight, scale, len(parts))
 
 
+def split_last(x: np.ndarray, parts: int) -> list:
+    """`x`'s `parts` equal blocks along its last axis, as views (what
+    `np.split` gives, without its Python-level overhead)."""
+    w = x.shape[-1] // parts
+    return [x[..., j * w:(j + 1) * w] for j in range(parts)]
+
+
 def quantized_forward(layer: Pinned, x: np.ndarray, bias: np.ndarray,
                       counter: OpCounter | None = None,
                       name: str | tuple = "") -> np.ndarray:
@@ -164,30 +171,33 @@ def quantized_forward(layer: Pinned, x: np.ndarray, bias: np.ndarray,
     A quantized linear computes `scale * (x @ codes.T) + bias`: with spikes
     in {0, 1} and codes in {-1, 0, +1} the matmul is signed accumulation of
     the columns whose input spiked (no multiplies are needed), and the
-    output scale is applied once afterwards, in float64.  x's rows are cast
-    to float32 once.  The matmul runs on them and the cached `codes_t32`:
-    every partial sum is an integer of magnitude at most the fan-in, and
-    float32 holds every integer below 2^24 exactly, so at any fan-in below
-    2^24 each sum is exact in any order of summation, and its cast to
-    float64 (one `np.multiply` with the scale) is the float64 matmul's
-    result bit for bit.  The counter counts the accumulates, one per
-    (nonzero input, nonzero code or weight) pair: the inputs' spike counts,
-    one float32 GEMV of ones by the rows (exact while a column's count
-    stays below 2^24, by the same bound), times the linear's `column_nnz`.
-    A `stack_pinned` linear counts each part under its own name, `name`
-    then being the tuple of the parts' names; its outputs are bitwise its
-    parts' (exact sums for codes, and for full precision, whose real-valued
-    sums depend on the matmul's shape, one matmul per part).  Codes take
-    one 2-D matmul over all of x's rows; full precision keeps x's own shape
-    for the same reason.
+    output scale is applied once afterwards, in float64.  x is cast once,
+    to float32 for codes and to float64 at full precision, and the
+    counter reads that cast.  The code matmul runs on the float32 rows and
+    the cached `codes_t32`: every partial sum is an integer of magnitude
+    at most the fan-in, and float32 holds every integer below 2^24 exactly,
+    so at any fan-in below 2^24 each sum is exact in any order of
+    summation, and its cast to float64 (made once the rows are freed, then
+    scaled in place) is the float64 matmul's result bit for bit.  The
+    counter counts the accumulates, one per (nonzero input, nonzero code
+    or weight) pair: the inputs' spike counts, one GEMV of ones by the
+    rows (exact while a column's count stays below 2^24, by the same
+    bound), times the linear's `column_nnz`.  A `stack_pinned` linear
+    counts each part under its own name, `name` then being the tuple of
+    the parts' names; its outputs are bitwise its parts' (exact sums for
+    codes, and for full precision, whose real-valued sums depend on the
+    matmul's shape, one matmul per part, written into the part's column
+    block of the output).  Codes take one 2-D matmul over all of x's rows;
+    full precision keeps x's own shape for the same reason.
     """
     x = np.asarray(x)
     in_dim = layer.codes.shape[1]
     if x.shape[-1] != in_dim:
         raise ShapeError(f"input width {x.shape[-1]} vs layer {in_dim}")
-    rows32 = x.reshape(-1, in_dim).astype(np.float32)
+    rows = x.reshape(-1, in_dim).astype(
+        np.float32 if layer.quantized else np.float64, copy=False)
     if counter is not None:
-        active = (np.ones(len(rows32), np.float32) @ rows32).astype(np.int64)
+        active = (np.ones(len(rows), rows.dtype) @ rows).astype(np.int64)
         if layer.parts == 1:
             counter.add(name, int(active @ layer.column_nnz))
         else:
@@ -196,13 +206,16 @@ def quantized_forward(layer: Pinned, x: np.ndarray, bias: np.ndarray,
     if layer.quantized:
         # one GEMM over every row: its sums are exact small integers, so
         # they depend neither on the matmul's shape nor on its precision
-        out = np.multiply(rows32 @ layer.codes_t32, layer.scale,
-                          dtype=np.float64).reshape(x.shape[:-1] + (-1,))
-    elif layer.parts == 1:
-        out = x @ layer.codes.T
+        sums = rows @ layer.codes_t32
+        del rows  # freed before the float64 output is built
+        out = sums.astype(np.float64).reshape(x.shape[:-1] + (-1,))
+        out *= layer.scale
     else:
-        parts = np.split(layer.codes, layer.parts)
-        out = np.concatenate([x @ w.T for w in parts], axis=-1)
+        x64 = rows.reshape(x.shape)
+        out = np.empty(x.shape[:-1] + (layer.codes.shape[0],))
+        for w_t, block in zip(split_last(layer.codes.T, layer.parts),
+                              split_last(out, layer.parts)):
+            np.matmul(x64, w_t, block)
     out += bias
     return out
 

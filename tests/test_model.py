@@ -136,9 +136,12 @@ def composite_attention(q, k, v, num_heads):
     return np.reshape(np.transpose(np.matmul(weights, vh), heads_first), shape)
 
 
+# the last is a spike-path window's (C, B, seq, d)
 ATTENTION_CASES = pytest.mark.parametrize(
-    "heads,shape", [(1, (5, 4)), (2, (5, 4)), (1, (3, 5, 4)), (2, (3, 5, 4))],
-    ids=["1head-seq", "2head-seq", "1head-batch", "2head-batch"])
+    "heads,shape", [(1, (5, 4)), (2, (5, 4)), (1, (3, 5, 4)), (2, (3, 5, 4)),
+                    (2, (4, 2, 5, 4))],
+    ids=["1head-seq", "2head-seq", "1head-batch", "2head-batch",
+         "2head-window"])
 
 
 @ATTENTION_CASES
@@ -147,6 +150,25 @@ def test_spiking_attention_equals_composite_bitwise(heads, shape):
     q, k, v = (rng.random(shape) for _ in range(3))
     want = composite_attention(q, k, v, heads)
     np.testing.assert_array_equal(spiking_attention(q, k, v, heads)[0], want)
+
+
+@ATTENTION_CASES
+def test_attention_without_intermediates_is_the_saved_output_bitwise(heads,
+                                                                     shape):
+    # q, k and v are the thirds of one array, as the spike path passes its
+    # q/k/v ASRs; zeros of both signs, and a value column of -0.0, so that
+    # the byte comparison sees the sign of every zero
+    rng = np.random.default_rng(5)
+    qkv = rng.normal(size=shape[:-1] + (3 * shape[-1],))
+    qkv[qkv > 1.0] = 0.0
+    qkv[qkv < -1.0] = -0.0
+    qkv[..., 2 * shape[-1]] = -0.0
+    q, k, v = np.split(qkv, 3, axis=-1)
+    mixed, saved = spiking_attention(q, k, v, heads, save=False)
+    assert saved is None
+    assert mixed.shape == shape and mixed.flags.c_contiguous
+    assert mixed.tobytes() == spiking_attention(q, k, v, heads)[0].tobytes()
+    assert mixed.tobytes() == composite_attention(q, k, v, heads).tobytes()
 
 
 @ATTENTION_CASES

@@ -176,11 +176,19 @@ def test_op_counter_counts_spikes_times_nonzero_column_weights():
     assert sum(counter.per_layer.values()) == expected
 
 
-@pytest.mark.parametrize("mode,output_scale", [
-    (QuantMode.FULL_PRECISION, False), (QuantMode.BINARY_1BIT, False),
-    (QuantMode.BINARY_1BIT, True), (QuantMode.TERNARY_158BIT, False)],
-    ids=["fp", "1bit", "1bit-scaled", "1.58bit"])
-def test_stacked_layer_is_its_parts_bitwise(mode, output_scale):
+STACK_CASES = {"fp": (QuantMode.FULL_PRECISION, False),
+               "1bit": (QuantMode.BINARY_1BIT, False),
+               "1bit-scaled": (QuantMode.BINARY_1BIT, True),
+               "1.58bit": (QuantMode.TERNARY_158BIT, False)}
+
+
+# each mode with an `OpCounter`, then without one ("-no-counter")
+@pytest.mark.parametrize(
+    "mode,output_scale,counted",
+    [case + (True,) for case in STACK_CASES.values()]
+    + [case + (False,) for case in STACK_CASES.values()],
+    ids=list(STACK_CASES) + [f"{k}-no-counter" for k in STACK_CASES])
+def test_stacked_layer_is_its_parts_bitwise(mode, output_scale, counted):
     # d = 64 and 20 x 12 rows: a shape at which one (., 64) @ (64, 192)
     # matmul of real weights rounds differently from three (., 64) @ (64, 64)
     rng = np.random.default_rng(8)
@@ -191,14 +199,16 @@ def test_stacked_layer_is_its_parts_bitwise(mode, output_scale):
               for p in parts]
     spikes = rng.random((20, 12, 64)) < 0.4
     stacked = stack_pinned(parts)
-    counter, want_counter = OpCounter(), OpCounter()
+    counter, want_counter = (OpCounter(), OpCounter()) if counted \
+        else (None, None)
     out = quantized_forward(stacked, spikes, np.concatenate(biases), counter,
                             ("q", "k", "v"))
     want = np.concatenate([quantized_forward(p, spikes, b, want_counter, nm)
                            for p, b, nm in zip(parts, biases, "qkv")], axis=-1)
     np.testing.assert_array_equal(out, want)
-    assert list(counter.per_layer.items()) == \
-        list(want_counter.per_layer.items())
+    if counted:
+        assert list(counter.per_layer.items()) == \
+            list(want_counter.per_layer.items())
     for p, arrays in zip(parts, before):  # the parts are left as they were
         for got, was in zip((p.codes, p.weight, p.column_nnz), arrays):
             np.testing.assert_array_equal(got, was)
