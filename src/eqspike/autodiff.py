@@ -138,9 +138,10 @@ def erf(x):
     z = small * small
     out = small * _polevl(z, _ERF_T)
     out /= _polevl(z, _ERF_U)
-    big = ax > 1.0
-    a = np.minimum(ax[big], 8.0)  # from 8 on, erf rounds to 1
-    out[big] = 1.0 - np.exp(-a * a) * _polevl(a, _ERF_P) / _polevl(a, _ERF_Q)
+    big = np.flatnonzero(ax > 1.0)  # flat indices: cheaper than a mask
+    a = np.minimum(ax.take(big), 8.0)  # from 8 on, erf rounds to 1
+    out.reshape(-1)[big] = (1.0 - np.exp(-a * a) * _polevl(a, _ERF_P)
+                            / _polevl(a, _ERF_Q))
     return np.copysign(out, x, out=out)
 
 

@@ -20,7 +20,7 @@ import json
 import numpy as np
 
 from .model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
-from .quantizer import QuantMode, pin
+from .quantizer import QuantMode
 
 # 1 stored each parameter as nested lists of JSON numbers; 2 added each
 # student linear's codes and scales, which its latent weights determine
@@ -139,12 +139,11 @@ def save_student(stack: EncoderStack, stage: str, path):
     pinned on other codes than it ran), naming the first such linear."""
     if stage not in STAGES:
         raise CheckpointError(f"unknown stage {stage!r}")
-    cfg = stack.cfg
-    for name, held in (stack.frozen or {}).items():
-        now = pin(stack.params[name + ".w"], cfg.quant_mode,
-                  cfg.binary_output_scale)
-        if held.scale != now.scale or not np.array_equal(held.codes,
-                                                         now.codes):
+    now = stack.pin_latent() if stack.frozen else {}
+    for name, pinned in now.items():
+        held = stack.frozen[name]
+        if held.scale != pinned.scale or not np.array_equal(held.codes,
+                                                            pinned.codes):
             raise CheckpointError(
                 f"frozen linear {name}: its codes or scale are not those of "
                 "its latent weights (trained since the stack froze)")

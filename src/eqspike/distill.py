@@ -4,7 +4,10 @@ Student block i's equilibrium rate matrix is projected by `kd.proj{i}`
 into the teacher's hidden width and pulled toward teacher block
 `default_layer_map(Ls, Lt)[i]` under an MSE loss, where Ls and Lt are the
 two models' depths; every pair weighs 1.  The projections train jointly
-with the student and are the only distillation state.
+with the student and are the only distillation state.  The teacher is
+frozen, so its hiddens are a fixed function of the tokens: a run makes
+one teacher pass per length group of its dataset, and its training
+batches and evaluations read rows of those passes.
 """
 
 from __future__ import annotations
@@ -89,19 +92,48 @@ class KdReport:
                     fh.write(f"{epoch},{j},{val:.12g},{total:.12g}\n")
 
 
-def teacher_targets(teacher: TeacherModel):
-    """tokens -> the frozen teacher's per-block hiddens, one pass per batch."""
+def teacher_targets(teacher: TeacherModel, dataset=(), batch_size: int = 16):
+    """tokens -> the frozen teacher's per-block hiddens, read-only.
+
+    The teacher runs once per length group of `dataset`, up front.  Each
+    group of each batch of `batch_size` items (`data.batches`) takes its
+    rows of that pass as views: a batch is a contiguous item range and
+    `stack_by_length` keeps item order, so its group is a run of the
+    dataset group's rows, and the teacher's pass is per sentence, so those
+    rows are bitwise the batch's own pass.  Other tokens take one pass of
+    their own, on first use.  Every use of the same tokens shares one
+    result.
+    """
     memo = {}
 
+    def remember(tokens, hiddens):
+        for hidden in hiddens:
+            hidden.flags.writeable = False
+        memo[_key(tokens)] = hiddens
+        return hiddens
+
+    passes = {tokens.shape[-1]: remember(tokens,
+                                         teacher_forward(teacher, tokens)[0])
+              for tokens, _labels in stack_by_length(dataset)}
+    taken = dict.fromkeys(passes, 0)  # per length, the rows batches took
+    for batch in batches(dataset, batch_size):
+        for tokens, _labels in stack_by_length(batch):
+            seq = tokens.shape[-1]
+            rows = slice(taken[seq], taken[seq] + len(tokens))
+            taken[seq] = rows.stop
+            remember(tokens, [h[rows] for h in passes[seq]])
+
     def targets(tokens):
-        key = (tokens.shape, tokens.dtype.str, tokens.tobytes())
-        if key not in memo:
-            memo[key] = teacher_forward(teacher, tokens)[0]
-            for hidden in memo[key]:  # shared by every use of this batch
-                hidden.flags.writeable = False
-        return memo[key]
+        hiddens = memo.get(_key(tokens))
+        if hiddens is None:
+            hiddens = remember(tokens, teacher_forward(teacher, tokens)[0])
+        return hiddens
 
     return targets
+
+
+def _key(tokens):
+    return tokens.shape, tokens.dtype.str, tokens.tobytes()
 
 
 def kd_loss_builder(projections, targets):
@@ -146,9 +178,10 @@ def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
 
     The report's epoch 0 row holds the pre-training loss; with epochs=0 the
     student is untouched and only that row is emitted.  The steps and the
-    evaluations share one teacher pass per distinct stacked batch.
+    evaluations share one teacher pass per length group of the dataset
+    (`teacher_targets`).
     """
-    targets = teacher_targets(teacher)
+    targets = teacher_targets(teacher, dataset, batch_size)
     loss = kd_loss_builder(projections, targets)
     report = KdReport()
     for epoch in range(epochs + 1):

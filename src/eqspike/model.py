@@ -290,8 +290,10 @@ def _backward(self, caches: list, g_blocks: list, grads: dict):
     `g_blocks` is the loss's gradient on each block output, None where the
     loss does not read it; it must read the last one.  Each block's
     backward runs in reverse order, then the input neuron's, then the
-    embeddings': rows that the tokens repeat accumulate in a zero table
-    before it is added, as each position contributes once per sentence.
+    embeddings': rows that the tokens repeat accumulate from zero, in
+    position order (one `np.bincount` over the flat (token, column) cells,
+    the order of `np.add.at`), before the table is added, as each position
+    contributes once per sentence.
     """
     g = g_blocks[-1]
     for i in reversed(range(len(caches) - 1)):
@@ -299,9 +301,10 @@ def _backward(self, caches: list, g_blocks: list, grads: dict):
                                 g_blocks[i - 1] if i else None)
     tokens, saved = caches[0]
     g = self.neurons["input"][1](g, saved)
-    table = np.zeros_like(grads["tok_emb"])
-    np.add.at(table, tokens, g)
-    grads["tok_emb"] += table
+    table = grads["tok_emb"]
+    cells = tokens[..., None] * table.shape[1] + np.arange(table.shape[1])
+    table += np.bincount(cells.ravel(), g.ravel(),
+                         table.size).reshape(table.shape)
     grads["pos_emb"][:tokens.shape[-1]] += g.sum(axis=tuple(range(g.ndim - 2)))
 
 
@@ -368,17 +371,26 @@ class EncoderStack:
     def freeze_quantization(self):
         """Pins every linear on one quantization of its current latent
         weight, until `set_quant_mode` unfreezes the stack."""
-        self.frozen = self._pin_latent()
+        self.frozen = self.pin_latent()
 
-    def _pin_latent(self) -> dict:
-        cfg = self.cfg
-        return {k: pin(self.params[k + ".w"], cfg.quant_mode,
-                       cfg.binary_output_scale) for k in self.linear_names}
+    def pin_latent(self) -> dict:
+        """Each linear's quantization of its latent weight now, by name,
+        frozen or not: one `pin` call per weight shape (q/k/v/o, ff1 and
+        ff2, three groups at any depth)."""
+        cfg, groups = self.cfg, {}
+        for k in self.linear_names:
+            groups.setdefault(self.params[k + ".w"].shape, []).append(k)
+        pins = {}
+        for names in groups.values():
+            pins.update(zip(names, pin(
+                [self.params[k + ".w"] for k in names], cfg.quant_mode,
+                cfg.binary_output_scale)))
+        return {k: pins[k] for k in self.linear_names}
 
     def pinned(self) -> dict:
         """Each linear's `Pinned` by name: the frozen ones, else a fresh
-        `pin` of each latent weight (the stack is left as it is)."""
-        return self._pin_latent() if self.frozen is None else self.frozen
+        `pin_latent()` (the stack is left as it is)."""
+        return self.pin_latent() if self.frozen is None else self.frozen
 
     # -- steady-state (rate) path --------------------------------------
     def encoding(self, tokens) -> np.ndarray:

@@ -8,8 +8,12 @@ Latent full-precision weights stay trainable; gradients pass through the
 quantizer unchanged.  A quantization is a `Pinned` value, built by `pin`:
 its codes, effective weight, output scale and nonzero codes per input
 column, all fixed when it is built, and a function of the latent weight
-and the mode alone.  A training step pins each linear afresh; a frozen
-stack keeps one pin per linear until it is unfrozen.
+and the mode alone.  The quantizers take one matrix or a stack of
+same-shape matrices, each on its own statistic, so `pin` quantizes a
+group of linears of one shape in one pass, bitwise each linear pinned
+alone.  A training step, solve or simulation of an unfrozen stack pins
+every linear afresh, once, one group per weight shape; a frozen stack
+keeps one pin per linear until it is unfrozen.
 """
 
 from __future__ import annotations
@@ -29,31 +33,59 @@ class QuantMode(enum.Enum):
     TERNARY_158BIT = "1.58bit"
 
 
-def quantize_1bit(w: np.ndarray):
-    """Mean-centered signum quantization; returns (codes in {-1,+1}, alpha)."""
+def _matrix_means(w: np.ndarray) -> np.ndarray:
+    """The mean of each matrix of `w` (..., out, in), shaped to broadcast
+    against it; a vector or a matrix is one matrix.
+
+    Each is one pairwise sum over the matrix's values in memory order,
+    divided by their count: what a contiguous matrix's own `.mean()`
+    computes, so a stacked matrix's mean is bitwise its own.
+    """
+    lead = w.shape[:-2]
+    flat = w.reshape(lead + (-1,))
+    return (np.add.reduce(flat, axis=-1) / flat.shape[-1]).reshape(
+        lead + (1,) * (w.ndim - len(lead)))
+
+
+def _checked(w: np.ndarray) -> np.ndarray:
     w = check_finite(np.asarray(w, dtype=np.float64), "weights")
     if w.size == 0:
         raise ShapeError("cannot quantize an empty matrix")
-    alpha = float(w.mean())
+    return w
+
+
+def _per_matrix(w: np.ndarray, m: np.ndarray):
+    """`_matrix_means`-shaped `m` as a float for one matrix, else as an
+    array of `w`'s leading shape."""
+    m = m.reshape(w.shape[:-2])
+    return float(m) if w.ndim <= 2 else m
+
+
+def quantize_1bit(w: np.ndarray):
+    """Mean-centered signum quantization of one matrix or a stack
+    (..., out, in) with a mean per matrix; returns (codes in {-1,+1},
+    alpha), alpha a float for one matrix."""
+    w = _checked(w)
+    alpha = _matrix_means(w)
     q = np.where(w - alpha > 0.0, 1.0, -1.0)
-    return q, alpha
+    return q, _per_matrix(w, alpha)
 
 
 def quantize_158bit(w: np.ndarray, epsilon: float = 1e-6):
-    """Round-clip ternary quantization; returns (codes in {-1,0,+1}, beta)."""
-    w = check_finite(np.asarray(w, dtype=np.float64), "weights")
-    if w.size == 0:
-        raise ShapeError("cannot quantize an empty matrix")
+    """Round-clip ternary quantization of one matrix or a stack
+    (..., out, in) with an absmean per matrix; returns (codes in
+    {-1,0,+1}, beta), beta a float for one matrix."""
+    w = _checked(w)
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    beta = float(np.abs(w).mean())
+    beta = _matrix_means(np.abs(w))
     # the zero-divide guard scales with beta so that codes are invariant
     # under positive rescaling of the weights
-    denom = beta * (1.0 + epsilon) if beta > 0.0 else epsilon
+    denom = np.where(beta > 0.0, beta * (1.0 + epsilon), epsilon)
     scaled = np.clip(w / denom, -1.0, 1.0)
     # round half away from zero (np.round would round ties to even)
     q = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
-    return q, beta
+    return q, _per_matrix(w, beta)
 
 
 def _readonly(*arrays):
@@ -101,27 +133,37 @@ class Pinned:
                                               dtype=np.float32))[0]
 
 
-def pin(w: np.ndarray, mode: QuantMode,
-        binary_output_scale: bool = False) -> Pinned:
-    """The latent weight `w` (out, in) quantized in `mode`, pinned.
+def pin(weights: list, mode: QuantMode,
+        binary_output_scale: bool = False) -> list:
+    """The latent weights `weights`, all of one shape (out, in), quantized
+    in `mode` in one pass, pinned: one `Pinned` per weight, in order.
 
-    The one place that tells the modes apart.  At full precision the codes
-    and the weight are a read-only view of `w` itself.  A binary linear's
-    codes are the signs about its mean, scaled by beta = mean |w| only
-    under `binary_output_scale` (else by 1.0); a ternary linear's scale is
-    its absmean beta.
+    The one place that tells the modes apart.  At full precision each
+    linear's codes and weight are a read-only view of its latent weight
+    itself.  Otherwise the weights are stacked and quantized in one
+    `quantize_1bit` or `quantize_158bit` call, each matrix on its own
+    statistic, and each linear's arrays are read-only views of the
+    stack's, bitwise its own quantization's.  A binary linear's codes are
+    the signs about its mean, scaled by beta = mean |w| only under
+    `binary_output_scale` (else by 1.0); a ternary linear's scale is its
+    absmean beta.
     """
     if mode is QuantMode.FULL_PRECISION:
-        view, = _readonly(w.view())
-        return Pinned(view, view, None)
+        return [Pinned(view, view, None)
+                for view in _readonly(*(w.view() for w in weights))]
+    ws = np.stack(weights)
     if mode is QuantMode.BINARY_1BIT:
-        q, _alpha = quantize_1bit(w)
-        scale = float(np.abs(w).mean()) if binary_output_scale else 1.0
+        q, _alpha = quantize_1bit(ws)
+        scale = _matrix_means(np.abs(ws)) if binary_output_scale else None
     else:
-        q, scale = quantize_158bit(w)
-    weight = q if scale == 1.0 else q * scale
-    q, weight = _readonly(q, weight)
-    return Pinned(q, weight, scale)
+        q, beta = quantize_158bit(ws)
+        scale = beta[:, None, None]
+    codes, = _readonly(q)
+    if scale is None:  # an unscaled binary linear's weight is its codes
+        return [Pinned(c, c, 1.0) for c in codes]
+    weight, = _readonly(codes * scale)
+    return [Pinned(*arrays)
+            for arrays in zip(codes, weight, scale.ravel().tolist())]
 
 
 class OpCounter:

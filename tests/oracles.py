@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from eqspike import autodiff as ad
 from eqspike.autodiff import erf as _erf, layer_norm
 from eqspike.data import batches, stack_by_length
 from eqspike.distill import (KdReport, default_layer_map, evaluate_kd_loss,
@@ -13,6 +14,7 @@ from eqspike.distill import (KdReport, default_layer_map, evaluate_kd_loss,
 from eqspike.implicit_grad import example_gradients, training_step
 from eqspike.model import _head_axes, _token_ids, spiking_attention, teacher_forward
 from eqspike.numerics import NumericError, ShapeError, check_finite
+from eqspike.quantizer import QuantMode
 
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-4) -> np.ndarray:
@@ -241,6 +243,38 @@ def dense_spike_linear(pinned, x, bias, counter=None, name=""):
         active = np.count_nonzero(x.reshape(-1, x.shape[-1]), axis=0)
         counter.add(name, int(active @ np.count_nonzero(pinned.codes, axis=0)))
     return out + bias
+
+
+def masked_erf(x):
+    """`autodiff.erf` with its |x| > 1 branch gathered and scattered by a
+    boolean mask, as it was written before it took flat indices."""
+    ax = np.abs(x)
+    small = np.minimum(ax, 1.0)
+    z = small * small
+    out = small * ad._polevl(z, ad._ERF_T)
+    out /= ad._polevl(z, ad._ERF_U)
+    big = ax > 1.0
+    a = np.minimum(ax[big], 8.0)
+    out[big] = 1.0 - np.exp(-a * a) * ad._polevl(a, ad._ERF_P) \
+        / ad._polevl(a, ad._ERF_Q)
+    return np.copysign(out, x, out=out)
+
+
+def per_matrix_quantization(w, mode, binary_output_scale=False):
+    """(codes, weight, scale) of one latent weight (out, in), from its own
+    `.mean()` statistics with Python-float scales, as `quantizer.pin`
+    computed them one linear at a time (scale None at full precision)."""
+    if mode is QuantMode.FULL_PRECISION:
+        return w, w, None
+    if mode is QuantMode.BINARY_1BIT:
+        q = np.where(w - float(w.mean()) > 0.0, 1.0, -1.0)
+        scale = float(np.abs(w).mean()) if binary_output_scale else 1.0
+    else:
+        scale = float(np.abs(w).mean())
+        denom = scale * (1.0 + 1e-6) if scale > 0.0 else 1e-6
+        scaled = np.clip(w / denom, -1.0, 1.0)
+        q = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
+    return q, q * scale, scale
 
 
 def step_major_simulate(stack, tokens, T, counter=None, trace=None,

@@ -218,6 +218,17 @@ def test_erf_is_odd_and_keeps_its_edge_values():
                                   [1.0, -1.0, np.nan])
 
 
+@pytest.mark.filterwarnings("error")
+def test_erf_equals_the_masked_reference_bitwise():
+    rng = np.random.default_rng(7)
+    specials = np.array([np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0, 8.0, -8.0,
+                         np.nan, -np.nan])
+    for x in (_erf_inputs(), specials, rng.normal(size=(16, 12, 64)) * 3.0):
+        got = ad.erf(x)
+        assert got.shape == x.shape
+        assert got.tobytes() == tp.masked_erf(x).tobytes()
+
+
 def composite_layer_norm(x, gain, bias, eps=1e-5):
     """Reference: layer norm as plain numpy ops, means as scaled sums."""
     n = x.shape[-1]

@@ -114,7 +114,7 @@ def test_loaded_student_is_pinned_on_its_saved_latent_weights(tmp_path, mode,
     loaded, _ = load_student(path)
     assert list(loaded.frozen) == stack.linear_names
     for name, got in loaded.frozen.items():
-        want = pin(stack.params[name + ".w"], mode, **kw)
+        want, = pin([stack.params[name + ".w"]], mode, **kw)
         for field in ("codes", "weight"):
             assert getattr(got, field).tobytes() == \
                 getattr(want, field).tobytes(), (name, field)
@@ -386,9 +386,10 @@ def test_save_refuses_a_frozen_stack_trained_since_it_froze(tmp_path):
     stack.freeze_quantization()
     batch = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7]), 1)]
     training_step(stack, batch, AdamState(lr=0.2))
+    now = {name: pin([stack.params[name + ".w"]], QuantMode.TERNARY_158BIT)[0]
+           for name in stack.frozen}
     moved = [name for name, held in stack.frozen.items()
-             if not np.array_equal(held.codes, pin(
-                 stack.params[name + ".w"], QuantMode.TERNARY_158BIT).codes)]
+             if not np.array_equal(held.codes, now[name].codes)]
     assert moved[0] == "blk0.q"
     path = tmp_path / "ckpt.json"
     with pytest.raises(CheckpointError, match=r"frozen linear blk0\.q:"):

@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from eqspike import distill
-from eqspike.data import stack_by_length
+from eqspike.data import batches, stack_by_length
 from eqspike.distill import (KdReport, _init_projection, default_layer_map,
                              evaluate_kd_loss, init_projections, kd_loss,
                              run_distillation, teacher_targets)
-from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
+from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
+                           TeacherModel, teacher_forward)
 from eqspike.numerics import AdamState
 from eqspike.quantizer import QuantMode
 from oracles import uncached_distillation
@@ -193,14 +194,6 @@ def _items(n, length, seed=0):
             for _ in range(n)]
 
 
-def _distinct_groups(data, batch_size):
-    """The distinct stacked token batches a run can ask the teacher about."""
-    batches = [data] + [data[s:s + batch_size]
-                        for s in range(0, len(data), batch_size)]
-    return {(t.shape, t.tobytes()) for b in batches
-            for t, _ in stack_by_length(b)}
-
-
 def _counting_teacher(monkeypatch):
     calls = []
     forward = distill.teacher_forward
@@ -213,11 +206,11 @@ def _counting_teacher(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("epochs,expected", [(2, 5), (0, 1)])
-def test_run_distillation_one_teacher_pass_per_distinct_batch(
+@pytest.mark.parametrize("epochs,expected", [(2, 1), (0, 1)])
+def test_run_distillation_one_teacher_pass_per_length_group(
         monkeypatch, epochs, expected):
-    # 64 equal-length items in batches of 16: 4 training batches + the
-    # dataset group evaluated at every epoch
+    # 64 equal-length items in batches of 16: one length group, whose one
+    # pass serves the 4 training batches and every epoch's evaluation
     calls = _counting_teacher(monkeypatch)
     stack, teacher = _tiny_pair(seed=7)
     data = _items(64, 4)
@@ -228,7 +221,7 @@ def test_run_distillation_one_teacher_pass_per_distinct_batch(
     assert len(calls) == expected
 
 
-def test_run_distillation_mixed_lengths_one_pass_per_distinct_group(
+def test_run_distillation_mixed_lengths_one_pass_per_length_group(
         monkeypatch):
     calls = _counting_teacher(monkeypatch)
     stack, teacher = _tiny_pair(seed=8)
@@ -236,7 +229,26 @@ def test_run_distillation_mixed_lengths_one_pass_per_distinct_group(
     projections = init_projections(8, 8, 2, np.random.default_rng(0))
     run_distillation(stack, teacher, data, epochs=3, projections=projections,
                      optimizer=AdamState(lr=5e-3), batch_size=4)
-    assert len(calls) == len(_distinct_groups(data, 4))
+    # one pass per distinct length, over all of that length's items
+    assert calls == [(12, 3), (5, 5)]
+    assert len(calls) == len({len(t) for t, _ in data})
+
+
+def test_batch_targets_are_read_only_rows_bitwise_their_own_pass(
+        monkeypatch):
+    _, teacher = _tiny_pair(seed=11)
+    data = _items(6, 3, seed=1) + _items(5, 5, seed=2) + _items(6, 3, seed=3)
+    targets = teacher_targets(teacher, data, batch_size=4)
+    calls = _counting_teacher(monkeypatch)
+    for batch in batches(data, 4):  # batches that straddle both lengths
+        for tokens, _ in stack_by_length(batch):
+            got = targets(tokens)
+            want = teacher_forward(teacher, tokens)[0]
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.base is not None and not g.flags.writeable
+                assert g.tobytes() == w.tobytes()
+    assert calls == []  # every batch was served from the up-front passes
 
 
 def _run_pair(seed, teacher, data, runner, epochs=2):

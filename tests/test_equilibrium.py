@@ -184,12 +184,16 @@ def test_unfrozen_solve_quantizes_each_linear_once(mode, monkeypatch):
     tokens = np.array([[2, 4, 5], [6, 7, 1]])
     calls = []
     for name in ("quantize_1bit", "quantize_158bit"):
-        def counted(*args, _orig=getattr(quantizer, name), **kwargs):
-            calls.append(1)
-            return _orig(*args, **kwargs)
+        def counted(w, *args, _orig=getattr(quantizer, name), **kwargs):
+            calls.append(w.shape)
+            return _orig(w, *args, **kwargs)
         monkeypatch.setattr(quantizer, name, counted)
     sol = solve_fixed_point(stack, tokens)
-    assert len(calls) == 6 * stack.cfg.num_layers
+    # one quantizer call per weight shape, each on that shape's stack:
+    # q/k/v/o of every block, then ff1, then ff2
+    num, d, inter = (stack.cfg.num_layers, stack.cfg.hidden_dim,
+                     stack.cfg.intermediate_dim)
+    assert calls == [(4 * num, d, d), (num, inter, d), (num, d, inter)]
     # the prebuilt weights are the ones the rate map builds per block
     for got, want in zip(stack.rate_map(tokens, sol.asr_star), sol.asr_star):
         np.testing.assert_array_equal(got, want)

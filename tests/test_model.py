@@ -96,6 +96,35 @@ def test_set_quant_mode_and_freeze_roundtrip():
     assert list(stack.frozen) == stack.linear_names
 
 
+@pytest.mark.parametrize("case", ["one-token", "distinct", "negative-zero"])
+def test_token_embedding_gradient_equals_add_at_bitwise(case):
+    # the input neuron's backward is replaced by one that returns g_in, so
+    # that the embedding step alone is checked against np.add.at
+    rng = np.random.default_rng(4)
+    stack = make_stack(seed=3, mode=QuantMode.TERNARY_158BIT)
+    if case == "distinct":  # every (sentence, position) on its own token
+        tokens = rng.permutation(stack.cfg.vocab_size)[:10].reshape(2, 5)
+    else:  # every position on one token: the order of the sums shows
+        tokens = np.full((3, 5), 7)
+    # magnitudes 16 orders apart, so that any other order rounds otherwise
+    g_in = rng.normal(size=tokens.shape + (8,)) * 10.0 ** rng.integers(
+        -8, 8, size=tokens.shape + (8,))
+    start = rng.normal(size=stack.params["tok_emb"].shape)
+    if case == "negative-zero":
+        g_in[...] = -0.0
+        start[...] = -0.0  # -0 + -0 stays -0; the table's 0 + -0 is +0
+    stack.neurons = {**stack.neurons,
+                     "input": (stack.neurons["input"][0], lambda g, _: g_in)}
+    caches = []
+    blocks = stack.sweep(tokens, caches=caches)
+    grads = stack.params.zeros()
+    grads["tok_emb"][...] = start
+    stack.backward(caches, [None, np.zeros_like(blocks[-1])], grads)
+    table = np.zeros_like(start)
+    np.add.at(table, tokens, g_in)
+    assert grads["tok_emb"].tobytes() == (start + table).tobytes()
+
+
 def test_spiking_attention_is_convex_mixer():
     rng = np.random.default_rng(1)
     q = rng.random((5, 8))
@@ -264,7 +293,11 @@ def test_temporal_simulate_quantizes_each_linear_once(monkeypatch):
     monkeypatch.setattr(quantizer, "quantize_158bit", counting)
     counter = OpCounter()
     got = stack.temporal_simulate(tokens, T=50, counter=counter)
-    assert len(calls) == 6 * stack.cfg.num_layers  # once per linear, not per step
+    # once per weight shape for the whole simulation, never per step: the
+    # q/k/v/o stack of every block, then ff1's, then ff2's
+    num, d, inter = (stack.cfg.num_layers, stack.cfg.hidden_dim,
+                     stack.cfg.intermediate_dim)
+    assert calls == [(4 * num, d, d), (num, inter, d), (num, d, inter)]
     assert stack.frozen is None
     np.testing.assert_array_equal(got[0], want[0])
     for g, w in zip(got[1:], want[1:]):

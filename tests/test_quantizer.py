@@ -2,7 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
-from oracles import dense_spike_linear
+from oracles import dense_spike_linear, per_matrix_quantization
 
 from eqspike.autodiff import linear_backward
 from eqspike.model import WINDOW_BYTES
@@ -69,7 +69,7 @@ def _layer(mode, rng=None, out_dim=4, in_dim=6, binary_output_scale=False):
     """(pinned linear, its latent weight, a bias) of a random weight."""
     rng = rng or np.random.default_rng(2)
     w = rng.normal(size=(out_dim, in_dim))
-    return pin(w, mode, binary_output_scale), w, rng.normal(size=out_dim)
+    return pin([w], mode, binary_output_scale)[0], w, rng.normal(size=out_dim)
 
 
 def test_effective_weight_fp_is_latent():
@@ -102,7 +102,7 @@ def test_pinned_arrays_are_built_once_and_read_only(mode, output_scale):
     assert q.dtype == np.float64 and not q.flags.writeable
     assert not w.flags.writeable and not layer.column_nnz.flags.writeable
     np.testing.assert_array_equal(
-        w, effective_weight_tensor(pin(latent, mode, output_scale)))
+        w, effective_weight_tensor(pin([latent], mode, output_scale)[0]))
     if output_scale or mode is QuantMode.TERNARY_158BIT:
         np.testing.assert_array_equal(w, q * layer.scale)
     else:
@@ -166,7 +166,8 @@ def test_accumulate_equals_column_sum_oracle_on_batched_spikes(mode,
 
 
 def test_op_counter_counts_spikes_times_nonzero_column_weights():
-    layer = pin(np.array([[0.05, 2.0], [1.0, -0.05]]), QuantMode.TERNARY_158BIT)
+    layer, = pin([np.array([[0.05, 2.0], [1.0, -0.05]])],
+                 QuantMode.TERNARY_158BIT)
     nnz_col = np.count_nonzero(layer.codes, axis=0)
     spikes = np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
     counter = OpCounter()
@@ -180,6 +181,59 @@ STACK_CASES = {"fp": (QuantMode.FULL_PRECISION, False),
                "1bit": (QuantMode.BINARY_1BIT, False),
                "1bit-scaled": (QuantMode.BINARY_1BIT, True),
                "1.58bit": (QuantMode.TERNARY_158BIT, False)}
+
+
+def _bits(a):
+    """`a`'s bytes: equal only if every value, signed zeros included, is."""
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _shape_group(rng, d):
+    """Six (d, 2d) latents: random ones at scales far apart, one whose
+    ties at zero hold both signed zeros, and an all-zero one, whose
+    absmean 0 takes the ternary zero-divide guard."""
+    ws = [rng.normal(size=(d, 2 * d)) * s for s in (1e-3, 0.1, 1.0, 40.0)]
+    signed = rng.normal(size=(d, 2 * d))
+    signed[::2, ::3] = 0.0
+    signed[1::2, ::3] = -0.0
+    return ws + [signed, np.zeros((d, 2 * d))]
+
+
+@pytest.mark.parametrize("d", [8, 32, 48, 64])
+@pytest.mark.parametrize("mode,output_scale", list(STACK_CASES.values()),
+                         ids=list(STACK_CASES))
+def test_shape_group_pins_are_each_linears_own_bitwise(mode, output_scale, d):
+    ws = _shape_group(np.random.default_rng(d), d)
+    group = pin(ws, mode, output_scale)
+    assert len(group) == len(ws)
+    for got, w in zip(group, ws):
+        own, = pin([w], mode, output_scale)
+        codes, weight, scale = per_matrix_quantization(w, mode, output_scale)
+        for pinned in (got, own):
+            assert _bits(pinned.codes) == _bits(codes)
+            assert _bits(pinned.weight) == _bits(weight)
+            assert pinned.scale == scale and type(pinned.scale) is type(scale)
+            assert not pinned.codes.flags.writeable
+            assert not pinned.weight.flags.writeable
+        if not got.quantized:  # full precision: views of the latent itself
+            assert np.shares_memory(got.weight, w) and got.codes is got.weight
+        elif scale == 1.0 and mode is QuantMode.BINARY_1BIT:
+            assert got.weight is got.codes
+    zero = group[-1]
+    if mode is QuantMode.TERNARY_158BIT:  # beta = 0: every code 0
+        assert zero.scale == 0.0 and not zero.codes.any()
+
+
+def test_quantizers_take_one_statistic_per_stacked_matrix():
+    ws = _shape_group(np.random.default_rng(5), 8)
+    stack = np.stack(ws)
+    for fn in (quantize_1bit, quantize_158bit):
+        q, stats = fn(stack)
+        assert q.shape == stack.shape and stats.shape == (len(ws),)
+        for j, w in enumerate(ws):
+            q_own, stat = fn(w)
+            assert isinstance(stat, float) and stats[j] == stat
+            assert _bits(q[j]) == _bits(q_own)
 
 
 # each mode with an `OpCounter`, then without one ("-no-counter")
@@ -274,7 +328,7 @@ def test_op_counts_equal_the_dense_oracle(mode, stacked):
     for _ in names:
         w = rng.normal(size=(16, in_dim))
         w[rng.random(w.shape) < 0.2] = 0.0  # zero weights count nothing
-        parts.append((pin(w, mode), rng.normal(size=16)))
+        parts.append((pin([w], mode)[0], rng.normal(size=16)))
     layer = stack_pinned([p for p, _ in parts]) if stacked else parts[0][0]
     bias = np.concatenate([b for _, b in parts])
     # a linear of fan-in in_dim sees at most this many rows in a window,
