@@ -189,9 +189,9 @@ def _bits(a):
 
 
 def _shape_group(rng, d):
-    """Six (d, 2d) latents: random ones at scales far apart, one whose
-    ties at zero hold both signed zeros, and an all-zero one, whose
-    absmean 0 takes the ternary zero-divide guard."""
+    """Six (d, 2d) latents: four random ones at scales far apart, one with
+    exact zeros of both signs, and an all-zero one, whose absmean 0 takes
+    the ternary zero-divide guard."""
     ws = [rng.normal(size=(d, 2 * d)) * s for s in (1e-3, 0.1, 1.0, 40.0)]
     signed = rng.normal(size=(d, 2 * d))
     signed[::2, ::3] = 0.0
@@ -217,7 +217,7 @@ def test_shape_group_pins_are_each_linears_own_bitwise(mode, output_scale, d):
             assert not pinned.weight.flags.writeable
         if not got.quantized:  # full precision: views of the latent itself
             assert np.shares_memory(got.weight, w) and got.codes is got.weight
-        elif scale == 1.0 and mode is QuantMode.BINARY_1BIT:
+        elif mode is QuantMode.BINARY_1BIT and not output_scale:
             assert got.weight is got.codes
     zero = group[-1]
     if mode is QuantMode.TERNARY_158BIT:  # beta = 0: every code 0
