@@ -31,6 +31,8 @@ import math
 
 import numpy as np
 
+LAYER_NORM_EPS = 1e-5  # added to the variance before its square root
+
 
 def linear(x, w, b):
     """The affine map x @ w.T + b; w is (out, in), x (..., in)."""
@@ -66,7 +68,7 @@ def clip01_backward(g, a):
     return g * ((a >= 0.0) & (a <= 1.0))
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
+def layer_norm(x, gain, bias):
     """Normalize over the last axis, then affine (gain, bias).
 
     Returns the output and the (normalized x, inverse deviation) pair that
@@ -78,7 +80,7 @@ def layer_norm(x, gain, bias, eps=1e-5):
     xc = x - mean
     inv = np.add.reduce(xc * xc, axis=-1, keepdims=True)
     inv *= scale
-    inv += eps
+    inv += LAYER_NORM_EPS
     np.sqrt(inv, out=inv)
     np.divide(1.0, inv, out=inv)
     xc *= inv  # now x-hat

@@ -7,7 +7,8 @@ two models' depths; every pair weighs 1.  The projections train jointly
 with the student and are the only distillation state.  The teacher is
 frozen, so its hiddens are a fixed function of the tokens: a run makes
 one teacher pass per length group of its dataset, and its training
-batches and evaluations read rows of those passes.
+batches and evaluations take their rows of those passes by item
+position.
 """
 
 from __future__ import annotations
@@ -92,48 +93,34 @@ class KdReport:
                     fh.write(f"{epoch},{j},{val:.12g},{total:.12g}\n")
 
 
-def teacher_targets(teacher: TeacherModel, dataset=(), batch_size: int = 16):
-    """tokens -> the frozen teacher's per-block hiddens, read-only.
+def teacher_targets(teacher: TeacherModel, items):
+    """`targets(tokens, positions)`: the teacher's hiddens by item position.
 
-    The teacher runs once per length group of `dataset`, up front.  Each
-    group of each batch of `batch_size` items (`data.batches`) takes its
-    rows of that pass as views: a batch is a contiguous item range and
-    `stack_by_length` keeps item order, so its group is a run of the
-    dataset group's rows, and the teacher's pass is per sentence, so those
-    rows are bitwise the batch's own pass.  Other tokens take one pass of
-    their own, on first use.  Every use of the same tokens shares one
-    result.
+    `items` are (tokens, position) pairs, the i-th at position i.  The
+    teacher runs once per length group of `items`, up front, and `targets`
+    takes a stacked group's rows of its length's pass as read-only views:
+    bitwise the group's own pass, since the teacher's pass is per sentence.
+    The group's positions, stacked as `data.stack_by_length` stacks them,
+    must be consecutive items of their length, in order, as in every group
+    of a contiguous batch and of the whole set; else a ValueError.
     """
-    memo = {}
-
-    def remember(tokens, hiddens):
-        for hidden in hiddens:
+    passes, row_of = {}, np.empty(len(items), dtype=np.intp)
+    for tokens, positions in stack_by_length(items):
+        hiddens = teacher_forward(teacher, tokens)[0]
+        for hidden in hiddens:  # every batch shares it
             hidden.flags.writeable = False
-        memo[_key(tokens)] = hiddens
-        return hiddens
+        passes[tokens.shape[-1]] = positions, hiddens
+        row_of[positions] = np.arange(len(positions))
 
-    passes = {tokens.shape[-1]: remember(tokens,
-                                         teacher_forward(teacher, tokens)[0])
-              for tokens, _labels in stack_by_length(dataset)}
-    taken = dict.fromkeys(passes, 0)  # per length, the rows batches took
-    for batch in batches(dataset, batch_size):
-        for tokens, _labels in stack_by_length(batch):
-            seq = tokens.shape[-1]
-            rows = slice(taken[seq], taken[seq] + len(tokens))
-            taken[seq] = rows.stop
-            remember(tokens, [h[rows] for h in passes[seq]])
-
-    def targets(tokens):
-        hiddens = memo.get(_key(tokens))
-        if hiddens is None:
-            hiddens = remember(tokens, teacher_forward(teacher, tokens)[0])
-        return hiddens
+    def targets(tokens, positions):
+        order, hiddens = passes[tokens.shape[-1]]
+        start = row_of[positions[0]]
+        rows = slice(start, start + len(positions))
+        if order[rows].tobytes() != positions.tobytes():
+            raise ValueError("targets take consecutive items of one length")
+        return [hidden[rows] for hidden in hiddens]
 
     return targets
-
-
-def _key(tokens):
-    return tokens.shape, tokens.dtype.str, tokens.tobytes()
 
 
 def kd_loss_builder(projections, targets):
@@ -141,13 +128,13 @@ def kd_loss_builder(projections, targets):
     the teacher's hiddens, with `projections`, the views `training_step`
     trains as `extra_params`.
 
-    `targets` maps stacked tokens to the teacher's hiddens, as
-    `teacher_targets` does.
+    The labels are item positions: `targets(tokens, positions)` gives the
+    teacher's hiddens of a stacked group, as `teacher_targets` does.
     """
 
-    def loss(tokens, labels, a_blocks, params, grads):
-        total, _per_pair, g_blocks = kd_loss(a_blocks, targets(tokens),
-                                             projections, grads)
+    def loss(tokens, positions, a_blocks, params, grads):
+        total, _per_pair, g_blocks = kd_loss(
+            a_blocks, targets(tokens, positions), projections, grads)
         return total, g_blocks
 
     return loss
@@ -155,15 +142,16 @@ def kd_loss_builder(projections, targets):
 
 def evaluate_kd_loss(stack, dataset, projections,
                      targets) -> tuple[float, list]:
-    """Mean distillation loss over a dataset (no training).
+    """Mean distillation loss over (tokens, position) items (no training).
 
     One solve and one `targets` call per sequence length.
     """
     total = 0.0
     pair_sum = None
-    for tokens, _labels in stack_by_length(dataset):
+    for tokens, positions in stack_by_length(dataset):
         sol = solve_fixed_point(stack, tokens)
-        t, per_pair, _ = kd_loss(sol.asr_star, targets(tokens), projections)
+        t, per_pair, _ = kd_loss(sol.asr_star, targets(tokens, positions),
+                                 projections)
         total += t
         pair_sum = per_pair if pair_sum is None else \
             [a + b for a, b in zip(pair_sum, per_pair)]
@@ -177,18 +165,20 @@ def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
     """Stage-1 training: minimize the distillation loss over the dataset.
 
     The report's epoch 0 row holds the pre-training loss; with epochs=0 the
-    student is untouched and only that row is emitted.  The steps and the
-    evaluations share one teacher pass per length group of the dataset
-    (`teacher_targets`).
+    student is untouched and only that row is emitted.  The loss reads no
+    class labels, so the items are relabelled by position, and the steps
+    and the evaluations share one teacher pass per length group of the
+    dataset (`teacher_targets`).
     """
-    targets = teacher_targets(teacher, dataset, batch_size)
+    items = [(tokens, i) for i, (tokens, _label) in enumerate(dataset)]
+    targets = teacher_targets(teacher, items)
     loss = kd_loss_builder(projections, targets)
     report = KdReport()
     for epoch in range(epochs + 1):
         if epoch:  # epoch 0 reports the loss before any step
-            for batch in batches(dataset, batch_size):
+            for batch in batches(items, batch_size):
                 training_step(stack, batch, optimizer, loss=loss,
                               extra_params=projections)
-        total, pairs = evaluate_kd_loss(stack, dataset, projections, targets)
+        total, pairs = evaluate_kd_loss(stack, items, projections, targets)
         report.epochs.append((epoch, pairs, total))
     return report

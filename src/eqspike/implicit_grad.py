@@ -5,14 +5,16 @@ caches and one closed-form `backward` solve the implicit-function
 adjoint exactly is in the `model` module docstring.
 
 A loss has one signature, `loss(tokens, labels, a_blocks, params, grads)
--> (loss, g_blocks)`.  `a_blocks` are the block outputs, (seq, d) for one
-example or (B, seq, d) for a stacked batch.  `params` and `grads` map
-every trained name (the model's, then the `extra_params`') to its array
-and to its view in a gradient buffer.  The loss reads the parameters it
-needs, adds their gradients into `grads` and returns the loss summed over
-the batch and its gradient on each block output (None where it does not
-read one).  The model's `backward` then adds the rest of the gradients
-into the same `grads`.  The teacher shares all of this with the student.
+-> (loss, g_blocks)`.  The labels are class ids for `ce_loss` and item
+positions for the distillation loss.  `a_blocks` are the block outputs,
+(seq, d) for one example or (B, seq, d) for a stacked batch.  `params`
+and `grads` map every trained name (the model's, then the
+`extra_params`') to its array and to its view in a gradient buffer.  The
+loss reads the parameters it needs, adds their gradients into `grads` and
+returns the loss summed over the batch and its gradient on each block
+output (None where it does not read one).  The model's `backward` then
+adds the rest of the gradients into the same `grads`.  The teacher shares
+all of this with the student.
 """
 
 from __future__ import annotations

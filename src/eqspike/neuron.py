@@ -30,27 +30,26 @@ class LifLayerState:
         return cls(u=np.zeros(shape), count=np.zeros(shape))
 
 
-def running_means(window: np.ndarray, total: np.ndarray, steps: np.ndarray,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """The running mean of a signal after each step of a window.
+def running_means(window: np.ndarray, total: np.ndarray,
+                  steps: np.ndarray) -> np.ndarray:
+    """The running mean of a signal after each step of a window, in place.
 
     `window` is the signal's C steps (C, ...), `steps` (C,) their step
     numbers and `total` its sum over the steps before the window, which is
     advanced in place to the sum through the window's last step.  The sums
-    run in step order, one `np.add` per step from row to row of `out`, so
-    one window of C steps is bitwise C windows of one; one divide by
-    `steps` follows.  The means go into `out`, by default `window` itself;
-    a ValueError if `out` cannot be viewed as C rows without a copy.
+    run in step order, one `np.add` per step from row to row of `window`,
+    so one window of C steps is bitwise C windows of one; one divide by
+    `steps` follows.  The means overwrite `window`, which is returned; a
+    ValueError if it cannot be viewed as C rows without a copy.
     """
-    out = window if out is None else out
     C, n = len(window), total.size
-    rows = out.reshape(C, n, copy=False)
+    rows = window.reshape(C, n, copy=False)
     acc = total.reshape(n)
-    for x, row in zip(window.reshape(C, n), rows):
-        acc = np.add(acc, x, row)
-    np.copyto(total, out[-1, ...])
+    for row in rows:
+        acc = np.add(acc, row, row)
+    np.copyto(total, window[-1, ...])
     np.divide(rows, steps[:, None], out=rows)
-    return out
+    return window
 
 
 def telescoped(phi: np.ndarray, steps: np.ndarray,

@@ -26,6 +26,8 @@ import numpy as np
 
 from .numerics import ShapeError, check_finite
 
+TERNARY_EPSILON = 1e-6  # the ternary quantizer's zero-divide guard
+
 
 class QuantMode(enum.Enum):
     FULL_PRECISION = "fp"
@@ -71,17 +73,16 @@ def quantize_1bit(w: np.ndarray):
     return q, _per_matrix(w, alpha)
 
 
-def quantize_158bit(w: np.ndarray, epsilon: float = 1e-6):
+def quantize_158bit(w: np.ndarray):
     """Round-clip ternary quantization of one matrix or a stack
     (..., out, in) with an absmean per matrix; returns (codes in
     {-1,0,+1}, beta), beta a float for one matrix."""
     w = _checked(w)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
     beta = _matrix_means(np.abs(w))
     # the zero-divide guard scales with beta so that codes are invariant
     # under positive rescaling of the weights
-    denom = np.where(beta > 0.0, beta * (1.0 + epsilon), epsilon)
+    denom = np.where(beta > 0.0, beta * (1.0 + TERNARY_EPSILON),
+                     TERNARY_EPSILON)
     scaled = np.clip(w / denom, -1.0, 1.0)
     # round half away from zero (np.round would round ties to even)
     q = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)

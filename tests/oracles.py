@@ -67,20 +67,22 @@ def uncached_distillation(stack, teacher, dataset, epochs, projections,
     """`distill.run_distillation` with a fresh teacher pass at every use.
 
     Every training step and every evaluation group calls `teacher_forward`
-    again, as distillation did before its targets were shared per run.
+    again, as distillation did before its targets were shared per run; the
+    items are relabelled by position, which this `targets` ignores.
     """
-    def targets(tokens):
+    def targets(tokens, positions):
         return teacher_forward(teacher, tokens)[0]
 
+    items = [(tokens, i) for i, (tokens, _label) in enumerate(dataset)]
     loss = kd_loss_builder(projections, targets)
     report = KdReport()
     for epoch in range(epochs + 1):
         if epoch:
-            for start in range(0, len(dataset), batch_size):
-                training_step(stack, dataset[start:start + batch_size],
+            for start in range(0, len(items), batch_size):
+                training_step(stack, items[start:start + batch_size],
                               optimizer, loss=loss,
                               extra_params=projections)
-        total, pairs = evaluate_kd_loss(stack, dataset, projections, targets)
+        total, pairs = evaluate_kd_loss(stack, items, projections, targets)
         report.epochs.append((epoch, pairs, total))
     return report
 
@@ -716,10 +718,10 @@ def taped_ce_loss(tokens, labels, a_blocks, leaves):
 
 def taped_kd_loss_builder(targets):
     """`distill.kd_loss_builder` on the tape; the projections are the
-    `kd.proj{i}` leaves."""
+    `kd.proj{i}` leaves, and the labels the positions `targets` reads."""
 
-    def loss(tokens, labels, a_blocks, leaves):
-        hiddens, total = targets(tokens), None
+    def loss(tokens, positions, a_blocks, leaves):
+        hiddens, total = targets(tokens, positions), None
         layer_map = default_layer_map(len(a_blocks), len(hiddens))
         for i, t_idx in enumerate(layer_map):
             term = taped_mse(as_tensor(a_blocks[i]) @ leaves[f"kd.proj{i}"],

@@ -179,11 +179,11 @@ def test_run_distillation_zero_epochs_untouched():
 def test_evaluate_kd_loss_averages_over_dataset():
     stack, teacher = _tiny_pair(seed=6)
     projections = init_projections(8, 8, 2, np.random.default_rng(0))
-    data = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7]), 1)]
-    targets = teacher_targets(teacher)
-    total, pairs = evaluate_kd_loss(stack, data, projections, targets)
-    singles = [evaluate_kd_loss(stack, [ex], projections, targets)[0]
-               for ex in data]
+    items = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7]), 1)]  # positions
+    targets = teacher_targets(teacher, items)
+    total, pairs = evaluate_kd_loss(stack, items, projections, targets)
+    singles = [evaluate_kd_loss(stack, [item], projections, targets)[0]
+               for item in items]
     assert total == pytest.approx(np.mean(singles))
     assert len(pairs) == 2
 
@@ -234,21 +234,27 @@ def test_run_distillation_mixed_lengths_one_pass_per_length_group(
     assert len(calls) == len({len(t) for t, _ in data})
 
 
-def test_batch_targets_are_read_only_rows_bitwise_their_own_pass(
-        monkeypatch):
+def test_batch_targets_by_position_bitwise_their_own_pass(monkeypatch):
     _, teacher = _tiny_pair(seed=11)
     data = _items(6, 3, seed=1) + _items(5, 5, seed=2) + _items(6, 3, seed=3)
-    targets = teacher_targets(teacher, data, batch_size=4)
+    items = [(tokens, i) for i, (tokens, _label) in enumerate(data)]
+    targets = teacher_targets(teacher, items)
     calls = _counting_teacher(monkeypatch)
-    for batch in batches(data, 4):  # batches that straddle both lengths
-        for tokens, _ in stack_by_length(batch):
-            got = targets(tokens)
-            want = teacher_forward(teacher, tokens)[0]
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.base is not None and not g.flags.writeable
-                assert g.tobytes() == w.tobytes()
-    assert calls == []  # every batch was served from the up-front passes
+    groups = [group for batch in batches(items, 4)  # straddling both lengths
+              for group in stack_by_length(batch)]
+    assert {tokens.shape[-1] for tokens, _ in groups} == {3, 5}
+    got = [targets(tokens, positions) for tokens, positions in groups]
+    assert calls == []  # every group was served from the up-front passes
+    for (tokens, _), hiddens in zip(groups, got):
+        want = teacher_forward(teacher, tokens)[0]
+        assert len(hiddens) == len(want)
+        for g, w in zip(hiddens, want):
+            assert g.base is not None and not g.flags.writeable
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    for group in ([items[0], items[2]], [items[1], items[0]]):  # gap, order
+        tokens, positions = stack_by_length(group)[0]
+        with pytest.raises(ValueError):
+            targets(tokens, positions)
 
 
 def _run_pair(seed, teacher, data, runner, epochs=2):

@@ -9,11 +9,12 @@ import eqspike
 import oracles as tp
 from eqspike import implicit_grad, numerics
 from eqspike import pipeline as pl
-from eqspike.distill import init_projections, kd_loss_builder, teacher_targets
+from eqspike.distill import init_projections, kd_loss_builder
 from eqspike.equilibrium import solve_fixed_point
 from eqspike.implicit_grad import batch_gradients, ce_loss, training_step
 from eqspike.autodiff import cross_entropy, linear, linear_backward
-from eqspike.model import EncoderStack, StackConfig, TeacherConfig, TeacherModel
+from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
+                           TeacherModel, teacher_forward)
 from eqspike.numerics import AdamState, FlatParams, NumericError
 from eqspike.quantizer import QuantMode
 from oracles import (TensorAdam, dense_adjoint_solve, example_gradient_dict,
@@ -85,7 +86,10 @@ def kd_builders(stack):
     projections = init_projections(stack.cfg.hidden_dim, teacher.cfg.hidden_dim,
                                    stack.cfg.num_layers,
                                    np.random.default_rng(10))
-    targets = teacher_targets(teacher)
+
+    def targets(tokens, positions):  # the labels are not item positions here
+        return teacher_forward(teacher, tokens)[0]
+
     return (kd_loss_builder(projections, targets),
             taped_kd_loss_builder(targets), projections)
 

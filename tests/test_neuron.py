@@ -208,6 +208,8 @@ def test_non_contiguous_state_or_out_raises(where):
         lif_step(state, currents, steps, out)
     assert not state.u.any() and not state.count.any() and not out.any()
     if where == "out":
+        strided[...] = currents
+        total = np.zeros((3, 4))
         with pytest.raises(ValueError):
-            running_means(currents, np.zeros((3, 4)), steps, strided)
-        assert not strided.any()
+            running_means(strided, total, steps)
+        assert strided.tobytes() == currents.tobytes() and not total.any()

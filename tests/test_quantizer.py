@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import dense_spike_linear, per_matrix_quantization
 
+from eqspike import quantizer
 from eqspike.autodiff import linear_backward
 from eqspike.model import WINDOW_BYTES
 from eqspike.numerics import ShapeError
@@ -37,14 +38,15 @@ def test_ternary_codes_beta_and_rounding():
     np.testing.assert_array_equal(q, [0.0, 0.0, 1.0, -1.0])
 
 
-def test_ternary_ties_round_away_from_zero():
+def test_ternary_ties_round_away_from_zero(monkeypatch):
     # Power-of-two construction keeps every float op exact: beta = 2 and
     # the entries +-a scale to exactly the 0.5 rounding tie.
     eps = 2.0 ** -20
+    monkeypatch.setattr(quantizer, "TERNARY_EPSILON", eps)
     a = 1.0 + eps
     b = 4.0 - a
     w = np.array([a, -a, b, -b])
-    q, beta = quantize_158bit(w, epsilon=eps)
+    q, beta = quantize_158bit(w)
     assert beta == 2.0
     assert a / (beta * (1.0 + eps)) == 0.5  # exact tie
     np.testing.assert_array_equal(q, [1.0, -1.0, 1.0, -1.0])

@@ -1,5 +1,6 @@
 """Every public name of the package has a caller outside the tests, every
-field of a public dataclass a reader, and every default config value one.
+field of a public dataclass a reader, every default config value one, and
+every defaulted parameter of a public function a caller that passes it.
 
 A function, class, method or field that only tests reach does not belong
 in the package.  Callers are the package's own modules and the
@@ -10,6 +11,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 from collections import defaultdict
 from pathlib import Path
 
@@ -192,3 +194,65 @@ def test_every_span_name_the_benchmark_reads_is_a_public_function():
     names = _span_names()
     assert len(names) > len(DEAD_SPANS)
     assert {n for n in names if not _is_public_callable(n)} == DEAD_SPANS
+
+
+# the console script calls `main()` bare; tests pass it an argv
+DEFAULT_EXEMPT = {"cli.main.argv"}
+
+
+def _defaulted_parameters():
+    """(name, function name, positional index or None, shift) for each
+    defaulted parameter of a public function, method or non-dataclass
+    constructor; `shift` is the leading `self`/`cls` a call leaves out,
+    and a keyword-only parameter has no positional index."""
+    for module, name, methods in _public_names():
+        obj = getattr(importlib.import_module(f"eqspike.{module}"), name)
+        if not inspect.isclass(obj):
+            callables = [(f"{module}.{name}", name, obj, 0)]
+        else:
+            callables = [(f"{module}.{name}.{m}", m, vars(obj)[m],
+                        0 if isinstance(vars(obj)[m], staticmethod) else 1)
+                       for m in methods
+                       if not isinstance(vars(obj)[m], property)]
+            if not dataclasses.is_dataclass(obj) and "__init__" in vars(obj):
+                callables.append((f"{module}.{name}", name, obj.__init__, 1))
+        for qualname, called, fn, shift in callables:
+            params = list(inspect.signature(inspect.unwrap(
+                getattr(fn, "__func__", fn))).parameters.values())
+            for index, p in enumerate(params):
+                if p.default is not inspect.Parameter.empty:
+                    positional = None if p.kind == p.KEYWORD_ONLY else index
+                    yield f"{qualname}.{p.name}", called, positional, shift
+
+
+def _calls():
+    """{called name: [(positional argument count, keywords)]} over every
+    call in the callers; a starred argument counts as reaching every
+    position, a `**` one every keyword."""
+    calls = defaultdict(list)
+    for path in CALLERS:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = getattr(func, "attr", None) or getattr(func, "id", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls[called].append((math.inf if starred else len(node.args),
+                                  keywords))
+    return calls
+
+
+def test_every_defaulted_parameter_is_passed_by_a_src_caller():
+    # a default that every caller keeps is a constant, and a parameter
+    # that only tests pass is a path that only tests reach
+    calls = _calls()
+    unpassed = []
+    for qualname, called, positional, shift in _defaulted_parameters():
+        name = qualname.rpartition(".")[2]
+        if not any(name in keywords or None in keywords
+                   or (positional is not None and count > positional - shift)
+                   for count, keywords in calls[called]):
+            unpassed.append(qualname)
+    assert sorted(set(unpassed) - DEFAULT_EXEMPT) == []
+    assert DEFAULT_EXEMPT <= set(unpassed)
