@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import ShapeError
+
 PAD, UNK, CLS, SEP = 0, 1, 2, 3
 _SPECIALS = {"[PAD]": PAD, "[UNK]": UNK, "[CLS]": CLS, "[SEP]": SEP}
 
@@ -25,9 +27,6 @@ class Example:
 class Corpus:
     examples: list
     label_names: list
-
-    def __len__(self):
-        return len(self.examples)
 
 
 @dataclass
@@ -160,15 +159,16 @@ def batches(items: list, batch_size: int) -> list:
     return [items[i:i + batch_size] for i in range(0, len(items), batch_size)]
 
 
-def stack_by_length(items: list) -> list:
-    """(tokens (B, seq), labels (B,)) per sequence length, in first-seen order.
+def stack_items(items: list) -> tuple:
+    """(tokens (B, seq), labels (B,)) of `(tokens, label)` pairs.
 
-    The rate path runs a stacked group in one call; encoded corpora are
-    padded to `max_len`, so they form a single group.
+    Encoded corpora are padded to `max_len`, so a training batch, an
+    evaluation set or an energy set is one array; items of several
+    lengths raise a ShapeError naming them.
     """
-    groups: dict = {}
-    for tokens, label in items:
-        groups.setdefault(len(tokens), []).append((tokens, label))
-    return [(np.stack([t for t, _ in group]),
-             np.array([lab for _, lab in group]))
-            for group in groups.values()]
+    lengths = {len(tokens) for tokens, _label in items}
+    if len(lengths) > 1:
+        raise ShapeError("stacked items need equal-length sentences; got "
+                         f"lengths {sorted(lengths)}")
+    return (np.stack([tokens for tokens, _label in items]),
+            np.array([label for _tokens, label in items]))

@@ -6,9 +6,8 @@ into the teacher's hidden width and pulled toward teacher block
 two models' depths; every pair weighs 1.  The projections train jointly
 with the student and are the only distillation state.  The teacher is
 frozen, so its hiddens are a fixed function of the tokens: a run makes
-one teacher pass per length group of its dataset, and its training
-batches and evaluations take their rows of those passes by item
-position.
+one teacher pass over its dataset, and its training batches and
+evaluations take their rows of that pass by item position.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import batches, stack_by_length
+from .data import batches, stack_items
 from .equilibrium import solve_fixed_point
 from .implicit_grad import training_step
 from .model import TeacherModel, teacher_forward
@@ -97,27 +96,22 @@ def teacher_targets(teacher: TeacherModel, items):
     """`targets(tokens, positions)`: the teacher's hiddens by item position.
 
     `items` are (tokens, position) pairs, the i-th at position i.  The
-    teacher runs once per length group of `items`, up front, and `targets`
-    takes a stacked group's rows of its length's pass as read-only views:
-    bitwise the group's own pass, since the teacher's pass is per sentence.
-    The group's positions, stacked as `data.stack_by_length` stacks them,
-    must be consecutive items of their length, in order, as in every group
-    of a contiguous batch and of the whole set; else a ValueError.
+    teacher runs once over the stacked `items` (`data.stack_items`), up
+    front, and `targets` takes a stacked batch's rows of that pass as
+    read-only views: bitwise the batch's own pass, since the teacher's
+    pass is per sentence.  The batch's positions must be consecutive
+    items, in order, as in every contiguous batch and the whole set;
+    else a ValueError.
     """
-    passes, row_of = {}, np.empty(len(items), dtype=np.intp)
-    for tokens, positions in stack_by_length(items):
-        hiddens = teacher_forward(teacher, tokens)[0]
-        for hidden in hiddens:  # every batch shares it
-            hidden.flags.writeable = False
-        passes[tokens.shape[-1]] = positions, hiddens
-        row_of[positions] = np.arange(len(positions))
+    tokens, order = stack_items(items)
+    hiddens = teacher_forward(teacher, tokens)[0]
+    for hidden in hiddens:  # every batch shares it
+        hidden.flags.writeable = False
 
     def targets(tokens, positions):
-        order, hiddens = passes[tokens.shape[-1]]
-        start = row_of[positions[0]]
-        rows = slice(start, start + len(positions))
+        rows = slice(positions[0], positions[0] + len(positions))
         if order[rows].tobytes() != positions.tobytes():
-            raise ValueError("targets take consecutive items of one length")
+            raise ValueError("targets take consecutive items, in order")
         return [hidden[rows] for hidden in hiddens]
 
     return targets
@@ -129,7 +123,7 @@ def kd_loss_builder(projections, targets):
     trains as `extra_params`.
 
     The labels are item positions: `targets(tokens, positions)` gives the
-    teacher's hiddens of a stacked group, as `teacher_targets` does.
+    teacher's hiddens of a stacked batch, as `teacher_targets` does.
     """
 
     def loss(tokens, positions, a_blocks, params, grads):
@@ -144,19 +138,14 @@ def evaluate_kd_loss(stack, dataset, projections,
                      targets) -> tuple[float, list]:
     """Mean distillation loss over (tokens, position) items (no training).
 
-    One solve and one `targets` call per sequence length.
+    One solve and one `targets` call on the stacked items.
     """
-    total = 0.0
-    pair_sum = None
-    for tokens, positions in stack_by_length(dataset):
-        sol = solve_fixed_point(stack, tokens)
-        t, per_pair, _ = kd_loss(sol.asr_star, targets(tokens, positions),
+    tokens, positions = stack_items(dataset)
+    sol = solve_fixed_point(stack, tokens)
+    total, per_pair, _ = kd_loss(sol.asr_star, targets(tokens, positions),
                                  projections)
-        total += t
-        pair_sum = per_pair if pair_sum is None else \
-            [a + b for a, b in zip(pair_sum, per_pair)]
     n = len(dataset)
-    return total / n, [p / n for p in pair_sum]
+    return total / n, [p / n for p in per_pair]
 
 
 def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
@@ -167,8 +156,8 @@ def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
     The report's epoch 0 row holds the pre-training loss; with epochs=0 the
     student is untouched and only that row is emitted.  The loss reads no
     class labels, so the items are relabelled by position, and the steps
-    and the evaluations share one teacher pass per length group of the
-    dataset (`teacher_targets`).
+    and the evaluations share one teacher pass over the dataset
+    (`teacher_targets`).
     """
     items = [(tokens, i) for i, (tokens, _label) in enumerate(dataset)]
     targets = teacher_targets(teacher, items)

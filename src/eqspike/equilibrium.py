@@ -27,8 +27,8 @@ class EquilibriumSolution:
 def solve_fixed_point(stack, tokens, cfg=None) -> EquilibriumSolution:
     """Solve the stack's steady-state rate equations in one forward sweep.
 
-    `tokens` is one sentence (seq,) or a stacked batch (B, seq) of
-    equal-length sentences, solved together in one pass; `asr_star` and
+    `tokens` is one sentence (seq,) or a stacked batch (B, seq), as
+    `data.stack_items` makes, solved together in one pass; `asr_star` and
     `sublayer_asr` then carry the leading batch axis.  Sentences do not
     interact, so a batch solve equals the per-sentence solves.
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .data import stack_by_length
+from .data import stack_items
 from .equilibrium import solve_fixed_point  # noqa: F401  (public re-export)
 from .numerics import AdamState, FlatParams, adam_step_many
 
@@ -75,18 +75,16 @@ def batch_gradients(model, batch, loss=ce_loss,
     """(mean loss, gradient buffers) of a batch of (tokens, label) pairs.
 
     One `FlatParams.zeros` per owner, the model's then `extra_params`'.
-    The batch is stacked by sequence length (`data.stack_by_length`; an
-    encoded corpus is one group), and each group's `example_gradients`
-    adds into those buffers, in group order; each is then divided once by
-    the batch size.  An entry the loss does not reach stays zero (the
-    classifier's under the KD loss).
+    The batch is stacked into one `(B, seq)` array (`data.stack_items`),
+    whose `example_gradients` adds into those buffers; each is then
+    divided once by the batch size.  An entry the loss does not reach
+    stays zero (the classifier's under the KD loss).
     """
     owners = _owners(model, extra_params)
     buffers = [p.zeros() for p in owners]
     params, grads = _by_name(owners), _by_name(buffers)
-    total = 0.0
-    for tokens, labels in stack_by_length(batch):
-        total += example_gradients(model, tokens, labels, loss, params, grads)
+    tokens, labels = stack_items(batch)
+    total = example_gradients(model, tokens, labels, loss, params, grads)
     n = len(batch)
     for buf in buffers:
         buf.flat /= n

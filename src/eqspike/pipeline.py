@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from .data import (Tokenizer, batches, encode_corpus, load_tsv, stack_by_length,
+from .data import (Tokenizer, batches, encode_corpus, load_tsv, stack_items,
                    synth_task)
 from .distill import init_projections, run_distillation
 from .equilibrium import SolverConfig, solve_fixed_point
@@ -23,7 +23,7 @@ from .energy import account
 from .implicit_grad import batch_gradients, training_step
 from .model import (EncoderStack, StackConfig, TeacherConfig, TeacherModel,
                     teacher_forward)
-from .numerics import AdamState, ShapeError, adam_step_many, check_finite
+from .numerics import AdamState, adam_step_many, check_finite
 
 
 class ConfigError(ValueError):
@@ -185,12 +185,11 @@ def build_teacher(cfg, tokenizer, num_labels=2) -> TeacherModel:
 
 def _accuracy(logits_of, items) -> float:
     """Share of `items` whose label is the argmax of `logits_of(tokens)`,
-    one call per sequence length; a non-finite logit raises NumericError."""
-    hits = 0
-    for tokens, labels in stack_by_length(items):
-        logits = check_finite(logits_of(tokens), "logits")
-        hits += int(np.sum(np.argmax(logits, axis=-1) == labels))
-    return hits / len(items)
+    one call on the stacked items (`data.stack_items`); a non-finite logit
+    raises NumericError."""
+    tokens, labels = stack_items(items)
+    logits = check_finite(logits_of(tokens), "logits")
+    return int(np.sum(np.argmax(logits, axis=-1) == labels)) / len(items)
 
 
 def train_teacher(cfg, teacher, train_items, dev_items) -> dict:
@@ -208,7 +207,7 @@ def train_teacher(cfg, teacher, train_items, dev_items) -> dict:
 
 
 def student_accuracy(stack, items, scfg=None) -> float:
-    """Dev accuracy at the equilibrium; one solve per sequence length.
+    """Dev accuracy at the equilibrium, from one solve of the stacked set.
     `scfg` is not read; it stays for callers that pass it positionally."""
     return _accuracy(lambda tokens: stack.logits(
         solve_fixed_point(stack, tokens).asr_star[-1]), items)
@@ -276,12 +275,12 @@ ARCHITECTURE_FIELDS = tuple(f.name for f in dataclasses.fields(TeacherConfig)
 def energy_compare(cfg, stack_quant, stack_fp, eval_items, T):
     """Energy reports for both models on a shared eval set, plus ratios.
 
-    The set is stacked into one `(B, seq)` batch, and each model's
-    `energy.account` simulates it in one `temporal_simulate` call and
-    prices it at length seq.  Accumulates cost the 45nm
+    The set is stacked into one `(B, seq)` batch (`data.stack_items`,
+    which raises ShapeError on sentences of several lengths), and each
+    model's `energy.account` simulates it in one `temporal_simulate` call
+    and prices it at length seq.  Accumulates cost the 45nm
     `energy.INT_ACC_PJ` and `FLOAT_ACC_PJ`; `cfg` is not read.  Raises
-    ConfigError if the two architectures differ or the set is empty, and
-    ShapeError if its sentences differ in length.
+    ConfigError if the two architectures differ or the set is empty.
     """
     differ = [f for f in ARCHITECTURE_FIELDS
               if getattr(stack_quant.cfg, f) != getattr(stack_fp.cfg, f)]
@@ -290,11 +289,7 @@ def energy_compare(cfg, stack_quant, stack_fp, eval_items, T):
                           f"{', '.join(differ)} differ")
     if not eval_items:
         raise ConfigError("energy comparison needs at least one sentence")
-    groups = stack_by_length(eval_items)
-    if len(groups) > 1:  # mixed lengths would need one op table per length
-        raise ShapeError("energy comparison needs equal-length sentences; got "
-                         f"lengths {sorted(t.shape[-1] for t, _ in groups)}")
-    (tokens, _labels), = groups
+    tokens, _labels = stack_items(eval_items)
     out = {"quantized": account(stack_quant, tokens, T),
            "full_precision": account(stack_fp, tokens, T)}
     q, f = out["quantized"]["report"], out["full_precision"]["report"]

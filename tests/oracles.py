@@ -8,7 +8,7 @@ import numpy as np
 
 from eqspike import autodiff as ad
 from eqspike.autodiff import erf as _erf, layer_norm
-from eqspike.data import batches, stack_by_length
+from eqspike.data import batches
 from eqspike.distill import (KdReport, default_layer_map, evaluate_kd_loss,
                              kd_loss_builder)
 from eqspike.implicit_grad import example_gradients, training_step
@@ -66,7 +66,7 @@ def uncached_distillation(stack, teacher, dataset, epochs, projections,
                           optimizer, batch_size=16):
     """`distill.run_distillation` with a fresh teacher pass at every use.
 
-    Every training step and every evaluation group calls `teacher_forward`
+    Every training step and every evaluation calls `teacher_forward`
     again, as distillation did before its targets were shared per run; the
     items are relabelled by position, which this `targets` ignores.
     """
@@ -87,21 +87,25 @@ def uncached_distillation(stack, teacher, dataset, epochs, projections,
     return report
 
 
+def _stacked(batch):
+    """(tokens (B, seq), labels (B,)) of a batch of equal-length pairs."""
+    return (np.stack([tokens for tokens, _ in batch]),
+            np.array([label for _, label in batch]))
+
+
 def inline_teacher_gradients(teacher, batch) -> dict:
     """One taped loss over the whole batch: the teacher's own step.
 
-    The length groups' cross-entropy sums are added on one tape and scaled
-    by 1 / len(batch) before a single backward, as teacher training did
-    before it shared the student's per-group gradient function.
+    The stacked batch's cross-entropy sum is scaled by 1 / len(batch) on
+    the tape before a single backward, as teacher training did before it
+    shared the student's gradient function.
     """
     leaves = param_tensors(teacher)
-    total = None
-    for tokens, labels in stack_by_length(batch):
-        logits = taped_logits(taped_teacher_sweep(teacher, tokens, leaves)[-1],
-                              leaves)
-        loss = taped_cross_entropy(logits, labels)
-        total = loss if total is None else add(total, loss)
-    backward([mul(total, 1.0 / len(batch))], [1.0])
+    tokens, labels = _stacked(batch)
+    logits = taped_logits(taped_teacher_sweep(teacher, tokens, leaves)[-1],
+                          leaves)
+    loss = taped_cross_entropy(logits, labels)
+    backward([mul(loss, 1.0 / len(batch))], [1.0])
     return {k: leaf.grad for k, leaf in leaves.items() if leaf.grad is not None}
 
 
@@ -167,18 +171,14 @@ def example_gradient_dict(model, tokens, labels, loss, extra_params):
 
 
 def per_name_batch_gradients(model, batch, loss, extra_params):
-    """`implicit_grad.batch_gradients` as a sum per name over the length
-    groups' `example_gradient_dict`s, each sum divided by the batch size:
+    """`implicit_grad.batch_gradients` as the stacked batch's
+    `example_gradient_dict`, each gradient divided by the batch size:
     (mean loss, name -> gradient)."""
-    grad_sum, loss_sum = {}, 0.0
-    for tokens, labels in stack_by_length(batch):
-        value, grads = example_gradient_dict(model, tokens, labels, loss,
-                                             extra_params)
-        loss_sum += value
-        for k, grad in grads.items():
-            grad_sum[k] = grad_sum.get(k, 0.0) + grad
+    tokens, labels = _stacked(batch)
+    value, grads = example_gradient_dict(model, tokens, labels, loss,
+                                         extra_params)
     n = len(batch)
-    return loss_sum / n, {k: g / n for k, g in grad_sum.items()}
+    return value / n, {k: g / n for k, g in grads.items()}
 
 
 def per_tensor_training_step(stack, batch, adam: TensorAdam, loss,

@@ -1,8 +1,17 @@
+import numpy as np
 import pytest
 
+from eqspike import pipeline as pl
 from eqspike.data import (CLS, PAD, SEP, UNK, Corpus, Example, ParseError,
                           SYNTH_KINDS, Tokenizer, batches, encode_corpus,
                           load_tsv, synth_task)
+from eqspike.distill import (evaluate_kd_loss, init_projections,
+                             run_distillation)
+from eqspike.implicit_grad import training_step
+from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
+                           TeacherModel, teacher_forward)
+from eqspike.numerics import AdamState, ShapeError
+from eqspike.quantizer import QuantMode
 
 
 def corpus_of(texts, labels, pairs=None):
@@ -130,3 +139,44 @@ def test_encode_corpus_and_batches():
     assert [len(b) for b in bs] == [4, 4, 2]
     with pytest.raises(ValueError):
         batches(items, 0)
+
+
+MIXED = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7, 8, 9]), 1),
+         (np.array([3, 9, 1]), 1)]
+
+
+@pytest.mark.parametrize("consumer", [
+    "training_step", "student_accuracy", "run_distillation",
+    "evaluate_kd_loss", "energy_compare"])
+def test_mixed_lengths_raise_shape_error_naming_them(consumer):
+    shape = dict(vocab_size=11, hidden_dim=8, intermediate_dim=12,
+                 num_heads=2, num_layers=2, max_len=6, num_labels=2)
+    stack, fp = (EncoderStack(StackConfig(**shape, quant_mode=mode),
+                              np.random.default_rng(0))
+                 for mode in (QuantMode.TERNARY_158BIT,
+                              QuantMode.FULL_PRECISION))
+    teacher = TeacherModel(TeacherConfig(**shape), np.random.default_rng(1))
+    projections = init_projections(8, 8, 2, np.random.default_rng(2))
+    adam = AdamState()
+    training_step(stack, MIXED[::2], adam)  # moments to compare against
+    calls = {
+        "training_step": lambda: training_step(stack, MIXED, adam),
+        "student_accuracy": lambda: pl.student_accuracy(stack, MIXED),
+        "run_distillation": lambda: run_distillation(
+            stack, teacher, MIXED, 1, projections, adam),
+        "evaluate_kd_loss": lambda: evaluate_kd_loss(
+            stack, MIXED, projections,
+            lambda tokens, positions: teacher_forward(teacher, tokens)[0]),
+        "energy_compare": lambda: pl.energy_compare(None, stack, fp, MIXED,
+                                                    T=5)}
+    params = stack.params.flat.copy()
+    m = {k: v.copy() for k, v in adam.m.items()}
+    v = {k: v.copy() for k, v in adam.v.items()}
+    with pytest.raises(ShapeError, match=r"equal-length.*lengths \[3, 5\]"):
+        calls[consumer]()
+    np.testing.assert_array_equal(stack.params.flat, params)
+    assert adam.step == 1
+    assert adam.m.keys() == m.keys() == adam.v.keys() == v.keys()
+    for k in m:
+        np.testing.assert_array_equal(adam.m[k], m[k])
+        np.testing.assert_array_equal(adam.v[k], v[k])

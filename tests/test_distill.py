@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eqspike import distill
-from eqspike.data import batches, stack_by_length
+from eqspike.data import batches, stack_items
 from eqspike.distill import (KdReport, _init_projection, default_layer_map,
                              evaluate_kd_loss, init_projections, kd_loss,
                              run_distillation, teacher_targets)
@@ -206,11 +206,10 @@ def _counting_teacher(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("epochs,expected", [(2, 1), (0, 1)])
-def test_run_distillation_one_teacher_pass_per_length_group(
-        monkeypatch, epochs, expected):
-    # 64 equal-length items in batches of 16: one length group, whose one
-    # pass serves the 4 training batches and every epoch's evaluation
+@pytest.mark.parametrize("epochs", [2, 0])
+def test_run_distillation_one_teacher_pass_per_run(monkeypatch, epochs):
+    # 64 items in batches of 16: one teacher pass serves the 4 training
+    # batches and every epoch's evaluation
     calls = _counting_teacher(monkeypatch)
     stack, teacher = _tiny_pair(seed=7)
     data = _items(64, 4)
@@ -218,41 +217,27 @@ def test_run_distillation_one_teacher_pass_per_length_group(
     run_distillation(stack, teacher, data, epochs=epochs,
                      projections=projections, optimizer=AdamState(lr=5e-3),
                      batch_size=16)
-    assert len(calls) == expected
-
-
-def test_run_distillation_mixed_lengths_one_pass_per_length_group(
-        monkeypatch):
-    calls = _counting_teacher(monkeypatch)
-    stack, teacher = _tiny_pair(seed=8)
-    data = _items(6, 3, seed=1) + _items(5, 5, seed=2) + _items(6, 3, seed=3)
-    projections = init_projections(8, 8, 2, np.random.default_rng(0))
-    run_distillation(stack, teacher, data, epochs=3, projections=projections,
-                     optimizer=AdamState(lr=5e-3), batch_size=4)
-    # one pass per distinct length, over all of that length's items
-    assert calls == [(12, 3), (5, 5)]
-    assert len(calls) == len({len(t) for t, _ in data})
+    assert calls == [(64, 4)]
 
 
 def test_batch_targets_by_position_bitwise_their_own_pass(monkeypatch):
     _, teacher = _tiny_pair(seed=11)
-    data = _items(6, 3, seed=1) + _items(5, 5, seed=2) + _items(6, 3, seed=3)
+    data = _items(6, 3, seed=1) + _items(5, 3, seed=2) + _items(6, 3, seed=3)
     items = [(tokens, i) for i, (tokens, _label) in enumerate(data)]
     targets = teacher_targets(teacher, items)
     calls = _counting_teacher(monkeypatch)
-    groups = [group for batch in batches(items, 4)  # straddling both lengths
-              for group in stack_by_length(batch)]
-    assert {tokens.shape[-1] for tokens, _ in groups} == {3, 5}
-    got = [targets(tokens, positions) for tokens, positions in groups]
-    assert calls == []  # every group was served from the up-front passes
-    for (tokens, _), hiddens in zip(groups, got):
+    stacked = [stack_items(batch) for batch in batches(items, 4)]
+    assert [len(positions) for _, positions in stacked] == [4, 4, 4, 4, 1]
+    got = [targets(tokens, positions) for tokens, positions in stacked]
+    assert calls == []  # every batch was served from the up-front pass
+    for (tokens, _), hiddens in zip(stacked, got):
         want = teacher_forward(teacher, tokens)[0]
         assert len(hiddens) == len(want)
         for g, w in zip(hiddens, want):
             assert g.base is not None and not g.flags.writeable
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
-    for group in ([items[0], items[2]], [items[1], items[0]]):  # gap, order
-        tokens, positions = stack_by_length(group)[0]
+    for batch in ([items[0], items[2]], [items[1], items[0]]):  # gap, order
+        tokens, positions = stack_items(batch)
         with pytest.raises(ValueError):
             targets(tokens, positions)
 
@@ -282,7 +267,7 @@ def _assert_runs_bitwise_equal(got, want):
 
 def test_shared_teacher_targets_bitwise_equal_uncached_run():
     _, teacher = _tiny_pair(seed=9)
-    data = _items(10, 4, seed=4) + _items(3, 5, seed=5)
+    data = _items(10, 4, seed=4) + _items(3, 4, seed=5)
     _assert_runs_bitwise_equal(
         _run_pair(9, teacher, data, run_distillation),
         _run_pair(9, teacher, data, uncached_distillation))

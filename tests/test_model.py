@@ -4,7 +4,7 @@ import pytest
 from eqspike import model
 from eqspike import pipeline as pl
 from eqspike import quantizer
-from eqspike.data import stack_by_length
+from eqspike.data import stack_items
 from eqspike.equilibrium import solve_fixed_point
 from eqspike.implicit_grad import batch_gradients
 from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
@@ -484,12 +484,12 @@ def test_batched_solve_logits_equal_each_sentence_alone():
     tok, _train, dev, labels = pl.make_dataset(cfg)
     stack = pl.build_student(cfg, tok, num_labels=len(labels))
     stack.freeze_quantization()
-    for tokens, _labels in stack_by_length(dev[:16]):
-        batch = stack.logits(solve_fixed_point(stack, tokens).asr_star[-1])
-        assert batch.shape == (len(tokens), len(labels))
-        for row, sentence in zip(batch, tokens):
-            alone = solve_fixed_point(stack, sentence).asr_star[-1]
-            np.testing.assert_array_equal(row, stack.logits(alone))
+    tokens, _labels = stack_items(dev[:16])
+    batch = stack.logits(solve_fixed_point(stack, tokens).asr_star[-1])
+    assert batch.shape == (len(tokens), len(labels))
+    for row, sentence in zip(batch, tokens):
+        alone = solve_fixed_point(stack, sentence).asr_star[-1]
+        np.testing.assert_array_equal(row, stack.logits(alone))
 
 
 def test_temporal_simulate_rejects_bad_token_shapes():
