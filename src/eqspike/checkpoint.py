@@ -25,7 +25,7 @@ from .quantizer import QuantMode
 # 1 stored each parameter as nested lists of JSON numbers; 2 added each
 # student linear's codes and scales, which its latent weights determine
 FORMAT_VERSION = 3
-STAGES = ("init", "kd", "finetuned")
+STAGES = ("kd", "finetuned")
 
 
 class CheckpointError(ValueError):

@@ -166,7 +166,7 @@ def build_parser():
     _common(p)
     p.add_argument("--student", required=True, help="student checkpoint")
     p.add_argument("--allow-skip-kd", action="store_true",
-                   help="accept a pre-KD checkpoint")
+                   help="accept a finetuned checkpoint")
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("simulate", help="temporal convergence trace")

@@ -5,9 +5,10 @@ into the teacher's hidden width and pulled toward teacher block
 `default_layer_map(Ls, Lt)[i]` under an MSE loss, where Ls and Lt are the
 two models' depths; every pair weighs 1.  The projections train jointly
 with the student and are the only distillation state.  The teacher is
-frozen, so its hiddens are a fixed function of the tokens: a run makes
-one teacher pass over its dataset, and its training batches and
-evaluations take their rows of that pass by item position.
+frozen, so its hiddens are a fixed function of the tokens: a run stacks
+its dataset once and keeps the teacher's pass over it as plain arrays,
+one per teacher block.  A training batch takes its rows of them by item
+position, and an evaluation scores the whole set against them.
 """
 
 from __future__ import annotations
@@ -92,59 +93,32 @@ class KdReport:
                     fh.write(f"{epoch},{j},{val:.12g},{total:.12g}\n")
 
 
-def teacher_targets(teacher: TeacherModel, items):
-    """`targets(tokens, positions)`: the teacher's hiddens by item position.
-
-    `items` are (tokens, position) pairs, the i-th at position i.  The
-    teacher runs once over the stacked `items` (`data.stack_items`), up
-    front, and `targets` takes a stacked batch's rows of that pass as
-    read-only views: bitwise the batch's own pass, since the teacher's
-    pass is per sentence.  The batch's positions must be consecutive
-    items, in order, as in every contiguous batch and the whole set;
-    else a ValueError.
-    """
-    tokens, order = stack_items(items)
-    hiddens = teacher_forward(teacher, tokens)[0]
-    for hidden in hiddens:  # every batch shares it
-        hidden.flags.writeable = False
-
-    def targets(tokens, positions):
-        rows = slice(positions[0], positions[0] + len(positions))
-        if order[rows].tobytes() != positions.tobytes():
-            raise ValueError("targets take consecutive items, in order")
-        return [hidden[rows] for hidden in hiddens]
-
-    return targets
-
-
-def kd_loss_builder(projections, targets):
+def kd_loss_builder(hiddens):
     """The distillation loss of `training_step` (stage 1): `kd_loss` on
-    the teacher's hiddens, with `projections`, the views `training_step`
-    trains as `extra_params`.
+    the teacher's `hiddens` of the distillation set, one (N, seq, d)
+    array per teacher block.
 
-    The labels are item positions: `targets(tokens, positions)` gives the
-    teacher's hiddens of a stacked batch, as `teacher_targets` does.
+    The labels are item positions, so a batch's targets are the rows
+    `[h[labels] for h in hiddens]`.  The `kd.proj{i}` are read from
+    `params`, where `training_step` puts its `extra_params`.
     """
 
-    def loss(tokens, positions, a_blocks, params, grads):
+    def loss(labels, a_blocks, params, grads):
         total, _per_pair, g_blocks = kd_loss(
-            a_blocks, targets(tokens, positions), projections, grads)
+            a_blocks, [h[labels] for h in hiddens], params, grads)
         return total, g_blocks
 
     return loss
 
 
-def evaluate_kd_loss(stack, dataset, projections,
-                     targets) -> tuple[float, list]:
-    """Mean distillation loss over (tokens, position) items (no training).
-
-    One solve and one `targets` call on the stacked items.
+def evaluate_kd_loss(stack, tokens, projections,
+                     hiddens) -> tuple[float, list]:
+    """Mean distillation loss of stacked sentences (N, seq) against the
+    teacher's `hiddens` of them (no training): one solve, one `kd_loss`.
     """
-    tokens, positions = stack_items(dataset)
     sol = solve_fixed_point(stack, tokens)
-    total, per_pair, _ = kd_loss(sol.asr_star, targets(tokens, positions),
-                                 projections)
-    n = len(dataset)
+    total, per_pair, _ = kd_loss(sol.asr_star, hiddens, projections)
+    n = len(tokens)
     return total / n, [p / n for p in per_pair]
 
 
@@ -154,20 +128,21 @@ def run_distillation(stack, teacher: TeacherModel, dataset, epochs: int,
     """Stage-1 training: minimize the distillation loss over the dataset.
 
     The report's epoch 0 row holds the pre-training loss; with epochs=0 the
-    student is untouched and only that row is emitted.  The loss reads no
-    class labels, so the items are relabelled by position, and the steps
-    and the evaluations share one teacher pass over the dataset
-    (`teacher_targets`).
+    student is untouched and only that row is emitted.  The dataset is
+    stacked once and the frozen teacher runs once over it; the loss reads
+    no class labels, so the items are relabelled by position.  Each step
+    reads its batch's rows of that one pass and each evaluation all of it.
     """
-    items = [(tokens, i) for i, (tokens, _label) in enumerate(dataset)]
-    targets = teacher_targets(teacher, items)
-    loss = kd_loss_builder(projections, targets)
+    tokens, _labels = stack_items(dataset)
+    hiddens = teacher_forward(teacher, tokens)[0]
+    items = [(sentence, i) for i, sentence in enumerate(tokens)]
+    loss = kd_loss_builder(hiddens)
     report = KdReport()
     for epoch in range(epochs + 1):
         if epoch:  # epoch 0 reports the loss before any step
             for batch in batches(items, batch_size):
                 training_step(stack, batch, optimizer, loss=loss,
                               extra_params=projections)
-        total, pairs = evaluate_kd_loss(stack, items, projections, targets)
+        total, pairs = evaluate_kd_loss(stack, tokens, projections, hiddens)
         report.epochs.append((epoch, pairs, total))
     return report

@@ -4,17 +4,17 @@ Gradients never unroll the temporal simulation.  Why one sweep with its
 caches and one closed-form `backward` solve the implicit-function
 adjoint exactly is in the `model` module docstring.
 
-A loss has one signature, `loss(tokens, labels, a_blocks, params, grads)
--> (loss, g_blocks)`.  The labels are class ids for `ce_loss` and item
-positions for the distillation loss.  `a_blocks` are the block outputs,
-(seq, d) for one example or (B, seq, d) for a stacked batch.  `params`
-and `grads` map every trained name (the model's, then the
-`extra_params`') to its array and to its view in a gradient buffer.  The
-loss reads the parameters it needs, adds their gradients into `grads` and
-returns the loss summed over the batch and its gradient on each block
-output (None where it does not read one).  The model's `backward` then
-adds the rest of the gradients into the same `grads`.  The teacher shares
-all of this with the student.
+A loss has one signature, `loss(labels, a_blocks, params, grads) ->
+(loss, g_blocks)`.  The labels are class ids for `ce_loss` and, for the
+distillation loss, item positions that pick the batch's rows of the
+teacher's hiddens.  `a_blocks` are the block outputs, (seq, d) for one
+example or (B, seq, d) for a stacked batch.  `params` and `grads` map
+every trained name (the model's, then the `extra_params`') to its array
+and to its view in a gradient buffer.  The loss reads the parameters it
+needs, adds their gradients into `grads` and returns the loss summed over
+the batch and its gradient on each block output (None where it does not
+read one).  The model's `backward` then adds the rest of the gradients
+into the same `grads`.  The teacher shares all of this with the student.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .equilibrium import solve_fixed_point  # noqa: F401  (public re-export)
 from .numerics import AdamState, FlatParams, adam_step_many
 
 
-def ce_loss(tokens, labels, a_blocks, params, grads):
+def ce_loss(labels, a_blocks, params, grads):
     """Cross-entropy on the classifier over the final block's CLS rate.
 
     The logits are one `linear` over the batch's CLS rows, and their
@@ -65,7 +65,7 @@ def example_gradients(model, tokens, labels, loss, params: dict,
     """
     caches = []
     a_blocks = model.sweep(tokens, caches=caches)
-    value, g_blocks = loss(tokens, labels, a_blocks, params, grads)
+    value, g_blocks = loss(labels, a_blocks, params, grads)
     model.backward(caches, g_blocks, grads)
     return value
 

@@ -10,7 +10,7 @@ from eqspike import autodiff as ad
 from eqspike.autodiff import erf as _erf, layer_norm
 from eqspike.data import batches
 from eqspike.distill import (KdReport, default_layer_map, evaluate_kd_loss,
-                             kd_loss_builder)
+                             kd_loss)
 from eqspike.implicit_grad import example_gradients, training_step
 from eqspike.model import _head_axes, _token_ids, spiking_attention, teacher_forward
 from eqspike.numerics import NumericError, ShapeError, check_finite
@@ -66,15 +66,20 @@ def uncached_distillation(stack, teacher, dataset, epochs, projections,
                           optimizer, batch_size=16):
     """`distill.run_distillation` with a fresh teacher pass at every use.
 
-    Every training step and every evaluation calls `teacher_forward`
-    again, as distillation did before its targets were shared per run; the
-    items are relabelled by position, which this `targets` ignores.
+    Every training step calls `teacher_forward` again on its batch's
+    sentences, `tokens[positions]`, and every evaluation on the whole set,
+    as distillation did before its targets were shared per run; the items
+    are relabelled by position.
     """
-    def targets(tokens, positions):
-        return teacher_forward(teacher, tokens)[0]
+    tokens, _labels = _stacked(dataset)
 
-    items = [(tokens, i) for i, (tokens, _label) in enumerate(dataset)]
-    loss = kd_loss_builder(projections, targets)
+    def loss(positions, a_blocks, params, grads):
+        total, _per_pair, g_blocks = kd_loss(
+            a_blocks, teacher_forward(teacher, tokens[positions])[0], params,
+            grads)
+        return total, g_blocks
+
+    items = [(sentence, i) for i, (sentence, _label) in enumerate(dataset)]
     report = KdReport()
     for epoch in range(epochs + 1):
         if epoch:
@@ -82,7 +87,8 @@ def uncached_distillation(stack, teacher, dataset, epochs, projections,
                 training_step(stack, items[start:start + batch_size],
                               optimizer, loss=loss,
                               extra_params=projections)
-        total, pairs = evaluate_kd_loss(stack, items, projections, targets)
+        total, pairs = evaluate_kd_loss(stack, tokens, projections,
+                                        teacher_forward(teacher, tokens)[0])
         report.epochs.append((epoch, pairs, total))
     return report
 
@@ -712,20 +718,21 @@ def taped_logits(a_final, leaves):
     return taped_linear(cls, leaves["cls.w"], leaves["cls.b"])
 
 
-def taped_ce_loss(tokens, labels, a_blocks, leaves):
+def taped_ce_loss(labels, a_blocks, leaves):
     return taped_cross_entropy(taped_logits(a_blocks[-1], leaves), labels)
 
 
-def taped_kd_loss_builder(targets):
+def taped_kd_loss_builder(hiddens):
     """`distill.kd_loss_builder` on the tape; the projections are the
-    `kd.proj{i}` leaves, and the labels the positions `targets` reads."""
+    `kd.proj{i}` leaves, and the labels the item positions whose rows of
+    the teacher's `hiddens` it reads."""
 
-    def loss(tokens, positions, a_blocks, leaves):
-        hiddens, total = targets(tokens, positions), None
-        layer_map = default_layer_map(len(a_blocks), len(hiddens))
+    def loss(positions, a_blocks, leaves):
+        targets, total = [h[positions] for h in hiddens], None
+        layer_map = default_layer_map(len(a_blocks), len(targets))
         for i, t_idx in enumerate(layer_map):
             term = taped_mse(as_tensor(a_blocks[i]) @ leaves[f"kd.proj{i}"],
-                             hiddens[t_idx])
+                             targets[t_idx])
             total = term if total is None else add(total, term)
         return total
 
@@ -736,14 +743,14 @@ def taped_example_gradients(model, tokens, labels, loss, extra_params):
     """One taped forward and one backward: `example_gradients` as the tape
     computed it, returning the loss and each reached leaf's gradient.
     `model` is an `EncoderStack` or a `TeacherModel`, and `loss` a taped
-    one: (tokens, labels, a_blocks, leaves) -> loss Tensor, reading its
+    one: (labels, a_blocks, leaves) -> loss Tensor, reading its
     parameters from `leaves`, the model's and the `extra_params`'."""
     leaves = param_tensors(model)
     sweep = taped_sweep if hasattr(model, "pinned") else taped_teacher_sweep
     a_blocks = sweep(model, tokens, leaves)
     leaves.update({name: Tensor(arr, requires_grad=True)
                    for name, arr in extra_params.items()})
-    value = loss(tokens, labels, a_blocks, leaves)
+    value = loss(labels, a_blocks, leaves)
     backward([value], [1.0])
     return float(value.data), {name: leaf.grad for name, leaf in leaves.items()
                                if leaf.grad is not None}

@@ -93,7 +93,7 @@ def test_loaded_student_is_frozen(tmp_path):
 def test_fp_student_has_no_code_section(tmp_path):
     stack = make_stack(mode=QuantMode.FULL_PRECISION)
     path = tmp_path / "ckpt.json"
-    save_student(stack, "init", path)
+    save_student(stack, "kd", path)
     assert set(json.loads(path.read_text())) == ENVELOPE
     loaded, _ = load_student(path)
     assert loaded.cfg.quant_mode is QuantMode.FULL_PRECISION
@@ -125,9 +125,11 @@ def test_loaded_student_is_pinned_on_its_saved_latent_weights(tmp_path, mode,
     assert got.tobytes() == want.tobytes()
 
 
-def test_save_student_rejects_bad_stage(tmp_path):
+@pytest.mark.parametrize("stage", ["bogus", "init"])
+def test_save_student_rejects_bad_stage(tmp_path, stage):
+    # no command writes an `init` checkpoint, so it is no stage
     with pytest.raises(CheckpointError):
-        save_student(make_stack(), "bogus", tmp_path / "x.json")
+        save_student(make_stack(), stage, tmp_path / "x.json")
 
 
 def test_checkpoint_files_are_deterministic(tmp_path):
@@ -267,7 +269,7 @@ def test_teacher_roundtrip(tmp_path):
 
 def test_load_teacher_rejects_student_file(tmp_path):
     path = tmp_path / "s.json"
-    save_student(make_stack(), "init", path)
+    save_student(make_stack(), "kd", path)
     with pytest.raises(CheckpointError):
         load_teacher(path)
 

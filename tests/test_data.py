@@ -5,11 +5,10 @@ from eqspike import pipeline as pl
 from eqspike.data import (CLS, PAD, SEP, UNK, Corpus, Example, ParseError,
                           SYNTH_KINDS, Tokenizer, batches, encode_corpus,
                           load_tsv, synth_task)
-from eqspike.distill import (evaluate_kd_loss, init_projections,
-                             run_distillation)
+from eqspike.distill import init_projections, run_distillation
 from eqspike.implicit_grad import training_step
 from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
-                           TeacherModel, teacher_forward)
+                           TeacherModel)
 from eqspike.numerics import AdamState, ShapeError
 from eqspike.quantizer import QuantMode
 
@@ -147,7 +146,7 @@ MIXED = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7, 8, 9]), 1),
 
 @pytest.mark.parametrize("consumer", [
     "training_step", "student_accuracy", "run_distillation",
-    "evaluate_kd_loss", "energy_compare"])
+    "energy_compare"])
 def test_mixed_lengths_raise_shape_error_naming_them(consumer):
     shape = dict(vocab_size=11, hidden_dim=8, intermediate_dim=12,
                  num_heads=2, num_layers=2, max_len=6, num_labels=2)
@@ -164,9 +163,6 @@ def test_mixed_lengths_raise_shape_error_naming_them(consumer):
         "student_accuracy": lambda: pl.student_accuracy(stack, MIXED),
         "run_distillation": lambda: run_distillation(
             stack, teacher, MIXED, 1, projections, adam),
-        "evaluate_kd_loss": lambda: evaluate_kd_loss(
-            stack, MIXED, projections,
-            lambda tokens, positions: teacher_forward(teacher, tokens)[0]),
         "energy_compare": lambda: pl.energy_compare(None, stack, fp, MIXED,
                                                     T=5)}
     params = stack.params.flat.copy()

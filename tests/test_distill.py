@@ -5,7 +5,8 @@ from eqspike import distill
 from eqspike.data import batches, stack_items
 from eqspike.distill import (KdReport, _init_projection, default_layer_map,
                              evaluate_kd_loss, init_projections, kd_loss,
-                             run_distillation, teacher_targets)
+                             kd_loss_builder, run_distillation)
+from eqspike.equilibrium import solve_fixed_point
 from eqspike.model import (EncoderStack, StackConfig, TeacherConfig,
                            TeacherModel, teacher_forward)
 from eqspike.numerics import AdamState
@@ -179,11 +180,12 @@ def test_run_distillation_zero_epochs_untouched():
 def test_evaluate_kd_loss_averages_over_dataset():
     stack, teacher = _tiny_pair(seed=6)
     projections = init_projections(8, 8, 2, np.random.default_rng(0))
-    items = [(np.array([2, 4, 5]), 0), (np.array([2, 6, 7]), 1)]  # positions
-    targets = teacher_targets(teacher, items)
-    total, pairs = evaluate_kd_loss(stack, items, projections, targets)
-    singles = [evaluate_kd_loss(stack, [item], projections, targets)[0]
-               for item in items]
+    tokens = np.array([[2, 4, 5], [2, 6, 7]])
+    hiddens = teacher_forward(teacher, tokens)[0]
+    total, pairs = evaluate_kd_loss(stack, tokens, projections, hiddens)
+    singles = [evaluate_kd_loss(stack, tokens[i:i + 1], projections,
+                                [h[i:i + 1] for h in hiddens])[0]
+               for i in range(len(tokens))]
     assert total == pytest.approx(np.mean(singles))
     assert len(pairs) == 2
 
@@ -221,25 +223,32 @@ def test_run_distillation_one_teacher_pass_per_run(monkeypatch, epochs):
 
 
 def test_batch_targets_by_position_bitwise_their_own_pass(monkeypatch):
-    _, teacher = _tiny_pair(seed=11)
+    # the KD loss reads a batch's rows of the set's one teacher pass by
+    # item position, at any positions: bitwise `kd_loss` against the
+    # batch's own pass, in loss, block gradients and projection gradients
+    stack, teacher = _tiny_pair(seed=11)
     data = _items(6, 3, seed=1) + _items(5, 3, seed=2) + _items(6, 3, seed=3)
     items = [(tokens, i) for i, (tokens, _label) in enumerate(data)]
-    targets = teacher_targets(teacher, items)
+    loss = kd_loss_builder(teacher_forward(teacher, stack_items(data)[0])[0])
+    projections = init_projections(8, 8, 2, np.random.default_rng(0))
     calls = _counting_teacher(monkeypatch)
     stacked = [stack_items(batch) for batch in batches(items, 4)]
     assert [len(positions) for _, positions in stacked] == [4, 4, 4, 4, 1]
-    got = [targets(tokens, positions) for tokens, positions in stacked]
-    assert calls == []  # every batch was served from the up-front pass
-    for (tokens, _), hiddens in zip(stacked, got):
-        want = teacher_forward(teacher, tokens)[0]
-        assert len(hiddens) == len(want)
-        for g, w in zip(hiddens, want):
-            assert g.base is not None and not g.flags.writeable
+    stacked.append(stack_items([items[5], items[0], items[3]]))  # gap, order
+    for tokens, positions in stacked:
+        a_blocks = solve_fixed_point(stack, tokens).asr_star
+        grads, want_grads = projections.zeros(), projections.zeros()
+        total, g_blocks = loss(positions, a_blocks, projections, grads)
+        assert calls == []  # every batch was served from the up-front pass
+        want_total, _, want_blocks = kd_loss(
+            a_blocks, teacher_forward(teacher, tokens)[0], projections,
+            want_grads)
+        assert total == want_total
+        assert len(g_blocks) == len(want_blocks)
+        for g, w in zip(g_blocks, want_blocks):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
-    for batch in ([items[0], items[2]], [items[1], items[0]]):  # gap, order
-        tokens, positions = stack_items(batch)
-        with pytest.raises(ValueError):
-            targets(tokens, positions)
+        for name, w in want_grads.items():
+            assert grads[name].tobytes() == w.tobytes(), name
 
 
 def _run_pair(seed, teacher, data, runner, epochs=2):

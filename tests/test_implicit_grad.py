@@ -50,7 +50,7 @@ def oracle_gradients(stack, tokens, label, taped_builder, extra_params):
             "cls.b": tp.Tensor(stack.cls_b, requires_grad=True),
             **{k: tp.Tensor(v, requires_grad=True)
                for k, v in extra_params.items()}}
-    loss = taped_builder(tokens, label, a_leaves, head)
+    loss = taped_builder(label, a_leaves, head)
     tp.backward([loss], [1.0])
     g = [np.zeros_like(a.data) if a.grad is None else a.grad.copy()
          for a in a_leaves]
@@ -76,9 +76,10 @@ def oracle_gradients(stack, tokens, label, taped_builder, extra_params):
     return grads, float(loss.data)
 
 
-def kd_builders(stack):
-    """The KD loss builder of a small teacher, its taped reference and the
-    projections."""
+def kd_builders(stack, tokens):
+    """The KD loss builder on a small teacher's hiddens of the stacked
+    sentences `tokens` (B, seq), its taped reference and the projections;
+    the KD labels are item positions, rows of `tokens`."""
     teacher = TeacherModel(TeacherConfig(vocab_size=11, hidden_dim=6,
                                          intermediate_dim=8, num_heads=2,
                                          num_layers=2, max_len=6),
@@ -86,16 +87,13 @@ def kd_builders(stack):
     projections = init_projections(stack.cfg.hidden_dim, teacher.cfg.hidden_dim,
                                    stack.cfg.num_layers,
                                    np.random.default_rng(10))
-
-    def targets(tokens, positions):  # the labels are not item positions here
-        return teacher_forward(teacher, tokens)[0]
-
-    return (kd_loss_builder(projections, targets),
-            taped_kd_loss_builder(targets), projections)
+    hiddens = teacher_forward(teacher, tokens)[0]
+    return (kd_loss_builder(hiddens), taped_kd_loss_builder(hiddens),
+            projections)
 
 
-def kd_builder(stack):
-    builder, _taped, projections = kd_builders(stack)
+def kd_builder(stack, tokens):
+    builder, _taped, projections = kd_builders(stack, tokens)
     return builder, projections
 
 
@@ -103,9 +101,10 @@ def kd_builder(stack):
 @pytest.mark.parametrize("kind", ["ce", "kd"])
 def test_example_gradients_match_dense_adjoint_oracle(mode, kind):
     stack = small_stack(seed=2, mode=mode)
+    tokens = np.array([2, 4, 5])
     builder, taped, extra = (ce_loss, taped_ce_loss, {}) if kind == "ce" \
-        else kd_builders(stack)
-    tokens, label = np.array([2, 4, 5]), 1
+        else kd_builders(stack, tokens[None])
+    label = 1 if kind == "ce" else 0  # KD: the sentence's position
     value, grads = example_gradient_dict(stack, tokens, label, builder, extra)
     want, loss = oracle_gradients(stack, tokens, label, taped, extra)
     assert value == loss
@@ -133,14 +132,15 @@ def test_closed_form_gradients_equal_taped_oracle_bitwise(mode, case):
     kw = dict(CLOSED_FORM_CASES[case])
     kind = kw.pop("kind")
     stack = small_stack(seed=14, mode=mode, **kw)
-    if kind == "ce":
-        builder, taped, extra = ce_loss, taped_ce_loss, {}
-    else:
-        builder, taped, extra = kd_builders(stack)
     rng = np.random.default_rng(15)
     for tokens, labels in ((rng.integers(0, 11, size=(5, 6)),
                             rng.integers(0, stack.cfg.num_labels, size=5)),
                            (np.array([2, 4, 5]), 1)):
+        if kind == "ce":
+            builder, taped, extra = ce_loss, taped_ce_loss, {}
+        else:  # relabelled by position among the sentences
+            builder, taped, extra = kd_builders(stack, np.atleast_2d(tokens))
+            labels = np.arange(len(tokens)) if tokens.ndim == 2 else 0
         got_loss, got = example_gradient_dict(stack, tokens, labels, builder,
                                               extra)
         want_loss, want = taped_example_gradients(stack, tokens, labels, taped,
@@ -213,7 +213,7 @@ def test_training_step_supports_extra_params():
     stack = small_stack(seed=6)
     proj = FlatParams({"proj": np.zeros((2, 2))})
 
-    def loss(tokens, labels, a_blocks, params, grads):
+    def loss(labels, a_blocks, params, grads):
         # cross-entropy of the classifier's logits times a trained matrix
         final = a_blocks[-1]
         logits = linear(final[..., 0, :], params["cls.w"], params["cls.b"])
@@ -261,12 +261,15 @@ def test_training_step_equals_per_tensor_oracle_bitwise(kind):
     # tensor, and the flat gradient sum those of the per-name sums
     got, want = (small_stack(seed=13, mode=QuantMode.TERNARY_158BIT)
                  for _ in range(2))
-    (builder, extra), (oracle_builder, oracle_extra) = \
-        ((ce_loss, {}), (ce_loss, {})) if kind == "ce" else \
-        (kd_builder(got), kd_builder(want))
-    head = got.params["cls.w"].copy()
     batch = [(np.array([2, 4, 5, 1]), 0), (np.array([2, 6, 7, 8]), 1),
              (np.array([3, 9, 1, 5]), 1), (np.array([4, 4, 6, 2]), 0)]
+    if kind == "kd":  # the KD labels are item positions
+        batch = [(sentence, i) for i, (sentence, _label) in enumerate(batch)]
+    tokens = np.stack([sentence for sentence, _label in batch])
+    (builder, extra), (oracle_builder, oracle_extra) = \
+        ((ce_loss, {}), (ce_loss, {})) if kind == "ce" else \
+        (kd_builder(got, tokens), kd_builder(want, tokens))
+    head = got.params["cls.w"].copy()
     adam, oracle = AdamState(lr=1e-2), TensorAdam(lr=1e-2)
     for _ in range(3):
         step_loss, buffers = training_step(got, batch, adam, builder, extra)
@@ -299,9 +302,12 @@ def test_quantized_gradients_flow_to_latent_weights():
 @pytest.mark.parametrize("kind", ["ce", "kd"])
 def test_batch_gradients_equal_sum_of_example_gradients(mode, kind):
     stack = small_stack(seed=4, mode=mode)
-    builder, extra = (ce_loss, {}) if kind == "ce" else kd_builder(stack)
     rng = np.random.default_rng(11)
     tokens, labels = rng.integers(0, 11, size=(8, 5)), rng.integers(0, 2, size=8)
+    if kind == "ce":
+        builder, extra = ce_loss, {}
+    else:  # the KD labels are item positions
+        (builder, extra), labels = kd_builder(stack, tokens), np.arange(8)
     loss, grads = example_gradient_dict(stack, tokens, labels, builder, extra)
     rows = [example_gradient_dict(stack, t, int(lab), builder, extra)
             for t, lab in zip(tokens, labels)]

@@ -1,6 +1,7 @@
 """Every public name of the package has a caller outside the tests, every
-field of a public dataclass a reader, every default config value one, and
-every defaulted parameter of a public function a caller that passes it.
+field of a public dataclass a reader, every default config value one,
+every defaulted parameter of a public function a caller that passes it,
+and every parameter of every function a read in its body.
 
 A function, class, method or field that only tests reach does not belong
 in the package.  Callers are the package's own modules and the
@@ -256,3 +257,44 @@ def test_every_defaulted_parameter_is_passed_by_a_src_caller():
             unpassed.append(qualname)
     assert sorted(set(unpassed) - DEFAULT_EXEMPT) == []
     assert DEFAULT_EXEMPT <= set(unpassed)
+
+
+# parameters that only the benchmark still passes (ROADMAP S2)
+UNREAD_EXEMPT = {"equilibrium.solve_fixed_point.cfg",
+                 "pipeline.solver_config.cfg",
+                 "pipeline.student_accuracy.scfg", "pipeline.simulate.cfg",
+                 "pipeline.energy_compare.cfg"}
+
+
+def _unread_parameters(node, prefix):
+    """`prefix` + function.parameter for each parameter of each function,
+    method, nested closure or lambda under `node` that its body never
+    reads; a read in a closure nested in it counts."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+            name = getattr(child, "name", "lambda")
+            a = child.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p]
+            body = child.body if isinstance(child.body, list) else [child.body]
+            reads = {n.id for stmt in body for n in ast.walk(stmt)
+                     if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Load)}
+            yield from (f"{prefix}{name}.{p.arg}" for p in params
+                        if p.arg not in reads)
+            yield from _unread_parameters(child, f"{prefix}{name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _unread_parameters(child, f"{prefix}{child.name}.")
+        else:
+            yield from _unread_parameters(child, prefix)
+
+
+def test_every_parameter_is_read_in_its_function():
+    # a parameter no body reads is an argument every caller passes for
+    # nothing; a name starting with `_` says so on purpose
+    unread = {name for path in sorted(SRC.glob("*.py"))
+              for name in _unread_parameters(
+                  ast.parse(path.read_text(encoding="utf-8")), f"{path.stem}.")
+              if not name.rpartition(".")[2].startswith("_")}
+    assert sorted(unread - UNREAD_EXEMPT) == []
+    assert UNREAD_EXEMPT <= unread
