@@ -5,7 +5,8 @@ normalized operation count weights each downstream layer's dense synaptic
 op count by the firing rate of the layer that drives it, relative to the
 total synaptic op count.  Energy applies a 45nm per-accumulate cost:
 integer accumulates for quantized weights, floating point for full
-precision.  `account` runs one model's spike path and prices it.
+precision.  `account` runs several models' spike paths in one simulation
+and prices each.
 """
 
 from __future__ import annotations
@@ -118,17 +119,27 @@ def expected_accumulates(spike_counts: dict, stack) -> dict:
     return out
 
 
-def account(stack, tokens: np.ndarray, T: int) -> dict:
-    """One model's energy account of a T-step run on `tokens` (B, seq):
-    {"report": its `energy_estimate` over T * B timesteps at the simulated
-    length seq, "kernel_ops": the accumulates the kernel counted,
-    "expected_ops": those `expected_accumulates` derives from the spikes}.
+def account(stacks: list, tokens: np.ndarray, T: int) -> list:
+    """Each stack's energy account of a T-step run on `tokens` (B, seq), in
+    order: {"report": its `energy_estimate` over T * B timesteps at the
+    simulated length seq, "kernel_ops": the accumulates the kernel
+    counted, "expected_ops": those `expected_accumulates` derives from the
+    spikes}.
+
+    The stacks share an architecture, and one `temporal_simulate` call
+    runs them all, each with its own `OpCounter`; each account is bitwise
+    that of the stack's own run.
     """
-    counter = OpCounter()
-    _, _, counts = stack.temporal_simulate(tokens, T, counter=counter)
-    counts = {k: v.sum(axis=0) for k, v in counts.items()}
-    report = energy_estimate(
-        counts, T * len(tokens), op_table(stack, tokens.shape[-1]),
-        quantized=stack.cfg.quant_mode is not QuantMode.FULL_PRECISION)
-    return {"report": report, "kernel_ops": dict(counter.per_layer),
-            "expected_ops": expected_accumulates(counts, stack)}
+    counters = [OpCounter() for _ in stacks]
+    runs = stacks[0].temporal_simulate(
+        tokens, T, counter=counters[0],
+        peers=list(zip(stacks[1:], counters[1:])))
+    out = []
+    for stack, counter, (_, _, counts) in zip(stacks, counters, runs):
+        counts = {k: v.sum(axis=0) for k, v in counts.items()}
+        report = energy_estimate(
+            counts, T * len(tokens), op_table(stack, tokens.shape[-1]),
+            quantized=stack.cfg.quant_mode is not QuantMode.FULL_PRECISION)
+        out.append({"report": report, "kernel_ops": dict(counter.per_layer),
+                    "expected_ops": expected_accumulates(counts, stack)})
+    return out

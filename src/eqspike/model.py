@@ -88,6 +88,20 @@ class StackConfig(TeacherConfig):
         super().__post_init__()
 
 
+# the shape fields two stacks share to run side by side or be compared:
+# all of TeacherConfig's, which StackConfig extends, but the vocabulary
+# size.  The op table reads the simulated length, not `max_len`, which
+# stays as the position table's.
+ARCHITECTURE_FIELDS = tuple(f.name for f in dataclasses.fields(TeacherConfig)
+                            if f.name != "vocab_size")
+
+
+def architecture_differences(cfg, other) -> list:
+    """The `ARCHITECTURE_FIELDS` on which configs `cfg` and `other` differ."""
+    return [f for f in ARCHITECTURE_FIELDS
+            if getattr(cfg, f) != getattr(other, f)]
+
+
 def _token_ids(tokens, cfg) -> np.ndarray:
     """`tokens` as int64 ids.  Raises ShapeError unless they are (seq,) or
     (B, seq) with seq <= `cfg.max_len`, ValueError on an id outside
@@ -323,14 +337,29 @@ LN_GAIN_INIT = 0.2
 LN_BIAS_INIT = 0.5
 
 # The bytes a window of `EncoderStack.temporal_simulate` may give its
-# widest array, at the default shapes the float64 q/k/v currents (B x seq
-# x 3d per step): a window holds as many steps as fit, and at least one.
-# For one 12-token d=32 sentence that is 80 steps, three windows for
-# T=200; a 64-sentence batch runs one step at a time.  A longer window
-# pays the per-call overhead less often but holds more of its steps in
-# memory at once.  The budget stays under the heap's mmap threshold
+# widest array, at the default shapes the float64 q/k/v currents (M x B x
+# seq x 3d per step, M the stacks run side by side): a window holds as
+# many steps as fit, and at least one.  For one 12-token d=32 sentence
+# that is 80 steps of one stack, three windows for T=200, or 40 steps of
+# two; a 64-sentence batch runs one step at a time.  The budget is shared
+# by the stacks side by side: a budget per stack would double the largest
+# window array, and peak memory with it.  A longer window pays the
+# per-call overhead less often but holds more of its steps in memory at
+# once.  The budget stays under the heap's mmap threshold
 # (`eqspike.MMAP_THRESHOLD`), so a window's arrays reuse freed heap pages.
 WINDOW_BYTES = 720 << 10
+
+# The fewest steps a window shared by several stacks must hold for them to
+# run side by side.  Side by side, one `lif_step` loop iteration advances
+# every stack, but the shared budget halves each stack's window, so each
+# stack makes twice the `quantized_forward` calls.  Measured on two
+# default-shape students at T=200 (thread time of `energy_compare`, one
+# BLAS thread, side by side against one after another): -14% at 40 steps
+# (one sentence), -8% at 20, -2% at 13 and even at 10; +0.3 to +1.3% at
+# 4 to 6 steps, +7% at 3, +14% at 1 and 2 (16 and 32 sentences) and +4%
+# at 64 sentences.  Below 10 steps side by side gains nothing, so the
+# stacks run one after another.
+SIDE_BY_SIDE_STEPS = 10
 
 
 class EncoderStack:
@@ -417,7 +446,8 @@ class EncoderStack:
 
     # -- temporal (spiking) path ---------------------------------------
     def temporal_simulate(self, tokens, T: int, counter: OpCounter | None = None,
-                          trace: list | None = None):
+                          trace: list | None = None,
+                          peers: list | None = None):
         """Full spiking simulation for T steps, a window of steps at a time.
 
         `tokens` is (seq,) or (B, seq): a batch runs in one pass, each row
@@ -426,136 +456,218 @@ class EncoderStack:
         (..., seq, width).  `trace`, when given, collects (step, layer,
         mean_asr) rows.
 
+        `peers`, when given, are (stack, counter) pairs to simulate on the
+        same tokens: stacks of this one's `ARCHITECTURE_FIELDS`, else a
+        ShapeError before any step runs.  The result is then a list of the
+        triples, this stack's first, each bitwise that stack's own run,
+        and each counter is filled as by that run.  A trace follows one
+        stack, so `trace` with peers is a ValueError.  The stacks run side
+        by side, M of them in one pass, when a window shared by them holds
+        at least SIDE_BY_SIDE_STEPS steps, and one after another otherwise.
+
         The steps run in windows of as many steps as keep the widest window
-        array (B * seq rows of max(3d, intermediate, heads * seq) float64
-        values per step) within WINDOW_BYTES, and at least one.  Within a
-        window the sublayers go in block order, each over all the window's
-        steps in one call, and each window-sized array is dropped once its
-        consumer has run; a layer's per-step ASRs overwrite its currents.
-        A block's q, k and v
-        linears read the same spikes and drive independent neurons, so they
-        run as one layer: one `quantized_forward` on their `stack_pinned`
-        linear and one `lif_step` on their neurons side by side.  So a
-        window makes 4 `quantized_forward` calls per block (`counter` still
-        gets one `add` per linear, summed over the batch) and 1 + 5 * L
-        `lif_step` calls, and runs attention, layer norm and the telescoped
-        currents on whole windows.  Within a step every dependency runs
-        from one sublayer to the next, and across steps only through each
-        layer's own state, so this is bitwise the step-by-step simulation.
+        array (M * B * seq rows of max(3d, intermediate, heads * seq)
+        float64 values per step) within WINDOW_BYTES, and at least one.
+        Within a window the sublayers go in block order, each over all the
+        window's steps in one call, and each window-sized array is dropped
+        once its consumer has run; a layer's per-step ASRs overwrite its
+        currents.  Side by side, every window array has a model axis after
+        its step axis, (C, M, ...): `lif_step`, `telescoped`,
+        `running_means`, attention and layer norm (on gains and biases
+        stacked to (M, 1, ..., d)) each run once for all the stacks, and
+        a linear runs one `quantized_forward` per stack, on its slice and
+        with its counter (a full-precision sum depends on the matmul's
+        shape).  A block's q, k and v linears read the same spikes and
+        drive independent neurons, so they run as one layer: one
+        `quantized_forward` on their `stack_pinned` linear and one
+        `lif_step` on their neurons side by side.  So a window makes
+        4 * M `quantized_forward` calls per block (a counter still gets one
+        `add` per linear, summed over the batch) and 1 + 5 * L `lif_step`
+        calls, and runs attention, layer norm and the telescoped currents
+        on whole windows.  Within a step every dependency runs from one
+        sublayer to the next, and across steps only through each layer's
+        own state, so this is bitwise the step-by-step simulation.
         Linears are `pinned` once (an unfrozen stack quantizes each linear
-        once, not once per step), and finiteness is checked once, on
-        every membrane potential at the end (a non-finite current leaves it
+        once, not once per step), and finiteness is checked once, on every
+        membrane potential at the end (a non-finite current leaves it
         non-finite for good), raising NumericError.
         """
         if T < 1:
             raise ValueError("T must be >= 1")
-        cfg, p = self.cfg, self.params
-        drive = self.encoding(tokens)
-        layers = {"input": LifLayerState.zeros(drive.shape)}
-        parts = {"input": ("input",)}  # per neuron layer, the layers it reports
-        d, inter = cfg.hidden_dim, cfg.intermediate_dim
-        pins = self.pinned()
-        # per block: its layer-name prefix, its stacked q/k/v linear and
-        # bias, the residual sums and each telescoped surrogate's last value
-        runs = []
-        for i in range(cfg.num_layers):
-            pre = f"blk{i}."
-            for nm, width in (("qkv", 3 * d), ("attn", d), ("h1", d),
-                              ("out", d), ("int", inter)):
-                layers[pre + nm] = LifLayerState.zeros(
-                    drive.shape[:-1] + (width,))
-                parts[pre + nm] = (pre + nm,)
-            qkv = parts[pre + "qkv"] = (pre + "q", pre + "k", pre + "v")
-            runs.append((pre, stack_pinned([pins[k] for k in qkv]),
-                         np.concatenate([p[k + ".b"] for k in qkv]),
-                         np.zeros(drive.shape), np.zeros(drive.shape),
-                         {nm: np.zeros(drive.shape)
-                          for nm in ("attn", "h1", "out")}))
-        tracing = trace is not None
-        # the widest float64 window array per step and neuron row: the q/k/v
-        # currents, the intermediate layer's, or the attention scores
-        widest = max(3 * d, inter, cfg.num_heads * drive.shape[-2])
-        step = max(1, WINDOW_BYTES // (8 * widest * (drive.size // d)))
+        runs = [(self, counter), *(peers or ())]
+        for peer, _ in runs[1:]:
+            differ = architecture_differences(self.cfg, peer.cfg)
+            if differ:
+                raise ShapeError("side-by-side stacks need matching "
+                                 f"architectures; {', '.join(differ)} differ")
+        if trace is not None and len(runs) > 1:
+            raise ValueError("a trace follows one stack; run peers untraced")
+        drives = [stack.encoding(tokens) for stack, _ in runs]
+        if _window_steps(self.cfg, (len(runs),) + drives[0].shape) \
+                >= SIDE_BY_SIDE_STEPS:
+            results = _simulate(runs, drives, T, trace)
+        else:
+            results = [r for run, drive in zip(runs, drives)
+                       for r in _simulate([run], [drive], T, trace)]
+        return results if peers is not None else results[0]
 
-        def split(name, x):
-            """{reported layer: its part of x (..., width)} for layer `name`."""
-            return {part: np.ascontiguousarray(a) for part, a in zip(
-                parts[name], split_last(x, len(parts[name])))}
 
-        # `fire` and `block` read the current window's `steps` and `means`,
-        # which the window loop below binds
-        def fire(name, currents, per_step_asr=False):
-            """Advance layer `name` over the window; its (spikes, ASRs).
+def _window_steps(cfg, shape: tuple) -> int:
+    """The steps a window holds within WINDOW_BYTES, possibly 0, for neuron
+    layers of `shape` (..., seq, d): the widest window array per step and
+    neuron row is the float64 q/k/v currents, the intermediate layer's or
+    the attention scores."""
+    widest = max(3 * cfg.hidden_dim, cfg.intermediate_dim,
+                 cfg.num_heads * shape[-2])
+    return WINDOW_BYTES // (8 * widest * math.prod(shape[:-1]))
 
-            The ASRs overwrite the currents, unless those are the input's
-            read-only drive.
-            """
-            spikes, asrs = lif_step(
-                layers[name], currents,
-                steps if per_step_asr or tracing else None,
-                currents if currents.flags.writeable else None)
-            if tracing:
-                for part, a in split(name, asrs).items():
-                    means[part] = a.reshape(len(a), -1).mean(axis=1)
-            return spikes, asrs
 
-        def block(pre, qkv, qkv_bias, r1_sum, r2_sum, phi_last, s_in):
-            """Advance a block over the window; its output spikes.
+def _simulate(runs: list, drives: list, T: int, trace: list | None) -> list:
+    """`temporal_simulate` of the (stack, counter) pairs `runs`, side by side
+    on their input neurons' `drives`: one (logits, ASRs, counts) per stack.
 
-            Each window-sized intermediate is passed straight on, so that
-            few of them are alive at once.
-            """
-            def linear(nm, x):  # the currents of linear nm under spikes x
-                return quantized_forward(pins[pre + nm], x, p[pre + nm + ".b"],
-                                         counter, pre + nm)
+    One stack runs without a model axis, as `temporal_simulate` describes.
+    """
+    cfg = runs[0][0].cfg
+    d, inter = cfg.hidden_dim, cfg.intermediate_dim
+    lead = (len(runs),) if len(runs) > 1 else ()  # the model axis
+    drive = np.stack(drives).reshape(lead + drives[0].shape)
+    models = [(stack.pinned(), stack.params, counter)
+              for stack, counter in runs]
+    layers = {"input": LifLayerState.zeros(drive.shape)}
+    parts = {"input": ("input",)}  # per neuron layer, the layers it reports
 
-            def surrogate(nm, phi):  # the spikes of the neurons behind phi
-                return fire(pre + nm, telescoped(phi, steps, phi_last[nm]))[0]
+    def each(x):
+        """Each model's part of a window array (C, *lead, ...)."""
+        return [x[:, m] for m in range(len(runs))] if lead else [x]
 
-            def norm(ln, r):  # layer norm ln of the residual average r
-                return layer_norm(r, p[pre + ln + "_g"], p[pre + ln + "_b"])[0]
+    def joined(xs):
+        """The models' window arrays `xs` (C, ...) as one (C, *lead, ...).
 
-            def residual(nm, x, skip, total):  # running mean of nm(x) + skip
-                r = linear(nm, x)
-                r += skip
-                return running_means(r, total, steps)
+        The kernels write each model's array whole and the join copies it:
+        arithmetic in place on a strided slice of the joint array costs
+        about twice as much.
+        """
+        return np.stack(xs, axis=1) if lead else xs[0]
 
-            _, aqkv = fire(pre + "qkv", quantized_forward(
-                qkv, s_in, qkv_bias, counter, parts[pre + "qkv"]), True)
-            mixed = spiking_attention(*split_last(aqkv, 3), cfg.num_heads,
-                                      save=False)[0]
-            del aqkv  # freed before the attention neurons' currents
-            sa = surrogate("attn", mixed)
-            sh = surrogate("h1", norm("ln1", residual("o", sa, s_in, r1_sum)))
-            si, _ = fire(pre + "int", linear("ff1", sh))
-            return surrogate("out", norm("ln2", residual("ff2", si, sh,
-                                                         r2_sum)))
+    def stacked(name):
+        """Every model's parameter `name` (width,), shaped to broadcast
+        over the neurons of a window array (C, *lead, ..., width)."""
+        if not lead:
+            return models[0][1][name]
+        return np.stack([p[name] for _, p, _ in models]).reshape(
+            lead + (1,) * (drives[0].ndim - 1) + (-1,))
 
-        reported = [part for names in parts.values() for part in names]
-        for t0 in range(0, T, step):
-            steps = np.arange(t0 + 1, min(t0 + step, T) + 1, dtype=np.float64)
-            means = dict.fromkeys(reported)
-            s_in, _ = fire("input", np.broadcast_to(drive, steps.shape
-                                                    + drive.shape))
-            for run in runs:
-                s_in = block(*run, s_in)
-            if tracing:
-                trace.extend((t0 + 1 + k, name, float(m[k]))
-                             for k in range(len(steps))
-                             for name, m in means.items())
+    # per block: its layer-name prefix, each linear's counter name and
+    # (pinned, bias, counter) per model (q/k/v stacked as "qkv"), each layer
+    # norm's gain and bias, the residual sums and each telescoped
+    # surrogate's last value
+    blocks = []
+    for i in range(cfg.num_layers):
+        pre = f"blk{i}."
+        for nm, width in (("qkv", 3 * d), ("attn", d), ("h1", d),
+                          ("out", d), ("int", inter)):
+            layers[pre + nm] = LifLayerState.zeros(
+                drive.shape[:-1] + (width,))
+            parts[pre + nm] = (pre + nm,)
+        qkv = parts[pre + "qkv"] = (pre + "q", pre + "k", pre + "v")
+        linears = {nm: (pre + nm, [(pins[pre + nm], p[pre + nm + ".b"],
+                                    counter) for pins, p, counter in models])
+                   for nm in ("o", "ff1", "ff2")}
+        linears["qkv"] = (qkv, [(stack_pinned([pins[k] for k in qkv]),
+                                 np.concatenate([p[k + ".b"] for k in qkv]),
+                                 counter) for pins, p, counter in models])
+        norms = {ln: (stacked(pre + ln + "_g"), stacked(pre + ln + "_b"))
+                 for ln in ("ln1", "ln2")}
+        blocks.append((pre, linears, norms,
+                       np.zeros(drive.shape), np.zeros(drive.shape),
+                       {nm: np.zeros(drive.shape)
+                        for nm in ("attn", "h1", "out")}))
+    tracing = trace is not None
+    step = max(1, _window_steps(cfg, drive.shape))
 
-        # each layer's state is dropped once checked and split, so that not
-        # every state, ASR and count is alive at once; a part of the counts
-        # over T is bitwise that part of count / T
-        asrs, spike_counts = {}, {}
-        for name in list(layers):
-            st = layers.pop(name)
-            check_finite(st.u, f"membrane potential of {name}")
-            counts = split(name, st.count)
+    def split(name, x):
+        """{reported layer: its part of x (..., width)} for layer `name`."""
+        return {part: np.ascontiguousarray(a) for part, a in zip(
+            parts[name], split_last(x, len(parts[name])))}
+
+    # `fire` and `block` read the current window's `steps` and `means`,
+    # which the window loop below binds
+    def fire(name, currents, per_step_asr=False):
+        """Advance layer `name` over the window; its (spikes, ASRs).
+
+        The ASRs overwrite the currents, unless those are the input's
+        read-only drive.
+        """
+        spikes, asrs = lif_step(
+            layers[name], currents,
+            steps if per_step_asr or tracing else None,
+            currents if currents.flags.writeable else None)
+        if tracing:
+            for part, a in split(name, asrs).items():
+                means[part] = a.reshape(len(a), -1).mean(axis=1)
+        return spikes, asrs
+
+    def block(pre, linears, norms, r1_sum, r2_sum, phi_last, s_in):
+        """Advance a block over the window; its output spikes.
+
+        Each window-sized intermediate is passed straight on, so that
+        few of them are alive at once.
+        """
+        def linear(nm, x):  # the currents of linear nm under spikes x
+            name, per_model = linears[nm]
+            return joined([quantized_forward(layer, xm, bias, counter, name)
+                           for (layer, bias, counter), xm
+                           in zip(per_model, each(x))])
+
+        def surrogate(nm, phi):  # the spikes of the neurons behind phi
+            return fire(pre + nm, telescoped(phi, steps, phi_last[nm]))[0]
+
+        def norm(ln, r):  # layer norm ln of the residual average r
+            return layer_norm(r, *norms[ln])[0]
+
+        def residual(nm, x, skip, total):  # running mean of nm(x) + skip
+            r = linear(nm, x)
+            r += skip
+            return running_means(r, total, steps)
+
+        _, aqkv = fire(pre + "qkv", linear("qkv", s_in), True)
+        mixed = spiking_attention(*split_last(aqkv, 3), cfg.num_heads,
+                                  save=False)[0]
+        del aqkv  # freed before the attention neurons' currents
+        sa = surrogate("attn", mixed)
+        sh = surrogate("h1", norm("ln1", residual("o", sa, s_in, r1_sum)))
+        si, _ = fire(pre + "int", linear("ff1", sh))
+        return surrogate("out", norm("ln2", residual("ff2", si, sh, r2_sum)))
+
+    reported = [part for names in parts.values() for part in names]
+    for t0 in range(0, T, step):
+        steps = np.arange(t0 + 1, min(t0 + step, T) + 1, dtype=np.float64)
+        means = dict.fromkeys(reported)
+        s_in, _ = fire("input", np.broadcast_to(drive, steps.shape
+                                                + drive.shape))
+        for blk in blocks:
+            s_in = block(*blk, s_in)
+        if tracing:
+            trace.extend((t0 + 1 + k, name, float(m[k]))
+                         for k in range(len(steps))
+                         for name, m in means.items())
+
+    # each layer's state is dropped once checked and split, so that not
+    # every state, ASR and count is alive at once; a part of the counts
+    # over T is bitwise that part of count / T
+    results = [({}, {}) for _ in runs]
+    for name in list(layers):
+        st = layers.pop(name)
+        check_finite(st.u, f"membrane potential of {name}")
+        for (asrs, spike_counts), count in zip(
+                results, st.count if lead else [st.count]):
+            counts = split(name, count)
             spike_counts.update(counts)
             asrs.update((part, c / T) for part, c in counts.items())
-        final = asrs[f"blk{cfg.num_layers - 1}.out"]
-        return self.logits(final), asrs, spike_counts
+    final = f"blk{cfg.num_layers - 1}.out"
+    return [(stack.logits(asrs[final]), asrs, spike_counts)
+            for (stack, _), (asrs, spike_counts) in zip(runs, results)]
 
 
 def spiking_attention(q, k, v, num_heads: int, save: bool = True):

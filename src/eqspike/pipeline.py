@@ -22,7 +22,7 @@ from .equilibrium import SolverConfig, solve_fixed_point
 from .energy import account
 from .implicit_grad import batch_gradients, training_step
 from .model import (EncoderStack, StackConfig, TeacherConfig, TeacherModel,
-                    teacher_forward)
+                    architecture_differences, teacher_forward)
 from .numerics import AdamState, adam_step_many, check_finite
 
 
@@ -265,33 +265,27 @@ def simulate(cfg, stack, tokens, T):
     return rows, summary
 
 
-# the shape fields two compared models share: all of TeacherConfig's, which
-# StackConfig extends, but the vocabulary size.  The op table reads the
-# simulated length, not `max_len`, which stays as the position table's.
-ARCHITECTURE_FIELDS = tuple(f.name for f in dataclasses.fields(TeacherConfig)
-                            if f.name != "vocab_size")
-
-
 def energy_compare(cfg, stack_quant, stack_fp, eval_items, T):
     """Energy reports for both models on a shared eval set, plus ratios.
 
     The set is stacked into one `(B, seq)` batch (`data.stack_items`,
-    which raises ShapeError on sentences of several lengths), and each
-    model's `energy.account` simulates it in one `temporal_simulate` call
-    and prices it at length seq.  Accumulates cost the 45nm
+    which raises ShapeError on sentences of several lengths), and one
+    `energy.account` call simulates both models on it in one
+    `temporal_simulate` call (side by side, or one after another, as its
+    window rule picks) and prices each at length seq.  Each report is
+    bitwise that of the model's own account.  Accumulates cost the 45nm
     `energy.INT_ACC_PJ` and `FLOAT_ACC_PJ`; `cfg` is not read.  Raises
     ConfigError if the two architectures differ or the set is empty.
     """
-    differ = [f for f in ARCHITECTURE_FIELDS
-              if getattr(stack_quant.cfg, f) != getattr(stack_fp.cfg, f)]
+    differ = architecture_differences(stack_quant.cfg, stack_fp.cfg)
     if differ:
         raise ConfigError("energy comparison needs matching architectures; "
                           f"{', '.join(differ)} differ")
     if not eval_items:
         raise ConfigError("energy comparison needs at least one sentence")
     tokens, _labels = stack_items(eval_items)
-    out = {"quantized": account(stack_quant, tokens, T),
-           "full_precision": account(stack_fp, tokens, T)}
+    out = dict(zip(("quantized", "full_precision"),
+                   account([stack_quant, stack_fp], tokens, T)))
     q, f = out["quantized"]["report"], out["full_precision"]["report"]
     for ratio, key in (("norm_ops_ratio", "norm_ops"),
                        ("energy_ratio", "total_energy_pj")):

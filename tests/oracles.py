@@ -8,9 +8,10 @@ import numpy as np
 
 from eqspike import autodiff as ad
 from eqspike.autodiff import erf as _erf, layer_norm
-from eqspike.data import batches
+from eqspike.data import batches, stack_items
 from eqspike.distill import (KdReport, default_layer_map, evaluate_kd_loss,
                              kd_loss)
+from eqspike.energy import account
 from eqspike.implicit_grad import example_gradients, training_step
 from eqspike.model import _head_axes, _token_ids, spiking_attention, teacher_forward
 from eqspike.numerics import NumericError, ShapeError, check_finite
@@ -359,6 +360,20 @@ def step_major_simulate(stack, tokens, T, counter=None, trace=None,
     asrs = {name: st.asr() for name, st in layers.items()}
     final = asrs[f"blk{cfg.num_layers - 1}.out"]
     return stack.logits(final), asrs, spike_counts
+
+
+def per_model_energy_compare(stack_quant, stack_fp, eval_items, T):
+    """`pipeline.energy_compare` with one single-stack `energy.account` per
+    student: each model simulated on its own, one after the other."""
+    tokens, _labels = stack_items(eval_items)
+    out = {"quantized": account([stack_quant], tokens, T)[0],
+           "full_precision": account([stack_fp], tokens, T)[0]}
+    q, f = out["quantized"]["report"], out["full_precision"]["report"]
+    out["norm_ops_ratio"] = q["norm_ops"] / f["norm_ops"] \
+        if f["norm_ops"] > 0 else None
+    out["energy_ratio"] = q["total_energy_pj"] / f["total_energy_pj"] \
+        if f["total_energy_pj"] > 0 else None
+    return out
 
 
 # -- the reverse-mode tape: the reference for the closed-form backward ----

@@ -9,6 +9,7 @@ from eqspike.energy import (FLOAT_ACC_PJ, INT_ACC_PJ, EnergyConfigError,
                             op_table)
 from eqspike.model import EncoderStack, StackConfig
 from eqspike.quantizer import OpCounter, QuantMode
+from oracles import per_model_energy_compare
 
 T = 2
 
@@ -129,3 +130,22 @@ def test_energy_compare_rejects_an_empty_set():
         pl.energy_compare(pl.default_config(),
                           make_stack(QuantMode.TERNARY_158BIT),
                           make_stack(QuantMode.FULL_PRECISION), [], T=10)
+
+
+def test_energy_compare_runs_one_simulation(monkeypatch):
+    # both students in one `temporal_simulate` call, so the spike path's
+    # time is that one call's
+    stacks = [make_stack(mode) for mode in (QuantMode.TERNARY_158BIT,
+                                            QuantMode.FULL_PRECISION)]
+    items = [(np.array([2, 4, 5]), 0)]
+    want = per_model_energy_compare(*stacks, items, T=20)
+    calls = []
+    simulate = EncoderStack.temporal_simulate
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return simulate(self, *args, **kwargs)
+
+    monkeypatch.setattr(EncoderStack, "temporal_simulate", counted)
+    assert pl.energy_compare(None, *stacks, items, T=20) == want
+    assert calls == [stacks[0]]

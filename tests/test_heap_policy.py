@@ -8,6 +8,7 @@ spike path's windows are sized to stay under the mmap threshold.
 """
 
 import ctypes
+import dataclasses
 import os
 import subprocess
 import sys
@@ -103,4 +104,14 @@ def test_largest_window_array_stays_under_the_mmap_threshold(monkeypatch, d,
     stack.temporal_simulate(tokens, 100 if batch == 1 else 3)
     assert max(largest) <= eqspike.MMAP_THRESHOLD
     if batch == 1:  # a sentence's window fills the budget, and no more
+        assert model.WINDOW_BYTES // 2 < max(largest) <= model.WINDOW_BYTES
+    # a full-precision peer side by side shares the budget: half the steps
+    # for a sentence; 64 of them run one stack after the other
+    largest.clear()
+    peer = EncoderStack(dataclasses.replace(
+        cfg, quant_mode=QuantMode.FULL_PRECISION), np.random.default_rng(2))
+    stack.temporal_simulate(tokens, 100 if batch == 1 else 3,
+                            peers=[(peer, None)])
+    assert max(largest) <= eqspike.MMAP_THRESHOLD
+    if batch == 1:
         assert model.WINDOW_BYTES // 2 < max(largest) <= model.WINDOW_BYTES

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -477,6 +479,118 @@ def test_non_finite_spike_path_is_numeric_error(poison):
         stack.params["blk0.ff1.w"][2, 5] = np.inf
     with pytest.raises(NumericError), np.errstate(invalid="ignore"):
         stack.temporal_simulate(np.array([[2, 4, 5], [3, 6, 7]]), T=20)
+
+
+def _assert_runs_equal(got, want):
+    """Two `temporal_simulate` results are bitwise equal, key order too."""
+    np.testing.assert_array_equal(got[0], want[0])
+    for g, w in zip(got[1:], want[1:], strict=True):
+        assert list(g) == list(w)
+        for name in w:
+            assert g[name].dtype == w[name].dtype
+            np.testing.assert_array_equal(g[name], w[name])
+
+
+@pytest.mark.parametrize("size", [1, 3, 64])
+@pytest.mark.parametrize("modes", [
+    (QuantMode.TERNARY_158BIT, QuantMode.FULL_PRECISION),
+    (QuantMode.BINARY_1BIT, QuantMode.FULL_PRECISION),
+    (QuantMode.TERNARY_158BIT, QuantMode.TERNARY_158BIT)],
+    ids=["1.58bit-fp", "1bit-fp", "1.58bit-1.58bit"])
+def test_side_by_side_stacks_equal_their_own_runs_bitwise(monkeypatch, modes,
+                                                          size):
+    # two default-shape students of one vocabulary, the first frozen (as
+    # `energy` loads it) and the second not
+    tok, _train, dev, labels = pl.make_dataset(pl.load_config(None, {}))
+    stacks = [pl.build_student(pl.load_config(None, {"seed": seed}), tok,
+                               quant_mode=mode.value, num_labels=len(labels))
+              for seed, mode in zip((5, 6), modes)]
+    stacks[0].freeze_quantization()
+    items = dev[:size]
+    tokens, _labels = stack_items(items)
+    # side by side while a shared window holds SIDE_BY_SIDE_STEPS steps
+    # (the q/k/v currents, 3d wide, are the widest array): for one or
+    # three sentences, not for 64
+    shared = model.WINDOW_BYTES // (8 * 3 * stacks[0].cfg.hidden_dim
+                                    * 2 * tokens.size)
+    together = shared >= model.SIDE_BY_SIDE_STEPS
+    assert together == (size < 64)
+    T = shared + 1 if together else 3  # one full shared window and a step
+    ndims = set()
+    inner = model.lif_step
+
+    def recorded(state, *args):
+        ndims.add(state.u.ndim)
+        return inner(state, *args)
+
+    monkeypatch.setattr(model, "lif_step", recorded)
+    counters = [OpCounter(), OpCounter()]
+    got = stacks[0].temporal_simulate(tokens, T, counter=counters[0],
+                                      peers=[(stacks[1], counters[1])])
+    assert ndims == {4 if together else 3}  # (M,) B, seq, width
+    for stack, counter, run in zip(stacks, counters, got, strict=True):
+        alone = OpCounter()
+        _assert_runs_equal(run, stack.temporal_simulate(tokens, T,
+                                                        counter=alone))
+        assert list(counter.per_layer.items()) == \
+            list(alone.per_layer.items())
+    assert pl.energy_compare(None, *stacks, items, T) == \
+        tp.per_model_energy_compare(*stacks, items, T)
+
+
+@pytest.mark.parametrize("field,value", [("intermediate_dim", 12),
+                                         ("num_labels", 3)])
+def test_side_by_side_peer_of_another_architecture_fails_before_any_step(
+        monkeypatch, field, value):
+    stack = make_stack(mode=QuantMode.TERNARY_158BIT)
+    peer = EncoderStack(dataclasses.replace(stack.cfg, **{field: value}),
+                        np.random.default_rng(1))
+
+    def never(*args, **kwargs):
+        raise AssertionError("a step ran")
+
+    monkeypatch.setattr(model, "lif_step", never)
+    with pytest.raises(ShapeError, match=f"{field} differ"):
+        stack.temporal_simulate(np.array([2, 4, 5]), T=5,
+                                peers=[(peer, OpCounter())])
+
+
+def test_side_by_side_non_finite_peer_is_numeric_error():
+    stack = make_stack(mode=QuantMode.TERNARY_158BIT)
+    peer = make_stack(seed=1)
+    peer.params["blk0.ff1.w"][2, 5] = np.nan
+    with pytest.raises(NumericError, match="membrane potential of blk"), \
+            np.errstate(invalid="ignore"):
+        stack.temporal_simulate(np.array([[2, 4, 5], [3, 6, 7]]), T=20,
+                                peers=[(peer, None)])
+
+
+def test_side_by_side_run_refuses_a_trace():
+    stack, peer = make_stack(mode=QuantMode.TERNARY_158BIT), make_stack()
+    with pytest.raises(ValueError, match="trace"):
+        stack.temporal_simulate(np.array([2, 4, 5]), T=5, trace=[],
+                                peers=[(peer, None)])
+
+
+def test_simulate_trace_stays_single_stack_and_bitwise(monkeypatch):
+    stack = make_stack(seed=2, mode=QuantMode.TERNARY_158BIT)
+    stack.freeze_quantization()
+    tokens, T = ORACLE_TOKENS[0], 50
+    want = []
+    step_major_simulate(stack, tokens, T, trace=want)
+    peers = []
+    simulate = EncoderStack.temporal_simulate
+
+    def recorded(self, *args, **kwargs):
+        peers.append(kwargs.get("peers"))
+        return simulate(self, *args, **kwargs)
+
+    monkeypatch.setattr(EncoderStack, "temporal_simulate", recorded)
+    rows, _summary = pl.simulate(None, stack, tokens, T)
+    assert peers == [None]
+    assert [row[:2] for row in rows] == [row[:2] for row in want]
+    np.testing.assert_array_equal([row[2] for row in rows],
+                                  [row[2] for row in want])
 
 
 def test_batched_solve_logits_equal_each_sentence_alone():
