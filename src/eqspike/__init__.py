@@ -15,15 +15,13 @@ __version__ = "0.1.0"
 # one step fits, and one step of 64 sentences is 0.56 MiB at d=32 and
 # 1.1 MiB at d=64 (`tests/test_heap_policy.py`).  The trim threshold is
 # above the most memory the default pipeline frees at once and then needs
-# again.  `energy --eval-size 64` holds up to 18.4 MiB (its tracemalloc
+# again.  `energy --eval-size 64` holds up to 15.2 MiB (its tracemalloc
 # peak): its two models' T=200 simulations run one after the other in one
-# call (`model.SIDE_BY_SIDE_STEPS`), which returns both models' rates and
-# spike counts, 8 MiB each.  Between the runs it frees the first model's
-# membrane potentials (3.9 MiB) and window arrays, and builds them again
-# for the second.  Repeated 64-sentence comparisons in one process free
-# more than the threshold at once, at 1,212 minor faults an op (23 at 32
-# MiB), which cost no time measurable against the op's 590 ms.  At most
-# 16 MiB of freed heap is retained.
+# call (`model.SIDE_BY_SIDE_STEPS`), which returns each model's spike
+# counts, 3.2 MiB a model.  Between the runs it frees the first model's
+# layer states and window arrays, and builds them again for the second.
+# Repeated comparisons of 1, 4 or 64 sentences in one process take 0-0.2
+# minor faults an op.  At most 16 MiB of freed heap is retained.
 MMAP_THRESHOLD = 4 << 20
 TRIM_THRESHOLD = 16 << 20
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # parameter numbers, malloc.h

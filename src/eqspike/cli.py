@@ -90,11 +90,7 @@ def cmd_distill(args):
 def cmd_finetune(args):
     cfg = _load_cfg(args)
     tokenizer, train_items, dev_items, _labels = pl.make_dataset(cfg)
-    stack, stage = load_student(args.student)
-    if stage != "kd" and not args.allow_skip_kd:
-        raise ConfigError(
-            f"checkpoint stage is {stage!r}; fine-tuning expects a post-KD "
-            "checkpoint (pass --allow-skip-kd to proceed anyway)")
+    stack, _stage = load_student(args.student)
     stack.set_quant_mode(stack.cfg.quant_mode)  # unfreeze for training
     history = pl.finetune_student(cfg, stack, train_items, dev_items)
     stack.freeze_quantization()
@@ -165,8 +161,6 @@ def build_parser():
     p = sub.add_parser("finetune", help="stage-2 cross-entropy fine-tuning")
     _common(p)
     p.add_argument("--student", required=True, help="student checkpoint")
-    p.add_argument("--allow-skip-kd", action="store_true",
-                   help="accept a finetuned checkpoint")
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("simulate", help="temporal convergence trace")

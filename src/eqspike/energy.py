@@ -135,7 +135,7 @@ def account(stacks: list, tokens: np.ndarray, T: int) -> list:
         tokens, T, counter=counters[0],
         peers=list(zip(stacks[1:], counters[1:])))
     out = []
-    for stack, counter, (_, _, counts) in zip(stacks, counters, runs):
+    for stack, counter, (_, counts) in zip(stacks, counters, runs):
         counts = {k: v.sum(axis=0) for k, v in counts.items()}
         report = energy_estimate(
             counts, T * len(tokens), op_table(stack, tokens.shape[-1]),

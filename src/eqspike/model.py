@@ -452,18 +452,20 @@ class EncoderStack:
 
         `tokens` is (seq,) or (B, seq): a batch runs in one pass, each row
         bitwise equal to its own run.  Returns (logits (..., C), per-layer
-        ASR dict, per-layer per-neuron spike count dict), ASRs and counts
-        (..., seq, width).  `trace`, when given, collects (step, layer,
-        mean_asr) rows.
+        per-neuron spike count dict), the counts (..., seq, width); a
+        layer's ASRs are its counts / T, and the logits are the final
+        block's.  `trace`, when given, collects (step, layer, mean_asr)
+        rows.
 
         `peers`, when given, are (stack, counter) pairs to simulate on the
         same tokens: stacks of this one's `ARCHITECTURE_FIELDS`, else a
-        ShapeError before any step runs.  The result is then a list of the
-        triples, this stack's first, each bitwise that stack's own run,
-        and each counter is filled as by that run.  A trace follows one
-        stack, so `trace` with peers is a ValueError.  The stacks run side
-        by side, M of them in one pass, when a window shared by them holds
-        at least SIDE_BY_SIDE_STEPS steps, and one after another otherwise.
+        ShapeError before any step runs.  The result is then a list of
+        (logits, counts), this stack's first, each bitwise that stack's
+        own run, and each counter is filled as by that run.  A trace
+        follows one stack, so `trace` with peers is a ValueError.  The
+        stacks run side by side, M of them in one pass, when a window
+        shared by them holds at least SIDE_BY_SIDE_STEPS steps, and one
+        after another otherwise.
 
         The steps run in windows of as many steps as keep the widest window
         array (M * B * seq rows of max(3d, intermediate, heads * seq)
@@ -498,7 +500,7 @@ class EncoderStack:
         for peer, _ in runs[1:]:
             differ = architecture_differences(self.cfg, peer.cfg)
             if differ:
-                raise ShapeError("side-by-side stacks need matching "
+                raise ShapeError("stacks simulated together need matching "
                                  f"architectures; {', '.join(differ)} differ")
         if trace is not None and len(runs) > 1:
             raise ValueError("a trace follows one stack; run peers untraced")
@@ -524,7 +526,7 @@ def _window_steps(cfg, shape: tuple) -> int:
 
 def _simulate(runs: list, drives: list, T: int, trace: list | None) -> list:
     """`temporal_simulate` of the (stack, counter) pairs `runs`, side by side
-    on their input neurons' `drives`: one (logits, ASRs, counts) per stack.
+    on their input neurons' `drives`: one (logits, counts) per stack.
 
     One stack runs without a model axis, as `temporal_simulate` describes.
     """
@@ -654,20 +656,16 @@ def _simulate(runs: list, drives: list, T: int, trace: list | None) -> list:
                          for name, m in means.items())
 
     # each layer's state is dropped once checked and split, so that not
-    # every state, ASR and count is alive at once; a part of the counts
-    # over T is bitwise that part of count / T
-    results = [({}, {}) for _ in runs]
+    # every state and count is alive at once
+    results = [{} for _ in runs]
     for name in list(layers):
         st = layers.pop(name)
         check_finite(st.u, f"membrane potential of {name}")
-        for (asrs, spike_counts), count in zip(
-                results, st.count if lead else [st.count]):
-            counts = split(name, count)
-            spike_counts.update(counts)
-            asrs.update((part, c / T) for part, c in counts.items())
+        for counts, count in zip(results, st.count if lead else [st.count]):
+            counts.update(split(name, count))
     final = f"blk{cfg.num_layers - 1}.out"
-    return [(stack.logits(asrs[final]), asrs, spike_counts)
-            for (stack, _), (asrs, spike_counts) in zip(runs, results)]
+    return [(stack.logits(counts[final] / T), counts)
+            for (stack, _), counts in zip(runs, results)]
 
 
 def spiking_attention(q, k, v, num_heads: int, save: bool = True):

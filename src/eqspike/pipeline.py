@@ -22,7 +22,7 @@ from .equilibrium import SolverConfig, solve_fixed_point
 from .energy import account
 from .implicit_grad import batch_gradients, training_step
 from .model import (EncoderStack, StackConfig, TeacherConfig, TeacherModel,
-                    architecture_differences, teacher_forward)
+                    teacher_forward)
 from .numerics import AdamState, adam_step_many, check_finite
 
 
@@ -251,15 +251,17 @@ def finetune_student(cfg, stack, train_items, dev_items):
 
 def simulate(cfg, stack, tokens, T):
     """Trace rows (step, layer, mean rate, |mean - the layer's mean
-    equilibrium rate|) + temporal-vs-equilibrium deviation summary; `cfg`
-    is not read."""
+    equilibrium rate|) + temporal-vs-equilibrium deviation summary, each
+    block's temporal rates being its output spike counts / T; `cfg` is not
+    read."""
     sol = solve_fixed_point(stack, tokens)
     targets = {name: float(np.mean(v)) for name, v in sol.sublayer_asr.items()}
     trace = []
-    _, asrs, _ = stack.temporal_simulate(tokens, T, trace=trace)
+    _, counts = stack.temporal_simulate(tokens, T, trace=trace)
     rows = [(t, name, m, abs(m - targets[name])) for t, name, m in trace]
-    deviations = {f"layer_{i}": float(np.mean(np.abs(asrs[f"blk{i}.out"] - a)))
-                  for i, a in enumerate(sol.asr_star)}
+    deviations = {
+        f"layer_{i}": float(np.mean(np.abs(counts[f"blk{i}.out"] / T - a)))
+        for i, a in enumerate(sol.asr_star)}
     summary = {"T": T, "mean_abs_deviation": deviations,
                "max_mean_abs_deviation": max(deviations.values())}
     return rows, summary
@@ -275,12 +277,9 @@ def energy_compare(cfg, stack_quant, stack_fp, eval_items, T):
     window rule picks) and prices each at length seq.  Each report is
     bitwise that of the model's own account.  Accumulates cost the 45nm
     `energy.INT_ACC_PJ` and `FLOAT_ACC_PJ`; `cfg` is not read.  Raises
-    ConfigError if the two architectures differ or the set is empty.
+    ConfigError if the set is empty, and `temporal_simulate`'s ShapeError,
+    naming the fields, if the two architectures differ.
     """
-    differ = architecture_differences(stack_quant.cfg, stack_fp.cfg)
-    if differ:
-        raise ConfigError("energy comparison needs matching architectures; "
-                          f"{', '.join(differ)} differ")
     if not eval_items:
         raise ConfigError("energy comparison needs at least one sentence")
     tokens, _labels = stack_items(eval_items)

@@ -70,11 +70,11 @@ def test_student_roundtrip_parameters(tmp_path):
 def test_student_roundtrip_preserves_inference(tmp_path):
     stack = make_stack()
     tokens = np.array([2, 4, 5])
-    logits, _, _ = stack.temporal_simulate(tokens, T=20)
+    logits, _ = stack.temporal_simulate(tokens, T=20)
     path = tmp_path / "ckpt.json"
     save_student(stack, "finetuned", path)
     loaded, _ = load_student(path)
-    logits2, _, _ = loaded.temporal_simulate(tokens, T=20)
+    logits2, _ = loaded.temporal_simulate(tokens, T=20)
     np.testing.assert_allclose(logits, logits2, atol=1e-12)
 
 
@@ -324,12 +324,13 @@ def test_frozen_ternary_simulation_is_unchanged_by_round_trip(tmp_path):
             save_student(stack, "finetuned", tmp_path / "ckpt.json")
             stack, _ = load_student(tmp_path / "ckpt.json")
         counter = OpCounter()
-        logits, asrs, _ = stack.temporal_simulate(tokens, T=30, counter=counter)
-        runs.append((logits, asrs, counter.per_layer))
-    for logits, asrs, per_layer in runs[1:]:
+        logits, counts = stack.temporal_simulate(tokens, T=30,
+                                                 counter=counter)
+        runs.append((logits, counts, counter.per_layer))
+    for logits, counts, per_layer in runs[1:]:
         np.testing.assert_array_equal(logits, runs[0][0])
         for name, want in runs[0][1].items():
-            np.testing.assert_array_equal(asrs[name], want, err_msg=name)
+            np.testing.assert_array_equal(counts[name], want, err_msg=name)
         assert per_layer == runs[0][2]
 
 

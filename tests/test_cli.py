@@ -11,7 +11,7 @@ import yaml
 from eqspike import cli
 from eqspike import pipeline as pl
 from eqspike.checkpoint import (FORMAT_VERSION, decode_array, encode_array,
-                                save_student)
+                                load_student, save_student)
 from eqspike.cli import main
 from eqspike.data import CLS
 
@@ -84,15 +84,14 @@ def test_artifact_contents_parse(artifacts):
     assert lines[0] == "epoch,pair_index,mse,total"
 
 
-def test_finetune_refuses_non_kd_checkpoint(workdir, artifacts):
+def test_finetune_accepts_finetuned_checkpoint(workdir, artifacts):
     root, cfg = workdir
     out, _ = artifacts
-    rc = main(["finetune", "--config", cfg, "--out", str(root / "gate"),
+    rc = main(["finetune", "--config", cfg, "--out", str(root / "again"),
                "--student", f"{out}/student_finetuned.json"])
-    assert rc == 2
-    rc = main(["finetune", "--config", cfg, "--out", str(root / "gate"),
-               "--student", f"{out}/student_finetuned.json", "--allow-skip-kd"])
     assert rc == 0
+    _stack, stage = load_student(root / "again" / "student_finetuned.json")
+    assert stage == "finetuned"
 
 
 def test_missing_checkpoint_is_io_error(workdir):
@@ -177,8 +176,11 @@ def test_zero_timesteps_flag_is_config_error_naming_the_key(workdir, capsys):
 
 @pytest.mark.parametrize("argv", [["eval", "--student", "s.json", "--quant", "1bit"],
                                   ["finetune", "--student", "s.json",
-                                   "--timesteps", "5"]],
-                         ids=["eval--quant", "finetune--timesteps"])
+                                   "--timesteps", "5"],
+                                  ["finetune", "--student", "s.json",
+                                   "--allow-skip-kd"]],
+                         ids=["eval--quant", "finetune--timesteps",
+                              "finetune--allow-skip-kd"])
 def test_subcommand_rejects_flags_it_does_not_read(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)

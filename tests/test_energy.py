@@ -109,15 +109,15 @@ def test_expected_accumulates_matches_instrumented_kernel_exactly():
     for mode in (QuantMode.TERNARY_158BIT, QuantMode.BINARY_1BIT):
         stack = make_stack(mode)
         counter = OpCounter()
-        _, _, counts = stack.temporal_simulate(np.array([2, 4, 5]), T=40,
-                                               counter=counter)
+        _, counts = stack.temporal_simulate(np.array([2, 4, 5]), T=40,
+                                            counter=counter)
         expected = expected_accumulates(counts, stack)
         assert counter.per_layer == expected
 
 
 def test_expected_accumulates_binary_has_dense_columns():
     stack = make_stack(QuantMode.BINARY_1BIT)
-    _, _, counts = stack.temporal_simulate(np.array([2, 4]), T=10)
+    _, counts = stack.temporal_simulate(np.array([2, 4]), T=10)
     expected = expected_accumulates(counts, stack)
     # binary codes have no zeros, so each q/k/v accumulate count is
     # exactly (total input spikes) * out_dim

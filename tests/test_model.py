@@ -231,11 +231,10 @@ def test_spiking_attention_shape_errors():
 def test_temporal_simulate_outputs(mode):
     stack = make_stack(mode=mode)
     tokens = np.array([2, 4, 5])
-    logits, asrs, counts = stack.temporal_simulate(tokens, T=30)
+    logits, counts = stack.temporal_simulate(tokens, T=30)
     assert logits.shape == (2,)
-    assert asrs["blk1.out"].shape == (3, stack.cfg.hidden_dim)
-    assert all(a.min() >= 0.0 and a.max() <= 1.0 for a in asrs.values())
-    # spike counts are integers bounded by T
+    assert counts["blk1.out"].shape == (3, stack.cfg.hidden_dim)
+    # spike counts are integers bounded by T, so rates lie in [0, 1]
     for name, c in counts.items():
         assert c.min() >= 0 and c.max() <= 30
         np.testing.assert_array_equal(c, np.round(c))
@@ -249,9 +248,9 @@ def test_temporal_simulate_rejects_bad_horizon():
 def _assert_temporal_asr_near_fixed_point(stack):
     tokens = np.array([2, 4, 5, 6])
     sol = solve_fixed_point(stack, tokens)
-    _, asrs, _ = stack.temporal_simulate(tokens, T=800)
+    _, counts = stack.temporal_simulate(tokens, T=800)
     for i, target in enumerate(sol.asr_star):
-        dev = float(np.mean(np.abs(asrs[f"blk{i}.out"] - target)))
+        dev = float(np.mean(np.abs(counts[f"blk{i}.out"] / 800 - target)))
         assert dev < 0.02
 
 
@@ -302,9 +301,8 @@ def test_temporal_simulate_quantizes_each_linear_once(monkeypatch):
     assert calls == [(4 * num, d, d), (num, inter, d), (num, d, inter)]
     assert stack.frozen is None
     np.testing.assert_array_equal(got[0], want[0])
-    for g, w in zip(got[1:], want[1:]):
-        for name in w:
-            np.testing.assert_array_equal(g[name], w[name])
+    for name in want[1]:
+        np.testing.assert_array_equal(got[1][name], want[1][name])
     assert counter.per_layer == want_counter.per_layer
 
 
@@ -316,25 +314,22 @@ def test_batched_temporal_simulate_equals_rows(mode):
                              num_labels=len(labels))
     tokens = np.stack([t for t, _ in dev[:5]])
     counter = OpCounter()
-    logits, asrs, counts = stack.temporal_simulate(tokens, T=40,
-                                                   counter=counter)
+    logits, counts = stack.temporal_simulate(tokens, T=40, counter=counter)
     assert logits.shape == (5, 2) and sum(counter.per_layer.values()) > 0
     rows = OpCounter()  # one counter over the rows, as per-sentence runs
     for b, row in enumerate(tokens):
-        want = stack.temporal_simulate(row, T=40, counter=rows)
-        np.testing.assert_array_equal(logits[b], want[0])
-        for got, per_row in zip((asrs, counts), want[1:]):
-            assert list(got) == list(per_row)
-            for name in per_row:
-                np.testing.assert_array_equal(got[name][b], per_row[name])
+        want_logits, want = stack.temporal_simulate(row, T=40, counter=rows)
+        np.testing.assert_array_equal(logits[b], want_logits)
+        assert list(counts) == list(want)
+        for name in want:
+            np.testing.assert_array_equal(counts[name][b], want[name])
     assert counter.per_layer == rows.per_layer
     one, first = OpCounter(), OpCounter()  # a batch of one is the 1-D call
     got = stack.temporal_simulate(tokens[:1], T=40, counter=one)
     want = stack.temporal_simulate(tokens[0], T=40, counter=first)
     np.testing.assert_array_equal(got[0], want[0][None])
-    for g, w in zip(got[1:], want[1:]):
-        for name in w:
-            np.testing.assert_array_equal(g[name], w[name][None])
+    for name in want[1]:
+        np.testing.assert_array_equal(got[1][name], want[1][name][None])
     assert one.per_layer == first.per_layer
 
 
@@ -396,8 +391,9 @@ ORACLE_TOKENS = np.array([[2, 4, 5, 6, 7], [3, 8, 9, 10, 1], [2, 2, 6, 5, 4]])
 
 def _assert_windows_equal_oracle(monkeypatch, stack, tokens, timesteps):
     """`stack.temporal_simulate` of `tokens` at each of `timesteps`, traced
-    and not, equals `step_major_simulate` bitwise: logits, rates, spike
-    counts, membranes, op counts and trace."""
+    and not, equals `step_major_simulate` bitwise: logits, spike counts
+    (each over T the oracle's own rates, in the oracle's layer order),
+    membranes, op counts and trace."""
     # the neuron layers temporal_simulate makes, in the order it makes them
     states, make = [], model.LifLayerState.zeros
 
@@ -412,6 +408,7 @@ def _assert_windows_equal_oracle(monkeypatch, stack, tokens, timesteps):
         want_counter, want_trace, want_u = OpCounter(), [], {}
         want = step_major_simulate(stack, tokens, T, counter=want_counter,
                                    trace=want_trace, membranes=want_u)
+        want_logits, want_asrs, want_counts = want
         for tracing in (False, True):
             counter, trace = OpCounter(), [] if tracing else None
             states.clear()
@@ -425,18 +422,20 @@ def _assert_windows_equal_oracle(monkeypatch, stack, tokens, timesteps):
             assert list(got_u) == list(want_u)
             for name, u in want_u.items():
                 np.testing.assert_array_equal(got_u[name], u)
-            np.testing.assert_array_equal(got[0], want[0])
-            for g, w in zip(got[1:], want[1:]):
-                assert list(g) == list(w)
-                for name in w:
-                    assert g[name].dtype == w[name].dtype
-                    np.testing.assert_array_equal(g[name], w[name])
+            assert len(got) == 2
+            logits, counts = got
+            np.testing.assert_array_equal(logits, want_logits)
+            assert list(counts) == list(want_asrs) == list(want_counts)
+            for name, c in counts.items():
+                for g, w in ((c, want_counts[name]), (c / T, want_asrs[name])):
+                    assert g.dtype == w.dtype, name
+                    np.testing.assert_array_equal(g, w, err_msg=name)
             assert list(counter.per_layer.items()) == \
                 list(want_counter.per_layer.items())
         assert [row[:2] for row in trace] == [row[:2] for row in want_trace]
         np.testing.assert_array_equal([row[2:] for row in trace],
                                       [row[2:] for row in want_trace])
-        assert len(trace) == T * len(want[1])
+        assert len(trace) == T * len(want_asrs)
 
 
 @MODES
